@@ -440,8 +440,8 @@ func BenchmarkIngestDurable(b *testing.B) {
 	trips, _ := sim.NewTripEmitter(city, fcfg).Emit(500)
 	const batch = 10
 	lat := make([]time.Duration, 0, b.N)
-	open := func() *hist.Store {
-		st, _, err := hist.OpenStore(b.TempDir(), city.Graph, nil, hist.StoreConfig{})
+	open := func() *hist.ShardedStore {
+		st, _, err := hist.OpenShardedStore(b.TempDir(), city.Graph, nil, hist.ShardedConfig{Shards: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

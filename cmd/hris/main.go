@@ -24,21 +24,22 @@
 // memtable stack and compaction loop); ingest routes trips to the shards
 // whose halo cells their points touch, and queries scatter-gather across
 // shards with exact dedup, so results are byte-identical to -shards 1. The
-// halo margin defaults to the -phi search radius (override with -halo);
-// /metrics reports per-shard shard.<i>.* gauges and the scatter.* routing
-// counters.
+// halo margin is the -phi search radius, which keeps boundary queries on
+// the single-shard fast path; /metrics reports store.shards, per-shard
+// shard.<i>.* gauges and the scatter.* routing counters at every N.
 //
 // Durability: -data-dir DIR makes the live archive survive restarts — every
 // ingested batch is appended to a write-ahead log under DIR before it
-// becomes visible, and compactions persist the merged base as checksummed
-// segment files. On startup the store recovers from the newest valid
-// segment plus the log (tolerating a torn final record) and resumes at the
-// recovered epoch. -wal-sync picks the log's fsync policy: "always"
-// (default; every batch is on disk before ingest returns), "interval"
-// (background fsync every 200ms; a crash may lose the last interval) or
-// "off" (fsync only at rotation/shutdown). With -shards N each shard keeps
-// its segment files in its own subdirectory while a single root log covers
-// whole composite batches.
+// becomes visible, and each compaction round checkpoints the post-seed
+// history as a checksummed segment file. On startup the store recovers from
+// the newest valid segment plus the log (tolerating a torn final record) and
+// resumes at the recovered epoch. -wal-sync picks the log's fsync policy:
+// "always" (default; every batch is on disk before ingest returns),
+// "interval" (background fsync every 200ms; a crash may lose the last
+// interval) or "off" (fsync only at rotation/shutdown). The files are
+// independent of -shards — DIR holds MANIFEST.json, wal-*.log and seg-*.seg
+// at any N — so a directory written at one shard count reopens at another;
+// only the dataset (-data) must stay the same.
 //
 // Observability: -metrics prints the per-stage cost breakdown (count,
 // total, p50/p95/p99/max per pipeline stage — the paper's Figure 9 cost
@@ -98,7 +99,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -165,8 +165,7 @@ func main() {
 		httpAddr = flag.String("http", "", "serve /metrics, /debug/vars, /debug/pprof, POST /infer and POST /ingest on this address and stay alive")
 		deadline = flag.Duration("deadline", 0, "per-query inference budget (e.g. 50ms); on expiry a best-effort degraded result is returned")
 		follow   = flag.Bool("follow", false, "read NDJSON trips from stdin and ingest them into the live archive")
-		shards   = flag.Int("shards", 1, "spatial shards for the live archive (1 = single store)")
-		halo     = flag.Float64("halo", -1, "shard halo margin in meters (< 0 uses -phi)")
+		shards   = flag.Int("shards", 1, "spatial shards for the live archive")
 		dataDir  = flag.String("data-dir", "", "persist the live archive under this directory (WAL + segment files); empty = in-memory only")
 		walSync  = flag.String("wal-sync", "always", "WAL fsync policy with -data-dir: always, interval or off")
 
@@ -183,9 +182,6 @@ func main() {
 	flag.Parse()
 	if *shards < 1 {
 		log.Fatalf("-shards must be >= 1 (got %d)", *shards)
-	}
-	if math.IsNaN(*halo) {
-		log.Fatalf("-halo must be a number (use a negative value to default to -phi)")
 	}
 	syncPolicy, err := hist.ParseSyncPolicy(*walSync)
 	if err != nil {
@@ -223,39 +219,23 @@ func main() {
 		reg = obs.New()
 	}
 	// The dataset seeds a live store; -follow and POST /ingest grow it while
-	// the engine answers queries against pinned snapshots. With -shards > 1
-	// the store is spatially partitioned behind the same Ingester surface;
-	// with -data-dir the store is durable and recovers its post-seed history
-	// before serving.
-	sc := hist.StoreConfig{Registry: reg, WALSync: syncPolicy}
-	h := *halo
-	if h < 0 {
-		h = *phi
+	// the engine answers queries against pinned snapshots. -shards picks how
+	// many spatial partitions back it; with -data-dir the store is durable
+	// and recovers its post-seed history before serving.
+	cfg := hist.ShardedConfig{
+		StoreConfig: hist.StoreConfig{Registry: reg, WALSync: syncPolicy},
+		Shards:      *shards,
+		Halo:        *phi,
 	}
-	var st hist.Ingester
-	switch {
-	case *dataDir != "" && *shards > 1:
-		dst, rs, err := hist.OpenShardedStore(*dataDir, g, trajs, hist.ShardedConfig{
-			StoreConfig: sc, Shards: *shards, Halo: h,
-		})
-		if err != nil {
-			log.Fatalf("open sharded store: %v", err)
-		}
-		logRecovery(rs)
-		st = dst
-	case *dataDir != "":
-		dst, rs, err := hist.OpenStore(*dataDir, g, trajs, sc)
-		if err != nil {
+	var st *hist.ShardedStore
+	if *dataDir != "" {
+		var rs hist.RecoveryStats
+		if st, rs, err = hist.OpenShardedStore(*dataDir, g, trajs, cfg); err != nil {
 			log.Fatalf("open store: %v", err)
 		}
 		logRecovery(rs)
-		st = dst
-	case *shards > 1:
-		st = hist.NewShardedStore(g, trajs, hist.ShardedConfig{
-			StoreConfig: sc, Shards: *shards, Halo: h,
-		})
-	default:
-		st = hist.NewStore(g, trajs, sc)
+	} else {
+		st = hist.NewShardedStore(g, trajs, cfg)
 	}
 	eng := core.NewEngineWithRegistry(st, params, reg)
 	var srv *http.Server
@@ -387,7 +367,7 @@ func main() {
 	}
 }
 
-// logRecovery summarizes what OpenStore/OpenShardedStore restored.
+// logRecovery summarizes what OpenShardedStore restored.
 func logRecovery(rs hist.RecoveryStats) {
 	if rs.Epoch == 0 && rs.SegmentTrips == 0 && rs.WALBatches == 0 {
 		return // virgin data directory
@@ -414,7 +394,7 @@ func logRecovery(rs hist.RecoveryStats) {
 // -data-dir it is in memory only ("memory"). A WAL write failure returns
 // 500 with the batch still admitted in memory, and the store refuses
 // further WAL appends ("failed") until reopened.
-func ingestHandler(w http.ResponseWriter, r *http.Request, st hist.Ingester) {
+func ingestHandler(w http.ResponseWriter, r *http.Request, st *hist.ShardedStore) {
 	if r.Method != http.MethodPost {
 		http.Error(w, `POST trips JSON: {"trips": [{"id": "...", "points": [[x, y, t], ...]}, ...]}`, http.StatusMethodNotAllowed)
 		return
@@ -501,7 +481,7 @@ func readLine(br *bufio.Reader, max int) ([]byte, error) {
 // occasional bad record instead of aborting — and a trailing partial line
 // at EOF is rejected rather than ingested as a truncated trip (the producer
 // may have died mid-record).
-func followStdin(ctx context.Context, st hist.Ingester, reg *obs.Registry) {
+func followStdin(ctx context.Context, st *hist.ShardedStore, reg *obs.Registry) {
 	br := bufio.NewReaderSize(os.Stdin, 1<<20)
 	lines, admitted, rejected := 0, 0, 0
 	reject := func(format string, args ...any) {

@@ -23,7 +23,9 @@ func newStreamServer(t *testing.T, mgrCfg core.SessionManagerConfig, root contex
 	t.Helper()
 	ds := testWorld(t)
 	reg := obs.New()
-	st := hist.NewStore(ds.City.Graph, ds.Archive, hist.StoreConfig{Registry: reg})
+	st := hist.NewShardedStore(ds.City.Graph, ds.Archive, hist.ShardedConfig{
+		StoreConfig: hist.StoreConfig{Registry: reg},
+	})
 	t.Cleanup(func() { st.Close() })
 	params := core.DefaultParams()
 	eng := core.NewEngineWithRegistry(st, params, reg)

@@ -4,14 +4,18 @@ package core
 // killed at an injected point — between ingest and compaction, or in the
 // middle of a compaction — and reopened from its data directory must answer
 // InferRoutes byte-identically to an uninterrupted store holding the
-// durable prefix of trips, at the same epoch (and, sharded, the same epoch
-// fingerprint), so epoch-tagged caches stay coherent across the restart.
+// durable prefix of trips, at the same epoch and epoch fingerprint, so
+// epoch-tagged caches stay coherent across the restart. Every test runs at
+// shards {1, 4}: durability sits above sharding, so the shape must not
+// matter — including to a directory reopened at a different shard count.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/hist"
+	"repro/internal/sim"
 	"repro/internal/traj"
 )
 
@@ -58,7 +62,7 @@ func plans(n int) []crashPlan {
 // runCrash drives st through the plan and kills it. The returned epoch is
 // the store's epoch at the kill; under SyncAlways every admitted batch is
 // on disk, so it is also the epoch recovery must reach.
-func runCrash(t *testing.T, st hist.Ingester, batches [][]*traj.Trajectory, plan crashPlan, kill func()) uint64 {
+func runCrash(t *testing.T, st *hist.ShardedStore, batches [][]*traj.Trajectory, plan crashPlan) uint64 {
 	t.Helper()
 	for i := 0; i < plan.crashAt; i++ {
 		if stats := st.IngestTrips(batches[i]...); stats.Durability != hist.DurabilitySynced {
@@ -66,9 +70,10 @@ func runCrash(t *testing.T, st hist.Ingester, batches [][]*traj.Trajectory, plan
 		}
 		if i+1 == plan.compactAt {
 			if plan.midCompaction {
-				// Kill between the WAL append and the segment flush: the
-				// compaction has merged but neither published nor flushed.
-				hist.CompactBeforePublish = kill
+				// Kill between the WAL append and the checkpoint: the first
+				// shard's compaction has merged but neither published nor
+				// cued the segment write.
+				hist.CompactBeforePublish = st.CloseAbrupt
 				st.Compact()
 				hist.CompactBeforePublish = nil
 				return uint64(plan.crashAt)
@@ -77,30 +82,49 @@ func runCrash(t *testing.T, st hist.Ingester, batches [][]*traj.Trajectory, plan
 			st.Wait()
 		}
 	}
-	kill()
+	st.CloseAbrupt()
 	return uint64(plan.crashAt)
 }
 
-// oracleFor replays the same batch prefix into an uninterrupted in-memory
-// store of the same shape.
-func oracleFor(ds interface {
-	IngestTrips(...*traj.Trajectory) hist.IngestStats
-}, batches [][]*traj.Trajectory, upTo uint64) {
-	for i := uint64(0); i < upTo; i++ {
-		ds.IngestTrips(batches[i]...)
+// durableConfig is the composite shape under test at n shards.
+func durableConfig(n int, sync hist.SyncPolicy) hist.ShardedConfig {
+	return hist.ShardedConfig{
+		StoreConfig: hist.StoreConfig{CompactSegments: 1 << 30, WALSync: sync},
+		Shards:      n,
+		Halo:        500,
 	}
 }
 
-// checkRecoveredInference asserts byte-identical InferRoutes output between
-// the recovered store and its oracle over every query.
-func checkRecoveredInference(t *testing.T, rec, oracle hist.Ingester, queries []*traj.Trajectory) {
+// openDurable fails the test on error.
+func openDurable(t *testing.T, dir string, ds *sim.Dataset, cfg hist.ShardedConfig) (*hist.ShardedStore, hist.RecoveryStats) {
 	t.Helper()
+	st, rs, err := hist.OpenShardedStore(dir, ds.City.Graph, nil, cfg)
+	if err != nil {
+		t.Fatalf("OpenShardedStore: %v", err)
+	}
+	return st, rs
+}
+
+// checkRecovered asserts rec sits at wantEpoch and is indistinguishable —
+// epoch, fingerprint, byte-identical InferRoutes output over every query —
+// from an uninterrupted in-memory composite of the same shape fed the same
+// batch prefix.
+func checkRecovered(t *testing.T, rec *hist.ShardedStore, ds *sim.Dataset, cfg hist.ShardedConfig,
+	batches [][]*traj.Trajectory, wantEpoch uint64, queries []*traj.Trajectory) {
+	t.Helper()
+	oracle := hist.NewShardedStore(ds.City.Graph, nil, cfg)
+	for _, b := range batches[:wantEpoch] {
+		oracle.IngestTrips(b...)
+	}
+	vR, vO := rec.CurrentSharded(), oracle.CurrentSharded()
+	if vR.Epoch() != wantEpoch || vO.Epoch() != wantEpoch {
+		t.Fatalf("recovered epoch %d, oracle epoch %d, want %d", vR.Epoch(), vO.Epoch(), wantEpoch)
+	}
+	if rf, of := vR.EpochFingerprint(), vO.EpochFingerprint(); rf != of {
+		t.Fatalf("recovered fingerprint %x, oracle %x", rf, of)
+	}
 	engR := NewEngine(rec, DefaultParams())
 	engO := NewEngine(oracle, DefaultParams())
-	vR, vO := rec.Current(), oracle.Current()
-	if vR.Epoch() != vO.Epoch() {
-		t.Fatalf("recovered epoch %d, oracle epoch %d", vR.Epoch(), vO.Epoch())
-	}
 	for i, q := range queries {
 		resR, err := engR.InferRoutes(q, DefaultParams())
 		if err != nil {
@@ -116,107 +140,86 @@ func checkRecoveredInference(t *testing.T, rec, oracle hist.Ingester, queries []
 	}
 }
 
-func TestDurableStoreCrashRecoveryEquivalence(t *testing.T) {
-	ds, queries := liveWorld(140, 11)
-	batches := durableBatches(ds.Archive, 77)
-	cfg := hist.StoreConfig{CompactSegments: 1 << 30}
-	for _, plan := range plans(len(batches)) {
-		t.Run(plan.name, func(t *testing.T) {
-			dir := t.TempDir()
-			st, _, err := hist.OpenStore(dir, ds.City.Graph, nil, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantEpoch := runCrash(t, st, batches, plan, st.CloseAbrupt)
-
-			rec, rs, err := hist.OpenStore(dir, ds.City.Graph, nil, cfg)
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			defer rec.Close()
-			if rs.Epoch != wantEpoch {
-				t.Fatalf("recovered epoch %d, want %d (stats %+v)", rs.Epoch, wantEpoch, rs)
-			}
-			oracle := hist.NewStore(ds.City.Graph, nil, cfg)
-			oracleFor(oracle, batches, wantEpoch)
-			checkRecoveredInference(t, rec, oracle, queries)
-		})
-	}
-}
-
 func TestDurableShardedCrashRecoveryEquivalence(t *testing.T) {
 	ds, queries := liveWorld(140, 23)
 	batches := durableBatches(ds.Archive, 91)
-	cfg := hist.ShardedConfig{
-		StoreConfig: hist.StoreConfig{CompactSegments: 1 << 30},
-		Shards:      4,
-		Halo:        500,
-	}
-	for _, plan := range plans(len(batches)) {
-		t.Run(plan.name, func(t *testing.T) {
-			dir := t.TempDir()
-			st, _, err := hist.OpenShardedStore(dir, ds.City.Graph, nil, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantEpoch := runCrash(t, st, batches, plan, st.CloseAbrupt)
+	for _, n := range []int{1, 4} {
+		cfg := durableConfig(n, hist.SyncAlways)
+		for _, plan := range plans(len(batches)) {
+			t.Run(fmt.Sprintf("shards=%d/%s", n, plan.name), func(t *testing.T) {
+				dir := t.TempDir()
+				st, _ := openDurable(t, dir, ds, cfg)
+				wantEpoch := runCrash(t, st, batches, plan)
 
-			rec, rs, err := hist.OpenShardedStore(dir, ds.City.Graph, nil, cfg)
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			defer rec.Close()
-			if rs.Epoch != wantEpoch {
-				t.Fatalf("recovered epoch %d, want %d (stats %+v)", rs.Epoch, wantEpoch, rs)
-			}
-			oracle := hist.NewShardedStore(ds.City.Graph, nil, cfg)
-			oracleFor(oracle, batches, wantEpoch)
-			if rf, of := rec.CurrentSharded().EpochFingerprint(), oracle.CurrentSharded().EpochFingerprint(); rf != of {
-				t.Fatalf("recovered fingerprint %x, oracle %x", rf, of)
-			}
-			checkRecoveredInference(t, rec, oracle, queries)
-		})
+				rec, rs := openDurable(t, dir, ds, cfg)
+				defer rec.Close()
+				if rs.Epoch != wantEpoch {
+					t.Fatalf("recovered epoch %d, want %d (stats %+v)", rs.Epoch, wantEpoch, rs)
+				}
+				checkRecovered(t, rec, ds, cfg, batches, wantEpoch, queries)
+			})
+		}
 	}
 }
 
-// TestDurableStoreSyncOffPrefix: under SyncOff the acknowledged-but-unsynced
-// tail is genuinely lost on a crash, and the recovered store equals an
-// uninterrupted store over just the segment-covered prefix — never a
-// torn mixture.
-func TestDurableStoreSyncOffPrefix(t *testing.T) {
+// TestDurableShardedSyncOffPrefix: under SyncOff the acknowledged-but-
+// unsynced tail is genuinely lost on a crash, and the recovered store equals
+// an uninterrupted store over just the segment-covered prefix — never a torn
+// mixture.
+func TestDurableShardedSyncOffPrefix(t *testing.T) {
 	ds, queries := liveWorld(140, 31)
 	batches := durableBatches(ds.Archive, 55)
 	if len(batches) < 4 {
 		t.Fatalf("need at least 4 batches, got %d", len(batches))
 	}
-	cfg := hist.StoreConfig{CompactSegments: 1 << 30, WALSync: hist.SyncOff}
-	dir := t.TempDir()
-	st, _, err := hist.OpenStore(dir, ds.City.Graph, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	durable := len(batches) / 2
-	for i := 0; i < durable; i++ {
-		st.IngestTrips(batches[i]...)
-	}
-	st.Compact() // flushes a segment covering epochs 1..durable
-	st.Wait()
-	for i := durable; i < len(batches); i++ {
-		if stats := st.IngestTrips(batches[i]...); stats.Durability != hist.DurabilityLogged {
-			t.Fatalf("batch %d durability %q, want logged", i, stats.Durability)
-		}
-	}
-	st.CloseAbrupt()
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			cfg := durableConfig(n, hist.SyncOff)
+			dir := t.TempDir()
+			st, _ := openDurable(t, dir, ds, cfg)
+			durable := len(batches) / 2
+			for i := 0; i < durable; i++ {
+				st.IngestTrips(batches[i]...)
+			}
+			st.Compact() // checkpoints a segment covering epochs 1..durable
+			st.Wait()
+			for i := durable; i < len(batches); i++ {
+				if stats := st.IngestTrips(batches[i]...); stats.Durability != hist.DurabilityLogged {
+					t.Fatalf("batch %d durability %q, want logged", i, stats.Durability)
+				}
+			}
+			st.CloseAbrupt()
 
-	rec, rs, err := hist.OpenStore(dir, ds.City.Graph, nil, cfg)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
+			rec, rs := openDurable(t, dir, ds, cfg)
+			defer rec.Close()
+			if rs.Epoch != uint64(durable) {
+				t.Fatalf("recovered epoch %d, want the segment-covered prefix %d", rs.Epoch, durable)
+			}
+			checkRecovered(t, rec, ds, cfg, batches, uint64(durable), queries)
+		})
 	}
-	defer rec.Close()
-	if rs.Epoch != uint64(durable) {
-		t.Fatalf("recovered epoch %d, want the segment-covered prefix %d", rs.Epoch, durable)
+}
+
+// TestDurableShardedReshardOnReopen: the files do not depend on the partition, so
+// a directory written at one shard — part checkpointed, part only logged —
+// and killed reopens at 4 and at 9 shards as exactly the store an
+// uninterrupted composite of that shard count would be.
+func TestDurableShardedReshardOnReopen(t *testing.T) {
+	ds, queries := liveWorld(140, 47)
+	batches := durableBatches(ds.Archive, 63)
+	dir := t.TempDir()
+	st, _ := openDurable(t, dir, ds, durableConfig(1, hist.SyncAlways))
+	wantEpoch := runCrash(t, st, batches, crashPlan{crashAt: len(batches), compactAt: len(batches) / 2})
+	for _, n := range []int{4, 9} {
+		cfg := durableConfig(n, hist.SyncAlways)
+		rec, rs := openDurable(t, dir, ds, cfg)
+		if rs.Epoch != wantEpoch || rs.SegmentTrips == 0 || rs.WALBatches == 0 {
+			t.Fatalf("shards=%d: recovery stats %+v, want epoch %d from a segment plus the log", n, rs, wantEpoch)
+		}
+		if got := rec.CurrentSharded().NumShards(); got != n {
+			t.Fatalf("reopened with %d shards, want %d", got, n)
+		}
+		checkRecovered(t, rec, ds, cfg, batches, wantEpoch, queries)
+		rec.CloseAbrupt()
 	}
-	oracle := hist.NewStore(ds.City.Graph, nil, cfg)
-	oracleFor(oracle, batches, uint64(durable))
-	checkRecoveredInference(t, rec, oracle, queries)
 }

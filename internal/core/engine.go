@@ -126,19 +126,14 @@ func (e *Engine) Metrics() obs.Snapshot {
 	s.Counters["archive.trajs"] = uint64(snap.NumTrajs())
 	s.Counters["archive.points"] = uint64(snap.NumPoints())
 	s.Counters["archive.segments"] = uint64(snap.Segments())
-	switch st := e.src.(type) {
-	case *hist.Store:
-		stats := st.Stats()
-		s.Counters["store.compactions"] = stats.Compactions
-		foldDiskGauges(s.Counters, stats)
-	case *hist.ShardedStore:
+	if st, ok := e.src.(interface{ Stats() hist.StoreStats }); ok {
 		stats := st.Stats()
 		s.Counters["store.compactions"] = stats.Compactions
 		s.Counters["store.shards"] = uint64(len(stats.Shards))
 		foldDiskGauges(s.Counters, stats)
 		// Per-shard gauges, namespaced like the per-shard ingest counters,
 		// so /metrics exposes skew (trip/point replication per shard) and
-		// each shard's compaction progress.
+		// each shard's compaction progress. A bare Store has none.
 		for i, ss := range stats.Shards {
 			prefix := obs.ShardPrefix + strconv.Itoa(i) + "."
 			s.Counters[prefix+"epoch"] = ss.Epoch

@@ -150,7 +150,7 @@ func (w *World) gatedEngine(n int) (*core.Gate, []*traj.Trajectory, func()) {
 		pool = append(pool, qc.Query)
 		eng.InferRoutes(qc.Query, w.P)
 	}
-	return gate, pool, func() { st.Close() }
+	return gate, pool, st.Wait
 }
 
 // LoadProfile is the sustained-throughput figure (-fig load): closed-loop
@@ -244,7 +244,9 @@ func loadBench(cfg WorldConfig) []BenchResult {
 	}
 	defer os.RemoveAll(dir)
 	reg := obs.New()
-	dst, _, err := hist.OpenStore(dir, city.Graph, nil, hist.StoreConfig{Registry: reg})
+	dst, _, err := hist.OpenShardedStore(dir, city.Graph, nil, hist.ShardedConfig{
+		StoreConfig: hist.StoreConfig{Registry: reg}, Shards: 1,
+	})
 	if err != nil {
 		return nil
 	}

@@ -41,11 +41,6 @@ type Snapshot struct {
 	points int
 	epoch  uint64
 
-	// anns, when non-nil, annotates each Trajs entry with its global
-	// identity in a sharded composite (tripAnn); a durable shard's segment
-	// files persist them so recovery can rebuild the composite batch
-	// history. Plain stores leave anns nil. Queries never read it.
-	anns []tripAnn
 	// basePts is how many of points the base segment covers; points-basePts
 	// is the memtable backlog the CompactPoints threshold watches.
 	basePts int

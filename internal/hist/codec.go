@@ -26,12 +26,13 @@ import (
 //
 //	[u32 id length][id bytes][u32 point count][points: x, y, t float64 bits]
 //
-// optionally prefixed (segment files in annotated mode) by
+// and a batch — the payload of one WAL record and of one segment-file block
+// alike — as
 //
-//	[u64 global trajectory index][u64 batch epoch]
+//	[u64 epoch][u32 trip count][trips]
 //
-// which is what lets a sharded composite reconstruct the global batch
-// history from shard-local files.
+// Batch boundaries are therefore on disk wherever trips are, and recovery
+// needs no side annotation to replay history batch by batch.
 
 // castagnoli is the CRC32-C table used for every on-disk checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -76,16 +77,6 @@ func readFrame(b []byte) (payload, rest []byte, err error) {
 	return payload, b[frameHeaderSize+int(n):], nil
 }
 
-// tripAnn annotates one stored trip with its identity in the composite
-// archive: the global trajectory index and the ingest batch (composite
-// epoch) that admitted it. Plain stores leave annotations empty; a sharded
-// composite threads them through its shards so recovery can rebuild the
-// global batch history from shard-local segment files.
-type tripAnn struct {
-	GI    int    // global trajectory index
-	Batch uint64 // composite batch epoch (0 = seed)
-}
-
 // appendTrip appends the trip encoding of tr to buf.
 func appendTrip(buf []byte, tr *traj.Trajectory) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tr.ID)))
@@ -127,9 +118,45 @@ func readTrip(b []byte) (*traj.Trajectory, []byte, error) {
 	return tr, b, nil
 }
 
+// appendBatch appends the batch encoding of one admitted ingest batch to buf.
+func appendBatch(buf []byte, epoch uint64, trips []*traj.Trajectory) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, epoch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(trips)))
+	for _, tr := range trips {
+		buf = appendTrip(buf, tr)
+	}
+	return buf
+}
+
+// decodeBatch parses one batch encoding; the payload must hold exactly one.
+func decodeBatch(payload []byte) (walBatch, error) {
+	if len(payload) < 12 {
+		return walBatch{}, fmt.Errorf("hist: batch record truncated")
+	}
+	b := walBatch{Epoch: binary.LittleEndian.Uint64(payload)}
+	n := binary.LittleEndian.Uint32(payload[8:])
+	rest := payload[12:]
+	if b.Epoch == 0 {
+		return walBatch{}, fmt.Errorf("hist: batch record with epoch 0")
+	}
+	for k := uint32(0); k < n; k++ {
+		var tr *traj.Trajectory
+		var err error
+		tr, rest, err = readTrip(rest)
+		if err != nil {
+			return walBatch{}, err
+		}
+		b.Trips = append(b.Trips, tr)
+	}
+	if len(rest) != 0 {
+		return walBatch{}, fmt.Errorf("hist: %d trailing bytes in batch record", len(rest))
+	}
+	return b, nil
+}
+
 // seedFingerprint folds the identity of a seed trip set — per trip: id,
-// first sample, length — into one FNV-1a hash. OpenStore records it in the
-// manifest and refuses to marry a data directory to a different seed: the
+// first sample, length — into one FNV-1a hash. OpenShardedStore records it in
+// the manifest and refuses to marry a data directory to a different seed: the
 // seed is re-supplied by the caller on every open (it is the caller's
 // dataset, already durable elsewhere), so recovery correctness depends on
 // it being the same seed.

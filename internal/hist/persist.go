@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,19 +13,22 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/roadnet"
-	"repro/internal/rtree"
 	"repro/internal/traj"
 )
 
-// This file is the durability layer of the live archive: a Store opened with
-// OpenStore (instead of NewStore) writes every admitted batch to a
-// write-ahead log before publishing it, lets compaction additionally flush
-// the merged trip set to a segment file, and rebuilds itself from those two
-// artifacts on the next open — at the same epoch, with byte-identical
-// inference answers over the durable prefix of trips. Readers are untouched:
-// the View/Snapshot contract, the canonical result ordering and the
-// epoch-tagged caches all work unchanged over a recovered store, because
-// recovery replays batches through the exact construction path ingest uses.
+// This file is the durability layer of the live archive, and it sits above
+// sharding: a ShardedStore opened with OpenShardedStore (instead of
+// NewShardedStore) writes every admitted composite batch to one write-ahead
+// log before any shard sees it, checkpoints its whole post-seed history to
+// one series of segment files whenever a shard compacts, and rebuilds itself
+// from those two artifacts on the next open — at the same epoch and
+// fingerprint, with byte-identical inference answers over the durable prefix
+// of batches. The shards stay pure in-memory Stores: how the archive is
+// partitioned is a property of the running process, not of the files, so a
+// directory reopens at any shard count. Readers are untouched: the
+// View/Snapshot contract, the canonical result ordering and the epoch-tagged
+// caches all work unchanged over a recovered store, because recovery replays
+// batches through the exact construction path ingest uses.
 
 // SyncPolicy selects when WAL records reach stable storage. The zero value
 // is SyncAlways — a durable store is safe by default.
@@ -39,7 +43,7 @@ const (
 	SyncInterval
 	// SyncOff never fsyncs during operation (only at clean Close): records
 	// sit in a user-space buffer and the page cache, so a crash loses
-	// everything since the last compaction flush.
+	// everything since the last checkpoint.
 	SyncOff
 )
 
@@ -77,17 +81,19 @@ const (
 	// DurabilityLogged: the record reached the log buffer, not yet stable
 	// storage (SyncInterval / SyncOff).
 	DurabilityLogged = "logged"
-	// DurabilityMemory: the store has no persistence (NewStore).
+	// DurabilityMemory: the store has no persistence (NewStore,
+	// NewShardedStore).
 	DurabilityMemory = "memory"
-	// DurabilityFailed: the WAL append or sync errored; the batch is visible
-	// in memory but will not survive a restart.
+	// DurabilityFailed: a WAL append or sync errored — on this batch or an
+	// earlier one; the failure is sticky until the directory is reopened. The
+	// batch is visible in memory but will not survive a restart.
 	DurabilityFailed = "failed"
 )
 
-// RecoveryStats summarizes what OpenStore / OpenShardedStore rebuilt.
+// RecoveryStats summarizes what OpenShardedStore rebuilt.
 type RecoveryStats struct {
 	Epoch        uint64 `json:"epoch"`         // store epoch after recovery
-	SegmentTrips int    `json:"segment_trips"` // trips loaded from segment files
+	SegmentTrips int    `json:"segment_trips"` // trips loaded from the newest valid segment file
 	WALBatches   int    `json:"wal_batches"`   // batch records replayed from the log
 	WALTrips     int    `json:"wal_trips"`     // trips replayed from the log
 	TornBytes    int64  `json:"torn_bytes"`    // log bytes discarded (torn tail etc.)
@@ -95,23 +101,23 @@ type RecoveryStats struct {
 
 const (
 	manifestName    = "MANIFEST.json"
-	manifestVersion = 1
+	manifestVersion = 2
 )
 
-// manifest pins a data directory to the configuration that created it.
-// Reopening with a different shard count, halo or seed would silently
-// reinterpret the files, so any mismatch is an error, not a migration.
+// manifest pins a data directory to the seed it was created over: the files
+// hold only post-seed history, so reopening with a different seed would
+// silently reinterpret them. Nothing else about the opener matters — in
+// particular not its shard count or halo.
 type manifest struct {
-	Version   int     `json:"version"`
-	Kind      string  `json:"kind"` // "store", "sharded", or "shard" (subdirectory)
-	Shards    int     `json:"shards,omitempty"`
-	Halo      float64 `json:"halo,omitempty"`
-	SeedTrips int     `json:"seed_trips,omitempty"`
-	SeedFP    string  `json:"seed_fp,omitempty"`
+	Version   int    `json:"version"`
+	SeedTrips int    `json:"seed_trips"`
+	SeedFP    string `json:"seed_fp"`
 }
 
 // checkManifest writes want into a virgin directory and verifies an exact
-// match against an existing one.
+// match against an existing one. It runs before anything else reads dir, so
+// a refused directory — a different seed, or the version-1 layouts with
+// per-shard subdirectories and annotated segments — is left untouched.
 func checkManifest(dir string, want manifest) error {
 	path := filepath.Join(dir, manifestName)
 	data, err := os.ReadFile(path)
@@ -137,8 +143,12 @@ func checkManifest(dir string, want manifest) error {
 	if err := json.Unmarshal(data, &have); err != nil {
 		return fmt.Errorf("hist: %s: %w", path, err)
 	}
+	if have.Version != want.Version {
+		return fmt.Errorf("hist: data directory %s is in on-disk layout version %d; this build reads only version %d (one WAL and one segment series per directory) and does not migrate — point it at a fresh directory and re-ingest",
+			dir, have.Version, want.Version)
+	}
 	if have != want {
-		return fmt.Errorf("hist: data directory %s belongs to a different store (manifest %+v, want %+v)", dir, have, want)
+		return fmt.Errorf("hist: data directory %s was created over a different seed (manifest %+v, want %+v)", dir, have, want)
 	}
 	return nil
 }
@@ -152,62 +162,75 @@ func fileSize(path string) int64 {
 	return 0
 }
 
-// persist is a store's attachment to its data directory. A plain durable
-// Store owns a WAL plus segment files; a shard of a durable ShardedStore
-// owns annotated segment files only (w == nil — the composite's root WAL
-// already makes its batches durable); the composite itself owns the root
-// WAL only (flush is never called on it).
+// persist is a durable ShardedStore's attachment to its data directory: the
+// one WAL and the one segment series.
 type persist struct {
-	dir       string
-	policy    SyncPolicy
-	every     time.Duration
-	reg       *obs.Registry
-	annotated bool               // segment files carry tripAnn prefixes (shard mode)
-	onFlush   func(batch uint64) // composite coverage callback (shard mode)
+	dir     string
+	policy  SyncPolicy
+	every   time.Duration
+	reg     *obs.Registry
+	seedLen int // leading trips of every snapshot that are the caller's seed
+
+	ckptMu sync.Mutex // serializes whole checkpoints
 
 	mu        sync.Mutex
 	w         *walWriter
-	lastEpoch uint64 // newest epoch appended to the WAL
+	ends      []int  // ends[e-1]: post-seed trips admitted through batch e
+	lastEpoch uint64 // newest epoch appended to the active WAL run
 	walBytes  int64  // live WAL bytes (appends minus truncations)
 	segGen    uint64 // newest segment generation on disk
-	segEpoch  uint64 // store epoch covered by that generation
+	segEpoch  uint64 // epoch covered by that generation
 	prevEpoch uint64 // epoch covered by the previous retained generation
 	segBytes  int64  // size of the newest segment file
-	failed    bool   // sticky: the last WAL append/sync failed
+	failed    bool   // sticky: a WAL append/sync/rotate failed; nothing more is written
 	closed    bool
 
 	stop chan struct{} // SyncInterval ticker lifecycle
 	done chan struct{}
 }
 
-// appendBatch logs one admitted batch per the sync policy and reports how
-// durable it is. Callers already serialize batches (the store's write
-// mutex); p.mu additionally fences the ticker and flush paths.
-func (p *persist) appendBatch(epoch uint64, trips []*traj.Trajectory) string {
-	if p == nil || p.w == nil {
+// fail latches the sticky failure (call with mu held). A failed append may
+// have left a partial record behind and recovery stops at the first epoch
+// gap, so acknowledging anything after it as durable would be a lie; the
+// directory keeps the prefix it had until it is reopened.
+func (p *persist) fail() {
+	p.failed = true
+	if p.reg != nil {
+		p.reg.Counter(obs.CounterWALErrors).Inc()
+	}
+}
+
+// logBatch logs one admitted batch per the sync policy and reports how
+// durable it is. Callers already serialize batches (the composite's write
+// mutex); p.mu additionally fences the ticker and checkpoint paths.
+func (p *persist) logBatch(epoch uint64, trips []*traj.Trajectory) string {
+	if p == nil {
 		return DurabilityMemory
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.w == nil {
+	if p.closed {
 		return DurabilityMemory
 	}
-	n, err := p.w.append(epoch, trips)
-	if err == nil {
-		p.lastEpoch = epoch
-		p.walBytes += int64(n)
-		if p.policy == SyncAlways {
-			err = p.w.sync()
-		}
-	}
-	if err != nil {
-		p.failed = true
-		if p.reg != nil {
-			p.reg.Counter(obs.CounterWALErrors).Inc()
-		}
+	if p.failed {
+		p.fail()
 		return DurabilityFailed
 	}
-	p.failed = false
+	n, err := p.w.append(epoch, trips)
+	if err == nil && p.policy == SyncAlways {
+		err = p.w.sync()
+	}
+	if err != nil {
+		p.fail()
+		return DurabilityFailed
+	}
+	total := len(trips)
+	if len(p.ends) > 0 {
+		total += p.ends[len(p.ends)-1]
+	}
+	p.ends = append(p.ends, total)
+	p.lastEpoch = epoch
+	p.walBytes += int64(n)
 	if p.reg != nil {
 		p.reg.Counter(obs.CounterWALRecords).Inc()
 		p.reg.Counter(obs.CounterWALBytes).Add(uint64(n))
@@ -221,38 +244,40 @@ func (p *persist) appendBatch(epoch uint64, trips []*traj.Trajectory) string {
 	return DurabilityLogged
 }
 
-// flush serializes snap's post-seed trips to the next segment generation and
-// retires the WAL prefix the previous generation makes redundant. Called by
-// compaction after publishing (serialized by the store's compaction mutex).
+// checkpoint serializes the composite's post-seed history — every batch
+// 1..epoch, with its boundaries — to the next segment generation and retires
+// the WAL prefix the previous generation makes redundant. It is every
+// shard's compacted hook in a durable composite, so it runs after any shard
+// compaction, background or explicit; checkpoints run one at a time, and one
+// that finds the epoch where the last left it has nothing to add and returns.
 //
 // Truncation deliberately lags one generation: the WAL keeps everything past
 // the previous segment's epoch, so if the newest segment file is ever
 // unreadable, recovery falls back to the previous one and replays the rest
 // from the log.
-func (p *persist) flush(snap *Snapshot, seedLen int) {
-	if p == nil {
-		return
-	}
+func (s *ShardedStore) checkpoint() {
+	p := s.persist
+	p.ckptMu.Lock()
+	defer p.ckptMu.Unlock()
+	snap := s.cur.Load()
 	p.mu.Lock()
-	closed, gen := p.closed, p.segGen+1
+	skip := p.closed || p.failed || snap.epoch == p.segEpoch
+	gen := p.segGen + 1
+	// Batches log before they publish, so ends covers snap.epoch; it is
+	// append-only, so the prefix stays valid after the lock drops.
+	ends := p.ends
 	p.mu.Unlock()
-	if closed {
+	if skip {
 		return
 	}
-	trips := snap.Trajs[seedLen:]
-	batch := snap.epoch
-	var anns []tripAnn
-	if p.annotated {
-		anns = snap.anns[seedLen:]
-		batch = 0
-		for _, a := range anns {
-			if a.Batch > batch {
-				batch = a.Batch
-			}
-		}
+	post := snap.trajs[p.seedLen:]
+	batches := make([][]*traj.Trajectory, snap.epoch)
+	lo := 0
+	for e := range batches {
+		batches[e] = post[lo:ends[e]]
+		lo = ends[e]
 	}
-	hdr := segHeader{Epoch: snap.epoch, BatchEpoch: batch, Annotated: p.annotated}
-	size, err := writeSegment(p.dir, gen, hdr, trips, anns)
+	size, err := writeSegment(p.dir, gen, batches)
 	if err != nil {
 		if p.reg != nil {
 			p.reg.Counter(obs.CounterWALErrors).Inc()
@@ -261,21 +286,19 @@ func (p *persist) flush(snap *Snapshot, seedLen int) {
 	}
 	p.mu.Lock()
 	p.prevEpoch, p.segEpoch, p.segGen, p.segBytes = p.segEpoch, snap.epoch, gen, size
-	if p.w != nil && !p.closed {
+	if !p.closed && !p.failed {
 		if p.prevEpoch >= p.w.start && p.lastEpoch >= p.w.start {
-			p.w.rotate(p.lastEpoch + 1)
+			if err := p.w.rotate(p.lastEpoch + 1); err != nil {
+				p.fail()
+			}
 		}
 		p.walBytes -= dropWALThrough(p.dir, p.prevEpoch)
 	}
-	cb := p.onFlush
 	p.mu.Unlock()
 	dropOldSegments(p.dir, gen-1)
 	if p.reg != nil {
 		p.reg.Counter(obs.CounterSegmentFlushes).Inc()
 		p.reg.Counter(obs.CounterSegmentBytes).Add(uint64(size))
-	}
-	if cb != nil {
-		cb(batch)
 	}
 }
 
@@ -302,14 +325,11 @@ func (p *persist) startSyncLoop() {
 func (p *persist) syncNow() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.w == nil || p.closed || !p.w.dirty {
+	if p.closed || p.failed || !p.w.dirty {
 		return
 	}
 	if err := p.w.sync(); err != nil {
-		p.failed = true
-		if p.reg != nil {
-			p.reg.Counter(obs.CounterWALErrors).Inc()
-		}
+		p.fail()
 		return
 	}
 	if p.reg != nil {
@@ -329,13 +349,11 @@ func (p *persist) close() error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.closed = true
-	if p.w == nil {
+	if p.closed {
 		return nil
 	}
-	err := p.w.close()
-	p.w = nil
-	return err
+	p.closed = true
+	return p.w.close()
 }
 
 // abandon is the crash seam: it drops the WAL's user-space buffer and
@@ -352,10 +370,9 @@ func (p *persist) abandon() {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.closed = true
-	if p.w != nil {
+	if !p.closed {
+		p.closed = true
 		p.w.abandon()
-		p.w = nil
 	}
 }
 
@@ -367,7 +384,7 @@ func (p *persist) fold(st *StoreStats) {
 	p.mu.Lock()
 	st.WALBytes += p.walBytes
 	st.SegmentBytes += p.segBytes
-	if p.w != nil {
+	if !p.closed {
 		st.Durability = p.policy.String()
 	}
 	p.mu.Unlock()
@@ -415,22 +432,24 @@ func foldRecovery(reg *obs.Registry, rs RecoveryStats) {
 	reg.Counter(obs.CounterRecoveryTornBytes).Add(uint64(rs.TornBytes))
 }
 
-// OpenStore opens a durable live archive in dir: a Store whose batches are
-// written ahead to a log and whose compactions flush segment files, and
+// OpenShardedStore opens a durable live archive in dir: a ShardedStore whose
+// batches are written ahead to a log and checkpointed to segment files, and
 // which on reopen rebuilds the archive those files describe. The seed is
 // re-supplied by the caller on every open (it is the caller's dataset,
 // durable elsewhere); a fingerprint in the directory's manifest refuses a
-// different seed. Recovery loads the newest valid segment file, replays the
-// log's trustworthy prefix through the normal ingest path — truncating a
-// torn final record at the first bad checksum — and resumes at the exact
-// epoch the durable prefix reached, so epoch-tagged caches built against a
-// pre-crash store are coherent with the recovered one.
-func OpenStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreConfig) (*Store, RecoveryStats, error) {
+// different seed — the only thing the opener must get right, since the files
+// say nothing about shards or halo. Recovery takes the newest valid segment
+// file's batches, then the log's trustworthy records past them — truncating
+// a torn final record at the first bad checksum — and replays the lot through
+// IngestTrips into a fresh composite of cfg's shape, so the store resumes at
+// the exact epoch the durable prefix reached, with the shard epochs and
+// fingerprint an uninterrupted composite of that shape would carry.
+func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfig) (*ShardedStore, RecoveryStats, error) {
 	var rs RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rs, err
 	}
-	want := manifest{Version: manifestVersion, Kind: "store", SeedTrips: len(seed), SeedFP: fpString(seedFingerprint(seed))}
+	want := manifest{Version: manifestVersion, SeedTrips: len(seed), SeedFP: fpString(seedFingerprint(seed))}
 	if err := checkManifest(dir, want); err != nil {
 		return nil, rs, err
 	}
@@ -439,61 +458,51 @@ func OpenStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreC
 		return nil, rs, err
 	}
 	rs.TornBytes = scan.TornBytes
-
-	s := NewStore(g, seed, cfg)
-	hdr, gen, segTrips, _, haveSeg := newestValidSegment(dir)
-	if haveSeg {
-		if hdr.Annotated {
-			return nil, rs, fmt.Errorf("hist: %s holds sharded segment files; open it with OpenShardedStore", dir)
-		}
-		// Rebuild the base generation directly at the segment's epoch: seed +
-		// segment trips in one bulk tree — the same snapshot a compaction of
-		// the uninterrupted store would have published.
-		trajs := make([]*traj.Trajectory, 0, len(seed)+len(segTrips))
-		trajs = append(trajs, seed...)
-		trajs = append(trajs, segTrips...)
-		entries := pointEntries(trajs, 0)
-		s.cur.Store(&Snapshot{
-			G:       g,
-			Trajs:   trajs,
-			segs:    []*rtree.Tree[PointRef]{rtree.Bulk(entries)},
-			points:  len(entries),
-			basePts: len(entries),
-			epoch:   hdr.Epoch,
-		})
-		rs.SegmentTrips = len(segTrips)
+	replay, segBytes := newestValidSegment(dir)
+	segEpoch := uint64(len(replay))
+	for _, b := range replay {
+		rs.SegmentTrips += len(b.Trips)
 	}
-	next := s.cur.Load().epoch + 1
 	for _, b := range scan.Batches {
-		if b.Epoch < next {
+		if b.Epoch <= segEpoch {
 			continue // already covered by the segment file
 		}
-		if b.Epoch != next {
-			return nil, rs, fmt.Errorf("hist: wal gap in %s: have epoch %d, want %d", dir, b.Epoch, next)
-		}
-		s.IngestTrips(b.Trips...)
-		next++
+		replay = append(replay, b)
 		rs.WALBatches++
 		rs.WALTrips += len(b.Trips)
 	}
-	rs.Epoch = s.cur.Load().epoch
-	// Replay may have triggered background compactions; let them drain
-	// before persistence attaches so no goroutine observes a half-set field.
-	s.Wait()
 
-	p := &persist{dir: dir, policy: cfg.WALSync, every: cfg.WALSyncEvery, reg: cfg.Registry}
+	// Replay with auto-compaction held off — the memtables would be merged
+	// several times over — and compact once at the end. Persistence attaches
+	// only afterwards, so the replay itself writes nothing.
+	s := NewShardedStore(g, seed, cfg)
+	auto := s.shards[0].cfg
+	for _, sh := range s.shards {
+		sh.cfg.CompactSegments, sh.cfg.CompactPoints = math.MaxInt, math.MaxInt
+	}
+	p := &persist{dir: dir, policy: cfg.WALSync, every: cfg.WALSyncEvery, reg: cfg.Registry, seedLen: len(seed)}
+	for _, b := range replay {
+		if have := s.cur.Load().epoch; b.Epoch != have+1 {
+			return nil, rs, fmt.Errorf("hist: wal gap in %s: have epoch %d, want %d", dir, b.Epoch, have+1)
+		}
+		s.IngestTrips(b.Trips...)
+		p.ends = append(p.ends, s.cur.Load().NumTrajs()-len(seed))
+	}
+	s.Compact()
+	rs.Epoch = s.cur.Load().epoch
+
 	if p.every <= 0 {
 		p.every = DefaultWALSyncInterval
 	}
-	p.segGen = maxSegmentGen(dir)
-	if haveSeg {
-		p.segEpoch = hdr.Epoch
-		p.segBytes = fileSize(segPath(dir, gen))
-	}
+	p.segGen, p.segEpoch, p.segBytes = maxSegmentGen(dir), segEpoch, segBytes
 	if err := p.attachWAL(scan, rs.Epoch); err != nil {
 		return nil, rs, err
 	}
 	s.persist = p
+	for _, sh := range s.shards {
+		sh.cfg = auto
+		sh.compacted = s.checkpoint
+	}
 	if p.policy == SyncInterval {
 		p.startSyncLoop()
 	}
@@ -501,18 +510,18 @@ func OpenStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreC
 	return s, rs, nil
 }
 
-// Close waits out in-flight compactions, syncs and closes the log, and
-// detaches the store from its data directory. In-memory stores (NewStore)
-// treat Close as Wait.
-func (s *Store) Close() error {
+// Close waits out shard compactions (and the checkpoints they trigger), then
+// syncs and closes the log and detaches the store from its data directory.
+// In-memory composites (NewShardedStore) treat Close as Wait.
+func (s *ShardedStore) Close() error {
 	s.Wait()
 	return s.persist.close()
 }
 
 // CloseAbrupt simulates the process dying mid-flight: buffered, unsynced
-// WAL records are dropped (not flushed), nothing is compacted or synced,
-// and the store must not be used afterwards. Crash-recovery tests pair it
-// with OpenStore on the same directory.
-func (s *Store) CloseAbrupt() {
+// WAL records are dropped (not flushed), nothing is compacted, checkpointed
+// or synced, and the store must not be used afterwards. Crash-recovery tests
+// pair it with OpenShardedStore on the same directory.
+func (s *ShardedStore) CloseAbrupt() {
 	s.persist.abandon()
 }

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/traj"
 )
 
@@ -81,94 +83,165 @@ func TestCompactPointsTrigger(t *testing.T) {
 	}
 }
 
+// durableShards are the composite shapes every durability test runs at: the
+// single layout must behave identically unsharded and sharded.
+var durableShards = []int{1, 4}
+
+// forShards runs body once per durable shape, as a subtest.
+func forShards(t *testing.T, body func(t *testing.T, cfg ShardedConfig)) {
+	for _, n := range durableShards {
+		cfg := ShardedConfig{Shards: n, Halo: 60, StoreConfig: StoreConfig{CompactSegments: 1 << 30}}
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { body(t, cfg) })
+	}
+}
+
 // openForTest fails the test on error.
-func openForTest(t *testing.T, dir string, seed []*traj.Trajectory, cfg StoreConfig) (*Store, RecoveryStats) {
+func openForTest(t *testing.T, dir string, seed []*traj.Trajectory, cfg ShardedConfig) (*ShardedStore, RecoveryStats) {
 	t.Helper()
 	g, _, _ := refWorld()
-	st, rs, err := OpenStore(dir, g, seed, cfg)
+	st, rs, err := OpenShardedStore(dir, g, seed, cfg)
 	if err != nil {
-		t.Fatalf("OpenStore(%s): %v", dir, err)
+		t.Fatalf("OpenShardedStore(%s): %v", dir, err)
 	}
 	return st, rs
 }
 
-// TestOpenStoreRoundTrip: clean shutdown and reopen restores content and
-// epoch exactly, with and without an intervening compaction flush.
-func TestOpenStoreRoundTrip(t *testing.T) {
-	trips := storeTrips()
-	seed := trips[:2]
-	dir := t.TempDir()
-
-	st, rs := openForTest(t, dir, seed, StoreConfig{CompactSegments: 1 << 30})
-	if rs.Epoch != 0 || rs.WALBatches != 0 {
-		t.Fatalf("fresh open recovered %+v", rs)
-	}
-	if stats := st.IngestTrips(trips[2], trips[3]); stats.Durability != DurabilitySynced {
-		t.Fatalf("SyncAlways ingest durability = %q", stats.Durability)
-	}
-	st.IngestTrips(trips[4])
-	st.Compact() // flushes a segment file covering epoch 2
-	st.IngestTrips(trips[5])
-	want := viewKey(st.Current())
-	if err := st.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	re, rs := openForTest(t, dir, seed, StoreConfig{CompactSegments: 1 << 30})
-	defer re.Close()
-	if got := viewKey(re.Current()); got != want {
-		t.Fatalf("reopened store differs:\n%s\nwant:\n%s", got, want)
-	}
-	if rs.SegmentTrips != 3 || rs.WALBatches != 1 {
-		t.Fatalf("recovery stats %+v, want 3 segment trips + 1 wal batch", rs)
-	}
-	stats := re.Stats()
-	if stats.Durability != "always" || stats.SegmentBytes == 0 {
-		t.Fatalf("reopened stats %+v", stats)
-	}
+// shardedKey is viewKey plus the sharded epoch fingerprint and shard epochs —
+// the invariants epoch-tagged caches depend on.
+func shardedKey(st *ShardedStore) string {
+	v := st.CurrentSharded()
+	return fmt.Sprintf("fp %x epochs %v\n%s", v.EpochFingerprint(), v.ShardEpochs(), viewKey(v))
 }
 
-// TestOpenStoreCrash: an abrupt close under SyncAlways loses nothing; under
-// SyncOff it loses everything since the last segment flush.
-func TestOpenStoreCrash(t *testing.T) {
-	trips := storeTrips()
-	t.Run("always", func(t *testing.T) {
+// TestOpenShardedStoreRoundTrip: clean shutdown and reopen restores content,
+// composite epoch, shard epochs and fingerprint exactly, with part of the
+// history in a segment file and part only in the log — and an in-memory
+// composite fed the same batches agrees, since recovery goes through the
+// same construction path.
+func TestOpenShardedStoreRoundTrip(t *testing.T) {
+	forShards(t, func(t *testing.T, cfg ShardedConfig) {
+		g, _, _ := refWorld()
+		trips := storeTrips()
+		seed := trips[:2]
 		dir := t.TempDir()
-		st, _ := openForTest(t, dir, nil, StoreConfig{CompactSegments: 1 << 30})
-		for _, tr := range trips {
-			st.IngestTrips(tr)
+
+		st, rs := openForTest(t, dir, seed, cfg)
+		if rs != (RecoveryStats{}) {
+			t.Fatalf("fresh open recovered %+v", rs)
 		}
-		want := viewKey(st.Current())
-		st.CloseAbrupt()
-		re, rs := openForTest(t, dir, nil, StoreConfig{CompactSegments: 1 << 30})
+		if stats := st.IngestTrips(trips[2], trips[3]); stats.Durability != DurabilitySynced {
+			t.Fatalf("SyncAlways ingest durability = %q", stats.Durability)
+		}
+		st.IngestTrips(trips[4])
+		st.Compact() // checkpoints a segment file covering epoch 2
+		st.IngestTrips(trips[5])
+		want := shardedKey(st)
+		if err := st.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+
+		re, rs := openForTest(t, dir, seed, cfg)
 		defer re.Close()
-		if got := viewKey(re.Current()); got != want {
-			t.Fatalf("recovered store differs:\n%s\nwant:\n%s", got, want)
+		if got := shardedKey(re); got != want {
+			t.Fatalf("reopened store differs:\n%s\nwant:\n%s", got, want)
 		}
-		if rs.WALBatches != len(trips) {
-			t.Fatalf("recovered %d batches, want %d", rs.WALBatches, len(trips))
+		if rs.Epoch != 3 || rs.SegmentTrips != 3 || rs.WALBatches != 1 || rs.WALTrips != 1 {
+			t.Fatalf("recovery stats %+v, want epoch 3 from 3 segment trips + 1 wal batch", rs)
+		}
+		stats := re.Stats()
+		if stats.Durability != "always" || stats.SegmentBytes == 0 || len(stats.Shards) != cfg.Shards {
+			t.Fatalf("reopened stats %+v", stats)
+		}
+		mem := NewShardedStore(g, seed, cfg)
+		mem.IngestTrips(trips[2], trips[3])
+		mem.IngestTrips(trips[4])
+		mem.IngestTrips(trips[5])
+		if got := shardedKey(mem); got != want {
+			t.Fatalf("in-memory composite differs from durable one:\n%s\nwant:\n%s", got, want)
 		}
 	})
-	t.Run("off", func(t *testing.T) {
-		dir := t.TempDir()
-		st, _ := openForTest(t, dir, nil, StoreConfig{CompactSegments: 1 << 30, WALSync: SyncOff})
-		st.IngestTrips(trips[0])
-		st.IngestTrips(trips[1])
-		st.Compact() // segment flush makes epochs 1-2 durable despite SyncOff
-		if stats := st.IngestTrips(trips[2]); stats.Durability != DurabilityLogged {
-			t.Fatalf("SyncOff ingest durability = %q", stats.Durability)
-		}
-		st.CloseAbrupt() // the buffered record for epoch 3 is genuinely dropped
-		re, rs := openForTest(t, dir, nil, StoreConfig{CompactSegments: 1 << 30, WALSync: SyncOff})
-		defer re.Close()
-		if rs.Epoch != 2 || re.Current().NumTrajs() != 2 {
-			t.Fatalf("recovered epoch %d with %d trajs, want the segment-covered prefix (2, 2)", rs.Epoch, re.Current().NumTrajs())
-		}
-		// The store must keep working at the recovered epoch.
-		st2 := re.IngestTrips(trips[3])
-		if st2.Epoch != 3 {
-			t.Fatalf("post-recovery ingest epoch %d, want 3", st2.Epoch)
-		}
+}
+
+// TestOpenShardedStoreCrash: an abrupt close under SyncAlways loses nothing,
+// whether a batch lives in a segment file, only in the log, or both; under
+// SyncOff it loses everything since the last checkpoint.
+func TestOpenShardedStoreCrash(t *testing.T) {
+	forShards(t, func(t *testing.T, cfg ShardedConfig) {
+		trips := storeTrips()
+		t.Run("always", func(t *testing.T) {
+			dir := t.TempDir()
+			st, _ := openForTest(t, dir, nil, cfg)
+			for _, tr := range trips {
+				st.IngestTrips(tr)
+			}
+			want := shardedKey(st)
+			st.CloseAbrupt()
+			re, rs := openForTest(t, dir, nil, cfg)
+			defer re.Close()
+			if got := shardedKey(re); got != want {
+				t.Fatalf("recovered store differs:\n%s\nwant:\n%s", got, want)
+			}
+			if rs.WALBatches != len(trips) {
+				t.Fatalf("recovered %d batches, want %d", rs.WALBatches, len(trips))
+			}
+		})
+		t.Run("checkpointed", func(t *testing.T) {
+			dir := t.TempDir()
+			st, _ := openForTest(t, dir, nil, cfg)
+			st.IngestTrips(trips[0])
+			st.IngestTrips(trips[1])
+			st.Compact() // the segment covers batches 1-2
+			st.IngestTrips(trips[2])
+			st.IngestTrips(trips[3])
+			want := shardedKey(st)
+			st.CloseAbrupt()
+
+			re, rs := openForTest(t, dir, nil, cfg)
+			if rs.Epoch != 4 {
+				t.Fatalf("recovered epoch %d, want 4 (stats %+v)", rs.Epoch, rs)
+			}
+			if got := shardedKey(re); got != want {
+				t.Fatalf("crash recovery differs:\n%s\nwant:\n%s", got, want)
+			}
+			// Keep going after recovery: new batches, another checkpoint,
+			// another crash.
+			re.IngestTrips(trips[4])
+			re.Compact()
+			re.IngestTrips(trips[5])
+			want = shardedKey(re)
+			re.CloseAbrupt()
+
+			re2, rs2 := openForTest(t, dir, nil, cfg)
+			defer re2.Close()
+			if rs2.Epoch != 6 {
+				t.Fatalf("second recovery epoch %d, want 6", rs2.Epoch)
+			}
+			if got := shardedKey(re2); got != want {
+				t.Fatalf("second crash recovery differs:\n%s\nwant:\n%s", got, want)
+			}
+		})
+		t.Run("off", func(t *testing.T) {
+			cfg := cfg
+			cfg.WALSync = SyncOff
+			dir := t.TempDir()
+			st, _ := openForTest(t, dir, nil, cfg)
+			st.IngestTrips(trips[0])
+			st.IngestTrips(trips[1])
+			st.Compact() // the checkpoint makes epochs 1-2 durable despite SyncOff
+			if stats := st.IngestTrips(trips[2]); stats.Durability != DurabilityLogged {
+				t.Fatalf("SyncOff ingest durability = %q", stats.Durability)
+			}
+			st.CloseAbrupt() // the buffered record for epoch 3 is genuinely dropped
+			re, rs := openForTest(t, dir, nil, cfg)
+			defer re.Close()
+			if rs.Epoch != 2 || re.Current().NumTrajs() != 2 {
+				t.Fatalf("recovered epoch %d with %d trajs, want the segment-covered prefix (2, 2)", rs.Epoch, re.Current().NumTrajs())
+			}
+			// The store must keep working at the recovered epoch.
+			if st2 := re.IngestTrips(trips[3]); st2.Epoch != 3 {
+				t.Fatalf("post-recovery ingest epoch %d, want 3", st2.Epoch)
+			}
+		})
 	})
 }
 
@@ -177,23 +250,32 @@ func TestOpenStoreCrash(t *testing.T) {
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+	for name, data := range readDirFiles(t, src) {
+		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dst
+}
+
+// readDirFiles returns every file under dir, keyed by its slash-relative
+// path; subdirectories are walked (a current data directory has none).
+func readDirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[filepath.ToSlash(rel)] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestWALTornWriteRecovery is the torn-write sweep: the log is truncated at
@@ -201,269 +283,339 @@ func copyDir(t *testing.T, src string) string {
 // of the last append — and recovery must keep exactly the prefix of fully
 // written batches, discarding the torn tail.
 func TestWALTornWriteRecovery(t *testing.T) {
-	trips := storeTrips()
-	dir := t.TempDir()
-	st, _ := openForTest(t, dir, nil, StoreConfig{CompactSegments: 1 << 30})
-	for _, tr := range trips[:4] {
-		st.IngestTrips(tr)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	forShards(t, func(t *testing.T, cfg ShardedConfig) {
+		trips := storeTrips()
+		dir := t.TempDir()
+		st, _ := openForTest(t, dir, nil, cfg)
+		for _, tr := range trips[:4] {
+			st.IngestTrips(tr)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	names, _, err := listWALFiles(dir)
-	if err != nil || len(names) != 1 {
-		t.Fatalf("wal files %v (%v)", names, err)
-	}
-	data, err := os.ReadFile(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Locate the final record's start offset by walking the frames.
-	lastStart := 0
-	for rest := data; len(rest) > 0; {
-		payload, r, err := readFrame(rest)
+		names, _, err := listWALFiles(dir)
+		if err != nil || len(names) != 1 {
+			t.Fatalf("wal files %v (%v)", names, err)
+		}
+		data, err := os.ReadFile(names[0])
 		if err != nil {
-			t.Fatalf("clean wal does not parse: %v", err)
-		}
-		if len(r) > 0 {
-			lastStart += frameHeaderSize + len(payload)
-		}
-		rest = r
-	}
-
-	walName := filepath.Base(names[0])
-	for cut := lastStart; cut <= len(data); cut++ {
-		cdir := copyDir(t, dir)
-		if err := os.WriteFile(filepath.Join(cdir, walName), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		re, rs := openForTest(t, cdir, nil, StoreConfig{CompactSegments: 1 << 30})
-		wantEpoch := uint64(3)
-		wantTorn := cut > lastStart && cut < len(data)
-		if cut == len(data) {
-			wantEpoch = 4
-		}
-		if rs.Epoch != wantEpoch || uint64(re.Current().NumTrajs()) != wantEpoch {
-			t.Fatalf("cut %d/%d: recovered epoch %d with %d trajs, want %d",
-				cut, len(data), rs.Epoch, re.Current().NumTrajs(), wantEpoch)
-		}
-		if wantTorn && rs.TornBytes == 0 {
-			t.Fatalf("cut %d: torn bytes not reported", cut)
-		}
-		// The recovered prefix must be exactly the first wantEpoch trips.
-		for i := 0; i < int(wantEpoch); i++ {
-			if re.Current().Traj(i).ID != trips[i].ID {
-				t.Fatalf("cut %d: trip %d is %s, want %s", cut, i, re.Current().Traj(i).ID, trips[i].ID)
+		// Locate the final record's start offset by walking the frames.
+		lastStart := 0
+		for rest := data; len(rest) > 0; {
+			payload, r, err := readFrame(rest)
+			if err != nil {
+				t.Fatalf("clean wal does not parse: %v", err)
 			}
+			if len(r) > 0 {
+				lastStart += frameHeaderSize + len(payload)
+			}
+			rest = r
 		}
-		// And the store must accept new batches contiguously after the cut.
-		if stats := re.IngestTrips(trips[4]); stats.Epoch != wantEpoch+1 {
-			t.Fatalf("cut %d: post-recovery epoch %d", cut, stats.Epoch)
+
+		walName := filepath.Base(names[0])
+		for cut := lastStart; cut <= len(data); cut++ {
+			cdir := copyDir(t, dir)
+			if err := os.WriteFile(filepath.Join(cdir, walName), data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, rs := openForTest(t, cdir, nil, cfg)
+			wantEpoch := uint64(3)
+			wantTorn := cut > lastStart && cut < len(data)
+			if cut == len(data) {
+				wantEpoch = 4
+			}
+			if rs.Epoch != wantEpoch || uint64(re.Current().NumTrajs()) != wantEpoch {
+				t.Fatalf("cut %d/%d: recovered epoch %d with %d trajs, want %d",
+					cut, len(data), rs.Epoch, re.Current().NumTrajs(), wantEpoch)
+			}
+			if wantTorn && rs.TornBytes == 0 {
+				t.Fatalf("cut %d: torn bytes not reported", cut)
+			}
+			// The recovered prefix must be exactly the first wantEpoch trips.
+			for i := 0; i < int(wantEpoch); i++ {
+				if re.Current().Traj(i).ID != trips[i].ID {
+					t.Fatalf("cut %d: trip %d is %s, want %s", cut, i, re.Current().Traj(i).ID, trips[i].ID)
+				}
+			}
+			// And the store must accept new batches contiguously after the cut.
+			if stats := re.IngestTrips(trips[4]); stats.Epoch != wantEpoch+1 {
+				t.Fatalf("cut %d: post-recovery epoch %d", cut, stats.Epoch)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// A second recovery of the same directory must see the appended batch:
+			// the truncation left no stale bytes for the new record to collide with.
+			re2, rs2 := openForTest(t, cdir, nil, cfg)
+			if rs2.Epoch != wantEpoch+1 {
+				t.Fatalf("cut %d: second recovery epoch %d, want %d", cut, rs2.Epoch, wantEpoch+1)
+			}
+			re2.Close()
 		}
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// A second recovery of the same directory must see the appended batch:
-		// the truncation left no stale bytes for the new record to collide with.
-		re2, rs2 := openForTest(t, cdir, nil, StoreConfig{CompactSegments: 1 << 30})
-		if rs2.Epoch != wantEpoch+1 {
-			t.Fatalf("cut %d: second recovery epoch %d, want %d", cut, rs2.Epoch, wantEpoch+1)
-		}
-		re2.Close()
-	}
+	})
 }
 
 // TestSegmentFallback: a corrupted newest segment file must not lose data —
 // recovery falls back to the previous generation plus the retained WAL.
 func TestSegmentFallback(t *testing.T) {
-	trips := storeTrips()
-	dir := t.TempDir()
-	st, _ := openForTest(t, dir, nil, StoreConfig{CompactSegments: 1 << 30})
-	st.IngestTrips(trips[0])
-	st.IngestTrips(trips[1])
-	st.Compact() // generation 1 covers epochs 1-2
-	st.IngestTrips(trips[2])
-	st.Compact() // generation 2 covers epochs 1-3
-	st.IngestTrips(trips[3])
-	want := viewKey(st.Current())
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	forShards(t, func(t *testing.T, cfg ShardedConfig) {
+		trips := storeTrips()
+		dir := t.TempDir()
+		st, _ := openForTest(t, dir, nil, cfg)
+		st.IngestTrips(trips[0])
+		st.IngestTrips(trips[1])
+		st.Compact() // generation 1 covers epochs 1-2
+		st.IngestTrips(trips[2])
+		st.Compact() // generation 2 covers epochs 1-3
+		st.IngestTrips(trips[3])
+		want := shardedKey(st)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	names, gens, err := listSegments(dir)
-	if err != nil || len(names) != 2 {
-		t.Fatalf("segments %v gens %v (%v): want current + previous generation", names, gens, err)
-	}
-	// Corrupt the newest generation's trip blocks.
-	data, err := os.ReadFile(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(names[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		names, gens, err := listSegments(dir)
+		if err != nil || len(names) != 2 {
+			t.Fatalf("segments %v gens %v (%v): want current + previous generation", names, gens, err)
+		}
+		// Corrupt the newest generation's last batch block.
+		data, err := os.ReadFile(names[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-1] ^= 0xff
+		if err := os.WriteFile(names[0], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	re, _ := openForTest(t, dir, nil, StoreConfig{CompactSegments: 1 << 30})
-	defer re.Close()
-	if got := viewKey(re.Current()); got != want {
-		t.Fatalf("fallback recovery differs:\n%s\nwant:\n%s", got, want)
-	}
+		re, rs := openForTest(t, dir, nil, cfg)
+		defer re.Close()
+		if got := shardedKey(re); got != want {
+			t.Fatalf("fallback recovery differs:\n%s\nwant:\n%s", got, want)
+		}
+		if rs.SegmentTrips != 2 || rs.WALBatches != 2 {
+			t.Fatalf("recovery stats %+v, want the previous generation's 2 trips + 2 wal batches", rs)
+		}
+	})
 }
 
-// TestManifestGuards: a data directory refuses a different seed and a
-// different store kind.
+// TestManifestGuards: a data directory refuses a different seed, whatever
+// the shard count — and accepts the same seed at any shard count.
 func TestManifestGuards(t *testing.T) {
 	g, _, _ := refWorld()
 	trips := storeTrips()
 	dir := t.TempDir()
-	st, _ := openForTest(t, dir, trips[:2], StoreConfig{})
+	st, _ := openForTest(t, dir, trips[:2], ShardedConfig{})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenStore(dir, g, trips[:3], StoreConfig{}); err == nil {
-		t.Fatalf("OpenStore accepted a different seed")
+	for _, n := range []int{1, 2} {
+		if _, _, err := OpenShardedStore(dir, g, trips[:3], ShardedConfig{Shards: n}); err == nil {
+			t.Fatalf("OpenShardedStore(shards=%d) accepted a different seed", n)
+		}
+		re, _ := openForTest(t, dir, trips[:2], ShardedConfig{Shards: n, Halo: 60})
+		re.Close()
 	}
-	if _, _, err := OpenShardedStore(dir, g, trips[:2], ShardedConfig{Shards: 2}); err == nil {
-		t.Fatalf("OpenShardedStore accepted a plain store directory")
+}
+
+// TestV1ManifestRefused: directories written by the version-1 layouts — a
+// plain store, a sharded root, a shard subdirectory — are refused with an
+// error naming the version, and nothing in them is created, truncated or
+// removed (recovery's log truncation must never run on files it cannot
+// interpret).
+func TestV1ManifestRefused(t *testing.T) {
+	g, _, _ := refWorld()
+	for _, kind := range []string{"store", "sharded", "shard"} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			files := map[string]string{
+				manifestName:                    `{"version": 1, "kind": "` + kind + `", "shards": 4, "halo": 500}` + "\n",
+				filepath.Base(walPath(".", 1)):  "torn garbage a v2 scan would truncate",
+				filepath.Base(segPath(".", 1)):  "old segment bytes",
+				"shard-0000/" + manifestName:    `{"version": 1, "kind": "shard"}` + "\n",
+				"shard-0000/seg-00000000000001": "annotated segment bytes",
+			}
+			if err := os.Mkdir(filepath.Join(dir, "shard-0000"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for name, body := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err := OpenShardedStore(dir, g, nil, ShardedConfig{Shards: 4, Halo: 500})
+			if err == nil || !strings.Contains(err.Error(), "layout version 1") {
+				t.Fatalf("opening a v1 directory: err = %v, want a layout-version refusal", err)
+			}
+			after := readDirFiles(t, dir)
+			if len(after) != len(files) {
+				t.Fatalf("refused directory now holds %d files, want %d", len(after), len(files))
+			}
+			for name, body := range files {
+				if string(after[name]) != body {
+					t.Fatalf("refused open modified %s: %q", name, after[name])
+				}
+			}
+		})
+	}
+}
+
+// TestDataDirLayout: whatever the shard count, a data directory holds only
+// the manifest, log files and segment files — no per-shard anything.
+func TestDataDirLayout(t *testing.T) {
+	trips := storeTrips()
+	for _, n := range []int{1, 4, 9} {
+		dir := t.TempDir()
+		st, _ := openForTest(t, dir, trips[:1], ShardedConfig{Shards: n, Halo: 60})
+		st.IngestTrips(trips[1], trips[2])
+		st.Compact()
+		st.IngestTrips(trips[3])
+		st.Compact()
+		st.IngestTrips(trips[4])
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			_, isWAL := walStartEpoch(e.Name())
+			_, isSeg := segGeneration(e.Name())
+			if e.IsDir() || !(e.Name() == manifestName || isWAL || isSeg) {
+				t.Errorf("shards=%d: unexpected entry %q in data directory", n, e.Name())
+			}
+		}
 	}
 }
 
 // TestWALBounded: repeated ingest+compact cycles must not grow the log
-// without bound — flushed segments retire WAL files one generation behind.
+// without bound — checkpoints retire WAL files one generation behind.
 func TestWALBounded(t *testing.T) {
+	forShards(t, func(t *testing.T, cfg ShardedConfig) {
+		trips := storeTrips()
+		dir := t.TempDir()
+		st, _ := openForTest(t, dir, nil, cfg)
+		for cycle := 0; cycle < 8; cycle++ {
+			st.IngestTrips(trips[cycle%len(trips)])
+			st.Compact()
+		}
+		names, _, err := listWALFiles(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) > 3 {
+			t.Fatalf("%d wal files after 8 checkpoint cycles; truncation is not keeping up", len(names))
+		}
+		segNames, _, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segNames) > 2 {
+			t.Fatalf("%d segment files retained, want at most current + previous", len(segNames))
+		}
+		want := shardedKey(st)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, _ := openForTest(t, dir, nil, cfg)
+		defer re.Close()
+		if got := shardedKey(re); got != want {
+			t.Fatalf("recovery after truncation differs:\n%s\nwant:\n%s", got, want)
+		}
+	})
+}
+
+// TestCheckpointSkipsUnchangedEpoch: compactions that find the epoch where
+// the last checkpoint left it write no new segment generation.
+func TestCheckpointSkipsUnchangedEpoch(t *testing.T) {
 	trips := storeTrips()
 	dir := t.TempDir()
-	st, _ := openForTest(t, dir, nil, StoreConfig{CompactSegments: 1 << 30})
-	for cycle := 0; cycle < 8; cycle++ {
-		st.IngestTrips(trips[cycle%len(trips)])
-		st.Compact()
-	}
-	names, _, err := listWALFiles(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) > 3 {
-		t.Fatalf("%d wal files after 8 flush cycles; truncation is not keeping up", len(names))
-	}
-	segNames, _, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segNames) > 2 {
-		t.Fatalf("%d segment files retained, want at most current + previous", len(segNames))
-	}
-	want := viewKey(st.Current())
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, _ := openForTest(t, dir, nil, StoreConfig{CompactSegments: 1 << 30})
-	defer re.Close()
-	if got := viewKey(re.Current()); got != want {
-		t.Fatalf("recovery after truncation differs:\n%s\nwant:\n%s", got, want)
+	st, _ := openForTest(t, dir, nil, ShardedConfig{Shards: 4, Halo: 60, StoreConfig: StoreConfig{CompactSegments: 1 << 30}})
+	defer st.Close()
+	st.IngestTrips(trips...) // one batch spread over several shards
+	st.Compact()             // every touched shard merges; one checkpoint
+	if gen := maxSegmentGen(dir); gen != 1 {
+		t.Fatalf("newest segment generation %d after one compaction round, want 1", gen)
 	}
 }
 
-// shardedKey is viewKey plus the sharded epoch fingerprint and shard epochs.
-func shardedKey(v *ShardedSnapshot) string {
-	return fmt.Sprintf("fp %x epochs %v\n%s", v.EpochFingerprint(), v.ShardEpochs(), viewKey(v))
+// TestWALFailureIsSticky: once a WAL write fails the store keeps serving
+// from memory but reports every later batch as failed without touching the
+// log, so the directory holds exactly the pre-failure prefix.
+func TestWALFailureIsSticky(t *testing.T) {
+	forShards(t, func(t *testing.T, cfg ShardedConfig) {
+		trips := storeTrips()
+		dir := t.TempDir()
+		reg := obs.New()
+		cfg.Registry = reg
+		st, _ := openForTest(t, dir, nil, cfg)
+		st.IngestTrips(trips[0])
+		st.IngestTrips(trips[1])
+		st.persist.w.f.Close() // the disk goes away under the live store
+		for i, tr := range trips[2:4] {
+			stats := st.IngestTrips(tr)
+			if stats.Durability != DurabilityFailed {
+				t.Fatalf("batch %d after the failure reported %q, want failed", i, stats.Durability)
+			}
+			if want := uint64(3 + i); stats.Epoch != want {
+				t.Fatalf("batch %d after the failure at epoch %d, want %d (still served from memory)", i, stats.Epoch, want)
+			}
+		}
+		if n := reg.Counter(obs.CounterWALErrors).Value(); n != 2 {
+			t.Fatalf("wal error counter %d, want one per refused batch", n)
+		}
+		st.Compact() // a failed store must not checkpoint the unlogged batches either
+		st.CloseAbrupt()
+
+		re, rs := openForTest(t, dir, nil, cfg)
+		defer re.Close()
+		if rs.Epoch != 2 || re.Current().NumTrajs() != 2 {
+			t.Fatalf("recovered epoch %d with %d trajs, want exactly the pre-failure prefix (2, 2)", rs.Epoch, re.Current().NumTrajs())
+		}
+		if stats := re.IngestTrips(trips[2]); stats.Durability != DurabilitySynced || stats.Epoch != 3 {
+			t.Fatalf("reopened store ingest %+v, want synced at epoch 3", stats)
+		}
+	})
 }
 
-// TestOpenShardedStoreRoundTrip: a durable sharded composite reopens at the
-// same composite epoch, shard epochs, fingerprint and content — the
-// invariants epoch-tagged caches depend on.
-func TestOpenShardedStoreRoundTrip(t *testing.T) {
-	g, _, _ := refWorld()
-	trips := storeTrips()
-	cfg := ShardedConfig{Shards: 4, Halo: 60, StoreConfig: StoreConfig{CompactSegments: 1 << 30}}
-	dir := t.TempDir()
-
-	st, rs, err := OpenShardedStore(dir, g, trips[:2], cfg)
-	if err != nil {
-		t.Fatalf("OpenShardedStore: %v", err)
-	}
-	if rs.Epoch != 0 {
-		t.Fatalf("fresh sharded open recovered %+v", rs)
-	}
-	st.IngestTrips(trips[2], trips[3])
-	st.Compact() // flush every shard's annotated segment file
-	st.IngestTrips(trips[4])
-	st.IngestTrips(trips[5])
-	want := shardedKey(st.CurrentSharded())
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, rs, err := OpenShardedStore(dir, g, trips[:2], cfg)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
-	if rs.Epoch != 3 {
-		t.Fatalf("recovered epoch %d, want 3 (stats %+v)", rs.Epoch, rs)
-	}
-	if got := shardedKey(re.CurrentSharded()); got != want {
-		t.Fatalf("reopened sharded store differs:\n%s\nwant:\n%s", got, want)
-	}
-	// An in-memory composite fed the same history must agree too — recovery
-	// goes through the same construction path.
-	mem := NewShardedStore(g, trips[:2], cfg)
-	mem.IngestTrips(trips[2], trips[3])
-	mem.IngestTrips(trips[4])
-	mem.IngestTrips(trips[5])
-	if got := shardedKey(mem.CurrentSharded()); got != want {
-		t.Fatalf("in-memory composite differs from durable one:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestOpenShardedStoreCrash: abrupt death after a partial history — some
-// batches only in shard segments, some only in the root WAL, one torn —
-// recovers the durable prefix for any cut of the final record.
-func TestOpenShardedStoreCrash(t *testing.T) {
-	g, _, _ := refWorld()
-	trips := storeTrips()
-	cfg := ShardedConfig{Shards: 2, Halo: 60, StoreConfig: StoreConfig{CompactSegments: 1 << 30}}
-	dir := t.TempDir()
-
-	st, _, err := OpenShardedStore(dir, g, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.IngestTrips(trips[0])
-	st.IngestTrips(trips[1])
-	st.Compact() // shard segments cover batches 1-2
-	st.IngestTrips(trips[2])
-	st.IngestTrips(trips[3])
-	want := shardedKey(st.CurrentSharded())
-	st.CloseAbrupt()
-
-	re, rs, err := OpenShardedStore(dir, g, nil, cfg)
-	if err != nil {
-		t.Fatalf("crash recovery: %v", err)
-	}
-	if rs.Epoch != 4 {
-		t.Fatalf("recovered epoch %d, want 4 (stats %+v)", rs.Epoch, rs)
-	}
-	if got := shardedKey(re.CurrentSharded()); got != want {
-		t.Fatalf("crash recovery differs:\n%s\nwant:\n%s", got, want)
-	}
-	// Keep going after recovery: new batches, another flush, another crash.
-	re.IngestTrips(trips[4])
-	re.Compact()
-	re.IngestTrips(trips[5])
-	want = shardedKey(re.CurrentSharded())
-	re.CloseAbrupt()
-
-	re2, rs2, err := OpenShardedStore(dir, g, nil, cfg)
-	if err != nil {
-		t.Fatalf("second crash recovery: %v", err)
-	}
-	defer re2.Close()
-	if rs2.Epoch != 6 {
-		t.Fatalf("second recovery epoch %d, want 6", rs2.Epoch)
-	}
-	if got := shardedKey(re2.CurrentSharded()); got != want {
-		t.Fatalf("second crash recovery differs:\n%s\nwant:\n%s", got, want)
-	}
+// TestDurableBackgroundCheckpoint: with auto-compaction on, concurrent
+// writers drive background shard merges whose checkpoints race further
+// ingest; whatever interleaving happens, a crash afterwards recovers the
+// store that was running (run under -race this also fences the hook path).
+func TestDurableBackgroundCheckpoint(t *testing.T) {
+	forShards(t, func(t *testing.T, cfg ShardedConfig) {
+		cfg.CompactSegments = 2
+		trips := storeTrips()
+		dir := t.TempDir()
+		st, _ := openForTest(t, dir, nil, cfg)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 12; i++ {
+					st.IngestTrips(trips[(w+i)%len(trips)])
+					st.Current().WithinRadius(trips[0].Points[0].Pt, 100)
+				}
+			}(w)
+		}
+		wg.Wait()
+		st.Wait()
+		if gen := maxSegmentGen(dir); gen == 0 {
+			t.Fatalf("48 batches at CompactSegments=2 never checkpointed")
+		}
+		want := shardedKey(st)
+		st.CloseAbrupt()
+		re, rs := openForTest(t, dir, nil, cfg)
+		defer re.Close()
+		if rs.Epoch != 48 {
+			t.Fatalf("recovered epoch %d, want 48 (stats %+v)", rs.Epoch, rs)
+		}
+		if got := shardedKey(re); got != want {
+			t.Fatalf("recovered store differs:\n%s\nwant:\n%s", got, want)
+		}
+	})
 }

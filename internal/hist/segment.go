@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -12,46 +13,37 @@ import (
 	"repro/internal/traj"
 )
 
-// Segment files are the disk tier of the LSM store: compaction, having
-// merged every in-memory segment into one STR-packed base tree, also
-// serializes the merged trip set to an append-only file — written once,
-// front to back, never modified — so a restart can rebuild the base without
-// the WAL. Files are named seg-<generation, %016x>.seg, the generation a
-// monotonic per-directory counter; recovery loads the newest file that
-// validates end to end and falls back to the previous generation if the
-// newest is damaged (the two newest generations are retained, older ones
-// deleted at flush).
+// Segment files are the checkpoint tier of the durable archive: after a
+// shard compaction the composite serializes its whole post-seed history to
+// an append-only file — written once, front to back, never modified — so a
+// restart needs only the log records newer than the file. Files are named
+// seg-<generation, %016x>.seg, the generation a monotonic per-directory
+// counter; recovery loads the newest file that validates end to end and
+// falls back to the previous generation if the newest is damaged (the two
+// newest generations are retained, older ones deleted at checkpoint).
 //
-// Layout: a framed header record followed by framed blocks of trips (a
-// frame is [u32 len][u32 CRC32-C][payload], codec.go). Header payload:
+// Layout: a framed header record followed by one framed block per ingest
+// batch (a frame is [u32 len][u32 CRC32-C][payload], codec.go). Header
+// payload:
 //
-//	[u32 magic "HSG1"][u16 version][u16 flags][u64 store epoch]
-//	[u64 batch epoch][u64 trip count]
+//	[u32 magic "HSG1"][u16 version][u16 reserved][u64 epoch][u64 trip count]
 //
-// Flags bit 0 marks annotated trips (shard segments: each trip prefixed by
-// global index + batch epoch). Trips are chunked into blocks of at most
-// segBlockTrips so a block checksum covers a bounded span; every block must
-// validate and the trip count must match the header for the file to be
-// accepted — segments are written via tmp+rename, so a half-written file
-// never appears under the final name in the first place.
+// Each block is the batch encoding the WAL uses for its records, so the file
+// is the log's prefix 1..epoch with the framing kept — batch boundaries are
+// on disk, and recovery replays a segment exactly as it replays the log.
+// Every block must validate, the batch epochs must run 1..epoch without a
+// gap, and the trip count must match the header for the file to be accepted
+// — segments are written via tmp+rename, so a half-written file never
+// appears under the final name in the first place.
 
 const (
 	segPrefix     = "seg-"
 	segSuffix     = ".seg"
 	segTmpSuffix  = ".tmp"
 	segMagic      = 0x48534731 // "HSG1"
-	segVersion    = 1
-	segAnnotated  = 1 << 0
-	segBlockTrips = 256
+	segVersion    = 2
+	segHeaderSize = 24
 )
-
-// segHeader describes one segment file.
-type segHeader struct {
-	Epoch      uint64 // store epoch the file covers (trips of batches 1..Epoch)
-	BatchEpoch uint64 // newest composite batch covered (== Epoch for plain stores)
-	Annotated  bool
-	Trips      int
-}
 
 func segPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", segPrefix, gen, segSuffix))
@@ -88,23 +80,21 @@ func listSegments(dir string) (names []string, gens []uint64, err error) {
 	return names, gens, nil
 }
 
-// writeSegment serializes trips (with annotations when hdr.Annotated) to
-// the segment file for generation gen in dir, using write-to-temp, fsync,
+// writeSegment serializes batches — the contiguous history 1..len(batches) —
+// to the segment file for generation gen in dir, using write-to-temp, fsync,
 // rename, fsync-directory so the file is either fully present or absent.
 // Returns the file size.
-func writeSegment(dir string, gen uint64, hdr segHeader, trips []*traj.Trajectory, anns []tripAnn) (int64, error) {
-	hdr.Trips = len(trips)
-	payload := make([]byte, 0, 40)
-	payload = binary.LittleEndian.AppendUint32(payload, segMagic)
-	payload = binary.LittleEndian.AppendUint16(payload, segVersion)
-	flags := uint16(0)
-	if hdr.Annotated {
-		flags |= segAnnotated
+func writeSegment(dir string, gen uint64, batches [][]*traj.Trajectory) (int64, error) {
+	trips := 0
+	for _, b := range batches {
+		trips += len(b)
 	}
-	payload = binary.LittleEndian.AppendUint16(payload, flags)
-	payload = binary.LittleEndian.AppendUint64(payload, hdr.Epoch)
-	payload = binary.LittleEndian.AppendUint64(payload, hdr.BatchEpoch)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(trips)))
+	hdr := make([]byte, 0, segHeaderSize)
+	hdr = binary.LittleEndian.AppendUint32(hdr, segMagic)
+	hdr = binary.LittleEndian.AppendUint16(hdr, segVersion)
+	hdr = binary.LittleEndian.AppendUint16(hdr, 0)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(batches)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(trips))
 
 	final := segPath(dir, gen)
 	tmp := final + segTmpSuffix
@@ -114,33 +104,20 @@ func writeSegment(dir string, gen uint64, hdr segHeader, trips []*traj.Trajector
 	}
 	defer os.Remove(tmp) // no-op after a successful rename
 
-	var size int64
-	write := func(p []byte) error {
-		n, err := f.Write(p)
-		size += int64(n)
-		return err
+	bw := bufio.NewWriterSize(f, walBufSize)
+	frame := appendFrame(nil, hdr)
+	size := int64(len(frame))
+	bw.Write(frame) // a bufio.Writer's error is sticky: Flush reports it
+	var payload []byte
+	for k, b := range batches {
+		payload = appendBatch(payload[:0], uint64(k+1), b)
+		frame = appendFrame(frame[:0], payload)
+		size += int64(len(frame))
+		bw.Write(frame)
 	}
-	if err := write(appendFrame(nil, payload)); err != nil {
+	if err := bw.Flush(); err != nil {
 		f.Close()
 		return 0, err
-	}
-	for lo := 0; lo < len(trips); lo += segBlockTrips {
-		hi := lo + segBlockTrips
-		if hi > len(trips) {
-			hi = len(trips)
-		}
-		block := binary.LittleEndian.AppendUint32(nil, uint32(hi-lo))
-		for i := lo; i < hi; i++ {
-			if hdr.Annotated {
-				block = binary.LittleEndian.AppendUint64(block, uint64(anns[i].GI))
-				block = binary.LittleEndian.AppendUint64(block, anns[i].Batch)
-			}
-			block = appendTrip(block, trips[i])
-		}
-		if err := write(appendFrame(nil, block)); err != nil {
-			f.Close()
-			return 0, err
-		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -156,91 +133,64 @@ func writeSegment(dir string, gen uint64, hdr segHeader, trips []*traj.Trajector
 	return size, nil
 }
 
-// readSegment loads and fully validates one segment file.
-func readSegment(path string) (segHeader, []*traj.Trajectory, []tripAnn, error) {
+// readSegment loads and fully validates one segment file, returning the
+// batches 1..epoch it holds.
+func readSegment(path string) ([]walBatch, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return segHeader{}, nil, nil, err
+		return nil, err
 	}
-	payload, rest, err := readFrame(data)
+	hdr, rest, err := readFrame(data)
 	if err != nil {
-		return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: %w", path, err)
+		return nil, fmt.Errorf("hist: segment %s: %w", path, err)
 	}
-	if len(payload) != 32 || binary.LittleEndian.Uint32(payload) != segMagic {
-		return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: bad header", path)
+	if len(hdr) != segHeaderSize || binary.LittleEndian.Uint32(hdr) != segMagic {
+		return nil, fmt.Errorf("hist: segment %s: bad header", path)
 	}
-	if v := binary.LittleEndian.Uint16(payload[4:]); v != segVersion {
-		return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: unsupported version %d", path, v)
+	if v := binary.LittleEndian.Uint16(hdr[4:]); v != segVersion {
+		return nil, fmt.Errorf("hist: segment %s: unsupported version %d", path, v)
 	}
-	flags := binary.LittleEndian.Uint16(payload[6:])
-	hdr := segHeader{
-		Epoch:      binary.LittleEndian.Uint64(payload[8:]),
-		BatchEpoch: binary.LittleEndian.Uint64(payload[16:]),
-		Annotated:  flags&segAnnotated != 0,
-		Trips:      int(binary.LittleEndian.Uint64(payload[24:])),
-	}
-	if hdr.Trips < 0 || hdr.Trips > maxFramePayload {
-		return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: implausible trip count", path)
-	}
-	trips := make([]*traj.Trajectory, 0, hdr.Trips)
-	var anns []tripAnn
-	if hdr.Annotated {
-		anns = make([]tripAnn, 0, hdr.Trips)
-	}
+	epoch := binary.LittleEndian.Uint64(hdr[8:])
+	wantTrips := binary.LittleEndian.Uint64(hdr[16:])
+	var batches []walBatch
+	trips := uint64(0)
 	for len(rest) > 0 {
-		var block []byte
-		block, rest, err = readFrame(rest)
+		var payload []byte
+		payload, rest, err = readFrame(rest)
 		if err != nil {
-			return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: %w", path, err)
+			return nil, fmt.Errorf("hist: segment %s: %w", path, err)
 		}
-		if len(block) < 4 {
-			return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: short block", path)
+		b, err := decodeBatch(payload)
+		if err != nil {
+			return nil, fmt.Errorf("hist: segment %s: %w", path, err)
 		}
-		n := binary.LittleEndian.Uint32(block)
-		b := block[4:]
-		for k := uint32(0); k < n; k++ {
-			if hdr.Annotated {
-				if len(b) < 16 {
-					return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: truncated annotation", path)
-				}
-				anns = append(anns, tripAnn{
-					GI:    int(binary.LittleEndian.Uint64(b)),
-					Batch: binary.LittleEndian.Uint64(b[8:]),
-				})
-				b = b[16:]
-			}
-			var tr *traj.Trajectory
-			tr, b, err = readTrip(b)
-			if err != nil {
-				return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: %w", path, err)
-			}
-			trips = append(trips, tr)
+		if b.Epoch != uint64(len(batches))+1 {
+			return nil, fmt.Errorf("hist: segment %s: batch %d where %d belongs", path, b.Epoch, len(batches)+1)
 		}
-		if len(b) != 0 {
-			return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: trailing block bytes", path)
-		}
+		batches = append(batches, b)
+		trips += uint64(len(b.Trips))
 	}
-	if len(trips) != hdr.Trips {
-		return segHeader{}, nil, nil, fmt.Errorf("hist: segment %s: %d trips, header says %d", path, len(trips), hdr.Trips)
+	if uint64(len(batches)) != epoch || trips != wantTrips {
+		return nil, fmt.Errorf("hist: segment %s: %d batches / %d trips, header says %d / %d",
+			path, len(batches), trips, epoch, wantTrips)
 	}
-	return hdr, trips, anns, nil
+	return batches, nil
 }
 
 // newestValidSegment loads the newest segment file in dir that validates,
-// deleting nothing. Returns ok=false when no valid segment exists.
-func newestValidSegment(dir string) (hdr segHeader, gen uint64, trips []*traj.Trajectory, anns []tripAnn, ok bool) {
-	names, gens, err := listSegments(dir)
+// deleting nothing, and returns its batches and size; no valid segment is no
+// batches.
+func newestValidSegment(dir string) (batches []walBatch, size int64) {
+	names, _, err := listSegments(dir)
 	if err != nil {
-		return segHeader{}, 0, nil, nil, false
+		return nil, 0
 	}
-	for i, name := range names {
-		h, t, a, err := readSegment(name)
-		if err != nil {
-			continue
+	for _, name := range names {
+		if b, err := readSegment(name); err == nil {
+			return b, fileSize(name)
 		}
-		return h, gens[i], t, a, true
 	}
-	return segHeader{}, 0, nil, nil, false
+	return nil, 0
 }
 
 // dropOldSegments removes all segment generations older than keepFrom.

@@ -13,34 +13,13 @@ import (
 	"repro/internal/traj"
 )
 
-// Ingester is the writable live-archive surface shared by Store and
-// ShardedStore, so serving code (cmd/hris, benchmarks) is generic over the
-// single-node and sharded layouts.
-type Ingester interface {
-	Source
-	Graph() *roadnet.Graph
-	Ingest(logs ...*traj.Trajectory) IngestStats
-	IngestTrips(trips ...*traj.Trajectory) IngestStats
-	Stats() StoreStats
-	Compact()
-	Wait()
-	// Close releases the store: for durable stores (OpenStore /
-	// OpenShardedStore) it syncs and closes the on-disk state; for
-	// in-memory stores it just waits out background compactions.
-	Close() error
-}
-
-var (
-	_ Ingester = (*Store)(nil)
-	_ Ingester = (*ShardedStore)(nil)
-)
-
 // ShardedConfig tunes a ShardedStore.
 type ShardedConfig struct {
 	// StoreConfig parameterizes every shard's Store (preprocessing,
-	// compaction threshold). The Registry is kept by the composite — shards
-	// run uninstrumented and the ShardedStore records composite ingest
-	// latency, per-shard replica counters and scatter/fan-out metrics.
+	// compaction threshold). The Registry and the WAL policy are kept by the
+	// composite — shards run uninstrumented and in memory, and the
+	// ShardedStore records composite ingest latency, per-shard replica
+	// counters and scatter/fan-out metrics.
 	StoreConfig
 	// Shards is the number of spatial shards (< 1 means 1).
 	Shards int
@@ -74,10 +53,10 @@ type ShardedStore struct {
 	mu  sync.Mutex // serializes ingest bookkeeping and snapshot publication
 	cur atomic.Pointer[ShardedSnapshot]
 
-	// persist is the composite's root WAL attachment and cov the per-shard
-	// segment-coverage tracker, both set only by OpenShardedStore.
+	// persist is the data-directory attachment — the WAL and the segment
+	// series — set only by OpenShardedStore. Durability is the composite's
+	// alone: the shards below never touch disk.
 	persist *persist
-	cov     *coverage
 }
 
 // NewShardedStore opens a sharded live archive over road network g, seeded
@@ -97,14 +76,12 @@ func NewShardedStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfi
 
 	batches := make([][]*traj.Trajectory, n)
 	maps := make([][]int, n)
-	seedAnns := make([][]tripAnn, n)
 	points := 0
 	for gi, tr := range seed {
 		points += tr.Len()
 		for _, i := range s.assign(tr) {
 			batches[i] = append(batches[i], tr)
 			maps[i] = append(maps[i], gi)
-			seedAnns[i] = append(seedAnns[i], tripAnn{GI: gi, Batch: 0})
 		}
 	}
 	shardCfg := cfg.StoreConfig
@@ -114,10 +91,6 @@ func NewShardedStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfi
 	for i := range s.shards {
 		s.shards[i] = NewStore(g, batches[i], shardCfg)
 		snaps[i] = s.shards[i].Snapshot()
-		// Annotate the freshly built, not-yet-shared seed snapshot with each
-		// replica's global identity (batch 0 = seed) so a durable shard's
-		// segment files can reconstruct the composite history.
-		snaps[i].anns = seedAnns[i]
 	}
 	epochs := make([]uint64, n)
 	s.cur.Store(&ShardedSnapshot{
@@ -218,7 +191,6 @@ func (s *ShardedStore) Stats() StoreStats {
 		ss := sh.Stats()
 		st.Segments += ss.Segments
 		st.Compactions += ss.Compactions
-		st.SegmentBytes += ss.SegmentBytes
 		st.Shards[i] = ss
 	}
 	s.persist.fold(&st)
@@ -254,12 +226,10 @@ func (s *ShardedStore) IngestTrips(trips ...*traj.Trajectory) IngestStats {
 
 	n := s.part.N()
 	batches := make([][]*traj.Trajectory, n)
-	batchAnns := make([][]tripAnn, n)
 	shardPoints := make([]int, n)
 
 	s.mu.Lock()
 	old := s.cur.Load()
-	epoch := old.epoch + 1
 	// Full slice expressions pin capacity so append always copies: the
 	// published composite's slices are never writable through the new one.
 	trajs := append(old.trajs[:len(old.trajs):len(old.trajs)], kept...)
@@ -273,28 +243,18 @@ func (s *ShardedStore) IngestTrips(trips ...*traj.Trajectory) IngestStats {
 		points += tr.Len()
 		for _, i := range s.assign(tr) {
 			batches[i] = append(batches[i], tr)
-			batchAnns[i] = append(batchAnns[i], tripAnn{GI: gi, Batch: epoch})
 			maps[i] = append(maps[i], gi)
 			shardPoints[i] += tr.Len()
 		}
 	}
-	// One root WAL record — and one fsync under SyncAlways — makes the whole
+	// One WAL record — and one fsync under SyncAlways — makes the whole
 	// composite batch durable before it becomes visible anywhere.
-	durability := s.persist.appendBatch(epoch, kept)
-	if s.cov != nil {
-		touched := make([]int, 0, n)
-		for i := range batches {
-			if len(batches[i]) > 0 {
-				touched = append(touched, i)
-			}
-		}
-		s.cov.add(epoch, touched)
-	}
+	durability := s.persist.logBatch(old.epoch+1, kept)
 	snaps := make([]*Snapshot, n)
 	epochs := make([]uint64, n)
 	for i, sh := range s.shards {
 		if len(batches[i]) > 0 {
-			sh.ingest(batches[i], batchAnns[i])
+			sh.IngestTrips(batches[i]...)
 		}
 		snaps[i] = sh.Snapshot()
 		epochs[i] = snaps[i].epoch
@@ -307,7 +267,7 @@ func (s *ShardedStore) IngestTrips(trips ...*traj.Trajectory) IngestStats {
 		maps:   maps,
 		trajs:  trajs,
 		points: old.points + points,
-		epoch:  epoch,
+		epoch:  old.epoch + 1,
 		epochs: epochs,
 		fp:     epochFingerprint(epochs),
 	}
@@ -332,7 +292,9 @@ func (s *ShardedStore) IngestTrips(trips ...*traj.Trajectory) IngestStats {
 	return IngestStats{Trips: len(kept), Points: points, Epoch: next.epoch, Durability: durability}
 }
 
-// Compact synchronously compacts every shard to a single base segment.
+// Compact synchronously compacts every shard to a single base segment. In a
+// durable composite each merge cues a checkpoint, and only the first finds
+// the epoch advanced.
 func (s *ShardedStore) Compact() {
 	for _, sh := range s.shards {
 		sh.Compact()
@@ -344,30 +306,6 @@ func (s *ShardedStore) Wait() {
 	for _, sh := range s.shards {
 		sh.Wait()
 	}
-}
-
-// Close waits out shard compactions and closes every shard plus the root
-// WAL. In-memory composites (NewShardedStore) treat Close as Wait.
-func (s *ShardedStore) Close() error {
-	var first error
-	for _, sh := range s.shards {
-		if err := sh.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if err := s.persist.close(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-// CloseAbrupt simulates the process dying mid-flight: buffered, unsynced
-// root-WAL records are dropped and nothing is flushed. See Store.CloseAbrupt.
-func (s *ShardedStore) CloseAbrupt() {
-	for _, sh := range s.shards {
-		sh.CloseAbrupt()
-	}
-	s.persist.abandon()
 }
 
 // epochFingerprint folds a per-shard epoch vector into one comparable hash

@@ -32,8 +32,9 @@ type StoreConfig struct {
 	// batches produced them — the backstop against a handful of huge batches
 	// monopolizing memory as dynamic trees. <= 0 uses DefaultCompactPoints.
 	CompactPoints int
-	// WALSync selects the write-ahead-log sync policy of stores opened with
-	// OpenStore (the zero value is SyncAlways); NewStore ignores it.
+	// WALSync selects the write-ahead-log sync policy of composites opened
+	// with OpenShardedStore (the zero value is SyncAlways); the in-memory
+	// constructors ignore it.
 	WALSync SyncPolicy
 	// WALSyncEvery is the background fsync period under SyncInterval
 	// (<= 0 uses DefaultWALSyncInterval).
@@ -64,8 +65,9 @@ type IngestStats struct {
 }
 
 // StoreStats is a point-in-time summary of the store. A ShardedStore
-// reports its composite totals in the top-level fields and each shard's
-// own summary under Shards (empty for a plain Store).
+// reports its composite totals in the top-level fields — the on-disk gauges
+// exist only there, durability being a property of the composite — and each
+// shard's own summary under Shards (empty for a plain Store).
 type StoreStats struct {
 	Epoch        uint64       `json:"epoch"`
 	Trajs        int          `json:"trajs"`
@@ -104,11 +106,10 @@ type Store struct {
 	wg          sync.WaitGroup
 	compactions atomic.Uint64
 
-	// persist is the durability attachment of stores opened with OpenStore
-	// (nil for NewStore); seedLen is how many leading Trajs entries are the
-	// caller-supplied seed, which segment files don't store.
-	persist *persist
-	seedLen int
+	// compacted, when set, runs after every compaction that merged something
+	// — the owning ShardedStore's cue to checkpoint. Set before the store is
+	// shared, never changed afterwards.
+	compacted func()
 }
 
 // NewStore opens a live archive over road network g, seeded with an already
@@ -132,7 +133,7 @@ func NewStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreConfig) *Store
 	if cfg.CompactPoints <= 0 {
 		cfg.CompactPoints = DefaultCompactPoints
 	}
-	s := &Store{g: g, cfg: cfg, seedLen: len(seed)}
+	s := &Store{g: g, cfg: cfg}
 	s.cur.Store(NewArchive(g, seed))
 	return s
 }
@@ -151,15 +152,13 @@ func (s *Store) Graph() *roadnet.Graph { return s.g }
 // Stats summarizes the current generation.
 func (s *Store) Stats() StoreStats {
 	snap := s.cur.Load()
-	st := StoreStats{
+	return StoreStats{
 		Epoch:       snap.epoch,
 		Trajs:       len(snap.Trajs),
 		Points:      snap.points,
 		Segments:    len(snap.segs),
 		Compactions: s.compactions.Load(),
 	}
-	s.persist.fold(&st)
-	return st
 }
 
 // Ingest runs the Preprocess pipeline (outlier removal, stay-point trip
@@ -177,25 +176,14 @@ func (s *Store) Ingest(logs ...*traj.Trajectory) IngestStats {
 // partitioning or order — yields a store whose inference answers are
 // byte-identical to that bulk archive's.
 func (s *Store) IngestTrips(trips ...*traj.Trajectory) IngestStats {
-	return s.ingest(trips, nil)
-}
-
-// ingest is IngestTrips plus optional per-trip annotations (aligned with
-// trips) — the path a ShardedStore uses so its shards' segment files can
-// record each replica's global identity.
-func (s *Store) ingest(trips []*traj.Trajectory, anns []tripAnn) IngestStats {
 	var t0 time.Time
 	if s.cfg.Registry != nil {
 		t0 = time.Now()
 	}
 	kept := make([]*traj.Trajectory, 0, len(trips))
-	var keptAnns []tripAnn
-	for i, tr := range trips {
+	for _, tr := range trips {
 		if tr != nil && tr.Len() > 0 {
 			kept = append(kept, tr)
-			if anns != nil {
-				keptAnns = append(keptAnns, anns[i])
-			}
 		}
 	}
 	if len(kept) == 0 {
@@ -207,10 +195,6 @@ func (s *Store) ingest(trips []*traj.Trajectory, anns []tripAnn) IngestStats {
 	// Full slice expressions pin capacity so append always copies: the
 	// published snapshot's slices are never writable through the new one.
 	trajs := append(old.Trajs[:len(old.Trajs):len(old.Trajs)], kept...)
-	var nextAnns []tripAnn
-	if keptAnns != nil || old.anns != nil {
-		nextAnns = append(old.anns[:len(old.anns):len(old.anns)], keptAnns...)
-	}
 	mem := rtree.New[PointRef]()
 	points := 0
 	for ti, tr := range kept {
@@ -222,15 +206,11 @@ func (s *Store) ingest(trips []*traj.Trajectory, anns []tripAnn) IngestStats {
 	next := &Snapshot{
 		G:       s.g,
 		Trajs:   trajs,
-		anns:    nextAnns,
 		segs:    append(old.segs[:len(old.segs):len(old.segs)], mem),
 		points:  old.points + points,
 		basePts: old.basePts,
 		epoch:   old.epoch + 1,
 	}
-	// The WAL record precedes publication: once the batch is visible it is
-	// at least as durable as the sync policy promises.
-	durability := s.persist.appendBatch(next.epoch, kept)
 	s.cur.Store(next)
 	s.mu.Unlock()
 
@@ -243,7 +223,7 @@ func (s *Store) ingest(trips []*traj.Trajectory, anns []tripAnn) IngestStats {
 	if len(next.segs) >= s.cfg.CompactSegments || next.points-next.basePts >= s.cfg.CompactPoints {
 		s.triggerCompact()
 	}
-	return IngestStats{Trips: len(kept), Points: points, Epoch: next.epoch, Durability: durability}
+	return IngestStats{Trips: len(kept), Points: points, Epoch: next.epoch, Durability: DurabilityMemory}
 }
 
 // triggerCompact starts a background compaction unless one is already
@@ -279,8 +259,9 @@ func (s *Store) Wait() {
 // base tree and before it publishes. Test-only seam, exported so the
 // cross-package crash-recovery suites can inject failures mid-compaction:
 // it holds a merge open so regression tests can deterministically schedule
-// a second compaction against the same segment stack, or kill the store
-// between a batch's WAL append and its segment flush.
+// a second compaction against the same segment stack, or kill a durable
+// composite between a batch's WAL append and the checkpoint that follows
+// the merge.
 var CompactBeforePublish func()
 
 func (s *Store) compact() {
@@ -318,7 +299,6 @@ func (s *Store) compact() {
 	next := &Snapshot{
 		G:       s.g,
 		Trajs:   cur.Trajs,
-		anns:    cur.anns,
 		segs:    segs,
 		points:  cur.points,
 		basePts: pre.points,
@@ -332,8 +312,7 @@ func (s *Store) compact() {
 		r.Histogram(obs.StageCompaction).ObserveSince(t0)
 		r.Counter(obs.CounterCompactions).Inc()
 	}
-	// Flush the merged trip set to the disk tier; next holds every trip of
-	// every published batch (memtables landed since pre are carried over in
-	// both Trajs and segs), so the segment file covers epoch next.epoch.
-	s.persist.flush(next, s.seedLen)
+	if s.compacted != nil {
+		s.compacted()
+	}
 }

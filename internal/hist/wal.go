@@ -2,7 +2,6 @@ package hist
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,15 +12,15 @@ import (
 	"repro/internal/traj"
 )
 
-// The write-ahead log makes the memtable durable: IngestTrips appends one
-// framed record per admitted batch — [u64 epoch][u32 trip count][trips] —
-// before the batch becomes visible, so a crash loses at most the records
-// that never reached disk. Log files are named wal-<start epoch, %016x>.log;
-// a file holds the contiguous run of epochs from its start to the next
-// file's start (the active file runs to the newest epoch). Rotation happens
-// when a segment flush makes a prefix of the log redundant; files whose
-// whole epoch range is covered by the retained segment generations are
-// deleted.
+// The write-ahead log makes the memtables durable: a durable ShardedStore
+// appends one framed record per admitted composite batch — the batch
+// encoding of codec.go — before the batch becomes visible in any shard, so a
+// crash loses at most the records that never reached disk. Log files are
+// named wal-<start epoch, %016x>.log; a file holds the contiguous run of
+// epochs from its start to the next file's start (the active file runs to
+// the newest epoch). Rotation happens when a checkpoint makes a prefix of
+// the log redundant; files whose whole epoch range is covered by the
+// retained segment generations are deleted.
 //
 // Records inside a file are strictly epoch-ascending and contiguous, which
 // is what lets recovery treat "first bad checksum" and "first epoch gap"
@@ -111,25 +110,16 @@ func openWAL(dir string, start uint64) (*walWriter, error) {
 }
 
 // append writes one batch record. The record reaches the user-space buffer
-// only; call sync (or flush) per the store's sync policy. Returns the
+// only; call sync per the store's sync policy. Returns the
 // encoded size.
 func (w *walWriter) append(epoch uint64, trips []*traj.Trajectory) (int, error) {
-	payload := make([]byte, 0, 64+len(trips)*64)
-	payload = binary.LittleEndian.AppendUint64(payload, epoch)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(trips)))
-	for _, tr := range trips {
-		payload = appendTrip(payload, tr)
-	}
-	rec := appendFrame(nil, payload)
+	rec := appendFrame(nil, appendBatch(nil, epoch, trips))
 	if _, err := w.bw.Write(rec); err != nil {
 		return 0, err
 	}
 	w.dirty = true
 	return len(rec), nil
 }
-
-// flush drains the user-space buffer to the OS.
-func (w *walWriter) flush() error { return w.bw.Flush() }
 
 // sync drains the buffer and fsyncs the file: records appended before sync
 // survive a machine crash.
@@ -182,13 +172,10 @@ type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// walBatch is one recovered WAL record.
+// walBatch is one recovered batch — a WAL record or a segment-file block.
 type walBatch struct {
 	Epoch uint64
 	Trips []*traj.Trajectory
-
-	file   string // source file, for physical truncation of stale suffixes
-	offset int64  // byte offset of this record's frame within file
 }
 
 // walScanResult is what recovery learned from the log.
@@ -230,7 +217,7 @@ func scanWAL(dir string) (walScanResult, error) {
 			if err != nil {
 				break
 			}
-			b, perr := decodeWALPayload(payload)
+			b, perr := decodeBatch(payload)
 			if perr != nil {
 				break
 			}
@@ -238,7 +225,6 @@ func scanWAL(dir string) (walScanResult, error) {
 				break
 			}
 			recLen := int64(len(rest) - len(r))
-			b.file, b.offset = name, off
 			res.Batches = append(res.Batches, b)
 			res.Bytes += recLen
 			off += recLen
@@ -252,32 +238,6 @@ func scanWAL(dir string) (walScanResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// decodeWALPayload parses one record payload into a batch.
-func decodeWALPayload(payload []byte) (walBatch, error) {
-	if len(payload) < 12 {
-		return walBatch{}, fmt.Errorf("hist: wal record truncated")
-	}
-	b := walBatch{Epoch: binary.LittleEndian.Uint64(payload)}
-	n := binary.LittleEndian.Uint32(payload[8:])
-	rest := payload[12:]
-	if b.Epoch == 0 {
-		return walBatch{}, fmt.Errorf("hist: wal record with epoch 0")
-	}
-	for k := uint32(0); k < n; k++ {
-		var tr *traj.Trajectory
-		var err error
-		tr, rest, err = readTrip(rest)
-		if err != nil {
-			return walBatch{}, err
-		}
-		b.Trips = append(b.Trips, tr)
-	}
-	if len(rest) != 0 {
-		return walBatch{}, fmt.Errorf("hist: %d trailing bytes in wal record", len(rest))
-	}
-	return b, nil
 }
 
 // truncateAndDrop cuts file at off (removing it outright at offset 0) and

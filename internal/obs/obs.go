@@ -65,7 +65,7 @@ const (
 )
 
 // Names of the durability instrumentation a persistent hist.Store maintains
-// (stores opened with OpenStore / OpenShardedStore; in-memory stores record
+// (stores opened with OpenShardedStore; in-memory stores record
 // none of these).
 const (
 	// CounterWALRecords counts batch records appended to the write-ahead log.
@@ -82,12 +82,12 @@ const (
 	CounterSegmentFlushes = "segment.flushes"
 	// CounterSegmentBytes counts bytes written to segment files.
 	CounterSegmentBytes = "segment.bytes"
-	// CounterRecoveryBatches counts WAL batch records replayed at OpenStore.
+	// CounterRecoveryBatches counts WAL batch records replayed at OpenShardedStore.
 	CounterRecoveryBatches = "recovery.batches"
-	// CounterRecoveryTrips counts trips recovered at OpenStore (segment file
+	// CounterRecoveryTrips counts trips recovered at OpenShardedStore (segment file
 	// plus WAL replay).
 	CounterRecoveryTrips = "recovery.trips"
-	// CounterRecoveryTornBytes counts WAL bytes discarded at OpenStore —
+	// CounterRecoveryTornBytes counts WAL bytes discarded at OpenShardedStore —
 	// the torn tail of a crashed append plus anything after it.
 	CounterRecoveryTornBytes = "recovery.torn_bytes"
 )

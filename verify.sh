@@ -21,10 +21,21 @@ go test -timeout 300s -race ./...
 go test -timeout 120s -shuffle=on ./...
 
 # Sharded-archive smoke: the scatter-gather equivalence, boundary-dedup and
-# concurrent ingest/inference suites under the race detector, twice in one
+# concurrent ingest/inference suites plus the durability tables (crash
+# recovery, reshard-on-reopen, torn-tail sweep, segment fallback, sticky WAL
+# failure — each at shards {1, 4}) under the race detector, twice in one
 # binary (-count=2 defeats caching and catches epoch/fingerprint state that
 # leaks between runs).
-go test -timeout 300s -race -count=2 -run Sharded ./internal/hist/ ./internal/core/
+go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Segment|Manifest' ./internal/hist/ ./internal/core/
+
+# The wire-level benchmark is its own module (bench/go.mod, replace repro =>
+# ../), so `./...` above never compiles it. Vet it against this tree's
+# internal/hist and core, and run its smoke test: wire answers served by
+# cmd/hris's one-shard composite must equal an in-process NewStore engine's,
+# and a SIGKILLed four-shard durable store must reopen at or past every
+# acknowledged epoch.
+go vet -C bench ./...
+go test -C bench -timeout 300s ./...
 
 # Determinism: the Yen equal-weight tie-break and the K-GRI oracle suites
 # must give identical verdicts run-to-run (-count=2 defeats test caching and
