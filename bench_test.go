@@ -551,6 +551,34 @@ func BenchmarkHRISQueryObserved(b *testing.B) {
 	}
 }
 
+// BenchmarkPairContext isolates pair-context assembly on warm state: the
+// candidate_search stage, which walks each reference's points over the
+// archive match tables (built by the untimed first query) and ORs its id
+// bits into the traverse-edge sets. The stage histogram of an observed
+// engine times exactly that call, so the benchmark reports its mean per
+// query pair as ns/pair beside the whole query's ns/op.
+func BenchmarkPairContext(b *testing.B) {
+	w := world(b)
+	qs := w.Queries(1, 180, w.Cfg.QueryLen, 111)
+	if len(qs) == 0 {
+		b.Skip("no query")
+	}
+	eng := core.NewEngineWithRegistry(w.Eng.Source(), w.P, obs.New())
+	_, _ = eng.InferRoutes(qs[0].Query, w.P)
+	warm := eng.Metrics()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = eng.InferRoutes(qs[0].Query, w.P)
+	}
+	b.StopTimer()
+	m := eng.Metrics()
+	if m.Counters["cache.trajmatch.builds"] != warm.Counters["cache.trajmatch.builds"] {
+		b.Fatal("timed queries built match tables: the benchmark is not warm")
+	}
+	before, after := warm.Stages[obs.StageCandidateSearch], m.Stages[obs.StageCandidateSearch]
+	b.ReportMetric(float64(after.Sum-before.Sum)/float64(after.Count-before.Count), "ns/pair")
+}
+
 // BenchmarkCompetitors measures the three map-matching baselines on the
 // same query for the Figure 8 cost context.
 func BenchmarkCompetitors(b *testing.B) {

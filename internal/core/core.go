@@ -184,6 +184,7 @@ type pairContext struct {
 	// point's sources nil (edge bitsets already carry the support); only
 	// the network-free extension fills them.
 	points []refPoint
+	box    geo.BBox // MBR(P_i), accumulated as points are appended
 }
 
 type refPoint struct {
@@ -270,11 +271,12 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 	// Pass 1: intern every source trajectory id of the pair. Collecting a
 	// superset (refs the deadline later truncates) is harmless — unset bits
 	// contribute nothing to any count.
-	idBuf := sc.idBuf[:0]
+	idBuf, npoints := sc.idBuf[:0], 0
 	for _, r := range refs {
-		idBuf = append(idBuf, int32(r.SourceA))
+		npoints += len(r.Points)
+		idBuf = append(idBuf, r.SourceA)
 		if r.SourceB >= 0 {
-			idBuf = append(idBuf, int32(r.SourceB))
+			idBuf = append(idBuf, r.SourceB)
 		}
 	}
 	slices.Sort(idBuf)
@@ -290,8 +292,17 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 	ctx.words = (len(ids) + 63) / 64
 
 	// Pass 2: set each reference's bits on the candidate edges its points
-	// support.
-	points := sc.points[:0]
+	// support. Archive points are map-matched (§II-B.1), which makes the
+	// support direction-aware: a candidate edge only counts as traversed
+	// when it agrees with the reference's travel heading at the point.
+	// Between two samples of one trajectory that verdict is read off the
+	// trajectory's match table; only a spliced reference's junction, whose
+	// heading p_a→p_b is chosen per query, is tested here. A single-point
+	// reference has no heading and supports every candidate.
+	g, tables := x.eng.g, x.eng.match
+	// Sized up front: an arena fresh from the pool (GC cycles empty it) then
+	// costs one allocation, not a growth series.
+	points, box := slices.Grow(sc.points[:0], npoints), geo.EmptyBBox()
 	for _, r := range refs {
 		// Checkpoint per reference: a truncated context is acceptable —
 		// the caller re-checks expiry and degrades the whole pair.
@@ -299,24 +310,47 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 			break
 		}
 		srcIdx := sc.srcIdx[:0]
-		srcIdx = append(srcIdx, ctx.idIndex(int32(r.SourceA)))
+		srcIdx = append(srcIdx, ctx.idIndex(r.SourceA))
+		ta := tables.get(x.snap.Traj(int(r.SourceA)), x.p.CandEps)
+		tb := ta
 		if r.SourceB >= 0 {
-			srcIdx = append(srcIdx, ctx.idIndex(int32(r.SourceB)))
+			srcIdx = append(srcIdx, ctx.idIndex(r.SourceB))
+			tb = tables.get(x.snap.Traj(int(r.SourceB)), x.p.CandEps)
 		}
 		sc.srcIdx = srcIdx
+		n, lenA := len(r.Points), int(r.LenA)
+		var junction float64
+		if lenA < n {
+			junction = r.Points[lenA-1].Pt.Heading(r.Points[lenA].Pt)
+		}
 		for j, p := range r.Points {
 			points = append(points, refPoint{pt: p.Pt})
-			heading, hasHeading := travelHeading(r.Points, j)
-			for _, c := range x.eng.cands.CandidateEdges(p.Pt, x.p.CandEps) {
-				// The preprocessing component map-matches archive points
-				// (§II-B.1), which makes the reference support of an edge
-				// direction-aware. We realize the same effect cheaply:
-				// a candidate edge only counts as traversed when its
-				// direction agrees with the reference's travel heading.
-				if hasHeading && !x.edgeAligned(c.Edge, heading) {
+			box = box.ExtendPoint(p.Pt)
+			t, k := ta, int(r.OffA)+j
+			if j >= lenA {
+				t, k = tb, int(r.OffB)+j-lenA
+			}
+			// The heading at j runs between points next-1 and next: toward
+			// the next sample, or from the previous one at the tail.
+			mask, atJunction := int32(matchDep), false
+			switch next := min(j+1, n-1); {
+			case n == 1:
+				mask = matchAny
+			case next == lenA:
+				atJunction = true
+			case next == j:
+				mask = matchArr
+			}
+			for _, c := range t.cands[t.off[k]:t.off[k+1]] {
+				e := roadnet.EdgeID(c >> matchBits)
+				if atJunction {
+					if geo.AngleDiff(g.SegHeading(e), junction) > maxHeadingDiff {
+						continue
+					}
+				} else if c&mask == 0 {
 					continue
 				}
-				set := ctx.touchEdge(c.Edge)
+				set := ctx.touchEdge(e)
 				for _, di := range srcIdx {
 					set[di>>6] |= 1 << (di & 63)
 				}
@@ -325,31 +359,8 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 	}
 	sc.points = points
 	ctx.points = points
+	ctx.box = box
 	return ctx
-}
-
-// travelHeading estimates the direction of travel at point j of a
-// reference sub-trajectory: toward the next sample, or from the previous
-// one at the tail.
-func travelHeading(pts []traj.GPSPoint, j int) (float64, bool) {
-	if j+1 < len(pts) {
-		return pts[j].Pt.Heading(pts[j+1].Pt), true
-	}
-	if j > 0 {
-		return pts[j-1].Pt.Heading(pts[j].Pt), true
-	}
-	return 0, false
-}
-
-// maxHeadingDiff tolerates mid-turn samples (a point between two
-// perpendicular streets travels at ~45° to both).
-const maxHeadingDiff = 75 * math.Pi / 180
-
-// edgeAligned reports whether segment e's direction agrees with heading.
-func (x exec) edgeAligned(e roadnet.EdgeID, heading float64) bool {
-	seg := x.eng.g.Seg(e)
-	segHeading := seg.Shape[0].Heading(seg.Shape[len(seg.Shape)-1])
-	return geo.AngleDiff(segHeading, heading) <= maxHeadingDiff
 }
 
 // density returns the reference point density in points per km²
@@ -358,11 +369,7 @@ func (ctx *pairContext) density() float64 {
 	if len(ctx.points) == 0 {
 		return 0
 	}
-	box := geo.EmptyBBox()
-	for _, p := range ctx.points {
-		box = box.ExtendPoint(p.pt)
-	}
-	areaKm2 := box.Area() / 1e6
+	areaKm2 := ctx.box.Area() / 1e6
 	if areaKm2 < 1e-6 {
 		return math.Inf(1) // all points coincide: infinitely dense
 	}

@@ -37,7 +37,8 @@ type Engine struct {
 	defaults Params
 
 	refs  *hist.SearchCache       // reference-search memo (per epoch × query pair)
-	cands *roadnet.CandidateCache // candidate-edge cache (per point × ε)
+	cands *roadnet.CandidateCache // candidate-edge cache (per query point × ε)
+	match *matchTables            // archive map-matching (per trajectory × ε)
 
 	met *metrics // nil when built without a registry: zero-cost no-op
 
@@ -68,6 +69,7 @@ func NewEngineWithRegistry(src hist.Source, defaults Params, reg *obs.Registry) 
 		defaults: defaults,
 		refs:     hist.NewSearchCache(src, 0),
 		cands:    roadnet.NewCandidateCache(g, 0),
+		match:    &matchTables{g: g, m: make(map[matchKey]*trajMatch)},
 		met:      newMetrics(reg),
 	}
 }
@@ -96,7 +98,8 @@ func (e *Engine) Registry() *obs.Registry {
 }
 
 // CacheStats reports (hits, misses) of the reference-search memo and the
-// candidate-edge cache, for observability and tests.
+// candidate-edge cache, for observability and tests. The candidate cache
+// serves query points only; archive points go through the match tables.
 func (e *Engine) CacheStats() (refHits, refMisses, candHits, candMisses uint64) {
 	refHits, refMisses = e.refs.Stats()
 	candHits, candMisses = e.cands.Stats()
@@ -143,6 +146,13 @@ func (e *Engine) Metrics() obs.Snapshot {
 			s.Counters[prefix+"compactions"] = ss.Compactions
 		}
 	}
+	// cache.candidates.* count query points only: archive points are
+	// map-matched once per trajectory into the cache.trajmatch.* tables
+	// (builds exceeds tables only when first touches raced).
+	tables, points, builds := e.match.stats()
+	s.Counters["cache.trajmatch.tables"] = tables
+	s.Counters["cache.trajmatch.points"] = points
+	s.Counters["cache.trajmatch.builds"] = builds
 	ch, cm := e.cands.Stats()
 	s.Counters["cache.candidates.hits"] = ch
 	s.Counters["cache.candidates.misses"] = cm

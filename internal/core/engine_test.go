@@ -122,7 +122,7 @@ func TestEngineDefaultsFrozen(t *testing.T) {
 }
 
 // TestEngineCacheStats: a repeated identical query must hit the reference
-// memo and answer identically.
+// memo, build no further match tables and answer identically.
 func TestEngineCacheStats(t *testing.T) {
 	w := newWorld(t, 300, 179)
 	qc, ok := w.ds.GenQuery(6000, 180, 15, w.cfg, w.rng)
@@ -134,9 +134,10 @@ func TestEngineCacheStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first inference: %v", err)
 	}
-	_, refMisses, _, candMisses := eng.CacheStats()
-	if refMisses == 0 || candMisses == 0 {
-		t.Fatalf("expected cold-cache misses, got ref=%d cand=%d", refMisses, candMisses)
+	_, refMisses, _, _ := eng.CacheStats()
+	builds := eng.Metrics().Counters["cache.trajmatch.builds"]
+	if refMisses == 0 || builds == 0 {
+		t.Fatalf("expected cold-cache misses, got ref=%d trajmatch builds=%d", refMisses, builds)
 	}
 	second, err := eng.Infer(qc.Query)
 	if err != nil {
@@ -145,6 +146,12 @@ func TestEngineCacheStats(t *testing.T) {
 	refHits, _, _, _ := eng.CacheStats()
 	if refHits == 0 {
 		t.Fatal("repeat query missed the reference memo")
+	}
+	// Pair workers may race a first touch (builds > tables), never a later one.
+	if c := eng.Metrics().Counters; c["cache.trajmatch.builds"] != builds ||
+		c["cache.trajmatch.tables"] == 0 || c["cache.trajmatch.tables"] > builds {
+		t.Fatalf("repeat query rebuilt match tables: builds %d -> %d, tables %d",
+			builds, c["cache.trajmatch.builds"], c["cache.trajmatch.tables"])
 	}
 	if len(first.Routes) != len(second.Routes) {
 		t.Fatalf("cached run changed the answer: %d vs %d routes", len(second.Routes), len(first.Routes))

@@ -127,6 +127,11 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 	if s.Counters["cache.candidates.misses"] == 0 {
 		t.Fatal("cache.candidates gauges missing from snapshot")
 	}
+	if tm := s.Counters["cache.trajmatch.tables"]; tm == 0 || s.Counters["cache.trajmatch.points"] < tm ||
+		s.Counters["cache.trajmatch.builds"] < tm {
+		t.Fatalf("cache.trajmatch gauges inconsistent: %d tables, %d points, %d builds", tm,
+			s.Counters["cache.trajmatch.points"], s.Counters["cache.trajmatch.builds"])
+	}
 }
 
 // TestInferRoutesTraced checks the per-query trace: one span per stage

@@ -23,7 +23,7 @@ func TestStageBreakdown(t *testing.T) {
 	if refs == 0 || refs != cands {
 		t.Fatalf("stage counts inconsistent: reference_search=%d candidate_search=%d", refs, cands)
 	}
-	if snap.Counters["cache.candidates.misses"] == 0 {
+	if snap.Counters["cache.trajmatch.tables"] == 0 {
 		t.Fatal("cache gauges not folded into breakdown")
 	}
 	var buf bytes.Buffer

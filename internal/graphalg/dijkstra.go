@@ -3,6 +3,7 @@ package graphalg
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -126,12 +127,13 @@ func allDistances(g *Graph, src int, done <-chan struct{}) []float64 {
 
 // dijkstra runs Dijkstra from src, writing distances and predecessors into
 // s.dist and s.prev (s must be freshly reset). If dst >= 0 it stops when
-// dst settles. banned vertices and arcs (keyed [from,to]) are skipped —
-// Yen's algorithm uses both to carve the spur graph without copying it. A
+// dst settles. banned vertices, and arcs from src to a banned head, are
+// skipped — Yen's algorithm uses both to carve the spur graph without
+// copying it, and only ever bans arcs leaving its spur node, the src. A
 // non-nil done channel is polled every stride pops; when closed the search
 // stops with whatever has settled (unreached vertices keep +Inf, so
 // callers see "unreachable").
-func dijkstra(s *searchScratch, g *Graph, src, dst int, bannedVertex []bool, bannedArc map[[2]int]bool, done <-chan struct{}) {
+func dijkstra(s *searchScratch, g *Graph, src, dst int, bannedVertex []bool, bannedHeads []int, done <-chan struct{}) {
 	n := g.N()
 	if src < 0 || src >= n || (bannedVertex != nil && bannedVertex[src]) {
 		return
@@ -151,11 +153,15 @@ func dijkstra(s *searchScratch, g *Graph, src, dst int, bannedVertex []bool, ban
 		if it.v == dst {
 			break
 		}
+		heads := bannedHeads
+		if it.v != src {
+			heads = nil
+		}
 		for _, a := range g.Adj[it.v] {
 			if bannedVertex != nil && bannedVertex[a.To] {
 				continue
 			}
-			if bannedArc != nil && bannedArc[[2]int{it.v, a.To}] {
+			if heads != nil && slices.Contains(heads, a.To) {
 				continue
 			}
 			nd := it.dist + a.W

@@ -10,12 +10,10 @@ import (
 // yenScratch pools the spur-search ban structures of Yen's algorithm.
 type yenScratch struct {
 	bannedVertex []bool
-	bannedArc    map[[2]int]bool
+	bannedHeads  []int
 }
 
-var yenPool = sync.Pool{New: func() any {
-	return &yenScratch{bannedArc: make(map[[2]int]bool)}
-}}
+var yenPool = sync.Pool{New: func() any { return new(yenScratch) }}
 
 func getYenScratch(n int) *yenScratch {
 	y := yenPool.Get().(*yenScratch)
@@ -28,7 +26,6 @@ func getYenScratch(n int) *yenScratch {
 	for i := range y.bannedVertex {
 		y.bannedVertex[i] = false
 	}
-	clear(y.bannedArc)
 	return y
 }
 
@@ -59,7 +56,7 @@ func kShortestPaths(g *Graph, src, dst, k int, done <-chan struct{}) []Path {
 	paths := []Path{first}
 	var candidates []Path
 
-	// One scratch, one ban buffer, and one ban map serve every spur
+	// One scratch, one ban buffer, and one ban list serve every spur
 	// search; they are reset in place between iterations, and the ban
 	// structures themselves are pooled across Yen invocations (K-GRI runs
 	// one per source×destination candidate pair of every query pair).
@@ -68,7 +65,6 @@ func kShortestPaths(g *Graph, src, dst, k int, done <-chan struct{}) []Path {
 	y := getYenScratch(g.N())
 	defer yenPool.Put(y)
 	bannedVertex := y.bannedVertex
-	bannedArc := y.bannedArc
 
 	for len(paths) < k {
 		last := paths[len(paths)-1].Vertices
@@ -82,16 +78,17 @@ func kShortestPaths(g *Graph, src, dst, k int, done <-chan struct{}) []Path {
 			rootWeight := pathWeight(g, rootPath)
 
 			// Ban arcs that would recreate an already-found path with the
-			// same root, and ban root vertices to keep paths loopless.
-			clear(bannedArc)
+			// same root — they all leave the spur node, so their heads
+			// suffice — and ban root vertices to keep paths loopless.
+			y.bannedHeads = y.bannedHeads[:0]
 			for _, p := range paths {
 				if len(p.Vertices) > i && equalPrefix(p.Vertices, rootPath) {
-					bannedArc[[2]int{p.Vertices[i], p.Vertices[i+1]}] = true
+					y.bannedHeads = append(y.bannedHeads, p.Vertices[i+1])
 				}
 			}
 			for _, c := range candidates {
 				if len(c.Vertices) > i && equalPrefix(c.Vertices, rootPath) {
-					bannedArc[[2]int{c.Vertices[i], c.Vertices[i+1]}] = true
+					y.bannedHeads = append(y.bannedHeads, c.Vertices[i+1])
 				}
 			}
 			for _, v := range rootPath[:len(rootPath)-1] {
@@ -99,7 +96,7 @@ func kShortestPaths(g *Graph, src, dst, k int, done <-chan struct{}) []Path {
 			}
 
 			s.reset()
-			dijkstra(s, g, spur, dst, bannedVertex, bannedArc, done)
+			dijkstra(s, g, spur, dst, bannedVertex, y.bannedHeads, done)
 			for _, v := range rootPath[:len(rootPath)-1] {
 				bannedVertex[v] = false
 			}

@@ -136,9 +136,9 @@ func (s *Snapshot) Current() View { return s }
 // Preprocess runs the offline preprocessing of §II-B.1 on raw GPS logs:
 // speed-infeasible outlier fixes are removed (vmax in m/s; pass 0 to
 // skip), stay-point detection splits each log into effective trips, and
-// trips with fewer than minPoints samples are dropped. Map-matching of
-// archive points happens lazily via candidate-edge search during route
-// inference.
+// trips with fewer than minPoints samples are dropped. The remaining
+// preprocessing step, map-matching the archive points, is done by
+// core.Engine: once per trajectory, on its first use as a reference.
 func Preprocess(logs []*traj.Trajectory, sp traj.StayPointParams, minPoints int, vmax float64) []*traj.Trajectory {
 	var out []*traj.Trajectory
 	for _, l := range logs {

@@ -3,6 +3,7 @@ package hist
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -155,7 +156,7 @@ func TestSplicedPlaneSweepDuplicateXAtWindowEdge(t *testing.T) {
 		t.Fatalf("spliced references = %d, want 2 (both exact-ε edge pairs): %+v",
 			len(refs), refs)
 	}
-	got := map[int]bool{}
+	got := map[int32]bool{}
 	for _, r := range refs {
 		if !r.Spliced || r.SourceA != 0 {
 			t.Fatalf("unexpected reference %+v", r)
@@ -303,5 +304,14 @@ func BenchmarkReferenceSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.References(qi, qj, DefaultSearchParams())
+	}
+}
+
+// TestReferenceSize: a Reference is the unit the reference-search memo
+// retains (~80 per query pair, up to 16,384 pairs), so its provenance fields
+// are packed as int32 and the struct must stay at 48 bytes.
+func TestReferenceSize(t *testing.T) {
+	if got := unsafe.Sizeof(Reference{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Reference{}) = %d, want 48", got)
 	}
 }

@@ -1,8 +1,10 @@
 package hist
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,12 +36,20 @@ var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 // between nn(q_i, T_k) and nn(q_{i+1}, T_k) (Definition 6), or a virtual
 // trajectory spliced from two archive trajectories (Definition 7). The
 // sub-trajectory's points are materialized in Points.
+//
+// A Reference is the unit the reference-search memo retains, so it is kept
+// at 48 bytes: the provenance fields are int32 (asserted by a test).
 type Reference struct {
 	Points  []traj.GPSPoint
 	Spliced bool
 	// SourceA is the archive index of the (first) source trajectory;
 	// SourceB is the second source for spliced references (-1 otherwise).
-	SourceA, SourceB int
+	SourceA, SourceB int32
+	// Provenance of Points inside the source trajectories, so per-point work
+	// done once per archive trajectory (core's match table) can be looked up
+	// by position: Points[:LenA] are SourceA's points from index OffA on,
+	// Points[LenA:] (spliced references only) are SourceB's from OffB on.
+	OffA, LenA, OffB int32
 }
 
 // SourceIDs returns the archive trajectory indices backing this reference:
@@ -48,9 +58,9 @@ type Reference struct {
 // (Equation 2).
 func (r Reference) SourceIDs() []int {
 	if r.SourceB >= 0 {
-		return []int{r.SourceA, r.SourceB}
+		return []int{int(r.SourceA), int(r.SourceB)}
 	}
-	return []int{r.SourceA}
+	return []int{int(r.SourceA)}
 }
 
 // SearchParams controls the reference search.
@@ -155,8 +165,10 @@ func references(v View, qi, qj traj.GPSPoint, p SearchParams, done <-chan struct
 		}
 		refs = append(refs, Reference{
 			Points:  sub,
-			SourceA: ti,
+			SourceA: int32(ti),
 			SourceB: -1,
+			OffA:    int32(m),
+			LenA:    int32(len(sub)),
 		})
 		usedA[ti] = true
 	}
@@ -278,8 +290,9 @@ func splicedReferences(v View, qi, qj traj.GPSPoint, p SearchParams,
 	}
 
 	// Plane-sweep join on X with window e [Arge et al. 1998].
-	sort.SliceStable(aside, func(x, y int) bool { return aside[x].pt.X < aside[y].pt.X })
-	sort.SliceStable(bside, func(x, y int) bool { return bside[x].pt.X < bside[y].pt.X })
+	byX := func(a, b swPoint) int { return cmp.Compare(a.pt.X, b.pt.X) }
+	slices.SortStableFunc(aside, byX)
+	slices.SortStableFunc(bside, byX)
 	type pairKey struct{ a, b int }
 	type splice struct {
 		pa, pb swPoint
@@ -356,8 +369,11 @@ func splicedReferences(v View, qi, qj traj.GPSPoint, p SearchParams,
 		out = append(out, Reference{
 			Points:  pts,
 			Spliced: true,
-			SourceA: key.a,
-			SourceB: key.b,
+			SourceA: int32(key.a),
+			SourceB: int32(key.b),
+			OffA:    int32(m),
+			LenA:    int32(sp.pa.idx - m + 1),
+			OffB:    int32(sp.pb.idx),
 		})
 	}
 	return out

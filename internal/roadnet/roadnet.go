@@ -56,10 +56,11 @@ type Graph struct {
 	out [][]EdgeID // out[v] = segments leaving vertex v
 	in  [][]EdgeID // in[v]  = segments entering vertex v
 
-	maxSpeed  float64
-	edgeIndex *rtree.Tree[EdgeID]
-	vertexG   *graphalg.Graph // vertex graph weighted by segment length
-	edgeG     *graphalg.Graph // edge adjacency graph (hop weight 1)
+	maxSpeed   float64
+	segHeading []float64 // SegHeading, computed once in Build
+	edgeIndex  *rtree.Tree[EdgeID]
+	vertexG    *graphalg.Graph // vertex graph weighted by segment length
+	edgeG      *graphalg.Graph // edge adjacency graph (hop weight 1)
 	// cheapest[u] sorted by (to, length) is implicit in vertexG arc order;
 	// edgeByPair resolves a (from,to) vertex pair to the shortest segment.
 	edgeByPair map[[2]VertexID]EdgeID
@@ -132,6 +133,7 @@ func (b *Builder) Build() *Graph {
 		out:        make([][]EdgeID, len(b.vertices)),
 		in:         make([][]EdgeID, len(b.vertices)),
 		edgeByPair: make(map[[2]VertexID]EdgeID, len(b.segments)),
+		segHeading: make([]float64, len(b.segments)),
 	}
 	entries := make([]rtree.Entry[EdgeID], len(g.Segments))
 	g.vertexG = graphalg.NewGraph(len(g.Vertices))
@@ -142,6 +144,7 @@ func (b *Builder) Build() *Graph {
 		if s.Speed > g.maxSpeed {
 			g.maxSpeed = s.Speed
 		}
+		g.segHeading[i] = s.Shape[0].Heading(s.Shape[len(s.Shape)-1])
 		entries[i] = rtree.Entry[EdgeID]{Box: s.Shape.BBox(), Item: s.ID}
 		g.vertexG.AddArc(s.From, s.To, s.Length)
 		key := [2]VertexID{s.From, s.To}
@@ -178,6 +181,10 @@ func (g *Graph) In(v VertexID) []EdgeID { return g.in[v] }
 
 // Seg returns the segment with the given id.
 func (g *Graph) Seg(id EdgeID) *Segment { return &g.Segments[id] }
+
+// SegHeading returns segment id's overall direction of travel in radians:
+// the heading from its first to its last shape point.
+func (g *Graph) SegHeading(id EdgeID) float64 { return g.segHeading[id] }
 
 // BBox returns the bounding box of the whole network.
 func (g *Graph) BBox() geo.BBox {

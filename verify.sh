@@ -43,12 +43,12 @@ go test -C bench -timeout 300s ./...
 go test -timeout 120s -count=2 -run 'Yen|KGRI' ./internal/graphalg/ ./internal/core/
 
 # Bench smoke: the acceleration-layer benchmarks (end-to-end HRIS query,
-# ST-Matching, CH build — each in both oracle modes where applicable) plus
-# the live-archive ingest benchmarks (Ingest matches both the in-memory
+# ST-Matching, CH build — each in both oracle modes where applicable), the
+# warm pair-context assembly benchmark, plus the live-archive ingest benchmarks (Ingest matches both the in-memory
 # BenchmarkIngest and the WAL-on BenchmarkIngestDurable) must run one
 # iteration without failing. Real numbers come from
 # `go test -bench -benchmem` and cmd/experiments -fig bench-json.
-go test -timeout 300s -run '^$' -bench 'HRISQuery|STMatch|CH|Ingest|SessionStep' -benchtime 1x .
+go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|STMatch|CH|Ingest|SessionStep' -benchtime 1x .
 
 # Alloc-regression gate: the steady-state query hot path must stay within
 # the checked-in budget (bench_budget.json). BenchmarkHRISQuery warms the
