@@ -621,7 +621,7 @@ func BenchmarkNetworkFree(b *testing.B) {
 	vmax := w.Graph().MaxSpeed()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = w.Eng.InferPathsNetworkFree(qs[0].Query, w.P, vmax)
+		_, _ = w.Eng.InferPathsNetworkFreeCtx(context.Background(), qs[0].Query, w.P, vmax)
 	}
 }
 
@@ -639,7 +639,7 @@ func BenchmarkInferBatch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run("workers="+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w.Eng.InferBatch(queries, w.P, workers)
+				w.Eng.InferBatchCtx(context.Background(), queries, w.P, workers)
 			}
 		})
 	}

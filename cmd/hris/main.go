@@ -270,7 +270,16 @@ func main() {
 		fmt.Printf("query: %d points, %.1f km span, avg interval %.0f s (low-sampling-rate: %v)\n",
 			q.Len(), q.PathLength()/1000, q.AvgInterval(), q.IsLowSamplingRate())
 
-		res, tr, err := eng.InferRoutesTracedCtx(ctx, q, params)
+		// -trace rides on the context: the engine records one span per
+		// pipeline stage into whatever trace its context carries.
+		var tr *obs.Trace
+		qctx := ctx
+		if *trace {
+			tr = obs.StartTrace()
+			qctx = obs.WithTrace(ctx, tr)
+		}
+		res, err := eng.InferRoutesCtx(qctx, q, params)
+		tr.Finish()
 		if err != nil {
 			log.Fatalf("inference failed: %v", err)
 		}

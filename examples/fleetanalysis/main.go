@@ -126,7 +126,7 @@ func main() {
 		if !ok {
 			continue
 		}
-		res, err := eng.Infer(qc.Query)
+		res, err := eng.InferRoutes(qc.Query, eng.Defaults())
 		if err != nil {
 			continue
 		}

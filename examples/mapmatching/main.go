@@ -72,7 +72,7 @@ func main() {
 			}
 			fmt.Printf("%15.3f", eval.AccuracyAL(city.Graph, route, r))
 		}
-		res, err := eng.Infer(q)
+		res, err := eng.InferRoutes(q, eng.Defaults())
 		if err != nil {
 			fmt.Printf("%15s\n", "fail")
 			continue

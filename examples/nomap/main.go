@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -49,7 +50,7 @@ func main() {
 				continue
 			}
 			truth := qc.Truth.Points(city.Graph)
-			paths, err := eng.InferPathsNetworkFree(qc.Query, params, vmax)
+			paths, err := eng.InferPathsNetworkFreeCtx(context.Background(), qc.Query, params, vmax)
 			if err != nil || len(paths) == 0 {
 				continue
 			}

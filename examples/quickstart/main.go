@@ -50,7 +50,7 @@ func main() {
 		qc.Query.Len(), qc.Truth.Length(city.Graph)/1000, qc.Query.AvgInterval())
 
 	// 5. Infer the top-K routes.
-	res, err := eng.Infer(qc.Query)
+	res, err := eng.InferRoutes(qc.Query, eng.Defaults())
 	if err != nil {
 		log.Fatalf("inference: %v", err)
 	}

@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("photo trail: %d photos over a %.1f km trip (interval %.0f min)\n",
 		photos.Len(), route.Length(city.Graph)/1000, photos.AvgInterval()/60)
 
-	res, err := eng.Infer(photos)
+	res, err := eng.InferRoutes(photos, eng.Defaults())
 	if err != nil {
 		log.Fatalf("inference: %v", err)
 	}

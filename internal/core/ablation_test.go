@@ -49,15 +49,17 @@ func TestAblateTransitionInKGRI(t *testing.T) {
 			{Route: roadnet.Route{find(1, 2)}, Refs: refSet(8, 9), Popularity: 1.2}, // popular but discontinuous
 		},
 	}
+	best := func(constantTransition bool) GlobalRoute {
+		M := kgriStep(kgriInit(locals[0]), locals[0], locals[1], 1, constantTransition, new(kgriScratch))
+		return kgriFinalize(g, locals, M, 1)[0]
+	}
 	// With transition confidence the continuous chain wins despite lower f.
-	with := kgri(g, locals, 1, false)
-	if with[0].Parts[1] != 0 {
-		t.Fatalf("with transitions picked part %d", with[0].Parts[1])
+	if with := best(false); with.Parts[1] != 0 {
+		t.Fatalf("with transitions picked part %d", with.Parts[1])
 	}
 	// Ablated, raw popularity wins.
-	without := kgri(g, locals, 1, true)
-	if without[0].Parts[1] != 1 {
-		t.Fatalf("ablated transitions picked part %d", without[0].Parts[1])
+	if without := best(true); without.Parts[1] != 1 {
+		t.Fatalf("ablated transitions picked part %d", without.Parts[1])
 	}
 }
 

@@ -26,19 +26,15 @@ func batchWorkers(workers int) int {
 	return workers
 }
 
-// InferBatch runs InferRoutes over many queries concurrently with at most
-// workers goroutines and returns the results in input order. The engine is
-// immutable and its caches are internally synchronized, so the queries
-// share it safely; per-query determinism is unaffected by scheduling.
-// workers < 1 uses runtime.GOMAXPROCS(0).
-func (e *Engine) InferBatch(queries []*traj.Trajectory, p Params, workers int) []BatchResult {
-	return e.InferBatchCtx(context.Background(), queries, p, workers)
-}
-
-// InferBatchCtx is InferBatch under a caller-supplied context, shared by
-// every query in the batch: cancelling it makes the remaining queries fail
-// fast with the context error. A Params.Deadline, by contrast, is applied
-// per query — each one gets the full budget.
+// InferBatchCtx runs InferRoutesCtx over many queries concurrently with at
+// most workers goroutines and returns the results in input order. The
+// engine is immutable and its caches are internally synchronized, so the
+// queries share it safely; per-query determinism is unaffected by
+// scheduling. workers < 1 uses runtime.GOMAXPROCS(0).
+//
+// ctx is shared by every query in the batch: cancelling it makes the
+// remaining queries fail fast with the context error. A Params.Deadline, by
+// contrast, is applied per query — each one gets the full budget.
 func (e *Engine) InferBatchCtx(ctx context.Context, queries []*traj.Trajectory, p Params, workers int) []BatchResult {
 	if e.met != nil {
 		e.met.batchCalls.Inc()

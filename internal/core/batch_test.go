@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/traj"
@@ -30,7 +31,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 		}
 		seq[i] = res
 	}
-	batch := w.eng.InferBatch(queries, w.p, 4)
+	batch := w.eng.InferBatchCtx(context.Background(), queries, w.p, 4)
 	if len(batch) != len(queries) {
 		t.Fatalf("batch results = %d", len(batch))
 	}
@@ -62,11 +63,11 @@ func TestInferBatchWorkerClamping(t *testing.T) {
 	if !ok {
 		t.Fatal("GenQuery failed")
 	}
-	res := w.eng.InferBatch([]*traj.Trajectory{qc.Query}, w.p, 0)
+	res := w.eng.InferBatchCtx(context.Background(), []*traj.Trajectory{qc.Query}, w.p, 0)
 	if len(res) != 1 || res[0].Err != nil {
 		t.Fatalf("workers=0: %+v", res)
 	}
-	if got := w.eng.InferBatch(nil, w.p, 4); len(got) != 0 {
+	if got := w.eng.InferBatchCtx(context.Background(), nil, w.p, 4); len(got) != 0 {
 		t.Fatal("empty batch")
 	}
 }

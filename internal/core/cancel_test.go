@@ -110,6 +110,15 @@ func TestInferRoutesDeadlineDegrades(t *testing.T) {
 		t.Fatalf("deadline.%s = %d, want %d", obs.StageReferenceSearch, got, wantHits)
 	}
 
+	// The K-GRI join saw the closed deadline too: the fold stalled at the
+	// first pair boundary and finished greedily — one route, one deadline hit.
+	if got := s.Counters[obs.DeadlineCounterPrefix+obs.StageKGRI]; got != 1 {
+		t.Fatalf("deadline.%s = %d, want 1 (fold did not stall)", obs.StageKGRI, got)
+	}
+	if len(res.Routes) != 1 {
+		t.Fatalf("greedy finish returned %d routes, want 1", len(res.Routes))
+	}
+
 	// Determinism for a given deadline outcome.
 	res2, err := eng.InferRoutesCtx(context.Background(), q, p)
 	if err != nil || !res2.Degraded || len(res2.Routes) != len(res.Routes) {

@@ -176,7 +176,6 @@ type GlobalRoute struct {
 type pairContext struct {
 	pair   int // pair index within the query, for stage timings
 	qi, qj traj.GPSPoint
-	refs   []hist.Reference
 	sc     *pairScratch
 	ids    []int32 // sorted distinct archive trajectory ids of this pair
 	words  int     // bitset words per edge: (len(ids)+63)/64
@@ -189,7 +188,7 @@ type pairContext struct {
 
 type refPoint struct {
 	pt      geo.Point
-	sources []int // archive trajectory ids of the owning reference
+	sources []int32 // archive trajectory ids of the owning reference
 }
 
 // idIndex returns id's dense index — its rank in the sorted ids slice.
@@ -261,11 +260,8 @@ func (ctx *pairContext) refIDs(set []uint64) []int32 {
 // reference-point list inside the exec's scratch arena.
 func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Reference) *pairContext {
 	sc := x.sc
-	if sc == nil {
-		sc = newPairScratch() // tests poking at internals without a pool
-	}
 	ctx := &sc.pctx
-	*ctx = pairContext{pair: pair, qi: qi, qj: qj, refs: refs, sc: sc}
+	*ctx = pairContext{pair: pair, qi: qi, qj: qj, sc: sc}
 	sc.beginPair(x.eng.g.NumSegments())
 
 	// Pass 1: intern every source trajectory id of the pair. Collecting a

@@ -28,17 +28,16 @@ import (
 // immutable epoch-numbered snapshots (a frozen *hist.Archive is its own
 // constant source, a live *hist.Store publishes a new one per ingest), and
 // every inference call pins exactly one snapshot for its whole lifetime;
-// the two caches are internally locked read-through memos whose hits and
-// misses return byte-identical results, so caching never changes an
-// outcome.
+// the reference-search memo and the match tables are internally locked
+// read-through memos whose hits and misses return byte-identical results,
+// so caching never changes an outcome.
 type Engine struct {
 	g        *roadnet.Graph
 	src      hist.Source
 	defaults Params
 
-	refs  *hist.SearchCache       // reference-search memo (per epoch × query pair)
-	cands *roadnet.CandidateCache // candidate-edge cache (per query point × ε)
-	match *matchTables            // archive map-matching (per trajectory × ε)
+	refs  *hist.SearchCache // reference-search memo (per epoch × query pair)
+	match *matchTables      // archive map-matching (per trajectory × ε)
 
 	met *metrics // nil when built without a registry: zero-cost no-op
 
@@ -50,8 +49,8 @@ type Engine struct {
 
 // NewEngine builds an engine over an archive source — a frozen
 // *hist.Archive or a live *hist.Store. The defaults are frozen into the
-// engine for Infer and for callers that want a baseline via Defaults; they
-// never change after construction. The engine is uninstrumented — see
+// engine for callers that want a baseline via Defaults; they never change
+// after construction. The engine is uninstrumented — see
 // NewEngineWithRegistry for the observed variant.
 func NewEngine(src hist.Source, defaults Params) *Engine {
 	return NewEngineWithRegistry(src, defaults, nil)
@@ -67,8 +66,7 @@ func NewEngineWithRegistry(src hist.Source, defaults Params, reg *obs.Registry) 
 		g:        g,
 		src:      src,
 		defaults: defaults,
-		refs:     hist.NewSearchCache(src, 0),
-		cands:    roadnet.NewCandidateCache(g, 0),
+		refs:     hist.NewSearchCache(0),
 		match:    &matchTables{g: g, m: make(map[matchKey]*trajMatch)},
 		met:      newMetrics(reg),
 	}
@@ -97,14 +95,9 @@ func (e *Engine) Registry() *obs.Registry {
 	return e.met.reg
 }
 
-// CacheStats reports (hits, misses) of the reference-search memo and the
-// candidate-edge cache, for observability and tests. The candidate cache
-// serves query points only; archive points go through the match tables.
-func (e *Engine) CacheStats() (refHits, refMisses, candHits, candMisses uint64) {
-	refHits, refMisses = e.refs.Stats()
-	candHits, candMisses = e.cands.Stats()
-	return
-}
+// CacheStats reports (hits, misses) of the reference-search memo, for
+// observability and tests.
+func (e *Engine) CacheStats() (refHits, refMisses uint64) { return e.refs.Stats() }
 
 // Metrics returns the unified observability snapshot: the per-stage latency
 // histograms and counters of the registry (empty for an uninstrumented
@@ -146,18 +139,13 @@ func (e *Engine) Metrics() obs.Snapshot {
 			s.Counters[prefix+"compactions"] = ss.Compactions
 		}
 	}
-	// cache.candidates.* count query points only: archive points are
-	// map-matched once per trajectory into the cache.trajmatch.* tables
-	// (builds exceeds tables only when first touches raced).
+	// Archive points are map-matched once per trajectory into the
+	// cache.trajmatch.* tables (builds exceeds tables only when first
+	// touches raced).
 	tables, points, builds := e.match.stats()
 	s.Counters["cache.trajmatch.tables"] = tables
 	s.Counters["cache.trajmatch.points"] = points
 	s.Counters["cache.trajmatch.builds"] = builds
-	ch, cm := e.cands.Stats()
-	s.Counters["cache.candidates.hits"] = ch
-	s.Counters["cache.candidates.misses"] = cm
-	s.Counters["cache.candidates.resets"] = e.cands.Resets()
-	s.Counters["cache.candidates.entries"] = uint64(e.cands.Len())
 	// Distance-oracle gauges: which accelerator the network runs and, once
 	// a contraction hierarchy has been built (OracleStats never forces the
 	// lazy build), its preprocessing cost and shortcut counts.
@@ -356,15 +344,15 @@ type exec struct {
 
 	// sc is the scratch arena of the worker this exec copy belongs to, set
 	// by the entry points right after newExec. exec is passed by value, so
-	// each worker's binding is private; a nil sc makes buildPairContext
-	// allocate a throwaway arena (unit-test paths).
+	// each worker's binding is private.
 	sc *pairScratch
 }
 
-// newExec binds one invocation to its context, the engine's instruments
-// and an optional per-query trace.
-func (e *Engine) newExec(ctx context.Context, p Params, tr *obs.Trace) exec {
-	return exec{eng: e, p: p, met: e.met, trace: tr, snap: e.src.Current(), ctx: ctx, done: ctx.Done()}
+// newExec binds one invocation to its context, the archive generation it
+// pinned, the engine's instruments and the trace ctx carries, if any
+// (obs.WithTrace) — read here once, not per stage.
+func (e *Engine) newExec(ctx context.Context, p Params, snap hist.View) exec {
+	return exec{eng: e, p: p, met: e.met, trace: obs.TraceFrom(ctx), snap: snap, ctx: ctx, done: ctx.Done()}
 }
 
 // expired reports whether this invocation's context is done. This is the
@@ -427,7 +415,7 @@ func (x exec) stageDone(stage string, pair int, t0 time.Time, n int) {
 	x.trace.Add(stage, pair, t0, d, n)
 }
 
-// pairWorkers resolves the per-pair worker bound for one InferRoutes call:
+// pairWorkers resolves the per-pair worker bound for one offline query:
 // the PairWorkers param, defaulting to runtime.GOMAXPROCS(0) when < 1, and
 // never more than the number of pairs.
 func (x exec) pairWorkers(pairs int) int {

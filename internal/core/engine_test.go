@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -11,7 +15,7 @@ import (
 // TestConcurrentBatchAndPairLocalRoutes is the regression test for the
 // PairLocalRoutes data race: the pre-Engine implementation saved, mutated
 // and restored the shared Params.Method around each call, so running it
-// while InferBatch used the same System raced (caught by -race). Both entry
+// while a batch used the same System raced (caught by -race). Both entry
 // points now carry per-call Params copies; this must stay -race clean.
 func TestConcurrentBatchAndPairLocalRoutes(t *testing.T) {
 	w := newWorld(t, 300, 171)
@@ -31,7 +35,7 @@ func TestConcurrentBatchAndPairLocalRoutes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w.eng.InferBatch(queries, w.p, 2)
+		w.eng.InferBatchCtx(context.Background(), queries, w.p, 2)
 	}()
 	for i := 0; i < 10; i++ {
 		m := MethodTGI
@@ -130,20 +134,20 @@ func TestEngineCacheStats(t *testing.T) {
 		t.Fatal("GenQuery failed")
 	}
 	eng := w.eng
-	first, err := eng.Infer(qc.Query)
+	first, err := eng.InferRoutes(qc.Query, eng.Defaults())
 	if err != nil {
 		t.Fatalf("first inference: %v", err)
 	}
-	_, refMisses, _, _ := eng.CacheStats()
+	_, refMisses := eng.CacheStats()
 	builds := eng.Metrics().Counters["cache.trajmatch.builds"]
 	if refMisses == 0 || builds == 0 {
 		t.Fatalf("expected cold-cache misses, got ref=%d trajmatch builds=%d", refMisses, builds)
 	}
-	second, err := eng.Infer(qc.Query)
+	second, err := eng.InferRoutes(qc.Query, eng.Defaults())
 	if err != nil {
 		t.Fatalf("second inference: %v", err)
 	}
-	refHits, _, _, _ := eng.CacheStats()
+	refHits, _ := eng.CacheStats()
 	if refHits == 0 {
 		t.Fatal("repeat query missed the reference memo")
 	}
@@ -160,5 +164,28 @@ func TestEngineCacheStats(t *testing.T) {
 		if !first.Routes[j].Route.Equal(second.Routes[j].Route) || first.Routes[j].Score != second.Routes[j].Score {
 			t.Fatalf("cached run changed route %d", j)
 		}
+	}
+}
+
+// TestEngineSurface pins *Engine's exported method set: each operation has
+// one way in (plus InferRoutes, the one non-ctx convenience). A new method
+// must be added here on purpose — a second spelling of an existing
+// operation should fail this test, not slip through review.
+func TestEngineSurface(t *testing.T) {
+	want := []string{
+		// inference
+		"InferBatchCtx", "InferPathsNetworkFreeCtx", "InferRoutes", "InferRoutesCtx",
+		"NewSession", "PairLocalRoutes",
+		// accessors and observability
+		"Archive", "CacheStats", "Defaults", "Graph", "Metrics", "Registry", "Source",
+	}
+	sort.Strings(want)
+	typ := reflect.TypeOf(&Engine{})
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name) // exported only, sorted by name
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Engine exports %v, want %v", got, want)
 	}
 }

@@ -35,7 +35,7 @@ func Example() {
 		{Pt: geo.Pt(10, 2), T: 0},
 		{Pt: geo.Pt(390, -2), T: 180},
 	}}
-	res, err := eng.Infer(query)
+	res, err := eng.InferRoutes(query, eng.Defaults())
 	if err != nil {
 		fmt.Println("error:", err)
 		return

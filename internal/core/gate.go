@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,6 +77,8 @@ type Gate struct {
 	// the windows are too narrow to provoke on a single-CPU machine.
 	slotHeld         func()
 	flightRegistered func()
+	// hash is hashQuery; a test swaps it to force flight-key collisions.
+	hash func(*traj.Trajectory) uint64
 }
 
 // NewGate builds a gate over eng with cfg's bounds.
@@ -100,6 +103,7 @@ func NewGate(eng *Engine, cfg GateConfig) *Gate {
 		shedQueue:   reg.Counter(obs.CounterServerShedQueue),
 		shedExpired: reg.Counter(obs.CounterServerShedExpired),
 		coalesced:   reg.Counter(obs.CounterServerCoalesced),
+		hash:        hashQuery,
 	}
 }
 
@@ -194,9 +198,12 @@ func (g *Gate) estimate() time.Duration {
 // (epoch plus composite fingerprint, exactly the pair the epoch-tagged
 // SearchCache keys memos by — a sibling-shard ingest changes the
 // fingerprint, so stale flights are never joined), the query's content hash
-// and the full parameter set. Params is part of the key by value, which the
-// map requires to be comparable — a compile-time guarantee that a future
-// non-comparable Params field revisits this keying.
+// and the full parameter set. The hash only finds the flight: a follower
+// joins it after comparing the points themselves (flightCall.points), so a
+// hash collision can never hand one query another's routes. Params is part
+// of the key by value, which the map requires to be comparable — a
+// compile-time guarantee that a future non-comparable Params field revisits
+// this keying.
 type flightKey struct {
 	epoch       uint64
 	fingerprint uint64
@@ -204,25 +211,30 @@ type flightKey struct {
 	params      Params
 }
 
-// flightCall is one in-flight leader inference; followers block on done and
-// then share res/err.
+// flightCall is one in-flight leader inference over points; followers with
+// the same points block on done and then share res/err.
 type flightCall struct {
-	done chan struct{}
-	res  *Result
-	err  error
+	points []traj.GPSPoint
+	done   chan struct{}
+	res    *Result
+	err    error
 }
 
 // coalesce runs the inference single-flight: concurrent calls with an
 // identical key share one execution. The leader runs under its own context;
 // a follower whose leader was cancelled outright (its client vanished)
 // recomputes under its own, still-live context instead of inheriting the
-// foreign cancellation.
+// foreign cancellation. A caller whose key collides with a flight over
+// different points computes independently, outside the flight table.
 func (g *Gate) coalesce(ctx context.Context, q *traj.Trajectory, p Params) (*Result, error) {
-	key := flightKey{qhash: hashQuery(q), params: p}
-	key.epoch, key.fingerprint = viewEpochKey(g.eng.src.Current())
+	key := flightKey{qhash: g.hash(q), params: p}
+	key.epoch, key.fingerprint = hist.EpochKey(g.eng.src.Current())
 	g.mu.Lock()
 	if c, ok := g.flight[key]; ok {
 		g.mu.Unlock()
+		if !slices.Equal(c.points, q.Points) {
+			return g.eng.InferRoutesCtx(ctx, q, p)
+		}
 		g.coalesced.Inc()
 		select {
 		case <-c.done:
@@ -236,7 +248,7 @@ func (g *Gate) coalesce(ctx context.Context, q *traj.Trajectory, p Params) (*Res
 			return nil, context.Cause(ctx)
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{points: q.Points, done: make(chan struct{})}
 	g.flight[key] = c
 	g.mu.Unlock()
 	if g.flightRegistered != nil {
@@ -248,15 +260,6 @@ func (g *Gate) coalesce(ctx context.Context, q *traj.Trajectory, p Params) (*Res
 	g.mu.Unlock()
 	close(c.done)
 	return c.res, c.err
-}
-
-// viewEpochKey extracts the (epoch, fingerprint) generation identity of a
-// view, mirroring the SearchCache's epoch tagging.
-func viewEpochKey(v hist.View) (uint64, uint64) {
-	if f, ok := v.(hist.Fingerprinted); ok {
-		return v.Epoch(), f.EpochFingerprint()
-	}
-	return v.Epoch(), 0
 }
 
 // hashQuery folds a query trajectory's points into an FNV-1a content hash.

@@ -192,6 +192,58 @@ func TestGateCoalesce(t *testing.T) {
 	}
 }
 
+// TestGateCoalesceHashCollision: the query hash only locates a flight — a
+// caller whose hash collides with an in-flight leader over different points
+// must get its own answer, not the leader's (hash-and-verify, like routeSeen
+// and pathHash). The hash seam forces every query onto one flight key.
+func TestGateCoalesceHashCollision(t *testing.T) {
+	eng, reg, queries := gateWorld(t)
+	g := NewGate(eng, GateConfig{MaxInflight: 2, QueueDepth: 2})
+	g.hash = func(*traj.Trajectory) uint64 { return 42 }
+	release := make(chan struct{})
+	registered := make(chan struct{}, 1)
+	g.flightRegistered = func() {
+		registered <- struct{}{}
+		<-release
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	leader := make(chan outcome, 1)
+	go func() {
+		res, err := g.Do(context.Background(), queries[0], eng.Defaults())
+		leader <- outcome{res, err}
+	}()
+	<-registered // the leader's flight over queries[0] is visible and held
+	// The colliding caller must finish while the leader is still in flight:
+	// joining the flight would block it until release (bounded here by the
+	// context, so a regression fails instead of hanging).
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := g.Do(ctx, queries[1], eng.Defaults())
+	close(release)
+	if err != nil {
+		t.Fatalf("colliding query: %v", err)
+	}
+	first := <-leader
+	if first.err != nil {
+		t.Fatalf("leader: %v", first.err)
+	}
+	for i, res := range []*Result{first.res, got} {
+		want, err := eng.InferRoutes(queries[i], eng.Defaults())
+		if err != nil {
+			t.Fatalf("reference inference %d: %v", i, err)
+		}
+		if encodeRoutes(res) != encodeRoutes(want) {
+			t.Fatalf("query %d got another query's routes", i)
+		}
+	}
+	if n := reg.Snapshot().Counters[obs.CounterServerCoalesced]; n != 0 {
+		t.Fatalf("server.coalesced = %d, want 0 (nothing identical was in flight)", n)
+	}
+}
+
 // TestGateCoalesceLeaderCancelled: a follower must not inherit the leader's
 // client-gone cancellation — it recomputes under its own live context.
 func TestGateCoalesceLeaderCancelled(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 
@@ -52,52 +51,31 @@ type Result struct {
 // pairOutcome is one pair's share of a Result, produced independently of
 // every other pair.
 type pairOutcome struct {
-	stats    PairStats
-	locals   []LocalRoute
-	degraded bool
+	stats  PairStats
+	locals []LocalRoute
 }
 
-// InferRoutes runs the complete HRIS pipeline on a low-sampling-rate query
-// trajectory and returns the top-K global routes (§II-B.2).
-//
-// The per-pair stage — reference search, pair context assembly, local
-// inference — is embarrassingly parallel (§III treats pairs independently
-// until K-GRI joins them), so it fans out over a bounded worker pool of
-// p.PairWorkers goroutines (GOMAXPROCS when < 1). Results are joined in
-// pair order and every pair's computation is deterministic, so the output
-// is identical for any worker count, including 1.
+// InferRoutes is InferRoutesCtx without a caller context: nothing can cancel
+// it, and only Params.Deadline bounds it.
 func (e *Engine) InferRoutes(q *traj.Trajectory, p Params) (*Result, error) {
-	return e.inferRoutes(context.Background(), q, p, nil)
+	return e.InferRoutesCtx(context.Background(), q, p)
 }
 
-// InferRoutesCtx is InferRoutes under a caller-supplied context. Outright
-// cancellation (context.Canceled, or any custom cause) aborts promptly with
-// the context's error; deadline expiry — whether from ctx or from
-// Params.Deadline — instead degrades gracefully and returns a best-effort
-// Result with Degraded set. See DESIGN.md "Cancellation & deadlines".
+// InferRoutesCtx runs the complete HRIS pipeline on a low-sampling-rate
+// query trajectory and returns the top-K global routes (§II-B.2). It is the
+// offline schedule of the one pipeline a streaming Session runs point by
+// point: the per-pair stage fans out, the outcomes are committed to a
+// session in pair order, and the session finishes — so Session.Finalize and
+// this function cannot drift apart.
+//
+// Outright cancellation (context.Canceled, or any custom cause) aborts
+// promptly with the context's error; deadline expiry — whether from ctx or
+// from Params.Deadline — instead degrades gracefully and returns a
+// best-effort Result with Degraded set. See DESIGN.md "Cancellation &
+// deadlines". A trace carried by ctx (obs.WithTrace) receives one span per
+// pipeline-stage occurrence, on instrumented and uninstrumented engines
+// alike.
 func (e *Engine) InferRoutesCtx(ctx context.Context, q *traj.Trajectory, p Params) (*Result, error) {
-	return e.inferRoutes(ctx, q, p, nil)
-}
-
-// InferRoutesTraced is InferRoutes with a per-query trace: one span per
-// pipeline-stage occurrence (see package obs for the span semantics). The
-// trace is recorded independently of the engine's registry, so tracing
-// works on uninstrumented engines too. The returned trace is non-nil and
-// finished even when inference fails.
-func (e *Engine) InferRoutesTraced(q *traj.Trajectory, p Params) (*Result, *obs.Trace, error) {
-	return e.InferRoutesTracedCtx(context.Background(), q, p)
-}
-
-// InferRoutesTracedCtx is InferRoutesTraced under a caller-supplied context,
-// with InferRoutesCtx's cancellation and degradation semantics.
-func (e *Engine) InferRoutesTracedCtx(ctx context.Context, q *traj.Trajectory, p Params) (*Result, *obs.Trace, error) {
-	tr := obs.StartTrace()
-	res, err := e.inferRoutes(ctx, q, p, tr)
-	tr.Finish()
-	return res, tr, err
-}
-
-func (e *Engine) inferRoutes(ctx context.Context, q *traj.Trajectory, p Params, tr *obs.Trace) (*Result, error) {
 	if q.Len() < 2 {
 		return nil, ErrEmptyQuery
 	}
@@ -106,7 +84,8 @@ func (e *Engine) inferRoutes(ctx context.Context, q *traj.Trajectory, p Params, 
 		ctx, cancel = context.WithTimeout(ctx, p.Deadline)
 		defer cancel()
 	}
-	x := e.newExec(ctx, p, tr)
+	s := e.NewSession(p, SessionConfig{})
+	x := e.newExec(ctx, p, s.snap)
 	// An already-cancelled context aborts before any work. The check runs
 	// before the queries counter so it stays equal to the query histogram's
 	// sample count (only started queries are counted by either).
@@ -116,8 +95,22 @@ func (e *Engine) inferRoutes(ctx context.Context, q *traj.Trajectory, p Params, 
 	if x.met != nil {
 		x.met.queries.Inc()
 	}
-	n := q.Len() - 1
-	qt0 := x.stageStart()
+	t0 := x.stageStart()
+	res, err := x.inferRoutes(s, q)
+	x.stageDone(obs.StageQuery, -1, t0, numRoutes(res))
+	return res, err
+}
+
+// inferRoutes drives the session s through the whole query q.
+//
+// The per-pair stage — reference search, pair context assembly, local
+// inference — is embarrassingly parallel (§III treats pairs independently
+// until K-GRI joins them), so it fans out over a bounded worker pool of
+// p.PairWorkers goroutines (GOMAXPROCS when < 1). Outcomes are committed in
+// pair order and every pair's computation is deterministic, so the output
+// is identical for any worker count, including 1.
+func (x exec) inferRoutes(s *Session, q *traj.Trajectory) (*Result, error) {
+	e, n := x.eng, q.Len()-1
 	outs := make([]pairOutcome, n)
 	// Each worker checks one scratch arena out of the pool and reuses it
 	// across every pair it processes; exec is copied by value, so the arena
@@ -154,173 +147,119 @@ func (e *Engine) inferRoutes(ctx context.Context, q *traj.Trajectory, p Params, 
 	// Outright cancellation aborts with the context error at the join,
 	// before the truncated pair outcomes can be mistaken for answers.
 	if err := x.abortErr(); err != nil {
-		x.stageDone(obs.StageQuery, -1, qt0, 0)
 		return nil, err
 	}
-	res := &Result{Pairs: make([]PairStats, 0, n), Locals: make([][]LocalRoute, 0, n)}
+	t0 := x.stageStart()
+	res, err := x.fold(s, q, outs)
+	x.stageDone(obs.StageKGRI, -1, t0, numRoutes(res))
+	return res, err
+}
+
+// fold commits the pair outcomes to the session in pair order and finishes
+// it: the K-GRI join, run on the offline schedule. The session's result is
+// sized up front — the one thing an offline query knows that a stream does
+// not.
+func (x exec) fold(s *Session, q *traj.Trajectory, outs []pairOutcome) (*Result, error) {
+	s.res.Pairs = make([]PairStats, 0, len(outs))
+	s.res.Locals = make([][]LocalRoute, 0, len(outs))
 	for i, out := range outs {
-		if err := res.appendOutcome(i, q.Points[i], q.Points[i+1], out); err != nil {
-			x.stageDone(obs.StageQuery, -1, qt0, 0)
+		if err := s.commit(i, q.Points[i], q.Points[i+1], out, x.done); err != nil {
 			return nil, err
 		}
 	}
-	kt0 := x.stageStart()
-	routes, kdeg := kgriDone(e.g, res.Locals, p.K3, p.AblateTransition, x.done)
 	if err := x.abortErr(); err != nil {
-		x.stageDone(obs.StageKGRI, -1, kt0, 0)
-		x.stageDone(obs.StageQuery, -1, qt0, 0)
 		return nil, err
 	}
-	if kdeg && x.deadlineExpired(obs.StageKGRI) {
-		res.Degraded = true
+	if s.stall > 0 && x.met != nil {
+		x.met.deadlineHit(obs.StageKGRI)
 	}
-	if err := res.applyRoutes(e.g, routes, p, q.Points[0].Pt, q.Points[q.Len()-1].Pt); err != nil {
-		x.stageDone(obs.StageKGRI, -1, kt0, 0)
-		x.stageDone(obs.StageQuery, -1, qt0, 0)
-		return nil, err
-	}
-	if res.Degraded && x.met != nil {
-		x.met.degraded.Inc()
-	}
-	x.stageDone(obs.StageKGRI, -1, kt0, len(res.Routes))
-	x.stageDone(obs.StageQuery, -1, qt0, len(res.Routes))
-	return res, nil
+	return s.finish()
 }
 
-// appendOutcome folds one pair's outcome into the result in pair order. A
-// pair with no local routes (only possible when the deterministic fallback
-// itself found no path) is fatal for the whole query — no chain of local
-// routes can bridge it. Both the offline join above and a streaming
-// Session's per-point commit run through this, so their accumulated state
-// is identical by construction.
-func (res *Result) appendOutcome(i int, qi, qj traj.GPSPoint, out pairOutcome) error {
-	if len(out.locals) == 0 {
-		return fmt.Errorf("core: pair %d (%v -> %v): %w", i, qi.Pt, qj.Pt, ErrNoRoutes)
+// numRoutes is the item count the whole-query stages report: the routes
+// returned, zero for a failed query.
+func numRoutes(res *Result) int {
+	if res == nil {
+		return 0
 	}
-	res.Pairs = append(res.Pairs, out.stats)
-	res.Locals = append(res.Locals, out.locals)
-	if out.degraded {
-		res.Degraded = true
-	}
-	return nil
+	return len(res.Routes)
 }
 
-// applyRoutes installs the K-GRI output into the result and applies the
-// endpoint trimming — the terminal assembly step shared by the offline path
-// and Session.Finalize. start/end are the query's first and last points.
-func (res *Result) applyRoutes(g *roadnet.Graph, routes []GlobalRoute, p Params, start, end geo.Point) error {
-	res.Routes = routes
-	if len(res.Routes) == 0 {
-		return ErrNoRoutes
-	}
-	if !p.AblateTrim {
-		for i := range res.Routes {
-			res.Routes[i].Route = trimRoute(g, res.Routes[i].Route, start, end)
-		}
-	}
-	return nil
-}
-
-// Infer is InferRoutes with the engine's frozen default parameters.
-func (e *Engine) Infer(q *traj.Trajectory) (*Result, error) {
-	return e.InferRoutes(q, e.defaults)
-}
-
-// InferCtx is Infer under a caller-supplied context, with InferRoutesCtx's
-// cancellation and degradation semantics.
-func (e *Engine) InferCtx(ctx context.Context, q *traj.Trajectory) (*Result, error) {
-	return e.InferRoutesCtx(ctx, q, e.defaults)
-}
-
-// inferPair runs the full per-pair stage for ⟨q_i, q_{i+1}⟩: reference
-// search (memoized), optional temporal filtering, context assembly and
-// local route inference with shortest-path fallback. pair is the pair index
-// within the query, tagged onto the stage timings.
+// pairStage is the one per-pair stage for ⟨q_i, q_{i+1}⟩: reference search
+// (memoized), optional temporal filtering, context assembly and local route
+// inference, with the pair's statistics. pair is the pair index within the
+// query, tagged onto the stage timings.
 //
-// Deadline handling: each stage boundary checks whether the query budget
-// expired; the first boundary to notice it records a deadline.<stage> hit
-// (at most one per pair) and degrades the pair via degradePair. Outright
-// cancellation instead returns an empty outcome immediately — the join in
-// inferRoutes discards it and aborts the whole query with the context
-// error.
-func (x exec) inferPair(pair int, qi, qj traj.GPSPoint) pairOutcome {
-	if x.deadlineExpired(obs.StageReferenceSearch) {
-		return x.degradePair(x.buildPairContext(pair, qi, qj, nil), x.p.Method)
-	}
+// Each stage boundary checks whether the invocation's context is done; the
+// first boundary to notice it returns that stage's name in stopped (with the
+// statistics gathered so far and no routes — a route set truncated by a
+// checkpoint depends on where the checkpoint fired). stopped == "" means the
+// stage ran to completion; an empty route set is then a genuine "no
+// reference-supported route".
+func (x exec) pairStage(pair int, qi, qj traj.GPSPoint) (locals []LocalRoute, st PairStats, stopped string) {
+	st.Method = x.p.Method
 	if x.expired() {
-		return pairOutcome{} // cancelled outright
+		return nil, st, obs.StageReferenceSearch
 	}
-	sp := x.searchParams()
 	t0 := x.stageStart()
-	refs := x.eng.refs.ReferencesOn(x.ctx, x.snap, qi, qj, sp)
+	refs := x.eng.refs.ReferencesOn(x.ctx, x.snap, qi, qj, hist.SearchParams{
+		Phi:             x.p.Phi,
+		SpliceEps:       x.p.SpliceEps,
+		SpliceMinSimple: x.p.SpliceMinSimple,
+	})
 	if x.p.TemporalWeighting {
 		refs = filterByTimeOfDay(refs, qi.T, x.p.TimeWindow)
 	}
 	x.stageDone(obs.StageReferenceSearch, pair, t0, len(refs))
-	if x.deadlineExpired(obs.StageCandidateSearch) {
-		// buildPairContext stops at its first checkpoint when expired, so
-		// this constructs only the shell degradePair needs.
-		return x.degradePair(x.buildPairContext(pair, qi, qj, refs), x.p.Method)
-	}
-	if x.expired() {
-		return pairOutcome{}
-	}
-	t0 = x.stageStart()
-	pctx := x.buildPairContext(pair, qi, qj, refs)
-	x.stageDone(obs.StageCandidateSearch, pair, t0, len(pctx.points))
-	t0 = x.stageStart()
-	locals, method := x.inferLocal(pctx)
-	x.stageDone(localStage(method), pair, t0, len(locals))
-	if x.deadlineExpired(localStage(method)) {
-		// Expiry during (or right before) local inference: the truncated
-		// route set depends on where the checkpoint fired, so drop it for
-		// the deterministic shortest-path fallback.
-		return x.degradePair(pctx, method)
-	}
-	if x.expired() {
-		return pairOutcome{}
-	}
-	st := PairStats{
-		Refs: len(refs), Points: len(pctx.points),
-		Density: pctx.density(), Method: method, Routes: len(locals),
-	}
+	st.Refs = len(refs)
 	for _, r := range refs {
 		if r.Spliced {
 			st.Spliced++
 		}
 	}
+	if x.expired() {
+		return nil, st, obs.StageCandidateSearch
+	}
+	t0 = x.stageStart()
+	pctx := x.buildPairContext(pair, qi, qj, refs)
+	x.stageDone(obs.StageCandidateSearch, pair, t0, len(pctx.points))
+	t0 = x.stageStart()
+	locals, st.Method = x.inferLocal(pctx)
+	stage := localStage(st.Method)
+	x.stageDone(stage, pair, t0, len(locals))
+	st.Points, st.Density, st.Routes = len(pctx.points), pctx.density(), len(locals)
+	if x.expired() {
+		return nil, st, stage
+	}
+	return locals, st, ""
+}
+
+// inferPair is pairStage plus what a whole query needs around it: deadline
+// degradation and the shortest-path fallback.
+//
+// A pair stopped by the query deadline records one deadline.<stage> hit and
+// is finished cheaply — one shortest path between the query points, flagged
+// Degraded. That fallback runs without the context on purpose: it is the
+// bounded "finish the current pair" step of graceful degradation and must
+// not itself be cut short. A pair stopped by outright cancellation returns
+// an empty outcome — the join in inferRoutes discards it and aborts the
+// whole query with the context error.
+func (x exec) inferPair(pair int, qi, qj traj.GPSPoint) pairOutcome {
+	locals, st, stopped := x.pairStage(pair, qi, qj)
+	if stopped != "" {
+		if !x.deadlineExpired(stopped) {
+			return pairOutcome{}
+		}
+		st.Degraded = true
+	}
 	if len(locals) == 0 {
-		locals = x.fallbackLocal(pctx)
-		st.UsedFall = true
-		st.Routes = len(locals)
+		locals = x.fallbackLocal(qi, qj)
+		st.UsedFall, st.Routes = true, len(locals)
 		if x.met != nil {
 			x.met.fallbacks.Inc()
 		}
 	}
 	return pairOutcome{stats: st, locals: locals}
-}
-
-// degradePair finishes an expired pair cheaply: one uncancelled shortest
-// path between the query points (the same fallback used when inference
-// finds nothing), flagged Degraded. The fallback runs without the
-// context on purpose — it is the bounded "finish the current pair" step
-// of graceful degradation and must not itself be cut short.
-func (x exec) degradePair(pctx *pairContext, method Method) pairOutcome {
-	locals := x.fallbackLocal(pctx)
-	st := PairStats{
-		Refs: len(pctx.refs), Points: len(pctx.points),
-		Density: pctx.density(), Method: method, Routes: len(locals),
-		UsedFall: true, Degraded: true,
-	}
-	for _, r := range pctx.refs {
-		if r.Spliced {
-			st.Spliced++
-		}
-	}
-	if x.met != nil {
-		x.met.fallbacks.Inc()
-	}
-	return pairOutcome{stats: st, locals: locals, degraded: true}
 }
 
 // localStage maps the local inference method actually used to its stage.
@@ -329,15 +268,6 @@ func localStage(m Method) string {
 		return obs.StageLocalNNI
 	}
 	return obs.StageLocalTGI
-}
-
-// searchParams derives the reference-search parameters of this call.
-func (x exec) searchParams() hist.SearchParams {
-	return hist.SearchParams{
-		Phi:             x.p.Phi,
-		SpliceEps:       x.p.SpliceEps,
-		SpliceMinSimple: x.p.SpliceMinSimple,
-	}
 }
 
 // trimRoute drops leading segments the query never reached and trailing
@@ -354,35 +284,17 @@ func trimRoute(g *roadnet.Graph, r roadnet.Route, start, end geo.Point) roadnet.
 }
 
 // PairLocalRoutes exposes local route inference for a single query pair
-// with an explicit method — the unit the Figure 10–13 experiments measure.
-// The method override lives in this call's private Params copy, so it is
-// safe to run concurrently with any other inference on the same engine.
+// with an explicit method — the unit the Figure 10–13 experiments measure:
+// the same pairStage a whole query runs, with no fallback substituted when
+// it finds nothing. The method override lives in this call's private Params
+// copy, so it is safe to run concurrently with any other inference on the
+// same engine.
 func (e *Engine) PairLocalRoutes(qi, qj traj.GPSPoint, m Method, p Params) ([]LocalRoute, PairStats) {
-	return e.PairLocalRoutesCtx(context.Background(), qi, qj, m, p)
-}
-
-// PairLocalRoutesCtx is PairLocalRoutes under a caller-supplied context.
-// Cancellation truncates the work promptly and returns whatever was
-// inferred so far (possibly nothing) — the per-pair experiments have no
-// degraded mode, so no fallback is substituted.
-func (e *Engine) PairLocalRoutesCtx(ctx context.Context, qi, qj traj.GPSPoint, m Method, p Params) ([]LocalRoute, PairStats) {
 	p.Method = m
-	x := e.newExec(ctx, p, nil)
+	x := e.newExec(context.Background(), p, e.src.Current())
 	x.sc = e.getScratch()
 	defer e.putScratch(x.sc)
-	t0 := x.stageStart()
-	refs := e.refs.ReferencesOn(ctx, x.snap, qi, qj, x.searchParams())
-	x.stageDone(obs.StageReferenceSearch, 0, t0, len(refs))
-	t0 = x.stageStart()
-	pctx := x.buildPairContext(0, qi, qj, refs)
-	x.stageDone(obs.StageCandidateSearch, 0, t0, len(pctx.points))
-	t0 = x.stageStart()
-	locals, used := x.inferLocal(pctx)
-	x.stageDone(localStage(used), 0, t0, len(locals))
-	st := PairStats{
-		Refs: len(refs), Points: len(pctx.points),
-		Density: pctx.density(), Method: used, Routes: len(locals),
-	}
+	locals, st, _ := x.pairStage(0, qi, qj)
 	return locals, st
 }
 

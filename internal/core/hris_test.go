@@ -47,7 +47,9 @@ func newWorld(t testing.TB, trips int, seed int64) *world {
 // exec builds a one-off invocation context for tests poking at pipeline
 // internals directly.
 func (w *world) exec() exec {
-	return w.eng.newExec(context.Background(), w.p, nil)
+	x := w.eng.newExec(context.Background(), w.p, w.eng.Archive())
+	x.sc = newPairScratch()
+	return x
 }
 
 // accuracy is the A_L metric restated locally (full version in internal/eval):

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/graphalg"
 	"repro/internal/roadnet"
 )
 
@@ -45,50 +44,27 @@ type kgriCand struct {
 // highest-scoring partial routes ending with local route j of pair i; the
 // downward-closure property makes the recursion exact. Complexity is
 // O(K·n·m²) against the brute force's O(mⁿ).
-func KGRI(g *roadnet.Graph, locals [][]LocalRoute, k int) []GlobalRoute {
-	return kgri(g, locals, k, false)
-}
-
-// kgri is KGRI with an optional constant-transition ablation.
-func kgri(g *roadnet.Graph, locals [][]LocalRoute, k int, constantTransition bool) []GlobalRoute {
-	routes, _ := kgriDone(g, locals, k, constantTransition, nil)
-	return routes
-}
-
-// kgriDone is the done-aware dynamic program behind KGRI. At each pair
-// boundary it checks done (nil = uncancellable, a plain nil comparison);
-// once closed it stops the exact DP and finishes greedily via greedyFinish,
-// reporting degraded = true. For a given interruption point the output is
-// deterministic.
 //
-// The DP itself is a fold over the incremental primitives below — kgriInit
-// seeds the posterior from pair 0, kgriStep extends it one column, and
-// kgriFinalize ranks and materializes — the same primitives a streaming
-// Session drives one point at a time (session.go). Keeping this offline
-// path a literal fold over them is what makes Session.Finalize() ≡
-// InferRoutesCtx structural rather than coincidental.
-func kgriDone(g *roadnet.Graph, locals [][]LocalRoute, k int, constantTransition bool, done <-chan struct{}) ([]GlobalRoute, bool) {
-	n := len(locals)
-	if n == 0 || k <= 0 {
-		return nil, false
+// The DP is a loop over the incremental primitives below — kgriInit seeds
+// the posterior from pair 0, kgriStep extends it one column, kgriFinalize
+// ranks and materializes — the same primitives Session.commit and
+// Session.finish drive for every inference.
+func KGRI(g *roadnet.Graph, locals [][]LocalRoute, k int) []GlobalRoute {
+	if len(locals) == 0 || k <= 0 {
+		return nil
 	}
 	for _, set := range locals {
 		if len(set) == 0 {
-			return nil, false // a pair with no local routes breaks every chain
+			return nil // a pair with no local routes breaks every chain
 		}
 	}
 	M := kgriInit(locals[0])
-	// The candidate buffer comes from a pool — it is the one allocation the
-	// DP's inner loop would otherwise repeat per query.
 	ks := kgriPool.Get().(*kgriScratch)
 	defer kgriPool.Put(ks)
-	for i := 1; i < n; i++ {
-		if graphalg.Stopped(done) {
-			return greedyFinish(g, locals, M, i), true
-		}
-		M = kgriStep(M, locals[i-1], locals[i], k, constantTransition, ks)
+	for i := 1; i < len(locals); i++ {
+		M = kgriStep(M, locals[i-1], locals[i], k, false, ks)
 	}
-	return kgriFinalize(g, locals, M, k), false
+	return kgriFinalize(g, locals, M, k)
 }
 
 // kgriInit seeds the K-GRI posterior from the first pair's local routes:
@@ -164,8 +140,7 @@ func kgriStep(M [][]partial, prev, cur []LocalRoute, k int, constantTransition b
 }
 
 // kgriFinalize ranks the accumulated posterior and materializes the top-K
-// global routes — the terminal step of both the offline DP and a streaming
-// session.
+// global routes.
 func kgriFinalize(g *roadnet.Graph, locals [][]LocalRoute, M [][]partial, k int) []GlobalRoute {
 	var all []partial
 	for _, ps := range M {
@@ -185,20 +160,11 @@ func kgriFinalize(g *roadnet.Graph, locals [][]LocalRoute, M [][]partial, k int)
 // popularity but skipping the transition factor, whose Refs intersections
 // are exactly the work being cut short. One best-effort route beats none.
 func greedyFinish(g *roadnet.Graph, locals [][]LocalRoute, M [][]partial, next int) []GlobalRoute {
-	best := -1
-	var flat []partial
-	for _, ps := range M {
-		flat = append(flat, ps...)
-	}
-	for i := range flat {
-		if best < 0 || lessPartial(flat[i], flat[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
+	best := bestPartial(M)
+	if best == nil {
 		return nil
 	}
-	p := partial{parts: append([]int(nil), flat[best].parts...), score: flat[best].score}
+	p := partial{parts: append([]int(nil), best.parts...), score: best.score}
 	for i := next; i < len(locals); i++ {
 		p.parts = append(p.parts, 0)
 		p.score *= locals[i][0].Popularity

@@ -179,3 +179,61 @@ func TestPairStatsDensity(t *testing.T) {
 		t.Fatalf("density = %v with %d points", st.Density, st.Points)
 	}
 }
+
+// pairStatsAgree runs fresh queries through InferRoutes under p and, for
+// every pair that passes want, checks that PairLocalRoutes — the same pair
+// stage, minus the fallback — reports the same reference statistics. It
+// returns how many pairs passed want.
+func pairStatsAgree(t *testing.T, w *world, p Params, want func(PairStats) bool) int {
+	t.Helper()
+	checked := 0
+	for trial := 0; trial < 20 && checked < 5; trial++ {
+		qc, ok := w.ds.GenQuery(6000, 240, 15, w.cfg, w.rng)
+		if !ok {
+			continue
+		}
+		res, err := w.eng.InferRoutes(qc.Query, p)
+		if err != nil {
+			t.Fatalf("InferRoutes: %v", err)
+		}
+		for i, full := range res.Pairs {
+			if !want(full) {
+				continue
+			}
+			checked++
+			_, st := w.eng.PairLocalRoutes(qc.Query.Points[i], qc.Query.Points[i+1], p.Method, p)
+			if st.Refs != full.Refs || st.Spliced != full.Spliced || st.Points != full.Points {
+				t.Fatalf("pair %d: PairLocalRoutes saw %d refs (%d spliced, %d points), InferRoutes %d (%d, %d)",
+					i, st.Refs, st.Spliced, st.Points, full.Refs, full.Spliced, full.Points)
+			}
+		}
+	}
+	return checked
+}
+
+// TestPairLocalRoutesCountsSpliced: a pair whose references include spliced
+// ones (Definition 7) reports them through PairLocalRoutes too.
+func TestPairLocalRoutesCountsSpliced(t *testing.T) {
+	w := newWorld(t, 150, 241)
+	if pairStatsAgree(t, w, w.p, func(st PairStats) bool { return st.Spliced > 0 }) == 0 {
+		t.Skip("no pair with a spliced reference found")
+	}
+}
+
+// TestPairLocalRoutesHonoursTemporalWeighting: with the time-of-day filter
+// on, PairLocalRoutes infers from the same filtered references InferRoutes
+// sees for the pair — and the filter does remove references in this world.
+func TestPairLocalRoutesHonoursTemporalWeighting(t *testing.T) {
+	w := newWorld(t, 300, 243)
+	p := w.p
+	p.TemporalWeighting, p.TimeWindow = true, 1800
+	if pairStatsAgree(t, w, p, func(st PairStats) bool { return st.Refs > 0 }) == 0 {
+		t.Skip("no pair kept a reference inside the time window")
+	}
+	qi, qj := pickPair(t, w, 240, 4)
+	_, all := w.eng.PairLocalRoutes(qi, qj, MethodHybrid, w.p)
+	p.TimeWindow = 1
+	if _, kept := w.eng.PairLocalRoutes(qi, qj, MethodHybrid, p); kept.Refs >= all.Refs {
+		t.Fatalf("a 1 s window kept %d of %d references", kept.Refs, all.Refs)
+	}
+}

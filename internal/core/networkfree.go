@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/geo"
@@ -17,66 +18,37 @@ import (
 // (§VI): "extend our solution to deal with the case where the road network
 // is not available".
 type FreeRoute struct {
-	Path    geo.Polyline
-	Score   float64
-	Support map[int]struct{}
+	Path  geo.Polyline
+	Score float64
+	// Support holds the supporting archive trajectory ids, sorted ascending
+	// (the LocalRoute.Refs representation).
+	Support []int32
 }
 
 // ErrNoFreePath is returned when no network-free path can be assembled.
 var ErrNoFreePath = errors.New("core: no network-free path inferred")
 
-// InferPathsNetworkFree suggests up to p.K3 paths for a query without any
-// road network: per consecutive pair, the reference search (with vmax as
-// the feasibility speed, since no network supplies V_max) feeds the same
-// transit-graph recursion NNI uses, but the enumerated traces are kept as
-// polylines instead of being map-matched; a K-GRI-style dynamic program
-// over support sets assembles the global paths.
-func InferPathsNetworkFree(a hist.View, q *traj.Trajectory, p Params, vmax float64) ([]FreeRoute, error) {
-	return InferPathsNetworkFreeCtx(context.Background(), a, q, p, vmax)
-}
-
-// InferPathsNetworkFreeCtx is InferPathsNetworkFree under a caller context:
-// cancellation (of any kind — network-free inference has no degraded mode)
+// InferPathsNetworkFreeCtx suggests up to p.K3 paths for a query without
+// any road network: per consecutive pair, the reference search (with vmax
+// as the feasibility speed, since no network supplies V_max; memoized like
+// every engine search) feeds the same transit-graph recursion NNI uses, but
+// the enumerated traces are kept as polylines instead of being map-matched;
+// a K-GRI-style dynamic program over support sets assembles the global
+// paths. Like every other engine entry point it pins one archive snapshot
+// for the whole call.
+//
+// Cancellation of any kind — network-free inference has no degraded mode —
 // aborts with the context's error at the next per-pair or DP checkpoint.
-func InferPathsNetworkFreeCtx(ctx context.Context, a hist.View, q *traj.Trajectory, p Params, vmax float64) ([]FreeRoute, error) {
-	search := func(ctx context.Context, qi, qj traj.GPSPoint, sp hist.SearchParams) []hist.Reference {
-		return hist.ReferencesCtx(ctx, a, qi, qj, sp)
-	}
-	return inferPathsNetworkFree(ctx, search, q, p, vmax)
-}
-
-// InferPathsNetworkFree is the engine-backed variant: identical output, but
-// reference searches go through the engine's memo, so repeated pairs across
-// queries are looked up once.
-func (e *Engine) InferPathsNetworkFree(q *traj.Trajectory, p Params, vmax float64) ([]FreeRoute, error) {
-	return e.InferPathsNetworkFreeCtx(context.Background(), q, p, vmax)
-}
-
-// InferPathsNetworkFreeCtx is the context-aware engine-backed variant, with
-// the package-level InferPathsNetworkFreeCtx's semantics. Like every other
-// engine entry point it pins one archive snapshot for the whole call.
 func (e *Engine) InferPathsNetworkFreeCtx(ctx context.Context, q *traj.Trajectory, p Params, vmax float64) ([]FreeRoute, error) {
-	snap := e.src.Current()
-	search := func(ctx context.Context, qi, qj traj.GPSPoint, sp hist.SearchParams) []hist.Reference {
-		return e.refs.ReferencesOn(ctx, snap, qi, qj, sp)
-	}
-	return inferPathsNetworkFree(ctx, search, q, p, vmax)
-}
-
-// inferPathsNetworkFree is the shared implementation, parameterized over
-// the reference search (direct archive scan or engine memo).
-func inferPathsNetworkFree(ctx context.Context,
-	search func(ctx context.Context, qi, qj traj.GPSPoint, sp hist.SearchParams) []hist.Reference,
-	q *traj.Trajectory, p Params, vmax float64) ([]FreeRoute, error) {
 	if q.Len() < 2 {
 		return nil, ErrEmptyQuery
 	}
-	done := ctx.Done()
+	snap, done := e.src.Current(), ctx.Done()
 	// The transit-trace recursion runs off a pooled scratch arena here just
 	// like the network-backed path; everything published below (polylines,
 	// support sets) is freshly built, so nothing aliases the arena.
-	sc := pairScratchPool.Get().(*pairScratch)
-	defer pairScratchPool.Put(sc)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
 	sp := hist.SearchParams{
 		Phi: p.Phi, SpliceEps: p.SpliceEps,
 		SpliceMinSimple: p.SpliceMinSimple, VMax: vmax,
@@ -84,7 +56,7 @@ func inferPathsNetworkFree(ctx context.Context,
 	// locals[i] holds the pair's candidate point-paths.
 	type freeLocal struct {
 		path    geo.Polyline
-		support map[int]struct{}
+		support []int32 // sorted, distinct
 	}
 	var locals [][]freeLocal
 	for i := 0; i+1 < q.Len(); i++ {
@@ -92,10 +64,13 @@ func inferPathsNetworkFree(ctx context.Context,
 			return nil, ctx.Err()
 		}
 		qi, qj := q.Points[i], q.Points[i+1]
-		refs := search(ctx, qi, qj, sp)
+		refs := e.refs.ReferencesOn(ctx, snap, qi, qj, sp)
 		var pts []refPoint
 		for _, r := range refs {
-			srcs := r.SourceIDs()
+			srcs := []int32{r.SourceA}
+			if r.SourceB >= 0 {
+				srcs = append(srcs, r.SourceB)
+			}
 			for _, gp := range r.Points {
 				pts = append(pts, refPoint{pt: gp.Pt, sources: srcs})
 			}
@@ -104,15 +79,16 @@ func inferPathsNetworkFree(ctx context.Context,
 		var cands []freeLocal
 		seen := make(map[uint64][]geo.Polyline)
 		for _, tr := range traces {
-			path := geo.Polyline(tracePoints(points, tr, qi.Pt, qj.Pt))
-			support := make(map[int]struct{})
+			// A fresh slice per trace: paths outlive the iteration, so they
+			// cannot share the scratch buffer the network-backed path uses.
+			path := geo.Polyline(tracePointsInto(make([]geo.Point, 0, len(tr)+2), points, tr, qi.Pt, qj.Pt))
+			var support []int32
 			for _, node := range tr {
 				if node < len(points) {
-					for _, s := range points[node].sources {
-						support[s] = struct{}{}
-					}
+					support = append(support, points[node].sources...)
 				}
 			}
+			support = sortedSet(support)
 			h := pathHash(path)
 			dup := false
 			for _, prev := range seen[h] {
@@ -129,10 +105,7 @@ func inferPathsNetworkFree(ctx context.Context,
 		}
 		if len(cands) == 0 {
 			// No references: interpolate straight between the points.
-			cands = []freeLocal{{
-				path:    geo.Polyline{qi.Pt, qj.Pt},
-				support: map[int]struct{}{},
-			}}
+			cands = []freeLocal{{path: geo.Polyline{qi.Pt, qj.Pt}}}
 		}
 		sort.SliceStable(cands, func(x, y int) bool {
 			return len(cands[x].support) > len(cands[y].support)
@@ -160,7 +133,7 @@ func inferPathsNetworkFree(ctx context.Context,
 		for j, c := range locals[i] {
 			var cands []fpartial
 			for pj, prev := range locals[i-1] {
-				gConf := transitionConfidence(prev.support, c.support)
+				gConf := jaccardConf(prev.support, c.support)
 				for _, fp := range M[pj] {
 					cands = append(cands, fpartial{
 						parts: append(append([]int(nil), fp.parts...), j),
@@ -190,20 +163,24 @@ func inferPathsNetworkFree(ctx context.Context,
 	out := make([]FreeRoute, 0, len(all))
 	for _, fp := range all {
 		var path geo.Polyline
-		support := make(map[int]struct{})
+		var support []int32
 		for i, j := range fp.parts {
 			part := locals[i][j].path
 			if len(path) > 0 && len(part) > 0 && path[len(path)-1].Equal(part[0], 1e-9) {
 				part = part[1:]
 			}
 			path = append(path, part...)
-			for s := range locals[i][j].support {
-				support[s] = struct{}{}
-			}
+			support = append(support, locals[i][j].support...)
 		}
-		out = append(out, FreeRoute{Path: path, Score: fp.score, Support: support})
+		out = append(out, FreeRoute{Path: path, Score: fp.score, Support: sortedSet(support)})
 	}
 	return out, nil
+}
+
+// sortedSet sorts ids in place and drops duplicates.
+func sortedSet(ids []int32) []int32 {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // pathHash folds a polyline's coarse (50 m resolution) coordinate key into

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,9 +17,9 @@ func TestInferPathsNetworkFree(t *testing.T) {
 		t.Fatal("GenQuery failed")
 	}
 	truth := qc.Truth.Points(w.g)
-	paths, err := InferPathsNetworkFree(w.eng.Archive(), qc.Query, w.p, w.g.MaxSpeed())
+	paths, err := w.eng.InferPathsNetworkFreeCtx(context.Background(), qc.Query, w.p, w.g.MaxSpeed())
 	if err != nil {
-		t.Fatalf("InferPathsNetworkFree: %v", err)
+		t.Fatalf("InferPathsNetworkFreeCtx: %v", err)
 	}
 	if len(paths) == 0 {
 		t.Fatal("no paths")
@@ -58,8 +59,8 @@ func TestInferPathsNetworkFreeEmptyArchive(t *testing.T) {
 	if !ok {
 		t.Fatal("GenQuery failed")
 	}
-	empty := hist.NewArchive(w.g, nil)
-	paths, err := InferPathsNetworkFree(empty, qc.Query, w.p, w.g.MaxSpeed())
+	empty := NewEngine(hist.NewArchive(w.g, nil), w.p)
+	paths, err := empty.InferPathsNetworkFreeCtx(context.Background(), qc.Query, w.p, w.g.MaxSpeed())
 	if err != nil {
 		t.Fatalf("empty archive: %v", err)
 	}
@@ -74,7 +75,7 @@ func TestInferPathsNetworkFreeEmptyArchive(t *testing.T) {
 
 func TestInferPathsNetworkFreeDegenerate(t *testing.T) {
 	w := newWorld(t, 50, 95)
-	if _, err := InferPathsNetworkFree(w.eng.Archive(), &traj.Trajectory{}, w.p, 20); err == nil {
+	if _, err := w.eng.InferPathsNetworkFreeCtx(context.Background(), &traj.Trajectory{}, w.p, 20); err == nil {
 		t.Fatal("empty query accepted")
 	}
 }

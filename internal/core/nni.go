@@ -8,6 +8,7 @@ import (
 	"repro/internal/graphalg"
 	"repro/internal/mapmatch"
 	"repro/internal/rtree"
+	"repro/internal/traj"
 )
 
 // dedupPointsInto keeps one reference point per cell×cell meter grid square,
@@ -25,7 +26,7 @@ func dedupPointsInto(sc *pairScratch, pts []refPoint, cell float64) []refPoint {
 			continue
 		}
 		idx[k] = int32(len(out))
-		out = append(out, refPoint{pt: rp.pt, sources: append([]int(nil), rp.sources...)})
+		out = append(out, refPoint{pt: rp.pt, sources: append([]int32(nil), rp.sources...)})
 	}
 	sc.nniPoints = out
 	return out
@@ -94,13 +95,6 @@ func tracePointsInto(dst []geo.Point, points []refPoint, trace []int, qi, qj geo
 	return append(dst, qj)
 }
 
-// tracePoints is tracePointsInto with a fresh slice — the network-free
-// extension keeps traces beyond a single iteration, so it cannot share the
-// scratch buffer the hot path uses.
-func tracePoints(points []refPoint, trace []int, qi, qj geo.Point) []geo.Point {
-	return tracePointsInto(make([]geo.Point, 0, len(trace)+2), points, trace, qi, qj)
-}
-
 // enumerateTransitTraces runs Algorithm 2's recursion over bare reference
 // points and returns the deduplicated point set plus every enumerated
 // q_i→q_{i+1} trace (sequences of indices into the returned point set; the
@@ -110,13 +104,10 @@ func tracePoints(points []refPoint, trace []int, qi, qj geo.Point) []geo.Point {
 // returns the traces completed so far.
 //
 // All working state — the kNN iterator, the successor arena, the dense memo
-// tables — lives in sc (nil allocates a fresh arena — the unit-test path).
-// The returned slices are backed by sc and must be consumed before the
-// scratch is recycled; the individual traces are fresh copies.
+// tables — lives in sc. The returned slices are backed by sc and must be
+// consumed before the scratch is recycled; the individual traces are fresh
+// copies.
 func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt geo.Point, p Params, done <-chan struct{}) ([]refPoint, [][]int) {
-	if sc == nil {
-		sc = newPairScratch()
-	}
 	// Collapse nearby reference points: GPS noise scatters many archive
 	// samples of the same road into a 2D band, and at fine resolution every
 	// node's k nearest neighbors are band-mates — the transit graph would
@@ -330,9 +321,9 @@ func (x exec) inferLocal(ctx *pairContext) ([]LocalRoute, Method) {
 // exist for a pair, keeping the pipeline total on sparse archives. Its
 // popularity is a small constant so any reference-supported alternative
 // outranks it.
-func (x exec) fallbackLocal(ctx *pairContext) []LocalRoute {
-	a, okA := x.eng.g.LocationOf(ctx.qi.Pt)
-	b, okB := x.eng.g.LocationOf(ctx.qj.Pt)
+func (x exec) fallbackLocal(qi, qj traj.GPSPoint) []LocalRoute {
+	a, okA := x.eng.g.LocationOf(qi.Pt)
+	b, okB := x.eng.g.LocationOf(qj.Pt)
 	if !okA || !okB {
 		return nil
 	}

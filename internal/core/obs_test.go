@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -27,7 +28,7 @@ func obsQueries(t *testing.T, w *world, n int) []*traj.Trajectory {
 	return out
 }
 
-// TestObservedInferBatchConsistency drives two concurrent InferBatch calls
+// TestObservedInferBatchConsistency drives two concurrent InferBatchCtx calls
 // against one shared registry and checks the books balance: stage counts
 // equal the work actually done, per-stage latency aggregates are internally
 // consistent (no torn reads), and the serial nesting invariant holds —
@@ -48,7 +49,7 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			results[b] = eng.InferBatch(queries, p, 4)
+			results[b] = eng.InferBatchCtx(context.Background(), queries, p, 4)
 		}(b)
 	}
 	wg.Wait()
@@ -124,9 +125,6 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 	if s.Counters["cache.refsearch.hits"]+s.Counters["cache.refsearch.misses"] == 0 {
 		t.Fatal("cache.refsearch gauges missing from snapshot")
 	}
-	if s.Counters["cache.candidates.misses"] == 0 {
-		t.Fatal("cache.candidates gauges missing from snapshot")
-	}
 	if tm := s.Counters["cache.trajmatch.tables"]; tm == 0 || s.Counters["cache.trajmatch.points"] < tm ||
 		s.Counters["cache.trajmatch.builds"] < tm {
 		t.Fatalf("cache.trajmatch gauges inconsistent: %d tables, %d points, %d builds", tm,
@@ -134,9 +132,10 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 	}
 }
 
-// TestInferRoutesTraced checks the per-query trace: one span per stage
-// occurrence with the right pair tags, on an engine with no registry at all
-// (tracing is independent of engine instrumentation).
+// TestInferRoutesTraced checks the per-query trace a context carries into
+// InferRoutesCtx: one span per stage occurrence with the right pair tags, on
+// an engine with no registry at all (tracing is independent of engine
+// instrumentation).
 func TestInferRoutesTraced(t *testing.T) {
 	w := newWorld(t, 300, 193)
 	eng := w.eng
@@ -148,9 +147,11 @@ func TestInferRoutesTraced(t *testing.T) {
 	p := DefaultParams()
 	p.PairWorkers = 1
 
-	res, tr, err := eng.InferRoutesTraced(q, p)
+	tr := obs.StartTrace()
+	res, err := eng.InferRoutesCtx(obs.WithTrace(context.Background(), tr), q, p)
+	tr.Finish()
 	if err != nil {
-		t.Fatalf("InferRoutesTraced: %v", err)
+		t.Fatalf("traced InferRoutesCtx: %v", err)
 	}
 	if tr.Total() <= 0 {
 		t.Fatalf("trace total = %v", tr.Total())

@@ -102,25 +102,6 @@ func jaccardConf(a, b []int32) float64 {
 	return math.Exp(float64(inter)/float64(union) - 1)
 }
 
-// transitionConfidence is Equation 2 over id sets — the form the
-// network-free extension's support maps use; jaccardConf is the same
-// function over sorted slices. Both produce identical inter/union
-// integers, hence identical scores.
-func transitionConfidence(a, b map[int]struct{}) float64 {
-	inter, union := 0, len(b)
-	for id := range a {
-		if _, ok := b[id]; ok {
-			inter++
-		} else {
-			union++
-		}
-	}
-	if union == 0 {
-		return math.Exp(-1)
-	}
-	return math.Exp(float64(inter)/float64(union) - 1)
-}
-
 // scoreRoute applies Equation 1 or, under the AblateEntropy ablation, the
 // bare reference-support count.
 func (x exec) scoreRoute(route roadnet.Route, pctx *pairContext) (float64, []int32) {

@@ -29,6 +29,24 @@ func refMap(ids ...int) map[int]struct{} {
 	return s
 }
 
+// transitionConfidence is Equation 2 over id sets — the map-based oracle
+// jaccardConf (the same function over sorted slices) is checked against:
+// both must produce identical inter/union integers, hence identical scores.
+func transitionConfidence(a, b map[int]struct{}) float64 {
+	inter, union := 0, len(b)
+	for id := range a {
+		if _, ok := b[id]; ok {
+			inter++
+		} else {
+			union++
+		}
+	}
+	if union == 0 {
+		return math.Exp(-1)
+	}
+	return math.Exp(float64(inter)/float64(union) - 1)
+}
+
 // testPairContext assembles a pairContext (with its own scratch arena) whose
 // dense per-edge bitsets encode the given edge → reference-id assignment —
 // the unit-test stand-in for buildPairContext.

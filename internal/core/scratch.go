@@ -105,7 +105,7 @@ func (e *Engine) getScratch() *pairScratch {
 }
 
 func (e *Engine) putScratch(sc *pairScratch) {
-	if e.noPool || sc == nil {
+	if e.noPool {
 		return
 	}
 	pairScratchPool.Put(sc)

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 
+	"repro/internal/graphalg"
 	"repro/internal/hist"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -49,10 +51,9 @@ type SessionUpdate struct {
 // GPS point at a time and maintains the K-GRI posterior online, extending
 // the dynamic program by exactly one column per point instead of re-solving
 // from scratch. Finalize returns a *Result byte-identical to what
-// InferRoutesCtx would produce on the completed trace — the equivalence
-// oracle the session tests pin — because every stage is the same code over
-// the same pinned snapshot: exec.inferPair per pair, kgriInit/kgriStep per
-// point, kgriFinalize + the shared Result assembly at the end.
+// InferRoutesCtx would produce on the completed trace — the equivalence the
+// session tests pin — because InferRoutesCtx is this same fold on another
+// schedule: exec.inferPair per pair, commit per outcome, finish at the end.
 //
 // Memory: the session retains every pair's capped local-route set (Result
 // must report them, and the posterior's partials index into them), so state
@@ -75,7 +76,11 @@ type Session struct {
 	n     int           // points accepted
 
 	res *Result     // accumulating Pairs/Locals/Degraded, in pair order
-	M   [][]partial // K-GRI posterior over the latest pair's locals
+	M   [][]partial // K-GRI posterior over the latest absorbed pair's locals
+	// stall is the first pair the posterior did not absorb because the
+	// query deadline had closed (0 = none: pair 0 only seeds). From there on
+	// M stays put and finish extends its best partial greedily.
+	stall int
 
 	err    error // sticky fatal error (a pair with no routes)
 	closed bool
@@ -100,6 +105,9 @@ func (e *Engine) NewSession(p Params, cfg SessionConfig) *Session {
 	if w < 1 {
 		w = DefaultSessionWindow
 	}
+	// K3 ≤ 0 asks for no routes (ErrNoRoutes at the end); the DP truncates
+	// its columns to K3, which must not go negative.
+	p.K3 = max(p.K3, 0)
 	return &Session{
 		eng:    e,
 		p:      p,
@@ -128,12 +136,12 @@ func (s *Session) Push(ctx context.Context, pt traj.GPSPoint) (SessionUpdate, er
 		ctx, cancel = context.WithTimeout(ctx, s.p.Deadline)
 		defer cancel()
 	}
-	x := exec{eng: s.eng, p: s.p, met: s.eng.met, snap: s.snap, ctx: ctx, done: ctx.Done()}
+	x := s.eng.newExec(ctx, s.p, s.snap)
 	if err := x.abortErr(); err != nil {
 		return SessionUpdate{}, err
 	}
 	if s.n == 0 {
-		s.first, s.prev, s.n = pt, pt, 1
+		s.prev, s.n = pt, 1
 		return SessionUpdate{Seq: 0}, nil
 	}
 	i := s.n - 1 // index of the pair this point completes
@@ -146,29 +154,85 @@ func (s *Session) Push(ctx context.Context, pt traj.GPSPoint) (SessionUpdate, er
 	if err := x.abortErr(); err != nil {
 		return SessionUpdate{}, err // cancelled outright: point not consumed
 	}
-	if err := s.res.appendOutcome(i, s.prev, pt, out); err != nil {
-		s.err = err
+	// The push's deadline budgets the pair inference only; the posterior
+	// always absorbs the outcome (done = nil), so a stream never stalls.
+	if err := s.commit(i, s.prev, pt, out, nil); err != nil {
 		return SessionUpdate{}, err
 	}
-	if i == 0 {
-		s.M = kgriInit(s.res.Locals[0])
-	} else {
-		ks := kgriPool.Get().(*kgriScratch)
-		s.M = kgriStep(s.M, s.res.Locals[i-1], s.res.Locals[i], s.p.K3, s.p.AblateTransition, ks)
-		kgriPool.Put(ks)
-	}
-	s.prev = pt
-	s.n++
-	upd := SessionUpdate{Seq: s.n - 1, Pairs: s.n - 1, Degraded: out.degraded}
+	upd := SessionUpdate{Seq: s.n - 1, Pairs: s.n - 1, Degraded: out.stats.Degraded}
 	upd.FirmPairs = firmPrefix(s.M)
 	upd.Provisional, upd.Score = s.provisionalTail()
 	return upd, nil
 }
 
-// Finalize closes the session and assembles the whole-trace Result: the
-// terminal K-GRI ranking over the accumulated posterior plus the shared
-// endpoint trimming — byte-identical to InferRoutesCtx on the same points
-// against the same snapshot. After Finalize the session rejects further use.
+// commit folds pair i's outcome ⟨qi, qj⟩ into the session: the result
+// grows by one pair and the K-GRI posterior by one column (Algorithm 3
+// extends one column per query point by construction). This is the only
+// place the dynamic program advances, for a stream and for an offline query
+// alike. A pair with no local routes (only possible when the deterministic
+// fallback itself found no path) is fatal and sticky — no chain of local
+// routes can bridge it.
+//
+// done is the offline query's cancellation signal (nil for a stream): at
+// each pair boundary after it has closed, the posterior stops extending and
+// the session remembers where (stall) — finish then completes the route
+// greedily. For a given interruption point the output is deterministic.
+func (s *Session) commit(i int, qi, qj traj.GPSPoint, out pairOutcome, done <-chan struct{}) error {
+	if len(out.locals) == 0 {
+		s.err = fmt.Errorf("core: pair %d (%v -> %v): %w", i, qi.Pt, qj.Pt, ErrNoRoutes)
+		return s.err
+	}
+	s.res.Pairs = append(s.res.Pairs, out.stats)
+	s.res.Locals = append(s.res.Locals, out.locals)
+	s.res.Degraded = s.res.Degraded || out.stats.Degraded
+	switch {
+	case i == 0:
+		s.first = qi
+		s.M = kgriInit(s.res.Locals[0])
+	case s.stall > 0: // already stalled: M stays at the stall column
+	case graphalg.Stopped(done):
+		s.stall = i
+		s.res.Degraded = true
+	default:
+		// The candidate buffer comes from a pool — it is the one allocation
+		// the DP's inner loop would otherwise repeat per column.
+		ks := kgriPool.Get().(*kgriScratch)
+		s.M = kgriStep(s.M, s.res.Locals[i-1], s.res.Locals[i], s.p.K3, s.p.AblateTransition, ks)
+		kgriPool.Put(ks)
+	}
+	s.prev, s.n = qj, i+2
+	return nil
+}
+
+// finish ends the fold: the terminal K-GRI ranking over the accumulated
+// posterior (or, for a stalled posterior, greedyFinish from the stall index)
+// plus the endpoint trimming.
+func (s *Session) finish() (*Result, error) {
+	res, M := s.res, s.M
+	s.res, s.M = nil, nil
+	g := s.eng.g
+	if s.stall > 0 {
+		res.Routes = greedyFinish(g, res.Locals, M, s.stall)
+	} else {
+		res.Routes = kgriFinalize(g, res.Locals, M, s.p.K3)
+	}
+	if len(res.Routes) == 0 {
+		return nil, ErrNoRoutes
+	}
+	if !s.p.AblateTrim {
+		for i := range res.Routes {
+			res.Routes[i].Route = trimRoute(g, res.Routes[i].Route, s.first.Pt, s.prev.Pt)
+		}
+	}
+	if res.Degraded && s.eng.met != nil {
+		s.eng.met.degraded.Inc()
+	}
+	return res, nil
+}
+
+// Finalize closes the session and assembles the whole-trace Result —
+// byte-identical to InferRoutesCtx on the same points against the same
+// snapshot. After Finalize the session rejects further use.
 func (s *Session) Finalize() (*Result, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
@@ -180,16 +244,7 @@ func (s *Session) Finalize() (*Result, error) {
 	if s.n < 2 {
 		return nil, ErrEmptyQuery
 	}
-	res, M := s.res, s.M
-	s.res, s.M = nil, nil
-	routes := kgriFinalize(s.eng.g, res.Locals, M, s.p.K3)
-	if err := res.applyRoutes(s.eng.g, routes, s.p, s.first.Pt, s.prev.Pt); err != nil {
-		return nil, err
-	}
-	if res.Degraded && s.eng.met != nil {
-		s.eng.met.degraded.Inc()
-	}
-	return res, nil
+	return s.finish()
 }
 
 // Close abandons the session without finalizing, releasing its state.

@@ -25,9 +25,9 @@ func (x exec) inferTGI(pctx *pairContext) []LocalRoute {
 	p := x.p
 	sc := pctx.sc
 
-	srcs := x.queryCandidatesInto(pctx.qi.Pt, sc.srcCand)
+	srcs := x.queryCandidates(pctx.qi.Pt, sc.srcCand)
 	sc.srcCand = srcs
-	dsts := x.queryCandidatesInto(pctx.qj.Pt, sc.dstCand)
+	dsts := x.queryCandidates(pctx.qj.Pt, sc.dstCand)
 	sc.dstCand = dsts
 	if len(srcs) == 0 || len(dsts) == 0 {
 		return nil
@@ -127,15 +127,11 @@ func (x exec) inferTGI(pctx *pairContext) []LocalRoute {
 
 // queryCandidates returns candidate edges of a query point, widening to the
 // nearest edges when the ε-radius finds none, capped to keep the
-// K-shortest-path stage tractable.
-func (x exec) queryCandidates(pt geo.Point) []roadnet.EdgeID {
-	return x.queryCandidatesInto(pt, nil)
-}
-
-// queryCandidatesInto is queryCandidates writing into buf's backing array.
-func (x exec) queryCandidatesInto(pt geo.Point, buf []roadnet.EdgeID) []roadnet.EdgeID {
+// K-shortest-path stage tractable. The result is written into buf's backing
+// array.
+func (x exec) queryCandidates(pt geo.Point, buf []roadnet.EdgeID) []roadnet.EdgeID {
 	const maxQueryCandidates = 3
-	cands := x.eng.cands.CandidateEdges(pt, x.p.CandEps)
+	cands := x.eng.g.CandidateEdges(pt, x.p.CandEps)
 	if len(cands) == 0 {
 		cands = x.eng.g.NearestCandidates(pt, maxQueryCandidates)
 	}
@@ -156,12 +152,8 @@ func (x exec) queryCandidatesInto(pt geo.Point, buf []roadnet.EdgeID) []roadnet.
 // like a minimum spanning tree over components). Each augmentation round
 // checks done: an interrupted run leaves the graph only partially
 // connected, which merely loses some K-shortest-path results. sc supplies
-// the midpoint and component buffers (nil allocates fresh ones — the
-// unit-test path).
+// the midpoint and component buffers.
 func augmentStronglyConnected(tg *graphalg.Graph, edges []roadnet.EdgeID, g *roadnet.Graph, done <-chan struct{}, sc *pairScratch) {
-	if sc == nil {
-		sc = newPairScratch()
-	}
 	mid := sc.mid[:0]
 	for _, e := range edges {
 		seg := g.Seg(e)
@@ -204,11 +196,8 @@ func augmentStronglyConnected(tg *graphalg.Graph, edges []roadnet.EdgeID, g *roa
 // expressed in our hop convention where adjacent edges are 1 hop apart).
 // Removal preserves all shortest-path distances while shrinking the search
 // space of the K-shortest-path stage. sc supplies the reusable adjacency
-// maps (nil allocates fresh ones — the unit-test path).
+// maps.
 func reduceTraverseGraph(tg *graphalg.Graph, done <-chan struct{}, sc *pairScratch) {
-	if sc == nil {
-		sc = newPairScratch()
-	}
 	n := tg.N()
 	w := sc.redW
 	if cap(w) < n {
@@ -278,17 +267,13 @@ func reduceTraverseGraph(tg *graphalg.Graph, done <-chan struct{}, sc *pairScrat
 
 // projectPath maps a traverse-graph path (node indices) to a physical road
 // route, bridging non-adjacent consecutive edges with shortest paths. The
-// route is assembled in sc's buffer (nil sc allocates) and copied out at
-// exact size, so the returned route never aliases the arena.
+// route is assembled in sc's buffer and copied out at exact size, so the
+// returned route never aliases the arena.
 func projectPath(g *roadnet.Graph, nodes []int, edges []roadnet.EdgeID, sc *pairScratch) (roadnet.Route, bool) {
 	if len(nodes) == 0 {
 		return nil, false
 	}
-	var buf roadnet.Route
-	if sc != nil {
-		buf = sc.routeBuf[:0]
-	}
-	buf = append(buf, edges[nodes[0]])
+	buf := append(sc.routeBuf[:0], edges[nodes[0]])
 	ok := true
 	for _, n := range nodes[1:] {
 		buf, ok = appendConcatEdge(g, buf, edges[n])
@@ -296,9 +281,7 @@ func projectPath(g *roadnet.Graph, nodes []int, edges []roadnet.EdgeID, sc *pair
 			break
 		}
 	}
-	if sc != nil {
-		sc.routeBuf = buf
-	}
+	sc.routeBuf = buf
 	if !ok || !buf.Valid(g) {
 		return nil, false
 	}

@@ -26,7 +26,7 @@ func TestAugmentStronglyConnected(t *testing.T) {
 	if graphalg.IsStronglyConnected(tg) {
 		t.Fatal("fixture should start disconnected")
 	}
-	augmentStronglyConnected(tg, edges, g, nil, nil)
+	augmentStronglyConnected(tg, edges, g, nil, newPairScratch())
 	if !graphalg.IsStronglyConnected(tg) {
 		t.Fatal("augmentation did not reach strong connectivity")
 	}
@@ -47,7 +47,7 @@ func TestAugmentAlreadyConnectedNoop(t *testing.T) {
 		tg.AddArc(i, (i+1)%len(edges), 1)
 	}
 	before := tg.ArcCount()
-	augmentStronglyConnected(tg, edges, g, nil, nil)
+	augmentStronglyConnected(tg, edges, g, nil, newPairScratch())
 	if tg.ArcCount() != before {
 		t.Fatalf("augmentation added %d arcs to a connected graph", tg.ArcCount()-before)
 	}
@@ -61,7 +61,7 @@ func TestReduceTraverseGraphRemovesRedundantOnly(t *testing.T) {
 	tg.AddArc(1, 2, 100) // b->c
 	tg.AddArc(0, 2, 200) // a->c redundant (100+100)
 	tg.AddArc(0, 3, 50)  // a->d unique
-	reduceTraverseGraph(tg, nil, nil)
+	reduceTraverseGraph(tg, nil, newPairScratch())
 	if tg.HasArc(0, 2) {
 		t.Fatal("redundant arc survived")
 	}
@@ -85,7 +85,7 @@ func TestReduceTraverseGraphPreservesDistances(t *testing.T) {
 	for u := 0; u < tg.N(); u++ {
 		before[u] = graphalg.AllDistances(tg, u)
 	}
-	reduceTraverseGraph(tg, nil, nil)
+	reduceTraverseGraph(tg, nil, newPairScratch())
 	for u := 0; u < tg.N(); u++ {
 		after := graphalg.AllDistances(tg, u)
 		for v := range after {
@@ -106,7 +106,7 @@ func TestProjectPathBridgesGaps(t *testing.T) {
 	g := w.g
 	// Two far-apart edges: projection must produce a valid bridged route.
 	edges := []roadnet.EdgeID{0, roadnet.EdgeID(g.NumSegments() / 2)}
-	route, ok := projectPath(g, []int{0, 1}, edges, nil)
+	route, ok := projectPath(g, []int{0, 1}, edges, newPairScratch())
 	if !ok {
 		t.Skip("no path between the fixture edges in this seed")
 	}
@@ -117,7 +117,7 @@ func TestProjectPathBridgesGaps(t *testing.T) {
 		t.Fatal("projected route endpoints wrong")
 	}
 	// Empty input.
-	if _, ok := projectPath(g, nil, edges, nil); ok {
+	if _, ok := projectPath(g, nil, edges, newPairScratch()); ok {
 		t.Fatal("empty path accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestQueryCandidatesWidening(t *testing.T) {
 	// A point far from any road still gets candidates via widening.
 	bb := g.BBox()
 	far := bb.Max.Add(pt(3000, 3000))
-	cands := w.exec().queryCandidates(far)
+	cands := w.exec().queryCandidates(far, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for a far point")
 	}

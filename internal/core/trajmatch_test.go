@@ -184,10 +184,11 @@ func TestMatchTableOnLiveShardedStore(t *testing.T) {
 	eng := NewEngine(st, DefaultParams())
 	simple, spliced := 0, 0
 	round := func(what string) {
-		x := eng.newExec(context.Background(), DefaultParams(), nil)
+		x := eng.newExec(context.Background(), DefaultParams(), eng.Archive())
+		sp := hist.SearchParams{Phi: x.p.Phi, SpliceEps: x.p.SpliceEps, SpliceMinSimple: x.p.SpliceMinSimple}
 		for _, q := range queries {
 			for i := 0; i+1 < q.Len(); i++ {
-				refs := eng.refs.ReferencesOn(x.ctx, x.snap, q.Points[i], q.Points[i+1], x.searchParams())
+				refs := eng.refs.ReferencesOn(x.ctx, x.snap, q.Points[i], q.Points[i+1], sp)
 				checkAgainstOracle(t, x, refs, what)
 				for _, r := range refs {
 					if r.Spliced {

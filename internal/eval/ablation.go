@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/core"
@@ -102,7 +103,7 @@ func (w *World) NetworkFreeExtension(ratesMin []float64) *Table {
 		n := 0
 		for _, qc := range qs {
 			truth := qc.Truth.Points(w.Graph())
-			paths, err := w.Eng.InferPathsNetworkFree(qc.Query, w.P, w.Graph().MaxSpeed())
+			paths, err := w.Eng.InferPathsNetworkFreeCtx(context.Background(), qc.Query, w.P, w.Graph().MaxSpeed())
 			if err != nil || len(paths) == 0 {
 				continue
 			}

@@ -37,7 +37,7 @@ func TestSimpleReference(t *testing.T) {
 	// T2: near qi only.
 	t2 := lineTraj("t2", geo.Pt(40, 20), geo.Pt(40, 200), geo.Pt(40, 400))
 	a := NewArchive(g, []*traj.Trajectory{t1, t2})
-	refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 0})
+	refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 0})
 	if len(refs) != 1 {
 		t.Fatalf("references = %d, want 1", len(refs))
 	}
@@ -62,7 +62,7 @@ func TestReferenceDirectionality(t *testing.T) {
 	// Travels the right street but the wrong way (qj -> qi).
 	back := lineTraj("back", geo.Pt(400, 10), geo.Pt(300, 10), geo.Pt(200, 10), geo.Pt(100, 10), geo.Pt(0, 10))
 	a := NewArchive(g, []*traj.Trajectory{back})
-	refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 0})
+	refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 0})
 	if len(refs) != 0 {
 		t.Fatalf("reverse trajectory accepted as reference: %d", len(refs))
 	}
@@ -75,14 +75,14 @@ func TestReferenceSpeedFeasibility(t *testing.T) {
 	// Figure 3a).
 	detour := lineTraj("detour", geo.Pt(50, 10), geo.Pt(200, 500), geo.Pt(350, 10))
 	a := NewArchive(g, []*traj.Trajectory{detour})
-	if refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 0}); len(refs) != 0 {
+	if refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 0}); len(refs) != 0 {
 		t.Fatalf("speed-infeasible trajectory accepted: %d", len(refs))
 	}
 	// A milder detour through (200,300): 540+540=... d((200,300),(50,0)) =
 	// sqrt(150²+300²)=335, symmetric -> 670 < 900: accepted.
 	mild := lineTraj("mild", geo.Pt(50, 10), geo.Pt(200, 300), geo.Pt(350, 10))
 	a2 := NewArchive(g, []*traj.Trajectory{mild})
-	if refs := a2.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 0}); len(refs) != 1 {
+	if refs := References(a2, qi, qj, SearchParams{Phi: 60, SpliceEps: 0}); len(refs) != 1 {
 		t.Fatalf("feasible detour rejected: %d", len(refs))
 	}
 }
@@ -92,10 +92,10 @@ func TestPhiRadiusFiltering(t *testing.T) {
 	// Passes 80 m from qi: inside φ=100, outside φ=60 (like T3 in Fig. 3a).
 	far := lineTraj("far", geo.Pt(50, 80), geo.Pt(200, 80), geo.Pt(350, 80))
 	a := NewArchive(g, []*traj.Trajectory{far})
-	if refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 0}); len(refs) != 0 {
+	if refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 0}); len(refs) != 0 {
 		t.Fatal("φ=60 should exclude the 80 m-away trajectory")
 	}
-	if refs := a.References(qi, qj, SearchParams{Phi: 100, SpliceEps: 0}); len(refs) != 1 {
+	if refs := References(a, qi, qj, SearchParams{Phi: 100, SpliceEps: 0}); len(refs) != 1 {
 		t.Fatal("φ=100 should include the 80 m-away trajectory")
 	}
 }
@@ -108,10 +108,10 @@ func TestSplicedReference(t *testing.T) {
 	tb := lineTraj("tb", geo.Pt(210, 20), geo.Pt(280, 10), geo.Pt(350, 15))
 	a := NewArchive(g, []*traj.Trajectory{ta, tb})
 	// Without splicing: no references at all.
-	if refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 0}); len(refs) != 0 {
+	if refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 0}); len(refs) != 0 {
 		t.Fatal("no simple reference expected")
 	}
-	refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 50})
+	refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 50})
 	if len(refs) != 1 {
 		t.Fatalf("spliced references = %d, want 1", len(refs))
 	}
@@ -125,7 +125,7 @@ func TestSplicedReference(t *testing.T) {
 		t.Fatal("spliced reference endpoints out of φ")
 	}
 	// Too-small e rejects the splice.
-	if refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 5}); len(refs) != 0 {
+	if refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 5}); len(refs) != 0 {
 		t.Fatal("e=5 should reject the 20 m splice gap")
 	}
 }
@@ -151,7 +151,7 @@ func TestSplicedPlaneSweepDuplicateXAtWindowEdge(t *testing.T) {
 	upOK := lineTraj("upOK", geo.Pt(260, 10), geo.Pt(350, 30))
 	a := NewArchive(g, []*traj.Trajectory{ta, lowOK, lowFar, upOK})
 
-	refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 60})
+	refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 60})
 	if len(refs) != 2 {
 		t.Fatalf("spliced references = %d, want 2 (both exact-ε edge pairs): %+v",
 			len(refs), refs)
@@ -168,7 +168,7 @@ func TestSplicedPlaneSweepDuplicateXAtWindowEdge(t *testing.T) {
 	}
 	// Shrinking ε below the exact boundary distance drops both pairs: the
 	// two accepted splices really did sit on the window edge.
-	if refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 59.9}); len(refs) != 0 {
+	if refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 59.9}); len(refs) != 0 {
 		t.Fatalf("ε=59.9 should reject the exact-60 m pairs, got %d", len(refs))
 	}
 }
@@ -180,7 +180,7 @@ func TestSplicedPairMinimizesDistanceSum(t *testing.T) {
 	ta := lineTraj("ta", geo.Pt(40, 10), geo.Pt(150, 10), geo.Pt(250, 10))
 	tb := lineTraj("tb", geo.Pt(160, 15), geo.Pt(255, 15), geo.Pt(350, 12))
 	a := NewArchive(g, []*traj.Trajectory{ta, tb})
-	refs := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 30})
+	refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 30})
 	if len(refs) != 1 {
 		t.Fatalf("refs = %d", len(refs))
 	}
@@ -205,11 +205,11 @@ func TestMaxRefsKeepsNearest(t *testing.T) {
 		trs = append(trs, lineTraj("t", geo.Pt(40, 10+off), geo.Pt(200, 10+off), geo.Pt(350, 10+off)))
 	}
 	a := NewArchive(g, trs)
-	all := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 0})
+	all := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 0})
 	if len(all) != 6 {
 		t.Fatalf("all refs = %d", len(all))
 	}
-	capped := a.References(qi, qj, SearchParams{Phi: 60, SpliceEps: 0, MaxRefs: 3})
+	capped := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 0, MaxRefs: 3})
 	if len(capped) != 3 {
 		t.Fatalf("capped refs = %d", len(capped))
 	}
@@ -274,8 +274,8 @@ func TestReferencesOnSimulatedCity(t *testing.T) {
 	totalSmall, totalLarge := 0, 0
 	for i := 1; i < qc.Query.Len(); i++ {
 		qi, qj := qc.Query.Points[i-1], qc.Query.Points[i]
-		small := a.References(qi, qj, SearchParams{Phi: 200, SpliceEps: 100})
-		large := a.References(qi, qj, SearchParams{Phi: 600, SpliceEps: 100})
+		small := References(a, qi, qj, SearchParams{Phi: 200, SpliceEps: 100})
+		large := References(a, qi, qj, SearchParams{Phi: 600, SpliceEps: 100})
 		totalSmall += len(small)
 		totalLarge += len(large)
 	}
@@ -303,7 +303,7 @@ func BenchmarkReferenceSearch(b *testing.B) {
 	qi, qj := qc.Query.Points[0], qc.Query.Points[1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.References(qi, qj, DefaultSearchParams())
+		References(a, qi, qj, DefaultSearchParams())
 	}
 }
 

@@ -16,14 +16,14 @@ func TestVMaxOverride(t *testing.T) {
 	// (budget 900) but not at V_max=10 (budget 600).
 	mild := lineTraj("mild", geo.Pt(50, 10), geo.Pt(200, 300), geo.Pt(350, 10))
 	a := NewArchive(g, []*traj.Trajectory{mild})
-	if refs := a.References(qi, qj, SearchParams{Phi: 60}); len(refs) != 1 {
+	if refs := References(a, qi, qj, SearchParams{Phi: 60}); len(refs) != 1 {
 		t.Fatalf("default V_max: refs = %d", len(refs))
 	}
-	if refs := a.References(qi, qj, SearchParams{Phi: 60, VMax: 10}); len(refs) != 0 {
+	if refs := References(a, qi, qj, SearchParams{Phi: 60, VMax: 10}); len(refs) != 0 {
 		t.Fatalf("V_max=10: refs = %d, want 0", len(refs))
 	}
 	// Generous override keeps it.
-	if refs := a.References(qi, qj, SearchParams{Phi: 60, VMax: 30}); len(refs) != 1 {
+	if refs := References(a, qi, qj, SearchParams{Phi: 60, VMax: 30}); len(refs) != 1 {
 		t.Fatalf("V_max=30: refs = %d", len(refs))
 	}
 }
@@ -41,7 +41,7 @@ func TestSpliceGating(t *testing.T) {
 	}
 	a := NewArchive(g, trajs)
 	count := func(p SearchParams) (simple, spliced int) {
-		for _, r := range a.References(qi, qj, p) {
+		for _, r := range References(a, qi, qj, p) {
 			if r.Spliced {
 				spliced++
 			} else {
@@ -76,9 +76,9 @@ func TestReferencesDeterministic(t *testing.T) {
 	}
 	a := NewArchive(g, trajs)
 	p := SearchParams{Phi: 60, SpliceEps: 50, SpliceMinSimple: 100}
-	first := a.References(qi, qj, p)
+	first := References(a, qi, qj, p)
 	for round := 0; round < 5; round++ {
-		again := a.References(qi, qj, p)
+		again := References(a, qi, qj, p)
 		if len(again) != len(first) {
 			t.Fatalf("round %d: %d refs vs %d", round, len(again), len(first))
 		}

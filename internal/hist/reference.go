@@ -52,17 +52,6 @@ type Reference struct {
 	OffA, LenA, OffB int32
 }
 
-// SourceIDs returns the archive trajectory indices backing this reference:
-// one for a simple reference, two for a spliced one. These ids identify
-// references across query pairs for the transition-confidence function
-// (Equation 2).
-func (r Reference) SourceIDs() []int {
-	if r.SourceB >= 0 {
-		return []int{int(r.SourceA), int(r.SourceB)}
-	}
-	return []int{int(r.SourceA)}
-}
-
 // SearchParams controls the reference search.
 type SearchParams struct {
 	Phi       float64 // search radius φ around q_i and q_{i+1}
@@ -104,17 +93,6 @@ func References(v View, qi, qj traj.GPSPoint, p SearchParams) []Reference {
 // ctx.Err() whether to use or discard them.
 func ReferencesCtx(ctx context.Context, v View, qi, qj traj.GPSPoint, p SearchParams) []Reference {
 	return references(v, qi, qj, p, ctx.Done())
-}
-
-// References is the snapshot-method form of the package-level References.
-func (s *Snapshot) References(qi, qj traj.GPSPoint, p SearchParams) []Reference {
-	return references(s, qi, qj, p, nil)
-}
-
-// ReferencesCtx is the snapshot-method form of the package-level
-// ReferencesCtx.
-func (s *Snapshot) ReferencesCtx(ctx context.Context, qi, qj traj.GPSPoint, p SearchParams) []Reference {
-	return references(s, qi, qj, p, ctx.Done())
 }
 
 func references(v View, qi, qj traj.GPSPoint, p SearchParams, done <-chan struct{}) []Reference {

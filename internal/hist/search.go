@@ -82,11 +82,6 @@ func BestConnecting(v View, points []geo.Point, k int, decay float64) []Ranked {
 	return ranked
 }
 
-// BestConnecting is the snapshot-method form of the package-level function.
-func (s *Snapshot) BestConnecting(points []geo.Point, k int, decay float64) []Ranked {
-	return BestConnecting(s, points, k, decay)
-}
-
 // SimilarityMeasure scores a candidate archive trajectory against a query
 // (higher = more similar), as used by SimilarTrajectories.
 type SimilarityMeasure func(query, candidate *traj.Trajectory) float64
@@ -128,10 +123,4 @@ func SimilarTrajectories(v View, q *traj.Trajectory, k int, radius float64, m Si
 		ranked = ranked[:k]
 	}
 	return ranked
-}
-
-// SimilarTrajectories is the snapshot-method form of the package-level
-// function.
-func (s *Snapshot) SimilarTrajectories(q *traj.Trajectory, k int, radius float64, m SimilarityMeasure) []Ranked {
-	return SimilarTrajectories(s, q, k, radius, m)
 }

@@ -26,7 +26,7 @@ func searchWorld() (*Archive, []*traj.Trajectory) {
 func TestBestConnecting(t *testing.T) {
 	a, _ := searchWorld()
 	points := []geo.Point{geo.Pt(10, 0), geo.Pt(300, 0), geo.Pt(440, 0)}
-	got := a.BestConnecting(points, 3, 100)
+	got := BestConnecting(a, points, 3, 100)
 	if len(got) < 2 {
 		t.Fatalf("results = %d", len(got))
 	}
@@ -46,10 +46,10 @@ func TestBestConnecting(t *testing.T) {
 		}
 	}
 	// Degenerate inputs.
-	if a.BestConnecting(nil, 3, 100) != nil {
+	if BestConnecting(a, nil, 3, 100) != nil {
 		t.Fatal("nil points")
 	}
-	if a.BestConnecting(points, 0, 100) != nil {
+	if BestConnecting(a, points, 0, 100) != nil {
 		t.Fatal("k=0")
 	}
 }
@@ -57,7 +57,7 @@ func TestBestConnecting(t *testing.T) {
 func TestBestConnectingPartialCoverage(t *testing.T) {
 	a, _ := searchWorld()
 	points := []geo.Point{geo.Pt(10, 0), geo.Pt(300, 0), geo.Pt(440, 0)}
-	got := a.BestConnecting(points, 4, 100)
+	got := BestConnecting(a, points, 4, 100)
 	// t2 touches one point: present but behind t0/t1 (three points each).
 	foundT2 := false
 	for i, r := range got {
@@ -77,7 +77,7 @@ func TestSimilarTrajectoriesLCSS(t *testing.T) {
 	a, trajs := searchWorld()
 	q := trajs[0].Clone()
 	q.ID = "query"
-	got := a.SimilarTrajectories(q, 2, 200, LCSSMeasure(30))
+	got := SimilarTrajectories(a, q, 2, 200, LCSSMeasure(30))
 	if len(got) != 2 {
 		t.Fatalf("results = %d", len(got))
 	}
@@ -91,7 +91,7 @@ func TestSimilarTrajectoriesLCSS(t *testing.T) {
 
 func TestSimilarTrajectoriesDTW(t *testing.T) {
 	a, trajs := searchWorld()
-	got := a.SimilarTrajectories(trajs[1], 3, 500, DTWMeasure())
+	got := SimilarTrajectories(a, trajs[1], 3, 500, DTWMeasure())
 	if len(got) == 0 || got[0].Traj != 1 {
 		t.Fatalf("DTW top = %+v", got)
 	}
@@ -99,7 +99,7 @@ func TestSimilarTrajectoriesDTW(t *testing.T) {
 	if got[0].Score != 0 {
 		t.Fatalf("self DTW score = %v", got[0].Score)
 	}
-	if a.SimilarTrajectories(&traj.Trajectory{}, 2, 100, DTWMeasure()) != nil {
+	if SimilarTrajectories(a, &traj.Trajectory{}, 2, 100, DTWMeasure()) != nil {
 		t.Fatal("empty query")
 	}
 }

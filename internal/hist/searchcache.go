@@ -42,7 +42,6 @@ type searchKey struct {
 // read-only. Snapshots are immutable, so entries for a given epoch never
 // go stale within that epoch.
 type SearchCache struct {
-	src Source
 	max int
 
 	hits, misses, resets, invalidations atomic.Uint64
@@ -56,38 +55,25 @@ type SearchCache struct {
 // (query pair, params) combination.
 const DefaultSearchCacheSize = 1 << 14
 
-// NewSearchCache wraps src with a memo holding at most max entries
-// (max <= 0 uses DefaultSearchCacheSize). On overflow the memo resets
-// wholesale, like roadnet.CandidateCache.
-func NewSearchCache(src Source, max int) *SearchCache {
+// NewSearchCache builds a memo holding at most max entries (max <= 0 uses
+// DefaultSearchCacheSize). On overflow the memo resets wholesale — the
+// workload is read-heavy with a stable working set, so a rare full reset
+// beats per-entry eviction bookkeeping.
+func NewSearchCache(max int) *SearchCache {
 	if max <= 0 {
 		max = DefaultSearchCacheSize
 	}
-	return &SearchCache{src: src, max: max, m: make(map[searchKey][]Reference)}
+	return &SearchCache{max: max, m: make(map[searchKey][]Reference)}
 }
 
-// Archive returns the current archive generation.
-func (c *SearchCache) Archive() View { return c.src.Current() }
-
-// References returns References(qi, qj, p) against the current generation,
-// memoized. Safe for concurrent use; the result must not be modified.
-func (c *SearchCache) References(qi, qj traj.GPSPoint, p SearchParams) []Reference {
-	return c.ReferencesOn(context.Background(), c.src.Current(), qi, qj, p)
-}
-
-// ReferencesCtx is References with cancellation checkpoints. A search cut
-// short by cancellation returns its partial result but is never memoized —
-// the cache must only ever serve complete answers.
-func (c *SearchCache) ReferencesCtx(ctx context.Context, qi, qj traj.GPSPoint, p SearchParams) []Reference {
-	return c.ReferencesOn(ctx, c.src.Current(), qi, qj, p)
-}
-
-// ReferencesOn answers against a caller-pinned view v — the form the
-// engine uses so that one inference call sees a single archive generation
-// even while the underlying Store keeps publishing new ones. Results are
-// memoized under v's epoch.
+// ReferencesOn returns ReferencesCtx(ctx, v, qi, qj, p), memoized under v's
+// epoch. The caller pins v, so that one inference call sees a single
+// archive generation even while the underlying Store keeps publishing new
+// ones. Safe for concurrent use; the result must not be modified. A search
+// cut short by cancellation returns its partial result but is never
+// memoized — the cache must only ever serve complete answers.
 func (c *SearchCache) ReferencesOn(ctx context.Context, v View, qi, qj traj.GPSPoint, p SearchParams) []Reference {
-	ep, fp := epochKey(v)
+	ep, fp := EpochKey(v)
 	k := searchKey{epoch: ep, fp: fp, qi: qi, qj: qj, p: p}
 	c.mu.RLock()
 	val, ok := c.m[k]

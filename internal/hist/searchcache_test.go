@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -8,16 +9,22 @@ import (
 	"repro/internal/traj"
 )
 
+// cachedRefs asks the memo against src's current generation — what an
+// engine does once per inference call.
+func cachedRefs(c *SearchCache, src Source, qi, qj traj.GPSPoint, p SearchParams) []Reference {
+	return c.ReferencesOn(context.Background(), src.Current(), qi, qj, p)
+}
+
 func TestSearchCacheMatchesDirect(t *testing.T) {
 	g, qi, qj := refWorld()
 	t1 := lineTraj("t1", geo.Pt(0, 10), geo.Pt(100, 10), geo.Pt(200, 10), geo.Pt(300, 10), geo.Pt(400, 10))
 	t2 := lineTraj("t2", geo.Pt(40, 20), geo.Pt(40, 200), geo.Pt(40, 400))
 	a := NewArchive(g, []*traj.Trajectory{t1, t2})
-	c := NewSearchCache(a, 0)
+	c := NewSearchCache(0)
 	sp := SearchParams{Phi: 60, SpliceEps: 0}
 
-	want := a.References(qi, qj, sp)
-	got := c.References(qi, qj, sp)
+	want := References(a, qi, qj, sp)
+	got := cachedRefs(c, a, qi, qj, sp)
 	if len(got) != len(want) {
 		t.Fatalf("memoized references = %d, direct = %d", len(got), len(want))
 	}
@@ -27,7 +34,7 @@ func TestSearchCacheMatchesDirect(t *testing.T) {
 			t.Fatalf("reference %d differs: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-	again := c.References(qi, qj, sp)
+	again := cachedRefs(c, a, qi, qj, sp)
 	if len(again) > 0 && &again[0] != &got[0] {
 		t.Fatal("repeat lookup rebuilt the reference slice")
 	}
@@ -40,15 +47,15 @@ func TestSearchCacheKeysOnParams(t *testing.T) {
 	g, qi, qj := refWorld()
 	t1 := lineTraj("t1", geo.Pt(0, 10), geo.Pt(100, 10), geo.Pt(200, 10), geo.Pt(300, 10), geo.Pt(400, 10))
 	a := NewArchive(g, []*traj.Trajectory{t1})
-	c := NewSearchCache(a, 0)
-	if n := len(c.References(qi, qj, SearchParams{Phi: 60})); n != 1 {
+	c := NewSearchCache(0)
+	if n := len(cachedRefs(c, a, qi, qj, SearchParams{Phi: 60})); n != 1 {
 		t.Fatalf("phi=60: %d references", n)
 	}
-	if n := len(c.References(qi, qj, SearchParams{Phi: 1})); n != 0 {
+	if n := len(cachedRefs(c, a, qi, qj, SearchParams{Phi: 1})); n != 0 {
 		t.Fatal("phi=1 hit the phi=60 entry")
 	}
 	// Swapped pair is a distinct key (and finds nothing: wrong direction).
-	if n := len(c.References(qj, qi, SearchParams{Phi: 60})); n != 0 {
+	if n := len(cachedRefs(c, a, qj, qi, SearchParams{Phi: 60})); n != 0 {
 		t.Fatal("reversed pair hit the forward entry")
 	}
 	if c.Len() != 3 {
@@ -60,7 +67,7 @@ func TestSearchCacheConcurrent(t *testing.T) {
 	g, qi, qj := refWorld()
 	t1 := lineTraj("t1", geo.Pt(0, 10), geo.Pt(100, 10), geo.Pt(200, 10), geo.Pt(300, 10), geo.Pt(400, 10))
 	a := NewArchive(g, []*traj.Trajectory{t1})
-	c := NewSearchCache(a, 4) // tiny bound: exercise resets
+	c := NewSearchCache(4) // tiny bound: exercise resets
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -68,7 +75,7 @@ func TestSearchCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				phi := 40 + float64((seed+i)%8)*10
-				refs := c.References(qi, qj, SearchParams{Phi: phi})
+				refs := cachedRefs(c, a, qi, qj, SearchParams{Phi: phi})
 				for _, r := range refs {
 					if len(r.Points) == 0 {
 						t.Error("memoized reference lost its points")
@@ -89,11 +96,11 @@ func TestSearchCacheStaleEpochNotMemoized(t *testing.T) {
 	st := NewStore(g, nil, StoreConfig{})
 	st.IngestTrips(storeTrips()[:3]...)
 	old := st.Current() // pin epoch 1
-	c := NewSearchCache(st, 0)
+	c := NewSearchCache(0)
 	sp := SearchParams{Phi: 60, SpliceEps: 50}
 
 	st.IngestTrips(storeTrips()[3:]...)
-	c.References(qi, qj, sp) // observe epoch 2
+	cachedRefs(c, st, qi, qj, sp) // observe epoch 2
 	if c.Len() != 1 {
 		t.Fatalf("memo holds %d entries, want 1", c.Len())
 	}
@@ -126,12 +133,12 @@ func TestSearchCacheResetCounter(t *testing.T) {
 	t1 := lineTraj("t1", geo.Pt(0, 10), geo.Pt(200, 10), geo.Pt(400, 10))
 	a := NewArchive(g, []*traj.Trajectory{t1})
 	const max = 4
-	c := NewSearchCache(a, max)
+	c := NewSearchCache(max)
 	sp := DefaultSearchParams()
 	for i := 0; i < 40; i++ {
 		qi := traj.GPSPoint{Pt: geo.Pt(float64(i)*11, float64(i)*3), T: 0}
 		qj := traj.GPSPoint{Pt: geo.Pt(float64(i)*11+200, float64(i)*3+50), T: 300}
-		c.References(qi, qj, sp)
+		cachedRefs(c, a, qi, qj, sp)
 		if n := c.Len(); n > max {
 			t.Fatalf("Len = %d exceeds max %d", n, max)
 		}

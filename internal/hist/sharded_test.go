@@ -130,11 +130,11 @@ func TestShardedStoreMatchesStoreSearch(t *testing.T) {
 	trips := storeTrips()
 	arch := NewArchive(g, trips)
 	sp := SearchParams{Phi: 60, SpliceEps: 50}
-	want := arch.References(qi, qj, sp)
+	want := References(arch, qi, qj, sp)
 	if len(want) == 0 {
 		t.Fatal("fixture yields no references")
 	}
-	wantBC := arch.BestConnecting([]geo.Point{qi.Pt, qj.Pt}, 3, 100)
+	wantBC := BestConnecting(arch, []geo.Point{qi.Pt, qj.Pt}, 3, 100)
 
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 4, 9} {
@@ -241,10 +241,10 @@ func TestShardedEpochFingerprint(t *testing.T) {
 	if s0.EpochFingerprint() == s1.EpochFingerprint() || s1.EpochFingerprint() == s2.EpochFingerprint() {
 		t.Fatal("fingerprint did not change across single-shard ingests")
 	}
-	if ep, fp := epochKey(s2); ep != s2.Epoch() || fp != s2.EpochFingerprint() {
+	if ep, fp := EpochKey(s2); ep != s2.Epoch() || fp != s2.EpochFingerprint() {
 		t.Fatalf("epochKey = (%d,%x)", ep, fp)
 	}
-	if _, fp := epochKey(NewArchive(g, nil)); fp != 0 {
+	if _, fp := EpochKey(NewArchive(g, nil)); fp != 0 {
 		t.Fatalf("plain snapshot fingerprint = %x, want 0", fp)
 	}
 }
@@ -258,10 +258,10 @@ func TestShardedSearchCacheComposite(t *testing.T) {
 	st := NewShardedStore(g, nil, ShardedConfig{Shards: 4, Halo: 60})
 	st.IngestTrips(storeTrips()[:3]...)
 	old := st.Current()
-	c := NewSearchCache(st, 0)
+	c := NewSearchCache(0)
 	sp := SearchParams{Phi: 60, SpliceEps: 50}
 
-	c.References(qi, qj, sp)
+	cachedRefs(c, st, qi, qj, sp)
 	if c.Len() != 1 {
 		t.Fatalf("memo holds %d entries, want 1", c.Len())
 	}
@@ -269,7 +269,7 @@ func TestShardedSearchCacheComposite(t *testing.T) {
 	// moves, but the composite generation — and thus the cache key — must
 	// change anyway.
 	st.IngestTrips(lineTraj("far", geo.Pt(590, 390), geo.Pt(580, 380)))
-	c.References(qi, qj, sp)
+	cachedRefs(c, st, qi, qj, sp)
 	if _, m := c.Stats(); m != 2 {
 		t.Fatalf("misses = %d, want 2 (stale generation must not hit)", m)
 	}

@@ -90,11 +90,11 @@ func TestStoreMatchesArchive(t *testing.T) {
 	trips := storeTrips()
 	arch := NewArchive(g, trips)
 	sp := SearchParams{Phi: 60, SpliceEps: 50}
-	want := arch.References(qi, qj, sp)
+	want := References(arch, qi, qj, sp)
 	if len(want) == 0 {
 		t.Fatal("fixture yields no references")
 	}
-	wantBC := arch.BestConnecting([]geo.Point{qi.Pt, qj.Pt}, 3, 100)
+	wantBC := BestConnecting(arch, []geo.Point{qi.Pt, qj.Pt}, 3, 100)
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
@@ -224,20 +224,20 @@ func TestSearchCacheEpochInvalidation(t *testing.T) {
 	g, qi, qj := refWorld()
 	st := NewStore(g, nil, StoreConfig{})
 	st.IngestTrips(storeTrips()[:3]...)
-	c := NewSearchCache(st, 0)
+	c := NewSearchCache(0)
 	sp := SearchParams{Phi: 60, SpliceEps: 50}
 
-	before := c.References(qi, qj, sp)
+	before := cachedRefs(c, st, qi, qj, sp)
 	if h, m := c.Stats(); h != 0 || m != 1 {
 		t.Fatalf("stats after first call: %d/%d", h, m)
 	}
-	c.References(qi, qj, sp)
+	cachedRefs(c, st, qi, qj, sp)
 	if h, _ := c.Stats(); h != 1 {
 		t.Fatal("repeat within epoch did not hit")
 	}
 
 	st.IngestTrips(storeTrips()[3:]...)
-	after := c.References(qi, qj, sp)
+	after := cachedRefs(c, st, qi, qj, sp)
 	if h, m := c.Stats(); h != 1 || m != 2 {
 		t.Fatalf("stats after ingest: %d/%d (stale memo served?)", h, m)
 	}
@@ -248,7 +248,7 @@ func TestSearchCacheEpochInvalidation(t *testing.T) {
 		// The extra trips add references for this pair in the fixture.
 		t.Fatal("post-ingest answer identical to stale answer")
 	}
-	c.References(qi, qj, sp)
+	cachedRefs(c, st, qi, qj, sp)
 	if h, _ := c.Stats(); h != 2 {
 		t.Fatal("repeat in new epoch did not hit")
 	}
@@ -259,7 +259,7 @@ func TestSearchCacheEpochInvalidation(t *testing.T) {
 func TestStoreConcurrentIngestAndSearch(t *testing.T) {
 	g, qi, qj := refWorld()
 	st := NewStore(g, nil, StoreConfig{CompactSegments: 2})
-	c := NewSearchCache(st, 0)
+	c := NewSearchCache(0)
 	trips := storeTrips()
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -280,14 +280,13 @@ func TestStoreConcurrentIngestAndSearch(t *testing.T) {
 				n := snap.NumTrajs()
 				refs := References(snap, qi, qj, SearchParams{Phi: 60, SpliceEps: 50})
 				for _, ref := range refs {
-					for _, id := range ref.SourceIDs() {
-						if id < 0 || id >= n {
-							t.Errorf("reference source %d out of range %d", id, n)
-							return
-						}
+					// SourceB is -1 for a simple reference.
+					if ref.SourceA < 0 || int(ref.SourceA) >= n || int(ref.SourceB) >= n {
+						t.Errorf("reference sources %d/%d out of range %d", ref.SourceA, ref.SourceB, n)
+						return
 					}
 				}
-				c.ReferencesCtx(t.Context(), qi, qj, SearchParams{Phi: 60, SpliceEps: 50})
+				c.ReferencesOn(t.Context(), st.Current(), qi, qj, SearchParams{Phi: 60, SpliceEps: 50})
 			}
 		}()
 	}
@@ -371,7 +370,7 @@ func TestStoreConcurrentCompaction(t *testing.T) {
 func TestBestConnectingEmptyArchive(t *testing.T) {
 	g, qi, qj := refWorld()
 	empty := NewArchive(g, nil)
-	if got := empty.BestConnecting([]geo.Point{qi.Pt, qj.Pt}, 3, 100); got != nil {
+	if got := BestConnecting(empty, []geo.Point{qi.Pt, qj.Pt}, 3, 100); got != nil {
 		t.Fatalf("empty archive BestConnecting = %v, want nil", got)
 	}
 	if got := BestConnecting(NewStore(g, nil, StoreConfig{}).Current(), []geo.Point{qi.Pt}, 1, 100); got != nil {
@@ -386,11 +385,11 @@ func TestSimilarTrajectoriesNegativeRadius(t *testing.T) {
 	trips := storeTrips()
 	a := NewArchive(g, trips)
 	q := lineTraj("q", geo.Pt(0, 10), geo.Pt(100, 10), geo.Pt(200, 10))
-	if got := a.SimilarTrajectories(q, 3, -1, LCSSMeasure(100)); got != nil {
+	if got := SimilarTrajectories(a, q, 3, -1, LCSSMeasure(100)); got != nil {
 		t.Fatalf("negative radius returned %v, want nil", got)
 	}
 	// Sanity: a zero radius is still a valid (tight) search box.
-	if got := a.SimilarTrajectories(q, 3, 0, LCSSMeasure(100)); len(got) == 0 {
+	if got := SimilarTrajectories(a, q, 3, 0, LCSSMeasure(100)); len(got) == 0 {
 		t.Fatal("zero radius should still consider on-box trajectories")
 	}
 }

@@ -62,10 +62,10 @@ type Fingerprinted interface {
 	EpochFingerprint() uint64
 }
 
-// epochKey returns the (scalar epoch, composite fingerprint) pair that
-// identifies v's generation in epoch-tagged caches. Single-snapshot views
-// have fingerprint 0.
-func epochKey(v View) (uint64, uint64) {
+// EpochKey returns the (scalar epoch, composite fingerprint) pair that
+// identifies v's generation in epoch-tagged caches (the SearchCache, the
+// core.Gate's flight keys). Single-snapshot views have fingerprint 0.
+func EpochKey(v View) (uint64, uint64) {
 	if f, ok := v.(Fingerprinted); ok {
 		return v.Epoch(), f.EpochFingerprint()
 	}

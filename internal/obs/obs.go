@@ -22,8 +22,8 @@ const (
 	// query pair (served through hist.SearchCache).
 	StageReferenceSearch = "reference_search"
 	// StageCandidateSearch is the pair-context assembly: the candidate-edge
-	// lookups (Definition 5, served through roadnet.CandidateCache) of every
-	// reference point of one pair.
+	// support (Definition 5, read off the per-trajectory match tables) of
+	// every reference point of one pair.
 	StageCandidateSearch = "candidate_search"
 	// StageConnectionCulling is TGI's traverse-graph connectivity work:
 	// strong-connectivity augmentation plus transitive link reduction.
@@ -35,7 +35,7 @@ const (
 	// StageKGRI is the global K-GRI dynamic program plus route trimming —
 	// the serial tail joining the per-pair results (§III-C).
 	StageKGRI = "kgri_global"
-	// StageBatch is one whole InferBatch invocation, wall clock.
+	// StageBatch is one whole InferBatchCtx invocation, wall clock.
 	StageBatch = "batch"
 )
 

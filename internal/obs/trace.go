@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -21,9 +22,10 @@ type Span struct {
 	N     int           `json:"n"`
 }
 
-// Trace is the per-query record of Engine.InferRoutesTraced: one span per
-// pipeline-stage occurrence. Spans are appended concurrently by the
-// per-pair workers; Finish freezes the trace and sorts spans by start time.
+// Trace is the per-query record an inference call fills when its context
+// carries one (WithTrace): one span per pipeline-stage occurrence. Spans are
+// appended concurrently by the per-pair workers; Finish freezes the trace
+// and sorts spans by start time.
 // All methods are nil-safe no-ops on a nil receiver.
 type Trace struct {
 	t0 time.Time
@@ -35,6 +37,21 @@ type Trace struct {
 
 // StartTrace begins a trace; its spans' Start offsets are relative to now.
 func StartTrace() *Trace { return &Trace{t0: time.Now()} }
+
+type traceKey struct{}
+
+// WithTrace returns a context that carries t: any inference run under it
+// records its stage spans into t. The caller starts the trace, and calls
+// Finish once the inference has returned.
+func WithTrace(ctx context.Context, t *Trace) context.Context {
+	return context.WithValue(ctx, traceKey{}, t)
+}
+
+// TraceFrom returns the trace ctx carries, nil when it carries none.
+func TraceFrom(ctx context.Context) *Trace {
+	t, _ := ctx.Value(traceKey{}).(*Trace)
+	return t
+}
 
 // Add records one span. t0 is the stage's wall-clock start.
 func (t *Trace) Add(stage string, pair int, t0 time.Time, d time.Duration, n int) {

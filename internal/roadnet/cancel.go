@@ -6,13 +6,14 @@ import (
 	"repro/internal/graphalg"
 )
 
-// Context-aware variants of the network operations whose cost is unbounded
-// in the worst case (shortest paths, λ-neighborhoods, Yen's K-shortest
-// routes). Each delegates to the graphalg checkpointed search; the plain
-// methods remain the uncancellable fast path (no channel polls, no clock
-// reads). A cancelled search reports "not found" / partial coverage — the
-// caller distinguishes cancellation from genuine unreachability via
-// ctx.Err().
+// Context-aware forms of the network operations whose cost is unbounded in
+// the worst case (shortest paths, λ-neighborhoods, Yen's K-shortest
+// routes). Each delegates to the graphalg checkpointed search. The path and
+// neighborhood bodies live here once; their plain namesakes in roadnet.go
+// call them with context.Background(), whose Done channel is nil — the
+// checkpoints are then a nil comparison, no channel polls, no clock reads.
+// A cancelled search reports "not found" / partial coverage — the caller
+// distinguishes cancellation from genuine unreachability via ctx.Err().
 
 // VertexDistancesCtx is VertexDistances with cancellation checkpoints;
 // vertices not settled before cancellation stay +Inf.

@@ -8,6 +8,7 @@
 package roadnet
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -276,14 +277,7 @@ func (g *Graph) VertexDistances(src VertexID) []float64 {
 // contraction-hierarchy search by default, or A* with the straight-line
 // lower bound in AccelDijkstra mode (both exact).
 func (g *Graph) VertexPath(u, v VertexID) ([]VertexID, float64, bool) {
-	if u < 0 || u >= len(g.Vertices) || v < 0 || v >= len(g.Vertices) {
-		return nil, 0, false
-	}
-	p, ok := g.Oracle().PathTo(u, v)
-	if !ok {
-		return nil, 0, false
-	}
-	return p.Vertices, p.Weight, true
+	return g.VertexPathCtx(context.Background(), u, v)
 }
 
 // edgeFor returns the shortest segment from u to v, or NoEdge.
@@ -297,19 +291,7 @@ func (g *Graph) edgeFor(u, v VertexID) EdgeID {
 // EdgePathBetweenVertices returns the shortest route (as segment ids) from
 // vertex u to vertex v.
 func (g *Graph) EdgePathBetweenVertices(u, v VertexID) (Route, float64, bool) {
-	vs, w, ok := g.VertexPath(u, v)
-	if !ok {
-		return nil, 0, false
-	}
-	route := make(Route, 0, len(vs)-1)
-	for i := 1; i < len(vs); i++ {
-		e := g.edgeFor(vs[i-1], vs[i])
-		if e == NoEdge {
-			return nil, 0, false
-		}
-		route = append(route, e)
-	}
-	return route, w, true
+	return g.EdgePathBetweenVerticesCtx(context.Background(), u, v)
 }
 
 // NetworkDistance returns the driving distance from location a to location
@@ -330,17 +312,7 @@ func (g *Graph) NetworkDistance(a, b Location) float64 {
 // PathBetweenLocations returns the route from a to b including both end
 // segments, and the driving distance.
 func (g *Graph) PathBetweenLocations(a, b Location) (Route, float64, bool) {
-	if a.Edge == b.Edge && b.Offset >= a.Offset {
-		return Route{a.Edge}, b.Offset - a.Offset, true
-	}
-	sa, sb := g.Seg(a.Edge), g.Seg(b.Edge)
-	mid, w, ok := g.EdgePathBetweenVertices(sa.To, sb.From)
-	if !ok {
-		return nil, 0, false
-	}
-	route := append(Route{a.Edge}, mid...)
-	route = append(route, b.Edge)
-	return route.Dedup(), sa.Length - a.Offset + w + b.Offset, true
+	return g.PathBetweenLocationsCtx(context.Background(), a, b)
 }
 
 // EdgeHops returns h(r, s) for every segment s: the minimum number of
@@ -354,14 +326,7 @@ func (g *Graph) EdgeHops(r EdgeID, maxHops int) []int {
 // Neighborhood returns N_λ(r) (Definition 8): every segment s ≠ r with
 // h(r, s) < lambda, together with its hop count.
 func (g *Graph) Neighborhood(r EdgeID, lambda int) map[EdgeID]int {
-	hops := g.EdgeHops(r, lambda-1)
-	out := make(map[EdgeID]int)
-	for s, h := range hops {
-		if s != r && h > 0 && h < lambda {
-			out[EdgeID(s)] = h
-		}
-	}
-	return out
+	return g.NeighborhoodCtx(context.Background(), r, lambda)
 }
 
 // EdgeGraph exposes the edge-adjacency hop graph (segment ids as vertices).

@@ -37,10 +37,11 @@ go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Segment|Manifest'
 go vet -C bench ./...
 go test -C bench -timeout 300s ./...
 
-# Determinism: the Yen equal-weight tie-break and the K-GRI oracle suites
-# must give identical verdicts run-to-run (-count=2 defeats test caching and
-# runs each twice in one binary).
-go test -timeout 120s -count=2 -run 'Yen|KGRI' ./internal/graphalg/ ./internal/core/
+# Determinism: the Yen equal-weight tie-break, the K-GRI oracle suites and
+# the three golden digests (InferRoutes, network-free, PairLocalRoutes) must
+# give identical verdicts run-to-run (-count=2 defeats test caching and runs
+# each twice in one binary, the second time on warm pools and memos).
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden' ./internal/graphalg/ ./internal/core/
 
 # Bench smoke: the acceleration-layer benchmarks (end-to-end HRIS query,
 # ST-Matching, CH build — each in both oracle modes where applicable), the
