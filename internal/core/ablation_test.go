@@ -6,7 +6,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/hist"
 	"repro/internal/roadnet"
-	"repro/internal/traj"
 )
 
 func TestAblateEntropyScoring(t *testing.T) {
@@ -130,37 +129,36 @@ func TestMergeRoutesOverlapSplice(t *testing.T) {
 }
 
 func TestFilterByTimeOfDay(t *testing.T) {
-	mk := func(t0 float64) hist.Reference {
-		return hist.Reference{Points: []traj.GPSPoint{{T: t0}}}
-	}
-	refs := []hist.Reference{
-		mk(8 * 3600),         // 08:00
-		mk(9 * 3600),         // 09:00
-		mk(20 * 3600),        // 20:00
-		mk(86400 + 7.5*3600), // next day 07:30 — wraps to the same window
-	}
+	v, refs := refsAt(
+		8*3600,         // 08:00
+		9*3600,         // 09:00
+		20*3600,        // 20:00
+		86400+7.5*3600, // next day 07:30 — wraps to the same window
+		0.5*3600,       // 00:30
+	)
+	refs, halfPastMidnight := refs[:4], refs[4:]
 	// Query at 08:30 with a 2 h window: keeps 08:00, 09:00 and the wrapped
 	// 07:30; drops 20:00.
-	kept := filterByTimeOfDay(refs, 8.5*3600, 2*3600)
+	kept := filterByTimeOfDay(v, refs, 8.5*3600, 2*3600)
 	if len(kept) != 3 {
 		t.Fatalf("kept %d refs, want 3", len(kept))
 	}
 	for _, r := range kept {
-		if r.Points[0].T == 20*3600 {
+		if refPoints(v, r)[0].T == 20*3600 {
 			t.Fatal("evening reference survived a morning filter")
 		}
 	}
 	// Midnight wrap in the other direction: query at 23:30, ref at 00:30.
-	wrap := filterByTimeOfDay([]hist.Reference{mk(0.5 * 3600)}, 23.5*3600, 2*3600)
+	wrap := filterByTimeOfDay(v, halfPastMidnight, 23.5*3600, 2*3600)
 	if len(wrap) != 1 {
 		t.Fatal("circular time distance not handled")
 	}
 	// window <= 0 keeps everything.
-	if got := filterByTimeOfDay(refs, 0, 0); len(got) != len(refs) {
+	if got := filterByTimeOfDay(v, refs, 0, 0); len(got) != len(refs) {
 		t.Fatal("zero window should be a no-op")
 	}
 	// Empty references dropped.
-	if got := filterByTimeOfDay([]hist.Reference{{}}, 0, 3600); len(got) != 0 {
+	if got := filterByTimeOfDay(v, []hist.Reference{{}}, 0, 3600); len(got) != 0 {
 		t.Fatal("empty reference kept")
 	}
 }

@@ -269,7 +269,7 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 	// contribute nothing to any count.
 	idBuf, npoints := sc.idBuf[:0], 0
 	for _, r := range refs {
-		npoints += len(r.Points)
+		npoints += int(r.LenA + r.LenB)
 		idBuf = append(idBuf, r.SourceA)
 		if r.SourceB >= 0 {
 			idBuf = append(idBuf, r.SourceB)
@@ -314,18 +314,22 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 			tb = tables.get(x.snap.Traj(int(r.SourceB)), x.p.CandEps)
 		}
 		sc.srcIdx = srcIdx
-		n, lenA := len(r.Points), int(r.LenA)
+		// Read in place, at the positions the match tables are indexed by.
+		runA, runB := r.Runs(x.snap)
+		lenA, n := len(runA), len(runA)+len(runB)
 		var junction float64
 		if lenA < n {
-			junction = r.Points[lenA-1].Pt.Heading(r.Points[lenA].Pt)
+			junction = runA[lenA-1].Pt.Heading(runB[0].Pt)
 		}
-		for j, p := range r.Points {
-			points = append(points, refPoint{pt: p.Pt})
-			box = box.ExtendPoint(p.Pt)
-			t, k := ta, int(r.OffA)+j
-			if j >= lenA {
-				t, k = tb, int(r.OffB)+j-lenA
+		for j := 0; j < n; j++ {
+			t, k, pt := ta, int(r.OffA)+j, geo.Point{}
+			if j < lenA {
+				pt = runA[j].Pt
+			} else {
+				t, k, pt = tb, int(r.OffB)+j-lenA, runB[j-lenA].Pt
 			}
+			points = append(points, refPoint{pt: pt})
+			box = box.ExtendPoint(pt)
 			// The heading at j runs between points next-1 and next: toward
 			// the next sample, or from the previous one at the tail.
 			mask, atJunction := int32(matchDep), false

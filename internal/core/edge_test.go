@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -9,40 +10,53 @@ import (
 	"repro/internal/traj"
 )
 
-func refAt(startT float64) hist.Reference {
-	return hist.Reference{Points: []traj.GPSPoint{
-		{Pt: geo.Pt(0, 0), T: startT},
-		{Pt: geo.Pt(100, 0), T: startT + 30},
-	}}
+// refsAt builds an archive of one two-point trajectory per start time, and
+// the whole-trajectory reference to each.
+func refsAt(startT ...float64) (hist.View, []hist.Reference) {
+	var trajs []*traj.Trajectory
+	var refs []hist.Reference
+	for i, t0 := range startT {
+		trajs = append(trajs, &traj.Trajectory{Points: []traj.GPSPoint{
+			{Pt: geo.Pt(0, 0), T: t0},
+			{Pt: geo.Pt(100, 0), T: t0 + 30},
+		}})
+		refs = append(refs, hist.Reference{SourceA: int32(i), LenA: 2, SourceB: -1})
+	}
+	return hist.NewArchive(nil, trajs), refs
+}
+
+// refPoints materializes a reference's points: its two runs, concatenated.
+func refPoints(v hist.View, r hist.Reference) []traj.GPSPoint {
+	return slices.Concat(r.Runs(v))
 }
 
 // TestFilterByTimeOfDayMidnightWrap: the time-of-day distance is circular,
 // so a 23:50 query matches a 00:10 reference (20 minutes apart across
 // midnight), not 23h40m apart.
 func TestFilterByTimeOfDayMidnightWrap(t *testing.T) {
-	refs := []hist.Reference{
-		refAt(600),   // 00:10 — 1200 s across midnight: kept
-		refAt(43200), // 12:00 — far: dropped
-		refAt(84600), // 23:30 — 1200 s same side: kept
-		{},           // no points: skipped
-	}
-	const queryT = 3*86400 + 85800 // day 3, 23:50 — Mod must strip whole days
-	out := filterByTimeOfDay(refs, queryT, 1800)
+	v, refs := refsAt(
+		600,   // 00:10 — 1200 s across midnight: kept
+		43200, // 12:00 — far: dropped
+		84600, // 23:30 — 1200 s same side: kept
+	)
+	refs = append(refs, hist.Reference{}) // no points: skipped
+	const queryT = 3*86400 + 85800        // day 3, 23:50 — Mod must strip whole days
+	out := filterByTimeOfDay(v, refs, queryT, 1800)
 	if len(out) != 2 {
 		t.Fatalf("filtered to %d references, want 2", len(out))
 	}
-	if out[0].Points[0].T != 600 || out[1].Points[0].T != 84600 {
-		t.Fatalf("kept the wrong references: T=%v, %v",
-			out[0].Points[0].T, out[1].Points[0].T)
+	if out[0] != refs[0] || out[1] != refs[2] {
+		t.Fatalf("kept the wrong references: %+v", out)
 	}
 }
 
 // TestFilterByTimeOfDayDisabled: window <= 0 means "no temporal filter" and
 // must pass the input through untouched, empty-point entries included.
 func TestFilterByTimeOfDayDisabled(t *testing.T) {
-	refs := []hist.Reference{refAt(600), {}, refAt(43200)}
+	v, refs := refsAt(600, 43200)
+	refs = append(refs, hist.Reference{})
 	for _, window := range []float64{0, -1} {
-		out := filterByTimeOfDay(refs, 85800, window)
+		out := filterByTimeOfDay(v, refs, 85800, window)
 		if len(out) != len(refs) {
 			t.Fatalf("window=%v: %d references, want %d", window, len(out), len(refs))
 		}

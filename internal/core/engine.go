@@ -115,6 +115,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 	s.Counters["cache.refsearch.resets"] = e.refs.Resets()
 	s.Counters["cache.refsearch.invalidations"] = e.refs.Invalidations()
 	s.Counters["cache.refsearch.entries"] = uint64(e.refs.Len())
+	s.Counters["cache.refsearch.bytes"] = uint64(e.refs.Bytes())
 	// Archive gauges: which generation queries currently pin and how much
 	// history backs them; a live Store adds its segment/compaction state.
 	snap := e.src.Current()
@@ -346,6 +347,9 @@ type exec struct {
 	// by the entry points right after newExec. exec is passed by value, so
 	// each worker's binding is private.
 	sc *pairScratch
+	// near, when set, replaces the near set sc's searcher carries between
+	// consecutive pairs: a Session's, which outlives the arena a push borrows.
+	near *hist.NearSet
 }
 
 // newExec binds one invocation to its context, the archive generation it

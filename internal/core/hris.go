@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/hist"
@@ -113,37 +114,35 @@ func (x exec) inferRoutes(s *Session, q *traj.Trajectory) (*Result, error) {
 	e, n := x.eng, q.Len()-1
 	outs := make([]pairOutcome, n)
 	// Each worker checks one scratch arena out of the pool and reuses it
-	// across every pair it processes; exec is copied by value, so the arena
-	// binding is private to the worker. The arena never outlives the loop —
-	// everything a pair publishes into outs is freshly allocated.
-	if workers := x.pairWorkers(n); workers <= 1 {
+	// across a contiguous run of pairs; exec is copied by value, so the arena
+	// binding is private to the worker. Contiguous, because consecutive pairs
+	// share a query point whose near set the arena's searcher carries over: c
+	// pairs cost c+1 range walks. Workers come in twos, each two eating one
+	// region of the query from both ends until they meet, so uneven pairs
+	// split evenly. What a pair publishes into outs is fresh.
+	workers := x.pairWorkers(n)
+	regions := (workers + 1) / 2
+	claims := make([]atomic.Int32, regions)
+	run := func(w int) {
 		xw := x
 		xw.sc = e.getScratch()
-		for i := 0; i < n; i++ {
+		defer e.putScratch(xw.sc)
+		lo, hi := w/2*n/regions, (w/2+1)*n/regions
+		i, step := lo, 1
+		if w%2 == 1 {
+			i, step = hi-1, -1
+		}
+		for ; claims[w/2].Add(1) <= int32(hi-lo); i += step {
 			outs[i] = xw.inferPair(i, q.Points[i], q.Points[i+1])
 		}
-		e.putScratch(xw.sc)
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				xw := x
-				xw.sc = e.getScratch()
-				defer e.putScratch(xw.sc)
-				for i := range jobs {
-					outs[i] = xw.inferPair(i, q.Points[i], q.Points[i+1])
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); run(w) }()
+	}
+	run(0) // on this goroutine: the serial path is the same code
+	wg.Wait()
 	// Outright cancellation aborts with the context error at the join,
 	// before the truncated pair outcomes can be mistaken for answers.
 	if err := x.abortErr(); err != nil {
@@ -206,9 +205,9 @@ func (x exec) pairStage(pair int, qi, qj traj.GPSPoint) (locals []LocalRoute, st
 		Phi:             x.p.Phi,
 		SpliceEps:       x.p.SpliceEps,
 		SpliceMinSimple: x.p.SpliceMinSimple,
-	})
+	}, &x.sc.search, x.near)
 	if x.p.TemporalWeighting {
-		refs = filterByTimeOfDay(refs, qi.T, x.p.TimeWindow)
+		refs = filterByTimeOfDay(x.snap, refs, qi.T, x.p.TimeWindow)
 	}
 	x.stageDone(obs.StageReferenceSearch, pair, t0, len(refs))
 	st.Refs = len(refs)
@@ -303,7 +302,7 @@ func (e *Engine) PairLocalRoutes(qi, qj traj.GPSPoint, m Method, p Params) ([]Lo
 // paper's future-work temporal extension. Travel patterns can differ by
 // time of day (commuting asymmetries), so same-period history is the
 // relevant evidence.
-func filterByTimeOfDay(refs []hist.Reference, queryT, window float64) []hist.Reference {
+func filterByTimeOfDay(v hist.View, refs []hist.Reference, queryT, window float64) []hist.Reference {
 	if window <= 0 {
 		return refs
 	}
@@ -311,10 +310,11 @@ func filterByTimeOfDay(refs []hist.Reference, queryT, window float64) []hist.Ref
 	qt := math.Mod(queryT, day)
 	out := refs[:0:0]
 	for _, r := range refs {
-		if len(r.Points) == 0 {
+		a, _ := r.Runs(v)
+		if len(a) == 0 {
 			continue
 		}
-		rt := math.Mod(r.Points[0].T, day)
+		rt := math.Mod(a[0].T, day)
 		d := math.Abs(rt - qt)
 		if d > day/2 {
 			d = day - d

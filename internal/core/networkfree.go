@@ -64,14 +64,15 @@ func (e *Engine) InferPathsNetworkFreeCtx(ctx context.Context, q *traj.Trajector
 			return nil, ctx.Err()
 		}
 		qi, qj := q.Points[i], q.Points[i+1]
-		refs := e.refs.ReferencesOn(ctx, snap, qi, qj, sp)
+		refs := e.refs.ReferencesOn(ctx, snap, qi, qj, sp, &sc.search, nil)
 		var pts []refPoint
 		for _, r := range refs {
 			srcs := []int32{r.SourceA}
 			if r.SourceB >= 0 {
 				srcs = append(srcs, r.SourceB)
 			}
-			for _, gp := range r.Points {
+			a, b := r.Runs(snap)
+			for _, gp := range slices.Concat(a, b) {
 				pts = append(pts, refPoint{pt: gp.Pt, sources: srcs})
 			}
 		}

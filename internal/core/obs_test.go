@@ -125,6 +125,11 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 	if s.Counters["cache.refsearch.hits"]+s.Counters["cache.refsearch.misses"] == 0 {
 		t.Fatal("cache.refsearch gauges missing from snapshot")
 	}
+	// The memo's cost is visible: every entry retains at least its key, and the
+	// whole stays within the byte bound.
+	if n, b := s.Counters["cache.refsearch.entries"], s.Counters["cache.refsearch.bytes"]; n == 0 || b < 100*n || b > 8<<20 {
+		t.Fatalf("cache.refsearch.bytes = %d for %d entries", b, n)
+	}
 	if tm := s.Counters["cache.trajmatch.tables"]; tm == 0 || s.Counters["cache.trajmatch.points"] < tm ||
 		s.Counters["cache.trajmatch.builds"] < tm {
 		t.Fatalf("cache.trajmatch gauges inconsistent: %d tables, %d points, %d builds", tm,

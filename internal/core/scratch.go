@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/graphalg"
+	"repro/internal/hist"
 	"repro/internal/mapmatch"
 	"repro/internal/roadnet"
 	"repro/internal/rtree"
@@ -24,6 +25,11 @@ import (
 type pairScratch struct {
 	// pctx is the reusable pairContext shell buildPairContext hands out.
 	pctx pairContext
+
+	// search is the reference search's scratch; between one worker's
+	// consecutive pairs it also carries the shared query point's near set
+	// (dropped by putScratch: the pool must not pin an archive generation).
+	search hist.Searcher
 
 	// Interner: the pair's distinct archive trajectory ids, sorted, so a
 	// dense bit index replaces the map[int]struct{} reference sets.
@@ -108,6 +114,7 @@ func (e *Engine) putScratch(sc *pairScratch) {
 	if e.noPool {
 		return
 	}
+	sc.search.Release()
 	pairScratchPool.Put(sc)
 }
 

@@ -74,6 +74,9 @@ type Session struct {
 	first traj.GPSPoint // trimRoute's start anchor
 	prev  traj.GPSPoint // previous accepted point
 	n     int           // points accepted
+	// near carries prev's near set from one push to the next, so a push walks
+	// the index once; it stays valid across epoch publishes, snap being pinned.
+	near hist.NearSet
 
 	res *Result     // accumulating Pairs/Locals/Degraded, in pair order
 	M   [][]partial // K-GRI posterior over the latest absorbed pair's locals
@@ -148,7 +151,7 @@ func (s *Session) Push(ctx context.Context, pt traj.GPSPoint) (SessionUpdate, er
 	// Scratch is checked out for exactly this push and returned before any
 	// state is committed: the ownership rule (nothing scratch-backed crosses
 	// a stage boundary) holds per point exactly as it holds per query.
-	x.sc = s.eng.getScratch()
+	x.sc, x.near = s.eng.getScratch(), &s.near
 	out := x.inferPair(i, s.prev, pt)
 	s.eng.putScratch(x.sc)
 	if err := x.abortErr(); err != nil {

@@ -21,14 +21,15 @@ import (
 // heading and each segment's heading from its shape. It returns the traverse
 // edges in first-touch order, each edge's supporting trajectory ids, and the
 // reference points.
-func oracleSupport(g *roadnet.Graph, refs []hist.Reference, eps float64) ([]roadnet.EdgeID, map[roadnet.EdgeID]map[int32]bool, []geo.Point) {
+func oracleSupport(g *roadnet.Graph, v hist.View, refs []hist.Reference, eps float64) ([]roadnet.EdgeID, map[roadnet.EdgeID]map[int32]bool, []geo.Point) {
 	var edges []roadnet.EdgeID
 	support := make(map[roadnet.EdgeID]map[int32]bool)
 	var points []geo.Point
 	for _, r := range refs {
-		for j, p := range r.Points {
+		pts := refPoints(v, r)
+		for j, p := range pts {
 			points = append(points, p.Pt)
-			heading, hasHeading := travelHeading(r.Points, j)
+			heading, hasHeading := travelHeading(pts, j)
 			for _, c := range g.CandidateEdges(p.Pt, eps) {
 				if hasHeading && !edgeAligned(g, c.Edge, heading) {
 					continue
@@ -74,7 +75,7 @@ func checkAgainstOracle(t *testing.T, x exec, refs []hist.Reference, what string
 	t.Helper()
 	x.sc = newPairScratch()
 	pctx := x.buildPairContext(0, traj.GPSPoint{}, traj.GPSPoint{}, refs)
-	edges, support, points := oracleSupport(x.eng.g, refs, x.p.CandEps)
+	edges, support, points := oracleSupport(x.eng.g, x.snap, refs, x.p.CandEps)
 	if !slices.Equal(pctx.sc.edges, edges) {
 		t.Fatalf("%s: traverse edges %v, oracle %v", what, pctx.sc.edges, edges)
 	}
@@ -106,7 +107,6 @@ func checkAgainstOracle(t *testing.T, x exec, refs []hist.Reference, what string
 // window is the simple reference covering points [m, n] of trajectory ti.
 func window(v hist.View, ti, m, n int) hist.Reference {
 	return hist.Reference{
-		Points:  v.Traj(ti).Points[m : n+1],
 		SourceA: int32(ti), SourceB: -1,
 		OffA: int32(m), LenA: int32(n - m + 1),
 	}
@@ -115,12 +115,10 @@ func window(v hist.View, ti, m, n int) hist.Reference {
 // splice is the spliced reference joining points [m, a] of trajectory ta to
 // points [b, n] of trajectory tb.
 func splice(v hist.View, ta, m, a, tb, b, n int) hist.Reference {
-	pts := append([]traj.GPSPoint(nil), v.Traj(ta).Points[m:a+1]...)
-	pts = append(pts, v.Traj(tb).Points[b:n+1]...)
 	return hist.Reference{
-		Points: pts, Spliced: true,
+		Spliced: true,
 		SourceA: int32(ta), SourceB: int32(tb),
-		OffA: int32(m), LenA: int32(a - m + 1), OffB: int32(b),
+		OffA: int32(m), LenA: int32(a - m + 1), OffB: int32(b), LenB: int32(n - b + 1),
 	}
 }
 
@@ -188,7 +186,7 @@ func TestMatchTableOnLiveShardedStore(t *testing.T) {
 		sp := hist.SearchParams{Phi: x.p.Phi, SpliceEps: x.p.SpliceEps, SpliceMinSimple: x.p.SpliceMinSimple}
 		for _, q := range queries {
 			for i := 0; i+1 < q.Len(); i++ {
-				refs := eng.refs.ReferencesOn(x.ctx, x.snap, q.Points[i], q.Points[i+1], sp)
+				refs := eng.refs.ReferencesOn(x.ctx, x.snap, q.Points[i], q.Points[i+1], sp, new(hist.Searcher), nil)
 				checkAgainstOracle(t, x, refs, what)
 				for _, r := range refs {
 					if r.Spliced {

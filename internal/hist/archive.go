@@ -101,14 +101,20 @@ func (s *Snapshot) Point(r PointRef) traj.GPSPoint {
 	return s.Trajs[r.Traj].Points[r.Idx]
 }
 
-// WithinRadius returns the archive points within radius r of p.
+// WithinRadius returns the archive points within radius r of p, in arbitrary
+// order (none for a negative or NaN r): VisitBox plus the exact distance test,
+// as a slice. The reference search folds the same walk into its own scratch.
 func (s *Snapshot) WithinRadius(p geo.Point, r float64) []PointRef {
-	var out []PointRef
-	for _, seg := range s.segs {
-		for _, e := range seg.WithinRadius(p, r) {
-			out = append(out, e.Item)
-		}
+	if !(r >= 0) {
+		return nil
 	}
+	var out []PointRef
+	s.VisitBox(geo.BBoxAround(p, r), func(ref PointRef) bool {
+		if s.Point(ref).Pt.Dist(p) <= r {
+			out = append(out, ref)
+		}
+		return true
+	})
 	return out
 }
 

@@ -2,6 +2,8 @@ package hist
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -19,6 +21,11 @@ func lineTraj(id string, pts ...geo.Point) *traj.Trajectory {
 		tr.Points = append(tr.Points, traj.GPSPoint{Pt: p, T: float64(i) * 20})
 	}
 	return tr
+}
+
+// refPoints materializes a reference's points: its two runs, concatenated.
+func refPoints(v View, r Reference) []traj.GPSPoint {
+	return slices.Concat(r.Runs(v))
 }
 
 // refWorld builds a small fixture: a 5×7 grid (speed 15 m/s) and a query
@@ -48,10 +55,11 @@ func TestSimpleReference(t *testing.T) {
 	// Sub-trajectory brackets [nn(qi), nn(qj)] = points at x=100..300... the
 	// nearest to qi=(50,0) is x=0 or x=100 (both 51.0 vs 51.0)? x=0 is
 	// dist sqrt(50²+10²)=51, x=100 same; ties keep the first.
-	if len(r.Points) < 3 {
-		t.Fatalf("sub-trajectory too short: %d", len(r.Points))
+	pts := refPoints(a, r)
+	if len(pts) < 3 {
+		t.Fatalf("sub-trajectory too short: %d", len(pts))
 	}
-	first, last := r.Points[0], r.Points[len(r.Points)-1]
+	first, last := pts[0], pts[len(pts)-1]
 	if first.Pt.Dist(qi.Pt) > 60 || last.Pt.Dist(qj.Pt) > 60 {
 		t.Fatal("condition 2 violated by returned reference")
 	}
@@ -120,7 +128,8 @@ func TestSplicedReference(t *testing.T) {
 		t.Fatalf("spliced ref = %+v", r)
 	}
 	// The virtual trajectory still satisfies Definition 6's conditions.
-	first, last := r.Points[0], r.Points[len(r.Points)-1]
+	pts := refPoints(a, r)
+	first, last := pts[0], pts[len(pts)-1]
 	if first.Pt.Dist(qi.Pt) > 60 || last.Pt.Dist(qj.Pt) > 60 {
 		t.Fatal("spliced reference endpoints out of φ")
 	}
@@ -185,15 +194,15 @@ func TestSplicedPairMinimizesDistanceSum(t *testing.T) {
 		t.Fatalf("refs = %d", len(refs))
 	}
 	// Expected splice: pa=(150,10), pb=(160,15) — not the later overlap.
-	found := false
-	for i := 1; i < len(refs[0].Points); i++ {
-		a, b := refs[0].Points[i-1].Pt, refs[0].Points[i].Pt
+	found, pts := false, refPoints(a, refs[0])
+	for i := 1; i < len(pts); i++ {
+		a, b := pts[i-1].Pt, pts[i].Pt
 		if a.Equal(geo.Pt(150, 10), 1e-9) && b.Equal(geo.Pt(160, 15), 1e-9) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("splice not at the earliest overlap: %+v", refs[0].Points)
+		t.Fatalf("splice not at the earliest overlap: %+v", pts)
 	}
 }
 
@@ -214,7 +223,7 @@ func TestMaxRefsKeepsNearest(t *testing.T) {
 		t.Fatalf("capped refs = %d", len(capped))
 	}
 	for _, r := range capped {
-		if r.Points[0].Pt.Y > 10+2*8 {
+		if refPoints(a, r)[0].Pt.Y > 10+2*8 {
 			t.Fatal("MaxRefs kept a farther reference over a nearer one")
 		}
 	}
@@ -308,10 +317,19 @@ func BenchmarkReferenceSearch(b *testing.B) {
 }
 
 // TestReferenceSize: a Reference is the unit the reference-search memo
-// retains (~80 per query pair, up to 16,384 pairs), so its provenance fields
-// are packed as int32 and the struct must stay at 48 bytes.
+// retains (~80 per query pair) and the memo's byte bound counts it at
+// unsafe.Sizeof, so it must stay a run — at most 32 bytes and no pointer into
+// anything (a pointer would also mean it owns or pins storage).
 func TestReferenceSize(t *testing.T) {
-	if got := unsafe.Sizeof(Reference{}); got != 48 {
-		t.Fatalf("unsafe.Sizeof(Reference{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(Reference{}); got > 32 {
+		t.Fatalf("unsafe.Sizeof(Reference{}) = %d, want <= 32", got)
+	}
+	rt := reflect.TypeOf(Reference{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch k := rt.Field(i).Type.Kind(); k {
+		case reflect.Int32, reflect.Bool:
+		default:
+			t.Fatalf("Reference.%s is a %v: the struct must hold no pointer", rt.Field(i).Name, k)
+		}
 	}
 }

@@ -598,7 +598,7 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 12; i++ {
 					st.IngestTrips(trips[(w+i)%len(trips)])
-					st.Current().WithinRadius(trips[0].Points[0].Pt, 100)
+					withinRadius(st.Current(), trips[0].Points[0].Pt, 100)
 				}
 			}(w)
 		}

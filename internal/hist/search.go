@@ -50,8 +50,11 @@ func BestConnecting(v View, points []geo.Point, k int, decay float64) []Ranked {
 	// nearest[t][i] = min distance from query point i to trajectory t.
 	nearest := make(map[int][]float64)
 	for i, q := range points {
-		for _, ref := range v.WithinRadius(q, cutoff) {
+		v.VisitBox(geo.BBoxAround(q, cutoff), func(ref PointRef) bool {
 			d := v.Point(ref).Pt.Dist(q)
+			if d > cutoff {
+				return true
+			}
 			row, ok := nearest[ref.Traj]
 			if !ok {
 				row = make([]float64, len(points))
@@ -63,7 +66,8 @@ func BestConnecting(v View, points []geo.Point, k int, decay float64) []Ranked {
 			if d < row[i] {
 				row[i] = d
 			}
-		}
+			return true
+		})
 	}
 	ranked := make([]Ranked, 0, len(nearest))
 	for t, row := range nearest {

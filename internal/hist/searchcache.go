@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/traj"
 )
@@ -11,8 +12,7 @@ import (
 // searchKey identifies one References call: the epoch of the archive
 // generation answered against (plus, for composite sharded views, the
 // fingerprint of the per-shard epoch vector — see Fingerprinted), the query
-// pair (both GPS points carry only coordinates and a timestamp, so the
-// struct is comparable) and the complete search parameter set.
+// pair and the complete search parameter set. All comparable.
 type searchKey struct {
 	epoch  uint64
 	fp     uint64
@@ -21,58 +21,61 @@ type searchKey struct {
 }
 
 // SearchCache is a concurrency-safe read-through memo over the reference
-// search. Reference search dominates the per-pair cost of inference at
-// large φ (Figure 9b), and production workloads repeat query pairs —
-// popular origin/destination corridors, benchmark reruns, and the per-pair
-// stage of a batch re-visiting the same archive neighborhoods — so
-// memoizing by (epoch, q_i, q_{i+1}, params) converts repeats into map
-// hits.
+// search, keyed by (epoch, q_i, q_{i+1}, params). It pays where query pairs
+// repeat exactly (hit ratio 0.996 on the benchmark's infer-replay, a warm pair
+// costing about half a cold one) and never hits on fresh traffic (0.000 on the
+// other three workloads), so it is bounded by the bytes it retains: a server
+// answering never-repeated queries must not grow with every query served.
 //
 // Entries are epoch-tagged: a query answered against epoch e can only hit
 // a memo recorded at epoch e, so a Store publishing a new snapshot
-// implicitly invalidates every older memo. When the cache first observes a
-// key from a newer epoch it drops the stale generation wholesale (counted
-// by Invalidations) rather than letting dead entries squat in the bound,
-// and results computed against epochs older than the newest seen are not
-// inserted afterwards — readers still pinned to an old snapshot recompute
-// on miss instead of repopulating the map with entries no current reader
-// will ever hit.
+// implicitly invalidates every older memo. The first key from a newer epoch
+// drops the stale generation wholesale (counted by Invalidations), and
+// readers still pinned to an older snapshot recompute on miss without
+// repopulating the map.
 //
-// Returned slices are shared between callers and MUST be treated as
-// read-only. Snapshots are immutable, so entries for a given epoch never
-// go stale within that epoch.
+// An entry is an exact-size run list, shared between callers, who MUST treat
+// it as read-only. Snapshots are immutable: it never goes stale in its epoch.
 type SearchCache struct {
-	max int
+	max int // bound on bytes, see entryBytes
 
 	hits, misses, resets, invalidations atomic.Uint64
 
 	mu    sync.RWMutex
 	m     map[searchKey][]Reference
+	bytes int    // retained by m, see entryBytes
 	epoch uint64 // newest epoch seen; results for older epochs are not memoized
 }
 
-// DefaultSearchCacheSize bounds the memo; one entry per distinct
-// (query pair, params) combination.
-const DefaultSearchCacheSize = 1 << 14
-
-// NewSearchCache builds a memo holding at most max entries (max <= 0 uses
-// DefaultSearchCacheSize). On overflow the memo resets wholesale — the
-// workload is read-heavy with a stable working set, so a rare full reset
-// beats per-entry eviction bookkeeping.
-func NewSearchCache(max int) *SearchCache {
-	if max <= 0 {
-		max = DefaultSearchCacheSize
-	}
-	return &SearchCache{max: max, m: make(map[searchKey][]Reference)}
+// entryBytes is what memoizing refs retains: key, slice header and run list
+// (map bucket overhead is not counted).
+func entryBytes(refs []Reference) int {
+	return int(unsafe.Sizeof(searchKey{})+unsafe.Sizeof(refs)) + len(refs)*int(unsafe.Sizeof(Reference{}))
 }
 
-// ReferencesOn returns ReferencesCtx(ctx, v, qi, qj, p), memoized under v's
-// epoch. The caller pins v, so that one inference call sees a single
-// archive generation even while the underlying Store keeps publishing new
-// ones. Safe for concurrent use; the result must not be modified. A search
-// cut short by cancellation returns its partial result but is never
-// memoized — the cache must only ever serve complete answers.
-func (c *SearchCache) ReferencesOn(ctx context.Context, v View, qi, qj traj.GPSPoint, p SearchParams) []Reference {
+// NewSearchCache builds a memo retaining at most maxBytes bytes (<= 0 uses
+// 8 MiB). On overflow it resets wholesale: a working set that fits is never
+// evicted, one that does not thrashes (see Resets).
+func NewSearchCache(maxBytes int) *SearchCache {
+	if maxBytes <= 0 {
+		maxBytes = 8 << 20 // ~3,000 pairs at the ~80 references of φ = 500 m
+	}
+	return &SearchCache{max: maxBytes, m: make(map[searchKey][]Reference)}
+}
+
+// ReferencesOn returns References(v, qi, qj, p), memoized under v's epoch.
+// The caller pins v, so that one inference call sees a single archive
+// generation even while the underlying Store keeps publishing new ones. Safe
+// for concurrent use; the result must not be modified. A miss runs on the
+// caller's scratch s and near sets near (nil: s's own) with ctx's cancellation
+// checkpoints; a hit touches neither. A search cut short by cancellation
+// returns its partial result but is never memoized — the cache only serves
+// complete answers — and a pair that cannot have references (see searchable)
+// never reaches the map.
+func (c *SearchCache) ReferencesOn(ctx context.Context, v View, qi, qj traj.GPSPoint, p SearchParams, s *Searcher, near *NearSet) []Reference {
+	if !searchable(qi, qj, p) {
+		return nil
+	}
 	ep, fp := EpochKey(v)
 	k := searchKey{epoch: ep, fp: fp, qi: qi, qj: qj, p: p}
 	c.mu.RLock()
@@ -83,37 +86,37 @@ func (c *SearchCache) ReferencesOn(ctx context.Context, v View, qi, qj traj.GPSP
 		return val
 	}
 	c.misses.Add(1)
-	val = ReferencesCtx(ctx, v, qi, qj, p)
+	val = s.references(v, qi, qj, p, near, ctx.Done())
 	if ctx.Err() != nil {
 		return val // possibly truncated by cancellation: do not memoize
 	}
 	c.mu.Lock()
-	if k.epoch > c.epoch {
-		// A newer generation exists: every memo recorded for older epochs
-		// can never be hit again by current readers. Drop them in one sweep
-		// rather than evicting lazily.
+	defer c.mu.Unlock()
+	if _, dup := c.m[k]; dup || k.epoch < c.epoch {
+		// Either a concurrent miss on the same key got here first (identical
+		// answer, bytes already counted), or the reader is still pinned to an
+		// old snapshot: no current reader can hit its key, so inserting it
+		// would only squat in the bound. Serve it unmemoized.
+		return val
+	}
+	n := entryBytes(val)
+	switch {
+	case k.epoch > c.epoch:
+		// A newer generation: memos of older epochs can never be hit again by
+		// current readers. Drop them in one sweep rather than evicting lazily.
 		if len(c.m) > 0 {
-			c.m = make(map[searchKey][]Reference)
+			c.m, c.bytes = make(map[searchKey][]Reference), 0
 			c.invalidations.Add(1)
 		}
 		c.epoch = k.epoch
-	} else if k.epoch < c.epoch {
-		// A reader still pinned to an old snapshot: its answer is correct
-		// but no current reader can ever hit this key, so inserting it
-		// would only let stale entries squat in the bound until the next
-		// reset. Serve it unmemoized.
-		c.mu.Unlock()
-		return val
-	}
-	if len(c.m) >= c.max {
-		// Wholesale reset: cheap, but when the working set exceeds max the
-		// cache thrashes — the resets counter makes that visible (it is
-		// surfaced through core.Engine.Metrics) instead of silent.
-		c.m = make(map[searchKey][]Reference)
+	case c.bytes+n > c.max && len(c.m) > 0:
+		// Wholesale reset: cheap, but a working set beyond max thrashes — the
+		// resets counter (surfaced through core.Engine.Metrics) shows it.
+		c.m, c.bytes = make(map[searchKey][]Reference), 0
 		c.resets.Add(1)
 	}
 	c.m[k] = val
-	c.mu.Unlock()
+	c.bytes += n
 	return val
 }
 
@@ -124,14 +127,20 @@ func (c *SearchCache) Len() int {
 	return len(c.m)
 }
 
+// Bytes returns the bytes the memoized entries retain (see entryBytes).
+func (c *SearchCache) Bytes() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.bytes
+}
+
 // Stats returns the hit and miss counts since construction.
 func (c *SearchCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Resets returns how many times the memo reset wholesale on overflow. A
-// steadily climbing value means the working set exceeds the bound and the
-// cache is thrashing.
+// Resets returns how many times the memo reset wholesale on overflow; a
+// steadily climbing value means the working set exceeds the bound.
 func (c *SearchCache) Resets() uint64 { return c.resets.Load() }
 
 // Invalidations returns how many times a newly observed epoch purged the

@@ -12,7 +12,7 @@ import (
 // cachedRefs asks the memo against src's current generation — what an
 // engine does once per inference call.
 func cachedRefs(c *SearchCache, src Source, qi, qj traj.GPSPoint, p SearchParams) []Reference {
-	return c.ReferencesOn(context.Background(), src.Current(), qi, qj, p)
+	return c.ReferencesOn(context.Background(), src.Current(), qi, qj, p, new(Searcher), nil)
 }
 
 func TestSearchCacheMatchesDirect(t *testing.T) {
@@ -29,8 +29,7 @@ func TestSearchCacheMatchesDirect(t *testing.T) {
 		t.Fatalf("memoized references = %d, direct = %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].SourceA != want[i].SourceA || got[i].Spliced != want[i].Spliced ||
-			len(got[i].Points) != len(want[i].Points) {
+		if got[i] != want[i] {
 			t.Fatalf("reference %d differs: %+v vs %+v", i, got[i], want[i])
 		}
 	}
@@ -54,8 +53,10 @@ func TestSearchCacheKeysOnParams(t *testing.T) {
 	if n := len(cachedRefs(c, a, qi, qj, SearchParams{Phi: 1})); n != 0 {
 		t.Fatal("phi=1 hit the phi=60 entry")
 	}
-	// Swapped pair is a distinct key (and finds nothing: wrong direction).
-	if n := len(cachedRefs(c, a, qj, qi, SearchParams{Phi: 60})); n != 0 {
+	// The pair travelled the other way is a distinct key (and finds nothing:
+	// wrong direction).
+	from, to := traj.GPSPoint{Pt: qj.Pt, T: qi.T}, traj.GPSPoint{Pt: qi.Pt, T: qj.T}
+	if n := len(cachedRefs(c, a, from, to, SearchParams{Phi: 60})); n != 0 {
 		t.Fatal("reversed pair hit the forward entry")
 	}
 	if c.Len() != 3 {
@@ -67,7 +68,7 @@ func TestSearchCacheConcurrent(t *testing.T) {
 	g, qi, qj := refWorld()
 	t1 := lineTraj("t1", geo.Pt(0, 10), geo.Pt(100, 10), geo.Pt(200, 10), geo.Pt(300, 10), geo.Pt(400, 10))
 	a := NewArchive(g, []*traj.Trajectory{t1})
-	c := NewSearchCache(4) // tiny bound: exercise resets
+	c := NewSearchCache(4 * entryBytes(make([]Reference, 1))) // tiny bound: exercise resets
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -77,7 +78,7 @@ func TestSearchCacheConcurrent(t *testing.T) {
 				phi := 40 + float64((seed+i)%8)*10
 				refs := cachedRefs(c, a, qi, qj, SearchParams{Phi: phi})
 				for _, r := range refs {
-					if len(r.Points) == 0 {
+					if len(refPoints(a, r)) == 0 {
 						t.Error("memoized reference lost its points")
 						return
 					}
@@ -106,7 +107,7 @@ func TestSearchCacheStaleEpochNotMemoized(t *testing.T) {
 	}
 
 	want := References(old, qi, qj, sp)
-	got := c.ReferencesOn(t.Context(), old, qi, qj, sp)
+	got := c.ReferencesOn(t.Context(), old, qi, qj, sp, new(Searcher), nil)
 	if len(got) != len(want) {
 		t.Fatalf("pinned-view answer has %d refs, want %d", len(got), len(want))
 	}
@@ -118,7 +119,7 @@ func TestSearchCacheStaleEpochNotMemoized(t *testing.T) {
 	}
 	// Repeating the pinned-view query misses again (never memoized) but
 	// still answers correctly.
-	if again := c.ReferencesOn(t.Context(), old, qi, qj, sp); len(again) != len(want) {
+	if again := c.ReferencesOn(t.Context(), old, qi, qj, sp, new(Searcher), nil); len(again) != len(want) {
 		t.Fatalf("repeat pinned-view answer has %d refs, want %d", len(again), len(want))
 	}
 	if h, m := c.Stats(); h != 0 || m != 3 {
@@ -126,21 +127,29 @@ func TestSearchCacheStaleEpochNotMemoized(t *testing.T) {
 	}
 }
 
-// TestSearchCacheResetCounter drives the memo past a tiny bound and checks
-// the thrash signal: resets climbs while Len() stays within the bound.
+// TestSearchCacheResetCounter drives the memo past a tiny byte bound and
+// checks the thrash signal: resets climbs while Bytes() stays within the
+// bound, and Bytes() is exactly what the entries retain.
 func TestSearchCacheResetCounter(t *testing.T) {
 	g, _, _ := refWorld()
 	t1 := lineTraj("t1", geo.Pt(0, 10), geo.Pt(200, 10), geo.Pt(400, 10))
 	a := NewArchive(g, []*traj.Trajectory{t1})
-	const max = 4
+	max := 4 * entryBytes(make([]Reference, 1))
 	c := NewSearchCache(max)
 	sp := DefaultSearchParams()
 	for i := 0; i < 40; i++ {
 		qi := traj.GPSPoint{Pt: geo.Pt(float64(i)*11, float64(i)*3), T: 0}
 		qj := traj.GPSPoint{Pt: geo.Pt(float64(i)*11+200, float64(i)*3+50), T: 300}
 		cachedRefs(c, a, qi, qj, sp)
-		if n := c.Len(); n > max {
-			t.Fatalf("Len = %d exceeds max %d", n, max)
+		if n := c.Bytes(); n > max {
+			t.Fatalf("Bytes = %d exceeds max %d", n, max)
+		}
+		retained := 0
+		for _, refs := range c.m {
+			retained += entryBytes(refs)
+		}
+		if retained != c.Bytes() {
+			t.Fatalf("Bytes = %d, entries retain %d", c.Bytes(), retained)
 		}
 	}
 	if c.Resets() == 0 {

@@ -388,60 +388,13 @@ func (v *ShardedSnapshot) Point(r PointRef) traj.GPSPoint {
 	return v.trajs[r.Traj].Points[r.Idx]
 }
 
-// WithinRadius returns the archive points within radius r of p, each exactly
-// once, as global PointRefs. A query box strictly inside one halo cell is
-// answered from that single shard (every point there is indexed locally,
-// each at most once); otherwise the query scatters — concurrently when more
-// than one shard's own cell overlaps the box — and the gather keeps only
-// hits owned by the queried shard, so halo replicas dedup exactly. Gather
-// order is shard-ascending, making the composite's output deterministic for
-// a given ingest history regardless of goroutine scheduling.
-func (v *ShardedSnapshot) WithinRadius(p geo.Point, r float64) []PointRef {
-	box := geo.BBoxAround(p, r)
-	if home, ok := v.part.Covering(box); ok {
-		v.observeFanout(1, true)
-		m := v.maps[home]
-		hits := v.shards[home].WithinRadius(p, r)
-		out := make([]PointRef, 0, len(hits))
-		for _, h := range hits {
-			out = append(out, PointRef{Traj: m[h.Traj], Idx: h.Idx})
-		}
-		return out
-	}
-	ids := v.part.Overlapping(nil, box)
-	v.observeFanout(len(ids), false)
-	perShard := make([][]PointRef, len(ids))
-	if len(ids) == 1 {
-		perShard[0] = v.shards[ids[0]].WithinRadius(p, r)
-	} else {
-		var wg sync.WaitGroup
-		for k, id := range ids {
-			wg.Add(1)
-			go func(k, id int) {
-				defer wg.Done()
-				perShard[k] = v.shards[id].WithinRadius(p, r)
-			}(k, id)
-		}
-		wg.Wait()
-	}
-	var out []PointRef
-	for k, id := range ids {
-		m := v.maps[id]
-		for _, h := range perShard[k] {
-			if v.part.Home(v.shards[id].Point(h).Pt) != id {
-				continue
-			}
-			out = append(out, PointRef{Traj: m[h.Traj], Idx: h.Idx})
-		}
-	}
-	return out
-}
-
 // VisitBox calls fn for every archive point intersecting box, each exactly
-// once, with global PointRefs; fn returning false stops the traversal.
-// Shards are visited in ascending order with the same fast-path/ownership
-// rules as WithinRadius (sequentially — the callback contract doesn't admit
-// concurrent delivery).
+// once, with global PointRefs; fn returning false stops the traversal. A box
+// strictly inside one halo cell is answered from that single shard (every
+// point there is indexed locally, each at most once); otherwise the query
+// scatters over the shards whose own cell overlaps the box, in ascending
+// order and sequentially (a range walk takes tens of microseconds), and
+// delivers only hits owned by the queried shard: halo replicas dedup exactly.
 func (v *ShardedSnapshot) VisitBox(box geo.BBox, fn func(PointRef) bool) {
 	if home, ok := v.part.Covering(box); ok {
 		v.observeFanout(1, true)

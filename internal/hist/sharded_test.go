@@ -37,8 +37,9 @@ func sortRefs(refs []PointRef) {
 }
 
 // TestShardedBoundaryDedup: points on partition lines and at halo edges are
-// returned exactly once by WithinRadius and VisitBox, matching a single
-// Store over the same trips, for queries centered on the boundaries.
+// returned exactly once by VisitBox — bare, and under the radius test every
+// range query applies on top of it — matching a single Store over the same
+// trips, for queries centered on the boundaries.
 func TestShardedBoundaryDedup(t *testing.T) {
 	g, _, _ := refWorld()
 	bb := g.BBox()
@@ -72,23 +73,23 @@ func TestShardedBoundaryDedup(t *testing.T) {
 					if r <= 0 {
 						continue
 					}
-					want := ov.WithinRadius(c, r)
-					got := sv.WithinRadius(c, r)
+					want := withinRadius(ov, c, r)
+					got := withinRadius(sv, c, r)
 					sortRefs(want)
 					sortRefs(got)
 					if len(got) != len(want) {
-						t.Fatalf("n=%d halo=%v WithinRadius(%v,%v): %d refs, want %d",
+						t.Fatalf("n=%d halo=%v withinRadius(%v,%v): %d refs, want %d",
 							n, halo, c, r, len(got), len(want))
 					}
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("n=%d halo=%v WithinRadius(%v,%v): ref %d = %v, want %v",
+							t.Fatalf("n=%d halo=%v withinRadius(%v,%v): ref %d = %v, want %v",
 								n, halo, c, r, i, got[i], want[i])
 						}
 					}
 					for i := 1; i < len(got); i++ {
 						if got[i] == got[i-1] {
-							t.Fatalf("n=%d halo=%v WithinRadius(%v,%v): duplicate ref %v",
+							t.Fatalf("n=%d halo=%v withinRadius(%v,%v): duplicate ref %v",
 								n, halo, c, r, got[i])
 						}
 					}
@@ -151,7 +152,7 @@ func TestShardedStoreMatchesStoreSearch(t *testing.T) {
 					t.Fatalf("n=%d halo=%v phase %d: %d refs, want %d", n, halo, phase, len(got), len(want))
 				}
 				for i := range got {
-					if !refEqual(got[i], want[i]) {
+					if !refEqual(snap, got[i], arch, want[i]) {
 						t.Fatalf("n=%d halo=%v phase %d: ref %d differs", n, halo, phase, i)
 					}
 				}
@@ -274,7 +275,7 @@ func TestShardedSearchCacheComposite(t *testing.T) {
 		t.Fatalf("misses = %d, want 2 (stale generation must not hit)", m)
 	}
 	want := References(old, qi, qj, sp)
-	got := c.ReferencesOn(t.Context(), old, qi, qj, sp)
+	got := c.ReferencesOn(t.Context(), old, qi, qj, sp, new(Searcher), nil)
 	if len(got) != len(want) {
 		t.Fatalf("pinned-composite answer has %d refs, want %d", len(got), len(want))
 	}
@@ -307,7 +308,7 @@ func TestShardedRefreshAfterCompaction(t *testing.T) {
 	if after.Segments() >= segsBefore || after.Segments() != 2 {
 		t.Fatalf("segments %d -> %d, want 2", segsBefore, after.Segments())
 	}
-	a, b := before.WithinRadius(qi.Pt, 200), after.WithinRadius(qi.Pt, 200)
+	a, b := withinRadius(before, qi.Pt, 200), withinRadius(after, qi.Pt, 200)
 	sortRefs(a)
 	sortRefs(b)
 	if len(a) != len(b) {

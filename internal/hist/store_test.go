@@ -2,6 +2,7 @@ package hist
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -26,16 +27,21 @@ func storeTrips() []*traj.Trajectory {
 
 // refEqual compares references by content (the storage indices in
 // SourceA/SourceB legitimately differ across ingest orders).
-func refEqual(a, b Reference) bool {
-	if a.Spliced != b.Spliced || len(a.Points) != len(b.Points) {
-		return false
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			return false
+func refEqual(va View, a Reference, vb View, b Reference) bool {
+	return a.Spliced == b.Spliced && a.LenA == b.LenA && slices.Equal(refPoints(va, a), refPoints(vb, b))
+}
+
+// withinRadius is a radius query over any View, the way every caller now
+// makes one: VisitBox plus the exact distance test.
+func withinRadius(v View, p geo.Point, r float64) []PointRef {
+	var out []PointRef
+	v.VisitBox(geo.BBoxAround(p, r), func(ref PointRef) bool {
+		if v.Point(ref).Pt.Dist(p) <= r {
+			out = append(out, ref)
 		}
-	}
-	return true
+		return true
+	})
+	return out
 }
 
 // TestStoreIngestVisibility: each ingest publishes a new epoch whose readers
@@ -57,14 +63,14 @@ func TestStoreIngestVisibility(t *testing.T) {
 	if snap1.Epoch() != 1 || snap1.NumTrajs() != 2 {
 		t.Fatalf("after first batch: epoch %d, trajs %d", snap1.Epoch(), snap1.NumTrajs())
 	}
-	if got := len(snap1.WithinRadius(qi.Pt, 60)); got == 0 {
+	if got := len(withinRadius(snap1, qi.Pt, 60)); got == 0 {
 		t.Fatal("ingested points not visible to range query")
 	}
 	// The pinned empty snapshot is unchanged.
 	if empty.NumTrajs() != 0 || empty.NumPoints() != 0 {
 		t.Fatal("earlier snapshot mutated by ingest")
 	}
-	if got := len(empty.WithinRadius(qi.Pt, 60)); got != 0 {
+	if got := len(withinRadius(empty, qi.Pt, 60)); got != 0 {
 		t.Fatalf("earlier snapshot sees %d new points", got)
 	}
 
@@ -115,7 +121,7 @@ func TestStoreMatchesArchive(t *testing.T) {
 			t.Fatalf("perm %v: %d refs, want %d", perm, len(got), len(want))
 		}
 		for i := range got {
-			if !refEqual(got[i], want[i]) {
+			if !refEqual(snap, got[i], arch, want[i]) {
 				t.Fatalf("perm %v: ref %d differs", perm, i)
 			}
 		}
@@ -158,7 +164,7 @@ func TestStoreAutoCompaction(t *testing.T) {
 	if stats.Trajs != len(trips) {
 		t.Fatalf("trajs = %d", stats.Trajs)
 	}
-	if got := len(st.Current().WithinRadius(qi.Pt, 60)); got == 0 {
+	if got := len(withinRadius(st.Current(), qi.Pt, 60)); got == 0 {
 		t.Fatal("points lost in compaction")
 	}
 }
@@ -286,7 +292,7 @@ func TestStoreConcurrentIngestAndSearch(t *testing.T) {
 						return
 					}
 				}
-				c.ReferencesOn(t.Context(), st.Current(), qi, qj, SearchParams{Phi: 60, SpliceEps: 50})
+				c.ReferencesOn(t.Context(), st.Current(), qi, qj, SearchParams{Phi: 60, SpliceEps: 50}, new(Searcher), nil)
 			}
 		}()
 	}
@@ -360,7 +366,7 @@ func TestStoreConcurrentCompaction(t *testing.T) {
 	}
 	// Every ingested point must still be reachable through the index — a
 	// lost merge drops whole memtable segments from the published tree.
-	if got := len(snap.WithinRadius(geo.Pt(200, 100), 1e6)); got != wantPoints {
+	if got := len(withinRadius(snap, geo.Pt(200, 100), 1e6)); got != wantPoints {
 		t.Fatalf("index holds %d points, want %d", got, wantPoints)
 	}
 }

@@ -1,7 +1,8 @@
 package hist
 
 import (
-	"sort"
+	"cmp"
+	"strings"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -33,11 +34,9 @@ type View interface {
 	Traj(i int) *traj.Trajectory
 	// Point resolves a PointRef.
 	Point(r PointRef) traj.GPSPoint
-	// WithinRadius returns the archive points within radius r of p, in
-	// arbitrary order.
-	WithinRadius(p geo.Point, r float64) []PointRef
 	// VisitBox calls fn for every archive point whose location intersects
-	// box, in arbitrary order; fn returning false stops the traversal.
+	// box, each exactly once, in arbitrary order; fn returning false stops it.
+	// The one range primitive: a radius query adds its own distance test.
 	VisitBox(box geo.BBox, fn func(PointRef) bool)
 }
 
@@ -99,59 +98,8 @@ func canonKeyOf(tr *traj.Trajectory) canonKey {
 
 // compare returns -1, 0 or +1 ordering k against o.
 func (k canonKey) compare(o canonKey) int {
-	switch {
-	case k.id != o.id:
-		if k.id < o.id {
-			return -1
-		}
-		return 1
-	case k.t0 != o.t0:
-		if k.t0 < o.t0 {
-			return -1
-		}
-		return 1
-	case k.x0 != o.x0:
-		if k.x0 < o.x0 {
-			return -1
-		}
-		return 1
-	case k.y0 != o.y0:
-		if k.y0 < o.y0 {
-			return -1
-		}
-		return 1
-	case k.n != o.n:
-		if k.n < o.n {
-			return -1
-		}
-		return 1
+	if c := strings.Compare(k.id, o.id); c != 0 {
+		return c
 	}
-	return 0
-}
-
-// sortTrajsCanonical sorts trajectory indices into canonical content order
-// (storage index as the final tie-break).
-func sortTrajsCanonical(v View, idx []int) {
-	keys := make([]canonKey, len(idx))
-	for i, ti := range idx {
-		keys[i] = canonKeyOf(v.Traj(ti))
-	}
-	sort.Sort(&canonSorter{idx: idx, keys: keys})
-}
-
-type canonSorter struct {
-	idx  []int
-	keys []canonKey
-}
-
-func (s *canonSorter) Len() int { return len(s.idx) }
-func (s *canonSorter) Swap(i, j int) {
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-func (s *canonSorter) Less(i, j int) bool {
-	if c := s.keys[i].compare(s.keys[j]); c != 0 {
-		return c < 0
-	}
-	return s.idx[i] < s.idx[j]
+	return cmp.Or(cmp.Compare(k.t0, o.t0), cmp.Compare(k.x0, o.x0), cmp.Compare(k.y0, o.y0), cmp.Compare(k.n, o.n))
 }

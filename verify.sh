@@ -37,19 +37,21 @@ go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Segment|Manifest'
 go vet -C bench ./...
 go test -C bench -timeout 300s ./...
 
-# Determinism: the Yen equal-weight tie-break, the K-GRI oracle suites and
-# the three golden digests (InferRoutes, network-free, PairLocalRoutes) must
-# give identical verdicts run-to-run (-count=2 defeats test caching and runs
-# each twice in one binary, the second time on warm pools and memos).
-go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden' ./internal/graphalg/ ./internal/core/
+# Determinism: the Yen equal-weight tie-break, the K-GRI oracle suites, the
+# three golden digests (InferRoutes, network-free, PairLocalRoutes) and the
+# reference search's equivalence to its map-based oracle must give identical
+# verdicts run-to-run (-count=2 defeats test caching and runs each twice in
+# one binary, the second time on warm pools, memos and searcher scratch).
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle' ./internal/graphalg/ ./internal/hist/ ./internal/core/
 
 # Bench smoke: the acceleration-layer benchmarks (end-to-end HRIS query,
 # ST-Matching, CH build — each in both oracle modes where applicable), the
-# warm pair-context assembly benchmark, plus the live-archive ingest benchmarks (Ingest matches both the in-memory
+# warm pair-context assembly benchmark, the cold reference search, plus the
+# live-archive ingest benchmarks (Ingest matches both the in-memory
 # BenchmarkIngest and the WAL-on BenchmarkIngestDurable) must run one
 # iteration without failing. Real numbers come from
 # `go test -bench -benchmem` and cmd/experiments -fig bench-json.
-go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|STMatch|CH|Ingest|SessionStep' -benchtime 1x .
+go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|ReferenceSearch|STMatch|CH|Ingest|SessionStep' -benchtime 1x .
 
 # Alloc-regression gate: the steady-state query hot path must stay within
 # the checked-in budget (bench_budget.json). BenchmarkHRISQuery warms the
@@ -80,6 +82,20 @@ allocs=$(echo "$session_line" | awk '{print $(NF-1)}')
 bytes=$(echo "$session_line" | awk '{print $(NF-3)}')
 max_allocs=$(sed -n 's/.*"session_max_allocs_per_op": *\([0-9][0-9]*\).*/\1/p' bench_budget.json)
 max_bytes=$(sed -n 's/.*"session_max_bytes_per_op": *\([0-9][0-9]*\).*/\1/p' bench_budget.json)
+test -n "$max_allocs" && test -n "$max_bytes"
+test "$allocs" -le "$max_allocs"
+test "$bytes" -le "$max_bytes"
+
+# And for the cold reference search, which the two gates above do not see
+# (their queries are memo-resident): one search allocates the run list it
+# returns and nothing per reference, per candidate or per range hit.
+refsearch_line=$(go test -timeout 300s -run '^$' -bench '^BenchmarkReferenceSearchRoot$' \
+    -benchmem -benchtime 200x . | grep '^BenchmarkReferenceSearchRoot')
+echo "$refsearch_line"
+allocs=$(echo "$refsearch_line" | awk '{print $(NF-1)}')
+bytes=$(echo "$refsearch_line" | awk '{print $(NF-3)}')
+max_allocs=$(sed -n 's/.*"refsearch_max_allocs_per_op": *\([0-9][0-9]*\).*/\1/p' bench_budget.json)
+max_bytes=$(sed -n 's/.*"refsearch_max_bytes_per_op": *\([0-9][0-9]*\).*/\1/p' bench_budget.json)
 test -n "$max_allocs" && test -n "$max_bytes"
 test "$allocs" -le "$max_allocs"
 test "$bytes" -le "$max_bytes"
