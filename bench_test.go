@@ -317,6 +317,36 @@ func BenchmarkSessionStep(b *testing.B) {
 	s.Close()
 }
 
+// BenchmarkNNIConvert measures one warm NNI pair: transit-trace enumeration
+// plus the conversion of every trace to a route (Algorithm 2 line 3), the
+// largest stage of the replayed server workload. The pair is fixed — of the
+// benchmark query's pairs, the first with the most NNI routes — and the
+// warm-up runs have filled the match tables, the reference memo and the
+// pooled arena, so allocs/op is what a steady-state NNI pair allocates: the
+// routes and reference lists it publishes, and the bridges it searches.
+func BenchmarkNNIConvert(b *testing.B) {
+	w := world(b)
+	qs := w.Queries(1, 180, w.Cfg.QueryLen, 111)
+	if len(qs) == 0 {
+		b.Skip("no query")
+	}
+	pts := qs[0].Query.Points
+	pair, most := 0, -1
+	for i := 0; i+1 < len(pts); i++ {
+		if locals, _ := w.Eng.PairLocalRoutes(pts[i], pts[i+1], core.MethodNNI, w.P); len(locals) > most {
+			pair, most = i, len(locals)
+		}
+	}
+	if most < 1 {
+		b.Skip("no pair with NNI routes")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = w.Eng.PairLocalRoutes(pts[pair], pts[pair+1], core.MethodNNI, w.P)
+	}
+}
+
 // BenchmarkHRISQueryDijkstra is BenchmarkHRISQuery on the Dijkstra-oracle
 // world: the no-acceleration baseline. Comparing the two shows the CH
 // speedup end to end; this one must stay within noise of the pre-CH seed.

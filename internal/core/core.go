@@ -177,19 +177,24 @@ type pairContext struct {
 	pair   int // pair index within the query, for stage timings
 	qi, qj traj.GPSPoint
 	sc     *pairScratch
-	ids    []int32 // sorted distinct archive trajectory ids of this pair
-	words  int     // bitset words per edge: (len(ids)+63)/64
-	// points are all reference points P_i. The main pipeline leaves each
-	// point's sources nil (edge bitsets already carry the support); only
-	// the network-free extension fills them.
-	points []refPoint
-	box    geo.BBox // MBR(P_i), accumulated as points are appended
+	ids    []int32    // sorted distinct archive trajectory ids of this pair
+	words  int        // bitset words per edge: (len(ids)+63)/64
+	points []refPoint // all reference points P_i
+	box    geo.BBox   // MBR(P_i), accumulated as points are appended
 }
 
+// refPoint is one reference point with the identity of the archive sample it
+// is: row k of the pair's match table sc.tabs[tab], which NNI reads the
+// point's candidate edges from (the network-free extension, which has no
+// tables, leaves it zero). The identity is two integers and not a *trajMatch
+// on purpose: a pair lists hundreds of these, and the list is what a pooled
+// arena's footprint is made of.
 type refPoint struct {
-	pt      geo.Point
-	sources []int32 // archive trajectory ids of the owning reference
+	pt geo.Point
+	sampleID
 }
+
+type sampleID struct{ tab, k int32 }
 
 // idIndex returns id's dense index — its rank in the sorted ids slice.
 // Callers only look up ids collected by buildPairContext, so the search
@@ -295,7 +300,7 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 	// trajectory's match table; only a spliced reference's junction, whose
 	// heading p_a→p_b is chosen per query, is tested here. A single-point
 	// reference has no heading and supports every candidate.
-	g, tables := x.eng.g, x.eng.match
+	g, tables, tabs := x.eng.g, x.eng.match, sc.tabs[:0]
 	// Sized up front: an arena fresh from the pool (GC cycles empty it) then
 	// costs one allocation, not a growth series.
 	points, box := slices.Grow(sc.points[:0], npoints), geo.EmptyBBox()
@@ -308,10 +313,12 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 		srcIdx := sc.srcIdx[:0]
 		srcIdx = append(srcIdx, ctx.idIndex(r.SourceA))
 		ta := tables.get(x.snap.Traj(int(r.SourceA)), x.p.CandEps)
-		tb := ta
+		tb, ia := ta, int32(len(tabs))
+		tabs = append(tabs, ta)
 		if r.SourceB >= 0 {
 			srcIdx = append(srcIdx, ctx.idIndex(r.SourceB))
 			tb = tables.get(x.snap.Traj(int(r.SourceB)), x.p.CandEps)
+			tabs = append(tabs, tb)
 		}
 		sc.srcIdx = srcIdx
 		// Read in place, at the positions the match tables are indexed by.
@@ -322,13 +329,13 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 			junction = runA[lenA-1].Pt.Heading(runB[0].Pt)
 		}
 		for j := 0; j < n; j++ {
-			t, k, pt := ta, int(r.OffA)+j, geo.Point{}
+			t, it, k, pt := ta, ia, int(r.OffA)+j, geo.Point{}
 			if j < lenA {
 				pt = runA[j].Pt
 			} else {
-				t, k, pt = tb, int(r.OffB)+j-lenA, runB[j-lenA].Pt
+				t, it, k, pt = tb, ia+1, int(r.OffB)+j-lenA, runB[j-lenA].Pt
 			}
-			points = append(points, refPoint{pt: pt})
+			points = append(points, refPoint{pt, sampleID{it, int32(k)}})
 			box = box.ExtendPoint(pt)
 			// The heading at j runs between points next-1 and next: toward
 			// the next sample, or from the previous one at the tail.
@@ -357,7 +364,7 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 			}
 		}
 	}
-	sc.points = points
+	sc.points, sc.tabs = points, tabs
 	ctx.points = points
 	ctx.box = box
 	return ctx

@@ -247,6 +247,9 @@ type metrics struct {
 	query, refSearch, candSearch, culling, localTGI, localNNI, kgri, batch *obs.Histogram
 
 	queries, batchCalls, batchQueries, fallbacks, cancelled, degraded *obs.Counter
+	// nniTraces/nniRoutes: traces NNI enumerated against the distinct routes
+	// they converted to — how much of the conversion is redundant.
+	nniTraces, nniRoutes *obs.Counter
 
 	// deadlines maps a stage name to its deadline-hit counter
 	// (obs.DeadlineCounterPrefix + stage), pre-resolved like the histograms.
@@ -278,6 +281,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		batchCalls:   reg.Counter("batch.calls"),
 		batchQueries: reg.Counter("batch.queries"),
 		fallbacks:    reg.Counter("fallback.local"),
+		nniTraces:    reg.Counter("local.nni.traces"),
+		nniRoutes:    reg.Counter("local.nni.routes"),
 		cancelled:    reg.Counter(obs.CounterQueryCancelled),
 		degraded:     reg.Counter(obs.CounterQueryDegraded),
 		deadlines:    deadlines,

@@ -66,28 +66,35 @@ func (e *Engine) InferPathsNetworkFreeCtx(ctx context.Context, q *traj.Trajector
 		qi, qj := q.Points[i], q.Points[i+1]
 		refs := e.refs.ReferencesOn(ctx, snap, qi, qj, sp, &sc.search, nil)
 		var pts []refPoint
-		for _, r := range refs {
-			srcs := []int32{r.SourceA}
-			if r.SourceB >= 0 {
-				srcs = append(srcs, r.SourceB)
-			}
+		var owner []int // pts[i] is a point of refs[owner[i]]
+		for ri, r := range refs {
 			a, b := r.Runs(snap)
 			for _, gp := range slices.Concat(a, b) {
-				pts = append(pts, refPoint{pt: gp.Pt, sources: srcs})
+				pts, owner = append(pts, refPoint{pt: gp.Pt}), append(owner, ri)
 			}
 		}
-		points, traces := enumerateTransitTraces(sc, pts, qi.Pt, qj.Pt, p, done)
+		off := enumerateTransitTraces(sc, pts, qi.Pt, qj.Pt, p, done)
+		// A table point is supported by the sources of every reference point
+		// that collapsed into its cell.
+		sources := make([][]int32, len(sc.nniPts))
+		for i, rp := range pts {
+			r, slot := refs[owner[i]], sc.dedupIdx[cellKey(rp.pt)]
+			sources[slot] = append(sources[slot], r.SourceA)
+			if r.SourceB >= 0 {
+				sources[slot] = append(sources[slot], r.SourceB)
+			}
+		}
 		var cands []freeLocal
 		seen := make(map[uint64][]geo.Polyline)
-		for _, tr := range traces {
-			// A fresh slice per trace: paths outlive the iteration, so they
-			// cannot share the scratch buffer the network-backed path uses.
-			path := geo.Polyline(tracePointsInto(make([]geo.Point, 0, len(tr)+2), points, tr, qi.Pt, qj.Pt))
+		for t := 0; t+1 < len(off); t++ {
+			// A fresh slice per trace: paths outlive the iteration and the
+			// scratch the trace indexes.
+			tr := sc.traces[off[t]:off[t+1]]
+			path := make(geo.Polyline, len(tr))
 			var support []int32
-			for _, node := range tr {
-				if node < len(points) {
-					support = append(support, points[node].sources...)
-				}
+			for i, node := range tr {
+				path[i] = sc.nniPts[node]
+				support = append(support, sources[node]...)
 			}
 			support = sortedSet(support)
 			h := pathHash(path)

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/graphalg"
@@ -11,25 +12,32 @@ import (
 	"repro/internal/traj"
 )
 
-// dedupPointsInto keeps one reference point per cell×cell meter grid square,
-// merging the source-trajectory sets of collapsed points. The output lives in
-// sc's point buffer; each entry's sources slice is a fresh copy (nil stays
-// nil), so merged source sets never alias the caller's refPoints.
-func dedupPointsInto(sc *pairScratch, pts []refPoint, cell float64) []refPoint {
+// nniCell is the grid NNI collapses reference points on, in meters.
+const nniCell = 100
+
+// cellKey packs p's grid cell into one map key. A cell index fits int32 for
+// any planar coordinate below 2·10¹¹ m, so distinct cells get distinct keys.
+func cellKey(p geo.Point) uint64 {
+	return uint64(uint32(int32(math.Floor(p.X/nniCell))))<<32 | uint64(uint32(int32(math.Floor(p.Y/nniCell))))
+}
+
+// dedupPointsInto lays out the pair's point table in sc: q_i, then the first
+// reference point seen in each grid cell together with the archive sample it
+// is, then q_{i+1}. sc.dedupIdx is left mapping every occupied cell to its
+// table index.
+func dedupPointsInto(sc *pairScratch, raw []refPoint, qi, qj geo.Point) {
 	idx := sc.dedupIdx
 	clear(idx)
-	out := sc.nniPoints[:0]
-	for _, rp := range pts {
-		k := [2]int{int(math.Floor(rp.pt.X / cell)), int(math.Floor(rp.pt.Y / cell))}
-		if i, ok := idx[k]; ok {
-			out[i].sources = append(out[i].sources, rp.sources...)
+	pts, src := append(sc.nniPts[:0], qi), sc.nniSrc[:0]
+	for _, rp := range raw {
+		k := cellKey(rp.pt)
+		if _, ok := idx[k]; ok {
 			continue
 		}
-		idx[k] = int32(len(out))
-		out = append(out, refPoint{pt: rp.pt, sources: append([]int32(nil), rp.sources...)})
+		idx[k] = int32(len(pts))
+		pts, src = append(pts, rp.pt), append(src, rp.sampleID)
 	}
-	sc.nniPoints = out
-	return out
+	sc.nniPts, sc.nniSrc = append(pts, qj), src
 }
 
 // inferNNI implements Nearest Neighbor based Inference (Algorithm 2): a
@@ -45,112 +53,84 @@ func dedupPointsInto(sc *pairScratch, pts []refPoint, cell float64) []refPoint {
 func (x exec) inferNNI(pctx *pairContext) []LocalRoute {
 	p := x.p
 	sc := pctx.sc
-	points, traces := enumerateTransitTraces(sc, pctx.points, pctx.qi.Pt, pctx.qj.Pt, p, x.done)
-	if len(traces) == 0 {
+	off := enumerateTransitTraces(sc, pctx.points, pctx.qi.Pt, pctx.qj.Pt, p, x.done)
+	if len(off) < 2 {
 		return nil
 	}
 
-	// Convert each trace to a physical route via map-matching (line 3).
-	// The traces overwhelmingly reuse the same reference points and the
-	// same consecutive snaps, so one memoizing projector serves the whole
-	// batch — every candidate search and shortest-path bridge runs once.
-	// The projector itself is part of the scratch arena: Reset drops the
-	// memos but keeps their backing storage warm across pairs.
+	// Convert each trace to a physical route via map-matching (line 3). The
+	// traces arrive in depth-first order, each repeating most of its
+	// predecessor, so the arena's projector resumes one from the other, reads
+	// archive points' candidate edges off the match tables (sc is its row
+	// source) and hands back a scratch-backed route; most are duplicates, and
+	// routeSeen copies out only the new ones.
 	var out []LocalRoute
 	mprm := mapmatch.DefaultParams()
 	mprm.CandidateRadius = p.CandEps
-	if sc.pj == nil {
-		sc.pj = mapmatch.NewProjector(x.eng.g, mprm)
-	} else {
-		sc.pj.Reset(x.eng.g, mprm)
-	}
-	for _, tr := range traces {
+	sc.pj.Reset(x.eng.g, mprm, sc.nniPts, sc)
+	for t := 0; t+1 < len(off); t++ {
 		if graphalg.Stopped(x.done) {
 			break // partial route set; the caller degrades the pair
 		}
-		sc.ptsBuf = tracePointsInto(sc.ptsBuf[:0], points, tr, pctx.qi.Pt, pctx.qj.Pt)
-		route, err := sc.pj.Project(x.ctx, sc.ptsBuf)
-		if err != nil || len(route) == 0 {
+		buf, err := sc.pj.Project(x.ctx, sc.traces[off[t]:off[t+1]])
+		if err != nil {
 			continue
 		}
-		if sc.routeSeen(route) {
-			continue
+		if route, seen := sc.routeSeen(buf); !seen {
+			pop, refs := x.scoreRoute(route, pctx)
+			out = append(out, LocalRoute{Route: route, Refs: refs, Popularity: pop})
 		}
-		pop, refs := x.scoreRoute(route, pctx)
-		out = append(out, LocalRoute{Route: route, Refs: refs, Popularity: pop})
+	}
+	if x.met != nil {
+		x.met.nniTraces.Add(uint64(len(off) - 1))
+		x.met.nniRoutes.Add(uint64(len(out)))
 	}
 	return capLocalRoutes(out, p.MaxLocalRoutes)
 }
 
-// tracePointsInto materializes a transit trace as a point sequence from q_i
-// to q_{i+1}, appending to dst. The trailing sink marker (len(points)) is
-// skipped.
-func tracePointsInto(dst []geo.Point, points []refPoint, trace []int, qi, qj geo.Point) []geo.Point {
-	dst = append(dst, qi)
-	for _, node := range trace {
-		if node < len(points) {
-			dst = append(dst, points[node].pt)
-		}
-	}
-	return append(dst, qj)
-}
-
 // enumerateTransitTraces runs Algorithm 2's recursion over bare reference
-// points and returns the deduplicated point set plus every enumerated
-// q_i→q_{i+1} trace (sequences of indices into the returned point set; the
-// sink q_{i+1} appears as index len(points)). It needs no road network,
-// which is what makes the network-free extension possible. done (nil =
-// uncancellable) is polled every 256 recursion steps; a stopped enumeration
-// returns the traces completed so far.
+// points. It lays the pair's point table out in sc.nniPts (see
+// dedupPointsInto) and enumerates q_i→q_{i+1} traces as index sequences into
+// it, each from 0 (q_i) to len(sc.nniPts)-1 (q_{i+1}), stored back to back in
+// sc.traces: trace t is sc.traces[off[t]:off[t+1]] of the returned offsets.
+// The recursion is depth first, so consecutive traces share prefixes. It
+// needs no road network, which is what makes the network-free extension
+// possible. done (nil = uncancellable) is polled every 256 recursion steps; a
+// stopped enumeration returns the traces completed so far.
 //
 // All working state — the kNN iterator, the successor arena, the dense memo
-// tables — lives in sc. The returned slices are backed by sc and must be
-// consumed before the scratch is recycled; the individual traces are fresh
-// copies.
-func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt geo.Point, p Params, done <-chan struct{}) ([]refPoint, [][]int) {
+// tables, the traces — lives in sc and must be consumed before the scratch is
+// recycled.
+func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt geo.Point, p Params, done <-chan struct{}) []int {
 	// Collapse nearby reference points: GPS noise scatters many archive
 	// samples of the same road into a 2D band, and at fine resolution every
 	// node's k nearest neighbors are band-mates — the transit graph would
 	// never leave the band. A 100 m cell (well under the typical reference
 	// sample spacing) collapses the band to single file along the roads
 	// while keeping the corridor structure the recursion walks on.
-	points := dedupPointsInto(sc, rawPoints, 100)
-	n := len(points)
-	if n == 0 {
-		return nil, nil
+	dedupPointsInto(sc, rawPoints, qiPt, qjPt)
+	pts := sc.nniPts
+	if len(pts) == 2 {
+		return nil
 	}
-	const srcNode = -1
-	sinkNode := n // the destination participates in the kNN stream
+	const srcNode = 0
+	sinkNode := len(pts) - 1 // the destination participates in the kNN stream
 
 	// Index reference points plus the destination for kNN streaming.
 	entries := sc.entries[:0]
-	for i, rp := range points {
+	for i := 1; i <= sinkNode; i++ {
 		entries = append(entries, rtree.Entry[int]{
-			Box: geo.BBox{Min: rp.pt, Max: rp.pt}, Item: i,
+			Box: geo.BBox{Min: pts[i], Max: pts[i]}, Item: i,
 		})
 	}
-	entries = append(entries, rtree.Entry[int]{
-		Box: geo.BBox{Min: qjPt, Max: qjPt}, Item: sinkNode,
-	})
 	sc.entries = entries
 	idx := rtree.Bulk(entries)
-
-	posOf := func(node int) geo.Point {
-		switch {
-		case node == srcNode:
-			return qiPt
-		case node == sinkNode:
-			return qjPt
-		default:
-			return points[node].pt
-		}
-	}
 	dest := qjPt
 
 	// successors performs the constrained kNN of Algorithm 2 lines 7–17.
 	// The returned slice is sc.nn — valid only until the next call.
 	successors := func(node int, alpha float64) []int {
-		pc := posOf(node)
+		pc := pts[node]
 		dCur := pc.Dist(dest)
 		nn := sc.nn[:0]
 		it := &sc.nnIter
@@ -164,7 +144,7 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 			if cand == node {
 				continue
 			}
-			cp := posOf(cand)
+			cp := pts[cand]
 			hop := pc.Dist(cp)
 			if hop < 1e-9 {
 				continue // co-located sample: no progress
@@ -186,39 +166,29 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 		// constrained kNN of the algorithm; ordering children by remaining
 		// distance lets the DFS reach the destination without exhausting
 		// its budget inside dense clusters.
-		sort.Slice(nn, func(a, b int) bool {
-			return posOf(nn[a]).Dist2(dest) < posOf(nn[b]).Dist2(dest)
+		// (slices.SortFunc is sort.Slice's algorithm, generated from the same
+		// template, minus the reflection-based swapper and its allocations.)
+		slices.SortFunc(nn, func(a, b int) int {
+			return cmp.Compare(pts[a].Dist2(dest), pts[b].Dist2(dest))
 		})
 		sc.nn = nn
 		return nn
 	}
 
 	// The dense memo maps node → an (offset, length) window of succArena,
-	// replacing the map[int][]int. Indexing is node+1 so the virtual source
-	// (-1) and sink (n) fit. Windows are re-sliced from the current arena at
-	// every use: append may move the backing array, but it never mutates
-	// already-written elements, so recorded windows stay valid across growth.
-	memoOff, memoLen := sc.memoOff, sc.memoLen
-	if cap(memoOff) < n+2 {
-		memoOff = make([]int32, n+2)
-		memoLen = make([]int32, n+2)
-	} else {
-		memoOff, memoLen = memoOff[:n+2], memoLen[:n+2]
-	}
+	// replacing the map[int][]int. Windows are re-sliced from the current
+	// arena at every use: append may move the backing array, but it never
+	// mutates already-written elements, so recorded windows stay valid across
+	// growth.
+	n := len(pts)
+	memoOff, memoLen := slices.Grow(sc.memoOff[:0], n)[:n], slices.Grow(sc.memoLen[:0], n)[:n]
 	for i := range memoLen {
 		memoLen[i] = -1
 	}
-	sc.memoOff, sc.memoLen = memoOff, memoLen
+	onPath := slices.Grow(sc.onPath[:0], n)[:n]
+	clear(onPath)
+	sc.memoOff, sc.memoLen, sc.onPath = memoOff, memoLen, onPath
 	sc.succArena = sc.succArena[:0]
-
-	onPath := sc.onPath
-	if cap(onPath) < n+2 {
-		onPath = make([]bool, n+2)
-	} else {
-		onPath = onPath[:n+2]
-		clear(onPath)
-	}
-	sc.onPath = onPath
 
 	// Depth-first enumeration with optional transit-graph sharing. The
 	// step budget bounds the exploration when sharing is disabled — the
@@ -226,12 +196,12 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 	// inefficiency the transit graph exists to fix (Figure 13b).
 	steps := 0
 	maxSteps := (p.MaxNNIPaths + 1) * 400
-	traces := sc.traces[:0]
-	trace := sc.trace[:0]
+	traces, off := sc.traces[:0], append(sc.traceOff[:0], 0)
+	path := append(sc.path[:0], srcNode)
 	var dfs func(node int, alpha float64)
 	dfs = func(node int, alpha float64) {
 		steps++
-		if steps > maxSteps || len(traces) >= p.MaxNNIPaths {
+		if steps > maxSteps || len(off) > p.MaxNNIPaths {
 			return
 		}
 		if steps&255 == 0 && graphalg.Stopped(done) {
@@ -239,7 +209,8 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 			return
 		}
 		if node == sinkNode {
-			traces = append(traces, append([]int(nil), trace...))
+			traces = append(traces, path...)
+			off = append(off, len(traces))
 			return
 		}
 		// The sc.nn buffer successors() fills is clobbered by the recursive
@@ -247,22 +218,22 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 		// into the arena before iteration. Without sharing, the window is
 		// popped again on unwind, bounding the arena to depth×K2.
 		arenaMark := int32(len(sc.succArena))
-		var off, ln int32
-		if p.ShareSubstructures && memoLen[node+1] >= 0 {
-			off, ln = memoOff[node+1], memoLen[node+1]
+		var so, sn int32
+		if p.ShareSubstructures && memoLen[node] >= 0 {
+			so, sn = memoOff[node], memoLen[node]
 		} else {
 			s := successors(node, alpha)
-			off, ln = arenaMark, int32(len(s))
+			so, sn = arenaMark, int32(len(s))
 			sc.succArena = append(sc.succArena, s...)
 			if p.ShareSubstructures {
-				memoOff[node+1], memoLen[node+1] = off, ln
+				memoOff[node], memoLen[node] = so, sn
 			}
 		}
-		succ := sc.succArena[off : off+ln]
-		pc := posOf(node)
+		succ := sc.succArena[so : so+sn]
+		pc := pts[node]
 		advanced := false
 		for _, next := range succ {
-			if onPath[next+1] {
+			if onPath[next] {
 				continue
 			}
 			advanced = true
@@ -271,32 +242,32 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 			// deviation from α". The budget only shrinks — regaining it on
 			// forward hops would permit unbounded oscillation.
 			nextAlpha := alpha
-			if drift := posOf(next).Dist(dest) - pc.Dist(dest); drift > 0 {
+			if drift := pts[next].Dist(dest) - pc.Dist(dest); drift > 0 {
 				nextAlpha -= drift
 			}
-			onPath[next+1] = true
-			trace = append(trace, next)
+			onPath[next] = true
+			path = append(path, next)
 			dfs(next, nextAlpha)
-			trace = trace[:len(trace)-1]
-			onPath[next+1] = false
+			path = path[:len(path)-1]
+			onPath[next] = false
 		}
 		// Dead end: no admissible onward reference point. Rather than
 		// discarding the partial trace, hop straight to the destination —
 		// the resulting route follows the references as far as they lead
 		// and bridges the rest, which still beats a blind shortest path.
 		if !advanced && node != srcNode {
-			trace = append(trace, sinkNode)
+			path = append(path, sinkNode)
 			dfs(sinkNode, alpha)
-			trace = trace[:len(trace)-1]
+			path = path[:len(path)-1]
 		}
 		if !p.ShareSubstructures {
 			sc.succArena = sc.succArena[:arenaMark]
 		}
 	}
-	onPath[srcNode+1] = true
+	onPath[srcNode] = true
 	dfs(srcNode, p.Alpha)
-	sc.traces, sc.trace = traces, trace
-	return points, traces
+	sc.traces, sc.traceOff, sc.path = traces, off, path
+	return off
 }
 
 // inferLocal dispatches to the configured local inference method; the
@@ -329,8 +300,8 @@ func (x exec) fallbackLocal(qi, qj traj.GPSPoint) []LocalRoute {
 	}
 	route, _, ok := x.eng.g.PathBetweenLocations(a, b)
 	if !ok {
-		// Try the opposite candidate assignment before giving up: the
-		// nearest edge can be the wrong direction of a two-way street.
+		// The nearest edges do not connect (the nearest edge can be the wrong
+		// direction of a one-way street): the pair gets no local route.
 		return nil
 	}
 	return []LocalRoute{{

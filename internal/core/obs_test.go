@@ -121,6 +121,17 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 			t.Fatalf("query %d: route counts differ", i)
 		}
 	}
+	// NNI's redundancy is visible from outside: traces enumerated against the
+	// distinct routes they converted to, at most MaxNNIPaths a pair.
+	nniPairs := s.Stages[obs.StageLocalNNI].Count
+	traces, hasT := s.Counters["local.nni.traces"]
+	routes, hasR := s.Counters["local.nni.routes"]
+	if !hasT || !hasR {
+		t.Fatal("local.nni.traces / local.nni.routes missing from snapshot")
+	}
+	if nniPairs == 0 || traces == 0 || routes == 0 || routes > traces || traces > nniPairs*uint64(p.MaxNNIPaths) {
+		t.Fatalf("local.nni: %d traces, %d routes over %d NNI pairs", traces, routes, nniPairs)
+	}
 	// Cache gauges are folded into the same snapshot.
 	if s.Counters["cache.refsearch.hits"]+s.Counters["cache.refsearch.misses"] == 0 {
 		t.Fatal("cache.refsearch gauges missing from snapshot")

@@ -19,9 +19,9 @@ import (
 //
 // Ownership rule (DESIGN.md "Memory discipline"): scratch-backed memory
 // never crosses a stage boundary. Everything a pair publishes — Route
-// slices, Refs id lists, trace copies — is freshly allocated at exact size
-// before it leaves the pair; the arena is only ever read through the
-// pairContext that borrowed it.
+// slices (copied out by routeSeen), Refs id lists — is freshly allocated at
+// exact size before it leaves the pair; the arena is only ever read through
+// the pairContext that borrowed it.
 type pairScratch struct {
 	// pctx is the reusable pairContext shell buildPairContext hands out.
 	pctx pairContext
@@ -48,14 +48,15 @@ type pairScratch struct {
 	ever     uint32
 
 	points []refPoint
+	tabs   []*trajMatch // the pair's match tables; refPoint.tab indexes them
 
 	// Scoring buffers (Equation 1).
 	counts []float64
 	union  []uint64
 
-	// Route dedup: integer hash buckets with collision verification,
-	// replacing the string-key seen map.
-	seenRoutes map[uint64][]roadnet.Route
+	// Route dedup: the routes published this pair and their hashes.
+	seen     []roadnet.Route
+	seenHash []uint64
 
 	// TGI.
 	sorted           []roadnet.EdgeID // traverse edges, sorted
@@ -67,14 +68,18 @@ type pairScratch struct {
 	tg               graphalg.Graph
 	mid              []geo.Point
 	comp             []int
-	redW             []map[int]float64
-	redKs            []int
+	redOff, redTo    []int32   // reduceTraverseGraph's CSR rows
+	redW             []float64 // their weights; +Inf = removed
+	redSlot, redWit  []int32   // its per-row target index and witness counts
 	srcCand, dstCand []roadnet.EdgeID
 	routeBuf         roadnet.Route
 
-	// NNI.
-	dedupIdx  map[[2]int]int32
-	nniPoints []refPoint
+	// NNI. nniPts is the pair's point table — q_i, one reference point per
+	// grid cell, q_{i+1} — that transit-graph nodes, traces and the projector
+	// all index; nniSrc[i-1] is the archive sample table point i is.
+	dedupIdx  map[uint64]int32 // grid cell → table index
+	nniPts    []geo.Point
+	nniSrc    []sampleID
 	entries   []rtree.Entry[int]
 	nnIter    rtree.NearestIter[int]
 	nn        []int
@@ -82,10 +87,10 @@ type pairScratch struct {
 	memoOff   []int32
 	memoLen   []int32
 	onPath    []bool
-	trace     []int
-	traces    [][]int
-	ptsBuf    []geo.Point
-	pj        *mapmatch.Projector
+	path      []int // the DFS stack
+	traces    []int // every enumerated trace, back to back
+	traceOff  []int // trace t is traces[traceOff[t]:traceOff[t+1]]
+	pj        mapmatch.Projector
 }
 
 // pairScratchPool recycles scratch arenas across queries. The pool is
@@ -94,10 +99,7 @@ type pairScratch struct {
 var pairScratchPool = sync.Pool{New: func() any { return newPairScratch() }}
 
 func newPairScratch() *pairScratch {
-	return &pairScratch{
-		seenRoutes: make(map[uint64][]roadnet.Route),
-		dedupIdx:   make(map[[2]int]int32),
-	}
+	return &pairScratch{dedupIdx: make(map[uint64]int32)}
 }
 
 // getScratch checks a scratch arena out for one worker. With noPool set
@@ -136,7 +138,8 @@ func (sc *pairScratch) beginPair(nseg int) {
 	}
 	sc.edges = sc.edges[:0]
 	sc.bits = sc.bits[:0]
-	clear(sc.seenRoutes)
+	clear(sc.seen) // let go of the previous pair's published routes
+	sc.seen, sc.seenHash = sc.seen[:0], sc.seenHash[:0]
 }
 
 // beginNodes resets the stamped EdgeID -> traverse-graph-node map.
@@ -181,19 +184,39 @@ func hashEdges(r roadnet.Route) uint64 {
 	return h
 }
 
-// routeSeen reports whether an identical edge sequence was already recorded
-// this pair, recording r otherwise. Hash buckets are verified element-wise,
-// so a (vanishingly unlikely) collision can never drop a distinct route —
-// the dedup is exactly Route.Key equality without the string allocation.
-func (sc *pairScratch) routeSeen(r roadnet.Route) bool {
+// routeSeen is the one way a local route leaves the arena. r is scratch-
+// backed (TGI's routeBuf, the projector's buffer); when an identical edge
+// sequence was already published this pair it reports seen, otherwise it
+// records and returns r's exact-size heap copy — a duplicate never allocates.
+// Hash matches are verified element-wise, so the dedup is exactly Route
+// equality.
+func (sc *pairScratch) routeSeen(r roadnet.Route) (pub roadnet.Route, seen bool) {
 	h := hashEdges(r)
-	for _, prev := range sc.seenRoutes[h] {
-		if prev.Equal(r) {
-			return true
+	for i, ph := range sc.seenHash {
+		if ph == h && sc.seen[i].Equal(r) {
+			return nil, true
 		}
 	}
-	sc.seenRoutes[h] = append(sc.seenRoutes[h], r)
-	return false
+	pub = make(roadnet.Route, len(r))
+	copy(pub, r)
+	sc.seen, sc.seenHash = append(sc.seen, pub), append(sc.seenHash, h)
+	return pub, false
+}
+
+// CandidateRow implements mapmatch.RowSource over the pair's point table: an
+// archive sample's candidate edges are its match-table row, which holds
+// exactly CandidateEdges(p, CandEps) in order. The query points (first and
+// last table slot) have no row.
+func (sc *pairScratch) CandidateRow(i int, dst []roadnet.EdgeID) []roadnet.EdgeID {
+	if i == 0 || i > len(sc.nniSrc) {
+		return dst
+	}
+	s := sc.nniSrc[i-1]
+	t := sc.tabs[s.tab]
+	for _, c := range t.cands[t.off[s.k]:t.off[s.k+1]] {
+		dst = append(dst, roadnet.EdgeID(c>>matchBits))
+	}
+	return dst
 }
 
 // kgriScratch pools the K-GRI candidate buffer. The pool is shared

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geo"
@@ -110,15 +111,14 @@ func (x exec) inferTGI(pctx *pairContext) []LocalRoute {
 		for _, de := range dsts {
 			paths := graphalg.KShortestPathsCtx(x.ctx, tg, int(sc.nodeSlot[se]), int(sc.nodeSlot[de]), p.K1)
 			for _, path := range paths {
-				route, ok := projectPath(g, path.Vertices, edges, sc)
-				if !ok || len(route) == 0 {
+				buf, ok := projectPath(g, path.Vertices, edges, sc)
+				if !ok {
 					continue
 				}
-				if sc.routeSeen(route) {
-					continue
+				if route, seen := sc.routeSeen(buf); !seen {
+					pop, refs := x.scoreRoute(route, pctx)
+					out = append(out, LocalRoute{Route: route, Refs: refs, Popularity: pop})
 				}
-				pop, refs := x.scoreRoute(route, pctx)
-				out = append(out, LocalRoute{Route: route, Refs: refs, Popularity: pop})
 			}
 		}
 	}
@@ -195,33 +195,35 @@ func augmentStronglyConnected(tg *graphalg.Graph, edges []roadnet.EdgeID, g *roa
 // exactly to h(r,k) (the paper's h(r_i,r_k) = h(r_i,r_j)+h(r_j,r_k)+1 rule,
 // expressed in our hop convention where adjacent edges are 1 hop apart).
 // Removal preserves all shortest-path distances while shrinking the search
-// space of the K-shortest-path stage. sc supplies the reusable adjacency
-// maps.
+// space of the K-shortest-path stage. sc supplies the adjacency rows.
 func reduceTraverseGraph(tg *graphalg.Graph, done <-chan struct{}, sc *pairScratch) {
+	// CSR copy of the graph: row u holds u's distinct targets in ascending
+	// order, each with the lightest of its parallel arcs. Arcs arrive almost
+	// sorted (the λ-neighborhood scan adds them by ascending target, only
+	// augmentation appends out of order), so insertion keeps the row sorted.
 	n := tg.N()
-	w := sc.redW
-	if cap(w) < n {
-		nw := make([]map[int]float64, n)
-		copy(nw, w[:cap(w)]) // keep previously allocated maps for reuse
-		w = nw
-	} else {
-		w = w[:n]
-	}
-	sc.redW = w
+	off, to, w := append(sc.redOff[:0], 0), sc.redTo[:0], sc.redW[:0]
 	for u := 0; u < n; u++ {
-		m := w[u]
-		if m == nil {
-			m = make(map[int]float64, len(tg.Adj[u]))
-			w[u] = m
-		} else {
-			clear(m)
-		}
+		lo := len(to)
 		for _, a := range tg.Adj[u] {
-			if cur, ok := m[a.To]; !ok || a.W < cur {
-				m[a.To] = a.W
+			i := len(to)
+			for i > lo && to[i-1] > int32(a.To) {
+				i--
 			}
+			if i > lo && to[i-1] == int32(a.To) {
+				w[i-1] = min(w[i-1], a.W)
+				continue
+			}
+			to, w = slices.Insert(to, i, int32(a.To)), slices.Insert(w, i, a.W)
 		}
+		off = append(off, int32(len(to)))
 	}
+	sc.redOff, sc.redTo, sc.redW = off, to, w
+	// slot[k] is link r→k's position in the row being reduced (anything else
+	// for a k the row does not link: a position outside the row, or one that
+	// holds another target); wit[i] counts the witnesses of the link at i.
+	slot, wit := slices.Grow(sc.redSlot[:0], n)[:n], slices.Grow(sc.redWit[:0], len(to))[:len(to)]
+	sc.redSlot, sc.redWit = slot, wit
 	// A direct link is redundant when routing through an intermediate
 	// traverse edge composes to (approximately) the same physical length —
 	// the float-weight analogue of the paper's exact hop composition rule.
@@ -234,41 +236,42 @@ func reduceTraverseGraph(tg *graphalg.Graph, done <-chan struct{}, sc *pairScrat
 		if graphalg.Stopped(done) {
 			return
 		}
-		// Removal order matters — deleting r→k can destroy the witness that
-		// made another link redundant — so candidates go in sorted order to
-		// keep the reduced graph (and the K-shortest-path results on it)
-		// identical across runs. The witness scan below is order-free: it
-		// only produces a boolean.
-		ks := sc.redKs[:0]
-		for k := range w[r] {
-			ks = append(ks, k)
-		}
-		sort.Ints(ks)
-		sc.redKs = ks
-		for _, k := range ks {
-			wrk := w[r][k]
-			redundant := false
-			for j, wrj := range w[r] {
-				if j == k {
-					continue
-				}
-				if wjk, ok := w[j][k]; ok && wrj+wjk <= wrk+tol {
-					redundant = true
-					break
+		lo, hi := off[r], off[r+1]
+		// vouch adds d to the witness count of every link r→k that the detour
+		// r→j→k, r→j weighing wrj, makes redundant. A removed link weighs
+		// +Inf and so completes no detour.
+		vouch := func(j int32, wrj float64, d int32) {
+			for a := off[j]; a < off[j+1]; a++ {
+				k := to[a]
+				if i := slot[k]; i >= lo && i < hi && to[i] == k && k != j && wrj+w[a] <= w[i]+tol {
+					wit[i] += d
 				}
 			}
-			if redundant {
-				tg.RemoveArc(r, k)
-				delete(w[r], k)
+		}
+		for i := lo; i < hi; i++ {
+			slot[to[i]], wit[i] = i, 0
+		}
+		for i := lo; i < hi; i++ {
+			vouch(to[i], w[i], 1)
+		}
+		// Removal order matters — deleting r→k takes away the witness k was
+		// for other links of r — so candidates go in row (= ascending target)
+		// order, each judged by the witnesses still linked when its turn
+		// comes, to keep the reduced graph (and the K-shortest-path results on
+		// it) identical across runs.
+		for i := lo; i < hi; i++ {
+			if wit[i] > 0 {
+				vouch(to[i], w[i], -1)
+				w[i] = math.Inf(1)
 			}
 		}
+		tg.Adj[r] = slices.DeleteFunc(tg.Adj[r], func(a graphalg.Arc) bool { return math.IsInf(w[slot[a.To]], 1) })
 	}
 }
 
 // projectPath maps a traverse-graph path (node indices) to a physical road
 // route, bridging non-adjacent consecutive edges with shortest paths. The
-// route is assembled in sc's buffer and copied out at exact size, so the
-// returned route never aliases the arena.
+// route is assembled in, and aliases, sc.routeBuf: routeSeen publishes it.
 func projectPath(g *roadnet.Graph, nodes []int, edges []roadnet.EdgeID, sc *pairScratch) (roadnet.Route, bool) {
 	if len(nodes) == 0 {
 		return nil, false
@@ -276,48 +279,13 @@ func projectPath(g *roadnet.Graph, nodes []int, edges []roadnet.EdgeID, sc *pair
 	buf := append(sc.routeBuf[:0], edges[nodes[0]])
 	ok := true
 	for _, n := range nodes[1:] {
-		buf, ok = appendConcatEdge(g, buf, edges[n])
+		buf, ok = buf.AppendConcat(g, edges[n:n+1])
 		if !ok {
 			break
 		}
 	}
 	sc.routeBuf = buf
-	if !ok || !buf.Valid(g) {
-		return nil, false
-	}
-	out := make(roadnet.Route, len(buf))
-	copy(out, buf)
-	return out, true
-}
-
-// appendConcatEdge is Route.Concat ∘ Dedup for a single appended edge with
-// dst's backing array reused — the same equivalence mapmatch's appendConcat
-// relies on: the iteratively built route never contains immediate repeats,
-// so deduplicating the appended suffix equals re-deduplicating the whole
-// route. ok=false leaves the route invalid; callers discard it.
-func appendConcatEdge(g *roadnet.Graph, dst roadnet.Route, e roadnet.EdgeID) (roadnet.Route, bool) {
-	if len(dst) == 0 {
-		return append(dst, e), true
-	}
-	if g.Seg(e).From == dst.End(g) || e == dst[len(dst)-1] {
-		if e != dst[len(dst)-1] {
-			dst = append(dst, e)
-		}
-		return dst, true
-	}
-	br, _, ok := g.EdgePathBetweenVertices(dst.End(g), g.Seg(e).From)
-	if !ok {
-		return dst, false
-	}
-	for _, be := range br {
-		if be != dst[len(dst)-1] {
-			dst = append(dst, be)
-		}
-	}
-	if e != dst[len(dst)-1] {
-		dst = append(dst, e)
-	}
-	return dst, true
+	return buf, ok && buf.Valid(g)
 }
 
 // capLocalRoutes sorts by popularity (descending) and keeps at most max.

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/graphalg"
@@ -134,5 +138,108 @@ func TestQueryCandidatesWidening(t *testing.T) {
 	}
 	if len(cands) > 3 {
 		t.Fatalf("candidate cap exceeded: %d", len(cands))
+	}
+}
+
+// reduceTraverseGraphMaps is the reduction as it stood before its adjacency
+// became CSR rows in scratch — one map per node, candidates in sorted key
+// order, removed links deleted from the map — kept as the reference.
+func reduceTraverseGraphMaps(tg *graphalg.Graph) {
+	n := tg.N()
+	w := make([]map[int]float64, n)
+	for u := 0; u < n; u++ {
+		w[u] = make(map[int]float64, len(tg.Adj[u]))
+		for _, a := range tg.Adj[u] {
+			if cur, ok := w[u][a.To]; !ok || a.W < cur {
+				w[u][a.To] = a.W
+			}
+		}
+	}
+	const tol = 30.0
+	for r := 0; r < n; r++ {
+		var ks []int
+		for k := range w[r] {
+			ks = append(ks, k)
+		}
+		sort.Ints(ks)
+		for _, k := range ks {
+			wrk := w[r][k]
+			redundant := false
+			for j, wrj := range w[r] {
+				if j == k {
+					continue
+				}
+				if wjk, ok := w[j][k]; ok && wrj+wjk <= wrk+tol {
+					redundant = true
+					break
+				}
+			}
+			if redundant {
+				tg.RemoveArc(r, k)
+				delete(w[r], k)
+			}
+		}
+	}
+}
+
+// TestReduceTraverseGraphMatchesMapOracle: on random digraphs with parallel
+// arcs and weights tied exactly at the tolerance, and on chains where
+// removing one link destroys the witness of another, the scratch-backed
+// reduction leaves exactly the arcs the map-based one does, in the same
+// order, from a fresh and from a reused arena.
+func TestReduceTraverseGraphMatchesMapOracle(t *testing.T) {
+	sc := newPairScratch()
+	check := func(name string, tg *graphalg.Graph) {
+		t.Helper()
+		want, fresh := tg.Clone(), tg.Clone()
+		reduceTraverseGraphMaps(want)
+		reduceTraverseGraph(tg, nil, sc)
+		reduceTraverseGraph(fresh, nil, newPairScratch())
+		if !reflect.DeepEqual(tg.Adj, want.Adj) || !reflect.DeepEqual(fresh.Adj, want.Adj) {
+			t.Fatalf("%s: reduced to\n%v\nfresh arena\n%v\nmap oracle\n%v", name, tg.Adj, fresh.Adj, want.Adj)
+		}
+	}
+
+	// r→1 is made redundant by 2 (10+60 ≤ 40+30), and once it is gone
+	// nothing vouches for r→3 any more (1 was its only witness: 40+50 ≤
+	// 60+30). Judged in the other order both would go.
+	chain := graphalg.NewGraph(4)
+	chain.AddArc(0, 1, 40)
+	chain.AddArc(0, 2, 10)
+	chain.AddArc(0, 3, 60)
+	chain.AddArc(2, 1, 60)
+	chain.AddArc(1, 3, 50)
+	check("chain", chain.Clone())
+	reduceTraverseGraph(chain, nil, sc)
+	if chain.HasArc(0, 1) || !chain.HasArc(0, 3) {
+		t.Fatalf("chain: removing 0→1 must save 0→3, got %v", chain.Adj)
+	}
+
+	// A parallel arc lighter than the first one decides both roles: as the
+	// link judged and as the leg of a detour. Ties sit exactly at tol.
+	par := graphalg.NewGraph(3)
+	par.AddArc(0, 2, 300)
+	par.AddArc(0, 1, 100)
+	par.AddArc(1, 2, 500)
+	par.AddArc(1, 2, 130) // 100+130 = 200+30: redundant only by this arc, and only at ≤
+	par.AddArc(0, 2, 200)
+	check("parallel", par.Clone())
+	reduceTraverseGraph(par, nil, sc)
+	if par.HasArc(0, 2) {
+		t.Fatalf("parallel: 0→2 is within tol of 0→1→2, got %v", par.Adj)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(14)
+		tg := graphalg.NewGraph(n)
+		for arcs := rng.Intn(n * n); arcs > 0; arcs-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v { // the traverse graph has no self-links
+				// Multiples of 10 m: sums land on the tolerance exactly, often.
+				tg.AddArc(u, v, float64(10*(1+rng.Intn(12))))
+			}
+		}
+		check(fmt.Sprintf("random %d", trial), tg)
 	}
 }

@@ -1,8 +1,8 @@
 // Package mapmatch implements the map-matching algorithms the paper uses:
 // the incremental geometric matcher [Greenfeld 2002], ST-Matching
 // [Lou et al. 2009] and IVMM [Yuan et al. 2010] as the experimental
-// competitors (§IV-B), plus the point-sequence-to-route matcher that the
-// preprocessing component and HRIS's NNI algorithm rely on.
+// competitors (§IV-B), plus the Projector that converts the transit-graph
+// traces of HRIS's NNI algorithm into routes.
 package mapmatch
 
 import (
@@ -75,82 +75,49 @@ func StitchLocations(g *roadnet.Graph, locs []roadnet.Location) (roadnet.Route, 
 	return stitchLocations(context.Background(), g, locs)
 }
 
-// StitchLocationsCtx is StitchLocations with a cancellation checkpoint per
-// location (each bridge is a shortest-path search). Returns ctx.Err() when
-// cancelled.
-func StitchLocationsCtx(ctx context.Context, g *roadnet.Graph, locs []roadnet.Location) (roadnet.Route, error) {
-	return stitchLocations(ctx, g, locs)
+// stitcher grows one route location by location: the stitch step every
+// matcher and the Projector share. Its route buffer is reused across runs;
+// callers that keep a result copy it out.
+type stitcher struct {
+	route roadnet.Route
+	cur   roadnet.Location // the last location joined
+	have  bool             // a first location has started the route
 }
 
-func stitchLocations(ctx context.Context, g *roadnet.Graph, locs []roadnet.Location) (roadnet.Route, error) {
-	return stitchWith(ctx, g, locs, plainBridge(g))
-}
-
-// bridgeFn produces the shortest-path bridge between two locations;
-// implementations may memoize (see Projector).
-type bridgeFn func(ctx context.Context, done <-chan struct{}, a, b roadnet.Location) (roadnet.Route, bool)
-
-func plainBridge(g *roadnet.Graph) bridgeFn {
-	return func(ctx context.Context, _ <-chan struct{}, a, b roadnet.Location) (roadnet.Route, bool) {
-		part, _, ok := g.PathBetweenLocationsCtx(ctx, a, b)
-		return part, ok
+// step joins l to the route. The first location starts it; a later one is
+// joined over part, the path from s.cur to l (ok=false: there is none), and
+// dropped — route and s.cur untouched — when no path or no connection exists.
+func (s *stitcher) step(g *roadnet.Graph, l roadnet.Location, part roadnet.Route, ok bool) {
+	if !s.have {
+		s.route, s.cur, s.have = append(s.route[:0], l.Edge), l, true
+		return
+	}
+	if !ok {
+		return
+	}
+	if joined, ok := s.route.AppendConcat(g, part); ok {
+		s.route, s.cur = joined, l
 	}
 }
 
-func stitchWith(ctx context.Context, g *roadnet.Graph, locs []roadnet.Location, bridge bridgeFn) (roadnet.Route, error) {
+func stitchLocations(ctx context.Context, g *roadnet.Graph, locs []roadnet.Location) (roadnet.Route, error) {
 	done := ctx.Done()
-	var route roadnet.Route
-	have := false
-	cur := roadnet.Location{}
+	var st stitcher
 	for _, l := range locs {
 		if graphalg.Stopped(done) {
 			return nil, ctx.Err()
 		}
-		if !have {
-			route = roadnet.Route{l.Edge}
-			cur = l
-			have = true
-			continue
+		var part roadnet.Route
+		ok := false
+		if st.have {
+			part, _, ok = g.PathBetweenLocationsCtx(ctx, st.cur, l)
 		}
-		part, ok := bridge(ctx, done, cur, l)
-		if !ok {
-			continue
-		}
-		joined, ok := appendConcat(g, route, part)
-		if !ok {
-			continue
-		}
-		route = joined
-		cur = l
+		st.step(g, l, part, ok)
 	}
-	if !have || len(route) == 0 {
+	if !st.have {
 		return nil, ErrNoRoute
 	}
-	return route, nil
-}
-
-// ProjectPointSequence converts a point sequence to a route cheaply: each
-// point snaps to its nearest direction-compatible edge (using the travel
-// heading implied by the sequence) and consecutive snaps are stitched with
-// shortest paths. It trades ST-Matching's noise robustness for an
-// order-of-magnitude lower cost — HRIS's NNI uses it to convert the many
-// enumerated transit-graph traces into physical routes.
-func ProjectPointSequence(g *roadnet.Graph, pts []geo.Point, prm Params) (roadnet.Route, error) {
-	return projectPointSequence(context.Background(), g, pts, prm)
-}
-
-// ProjectPointSequenceCtx is ProjectPointSequence with a cancellation
-// checkpoint per point; returns ctx.Err() when cancelled.
-func ProjectPointSequenceCtx(ctx context.Context, g *roadnet.Graph, pts []geo.Point, prm Params) (roadnet.Route, error) {
-	return projectPointSequence(ctx, g, pts, prm)
-}
-
-func projectPointSequence(ctx context.Context, g *roadnet.Graph, pts []geo.Point, prm Params) (roadnet.Route, error) {
-	return projectWith(ctx, g, pts,
-		func(p, o geo.Point, m snapMode) (roadnet.Location, bool) {
-			return snapPoint(g, prm, candidatesFor(g, p, prm), p, o, m)
-		},
-		plainBridge(g))
+	return st.route, nil
 }
 
 // snapMode says which neighbour supplies the travel heading for a snap:
@@ -163,10 +130,6 @@ const (
 	snapToNext
 	snapFromPrev
 )
-
-// snapFn snaps point p to a network location, orienting by its neighbour
-// o per mode m; ok=false when p has no candidate edges.
-type snapFn func(p, o geo.Point, m snapMode) (roadnet.Location, bool)
 
 // snapPoint picks the best direction-compatible candidate: heading
 // agreement (cosine of the angle difference) minus a distance penalty.
@@ -184,63 +147,11 @@ func snapPoint(g *roadnet.Graph, prm Params, cands []roadnet.Candidate, p, o geo
 		}
 		bestScore := math.Inf(-1)
 		for _, c := range cands {
-			seg := g.Seg(c.Edge)
-			segHeading := seg.Shape[0].Heading(seg.Shape[len(seg.Shape)-1])
-			score := math.Cos(geo.AngleDiff(heading, segHeading)) - c.Dist/(prm.GPSSigma*4)
+			score := math.Cos(geo.AngleDiff(heading, g.SegHeading(c.Edge))) - c.Dist/(prm.GPSSigma*4)
 			if score > bestScore {
 				best, bestScore = c, score
 			}
 		}
 	}
 	return roadnet.Location{Edge: best.Edge, Offset: best.Offset}, true
-}
-
-func projectWith(ctx context.Context, g *roadnet.Graph, pts []geo.Point, snap snapFn, bridge bridgeFn) (roadnet.Route, error) {
-	if len(pts) == 0 {
-		return nil, ErrNoRoute
-	}
-	done := ctx.Done()
-	locs := make([]roadnet.Location, 0, len(pts))
-	for i, p := range pts {
-		if graphalg.Stopped(done) {
-			return nil, ctx.Err()
-		}
-		var loc roadnet.Location
-		var ok bool
-		switch {
-		case i+1 < len(pts):
-			loc, ok = snap(p, pts[i+1], snapToNext)
-		case i > 0:
-			loc, ok = snap(p, pts[i-1], snapFromPrev)
-		default:
-			loc, ok = snap(p, p, snapLone)
-		}
-		if !ok {
-			continue
-		}
-		locs = append(locs, loc)
-	}
-	return stitchWith(ctx, g, locs, bridge)
-}
-
-// MatchPointSequence map-matches a (reasonably dense) sequence of points
-// with the ST-Matching machinery and returns the route. HRIS's NNI uses it
-// to turn a trace of reference points into a physical route ("we can derive
-// a route from the points in trace by applying the map-matching
-// techniques", §III-B.2); the preprocessing component uses it to align
-// archive trajectories.
-func MatchPointSequence(g *roadnet.Graph, pts []geo.Point, prm Params) (roadnet.Route, error) {
-	return MatchPointSequenceCtx(context.Background(), g, pts, prm)
-}
-
-// MatchPointSequenceCtx is MatchPointSequence with cancellation
-// checkpoints in the underlying ST-Matching dynamic program.
-func MatchPointSequenceCtx(ctx context.Context, g *roadnet.Graph, pts []geo.Point, prm Params) (roadnet.Route, error) {
-	t := &traj.Trajectory{ID: "seq"}
-	for i, p := range pts {
-		t.Points = append(t.Points, traj.GPSPoint{Pt: p, T: float64(i)})
-	}
-	m := NewSTMatcher(g, prm)
-	m.SkipTemporal = true // synthetic timestamps carry no speed information
-	return m.MatchCtx(ctx, t)
 }

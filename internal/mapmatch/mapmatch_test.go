@@ -146,22 +146,6 @@ func TestStitchLocations(t *testing.T) {
 	}
 }
 
-func TestMatchPointSequence(t *testing.T) {
-	city, rng := testWorld(109)
-	truth, tr := simulateCase(t, city, rng, 3000, 20, 0)
-	pts := make([]geo.Point, tr.Len())
-	for i, p := range tr.Points {
-		pts[i] = p.Pt
-	}
-	route, err := MatchPointSequence(city.Graph, pts, DefaultParams())
-	if err != nil {
-		t.Fatalf("MatchPointSequence: %v", err)
-	}
-	if ov := routeOverlap(city.Graph, truth, route); ov < 0.9 {
-		t.Errorf("point-sequence overlap %.2f", ov)
-	}
-}
-
 func TestObservationMonotone(t *testing.T) {
 	if observation(0, 20) != 1 {
 		t.Fatal("observation(0) != 1")

@@ -1,11 +1,24 @@
 package mapmatch
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
 )
+
+// projectPoints projects pts in order: a Projector over pts as its point
+// table, driven with the identity index sequence.
+func projectPoints(g *roadnet.Graph, pts []geo.Point, prm Params) (roadnet.Route, error) {
+	var pj Projector
+	pj.Reset(g, prm, pts, nil)
+	seq := make([]int, len(pts))
+	for i := range seq {
+		seq[i] = i
+	}
+	return pj.Project(context.Background(), seq)
+}
 
 func TestProjectPointSequence(t *testing.T) {
 	g := roadnet.NewGrid(3, 5, 100, 15)
@@ -13,9 +26,9 @@ func TestProjectPointSequence(t *testing.T) {
 	pts := []geo.Point{
 		geo.Pt(10, 4), geo.Pt(120, -5), geo.Pt(230, 6), geo.Pt(360, -3),
 	}
-	route, err := ProjectPointSequence(g, pts, DefaultParams())
+	route, err := projectPoints(g, pts, DefaultParams())
 	if err != nil {
-		t.Fatalf("ProjectPointSequence: %v", err)
+		t.Fatalf("projectPoints: %v", err)
 	}
 	if !route.Valid(g) {
 		t.Fatalf("invalid route %v", route)
@@ -36,10 +49,10 @@ func TestProjectPointSequence(t *testing.T) {
 
 func TestProjectPointSequenceDegenerate(t *testing.T) {
 	g := roadnet.NewGrid(2, 2, 100, 15)
-	if _, err := ProjectPointSequence(g, nil, DefaultParams()); err == nil {
+	if _, err := projectPoints(g, nil, DefaultParams()); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	route, err := ProjectPointSequence(g, []geo.Point{geo.Pt(50, 2)}, DefaultParams())
+	route, err := projectPoints(g, []geo.Point{geo.Pt(50, 2)}, DefaultParams())
 	if err != nil || len(route) != 1 {
 		t.Fatalf("single point: %v, %v", route, err)
 	}

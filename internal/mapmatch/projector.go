@@ -8,35 +8,51 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Projector amortizes point-sequence projections that share a graph and
-// params. HRIS's NNI converts dozens of transit-graph traces between the
-// same query point pair, and those traces revisit the same reference
-// points and the same consecutive location pairs over and over; the
-// projector memoizes the two expensive primitives — the candidate search
-// per point and the shortest-path bridge per location pair — so each is
-// computed once per inference instead of once per trace. The memo is
-// transparent: the graph is immutable and both primitives deterministic,
-// so a projected route is identical to an uncached one.
+// Projector converts the transit-graph traces of one query pair into routes
+// (Algorithm 2 line 3: each point snaps to its best direction-compatible
+// candidate edge, its heading taken from its successor, and consecutive snaps
+// are stitched with shortest paths). It is Reset with the pair's point table
+// and then projects index sequences into that table.
 //
-// A Projector is not safe for concurrent use; create one per goroutine.
+// NNI's depth-first enumeration emits traces in trie order, so a trace mostly
+// repeats its predecessor's prefix. The projector keeps the previous sequence
+// and, per position, a checkpoint of the stitch state before that position;
+// a sequence sharing c leading indices with the previous one resumes at
+// position c−1 (that point's snap looks at its successor, which may differ)
+// instead of at 0. What is recomputed is served from integer-keyed memos: a
+// point's candidates by table index, a snap by (point, neighbour, mode), a
+// bridge by its two edges. The graph is immutable and every primitive
+// deterministic, so a resumed, memo-served route is identical to one
+// projected from scratch.
+//
+// The zero value is ready for Reset. Not safe for concurrent use.
 type Projector struct {
-	g       *roadnet.Graph
-	prm     Params
-	cands   map[geo.Point][]roadnet.Candidate
-	snaps   map[snapKey]snapVal
-	bridges map[[2]roadnet.Location]bridge
+	g    *roadnet.Graph
+	prm  Params
+	pts  []geo.Point
+	rows RowSource
+
+	// cands holds MaxCandidates slots per table point, ncand how many are
+	// filled (-1: not computed yet).
+	cands   []roadnet.Candidate
+	ncand   []int32
+	rowBuf  []roadnet.EdgeID
+	snaps   map[uint64]snapVal   // point<<33 | neighbour<<2 | mode
+	bridges map[uint64]bridgeVal // from edge<<32 | to edge
+	one     [1]roadnet.EdgeID    // the same-edge bridge, without allocating it
+
+	st   stitcher
+	prev []int        // the sequence the checkpoints belong to
+	ckpt []checkpoint // ckpt[i]: stitch state before position i of prev
 }
 
-type bridge struct {
-	part roadnet.Route
-	ok   bool
-}
-
-// snapKey identifies a snap: the point, the neighbour the heading comes
-// from, and which side that neighbour is on.
-type snapKey struct {
-	p, o geo.Point
-	m    snapMode
+// RowSource supplies candidate edges an index already holds for table
+// points, sparing the projector the R-tree search.
+type RowSource interface {
+	// CandidateRow appends to dst the edges of CandidateEdges(pts[i],
+	// CandidateRadius), in that order, if they are stored for table point i,
+	// and returns dst unchanged otherwise.
+	CandidateRow(i int, dst []roadnet.EdgeID) []roadnet.EdgeID
 }
 
 type snapVal struct {
@@ -44,101 +60,141 @@ type snapVal struct {
 	ok  bool
 }
 
-// NewProjector returns a projector over g with the given matching params.
-func NewProjector(g *roadnet.Graph, prm Params) *Projector {
-	pj := &Projector{}
-	pj.Reset(g, prm)
-	return pj
+type bridgeVal struct {
+	part roadnet.Route
+	ok   bool
 }
 
-// Reset returns the projector to its freshly-constructed state over g and
-// prm: every memo emptied, with the map buckets kept allocated. A pooled
-// projector Reset between inferences behaves identically to a new one —
-// the memos are transparent, so only their (empty) starting state matters.
-func (pj *Projector) Reset(g *roadnet.Graph, prm Params) {
-	pj.g, pj.prm = g, prm
-	if pj.cands == nil {
-		pj.cands = make(map[geo.Point][]roadnet.Candidate)
-		pj.snaps = make(map[snapKey]snapVal)
-		pj.bridges = make(map[[2]roadnet.Location]bridge)
-		return
+type checkpoint struct {
+	n    int // len(route)
+	cur  roadnet.Location
+	have bool
+}
+
+// Reset binds the projector to a pair's point table and empties every memo
+// and the resume state, keeping their storage. rows may be nil. pts must
+// stay unchanged until the next Reset.
+func (pj *Projector) Reset(g *roadnet.Graph, prm Params, pts []geo.Point, rows RowSource) {
+	pj.g, pj.prm, pj.pts, pj.rows = g, prm, pts, rows
+	if pj.snaps == nil {
+		pj.snaps, pj.bridges = make(map[uint64]snapVal), make(map[uint64]bridgeVal)
 	}
-	clear(pj.cands)
 	clear(pj.snaps)
 	clear(pj.bridges)
-}
-
-func (pj *Projector) candidates(p geo.Point) []roadnet.Candidate {
-	if c, ok := pj.cands[p]; ok {
-		return c
+	if n := len(pts) * prm.MaxCandidates; cap(pj.cands) < n {
+		pj.cands = make([]roadnet.Candidate, n)
 	}
-	c := candidatesFor(pj.g, p, pj.prm)
-	pj.cands[p] = c
-	return c
+	pj.ncand = pj.ncand[:0]
+	for range pts {
+		pj.ncand = append(pj.ncand, -1)
+	}
+	pj.prev = pj.prev[:0]
 }
 
-func (pj *Projector) snap(p, o geo.Point, m snapMode) (roadnet.Location, bool) {
-	k := snapKey{p: p, o: o, m: m}
+// candidates returns table point i's candidates: the first MaxCandidates
+// edges of its stored row, or candidatesFor's search when there is no row (a
+// query point, or an archive point with no edge inside ε, which widens).
+func (pj *Projector) candidates(i int) []roadnet.Candidate {
+	max := pj.prm.MaxCandidates
+	out := pj.cands[i*max : i*max : (i+1)*max]
+	if n := pj.ncand[i]; n >= 0 {
+		return out[:n]
+	}
+	p := pj.pts[i]
+	if pj.rows != nil {
+		pj.rowBuf = pj.rows.CandidateRow(i, pj.rowBuf[:0])
+		for _, e := range pj.rowBuf[:min(len(pj.rowBuf), max)] {
+			out = append(out, pj.g.CandidateOn(p, e))
+		}
+	}
+	if len(out) == 0 {
+		out = append(out, candidatesFor(pj.g, p, pj.prm)...)
+	}
+	pj.ncand[i] = int32(len(out))
+	return out
+}
+
+// snap snaps position i of seq, orienting by the next position, by the
+// previous one at the tail, by nothing in a one-point sequence.
+func (pj *Projector) snap(seq []int, i int) (roadnet.Location, bool) {
+	p, o, m := seq[i], seq[i], snapLone
+	if i+1 < len(seq) {
+		o, m = seq[i+1], snapToNext
+	} else if i > 0 {
+		o, m = seq[i-1], snapFromPrev
+	}
+	k := uint64(p)<<33 | uint64(o)<<2 | uint64(m)
 	if v, hit := pj.snaps[k]; hit {
 		return v.loc, v.ok
 	}
-	loc, ok := snapPoint(pj.g, pj.prm, pj.candidates(p), p, o, m)
+	loc, ok := snapPoint(pj.g, pj.prm, pj.candidates(p), pj.pts[p], pj.pts[o], m)
 	pj.snaps[k] = snapVal{loc: loc, ok: ok}
 	return loc, ok
 }
 
-// bridgeBetween is PathBetweenLocationsCtx through the memo. A failure
-// observed while the context is cancelled is not cached — it means
-// "aborted", not "unreachable", and must not outlive the cancellation.
-func (pj *Projector) bridgeBetween(ctx context.Context, done <-chan struct{}, a, b roadnet.Location) (roadnet.Route, bool) {
-	k := [2]roadnet.Location{a, b}
+// bridge is PathBetweenLocationsCtx through the memo. The path reads the
+// offsets only to decide whether b lies ahead of a on one edge; every other
+// bridge runs from a's edge end to b's edge start and so is a function of
+// the two edges (ids fit 32 bits). A failure observed while the context is
+// cancelled is not cached: it means "aborted", not "unreachable".
+func (pj *Projector) bridge(ctx context.Context, a, b roadnet.Location) (roadnet.Route, bool) {
+	if a.Edge == b.Edge && b.Offset >= a.Offset {
+		pj.one[0] = a.Edge
+		return pj.one[:], true
+	}
+	k := uint64(a.Edge)<<32 | uint64(b.Edge)
 	if br, hit := pj.bridges[k]; hit {
 		return br.part, br.ok
 	}
 	part, _, ok := pj.g.PathBetweenLocationsCtx(ctx, a, b)
-	if !ok && graphalg.Stopped(done) {
+	if !ok && ctx.Err() != nil {
 		return nil, false
 	}
-	pj.bridges[k] = bridge{part: part, ok: ok}
+	pj.bridges[k] = bridgeVal{part: part, ok: ok}
 	return part, ok
 }
 
-// Project converts a point sequence to a route exactly like
-// ProjectPointSequenceCtx, serving candidate searches and bridges from
-// the memo.
-func (pj *Projector) Project(ctx context.Context, pts []geo.Point) (roadnet.Route, error) {
-	return projectWith(ctx, pj.g, pts, pj.snap, pj.bridgeBetween)
-}
-
-// appendConcat is Route.Concat ∘ Dedup with dst's backing array reused:
-// the stitch loop grows one route location by location, and the
-// copy-on-concat of the value-semantics Concat is quadratic there. dst
-// must be free of immediately repeated segments (the loop's invariant);
-// ok=false leaves dst unchanged.
-func appendConcat(g *roadnet.Graph, dst, s roadnet.Route) (roadnet.Route, bool) {
-	if len(dst) == 0 {
-		return appendDedup(dst, s), true
+// Project converts the point sequence pts[seq[0]], pts[seq[1]], … to a route,
+// or fails with ErrNoRoute when no point snaps. The route aliases the
+// projector's buffer until the next call; copy it to keep it. A cancelled
+// call returns ctx.Err() and leaves no resume state behind.
+func (pj *Projector) Project(ctx context.Context, seq []int) (roadnet.Route, error) {
+	r := 0
+	for r < len(seq) && r < len(pj.prev) && seq[r] == pj.prev[r] {
+		r++
 	}
-	if len(s) == 0 {
-		return dst, true
+	st, prev := &pj.st, pj.prev
+	pj.prev = prev[:0]
+	var k checkpoint // position 0 starts from nothing
+	if r = max(r-1, 0); r > 0 {
+		k = pj.ckpt[r]
 	}
-	if g.Seg(s[0]).From == dst.End(g) || s[0] == dst[len(dst)-1] {
-		return appendDedup(dst, s), true
-	}
-	br, _, ok := g.EdgePathBetweenVertices(dst.End(g), g.Seg(s[0]).From)
-	if !ok {
-		return dst, false
-	}
-	return appendDedup(appendDedup(dst, br), s), true
-}
-
-// appendDedup appends s to dst, dropping segments that repeat the one
-// before them.
-func appendDedup(dst, s roadnet.Route) roadnet.Route {
-	for _, e := range s {
-		if len(dst) == 0 || e != dst[len(dst)-1] {
-			dst = append(dst, e)
+	st.route, st.cur, st.have = st.route[:k.n], k.cur, k.have
+	pj.ckpt = pj.ckpt[:r]
+	done := ctx.Done()
+	for i := r; i < len(seq); i++ {
+		if graphalg.Stopped(done) {
+			return nil, ctx.Err()
 		}
+		pj.ckpt = append(pj.ckpt, checkpoint{n: len(st.route), cur: st.cur, have: st.have})
+		loc, ok := pj.snap(seq, i)
+		if !ok {
+			continue
+		}
+		var part roadnet.Route
+		if st.have {
+			part, ok = pj.bridge(ctx, st.cur, loc)
+		}
+		st.step(pj.g, loc, part, ok)
 	}
-	return dst
+	// A bridge aborted by the last position's cancellation went uncached but
+	// still shaped the route: it must neither be returned nor resumed from.
+	if graphalg.Stopped(done) {
+		return nil, ctx.Err()
+	}
+	pj.prev = append(prev[:r], seq[r:]...)
+	if !st.have {
+		return nil, ErrNoRoute
+	}
+	return st.route, nil
 }

@@ -59,6 +59,9 @@ func (g *Graph) PathBetweenLocationsCtx(ctx context.Context, a, b Location) (Rou
 		return Route{a.Edge}, b.Offset - a.Offset, true
 	}
 	sa, sb := g.Seg(a.Edge), g.Seg(b.Edge)
+	if sa.To == sb.From { // b's segment follows a's: nothing to search
+		return Route{a.Edge, b.Edge}.Dedup(), sa.Length - a.Offset + b.Offset, true
+	}
 	mid, w, ok := g.EdgePathBetweenVerticesCtx(ctx, sa.To, sb.From)
 	if !ok {
 		return nil, 0, false

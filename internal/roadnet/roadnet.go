@@ -62,9 +62,6 @@ type Graph struct {
 	edgeIndex  *rtree.Tree[EdgeID]
 	vertexG    *graphalg.Graph // vertex graph weighted by segment length
 	edgeG      *graphalg.Graph // edge adjacency graph (hop weight 1)
-	// cheapest[u] sorted by (to, length) is implicit in vertexG arc order;
-	// edgeByPair resolves a (from,to) vertex pair to the shortest segment.
-	edgeByPair map[[2]VertexID]EdgeID
 
 	// Shortest-path oracle (see accel.go): built lazily on first use so
 	// graphs that never run distance queries pay nothing.
@@ -133,7 +130,6 @@ func (b *Builder) Build() *Graph {
 		Segments:   b.segments,
 		out:        make([][]EdgeID, len(b.vertices)),
 		in:         make([][]EdgeID, len(b.vertices)),
-		edgeByPair: make(map[[2]VertexID]EdgeID, len(b.segments)),
 		segHeading: make([]float64, len(b.segments)),
 	}
 	entries := make([]rtree.Entry[EdgeID], len(g.Segments))
@@ -148,10 +144,6 @@ func (b *Builder) Build() *Graph {
 		g.segHeading[i] = s.Shape[0].Heading(s.Shape[len(s.Shape)-1])
 		entries[i] = rtree.Entry[EdgeID]{Box: s.Shape.BBox(), Item: s.ID}
 		g.vertexG.AddArc(s.From, s.To, s.Length)
-		key := [2]VertexID{s.From, s.To}
-		if prev, ok := g.edgeByPair[key]; !ok || s.Length < g.Segments[prev].Length {
-			g.edgeByPair[key] = s.ID
-		}
 	}
 	g.edgeIndex = rtree.Bulk(entries)
 	g.edgeG = graphalg.NewGraph(len(g.Segments))
@@ -210,15 +202,20 @@ type Candidate struct {
 func (g *Graph) CandidateEdges(p geo.Point, eps float64) []Candidate {
 	var out []Candidate
 	g.edgeIndex.Visit(geo.BBoxAround(p, eps), func(e rtree.Entry[EdgeID]) bool {
-		s := g.Seg(e.Item)
-		proj, _, off := s.Shape.Project(p)
-		if d := p.Dist(proj); d <= eps {
-			out = append(out, Candidate{Edge: e.Item, Proj: proj, Dist: d, Offset: off})
+		if c := g.CandidateOn(p, e.Item); c.Dist <= eps {
+			out = append(out, c)
 		}
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
 	return out
+}
+
+// CandidateOn projects p onto segment e: the candidate CandidateEdges
+// reports for e, for callers that already know p's candidate edges.
+func (g *Graph) CandidateOn(p geo.Point, e EdgeID) Candidate {
+	proj, _, off := g.Seg(e).Shape.Project(p)
+	return Candidate{Edge: e, Proj: proj, Dist: p.Dist(proj), Offset: off}
 }
 
 // NearestCandidates returns the k segments closest to p regardless of
@@ -280,12 +277,16 @@ func (g *Graph) VertexPath(u, v VertexID) ([]VertexID, float64, bool) {
 	return g.VertexPathCtx(context.Background(), u, v)
 }
 
-// edgeFor returns the shortest segment from u to v, or NoEdge.
+// edgeFor returns the shortest segment from u to v — the lowest id among
+// equals — or NoEdge: a scan of u's few outgoing segments.
 func (g *Graph) edgeFor(u, v VertexID) EdgeID {
-	if id, ok := g.edgeByPair[[2]VertexID{u, v}]; ok {
-		return id
+	best := NoEdge
+	for _, e := range g.out[u] {
+		if s := g.Seg(e); s.To == v && (best == NoEdge || s.Length < g.Seg(best).Length) {
+			best = e
+		}
 	}
-	return NoEdge
+	return best
 }
 
 // EdgePathBetweenVertices returns the shortest route (as segment ids) from

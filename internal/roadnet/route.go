@@ -96,6 +96,33 @@ func (r Route) Concat(g *Graph, s Route) (Route, bool) {
 	return joined.Dedup(), true
 }
 
+// AppendConcat is Concat ∘ Dedup with r's backing array reused: a route
+// grown join by join (a stitched match, a projected traverse-graph path) would
+// otherwise copy itself at every step. r must be free of immediately repeated
+// segments, which makes deduplicating the appended part equal to
+// re-deduplicating the whole; ok=false leaves r unchanged.
+func (r Route) AppendConcat(g *Graph, s Route) (Route, bool) {
+	if len(r) > 0 && len(s) > 0 && g.Seg(s[0]).From != r.End(g) && s[0] != r[len(r)-1] {
+		bridge, _, ok := g.EdgePathBetweenVertices(r.End(g), g.Seg(s[0]).From)
+		if !ok {
+			return r, false
+		}
+		r = r.appendDedup(bridge)
+	}
+	return r.appendDedup(s), true
+}
+
+// appendDedup appends s to r, dropping segments that repeat the one before
+// them.
+func (r Route) appendDedup(s Route) Route {
+	for _, e := range s {
+		if len(r) == 0 || e != r[len(r)-1] {
+			r = append(r, e)
+		}
+	}
+	return r
+}
+
 // Points returns the polyline of the whole route.
 func (r Route) Points(g *Graph) geo.Polyline {
 	var pl geo.Polyline

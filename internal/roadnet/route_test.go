@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geo"
@@ -136,5 +137,59 @@ func TestRouteTravelTime(t *testing.T) {
 	}
 	if tt := (Route{}).TravelTime(g); tt != 0 {
 		t.Fatalf("empty TravelTime = %v", tt)
+	}
+}
+
+// TestAppendConcatMatchesConcat: growing a route in place gives exactly what
+// the copying Concat gives — adjacent, overlapping, bridged, unbridgeable and
+// empty operands alike — and a failed join leaves the route as it was.
+func TestAppendConcatMatchesConcat(t *testing.T) {
+	g := NewGrid(4, 5, 100, 15)
+	rng := rand.New(rand.NewSource(3))
+	walk := func() Route {
+		var r Route
+		e := EdgeID(rng.Intn(g.NumSegments()))
+		for n := rng.Intn(5); n > 0; n-- {
+			r = append(r, e)
+			out := g.Out(g.Seg(e).To)
+			e = out[rng.Intn(len(out))]
+		}
+		return r.Dedup()
+	}
+	for trial := 0; trial < 500; trial++ {
+		r, s := walk(), walk()
+		if trial%7 == 0 && len(r) > 0 {
+			s = append(Route{r[len(r)-1]}, s...).Dedup() // overlap on the boundary segment
+		}
+		want, wantOK := r.Concat(g, s)
+		got, ok := append(Route(nil), r...).AppendConcat(g, s)
+		if ok != wantOK || ok && !got.Equal(want) {
+			t.Fatalf("%v ◇ %v: AppendConcat %v, %v; Concat %v, %v", r, s, got, ok, want, wantOK)
+		}
+	}
+	b := NewBuilder()
+	u, v, w := b.AddVertex(geo.Pt(0, 0)), b.AddVertex(geo.Pt(100, 0)), b.AddVertex(geo.Pt(200, 0))
+	uv, wv := b.AddEdge(u, v, 15, nil), b.AddEdge(w, v, 15, nil)
+	oneWay := b.Build()
+	if got, ok := (Route{uv}).AppendConcat(oneWay, Route{wv}); ok || !got.Equal(Route{uv}) {
+		t.Fatalf("unbridgeable join returned %v, %v; want the route unchanged and ok=false", got, ok)
+	}
+}
+
+// TestParallelSegmentsResolveToShortest: a vertex path over a doubled street
+// takes the shorter of the parallel segments, and the lower id of equals.
+func TestParallelSegmentsResolveToShortest(t *testing.T) {
+	b := NewBuilder()
+	u, v := b.AddVertex(geo.Pt(0, 0)), b.AddVertex(geo.Pt(100, 0))
+	b.AddEdge(u, v, 15, geo.Polyline{geo.Pt(0, 0), geo.Pt(50, 80), geo.Pt(100, 0)})
+	short := b.AddEdge(u, v, 15, nil)
+	b.AddEdge(u, v, 15, nil) // as short, higher id
+	b.AddEdge(v, u, 15, nil)
+	g := b.Build()
+	if r, _, ok := g.EdgePathBetweenVertices(u, v); !ok || !r.Equal(Route{short}) {
+		t.Fatalf("path over the doubled street is %v, %v; want [%d]", r, ok, short)
+	}
+	if e := g.edgeFor(v, v); e != NoEdge {
+		t.Fatalf("edgeFor found %d between a vertex and itself", e)
 	}
 }

@@ -38,20 +38,22 @@ go vet -C bench ./...
 go test -C bench -timeout 300s ./...
 
 # Determinism: the Yen equal-weight tie-break, the K-GRI oracle suites, the
-# three golden digests (InferRoutes, network-free, PairLocalRoutes) and the
-# reference search's equivalence to its map-based oracle must give identical
+# three golden digests (InferRoutes, network-free, PairLocalRoutes), the
+# reference search's equivalence to its map-based oracle, the trace projector's
+# to its float-keyed one (synthetic batches in mapmatch, real ones in core) and
+# the traverse-graph reduction's to its map-based one must give identical
 # verdicts run-to-run (-count=2 defeats test caching and runs each twice in
 # one binary, the second time on warm pools, memos and searcher scratch).
-go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle' ./internal/graphalg/ ./internal/hist/ ./internal/core/
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/
 
 # Bench smoke: the acceleration-layer benchmarks (end-to-end HRIS query,
 # ST-Matching, CH build — each in both oracle modes where applicable), the
-# warm pair-context assembly benchmark, the cold reference search, plus the
-# live-archive ingest benchmarks (Ingest matches both the in-memory
-# BenchmarkIngest and the WAL-on BenchmarkIngestDurable) must run one
-# iteration without failing. Real numbers come from
+# warm pair-context assembly benchmark, the warm NNI pair, the cold reference
+# search, plus the live-archive ingest benchmarks (Ingest matches both the
+# in-memory BenchmarkIngest and the WAL-on BenchmarkIngestDurable) must run
+# one iteration without failing. Real numbers come from
 # `go test -bench -benchmem` and cmd/experiments -fig bench-json.
-go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|ReferenceSearch|STMatch|CH|Ingest|SessionStep' -benchtime 1x .
+go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|ReferenceSearch|STMatch|CH|Ingest|SessionStep' -benchtime 1x .
 
 # Alloc-regression gate: the steady-state query hot path must stay within
 # the checked-in budget (bench_budget.json). BenchmarkHRISQuery warms the
