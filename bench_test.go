@@ -250,9 +250,9 @@ func BenchmarkFig14bKGRIvsBrute(b *testing.B) {
 }
 
 // BenchmarkHRISQuery measures one full top-K inference end to end — the
-// headline operation of the system. It follows the eval.BenchJSON warm-up
-// protocol: a few untimed queries populate the scratch pools, CH table
-// sessions and reference-search memos first, so allocs/op is the
+// headline operation of the system. A few untimed queries populate the
+// scratch pools, CH table sessions and reference-search memos first, so
+// allocs/op is the
 // steady-state number the verify.sh alloc-regression gate budgets against
 // (see bench_budget.json).
 func BenchmarkHRISQuery(b *testing.B) {
@@ -699,7 +699,7 @@ func BenchmarkReferenceSearchRoot(b *testing.B) {
 	if !ok {
 		b.Skip("no query")
 	}
-	sp := hist.DefaultSearchParams()
+	sp := hist.SearchParams{Phi: 500, SpliceEps: 200, SpliceMinSimple: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hist.References(w.Archive, qc.Query.Points[0], qc.Query.Points[1], sp)

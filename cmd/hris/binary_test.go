@@ -1,0 +1,172 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"syscall"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/traj"
+)
+
+// scrape reads the binary's /metrics snapshot.
+func scrape(t *testing.T, base string) obs.Snapshot {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	var s obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+		t.Fatalf("decode /metrics: %v", err)
+	}
+	return s
+}
+
+// TestBinaryWiring runs the built binary, not the handlers: what the
+// in-process tests prove about the gate and the stream handler only holds
+// for users if main passes -max-inflight, -queue-depth and -stream-ingest on
+// to them. One worker slot and no queue make every request that overlaps a
+// running one a 429; finalize-to-ingest makes a clean /stream session
+// advance the archive epoch; SIGTERM must exit 0 inside the shutdown timeout.
+func TestBinaryWiring(t *testing.T) {
+	ds := testWorld(t)
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "hris")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// The dataset directory loadDataset reads.
+	write := func(name string, fn func(io.Writer) error) {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err = fn(f); err == nil {
+			err = f.Close()
+		}
+		if err != nil {
+			t.Fatalf("write %s: %v", name, err)
+		}
+	}
+	write("network.json", ds.City.Graph.WriteJSON)
+	write("archive.json", func(w io.Writer) error { return traj.WriteArchive(w, ds.Archive, nil) })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	base := "http://" + addr
+
+	var logs bytes.Buffer // read only after Wait has returned
+	cmd := exec.Command(bin, "-data", dir, "-http", addr,
+		"-max-inflight", "1", "-queue-depth", "0", "-stream-ingest")
+	cmd.Stdout, cmd.Stderr = &logs, &logs
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer cmd.Process.Kill() // no-op after a clean exit
+	waitFor(t, "the binary to listen", func() bool {
+		select {
+		case err := <-exited:
+			t.Fatalf("binary exited early: %v\n%s", err, logs.String())
+		default:
+		}
+		c, err := net.Dial("tcp", addr)
+		if err == nil {
+			c.Close()
+		}
+		return err == nil
+	})
+
+	post := func(q *traj.Trajectory) int {
+		resp, err := http.Post(base+"/infer", "application/json", bytes.NewReader(inferBody(t, q, 0)))
+		if err != nil {
+			t.Errorf("POST /infer: %v", err)
+			return 0
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// (i) While the heavy query holds the one worker slot, a burst of
+	// distinct light queries finds no queue: all 429, each counted, no 5xx.
+	// The heavy query is worldHeavy five times over, so it outlasts the
+	// burst by a wide margin; its answer arriving after the burst's last
+	// proves the slot was held throughout.
+	heavy := &traj.Trajectory{ID: "heavy"}
+	for len(heavy.Points) < 5*len(worldHeavy.Points) {
+		for _, p := range worldHeavy.Points {
+			p.T = float64(len(heavy.Points)) * 180
+			heavy.Points = append(heavy.Points, p)
+		}
+	}
+	heavyDone := make(chan int, 1)
+	go func() { heavyDone <- post(heavy) }()
+	waitFor(t, "the heavy request to take the worker slot", func() bool {
+		return scrape(t, base).Stages[obs.HistServerQueueWait].Count >= 1
+	})
+	const burst = 6
+	codes := make(chan int, burst)
+	for i := 0; i < burst; i++ {
+		q := worldLight[i+1] // distinct: no coalescing
+		go func() { codes <- post(q) }()
+	}
+	for i := 0; i < burst; i++ {
+		if code := <-codes; code != http.StatusTooManyRequests {
+			t.Errorf("burst request behind a held slot with no queue = %d, want 429", code)
+		}
+	}
+	select {
+	case code := <-heavyDone:
+		t.Fatalf("heavy request (%d) finished before the burst did: the slot was not provably held", code)
+	default:
+	}
+	if got := scrape(t, base).Counters[obs.CounterServerShedQueue]; got != burst {
+		t.Errorf("server.shed.queue = %d, want %d (one per 429)", got, burst)
+	}
+	if code := <-heavyDone; code != http.StatusOK {
+		t.Errorf("heavy request = %d, want 200", code)
+	}
+
+	// (ii) One /stream session pushed to a clean finish is ingested and
+	// advances the archive epoch.
+	sc, code := openStream(t, base, "veh-binary")
+	if code != http.StatusOK {
+		t.Fatalf("open /stream = %d, want 200", code)
+	}
+	for _, pt := range worldLight[2].Points {
+		sc.push(pt)
+	}
+	if fin := sc.finish(); !fin.Ingested || fin.Error != "" {
+		t.Errorf("final record: ingested=%v error=%q, want ingested and no error", fin.Ingested, fin.Error)
+	}
+	if got := scrape(t, base).Counters["archive.epoch"]; got < 1 {
+		t.Errorf("archive.epoch = %d after a finalize-to-ingest, want >= 1", got)
+	}
+
+	// (iii) SIGTERM drains and exits 0 inside main's 5 s shutdown timeout.
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Errorf("exit after SIGTERM: %v\n%s", err, logs.String())
+		}
+	case <-time.After(6 * time.Second):
+		t.Errorf("binary still running 6 s after SIGTERM")
+	}
+}

@@ -58,8 +58,7 @@
 // 503 instead of burning a worker on a dead answer, and concurrent
 // identical queries coalesce onto one inference. The gate's traffic shows
 // up in /metrics under the server.* instruments (inflight, queue_wait,
-// shed, coalesced); cmd/loadgen drives this surface at a configurable
-// offered load.
+// shed, coalesced); bench/ drives this surface over the wire.
 //
 // Streaming inference: with -http, POST /stream?id=VEHICLE holds one
 // long-lived NDJSON exchange per vehicle — one [x, y, t] point per request

@@ -216,7 +216,7 @@ func TestDurableShardedReshardOnReopen(t *testing.T) {
 		if rs.Epoch != wantEpoch || rs.SegmentTrips == 0 || rs.WALBatches == 0 {
 			t.Fatalf("shards=%d: recovery stats %+v, want epoch %d from a segment plus the log", n, rs, wantEpoch)
 		}
-		if got := rec.CurrentSharded().NumShards(); got != n {
+		if got := len(rec.Stats().Shards); got != n {
 			t.Fatalf("reopened with %d shards, want %d", got, n)
 		}
 		checkRecovered(t, rec, ds, cfg, batches, wantEpoch, queries)

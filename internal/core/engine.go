@@ -75,12 +75,9 @@ func NewEngineWithRegistry(src hist.Source, defaults Params, reg *obs.Registry) 
 // Graph returns the road network the engine infers over.
 func (e *Engine) Graph() *roadnet.Graph { return e.g }
 
-// Archive returns the current generation of the historical archive. With a
-// live Store or ShardedStore source this advances between calls; inference
+// Source returns the archive source the engine reads from. With a live
+// Store or ShardedStore its Current advances between calls; inference
 // internals never call it twice — they pin one generation per invocation.
-func (e *Engine) Archive() hist.View { return e.src.Current() }
-
-// Source returns the archive source the engine reads from.
 func (e *Engine) Source() hist.Source { return e.src }
 
 // Defaults returns a copy of the engine's frozen default parameters.

@@ -177,7 +177,7 @@ func TestEngineSurface(t *testing.T) {
 		"InferBatchCtx", "InferPathsNetworkFreeCtx", "InferRoutes", "InferRoutesCtx",
 		"NewSession", "PairLocalRoutes",
 		// accessors and observability
-		"Archive", "CacheStats", "Defaults", "Graph", "Metrics", "Registry", "Source",
+		"CacheStats", "Defaults", "Graph", "Metrics", "Registry", "Source",
 	}
 	sort.Strings(want)
 	typ := reflect.TypeOf(&Engine{})

@@ -107,12 +107,6 @@ func NewGate(eng *Engine, cfg GateConfig) *Gate {
 	}
 }
 
-// MaxInflight returns the gate's concurrent-inference bound.
-func (g *Gate) MaxInflight() int { return g.max }
-
-// QueueDepth returns the gate's waiting-room bound.
-func (g *Gate) QueueDepth() int { return g.depth }
-
 // Do serves one inference request through the gate: admission, queueing,
 // shed-before-expiry, coalescing, then Engine.InferRoutesCtx.
 //

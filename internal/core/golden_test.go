@@ -78,7 +78,7 @@ func TestGoldenDigest(t *testing.T) {
 		if err != nil {
 			fmt.Fprintf(h, " E %v\n", err)
 		} else {
-			fmt.Fprintf(h, "\n%s", encodeFull(w.eng.Archive(), res))
+			fmt.Fprintf(h, "\n%s", encodeFull(w.eng.src.Current(), res))
 		}
 	})
 }

@@ -47,7 +47,7 @@ func newWorld(t testing.TB, trips int, seed int64) *world {
 // exec builds a one-off invocation context for tests poking at pipeline
 // internals directly.
 func (w *world) exec() exec {
-	x := w.eng.newExec(context.Background(), w.p, w.eng.Archive())
+	x := w.eng.newExec(context.Background(), w.p, w.eng.src.Current())
 	x.sc = newPairScratch()
 	return x
 }

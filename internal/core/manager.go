@@ -216,14 +216,8 @@ type VehicleSession struct {
 	released  atomic.Bool // admission slot given back (exactly once)
 }
 
-// ID returns the vehicle id the session was opened under.
-func (vs *VehicleSession) ID() string { return vs.id }
-
 // Epoch returns the archive epoch the session pinned at creation.
 func (vs *VehicleSession) Epoch() uint64 { return vs.s.Epoch() }
-
-// Points returns how many points the session has accepted.
-func (vs *VehicleSession) Points() int { return vs.s.Points() }
 
 func (vs *VehicleSession) touch() { vs.lastTouch.Store(time.Now().UnixNano()) }
 

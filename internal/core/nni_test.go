@@ -45,7 +45,7 @@ func TestProjectorOracleRealTraces(t *testing.T) {
 				got := goldenDigest(t, seed, 12, func(w *world, h io.Writer, q *traj.Trajectory) {
 					p := w.p
 					p.ShareSubstructures, p.CandEps = share, eps
-					x := w.eng.newExec(t.Context(), p, w.eng.Archive())
+					x := w.eng.newExec(t.Context(), p, w.eng.src.Current())
 					x.sc = newPairScratch()
 					sc := x.sc
 					mprm := mapmatch.DefaultParams()
@@ -102,7 +102,7 @@ func TestCandidatesFromMatchTable(t *testing.T) {
 	sc := newPairScratch()
 	for _, eps := range []float64{30, 50, 120} {
 		points, empty, capped := 0, 0, 0
-		v := w.eng.Archive()
+		v := w.eng.src.Current()
 		for ti := 0; ti < v.NumTrajs(); ti++ {
 			tr := v.Traj(ti)
 			sc.tabs = append(sc.tabs[:0], w.eng.match.get(tr, eps))

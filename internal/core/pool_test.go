@@ -41,7 +41,7 @@ func poolWorlds(t testing.TB, trips int, seed int64) (*world, *Engine, []*traj.T
 // to the pool-disabled engine's, at both serial and parallel pair workers.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	w, unpooled, queries := poolWorlds(t, 60, 321)
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	for _, workers := range []int{1, 4} {
 		p := w.p
 		p.PairWorkers = workers
@@ -67,7 +67,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 // the two engines must agree exactly.
 func TestQuickPooledMatchesUnpooled(t *testing.T) {
 	w, unpooled, _ := poolWorlds(t, 50, 77)
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		qc, ok := w.ds.GenQuery(5000, 180, 15, w.cfg, rng)
@@ -94,7 +94,7 @@ func TestQuickPooledMatchesUnpooled(t *testing.T) {
 // and every result must still match the pool-disabled engine byte for byte.
 func TestPooledConcurrentBatch(t *testing.T) {
 	w, unpooled, queries := poolWorlds(t, 60, 654)
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	want := make([]string, len(queries))
 	for i, q := range queries {
 		res, err := unpooled.InferRoutes(q, w.p)
@@ -122,7 +122,7 @@ func TestPooledConcurrentBatch(t *testing.T) {
 // Routes/Locals/Refs would be overwritten here and change the encoding.
 func TestPublishedResultSurvivesScratchReuse(t *testing.T) {
 	w, _, queries := poolWorlds(t, 60, 987)
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	first, err := w.eng.InferRoutes(queries[0], w.p)
 	if err != nil {
 		t.Fatalf("first query: %v", err)

@@ -118,7 +118,7 @@ func TestSessionCarriesNearSet(t *testing.T) {
 // memoized run list bit-stable and equal to a fresh search.
 func TestMemoizedRunsSurviveScratchReuse(t *testing.T) {
 	w, _, queries := poolWorlds(t, 60, 987)
-	v, ctx := w.eng.Archive(), context.Background()
+	v, ctx := w.eng.src.Current(), context.Background()
 	sp := hist.SearchParams{Phi: w.p.Phi, SpliceEps: w.p.SpliceEps, SpliceMinSimple: w.p.SpliceMinSimple}
 	q := queries[0]
 	if _, err := w.eng.InferRoutes(q, w.p); err != nil {

@@ -260,9 +260,6 @@ func (s *Session) Close() {
 // Points returns how many points the session has accepted.
 func (s *Session) Points() int { return s.n }
 
-// Err returns the session's sticky fatal error, if any.
-func (s *Session) Err() error { return s.err }
-
 // Epoch returns the archive epoch the session pinned at creation.
 func (s *Session) Epoch() uint64 { return s.snap.Epoch() }
 

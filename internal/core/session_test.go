@@ -36,7 +36,7 @@ func pushAll(t testing.TB, s *Session, q *traj.Trajectory) ([]SessionUpdate, *Re
 // on the completed trace. The window must not affect the finalized result.
 func TestSessionMatchesOffline(t *testing.T) {
 	w, _, queries := poolWorlds(t, 60, 321)
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	for _, window := range []int{1, 4, 8, 64} {
 		for qi, q := range queries {
 			want, err1 := w.eng.InferRoutesCtx(context.Background(), q, w.p)
@@ -84,7 +84,7 @@ func TestSessionMatchesOffline(t *testing.T) {
 // the two paths must agree exactly — on results and on errors.
 func TestQuickSessionMatchesOffline(t *testing.T) {
 	w := newWorld(t, 50, 77)
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	f := func(seed int64, wraw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		qc, ok := w.ds.GenQuery(5000, 180, 15, w.cfg, rng)
@@ -114,7 +114,7 @@ func TestQuickSessionMatchesOffline(t *testing.T) {
 // byte-for-byte against the offline result computed up front.
 func TestSessionConcurrentSharedEngine(t *testing.T) {
 	w, _, queries := poolWorlds(t, 60, 99)
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	want := make([]string, len(queries))
 	for i, q := range queries {
 		res, err := w.eng.InferRoutesCtx(context.Background(), q, w.p)
@@ -194,7 +194,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("offline: %v", err)
 	}
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	if encodeFull(v, got) != encodeFull(v, want) {
 		t.Fatal("result after cancel-retry diverged from offline")
 	}

@@ -129,7 +129,7 @@ func splice(v hist.View, ta, m, a, tb, b, n int) hist.Reference {
 // trajectory's end — at the default and two non-default ε on one engine.
 func TestMatchTableMatchesPerPointOracle(t *testing.T) {
 	w := newWorld(t, 120, 191)
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	rng := rand.New(rand.NewSource(4))
 	var refs []hist.Reference
 	for i := 0; i < 40; i++ {
@@ -182,7 +182,7 @@ func TestMatchTableOnLiveShardedStore(t *testing.T) {
 	eng := NewEngine(st, DefaultParams())
 	simple, spliced := 0, 0
 	round := func(what string) {
-		x := eng.newExec(context.Background(), DefaultParams(), eng.Archive())
+		x := eng.newExec(context.Background(), DefaultParams(), eng.src.Current())
 		sp := hist.SearchParams{Phi: x.p.Phi, SpliceEps: x.p.SpliceEps, SpliceMinSimple: x.p.SpliceMinSimple}
 		for _, q := range queries {
 			for i := 0; i+1 < q.Len(); i++ {
@@ -244,7 +244,7 @@ func TestMatchTableOnLiveShardedStore(t *testing.T) {
 // under -race.
 func TestMatchTableConcurrentFirstTouch(t *testing.T) {
 	w := newWorld(t, 150, 33)
-	v := w.eng.Archive()
+	v := w.eng.src.Current()
 	const workers = 8
 	got := make([][]*trajMatch, workers)
 	var wg sync.WaitGroup

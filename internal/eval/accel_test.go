@@ -1,11 +1,9 @@
 package eval
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 
-	"repro/internal/graphalg"
 	"repro/internal/mapmatch"
 	"repro/internal/roadnet"
 )
@@ -93,30 +91,5 @@ func TestAccelProfile(t *testing.T) {
 	}
 	if !reflect.DeepEqual(chAcc.Points, dAcc.Points) {
 		t.Errorf("accuracy differs across oracles: ch=%v dijkstra=%v", chAcc.Points, dAcc.Points)
-	}
-}
-
-// TestBenchReportShape covers the bench-json snapshot plumbing without paying for
-// a full testing.Benchmark run: the random benchmark graph must be
-// CH-buildable and the report must round-trip through JSON.
-func TestBenchReportShape(t *testing.T) {
-	g := benchGraph(200, 2)
-	ch := graphalg.BuildCH(g)
-	if ch == nil {
-		t.Fatal("BuildCH failed on benchmark graph")
-	}
-	rep := BenchReport{World: "quick", Results: []BenchResult{{
-		Name: "x", Iterations: 1, NsPerOp: 1000, MsPerOp: 0.001,
-	}}}
-	out, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BenchReport
-	if err := json.Unmarshal(out, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, back) {
-		t.Fatalf("report did not round-trip: %+v vs %+v", rep, back)
 	}
 }

@@ -2,10 +2,6 @@ package eval
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"sync"
-	"testing"
 	"time"
 
 	"repro/internal/core"
@@ -87,150 +83,4 @@ func (w *World) SessionProfile(windows []int) *Table {
 		}
 	}
 	return t
-}
-
-// sessionBench measures the streaming substrate for the benchmark snapshot:
-// the amortized per-point cost of an incremental session (session_step)
-// against the naive alternative of re-running whole-prefix inference on
-// every new point (session_full_requery) — the ratio is the streaming
-// speedup, and it grows with trajectory length because the requery's cost
-// per point is linear in the prefix while the session's is constant — plus
-// hand-timed concurrent-vehicle throughput over one shared engine
-// (sessions/concurrent=N): points absorbed per second with the per-push p95,
-// exercising the pooled-scratch path under goroutine contention.
-func sessionBench(cfg WorldConfig) []BenchResult {
-	w := NewWorld(cfg)
-	qs := w.Queries(8, 180, cfg.QueryLen, 311)
-	if len(qs) == 0 {
-		return nil
-	}
-	q := qs[0].Query
-	ctx := context.Background()
-	pool := make([]*traj.Trajectory, 0, len(qs))
-	for _, qc := range qs {
-		pool = append(pool, qc.Query)
-		w.Eng.InferRoutes(qc.Query, w.P) // warm the oracle and caches off the clock
-	}
-
-	var out []BenchResult
-
-	// session_step: one Push per op, cycling through the query's points; the
-	// finalize-and-reopen between passes stays off the clock, as does a full
-	// warm-up pass (first-touch pool population is not a steady-state cost).
-	out = append(out, record("session_step", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		warm := w.Eng.NewSession(w.P, core.SessionConfig{})
-		for _, pt := range q.Points {
-			if _, err := warm.Push(ctx, pt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		warm.Close()
-		s := w.Eng.NewSession(w.P, core.SessionConfig{})
-		i := 0
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			if i == len(q.Points) {
-				b.StopTimer()
-				s.Finalize()
-				s.Close()
-				s = w.Eng.NewSession(w.P, core.SessionConfig{})
-				i = 0
-				b.StartTimer()
-			}
-			if _, err := s.Push(ctx, q.Points[i]); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
-		b.StopTimer()
-		s.Close()
-	})))
-
-	// session_full_requery: the per-point cost of the one-shot engine used
-	// incrementally — every new point re-infers the whole prefix.
-	prefixes := make([]*traj.Trajectory, 0, q.Len()-1)
-	for i := 2; i <= q.Len(); i++ {
-		prefixes = append(prefixes, &traj.Trajectory{ID: q.ID, Points: q.Points[:i]})
-	}
-	out = append(out, record("session_full_requery", testing.Benchmark(warmed(func() {
-		for _, prefix := range prefixes {
-			_, _ = w.Eng.InferRoutes(prefix, w.P)
-		}
-	}))))
-	// warmed() measured one whole prefix sweep per op; rescale to per point
-	// so the row is directly comparable to session_step.
-	if n := len(prefixes); n > 0 {
-		r := &out[len(out)-1]
-		r.NsPerOp /= int64(n)
-		r.MsPerOp = float64(r.NsPerOp) / 1e6
-		r.BytesPerOp /= int64(n)
-		r.AllocsPerOp /= int64(n)
-	}
-
-	for _, vehicles := range []int{1, 8} {
-		out = append(out, sessionLoad(w, pool, vehicles, 1500*time.Millisecond))
-	}
-	return out
-}
-
-// sessionLoad streams pool trajectories through `vehicles` concurrent
-// sessions on the shared engine for `window`, hand-timing every push.
-// NsPerOp is the closed-loop cost per point (vehicle-seconds per point);
-// QPS is the aggregate point throughput.
-func sessionLoad(w *World, pool []*traj.Trajectory, vehicles int, window time.Duration) BenchResult {
-	type vehicleStats struct {
-		points int
-		lat    []time.Duration
-	}
-	res := make([]vehicleStats, vehicles)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for v := 0; v < vehicles; v++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			vs := &res[v]
-			for n := 0; time.Since(start) < window; n++ {
-				q := pool[(v+n)%len(pool)]
-				s := w.Eng.NewSession(w.P, core.SessionConfig{})
-				for _, pt := range q.Points {
-					t0 := time.Now()
-					if _, err := s.Push(context.Background(), pt); err != nil {
-						break
-					}
-					vs.lat = append(vs.lat, time.Since(t0))
-					vs.points++
-				}
-				s.Finalize()
-				s.Close()
-			}
-		}(v)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	points := 0
-	var lat []time.Duration
-	for _, vs := range res {
-		points += vs.points
-		lat = append(lat, vs.lat...)
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var mean int64
-	if points > 0 {
-		mean = int64(elapsed) * int64(vehicles) / int64(points)
-	}
-	r := BenchResult{
-		Name:       fmt.Sprintf("sessions/concurrent=%d", vehicles),
-		Iterations: points,
-		NsPerOp:    mean,
-		MsPerOp:    float64(mean) / 1e6,
-	}
-	if len(lat) > 0 {
-		r.P95NsPerOp = lat[len(lat)*95/100].Nanoseconds()
-	}
-	if elapsed > 0 {
-		r.QPS = float64(points) / elapsed.Seconds()
-	}
-	return r
 }

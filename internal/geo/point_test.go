@@ -21,9 +21,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != Pt(6, 8) {
 		t.Errorf("Scale = %v, want (6,8)", got)
 	}
-	if got := p.Norm(); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
 	if got := p.Dot(q); got != 11 {
 		t.Errorf("Dot = %v, want 11", got)
 	}

@@ -10,9 +10,6 @@ type Segment struct {
 // Length returns the segment length in meters.
 func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 
-// Heading returns the heading of the segment in radians.
-func (s Segment) Heading() float64 { return s.A.Heading(s.B) }
-
 // Project returns the point on s closest to p and the parameter t in [0,1]
 // such that the closest point equals A.Lerp(B, t).
 func (s Segment) Project(p Point) (Point, float64) {

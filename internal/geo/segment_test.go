@@ -80,7 +80,7 @@ func TestSegmentLengthHeading(t *testing.T) {
 	if s.Length() != 5 {
 		t.Errorf("Length = %v", s.Length())
 	}
-	if h := (Segment{Pt(0, 0), Pt(0, 2)}).Heading(); !almostEq(h, math.Pi/2, 1e-12) {
+	if h := Pt(0, 0).Heading(Pt(0, 2)); !almostEq(h, math.Pi/2, 1e-12) {
 		t.Errorf("Heading = %v", h)
 	}
 }

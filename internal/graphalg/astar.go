@@ -1,26 +1,13 @@
 package graphalg
 
-import (
-	"context"
-)
-
-// AStar returns the minimum-weight path from src to dst guided by the
+// aStar returns the minimum-weight path from src to dst guided by the
 // admissible heuristic h (a lower bound on the remaining distance from
 // each vertex to dst; h(dst) must be 0). With h ≡ 0 it degenerates to
 // Dijkstra. The road network uses straight-line distance as h, which cuts
 // the explored vertex set substantially for the point-to-point queries
-// map-matching issues in bulk.
-func AStar(g *Graph, src, dst int, h func(int) float64) (Path, bool) {
-	return aStar(g, src, dst, h, nil)
-}
-
-// AStarCtx is AStar with a cancellation checkpoint every few hundred heap
-// pops. When ctx is cancelled the search stops early and reports ok=false;
-// callers distinguish "unreachable" from "cancelled" via ctx.Err().
-func AStarCtx(ctx context.Context, g *Graph, src, dst int, h func(int) float64) (Path, bool) {
-	return aStar(g, src, dst, h, ctx.Done())
-}
-
+// map-matching issues in bulk. A non-nil done channel is polled every
+// stride heap pops; once closed the search stops and reports ok=false, and
+// callers tell "unreachable" from "cancelled" by their context's Err.
 func aStar(g *Graph, src, dst int, h func(int) float64, done <-chan struct{}) (Path, bool) {
 	n := g.N()
 	if src < 0 || src >= n || dst < 0 || dst >= n {

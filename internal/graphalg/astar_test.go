@@ -13,8 +13,8 @@ func TestAStarMatchesDijkstra(t *testing.T) {
 		g := randomGraph(80, 3, seed)
 		zero := func(int) float64 { return 0 }
 		for dst := 0; dst < g.N(); dst += 11 {
-			want, okW := ShortestPath(g, 0, dst)
-			got, okG := AStar(g, 0, dst, zero)
+			want, okW := shortestPath(g, 0, dst, nil)
+			got, okG := aStar(g, 0, dst, zero, nil)
 			if okW != okG {
 				t.Fatalf("seed %d dst %d: reachability mismatch", seed, dst)
 			}
@@ -48,7 +48,7 @@ func TestAStarWithGridHeuristic(t *testing.T) {
 		x, y := v%w, v/w
 		return math.Abs(float64(x-(w-1))) + math.Abs(float64(y-(hgt-1)))
 	}
-	p, ok := AStar(g, id(0, 0), dst, h)
+	p, ok := aStar(g, id(0, 0), dst, h, nil)
 	if !ok || p.Weight != float64(w-1+hgt-1) {
 		t.Fatalf("grid A*: %v ok=%v", p.Weight, ok)
 	}
@@ -63,16 +63,16 @@ func TestAStarWithGridHeuristic(t *testing.T) {
 func TestAStarDegenerate(t *testing.T) {
 	g := lineGraph(3)
 	zero := func(int) float64 { return 0 }
-	if _, ok := AStar(g, -1, 2, zero); ok {
+	if _, ok := aStar(g, -1, 2, zero, nil); ok {
 		t.Fatal("negative src accepted")
 	}
-	if _, ok := AStar(g, 0, 99, zero); ok {
+	if _, ok := aStar(g, 0, 99, zero, nil); ok {
 		t.Fatal("out-of-range dst accepted")
 	}
-	if _, ok := AStar(g, 2, 0, zero); ok {
+	if _, ok := aStar(g, 2, 0, zero, nil); ok {
 		t.Fatal("unreachable dst found")
 	}
-	p, ok := AStar(g, 1, 1, zero)
+	p, ok := aStar(g, 1, 1, zero, nil)
 	if !ok || p.Weight != 0 || len(p.Vertices) != 1 {
 		t.Fatalf("self path: %+v ok=%v", p, ok)
 	}
@@ -103,12 +103,12 @@ func BenchmarkAStarVsDijkstra(b *testing.B) {
 	}
 	b.Run("astar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			AStar(g, 0, dst, h)
+			aStar(g, 0, dst, h, nil)
 		}
 	})
 	b.Run("dijkstra", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ShortestPath(g, 0, dst)
+			shortestPath(g, 0, dst, nil)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package graphalg
 
 import (
-	"context"
 	"math"
 	"sync"
 	"time"
@@ -60,18 +59,6 @@ type CH struct {
 // incorrect) shortcuts.
 const witnessSettleCap = 250
 
-// BuildCH preprocesses g into a contraction hierarchy.
-func BuildCH(g *Graph) *CH {
-	ch, _ := buildCH(g, nil)
-	return ch
-}
-
-// BuildCHCtx is BuildCH with cancellation checkpoints between
-// contractions; a cancelled build returns (nil, false).
-func BuildCHCtx(ctx context.Context, g *Graph) (*CH, bool) {
-	return buildCH(g, ctx.Done())
-}
-
 type chBuilder struct {
 	n          int
 	arcs       []chArc
@@ -90,7 +77,8 @@ type chBuilder struct {
 	nbrList []int32
 }
 
-func buildCH(g *Graph, done <-chan struct{}) (*CH, bool) {
+// BuildCH preprocesses g into a contraction hierarchy.
+func BuildCH(g *Graph) *CH {
 	start := time.Now()
 	n := g.N()
 	b := &chBuilder{
@@ -128,9 +116,6 @@ func buildCH(g *Graph, done <-chan struct{}) (*CH, bool) {
 	// — the heap's (priority, vertex) order keeps that deterministic.
 	nextRank := int32(0)
 	for len(h) > 0 {
-		if Stopped(done) {
-			return nil, false
-		}
 		it := h.pop()
 		v := int32(it.v)
 		if b.contracted[v] {
@@ -161,7 +146,7 @@ func buildCH(g *Graph, done <-chan struct{}) (*CH, bool) {
 			ch.stats.Shortcuts++
 		}
 	}
-	return ch, true
+	return ch
 }
 
 // priority is the contraction-order heuristic: edge difference (shortcuts

@@ -70,20 +70,11 @@ func (h *pq) pop() pqItem {
 	return top
 }
 
-// ShortestPath returns the minimum-weight path from src to dst, or ok=false
-// if dst is unreachable. Negative weights are not supported.
-func ShortestPath(g *Graph, src, dst int) (Path, bool) {
-	return shortestPath(g, src, dst, nil)
-}
-
-// ShortestPathCtx is ShortestPath with a cancellation checkpoint every few
-// hundred heap pops. When ctx is cancelled the search stops early and
-// reports ok=false; callers distinguish "unreachable" from "cancelled" by
-// inspecting ctx.Err().
-func ShortestPathCtx(ctx context.Context, g *Graph, src, dst int) (Path, bool) {
-	return shortestPath(g, src, dst, ctx.Done())
-}
-
+// shortestPath returns the minimum-weight path from src to dst, or ok=false
+// if dst is unreachable. Negative weights are not supported. A non-nil done
+// channel is polled every stride heap pops; once closed the search stops
+// and reports ok=false, and callers tell "unreachable" from "cancelled" by
+// their context's Err.
 func shortestPath(g *Graph, src, dst int, done <-chan struct{}) (Path, bool) {
 	s := getScratch(g.N())
 	defer putScratch(s)
@@ -94,32 +85,12 @@ func shortestPath(g *Graph, src, dst int, done <-chan struct{}) (Path, bool) {
 	return Path{Vertices: reconstruct(s.prev, src, dst), Weight: s.dist[dst]}, true
 }
 
-// ShortestDist returns only the distance from src to dst (+Inf if
-// unreachable), without path reconstruction.
-func ShortestDist(g *Graph, src, dst int) float64 {
-	s := getScratch(g.N())
-	defer putScratch(s)
-	dijkstra(s, g, src, dst, nil, nil, nil)
-	return s.dist[dst]
-}
-
 // AllDistances returns the shortest distance from src to every vertex
 // (+Inf when unreachable).
 func AllDistances(g *Graph, src int) []float64 {
-	return allDistances(g, src, nil)
-}
-
-// AllDistancesCtx is AllDistances with cancellation checkpoints. A
-// cancelled search returns the distances settled so far; unsettled
-// vertices stay +Inf.
-func AllDistancesCtx(ctx context.Context, g *Graph, src int) []float64 {
-	return allDistances(g, src, ctx.Done())
-}
-
-func allDistances(g *Graph, src int, done <-chan struct{}) []float64 {
 	s := getScratch(g.N())
 	defer putScratch(s)
-	dijkstra(s, g, src, -1, nil, nil, done)
+	dijkstra(s, g, src, -1, nil, nil, nil)
 	out := make([]float64, len(s.dist))
 	copy(out, s.dist)
 	return out
@@ -197,21 +168,12 @@ func reconstruct(prev []int, src, dst int) []int {
 	return out
 }
 
-// BFSHops returns, for every vertex, the minimum number of arcs from src
+// BFSHopsCtx returns, for every vertex, the minimum number of arcs from src
 // (-1 when unreachable). maxHops < 0 means unlimited; otherwise the search
-// stops expanding past maxHops.
-func BFSHops(g *Graph, src int, maxHops int) []int {
-	return bfsHops(g, src, maxHops, nil)
-}
-
-// BFSHopsCtx is BFSHops with cancellation checkpoints. A cancelled search
-// returns the hop counts discovered so far; unvisited vertices stay -1.
+// stops expanding past maxHops. A cancelled search returns the hop counts
+// discovered so far; unvisited vertices stay -1.
 func BFSHopsCtx(ctx context.Context, g *Graph, src int, maxHops int) []int {
-	return bfsHops(g, src, maxHops, ctx.Done())
-}
-
-func bfsHops(g *Graph, src int, maxHops int, done <-chan struct{}) []int {
-	return bfsHopsInto(g, src, maxHops, nil, done)
+	return bfsHopsInto(g, src, maxHops, nil, ctx.Done())
 }
 
 // BFSHopsIntoCtx is BFSHopsCtx writing the hop counts into hops (grown when

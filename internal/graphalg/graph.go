@@ -73,17 +73,6 @@ func (g *Graph) RemoveArc(u, v int) bool {
 	return removed
 }
 
-// Reverse returns the graph with every arc direction flipped.
-func (g *Graph) Reverse() *Graph {
-	r := NewGraph(g.N())
-	for u, arcs := range g.Adj {
-		for _, a := range arcs {
-			r.AddArc(a.To, u, a.W)
-		}
-	}
-	return r
-}
-
 // ArcCount returns the total number of arcs.
 func (g *Graph) ArcCount() int {
 	n := 0

@@ -312,7 +312,7 @@ func BenchmarkReferenceSearch(b *testing.B) {
 	qi, qj := qc.Query.Points[0], qc.Query.Points[1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		References(a, qi, qj, DefaultSearchParams())
+		References(a, qi, qj, SearchParams{Phi: 500, SpliceEps: 200, SpliceMinSimple: 8})
 	}
 }
 

@@ -85,12 +85,6 @@ func NewPartition(box geo.BBox, n int, halo float64) *Partition {
 // N returns the number of shards.
 func (p *Partition) N() int { return p.nx * p.ny }
 
-// Dims returns the grid arrangement (nx columns × ny rows).
-func (p *Partition) Dims() (nx, ny int) { return p.nx, p.ny }
-
-// Halo returns the halo margin.
-func (p *Partition) Halo() float64 { return p.halo }
-
 // axisCell maps a coordinate to its cell index along one axis: floor-based
 // half-open intervals, clamped so boundary cells own everything beyond the
 // bbox (and a whole unsplit axis maps to 0).
@@ -171,18 +165,6 @@ func (p *Partition) Covering(box geo.BBox) (int, bool) {
 func (p *Partition) Overlapping(dst []int, box geo.BBox) []int {
 	for i := 0; i < p.N(); i++ {
 		if boxesIntersect(p.OwnCell(i), box) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// Replicas appends to dst the shards whose halo cells intersect box, in
-// ascending shard order — for a single point's box this is the set of shards
-// that must index the point's trip.
-func (p *Partition) Replicas(dst []int, box geo.BBox) []int {
-	for i := 0; i < p.N(); i++ {
-		if boxesIntersect(p.HaloCell(i), box) {
 			dst = append(dst, i)
 		}
 	}

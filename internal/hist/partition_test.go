@@ -16,7 +16,7 @@ func TestShardedPartitionGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 2, 3, 4, 6, 9, 12} {
 		p := NewPartition(box, n, 50)
-		nx, ny := p.Dims()
+		nx, ny := p.nx, p.ny
 		if nx*ny != n {
 			t.Fatalf("n=%d: dims %dx%d", n, nx, ny)
 		}
@@ -91,13 +91,15 @@ func TestShardedPartitionCovering(t *testing.T) {
 	}
 	// Degenerate bbox: never split the zero-extent axis.
 	flat := NewPartition(geo.BBox{Min: geo.Pt(0, 7), Max: geo.Pt(100, 7)}, 4, 0)
-	if nx, ny := flat.Dims(); ny != 1 || nx != 4 {
+	if nx, ny := flat.nx, flat.ny; ny != 1 || nx != 4 {
 		t.Fatalf("flat bbox dims %dx%d, want 4x1", nx, ny)
 	}
 }
 
-// TestShardedPartitionReplicasIncludeHome: a point's replica set always
-// contains its home shard — the containment the scatter gather relies on.
+// TestShardedPartitionReplicasIncludeHome: a point's replica set — the
+// shards whose halo cell holds it, which is where assign indexes its trip —
+// always contains its home shard: the containment the scatter gather relies
+// on.
 func TestShardedPartitionReplicasIncludeHome(t *testing.T) {
 	box := geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(600, 400)}
 	rng := rand.New(rand.NewSource(7))
@@ -105,15 +107,8 @@ func TestShardedPartitionReplicasIncludeHome(t *testing.T) {
 		p := NewPartition(box, 9, halo)
 		for trial := 0; trial < 300; trial++ {
 			pt := geo.Pt(rng.Float64()*800-100, rng.Float64()*600-100)
-			ids := p.Replicas(nil, geo.BBox{Min: pt, Max: pt})
-			found := false
-			for _, id := range ids {
-				if id == p.Home(pt) {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("halo %v: replicas %v of %v miss home %d", halo, ids, pt, p.Home(pt))
+			if hc := p.HaloCell(p.Home(pt)); !boxesIntersect(hc, geo.BBox{Min: pt, Max: pt}) {
+				t.Fatalf("halo %v: halo cell %v of home %d misses %v", halo, hc, p.Home(pt), pt)
 			}
 		}
 	}

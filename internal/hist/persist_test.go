@@ -110,7 +110,7 @@ func openForTest(t *testing.T, dir string, seed []*traj.Trajectory, cfg ShardedC
 // the invariants epoch-tagged caches depend on.
 func shardedKey(st *ShardedStore) string {
 	v := st.CurrentSharded()
-	return fmt.Sprintf("fp %x epochs %v\n%s", v.EpochFingerprint(), v.ShardEpochs(), viewKey(v))
+	return fmt.Sprintf("fp %x epochs %v\n%s", v.EpochFingerprint(), v.epochs, viewKey(v))
 }
 
 // TestOpenShardedStoreRoundTrip: clean shutdown and reopen restores content,

@@ -59,12 +59,6 @@ type SearchParams struct {
 	VMax float64
 }
 
-// DefaultSearchParams mirrors Table II: φ = 500 m, e = 200 m, splicing as
-// a sparse-area fallback.
-func DefaultSearchParams() SearchParams {
-	return SearchParams{Phi: 500, SpliceEps: 200, SpliceMinSimple: 8, MaxRefs: 0}
-}
-
 // searchable reports whether the pair can have references at all: φ is a
 // number >= 0 and time advances, so Definition 6's speed budget is positive.
 // NaN or negative φ and duplicate or out-of-order timestamps have none.

@@ -136,7 +136,7 @@ func TestSearchCacheResetCounter(t *testing.T) {
 	a := NewArchive(g, []*traj.Trajectory{t1})
 	max := 4 * entryBytes(make([]Reference, 1))
 	c := NewSearchCache(max)
-	sp := DefaultSearchParams()
+	sp := SearchParams{Phi: 500, SpliceEps: 200, SpliceMinSimple: 8}
 	for i := 0; i < 40; i++ {
 		qi := traj.GPSPoint{Pt: geo.Pt(float64(i)*11, float64(i)*3), T: 0}
 		qj := traj.GPSPoint{Pt: geo.Pt(float64(i)*11+200, float64(i)*3+50), T: 300}

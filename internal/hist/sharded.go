@@ -132,9 +132,6 @@ func (s *ShardedStore) assign(tr *traj.Trajectory) []int {
 // Graph returns the road network the store is collected over.
 func (s *ShardedStore) Graph() *roadnet.Graph { return s.g }
 
-// Partition returns the spatial partition routing ingest and queries.
-func (s *ShardedStore) Partition() *Partition { return s.part }
-
 // Current implements Source: the latest published composite generation,
 // re-pinned against any shard snapshots that background compactions have
 // replaced since publication (compaction preserves content and epoch, so the
@@ -355,14 +352,6 @@ func (v *ShardedSnapshot) Epoch() uint64 { return v.epoch }
 
 // EpochFingerprint implements Fingerprinted over the per-shard epoch vector.
 func (v *ShardedSnapshot) EpochFingerprint() uint64 { return v.fp }
-
-// ShardEpochs returns a copy of the per-shard epoch vector.
-func (v *ShardedSnapshot) ShardEpochs() []uint64 {
-	return append([]uint64(nil), v.epochs...)
-}
-
-// NumShards returns the number of shards.
-func (v *ShardedSnapshot) NumShards() int { return len(v.shards) }
 
 // NumPoints returns the number of distinct indexed GPS points (halo
 // replicas are not double counted).

@@ -28,14 +28,6 @@ type Matcher interface {
 	Match(t *traj.Trajectory) (roadnet.Route, error)
 }
 
-// CtxMatcher is implemented by matchers whose per-point dynamic programs
-// carry cancellation checkpoints. All matchers in this package implement
-// it; MatchCtx returns ctx.Err() when cancelled mid-match.
-type CtxMatcher interface {
-	Matcher
-	MatchCtx(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error)
-}
-
 // Params are the candidate-search settings shared by all matchers.
 type Params struct {
 	CandidateRadius float64 // initial search radius ε for candidate edges

@@ -39,12 +39,6 @@ func (m *HMM) Match(t *traj.Trajectory) (roadnet.Route, error) {
 	return m.match(context.Background(), t)
 }
 
-// MatchCtx implements CtxMatcher: Match with a cancellation checkpoint per
-// trajectory point in the Viterbi pass. Returns ctx.Err() when cancelled.
-func (m *HMM) MatchCtx(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
-	return m.match(ctx, t)
-}
-
 func (m *HMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
 	n := t.Len()
 	if n == 0 {

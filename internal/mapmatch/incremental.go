@@ -35,13 +35,6 @@ func (m *Incremental) Match(t *traj.Trajectory) (roadnet.Route, error) {
 	return m.match(context.Background(), t)
 }
 
-// MatchCtx implements CtxMatcher: Match with a cancellation checkpoint per
-// trajectory point (each point runs a hop-limited BFS from the previous
-// edge). Returns ctx.Err() when cancelled.
-func (m *Incremental) MatchCtx(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
-	return m.match(ctx, t)
-}
-
 func (m *Incremental) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
 	if t.Len() == 0 {
 		return nil, ErrNoRoute

@@ -37,13 +37,6 @@ func (m *IVMM) Match(t *traj.Trajectory) (roadnet.Route, error) {
 	return m.match(context.Background(), t)
 }
 
-// MatchCtx implements CtxMatcher: Match with cancellation checkpoints in
-// the score-tensor build and the per-point voting loop (the two O(n·m²)
-// phases). Returns ctx.Err() when cancelled.
-func (m *IVMM) MatchCtx(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
-	return m.match(ctx, t)
-}
-
 func (m *IVMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
 	n := t.Len()
 	if n == 0 {

@@ -36,13 +36,6 @@ func (m *STMatcher) Match(t *traj.Trajectory) (roadnet.Route, error) {
 	return m.match(context.Background(), t)
 }
 
-// MatchCtx implements CtxMatcher: Match with a cancellation checkpoint per
-// trajectory point in the dynamic program (each point costs one batched
-// oracle probe over its candidate pair). Returns ctx.Err() when cancelled.
-func (m *STMatcher) MatchCtx(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
-	return m.match(ctx, t)
-}
-
 func (m *STMatcher) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
 	if t.Len() == 0 {
 		return nil, ErrNoRoute

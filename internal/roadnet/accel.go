@@ -1,10 +1,6 @@
 package roadnet
 
-import (
-	"context"
-
-	"repro/internal/graphalg"
-)
+import "repro/internal/graphalg"
 
 // AccelMode selects the shortest-path engine behind a Graph's distance
 // and path queries.
@@ -84,24 +80,12 @@ func (g *Graph) OracleStats() (graphalg.CHStats, bool) {
 	return *g.oracleStats, true
 }
 
-// VertexDistanceTable returns the |srcs|×|dsts| matrix of shortest-path
-// distances (by length). This is the batched entry point for the
-// matchers: one oracle probe per point pair instead of one full Dijkstra
-// per candidate.
-func (g *Graph) VertexDistanceTable(srcs, dsts []VertexID) [][]float64 {
-	return g.Oracle().Table(srcs, dsts)
-}
-
-// VertexDistanceTableCtx is VertexDistanceTable with cancellation
-// checkpoints; entries not resolved before cancellation stay +Inf.
-func (g *Graph) VertexDistanceTableCtx(ctx context.Context, srcs, dsts []VertexID) [][]float64 {
-	return g.Oracle().TableCtx(ctx, srcs, dsts)
-}
-
 // NewTableSession opens a distance-table session against the graph's
-// oracle: a burst of related VertexDistanceTable calls (one per adjacent
-// point pair of a matcher's dynamic program) that may share backward
-// search state between them. Results are identical to per-call tables.
+// oracle: a burst of related |srcs|×|dsts| shortest-distance tables (one
+// per adjacent point pair of a matcher's dynamic program — one oracle probe
+// per point pair instead of one full Dijkstra per candidate) that may share
+// backward search state between them. Results are identical to per-call
+// tables.
 // Sessions are not safe for concurrent use and must be Closed.
 func (g *Graph) NewTableSession() graphalg.TableSession {
 	return graphalg.NewTableSession(g.Oracle())

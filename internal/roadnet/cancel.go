@@ -7,22 +7,19 @@ import (
 )
 
 // Context-aware forms of the network operations whose cost is unbounded in
-// the worst case (shortest paths, λ-neighborhoods, Yen's K-shortest
-// routes). Each delegates to the graphalg checkpointed search. The path and
-// neighborhood bodies live here once; their plain namesakes in roadnet.go
-// call them with context.Background(), whose Done channel is nil — the
-// checkpoints are then a nil comparison, no channel polls, no clock reads.
-// A cancelled search reports "not found" / partial coverage — the caller
-// distinguishes cancellation from genuine unreachability via ctx.Err().
+// the worst case (shortest paths, hop searches). Each delegates to the
+// graphalg checkpointed search. The bodies live here once; the plain
+// namesakes in roadnet.go call them with context.Background(), whose Done
+// channel is nil — the checkpoints are then a nil comparison, no channel
+// polls, no clock reads. A cancelled search reports "not found" / partial
+// coverage — the caller distinguishes cancellation from genuine
+// unreachability via ctx.Err().
 
-// VertexDistancesCtx is VertexDistances with cancellation checkpoints;
-// vertices not settled before cancellation stay +Inf.
-func (g *Graph) VertexDistancesCtx(ctx context.Context, src VertexID) []float64 {
-	return graphalg.AllDistancesCtx(ctx, g.vertexG, src)
-}
-
-// VertexPathCtx is VertexPath with cancellation checkpoints in the
-// oracle's search loops.
+// VertexPathCtx returns the shortest vertex path and distance from u to v,
+// with cancellation checkpoints in the oracle's search loops.
+// Point-to-point queries go through the distance oracle: a bidirectional
+// contraction-hierarchy search by default, or A* with the straight-line
+// lower bound in AccelDijkstra mode (both exact).
 func (g *Graph) VertexPathCtx(ctx context.Context, u, v VertexID) ([]VertexID, float64, bool) {
 	if u < 0 || u >= len(g.Vertices) || v < 0 || v >= len(g.Vertices) {
 		return nil, 0, false
@@ -71,9 +68,11 @@ func (g *Graph) PathBetweenLocationsCtx(ctx context.Context, a, b Location) (Rou
 	return route.Dedup(), sa.Length - a.Offset + w + b.Offset, true
 }
 
-// EdgeHopsCtx is EdgeHops with cancellation checkpoints; segments not
-// reached before cancellation stay -1, so a cancelled λ-neighborhood is a
-// subset of the full one.
+// EdgeHopsCtx returns h(r, s) for every segment s: the minimum number of
+// segment transitions for an object moving from r (h(r,r)=0, an immediately
+// following segment has h=1; -1 when unreachable). maxHops < 0 means
+// unlimited. Segments not reached before cancellation stay -1, so a
+// cancelled λ-neighborhood is a subset of the full one.
 func (g *Graph) EdgeHopsCtx(ctx context.Context, r EdgeID, maxHops int) []int {
 	return graphalg.BFSHopsCtx(ctx, g.edgeG, r, maxHops)
 }
@@ -82,52 +81,4 @@ func (g *Graph) EdgeHopsCtx(ctx context.Context, r EdgeID, maxHops int) []int {
 // so per-query λ-neighborhood scans can reuse one buffer.
 func (g *Graph) EdgeHopsIntoCtx(ctx context.Context, r EdgeID, maxHops int, hops []int) []int {
 	return graphalg.BFSHopsIntoCtx(ctx, g.edgeG, r, maxHops, hops)
-}
-
-// NeighborhoodCtx is Neighborhood (Definition 8) with cancellation
-// checkpoints in the underlying hop BFS.
-func (g *Graph) NeighborhoodCtx(ctx context.Context, r EdgeID, lambda int) map[EdgeID]int {
-	hops := g.EdgeHopsCtx(ctx, r, lambda-1)
-	out := make(map[EdgeID]int)
-	for s, h := range hops {
-		if s != r && h > 0 && h < lambda {
-			out[EdgeID(s)] = h
-		}
-	}
-	return out
-}
-
-// KShortestRoutes returns up to k shortest routes from vertex u to vertex
-// v in nondecreasing length order, using Yen's algorithm on the vertex
-// graph. Vertex paths that traverse a vertex pair with no resolvable
-// segment are dropped.
-func (g *Graph) KShortestRoutes(u, v VertexID, k int) []Route {
-	return g.kShortestRoutes(graphalg.KShortestPaths(g.vertexG, u, v, k))
-}
-
-// KShortestRoutesCtx is KShortestRoutes with cancellation checkpoints at
-// every Yen spur iteration; a cancelled search returns the routes found so
-// far (a valid prefix of the full answer).
-func (g *Graph) KShortestRoutesCtx(ctx context.Context, u, v VertexID, k int) []Route {
-	return g.kShortestRoutes(graphalg.KShortestPathsCtx(ctx, g.vertexG, u, v, k))
-}
-
-func (g *Graph) kShortestRoutes(paths []graphalg.Path) []Route {
-	out := make([]Route, 0, len(paths))
-	for _, p := range paths {
-		route := make(Route, 0, len(p.Vertices)-1)
-		ok := true
-		for i := 1; i < len(p.Vertices); i++ {
-			e := g.edgeFor(p.Vertices[i-1], p.Vertices[i])
-			if e == NoEdge {
-				ok = false
-				break
-			}
-			route = append(route, e)
-		}
-		if ok && len(route) > 0 {
-			out = append(out, route)
-		}
-	}
-	return out
 }

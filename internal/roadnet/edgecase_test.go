@@ -44,7 +44,13 @@ func TestCandidateQueryOnVertex(t *testing.T) {
 	g := NewGrid(3, 3, 100, 15)
 	p := g.Vertices[4].Pt // center vertex: 4 outgoing + 4 incoming segments
 	cands := g.CandidateEdges(p, 1)
-	if want := len(g.Out(4)) + len(g.In(4)); len(cands) != want {
+	want := len(g.Out(4))
+	for i := range g.Segments {
+		if g.Segments[i].To == 4 {
+			want++
+		}
+	}
+	if len(cands) != want {
 		t.Fatalf("got %d candidates, want %d incident segments", len(cands), want)
 	}
 	for _, c := range cands {

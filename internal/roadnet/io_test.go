@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -63,8 +64,8 @@ func TestGridJSONRoundTrip(t *testing.T) {
 		t.Fatalf("ReadJSON: %v", err)
 	}
 	// Shortest paths agree between original and round-tripped graphs.
-	_, d1, ok1 := g.VertexPath(0, 24)
-	_, d2, ok2 := g2.VertexPath(0, 24)
+	_, d1, ok1 := g.VertexPathCtx(context.Background(), 0, 24)
+	_, d2, ok2 := g2.VertexPathCtx(context.Background(), 0, 24)
 	if !ok1 || !ok2 || d1 != d2 {
 		t.Fatalf("paths differ: %v vs %v", d1, d2)
 	}

@@ -1,6 +1,7 @@
 package roadnet
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestEdgeHopsMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		from := EdgeID(rng.Intn(g.NumSegments()))
 		want := bruteHops(g, from)
-		got := g.EdgeHops(from, -1)
+		got := g.EdgeHopsCtx(context.Background(), from, -1)
 		for e := 0; e < g.NumSegments(); e++ {
 			w, reachable := want[EdgeID(e)]
 			if !reachable {

@@ -54,9 +54,7 @@ type Graph struct {
 	Vertices []Vertex
 	Segments []Segment
 
-	out [][]EdgeID // out[v] = segments leaving vertex v
-	in  [][]EdgeID // in[v]  = segments entering vertex v
-
+	out        [][]EdgeID // out[v] = segments leaving vertex v
 	maxSpeed   float64
 	segHeading []float64 // SegHeading, computed once in Build
 	edgeIndex  *rtree.Tree[EdgeID]
@@ -115,9 +113,6 @@ func (b *Builder) AddBidirectional(u, v VertexID, speed float64, shape geo.Polyl
 	return e1, e2
 }
 
-// NumVertices returns the number of vertices added so far.
-func (b *Builder) NumVertices() int { return len(b.vertices) }
-
 // VertexPoint returns the location of an already-added vertex, for
 // constructing shapes that must start and end on the vertices.
 func (b *Builder) VertexPoint(v VertexID) geo.Point { return b.vertices[v].Pt }
@@ -129,7 +124,6 @@ func (b *Builder) Build() *Graph {
 		Vertices:   b.vertices,
 		Segments:   b.segments,
 		out:        make([][]EdgeID, len(b.vertices)),
-		in:         make([][]EdgeID, len(b.vertices)),
 		segHeading: make([]float64, len(b.segments)),
 	}
 	entries := make([]rtree.Entry[EdgeID], len(g.Segments))
@@ -137,7 +131,6 @@ func (b *Builder) Build() *Graph {
 	for i := range g.Segments {
 		s := &g.Segments[i]
 		g.out[s.From] = append(g.out[s.From], s.ID)
-		g.in[s.To] = append(g.in[s.To], s.ID)
 		if s.Speed > g.maxSpeed {
 			g.maxSpeed = s.Speed
 		}
@@ -168,9 +161,6 @@ func (g *Graph) MaxSpeed() float64 { return g.maxSpeed }
 
 // Out returns the segments leaving vertex v.
 func (g *Graph) Out(v VertexID) []EdgeID { return g.out[v] }
-
-// In returns the segments entering vertex v.
-func (g *Graph) In(v VertexID) []EdgeID { return g.in[v] }
 
 // Seg returns the segment with the given id.
 func (g *Graph) Seg(id EdgeID) *Segment { return &g.Segments[id] }
@@ -263,20 +253,6 @@ func (g *Graph) Point(l Location) geo.Point {
 	return g.Seg(l.Edge).Shape.At(l.Offset)
 }
 
-// VertexDistances returns shortest-path distances (by length) from vertex
-// src to every vertex.
-func (g *Graph) VertexDistances(src VertexID) []float64 {
-	return graphalg.AllDistances(g.vertexG, src)
-}
-
-// VertexPath returns the shortest vertex path and distance from u to v.
-// Point-to-point queries go through the distance oracle: a bidirectional
-// contraction-hierarchy search by default, or A* with the straight-line
-// lower bound in AccelDijkstra mode (both exact).
-func (g *Graph) VertexPath(u, v VertexID) ([]VertexID, float64, bool) {
-	return g.VertexPathCtx(context.Background(), u, v)
-}
-
 // edgeFor returns the shortest segment from u to v — the lowest id among
 // equals — or NoEdge: a scan of u's few outgoing segments.
 func (g *Graph) edgeFor(u, v VertexID) EdgeID {
@@ -316,22 +292,17 @@ func (g *Graph) PathBetweenLocations(a, b Location) (Route, float64, bool) {
 	return g.PathBetweenLocationsCtx(context.Background(), a, b)
 }
 
-// EdgeHops returns h(r, s) for every segment s: the minimum number of
-// segment transitions for an object moving from r (h(r,r)=0, an immediately
-// following segment has h=1; -1 when unreachable). maxHops < 0 means
-// unlimited.
-func (g *Graph) EdgeHops(r EdgeID, maxHops int) []int {
-	return graphalg.BFSHops(g.edgeG, r, maxHops)
-}
-
 // Neighborhood returns N_λ(r) (Definition 8): every segment s ≠ r with
 // h(r, s) < lambda, together with its hop count.
 func (g *Graph) Neighborhood(r EdgeID, lambda int) map[EdgeID]int {
-	return g.NeighborhoodCtx(context.Background(), r, lambda)
+	out := make(map[EdgeID]int)
+	for s, h := range g.EdgeHopsCtx(context.Background(), r, lambda-1) {
+		if s != r && h > 0 && h < lambda {
+			out[EdgeID(s)] = h
+		}
+	}
+	return out
 }
-
-// EdgeGraph exposes the edge-adjacency hop graph (segment ids as vertices).
-func (g *Graph) EdgeGraph() *graphalg.Graph { return g.edgeG }
 
 // VertexGraph exposes the vertex graph weighted by segment length.
 func (g *Graph) VertexGraph() *graphalg.Graph { return g.vertexG }

@@ -1,6 +1,7 @@
 package roadnet
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestBuilderAndValidate(t *testing.T) {
 	if g.MaxSpeed() != 10 {
 		t.Fatalf("MaxSpeed = %v", g.MaxSpeed())
 	}
-	if len(g.Out(a)) != 1 || len(g.In(a)) != 1 {
+	if len(g.Out(a)) != 1 || len(g.Out(c)) != 1 {
 		t.Fatal("adjacency wrong")
 	}
 }
@@ -161,7 +162,7 @@ func TestEdgeHopsAndNeighborhood(t *testing.T) {
 		es = append(es, b.AddEdge(vs[i], vs[i+1], 10, nil))
 	}
 	g := b.Build()
-	hops := g.EdgeHops(es[0], -1)
+	hops := g.EdgeHopsCtx(context.Background(), es[0], -1)
 	for i, want := range []int{0, 1, 2, 3} {
 		if hops[es[i]] != want {
 			t.Fatalf("h(e0,e%d) = %d, want %d", i, hops[es[i]], want)
@@ -177,7 +178,7 @@ func TestEdgeHopsAndNeighborhood(t *testing.T) {
 		t.Fatalf("N_4(e0) = %v", n4)
 	}
 	// No backward reachability on one-way edges.
-	back := g.EdgeHops(es[3], -1)
+	back := g.EdgeHopsCtx(context.Background(), es[3], -1)
 	if back[es[0]] != -1 {
 		t.Fatal("one-way edge should not reach backwards")
 	}
@@ -186,7 +187,7 @@ func TestEdgeHopsAndNeighborhood(t *testing.T) {
 func TestVertexPathOnGrid(t *testing.T) {
 	g := NewGrid(4, 4, 100, 15)
 	// Corner to corner: Manhattan distance 600.
-	_, d, ok := g.VertexPath(0, 15)
+	_, d, ok := g.VertexPathCtx(context.Background(), 0, 15)
 	if !ok || math.Abs(d-600) > 1e-9 {
 		t.Fatalf("corner-corner = %v ok=%v", d, ok)
 	}

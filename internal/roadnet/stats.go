@@ -66,12 +66,3 @@ func (s Stats) String() string {
 		s.Vertices, s.Segments, s.TotalLengthKm, s.MeanSegLen, s.MaxSpeed,
 		s.MeanOutDegree, s.MaxOutDegree, s.SCCs, s.LargestSCC)
 }
-
-// Connectivity returns the fraction of vertices in the largest strongly
-// connected component — 1.0 for a fully navigable network.
-func (s Stats) Connectivity() float64 {
-	if s.Vertices == 0 {
-		return 0
-	}
-	return float64(s.LargestSCC) / float64(s.Vertices)
-}

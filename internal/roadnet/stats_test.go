@@ -26,7 +26,7 @@ func TestComputeStatsGrid(t *testing.T) {
 		t.Fatalf("max speed = %v", st.MaxSpeed)
 	}
 	// Bidirectional grid is strongly connected.
-	if st.SCCs != 1 || st.LargestSCC != 20 || st.Connectivity() != 1 {
+	if st.SCCs != 1 || st.LargestSCC != 20 {
 		t.Fatalf("connectivity: %d SCCs, largest %d", st.SCCs, st.LargestSCC)
 	}
 	if st.MaxOutDegree != 4 {
@@ -50,15 +50,15 @@ func TestComputeStatsDisconnected(t *testing.T) {
 	if st.SCCs != 3 { // {a,c}, {d}, {e}
 		t.Fatalf("SCCs = %d", st.SCCs)
 	}
-	if st.LargestSCC != 2 || st.Connectivity() != 0.5 {
-		t.Fatalf("largest = %d connectivity = %v", st.LargestSCC, st.Connectivity())
+	if st.LargestSCC != 2 {
+		t.Fatalf("largest = %d", st.LargestSCC)
 	}
 }
 
 func TestComputeStatsEmpty(t *testing.T) {
 	g := NewBuilder().Build()
 	st := g.ComputeStats()
-	if st.Vertices != 0 || st.Connectivity() != 0 {
+	if st.Vertices != 0 || st.LargestSCC != 0 {
 		t.Fatalf("empty stats: %+v", st)
 	}
 }

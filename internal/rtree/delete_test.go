@@ -18,7 +18,7 @@ func TestDeleteSingle(t *testing.T) {
 	if tr.Len() != 199 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	for _, e := range tr.Search(geo.BBoxAround(p, 1), nil) {
+	for _, e := range search(tr, geo.BBoxAround(p, 1)) {
 		if e.Item == 77 {
 			t.Fatal("deleted entry still found")
 		}
@@ -60,7 +60,7 @@ func TestDeleteMany(t *testing.T) {
 			}
 		}
 		sort.Ints(want)
-		got := sortedItems(tr.Search(q, nil))
+		got := sortedItems(search(tr, q))
 		if !equalInts(got, want) {
 			t.Fatalf("post-delete search mismatch: %d vs %d", len(got), len(want))
 		}
@@ -81,7 +81,7 @@ func TestDeleteAllThenReuse(t *testing.T) {
 	}
 	// The tree is reusable.
 	tr.Insert(geo.BBox{Min: geo.Pt(1, 1), Max: geo.Pt(1, 1)}, 999)
-	got := tr.Search(geo.BBoxAround(geo.Pt(1, 1), 1), nil)
+	got := search(tr, geo.BBoxAround(geo.Pt(1, 1), 1))
 	if len(got) != 1 || got[0].Item != 999 {
 		t.Fatalf("reuse after full deletion failed: %v", got)
 	}
@@ -94,8 +94,8 @@ func TestDeleteAllThenReuse(t *testing.T) {
 func TestDeleteToSingleLeaf(t *testing.T) {
 	pts := randomPoints(600, 51)
 	tr := Bulk(pointEntries(pts))
-	if tr.Height() < 2 {
-		t.Fatalf("fixture too small: height %d", tr.Height())
+	if height(tr) < 2 {
+		t.Fatalf("fixture too small: height %d", height(tr))
 	}
 	keep := 2*minEntries - 1
 	rng := rand.New(rand.NewSource(52))
@@ -110,7 +110,7 @@ func TestDeleteToSingleLeaf(t *testing.T) {
 	if tr.Len() != keep {
 		t.Fatalf("Len = %d, want %d", tr.Len(), keep)
 	}
-	if h := tr.Height(); h != 1 {
+	if h := height(tr); h != 1 {
 		t.Fatalf("tree height %d after shrinking below one node's fanout, want 1", h)
 	}
 	checkNode(t, tr.root, true)
@@ -119,7 +119,7 @@ func TestDeleteToSingleLeaf(t *testing.T) {
 		survivors = append(survivors, id)
 	}
 	sort.Ints(survivors)
-	got := sortedItems(tr.Search(tr.root.box, nil))
+	got := sortedItems(search(tr, tr.root.box))
 	if !equalInts(got, survivors) {
 		t.Fatalf("survivors %v, want %v", got, survivors)
 	}
@@ -159,7 +159,7 @@ func TestDeleteThenReinsert(t *testing.T) {
 			}
 		}
 		sort.Ints(want)
-		got := sortedItems(tr.Search(q, nil))
+		got := sortedItems(search(tr, q))
 		if !equalInts(got, want) {
 			t.Fatalf("post-reinsert search mismatch: %d vs %d", len(got), len(want))
 		}

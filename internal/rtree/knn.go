@@ -7,7 +7,9 @@ import (
 // NearestIter streams entries in nondecreasing order of distance from a
 // query point using the classic best-first (Hjaltason–Samet) traversal.
 // Distances are measured from the query point to the entry's bounding box,
-// which is exact for point entries.
+// which is exact for point entries. The zero value is ready: NearestInto is
+// the only way to start a traversal, and a caller that streams many queries
+// keeps one iterator so its heap's backing array is reused.
 type NearestIter[T any] struct {
 	from geo.Point
 	pq   nnHeap[T]
@@ -68,14 +70,8 @@ func (h *nnHeap[T]) pop() nnItem[T] {
 	return top
 }
 
-// Nearest returns an iterator producing entries in order of distance from p.
-func (t *Tree[T]) Nearest(p geo.Point) *NearestIter[T] {
-	return t.NearestInto(p, &NearestIter[T]{})
-}
-
 // NearestInto primes it for a fresh traversal from p, reusing its heap's
-// backing array — the allocation-free form of Nearest for callers that
-// stream many kNN queries against the same tree.
+// backing array, and returns it.
 func (t *Tree[T]) NearestInto(p geo.Point, it *NearestIter[T]) *NearestIter[T] {
 	it.from = p
 	it.pq = it.pq[:0]
@@ -114,7 +110,7 @@ func (t *Tree[T]) KNN(p geo.Point, k int) []Entry[T] {
 	if k <= 0 {
 		return nil
 	}
-	it := t.Nearest(p)
+	it := t.NearestInto(p, &NearestIter[T]{})
 	out := make([]Entry[T], 0, k)
 	for len(out) < k {
 		e, _, ok := it.Next()

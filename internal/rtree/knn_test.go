@@ -49,7 +49,7 @@ func feq(a, b float64) bool {
 func TestNearestIterMonotone(t *testing.T) {
 	pts := randomPoints(800, 23)
 	tr := Bulk(pointEntries(pts))
-	it := tr.Nearest(geo.Pt(5000, 5000))
+	it := tr.NearestInto(geo.Pt(5000, 5000), &NearestIter[int]{})
 	seen := make(map[int]bool)
 	last := -1.0
 	for {

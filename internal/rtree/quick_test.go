@@ -34,7 +34,7 @@ func TestQuickRangeQueryEquivalence(t *testing.T) {
 			}
 		}
 		sort.Ints(want)
-		got := sortedItems(tr.Search(q, nil))
+		got := sortedItems(search(tr, q))
 		return equalInts(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -66,7 +66,7 @@ func TestQuickInsertDeleteInvariant(t *testing.T) {
 		// Every odd-indexed entry remains findable.
 		for i := 1; i < len(pts); i += 2 {
 			found := false
-			for _, e := range tr.Search(geo.BBox{Min: pts[i], Max: pts[i]}, nil) {
+			for _, e := range search(tr, geo.BBox{Min: pts[i], Max: pts[i]}) {
 				if e.Item == i {
 					found = true
 				}
@@ -91,7 +91,7 @@ func TestQuickNearestOrdering(t *testing.T) {
 			pts = append(pts, geo.Pt(clamp(coords[i]), clamp(coords[i+1])))
 		}
 		tr := Bulk(pointEntries(pts))
-		it := tr.Nearest(geo.Pt(clamp(qx), clamp(qy)))
+		it := tr.NearestInto(geo.Pt(clamp(qx), clamp(qy)), &NearestIter[int]{})
 		last := -1.0
 		count := 0
 		for {

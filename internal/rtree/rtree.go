@@ -282,30 +282,6 @@ func pickSeeds(n int, boxAt func(int) geo.BBox) (int, int) {
 	return sa, sb
 }
 
-// Search appends to out every entry whose box intersects query, and returns
-// the extended slice. Pass nil to allocate.
-func (t *Tree[T]) Search(query geo.BBox, out []Entry[T]) []Entry[T] {
-	return searchNode(t.root, query, out)
-}
-
-func searchNode[T any](nd *node[T], query geo.BBox, out []Entry[T]) []Entry[T] {
-	if nd == nil || !nd.box.Intersects(query) {
-		return out
-	}
-	if nd.leaf {
-		for _, e := range nd.entries {
-			if e.Box.Intersects(query) {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
-	for _, c := range nd.children {
-		out = searchNode(c, query, out)
-	}
-	return out
-}
-
 // Visit calls fn for every entry whose box intersects query; fn returning
 // false stops the traversal early.
 func (t *Tree[T]) Visit(query geo.BBox, fn func(Entry[T]) bool) {
@@ -332,14 +308,4 @@ func visitNode[T any](nd *node[T], query geo.BBox, fn func(Entry[T]) bool) bool 
 		}
 	}
 	return true
-}
-
-// Height returns the number of levels in the tree (1 for a lone leaf).
-func (t *Tree[T]) Height() int {
-	h, nd := 1, t.root
-	for !nd.leaf {
-		h++
-		nd = nd.children[0]
-	}
-	return h
 }

@@ -35,6 +35,26 @@ func bruteRange(pts []geo.Point, q geo.BBox) []int {
 	return ids
 }
 
+// search collects every entry Visit reports for q.
+func search(tr *Tree[int], q geo.BBox) []Entry[int] {
+	var out []Entry[int]
+	tr.Visit(q, func(e Entry[int]) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
+}
+
+// height is the number of levels in the tree (1 for a lone leaf).
+func height(tr *Tree[int]) int {
+	h, nd := 1, tr.root
+	for !nd.leaf {
+		h++
+		nd = nd.children[0]
+	}
+	return h
+}
+
 func sortedItems(es []Entry[int]) []int {
 	ids := make([]int, len(es))
 	for i, e := range es {
@@ -61,11 +81,11 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if got := tr.Search(geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}, nil); len(got) != 0 {
-		t.Errorf("Search on empty tree = %v", got)
+	if got := search(tr, geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}); len(got) != 0 {
+		t.Errorf("Visit on empty tree = %v", got)
 	}
-	if _, _, ok := tr.Nearest(geo.Pt(0, 0)).Next(); ok {
-		t.Error("Nearest on empty tree returned an entry")
+	if _, _, ok := tr.NearestInto(geo.Pt(0, 0), &NearestIter[int]{}).Next(); ok {
+		t.Error("NearestInto on empty tree returned an entry")
 	}
 	bulk := Bulk[int](nil)
 	if bulk.Len() != 0 || len(bulk.KNN(geo.Pt(0, 0), 3)) != 0 {
@@ -93,9 +113,9 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 		want := bruteRange(pts, q)
 		sort.Ints(want)
 		for name, tr := range map[string]*Tree[int]{"bulk": bulk, "dyn": dyn} {
-			got := sortedItems(tr.Search(q, nil))
+			got := sortedItems(search(tr, q))
 			if !equalInts(got, want) {
-				t.Fatalf("%s: Search mismatch: got %d items, want %d", name, len(got), len(want))
+				t.Fatalf("%s: Visit mismatch: got %d items, want %d", name, len(got), len(want))
 			}
 		}
 	}
@@ -144,7 +164,7 @@ func TestTreeInvariants(t *testing.T) {
 	checkNode(t, dyn.root, true)
 	bulk := Bulk(pointEntries(pts))
 	checkNode(t, bulk.root, true)
-	if h := bulk.Height(); h < 2 || h > 6 {
+	if h := height(bulk); h < 2 || h > 6 {
 		t.Errorf("suspicious bulk height %d for 3000 points", h)
 	}
 }
@@ -180,7 +200,7 @@ func TestDuplicatePoints(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Insert(geo.BBox{Min: p, Max: p}, i)
 	}
-	got := tr.Search(geo.BBoxAround(p, 1), nil)
+	got := search(tr, geo.BBoxAround(p, 1))
 	if len(got) != 100 {
 		t.Errorf("duplicate search returned %d, want 100", len(got))
 	}
@@ -199,6 +219,6 @@ func BenchmarkRangeQuery(b *testing.B) {
 	tr := Bulk(pointEntries(pts))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Search(geo.BBoxAround(geo.Pt(5000, 5000), 500), nil)
+		search(tr, geo.BBoxAround(geo.Pt(5000, 5000), 500))
 	}
 }

@@ -58,17 +58,6 @@ func (t *Trajectory) AvgInterval() float64 {
 	return t.Duration() / float64(len(t.Points)-1)
 }
 
-// MaxInterval returns the largest gap between consecutive samples.
-func (t *Trajectory) MaxInterval() float64 {
-	var m float64
-	for i := 1; i < len(t.Points); i++ {
-		if d := t.Points[i].T - t.Points[i-1].T; d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // IsLowSamplingRate reports whether the average sampling interval exceeds
 // the paper's 2-minute threshold.
 func (t *Trajectory) IsLowSamplingRate() bool {

@@ -29,9 +29,6 @@ func TestTrajectoryBasics(t *testing.T) {
 	if tr.AvgInterval() != 45 {
 		t.Fatalf("AvgInterval = %v", tr.AvgInterval())
 	}
-	if tr.MaxInterval() != 60 {
-		t.Fatalf("MaxInterval = %v", tr.MaxInterval())
-	}
 	if tr.IsLowSamplingRate() {
 		t.Fatal("45s interval is not low rate")
 	}

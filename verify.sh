@@ -12,6 +12,24 @@ set -eux
 test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
+
+# Reachability: every package-level declaration in internal/ is on a call
+# path from some main (cmd/, examples/, bench/) or is listed, with a reason,
+# in internal/tools/reach/allow.txt — and nothing listed there is stale.
+go run ./internal/tools/reach
+
+# One measurement protocol: bench/ (go run -C bench repro/bench) is the only
+# thing that produces a performance number. The protocol it replaced must
+# not come back by name. CHANGES.md, ROADMAP.md and bench/README.md are
+# history and exempt.
+stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile'
+if grep -nE "$stale" README.md DESIGN.md bench_test.go bench_budget.json \
+    $(find cmd internal examples -name '*.go'); then
+    exit 1
+fi
+if grep -v '^stale=' verify.sh | grep -nE "$stale"; then
+    exit 1
+fi
 go test -timeout 120s ./...
 go test -timeout 300s -race ./...
 
@@ -52,7 +70,7 @@ go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOr
 # search, plus the live-archive ingest benchmarks (Ingest matches both the
 # in-memory BenchmarkIngest and the WAL-on BenchmarkIngestDurable) must run
 # one iteration without failing. Real numbers come from
-# `go test -bench -benchmem` and cmd/experiments -fig bench-json.
+# `go run -C bench repro/bench` (BENCHMARK.json).
 go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|ReferenceSearch|STMatch|CH|Ingest|SessionStep' -benchtime 1x .
 
 # Alloc-regression gate: the steady-state query hot path must stay within
@@ -140,68 +158,11 @@ test "$recovered" -ge "$acked"
     < /dev/null > "$tmp/reopen2.log" 2>&1
 grep -q "recovered epoch $recovered " "$tmp/reopen2.log"
 
-# Sustained-traffic smoke: serve a full-size dataset (gendata defaults —
-# loadgen's world flags default to the same values, so the two agree with
-# no flags on either side) behind the admission gate and drive it with the
-# closed-loop load generator. Under capacity (2 clients against 2 workers
-# + 2 queue slots, generous deadline) nothing may be shed and no 5xx may
-# escape. Over capacity the server is restarted with the tightest possible
-# gate (1 worker, no queue) so that ANY overlapping pair of arrivals must
-# produce a 429 — with 16 clients, a tight deadline, and -interval 20
-# (dense queries whose inference outlasts a 10ms scheduler slice, so
-# arrivals overlap even on one CPU — on a small dataset inference fits in
-# one slice and requests serialize, never meeting at the gate) it must
-# visibly shed instead of queueing without bound. A quick -fig load
-# exercises the in-process closed-loop figure; the checked-in
-# BENCH_10.json rows come from `cmd/experiments -quick -fig bench-json`.
-go build -o "$tmp/loadgen" ./cmd/loadgen
-"$tmp/gendata" -out "$tmp/data-load" > /dev/null
-"$tmp/hris" -data "$tmp/data-load" -http 127.0.0.1:16060 -max-inflight 2 -queue-depth 2 \
-    < /dev/null > "$tmp/serve.log" 2>&1 &
-srv=$!
-i=0
-until grep -q 'debug server listening' "$tmp/serve.log"; do
-    i=$((i + 1)); test "$i" -le 300; sleep 0.1
-done
-"$tmp/loadgen" -addr http://127.0.0.1:16060 \
-    -c 2 -duration 3s -deadline 2s -require-no-5xx
-kill "$srv"
-wait "$srv" || true
-"$tmp/hris" -data "$tmp/data-load" -http 127.0.0.1:16060 -max-inflight 1 -queue-depth 0 \
-    < /dev/null > "$tmp/serve2.log" 2>&1 &
-srv=$!
-i=0
-until grep -q 'debug server listening' "$tmp/serve2.log"; do
-    i=$((i + 1)); test "$i" -le 300; sleep 0.1
-done
-"$tmp/loadgen" -addr http://127.0.0.1:16060 \
-    -interval 20 -c 16 -duration 3s -deadline 100ms -require-shed
-kill "$srv"
-wait "$srv" || true
-go run ./cmd/experiments -quick -fig load > /dev/null
+# The gate and stream flags on the built binary (-max-inflight, -queue-depth,
+# -stream-ingest reaching the gate and the store, no 5xx, SIGTERM exits 0)
+# are cmd/hris's TestBinaryWiring, already run above with and without -race;
+# every workload against the real process is bench/'s TestSmoke.
 
-# Streaming smoke, end to end: serve the same dataset with finalize-to-ingest
-# on and drive /stream with concurrent NDJSON vehicle sessions. The run must
-# be clean (no 5xx, no transport errors — loadgen enforces this itself via
-# -require-no-5xx) and must close the loop: at least one finalized session
-# ingested back into the live archive and advanced its epoch, which the
-# greppable "stream summary:" record must show.
-"$tmp/hris" -data "$tmp/data-load" -http 127.0.0.1:16060 -stream-ingest \
-    < /dev/null > "$tmp/serve3.log" 2>&1 &
-srv=$!
-i=0
-until grep -q 'debug server listening' "$tmp/serve3.log"; do
-    i=$((i + 1)); test "$i" -le 300; sleep 0.1
-done
-"$tmp/loadgen" -addr http://127.0.0.1:16060 \
-    -stream -c 4 -duration 3s -require-no-5xx | tee "$tmp/stream-load.log"
-kill "$srv"
-wait "$srv" || true
-summary=$(grep '^stream summary:' "$tmp/stream-load.log")
-ingested=$(echo "$summary" | sed -n 's/.* ingested=\([0-9][0-9]*\).*/\1/p')
-epoch=$(echo "$summary" | sed -n 's/.* max_epoch=\([0-9][0-9]*\).*/\1/p')
-test "$ingested" -ge 1
-test "$epoch" -ge 1
 # A quick -fig sessions exercises the in-process session profile (firm lag,
 # provisional agreement, per-point step cost against window size).
 go run ./cmd/experiments -quick -fig sessions > /dev/null
