@@ -324,7 +324,15 @@ func BenchmarkSessionStep(b *testing.B) {
 // warm-up runs have filled the match tables, the reference memo and the
 // pooled arena, so allocs/op is what a steady-state NNI pair allocates: the
 // routes and reference lists it publishes, and the bridges it searches.
-func BenchmarkNNIConvert(b *testing.B) {
+func BenchmarkNNIConvert(b *testing.B) { benchWarmPair(b, core.MethodNNI) }
+
+// BenchmarkTGIPair is BenchmarkNNIConvert's twin for the other local method:
+// one warm TGI pair — traverse graph, augmentation, reduction, K shortest
+// paths between every candidate-edge pair, projection — on the pair with the
+// most TGI routes. Reported, not gated.
+func BenchmarkTGIPair(b *testing.B) { benchWarmPair(b, core.MethodTGI) }
+
+func benchWarmPair(b *testing.B, m core.Method) {
 	w := world(b)
 	qs := w.Queries(1, 180, w.Cfg.QueryLen, 111)
 	if len(qs) == 0 {
@@ -333,17 +341,17 @@ func BenchmarkNNIConvert(b *testing.B) {
 	pts := qs[0].Query.Points
 	pair, most := 0, -1
 	for i := 0; i+1 < len(pts); i++ {
-		if locals, _ := w.Eng.PairLocalRoutes(pts[i], pts[i+1], core.MethodNNI, w.P); len(locals) > most {
+		if locals, _ := w.Eng.PairLocalRoutes(pts[i], pts[i+1], m, w.P); len(locals) > most {
 			pair, most = i, len(locals)
 		}
 	}
 	if most < 1 {
-		b.Skip("no pair with NNI routes")
+		b.Skipf("no pair with %v routes", m)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = w.Eng.PairLocalRoutes(pts[pair], pts[pair+1], core.MethodNNI, w.P)
+		_, _ = w.Eng.PairLocalRoutes(pts[pair], pts[pair+1], m, w.P)
 	}
 }
 

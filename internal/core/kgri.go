@@ -1,28 +1,23 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/roadnet"
 )
 
-// lessPartial orders partials by descending score, breaking ties by the
+// cmpPartial orders partials by descending score, breaking ties by the
 // lexicographic order of the chosen local-route indices so the result is
 // deterministic and independent of K (equal-scored routes are common when
-// fallback pairs contribute constant factors).
-func lessPartial(a, b partial) bool {
+// fallback pairs contribute constant factors). Partials with distinct parts
+// never compare equal, so sorting a posterior by it has one outcome whatever
+// the algorithm.
+func cmpPartial(a, b partial) int {
 	if a.score != b.score {
-		return a.score > b.score
+		return cmp.Compare(b.score, a.score)
 	}
-	for i := range a.parts {
-		if i >= len(b.parts) {
-			return false
-		}
-		if a.parts[i] != b.parts[i] {
-			return a.parts[i] < b.parts[i]
-		}
-	}
-	return len(a.parts) < len(b.parts)
+	return slices.Compare(a.parts, b.parts)
 }
 
 // partial is a partial global route during the K-GRI dynamic program: the
@@ -104,23 +99,16 @@ func kgriStep(M [][]partial, prev, cur []LocalRoute, k int, constantTransition b
 				cands = append(cands, kgriCand{pj: pj, pi: pi, score: p.score * gConf * lr.Popularity})
 			}
 		}
-		// Same order as lessPartial over the materialized partials: all
+		// Same order as cmpPartial over the materialized partials: all
 		// candidates here share the final index j, and parent parts all
 		// have the same length, so comparing parents settles every tie.
-		// Parts are unique per partial, making the order total —
-		// sort.Slice's instability can't surface.
-		sort.Slice(cands, func(a, b int) bool {
-			ca, cb := cands[a], cands[b]
+		// Parts are unique per partial, making the order total — an
+		// unstable sort has nothing to be unstable about.
+		slices.SortFunc(cands, func(ca, cb kgriCand) int {
 			if ca.score != cb.score {
-				return ca.score > cb.score
+				return cmp.Compare(cb.score, ca.score)
 			}
-			pa, pb := M[ca.pj][ca.pi].parts, M[cb.pj][cb.pi].parts
-			for t := range pa {
-				if pa[t] != pb[t] {
-					return pa[t] < pb[t]
-				}
-			}
-			return false
+			return slices.Compare(M[ca.pj][ca.pi].parts, M[cb.pj][cb.pi].parts)
 		})
 		if len(cands) > k {
 			cands = cands[:k]
@@ -146,7 +134,7 @@ func kgriFinalize(g *roadnet.Graph, locals [][]LocalRoute, M [][]partial, k int)
 	for _, ps := range M {
 		all = append(all, ps...)
 	}
-	sort.Slice(all, func(a, b int) bool { return lessPartial(all[a], all[b]) })
+	slices.SortFunc(all, cmpPartial)
 	if len(all) > k {
 		all = all[:k]
 	}
@@ -203,7 +191,7 @@ func BruteForceGlobalRoutes(g *roadnet.Graph, locals [][]LocalRoute, k int) []Gl
 		}
 	}
 	walk(0, 1)
-	sort.Slice(all, func(a, b int) bool { return lessPartial(all[a], all[b]) })
+	slices.SortFunc(all, cmpPartial)
 	if len(all) > k {
 		all = all[:k]
 	}

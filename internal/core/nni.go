@@ -8,7 +8,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/graphalg"
 	"repro/internal/mapmatch"
-	"repro/internal/rtree"
 	"repro/internal/traj"
 )
 
@@ -98,7 +97,11 @@ func (x exec) inferNNI(pctx *pairContext) []LocalRoute {
 // possible. done (nil = uncancellable) is polled every 256 recursion steps; a
 // stopped enumeration returns the traces completed so far.
 //
-// All working state — the kNN iterator, the successor arena, the dense memo
+// The constrained kNN has no index — the table holds a few dozen points, a
+// node's neighbours are one scan of it — and takes points exactly equidistant
+// from a node in ascending table index.
+//
+// All working state — the kNN slots, the successor arena, the dense memo
 // tables, the traces — lives in sc and must be consumed before the scratch is
 // recycled.
 func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt geo.Point, p Params, done <-chan struct{}) []int {
@@ -114,64 +117,57 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 		return nil
 	}
 	const srcNode = 0
-	sinkNode := len(pts) - 1 // the destination participates in the kNN stream
+	sinkNode := len(pts) - 1 // the destination is a kNN candidate like any other
+	n := len(pts)
 
-	// Index reference points plus the destination for kNN streaming.
-	entries := sc.entries[:0]
-	for i := 1; i <= sinkNode; i++ {
-		entries = append(entries, rtree.Entry[int]{
-			Box: geo.BBox{Min: pts[i], Max: pts[i]}, Item: i,
-		})
+	// Every point's distance to the destination, once per pair.
+	toDest := slices.Grow(sc.toDest[:0], n)[:n]
+	for i, pt := range pts {
+		toDest[i] = pt.Dist(qjPt)
 	}
-	sc.entries = entries
-	idx := rtree.Bulk(entries)
-	dest := qjPt
+	sc.toDest = toDest
 
-	// successors performs the constrained kNN of Algorithm 2 lines 7–17.
+	// successors performs the constrained kNN of Algorithm 2 lines 7–17: the
+	// first K2 admissible points in (distance from node, table index) order,
+	// or the destination alone if it comes up among them. Each rule tests the
+	// candidate alone, so one pass in index order, nn/nnD keeping the K2
+	// nearest admissible seen so far (sorted, the earlier of two equals
+	// first), selects what streaming the points by distance would; the
+	// destination, last in the table, comes up iff it would enter the slots.
 	// The returned slice is sc.nn — valid only until the next call.
 	successors := func(node int, alpha float64) []int {
-		pc := pts[node]
-		dCur := pc.Dist(dest)
-		nn := sc.nn[:0]
-		it := &sc.nnIter
-		idx.NearestInto(pc, it)
-		for len(nn) < p.K2 {
-			e, _, ok := it.Next()
-			if !ok {
-				break
-			}
-			cand := e.Item
-			if cand == node {
+		pc, dCur := pts[node], toDest[node]
+		nn, nnD := sc.nn[:0], sc.nnD[:0]
+		for cand := 1; cand <= sinkNode && p.K2 > 0; cand++ {
+			if cand == node || toDest[cand]-alpha > dCur { // line 9: drifting away beyond the α budget
 				continue
 			}
-			cp := pts[cand]
-			hop := pc.Dist(cp)
-			if hop < 1e-9 {
-				continue // co-located sample: no progress
+			hop := pc.Dist(pts[cand])
+			if hop < 1e-9 || len(nn) == p.K2 && hop >= nnD[p.K2-1] {
+				continue // co-located sample: no progress; or K2 admissible points come first
 			}
-			if cp.Dist(dest)-alpha > dCur {
-				continue // line 9: drifting away beyond the α budget
-			}
-			if dCur > 1e-9 && (hop+cp.Dist(dest))/dCur > p.Beta {
+			if dCur > 1e-9 && (hop+toDest[cand])/dCur > p.Beta {
 				continue // line 11: relative detour too long
 			}
 			if cand == sinkNode {
 				nn = append(nn[:0], sinkNode) // lines 13–16: go straight home
-				sc.nn = nn
-				return nn
+				break
 			}
-			nn = append(nn, cand)
+			if len(nn) < p.K2 {
+				nn, nnD = append(nn, 0), append(nnD, 0)
+			}
+			i := len(nn) - 1 // the freed or the farthest slot
+			for ; i > 0 && nnD[i-1] > hop; i-- {
+				nn[i], nnD[i] = nn[i-1], nnD[i-1]
+			}
+			nn[i], nnD[i] = cand, hop
 		}
 		// Explore the most promising hop first: the admissible set is the
 		// constrained kNN of the algorithm; ordering children by remaining
 		// distance lets the DFS reach the destination without exhausting
 		// its budget inside dense clusters.
-		// (slices.SortFunc is sort.Slice's algorithm, generated from the same
-		// template, minus the reflection-based swapper and its allocations.)
-		slices.SortFunc(nn, func(a, b int) int {
-			return cmp.Compare(pts[a].Dist2(dest), pts[b].Dist2(dest))
-		})
-		sc.nn = nn
+		slices.SortFunc(nn, func(a, b int) int { return cmp.Compare(pts[a].Dist2(qjPt), pts[b].Dist2(qjPt)) })
+		sc.nn, sc.nnD = nn, nnD
 		return nn
 	}
 
@@ -180,7 +176,6 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 	// arena at every use: append may move the backing array, but it never
 	// mutates already-written elements, so recorded windows stay valid across
 	// growth.
-	n := len(pts)
 	memoOff, memoLen := slices.Grow(sc.memoOff[:0], n)[:n], slices.Grow(sc.memoLen[:0], n)[:n]
 	for i := range memoLen {
 		memoLen[i] = -1
@@ -230,7 +225,6 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 			}
 		}
 		succ := sc.succArena[so : so+sn]
-		pc := pts[node]
 		advanced := false
 		for _, next := range succ {
 			if onPath[next] {
@@ -242,7 +236,7 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 			// deviation from α". The budget only shrinks — regaining it on
 			// forward hops would permit unbounded oscillation.
 			nextAlpha := alpha
-			if drift := pts[next].Dist(dest) - pc.Dist(dest); drift > 0 {
+			if drift := toDest[next] - toDest[node]; drift > 0 {
 				nextAlpha -= drift
 			}
 			onPath[next] = true

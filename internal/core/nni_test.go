@@ -7,7 +7,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/hist"
 	"repro/internal/mapmatch"
 	"repro/internal/traj"
 )
@@ -50,13 +49,8 @@ func TestProjectorOracleRealTraces(t *testing.T) {
 					sc := x.sc
 					mprm := mapmatch.DefaultParams()
 					mprm.CandidateRadius = eps
-					for i := 0; i+1 < q.Len(); i++ {
-						qi, qj := q.Points[i], q.Points[i+1]
-						refs := x.eng.refs.ReferencesOn(x.ctx, x.snap, qi, qj, hist.SearchParams{
-							Phi: p.Phi, SpliceEps: p.SpliceEps, SpliceMinSimple: p.SpliceMinSimple,
-						}, &sc.search, nil)
-						pctx := x.buildPairContext(i, qi, qj, refs)
-						off := enumerateTransitTraces(sc, pctx.points, qi.Pt, qj.Pt, p, nil)
+					forEachPair(x, q, func(i int, pctx *pairContext) {
+						off := enumerateTransitTraces(sc, pctx.points, pctx.qi.Pt, pctx.qj.Pt, p, nil)
 						sc.pj.Reset(w.g, mprm, sc.nniPts, sc)
 						fmt.Fprintf(h, "\nP%d", i)
 						for n := 0; n+1 < len(off); n++ {
@@ -77,7 +71,7 @@ func TestProjectorOracleRealTraces(t *testing.T) {
 							}
 							fmt.Fprintf(h, "\nT %v %v", route, err)
 						}
-					}
+					})
 				})
 				if got != realTraceDigests[key] {
 					t.Errorf("%s: digest %s, want %s — a trace converts to a different route", key, got, realTraceDigests[key])

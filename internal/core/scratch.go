@@ -8,7 +8,6 @@ import (
 	"repro/internal/hist"
 	"repro/internal/mapmatch"
 	"repro/internal/roadnet"
-	"repro/internal/rtree"
 )
 
 // pairScratch is the per-worker scratch arena of the inference hot path:
@@ -66,6 +65,7 @@ type pairScratch struct {
 	nver             uint32
 	hops             []int
 	tg               graphalg.Graph
+	ksp              graphalg.KShortest // bound to tg by inferTGI
 	mid              []geo.Point
 	comp             []int
 	redOff, redTo    []int32   // reduceTraverseGraph's CSR rows
@@ -80,9 +80,9 @@ type pairScratch struct {
 	dedupIdx  map[uint64]int32 // grid cell → table index
 	nniPts    []geo.Point
 	nniSrc    []sampleID
-	entries   []rtree.Entry[int]
-	nnIter    rtree.NearestIter[int]
-	nn        []int
+	toDest    []float64 // table point → distance to q_{i+1}
+	nn        []int     // constrained-kNN slots: the nearest admissible points…
+	nnD       []float64 // …and their distances from the node, ascending
 	succArena []int
 	memoOff   []int32
 	memoLen   []int32

@@ -302,7 +302,7 @@ func bestPartial(M [][]partial) *partial {
 	var best *partial
 	for j := range M {
 		for t := range M[j] {
-			if best == nil || lessPartial(M[j][t], *best) {
+			if best == nil || cmpPartial(M[j][t], *best) < 0 {
 				best = &M[j][t]
 			}
 		}

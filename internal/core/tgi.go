@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -22,16 +23,53 @@ import (
 // K-shortest-path search between every candidate-edge pair yields paths
 // that are finally projected back onto the physical road network.
 func (x exec) inferTGI(pctx *pairContext) []LocalRoute {
+	sc := pctx.sc
+	srcs, dsts := x.traverseGraph(pctx)
+	if len(srcs) == 0 {
+		return nil
+	}
+	// K-shortest paths between every (source, destination) candidate pair
+	// (lines 11–13), projected to physical routes (line 14). The solver keeps
+	// one reverse shortest-path tree per destination, which serves every
+	// source; a call's paths live in its arena until the next call, so each
+	// is projected before the next search starts.
+	sc.ksp.Reset(&sc.tg)
+	var out []LocalRoute
+	for _, se := range srcs {
+		if graphalg.Stopped(x.done) {
+			break
+		}
+		for _, de := range dsts {
+			for _, path := range sc.ksp.Paths(x.done, int(sc.nodeSlot[se]), int(sc.nodeSlot[de]), x.p.K1) {
+				buf, ok := projectPath(x.eng.g, path.Vertices, sc.tgEdges, sc)
+				if !ok {
+					continue
+				}
+				if route, seen := sc.routeSeen(buf); !seen {
+					pop, refs := x.scoreRoute(route, pctx)
+					out = append(out, LocalRoute{Route: route, Refs: refs, Popularity: pop})
+				}
+			}
+		}
+	}
+	return capLocalRoutes(out, x.p.MaxLocalRoutes)
+}
+
+// traverseGraph builds the pair's traverse graph (Algorithm 1, lines 1–10) in
+// sc.tg — node i is road segment sc.tgEdges[i], sc.nodeSlot maps back — and
+// returns the candidate edges of q_i and q_{i+1}, its sources and
+// destinations: both nil when either query point has none.
+func (x exec) traverseGraph(pctx *pairContext) (srcs, dsts []roadnet.EdgeID) {
 	g := x.eng.g
 	p := x.p
 	sc := pctx.sc
 
-	srcs := x.queryCandidates(pctx.qi.Pt, sc.srcCand)
+	srcs = x.queryCandidates(pctx.qi.Pt, sc.srcCand)
 	sc.srcCand = srcs
-	dsts := x.queryCandidates(pctx.qj.Pt, sc.dstCand)
+	dsts = x.queryCandidates(pctx.qj.Pt, sc.dstCand)
 	sc.dstCand = dsts
 	if len(srcs) == 0 || len(dsts) == 0 {
-		return nil
+		return nil, nil
 	}
 
 	// Node set: traverse edges plus the query candidate edges, mapped
@@ -101,28 +139,7 @@ func (x exec) inferTGI(pctx *pairContext) []LocalRoute {
 	}
 	x.stageDone(obs.StageConnectionCulling, pctx.pair, t0, len(edges))
 
-	// K-shortest paths between every (source, destination) candidate pair
-	// (lines 11–13), projected to physical routes (line 14).
-	var out []LocalRoute
-	for _, se := range srcs {
-		if graphalg.Stopped(x.done) {
-			break
-		}
-		for _, de := range dsts {
-			paths := graphalg.KShortestPathsCtx(x.ctx, tg, int(sc.nodeSlot[se]), int(sc.nodeSlot[de]), p.K1)
-			for _, path := range paths {
-				buf, ok := projectPath(g, path.Vertices, edges, sc)
-				if !ok {
-					continue
-				}
-				if route, seen := sc.routeSeen(buf); !seen {
-					pop, refs := x.scoreRoute(route, pctx)
-					out = append(out, LocalRoute{Route: route, Refs: refs, Popularity: pop})
-				}
-			}
-		}
-	}
-	return capLocalRoutes(out, p.MaxLocalRoutes)
+	return srcs, dsts
 }
 
 // queryCandidates returns candidate edges of a query point, widening to the
@@ -290,7 +307,7 @@ func projectPath(g *roadnet.Graph, nodes []int, edges []roadnet.EdgeID, sc *pair
 
 // capLocalRoutes sorts by popularity (descending) and keeps at most max.
 func capLocalRoutes(rs []LocalRoute, max int) []LocalRoute {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Popularity > rs[j].Popularity })
+	slices.SortStableFunc(rs, func(a, b LocalRoute) int { return cmp.Compare(b.Popularity, a.Popularity) })
 	if max > 0 && len(rs) > max {
 		rs = rs[:max]
 	}

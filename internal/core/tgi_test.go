@@ -1,14 +1,19 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/graphalg"
+	"repro/internal/hist"
 	"repro/internal/roadnet"
+	"repro/internal/traj"
 )
 
 // traverseFixture builds a grid road network and returns it with a list of
@@ -241,5 +246,126 @@ func TestReduceTraverseGraphMatchesMapOracle(t *testing.T) {
 			}
 		}
 		check(fmt.Sprintf("random %d", trial), tg)
+	}
+}
+
+// traverseGraphDigests pins, per world × GraphReduction, every path — vertex
+// sequence and weight bits — that TGI's K-shortest-path stage obtains on the
+// traverse graph of every pair of a fixed query mix, sources outer,
+// destinations inner. The digests were recorded on this change's parent from
+// the plain-Dijkstra Yen that graphalg/yen_oracle_test.go preserves (that
+// package cannot build a traverse graph, so its own equivalence test drives
+// the oracle with synthetic graphs; the real ones are pinned here).
+var traverseGraphDigests = map[string]string{
+	"191 true":  "b5fb200966381bb430ec4f219460b83bd2456f0c553b3cf2dd1807a0563c9b60", // 251 calls, 1209 paths
+	"191 false": "5306ec6b54eb318963fd97067d21da3025d4bd895eed6dfbbdbe44d2a9c070a0", // 251 calls, 1227 paths
+	"7 true":    "57115cf16aeea93a2dca6219aa97852b4834bf4ab26a7eddd80aed2bf7e32346", // 275 calls, 1291 paths
+	"7 false":   "1bf9cd8698dff81406b6ea70306be1a321019d099b130c4a37403777a6998fb9", // 275 calls, 1340 paths
+}
+
+// forEachPair hands f the pair context of every consecutive pair of q,
+// assembled on x's arena the way pairStage assembles it.
+func forEachPair(x exec, q *traj.Trajectory, f func(i int, pctx *pairContext)) {
+	for i := 0; i+1 < q.Len(); i++ {
+		qi, qj := q.Points[i], q.Points[i+1]
+		refs := x.eng.refs.ReferencesOn(x.ctx, x.snap, qi, qj, hist.SearchParams{
+			Phi: x.p.Phi, SpliceEps: x.p.SpliceEps, SpliceMinSimple: x.p.SpliceMinSimple,
+		}, &x.sc.search, nil)
+		f(i, x.buildPairContext(i, qi, qj, refs))
+	}
+}
+
+// TestKShortestRealTraverseGraphs: on real traverse graphs, driven exactly as
+// inferTGI drives it (one Reset per graph, every source against every
+// destination), the arena's solver returns the paths recorded from the old
+// Yen — and a fresh solver per call returns the same as the reused one.
+func TestKShortestRealTraverseGraphs(t *testing.T) {
+	for _, seed := range []int64{191, 7} {
+		for _, red := range []bool{true, false} {
+			key := fmt.Sprintf("%d %v", seed, red)
+			got := goldenDigest(t, seed, 12, func(w *world, h io.Writer, q *traj.Trajectory) {
+				p := w.p
+				p.Method, p.GraphReduction = MethodTGI, red
+				x := w.eng.newExec(t.Context(), p, w.eng.src.Current())
+				x.sc = newPairScratch()
+				sc := x.sc
+				forEachPair(x, q, func(i int, pctx *pairContext) {
+					fmt.Fprintf(h, "\nP%d", i)
+					srcs, dsts := x.traverseGraph(pctx)
+					sc.ksp.Reset(&sc.tg)
+					for _, se := range srcs {
+						for _, de := range dsts {
+							s, d := int(sc.nodeSlot[se]), int(sc.nodeSlot[de])
+							paths := sc.ksp.Paths(nil, s, d, p.K1)
+							var fresh graphalg.KShortest
+							fresh.Reset(&sc.tg)
+							if f := fresh.Paths(nil, s, d, p.K1); !reflect.DeepEqual(f, paths) {
+								t.Fatalf("%s pair %d %d→%d: reused solver %v, fresh solver %v", key, i, s, d, paths, f)
+							}
+							fmt.Fprintf(h, "\nC%d", len(paths))
+							for _, pa := range paths {
+								var b [8]byte
+								binary.LittleEndian.PutUint64(b[:], math.Float64bits(pa.Weight))
+								h.Write(b[:])
+								for _, v := range pa.Vertices {
+									binary.LittleEndian.PutUint64(b[:], uint64(v))
+									h.Write(b[:])
+								}
+							}
+						}
+					}
+				})
+			})
+			if got != traverseGraphDigests[key] {
+				t.Errorf("%s: digest %s, want %s — K-shortest paths differ on a real traverse graph", key, got, traverseGraphDigests[key])
+			}
+		}
+	}
+}
+
+// TestTGIProjectsPathsBeforeNextSearch extends the aliasing check of
+// TestPublishedResultSurvivesScratchReuse to the solver's arena: a path
+// returned by one Paths call is overwritten by the next, so inferTGI must
+// have projected it by then. The reference consumes copies
+// (graphalg.KShortestPaths) in the same order; holding a solver path across
+// calls makes the two disagree.
+func TestTGIProjectsPathsBeforeNextSearch(t *testing.T) {
+	w, _, queries := poolWorlds(t, 60, 987)
+	p := w.p
+	p.Method = MethodTGI
+	x := w.eng.newExec(t.Context(), p, w.eng.src.Current())
+	x.sc = newPairScratch()
+	sc := x.sc
+	routes, calls := 0, 0
+	for _, q := range queries[:4] {
+		forEachPair(x, q, func(i int, pctx *pairContext) {
+			got := fmt.Sprint(x.inferTGI(pctx))
+
+			clear(sc.seen) // forget the routes inferTGI published
+			sc.seen, sc.seenHash = sc.seen[:0], sc.seenHash[:0]
+			srcs, dsts := x.traverseGraph(pctx)
+			var want []LocalRoute
+			for _, se := range srcs {
+				for _, de := range dsts {
+					calls++
+					for _, path := range graphalg.KShortestPaths(&sc.tg, int(sc.nodeSlot[se]), int(sc.nodeSlot[de]), p.K1) {
+						if buf, ok := projectPath(w.g, path.Vertices, sc.tgEdges, sc); ok {
+							if route, seen := sc.routeSeen(buf); !seen {
+								pop, refs := x.scoreRoute(route, pctx)
+								want = append(want, LocalRoute{Route: route, Refs: refs, Popularity: pop})
+							}
+						}
+					}
+				}
+			}
+			want = capLocalRoutes(want, p.MaxLocalRoutes)
+			routes += len(want)
+			if got != fmt.Sprint(want) {
+				t.Fatalf("pair %d: inferTGI published\n%s\nprojecting copies of the same paths gives\n%v", i, got, want)
+			}
+		})
+	}
+	if routes == 0 || calls < 2*len(queries[:4]) {
+		t.Fatalf("%d routes from %d K-shortest-path calls: the queries no longer exercise the solver's reuse", routes, calls)
 	}
 }

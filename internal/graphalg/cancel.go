@@ -15,6 +15,9 @@ func Stopped(done <-chan struct{}) bool {
 	if done == nil {
 		return false
 	}
+	if stopHook != nil {
+		stopHook()
+	}
 	select {
 	case <-done:
 		return true
@@ -22,3 +25,7 @@ func Stopped(done <-chan struct{}) bool {
 		return false
 	}
 }
+
+// stopHook, when set, runs before every poll of a non-nil channel. Only this
+// package's tests set it: closing done at an exact checkpoint needs the count.
+var stopHook func()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -123,7 +124,7 @@ func TestCHEqualWeightTies(t *testing.T) {
 			if !validPathWeight(g, p1) {
 				t.Fatalf("tie graph PathTo(%d,%d): invalid path %v", s, d, p1.Vertices)
 			}
-			if !equalPath(p1.Vertices, p2.Vertices) {
+			if !slices.Equal(p1.Vertices, p2.Vertices) {
 				t.Fatalf("tie graph PathTo(%d,%d) nondeterministic: %v vs %v", s, d, p1.Vertices, p2.Vertices)
 			}
 		}

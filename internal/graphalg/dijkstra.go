@@ -3,7 +3,6 @@ package graphalg
 import (
 	"context"
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -78,7 +77,7 @@ func (h *pq) pop() pqItem {
 func shortestPath(g *Graph, src, dst int, done <-chan struct{}) (Path, bool) {
 	s := getScratch(g.N())
 	defer putScratch(s)
-	dijkstra(s, g, src, dst, nil, nil, done)
+	dijkstra(s, g, src, dst, done)
 	if math.IsInf(s.dist[dst], 1) {
 		return Path{}, false
 	}
@@ -90,7 +89,7 @@ func shortestPath(g *Graph, src, dst int, done <-chan struct{}) (Path, bool) {
 func AllDistances(g *Graph, src int) []float64 {
 	s := getScratch(g.N())
 	defer putScratch(s)
-	dijkstra(s, g, src, -1, nil, nil, nil)
+	dijkstra(s, g, src, -1, nil)
 	out := make([]float64, len(s.dist))
 	copy(out, s.dist)
 	return out
@@ -98,15 +97,14 @@ func AllDistances(g *Graph, src int) []float64 {
 
 // dijkstra runs Dijkstra from src, writing distances and predecessors into
 // s.dist and s.prev (s must be freshly reset). If dst >= 0 it stops when
-// dst settles. banned vertices, and arcs from src to a banned head, are
-// skipped — Yen's algorithm uses both to carve the spur graph without
-// copying it, and only ever bans arcs leaving its spur node, the src. A
-// non-nil done channel is polled every stride pops; when closed the search
-// stops with whatever has settled (unreached vertices keep +Inf, so
-// callers see "unreachable").
-func dijkstra(s *searchScratch, g *Graph, src, dst int, bannedVertex []bool, bannedHeads []int, done <-chan struct{}) {
+// dst settles. A non-nil done channel is polled every stride pops; when
+// closed the search stops and takes back every tentative label — the live
+// entries still in the heap — so that a finite distance is always a final
+// one: vertices that had not settled read +Inf, and callers see
+// "unreachable".
+func dijkstra(s *searchScratch, g *Graph, src, dst int, done <-chan struct{}) {
 	n := g.N()
-	if src < 0 || src >= n || (bannedVertex != nil && bannedVertex[src]) {
+	if src < 0 || src >= n {
 		return
 	}
 	dist, prev := s.dist, s.prev
@@ -115,6 +113,11 @@ func dijkstra(s *searchScratch, g *Graph, src, dst int, bannedVertex []bool, ban
 	pops := 0
 	for len(s.h) > 0 {
 		if pops++; pops&(stride-1) == 0 && Stopped(done) {
+			for _, it := range s.h {
+				if it.dist == dist[it.v] {
+					dist[it.v], prev[it.v] = math.Inf(1), -1
+				}
+			}
 			break
 		}
 		it := s.h.pop()
@@ -124,17 +127,7 @@ func dijkstra(s *searchScratch, g *Graph, src, dst int, bannedVertex []bool, ban
 		if it.v == dst {
 			break
 		}
-		heads := bannedHeads
-		if it.v != src {
-			heads = nil
-		}
 		for _, a := range g.Adj[it.v] {
-			if bannedVertex != nil && bannedVertex[a.To] {
-				continue
-			}
-			if heads != nil && slices.Contains(heads, a.To) {
-				continue
-			}
 			nd := it.dist + a.W
 			if nd < dist[a.To] {
 				dist[a.To] = nd
@@ -144,10 +137,8 @@ func dijkstra(s *searchScratch, g *Graph, src, dst int, bannedVertex []bool, ban
 				// Among equal-weight shortest paths keep the smallest
 				// predecessor: the returned path is then a deterministic
 				// function of the graph's arcs, not of their insertion
-				// order — which Yen's spur searches rely on for stable
-				// equal-weight tie-breaking. The a.W > 0 guard keeps the
-				// predecessor relation acyclic (a prev cycle would need a
-				// zero-weight cycle).
+				// order. The a.W > 0 guard keeps the predecessor relation
+				// acyclic (a prev cycle would need a zero-weight cycle).
 				prev[a.To] = it.v
 			}
 		}

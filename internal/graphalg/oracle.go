@@ -88,7 +88,7 @@ func (o *DijkstraOracle) dist(src, dst int, done <-chan struct{}) float64 {
 	}
 	s := getScratch(n)
 	defer putScratch(s)
-	dijkstra(s, o.G, src, dst, nil, nil, done)
+	dijkstra(s, o.G, src, dst, done)
 	return s.dist[dst]
 }
 
@@ -140,7 +140,7 @@ func (o *DijkstraOracle) table(srcs, dsts []int, done <-chan struct{}) [][]float
 			continue
 		}
 		s.reset()
-		dijkstra(s, o.G, src, -1, nil, nil, done)
+		dijkstra(s, o.G, src, -1, done)
 		for j, dst := range dsts {
 			if dst < 0 || dst >= n {
 				row[j] = math.Inf(1)

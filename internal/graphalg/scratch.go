@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// searchScratch holds the per-search working arrays shared by Dijkstra,
-// A*, and Yen's spur searches. The buffers come from a sync.Pool so that
-// steady-state searches allocate only their results: the O(n) reset cost
-// is the same initialisation loop the searches already paid when they
-// allocated fresh arrays each call.
+// searchScratch holds the per-search working arrays shared by Dijkstra and
+// A* (KShortest keeps its own, version-stamped). The buffers come from a
+// sync.Pool so that steady-state searches allocate only their results: the
+// O(n) reset cost is the same initialisation loop the searches already paid
+// when they allocated fresh arrays each call.
 type searchScratch struct {
 	dist   []float64
 	prev   []int
@@ -36,7 +36,7 @@ func getScratch(n int) *searchScratch {
 }
 
 // reset restores the empty-search state so a scratch can be reused for
-// several searches over the same graph (Yen runs one per spur node).
+// several searches over the same graph (a distance table runs one per row).
 func (s *searchScratch) reset() {
 	for i := range s.dist {
 		s.dist[i] = math.Inf(1)

@@ -58,20 +58,23 @@ go test -C bench -timeout 300s ./...
 # Determinism: the Yen equal-weight tie-break, the K-GRI oracle suites, the
 # three golden digests (InferRoutes, network-free, PairLocalRoutes), the
 # reference search's equivalence to its map-based oracle, the trace projector's
-# to its float-keyed one (synthetic batches in mapmatch, real ones in core) and
-# the traverse-graph reduction's to its map-based one must give identical
-# verdicts run-to-run (-count=2 defeats test caching and runs each twice in
-# one binary, the second time on warm pools, memos and searcher scratch).
-go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/
+# to its float-keyed one (synthetic batches in mapmatch, real ones in core),
+# the traverse-graph reduction's to its map-based one, the K-shortest-path
+# solver's to the plain-Dijkstra Yen (synthetic graphs in graphalg, recorded
+# real traverse graphs in core) and the transit-trace table scan's to the
+# R-tree stream must give identical verdicts run-to-run (-count=2 defeats test
+# caching and runs each twice in one binary, the second time on warm pools,
+# memos, solver and searcher scratch).
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/
 
 # Bench smoke: the acceleration-layer benchmarks (end-to-end HRIS query,
 # ST-Matching, CH build — each in both oracle modes where applicable), the
-# warm pair-context assembly benchmark, the warm NNI pair, the cold reference
-# search, plus the live-archive ingest benchmarks (Ingest matches both the
-# in-memory BenchmarkIngest and the WAL-on BenchmarkIngestDurable) must run
-# one iteration without failing. Real numbers come from
-# `go run -C bench repro/bench` (BENCHMARK.json).
-go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|ReferenceSearch|STMatch|CH|Ingest|SessionStep' -benchtime 1x .
+# warm pair-context assembly benchmark, the warm NNI and TGI pairs, the cold
+# reference search, the live-archive ingest benchmarks (Ingest matches both
+# the in-memory BenchmarkIngest and the WAL-on BenchmarkIngestDurable) and
+# graphalg's K-shortest-path benchmark must run one iteration without failing.
+# Real numbers come from `go run -C bench repro/bench` (BENCHMARK.json).
+go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|TGIPair|YenK5|ReferenceSearch|STMatch|CH|Ingest|SessionStep' -benchtime 1x . ./internal/graphalg/
 
 # Alloc-regression gate: the steady-state query hot path must stay within
 # the checked-in budget (bench_budget.json). BenchmarkHRISQuery warms the
