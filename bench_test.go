@@ -397,8 +397,8 @@ func BenchmarkHRISQueryStore(b *testing.B) {
 	}
 }
 
-// BenchmarkHRISQuerySharded is BenchmarkHRISQueryStore through the sharded
-// composite at four shards: the same archive, batch ingest, compaction and
+// BenchmarkHRISQuerySharded is BenchmarkHRISQueryStore with the store at
+// four shards: the same archive, batch ingest, compaction and
 // query, but every range query goes through the partition's scatter-gather
 // path (or the single-shard fast path when the box fits a halo cell). The
 // gap against BenchmarkHRISQueryStore is the spatial-sharding overhead.
@@ -478,7 +478,7 @@ func BenchmarkIngestDurable(b *testing.B) {
 	trips, _ := sim.NewTripEmitter(city, fcfg).Emit(500)
 	const batch = 10
 	lat := make([]time.Duration, 0, b.N)
-	open := func() *hist.ShardedStore {
+	open := func() *hist.Store {
 		st, _, err := hist.OpenShardedStore(b.TempDir(), city.Graph, nil, hist.ShardedConfig{Shards: 1})
 		if err != nil {
 			b.Fatal(err)

@@ -19,14 +19,15 @@
 // accepts {"trips": [...]} in the same trip shape and returns the admit
 // stats plus the archive summary.
 //
-// Sharding: -shards N partitions the live archive into N spatially
-// independent stores (uniform grid over the network bbox, each with its own
-// memtable stack and compaction loop); ingest routes trips to the shards
-// whose halo cells their points touch, and queries scatter-gather across
-// shards with exact dedup, so results are byte-identical to -shards 1. The
-// halo margin is the -phi search radius, which keeps boundary queries on
-// the single-shard fast path; /metrics reports store.shards, per-shard
-// shard.<i>.* gauges and the scatter.* routing counters at every N.
+// Sharding: -shards N partitions the live archive into N spatial shards
+// (uniform grid over the network bbox, each with its own memtable stack,
+// merged by the store's one compaction pass); ingest routes trips to the
+// shards whose halo cells their points touch, and queries scatter-gather
+// across shards with exact dedup, so results are byte-identical to
+// -shards 1. The halo margin is the -phi search radius, which keeps
+// boundary queries on the single-shard fast path; /metrics reports
+// store.shards, per-shard shard.<i>.* gauges and the scatter.* routing
+// counters at every N.
 //
 // Durability: -data-dir DIR makes the live archive survive restarts — every
 // ingested batch is appended to a write-ahead log under DIR before it
@@ -226,7 +227,7 @@ func main() {
 		Shards:      *shards,
 		Halo:        *phi,
 	}
-	var st *hist.ShardedStore
+	var st *hist.Store
 	if *dataDir != "" {
 		var rs hist.RecoveryStats
 		if st, rs, err = hist.OpenShardedStore(*dataDir, g, trajs, cfg); err != nil {
@@ -402,7 +403,7 @@ func logRecovery(rs hist.RecoveryStats) {
 // -data-dir it is in memory only ("memory"). A WAL write failure returns
 // 500 with the batch still admitted in memory, and the store refuses
 // further WAL appends ("failed") until reopened.
-func ingestHandler(w http.ResponseWriter, r *http.Request, st *hist.ShardedStore) {
+func ingestHandler(w http.ResponseWriter, r *http.Request, st *hist.Store) {
 	if r.Method != http.MethodPost {
 		http.Error(w, `POST trips JSON: {"trips": [{"id": "...", "points": [[x, y, t], ...]}, ...]}`, http.StatusMethodNotAllowed)
 		return
@@ -489,7 +490,7 @@ func readLine(br *bufio.Reader, max int) ([]byte, error) {
 // occasional bad record instead of aborting — and a trailing partial line
 // at EOF is rejected rather than ingested as a truncated trip (the producer
 // may have died mid-record).
-func followStdin(ctx context.Context, st *hist.ShardedStore, reg *obs.Registry) {
+func followStdin(ctx context.Context, st *hist.Store, reg *obs.Registry) {
 	br := bufio.NewReaderSize(os.Stdin, 1<<20)
 	lines, admitted, rejected := 0, 0, 0
 	reject := func(format string, args ...any) {

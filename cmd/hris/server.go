@@ -38,7 +38,7 @@ type server struct {
 	eng    *core.Engine
 	gate   *core.Gate
 	mgr    *core.SessionManager
-	st     *hist.ShardedStore
+	st     *hist.Store
 	params core.Params
 	root   context.Context
 	// streamIngest feeds each finalized /stream trajectory back into the

@@ -62,7 +62,7 @@ func plans(n int) []crashPlan {
 // runCrash drives st through the plan and kills it. The returned epoch is
 // the store's epoch at the kill; under SyncAlways every admitted batch is
 // on disk, so it is also the epoch recovery must reach.
-func runCrash(t *testing.T, st *hist.ShardedStore, batches [][]*traj.Trajectory, plan crashPlan) uint64 {
+func runCrash(t *testing.T, st *hist.Store, batches [][]*traj.Trajectory, plan crashPlan) uint64 {
 	t.Helper()
 	for i := 0; i < plan.crashAt; i++ {
 		if stats := st.IngestTrips(batches[i]...); stats.Durability != hist.DurabilitySynced {
@@ -70,8 +70,8 @@ func runCrash(t *testing.T, st *hist.ShardedStore, batches [][]*traj.Trajectory,
 		}
 		if i+1 == plan.compactAt {
 			if plan.midCompaction {
-				// Kill between the WAL append and the checkpoint: the first
-				// shard's compaction has merged but neither published nor
+				// Kill between the WAL append and the checkpoint: the
+				// compaction pass has merged but neither published nor
 				// cued the segment write.
 				hist.CompactBeforePublish = st.CloseAbrupt
 				st.Compact()
@@ -86,7 +86,7 @@ func runCrash(t *testing.T, st *hist.ShardedStore, batches [][]*traj.Trajectory,
 	return uint64(plan.crashAt)
 }
 
-// durableConfig is the composite shape under test at n shards.
+// durableConfig is the store shape under test at n shards.
 func durableConfig(n int, sync hist.SyncPolicy) hist.ShardedConfig {
 	return hist.ShardedConfig{
 		StoreConfig: hist.StoreConfig{CompactSegments: 1 << 30, WALSync: sync},
@@ -96,7 +96,7 @@ func durableConfig(n int, sync hist.SyncPolicy) hist.ShardedConfig {
 }
 
 // openDurable fails the test on error.
-func openDurable(t *testing.T, dir string, ds *sim.Dataset, cfg hist.ShardedConfig) (*hist.ShardedStore, hist.RecoveryStats) {
+func openDurable(t *testing.T, dir string, ds *sim.Dataset, cfg hist.ShardedConfig) (*hist.Store, hist.RecoveryStats) {
 	t.Helper()
 	st, rs, err := hist.OpenShardedStore(dir, ds.City.Graph, nil, cfg)
 	if err != nil {
@@ -107,16 +107,16 @@ func openDurable(t *testing.T, dir string, ds *sim.Dataset, cfg hist.ShardedConf
 
 // checkRecovered asserts rec sits at wantEpoch and is indistinguishable —
 // epoch, fingerprint, byte-identical InferRoutes output over every query —
-// from an uninterrupted in-memory composite of the same shape fed the same
+// from an uninterrupted in-memory store of the same shape fed the same
 // batch prefix.
-func checkRecovered(t *testing.T, rec *hist.ShardedStore, ds *sim.Dataset, cfg hist.ShardedConfig,
+func checkRecovered(t *testing.T, rec *hist.Store, ds *sim.Dataset, cfg hist.ShardedConfig,
 	batches [][]*traj.Trajectory, wantEpoch uint64, queries []*traj.Trajectory) {
 	t.Helper()
 	oracle := hist.NewShardedStore(ds.City.Graph, nil, cfg)
 	for _, b := range batches[:wantEpoch] {
 		oracle.IngestTrips(b...)
 	}
-	vR, vO := rec.CurrentSharded(), oracle.CurrentSharded()
+	vR, vO := rec.Snapshot(), oracle.Snapshot()
 	if vR.Epoch() != wantEpoch || vO.Epoch() != wantEpoch {
 		t.Fatalf("recovered epoch %d, oracle epoch %d, want %d", vR.Epoch(), vO.Epoch(), wantEpoch)
 	}
@@ -203,7 +203,7 @@ func TestDurableShardedSyncOffPrefix(t *testing.T) {
 // TestDurableShardedReshardOnReopen: the files do not depend on the partition, so
 // a directory written at one shard — part checkpointed, part only logged —
 // and killed reopens at 4 and at 9 shards as exactly the store an
-// uninterrupted composite of that shard count would be.
+// uninterrupted store of that shard count would be.
 func TestDurableShardedReshardOnReopen(t *testing.T) {
 	ds, queries := liveWorld(140, 47)
 	batches := durableBatches(ds.Archive, 63)

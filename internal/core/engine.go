@@ -76,8 +76,8 @@ func NewEngineWithRegistry(src hist.Source, defaults Params, reg *obs.Registry) 
 func (e *Engine) Graph() *roadnet.Graph { return e.g }
 
 // Source returns the archive source the engine reads from. With a live
-// Store or ShardedStore its Current advances between calls; inference
-// internals never call it twice — they pin one generation per invocation.
+// Store its Current advances between calls; inference internals never call
+// it twice — they pin one generation per invocation.
 func (e *Engine) Source() hist.Source { return e.src }
 
 // Defaults returns a copy of the engine's frozen default parameters.
@@ -120,14 +120,14 @@ func (e *Engine) Metrics() obs.Snapshot {
 	s.Counters["archive.trajs"] = uint64(snap.NumTrajs())
 	s.Counters["archive.points"] = uint64(snap.NumPoints())
 	s.Counters["archive.segments"] = uint64(snap.Segments())
-	if st, ok := e.src.(interface{ Stats() hist.StoreStats }); ok {
+	if st, ok := e.src.(*hist.Store); ok {
 		stats := st.Stats()
 		s.Counters["store.compactions"] = stats.Compactions
 		s.Counters["store.shards"] = uint64(len(stats.Shards))
 		foldDiskGauges(s.Counters, stats)
 		// Per-shard gauges, namespaced like the per-shard ingest counters,
 		// so /metrics exposes skew (trip/point replication per shard) and
-		// each shard's compaction progress. A bare Store has none.
+		// each shard's compaction progress.
 		for i, ss := range stats.Shards {
 			prefix := obs.ShardPrefix + strconv.Itoa(i) + "."
 			s.Counters[prefix+"epoch"] = ss.Epoch
@@ -332,8 +332,7 @@ type exec struct {
 	// snap is the archive generation pinned for this invocation: captured
 	// once at entry, consulted everywhere below, so one inference sees one
 	// consistent epoch even while a live Store keeps publishing new ones.
-	// With a sharded source this is a composite ShardedSnapshot, pinning
-	// every shard's generation at once.
+	// A snapshot pins every shard's segment stack at once.
 	snap hist.View
 
 	// ctx/done carry this invocation's cancellation signal. done is

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/hist"
 	"repro/internal/obs"
 	"repro/internal/traj"
 )
@@ -189,7 +188,7 @@ func (g *Gate) estimate() time.Duration {
 }
 
 // flightKey identifies one coalescable inference: the archive generation
-// (epoch plus composite fingerprint, exactly the pair the epoch-tagged
+// (epoch plus epoch fingerprint, exactly the pair the epoch-tagged
 // SearchCache keys memos by — a sibling-shard ingest changes the
 // fingerprint, so stale flights are never joined), the query's content hash
 // and the full parameter set. The hash only finds the flight: a follower
@@ -221,8 +220,8 @@ type flightCall struct {
 // foreign cancellation. A caller whose key collides with a flight over
 // different points computes independently, outside the flight table.
 func (g *Gate) coalesce(ctx context.Context, q *traj.Trajectory, p Params) (*Result, error) {
-	key := flightKey{qhash: g.hash(q), params: p}
-	key.epoch, key.fingerprint = hist.EpochKey(g.eng.src.Current())
+	v := g.eng.src.Current()
+	key := flightKey{epoch: v.Epoch(), fingerprint: v.EpochFingerprint(), qhash: g.hash(q), params: p}
 	g.mu.Lock()
 	if c, ok := g.flight[key]; ok {
 		g.mu.Unlock()

@@ -11,7 +11,7 @@ import (
 )
 
 // checkShardedEquivalence asserts the PR's acceptance criterion: a
-// ShardedStore that ingested the same trips as a bulk archive — in a random
+// sharded store that ingested the same trips as a bulk archive — in a random
 // order, in random batch sizes, before and after compaction, at any shard
 // count and halo — infers byte-identical results through the full engine.
 func checkShardedEquivalence(t testing.TB, trips int, seed, permSeed int64, shards int, halo float64) bool {
@@ -97,7 +97,7 @@ func TestShardedInferenceMatchesArchiveQuick(t *testing.T) {
 // TestShardedConcurrentIngestAndInferBatch is the sharded twin of
 // TestConcurrentIngestAndInferBatch: concurrent IngestTrips and
 // InferBatchCtx over a 4-shard store, every result matching exactly one
-// published composite epoch (no torn reads across shard snapshots) and
+// published epoch (no torn reads across shard snapshots) and
 // post-ingest queries seeing the full archive. Run under -race by verify.sh.
 func TestShardedConcurrentIngestAndInferBatch(t *testing.T) {
 	ds, queries := liveWorld(260, 91)
@@ -159,7 +159,7 @@ func TestShardedConcurrentIngestAndInferBatch(t *testing.T) {
 						return
 					}
 					if _, ok := expected[br.Index][encodeRoutes(br.Result)]; !ok {
-						t.Errorf("query %d: result matches no published composite epoch (torn read?)", br.Index)
+						t.Errorf("query %d: result matches no published epoch (torn read?)", br.Index)
 						return
 					}
 				}

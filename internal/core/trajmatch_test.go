@@ -169,9 +169,9 @@ func TestMatchTableMatchesPerPointOracle(t *testing.T) {
 }
 
 // TestMatchTableOnLiveShardedStore runs the same property on what the
-// reference search really returns, over a 4-shard composite that ingests
+// reference search really returns, over a 4-shard store that ingests
 // between rounds: references resolve to the right trajectories through the
-// composite's indices, trips of a new epoch get tables, and the tables of
+// store's indices, trips of a new epoch get tables, and the tables of
 // old trips survive the epoch instead of being rebuilt.
 func TestMatchTableOnLiveShardedStore(t *testing.T) {
 	ds, queries := liveWorld(260, 23)

@@ -10,13 +10,13 @@ import (
 )
 
 // ShardProfile measures how the sharded live archive scales with shard
-// count: the same trip set is ingested into a ShardedStore at each count
+// count: the same trip set is ingested into a hist.Store at each count
 // (batched, timed end to end, background compactions included) and the same
-// fixed query set is inferred against the compacted composite. Two tables
-// come back — ingest throughput and mean query latency vs shard count. The
-// n=1 row is the abstraction-overhead baseline against the plain store;
-// larger counts show the scatter-gather trade: ingest sheds work per shard
-// while boundary queries pay fan-out.
+// fixed query set is inferred against the compacted store. Two tables come
+// back — ingest throughput and mean query latency vs shard count. The n=1
+// row is the baseline every query answers on the fast path; larger counts
+// show the scatter-gather trade: ingest sheds work per shard while boundary
+// queries pay fan-out.
 func ShardProfile(cfg WorldConfig, shardCounts []int) (query, ingest *Table) {
 	query = &Table{Figure: "shards-query", Title: "Query latency vs shard count",
 		XLabel: "shards", YLabel: "ms/query"}

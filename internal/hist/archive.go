@@ -4,14 +4,23 @@
 // (Definition 6), and an on-line spatial join over the leftover candidates
 // yields spliced reference trajectories (Definition 7).
 //
-// The archive comes in two flavors sharing the read-only View interface:
-// Snapshot (alias Archive) is one immutable, epoch-numbered generation, and
-// Store is the live archive — an LSM-style stack of R-tree segments that
-// admits new trips online and publishes a fresh Snapshot per mutation.
+// The archive is one immutable, epoch-numbered generation, Snapshot (alias
+// Archive), and one live store, Store, that admits new trips online and
+// publishes a fresh Snapshot per mutation. A snapshot is a Partition of the
+// plane into N shards — N = 1 unless configured otherwise, and always 1 for
+// NewArchive — each an LSM-style stack of R-tree segments over the trips
+// that touch its halo cell. Range queries take the single-shard fast path
+// when the search box fits one halo cell and otherwise scatter over the
+// overlapping shards with home-ownership dedup, so answers never depend on
+// N. A store opened with OpenShardedStore is also durable: a write-ahead log
+// and checkpoint segment files, independent of N.
 package hist
 
 import (
+	"time"
+
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/rtree"
 	"repro/internal/traj"
@@ -25,80 +34,156 @@ type PointRef struct {
 
 // Snapshot is one immutable generation of the historical archive: a set of
 // trajectories spatially indexed for search (§II-B.1 "Indexing": an R-tree
-// organizes all the GPS points). A snapshot built by NewArchive holds a
-// single bulk-loaded tree; snapshots published by a Store additionally carry
-// the memtable segments of trips ingested since the last compaction. Every
-// method is safe for unsynchronized concurrent use — nothing is mutated
-// after construction.
+// organizes all the GPS points), partitioned into shards. A snapshot built
+// by NewArchive is one shard holding a single bulk-loaded tree; snapshots
+// published by a Store additionally carry the memtable segments of trips
+// ingested since the last compaction. It implements View and is its own
+// constant Source. Every method is safe for unsynchronized concurrent use —
+// nothing is mutated after construction.
 type Snapshot struct {
-	G     *roadnet.Graph
-	Trajs []*traj.Trajectory
+	g      *roadnet.Graph
+	part   *Partition
+	reg    *obs.Registry // receives the range-query routing metrics; may be nil
+	shards []shard
+	trajs  []*traj.Trajectory
+	points int    // distinct indexed GPS points (halo replicas counted once)
+	epoch  uint64 // publication counter: one bump per admitted ingest batch
+	fp     uint64 // epochFingerprint of the shard epochs
+}
 
+// shard is one partition cell of a snapshot, as immutable as the snapshot
+// holding it: its segment stack indexes every point of the trips that touch
+// its halo cell, under global PointRefs.
+type shard struct {
 	// segs are the R-tree segments, oldest first: the bulk-loaded base tree
-	// followed by one dynamic memtable per un-compacted ingest batch. Each
-	// indexed point lives in exactly one segment.
-	segs   []*rtree.Tree[PointRef]
-	points int
-	epoch  uint64
+	// followed by one dynamic memtable per un-compacted ingest batch that
+	// touched the shard. Each indexed point lives in exactly one segment.
+	segs  []*rtree.Tree[PointRef]
+	trips []int // global indices of the indexed trips, ascending
+	// points counts the indexed GPS points; points-basePts is the memtable
+	// backlog the CompactPoints threshold watches.
+	points, basePts int
+	epoch           uint64 // ingest batches that touched the shard
+	compactions     uint64 // merges of the segment stack
+}
 
-	// basePts is how many of points the base segment covers; points-basePts
-	// is the memtable backlog the CompactPoints threshold watches.
-	basePts int
+// visit calls fn for every indexed point intersecting box and reports
+// whether the walk ran to the end (fn never returned false).
+func (sh *shard) visit(box geo.BBox, fn func(PointRef) bool) bool {
+	for _, seg := range sh.segs {
+		stopped := false
+		seg.Visit(box, func(e rtree.Entry[PointRef]) bool {
+			stopped = !fn(e.Item)
+			return !stopped
+		})
+		if stopped {
+			return false
+		}
+	}
+	return true
 }
 
 // Archive is the historical name of Snapshot, kept as an alias so bulk
 // construction sites and tests read naturally.
 type Archive = Snapshot
 
-// NewArchive bulk-indexes trajs over the road network g as epoch 0.
+// NewArchive bulk-indexes trajs over the road network g as epoch 0 of a
+// single shard.
 func NewArchive(g *roadnet.Graph, trajs []*traj.Trajectory) *Archive {
-	entries := pointEntries(trajs, 0)
-	return &Snapshot{
-		G:       g,
-		Trajs:   trajs,
-		segs:    []*rtree.Tree[PointRef]{rtree.Bulk(entries)},
-		points:  len(entries),
-		basePts: len(entries),
-	}
+	return newSnapshot(g, NewPartition(geo.BBox{}, 1, 0), nil, trajs)
 }
 
-// pointEntries flattens the GPS points of trajs into R-tree entries whose
-// trajectory indices start at base.
-func pointEntries(trajs []*traj.Trajectory, base int) []rtree.Entry[PointRef] {
-	var entries []rtree.Entry[PointRef]
-	for ti, tr := range trajs {
-		for pi, p := range tr.Points {
+// newSnapshot indexes seed as epoch 0 over part: every shard bulk-loads the
+// seed trips that touch its halo cell into its one base segment.
+func newSnapshot(g *roadnet.Graph, part *Partition, reg *obs.Registry, seed []*traj.Trajectory) *Snapshot {
+	s := &Snapshot{g: g, part: part, reg: reg, shards: make([]shard, part.N()), trajs: seed}
+	var ids []int
+	for gi, tr := range seed {
+		s.points += tr.Len()
+		ids = part.assign(ids[:0], tr)
+		for _, i := range ids {
+			s.shards[i].trips = append(s.shards[i].trips, gi)
+			s.shards[i].points += tr.Len()
+		}
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.basePts = sh.points
+		sh.segs = []*rtree.Tree[PointRef]{rtree.Bulk(pointEntries(seed, sh.trips, sh.points))}
+	}
+	s.fp = epochFingerprint(s.shards)
+	return s
+}
+
+// pointEntries flattens the GPS points of the trips ids names — n points in
+// all — into R-tree entries addressed by global PointRefs.
+func pointEntries(trajs []*traj.Trajectory, ids []int, n int) []rtree.Entry[PointRef] {
+	entries := make([]rtree.Entry[PointRef], 0, n)
+	for _, ti := range ids {
+		for pi, p := range trajs[ti].Points {
 			entries = append(entries, rtree.Entry[PointRef]{
 				Box:  geo.BBox{Min: p.Pt, Max: p.Pt},
-				Item: PointRef{Traj: base + ti, Idx: pi},
+				Item: PointRef{Traj: ti, Idx: pi},
 			})
 		}
 	}
 	return entries
 }
 
-// Graph returns the road network the archive is collected over.
-func (s *Snapshot) Graph() *roadnet.Graph { return s.G }
+// epochFingerprint folds the shard epoch vector into one comparable hash
+// (FNV-1a over the little-endian bytes). Scalar sums would alias distinct
+// vectors — (2,0) and (1,1) describe different content — which is exactly
+// the confusion epoch-tagged caches must not suffer.
+func epochFingerprint(shards []shard) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, sh := range shards {
+		for shift := 0; shift < 64; shift += 8 {
+			h ^= (sh.epoch >> shift) & 0xff
+			h *= prime
+		}
+	}
+	return h
+}
 
-// Epoch identifies this archive generation (0 for bulk-built snapshots).
+// Current implements Source: a snapshot is its own, constant, generation.
+func (s *Snapshot) Current() View { return s }
+
+// Graph returns the road network the archive is collected over.
+func (s *Snapshot) Graph() *roadnet.Graph { return s.g }
+
+// Epoch identifies this archive generation: the number of admitted ingest
+// batches, bumped once per batch however many shards it touched (0 for
+// bulk-built snapshots).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Segments returns the number of R-tree segments (1 after bulk build or
-// compaction, one extra per un-compacted ingest batch).
-func (s *Snapshot) Segments() int { return len(s.segs) }
+// EpochFingerprint hashes the shard epoch vector of this generation.
+func (s *Snapshot) EpochFingerprint() uint64 { return s.fp }
 
-// NumPoints returns the number of indexed GPS points.
+// Segments returns the R-tree segment count summed over the shards (one per
+// shard after a bulk build or compaction, one extra per un-compacted ingest
+// batch that touched a shard).
+func (s *Snapshot) Segments() int {
+	n := 0
+	for i := range s.shards {
+		n += len(s.shards[i].segs)
+	}
+	return n
+}
+
+// NumPoints returns the number of distinct indexed GPS points (halo replicas
+// are not double counted).
 func (s *Snapshot) NumPoints() int { return s.points }
 
 // NumTrajs returns the number of archived trajectories.
-func (s *Snapshot) NumTrajs() int { return len(s.Trajs) }
+func (s *Snapshot) NumTrajs() int { return len(s.trajs) }
 
 // Traj returns archived trajectory i.
-func (s *Snapshot) Traj(i int) *traj.Trajectory { return s.Trajs[i] }
+func (s *Snapshot) Traj(i int) *traj.Trajectory { return s.trajs[i] }
 
 // Point resolves a PointRef.
 func (s *Snapshot) Point(r PointRef) traj.GPSPoint {
-	return s.Trajs[r.Traj].Points[r.Idx]
+	return s.trajs[r.Traj].Points[r.Idx]
 }
 
 // WithinRadius returns the archive points within radius r of p, in arbitrary
@@ -118,26 +203,43 @@ func (s *Snapshot) WithinRadius(p geo.Point, r float64) []PointRef {
 	return out
 }
 
-// VisitBox calls fn for every archive point intersecting box; fn returning
-// false stops the traversal.
+// VisitBox calls fn for every archive point intersecting box, each exactly
+// once; fn returning false stops the traversal. A box strictly inside one
+// halo cell is answered from that single shard (every point there is indexed
+// locally, each at most once); otherwise the query scatters over the shards
+// whose own cell overlaps the box, in ascending order and sequentially (a
+// range walk takes tens of microseconds), and delivers only hits owned by
+// the queried shard: halo replicas dedup exactly.
 func (s *Snapshot) VisitBox(box geo.BBox, fn func(PointRef) bool) {
-	for _, seg := range s.segs {
-		stopped := false
-		seg.Visit(box, func(e rtree.Entry[PointRef]) bool {
-			if !fn(e.Item) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
+	if home, ok := s.part.Covering(box); ok {
+		s.observeFanout(1, true)
+		s.shards[home].visit(box, fn)
+		return
+	}
+	ids := s.part.Overlapping(nil, box)
+	s.observeFanout(len(ids), false)
+	for _, id := range ids {
+		if !s.shards[id].visit(box, func(r PointRef) bool {
+			return s.part.Home(s.Point(r).Pt) != id || fn(r)
+		}) {
 			return
 		}
 	}
 }
 
-// Current implements Source: a snapshot is its own, constant, generation.
-func (s *Snapshot) Current() View { return s }
+// observeFanout records one range query's shard fan-out (1µs per shard in
+// the log-bucketed histogram) and which routing path served it.
+func (s *Snapshot) observeFanout(n int, fast bool) {
+	if s.reg == nil {
+		return
+	}
+	if fast {
+		s.reg.Counter(obs.CounterQueryFastPath).Inc()
+	} else {
+		s.reg.Counter(obs.CounterQueryScatter).Inc()
+	}
+	s.reg.Histogram(obs.HistScatterFanout).Observe(time.Duration(n) * time.Microsecond)
+}
 
 // Preprocess runs the offline preprocessing of §II-B.1 on raw GPS logs:
 // speed-infeasible outlier fixes are removed (vmax in m/s; pass 0 to

@@ -128,7 +128,10 @@ func appendBatch(buf []byte, epoch uint64, trips []*traj.Trajectory) []byte {
 	return buf
 }
 
-// decodeBatch parses one batch encoding; the payload must hold exactly one.
+// decodeBatch parses one batch encoding; the payload must hold exactly one,
+// in the only shape ingest writes: at least one trip, each with at least one
+// point. Anything else would replay without advancing the epoch, so it is
+// rejected like a bad checksum.
 func decodeBatch(payload []byte) (walBatch, error) {
 	if len(payload) < 12 {
 		return walBatch{}, fmt.Errorf("hist: batch record truncated")
@@ -139,12 +142,18 @@ func decodeBatch(payload []byte) (walBatch, error) {
 	if b.Epoch == 0 {
 		return walBatch{}, fmt.Errorf("hist: batch record with epoch 0")
 	}
+	if n == 0 {
+		return walBatch{}, fmt.Errorf("hist: batch record without trips")
+	}
 	for k := uint32(0); k < n; k++ {
 		var tr *traj.Trajectory
 		var err error
 		tr, rest, err = readTrip(rest)
 		if err != nil {
 			return walBatch{}, err
+		}
+		if tr.Len() == 0 {
+			return walBatch{}, fmt.Errorf("hist: batch record with a trip without points")
 		}
 		b.Trips = append(b.Trips, tr)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/geo"
+	"repro/internal/traj"
 )
 
 // Partition is a uniform nx×ny grid over the graph's bounding box that
@@ -156,6 +157,24 @@ func (p *Partition) Covering(box geo.BBox) (int, bool) {
 		return home, true
 	}
 	return 0, false
+}
+
+// assign appends to dst the shards that must index trip tr: every shard whose
+// halo cell contains at least one of tr's points. The trip's home shards (of
+// each point) are always included, because a point's own cell is inside its
+// halo cell — that containment is the scatter path's completeness invariant.
+func (p *Partition) assign(dst []int, tr *traj.Trajectory) []int {
+	for i := 0; i < p.N(); i++ {
+		hc := p.HaloCell(i)
+		for _, pt := range tr.Points {
+			if hc.Min.X <= pt.Pt.X && pt.Pt.X <= hc.Max.X &&
+				hc.Min.Y <= pt.Pt.Y && pt.Pt.Y <= hc.Max.Y {
+				dst = append(dst, i)
+				break
+			}
+		}
+	}
+	return dst
 }
 
 // Overlapping appends to dst the shards whose own cells intersect box — the

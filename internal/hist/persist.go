@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,18 +16,17 @@ import (
 )
 
 // This file is the durability layer of the live archive, and it sits above
-// sharding: a ShardedStore opened with OpenShardedStore (instead of
-// NewShardedStore) writes every admitted composite batch to one write-ahead
-// log before any shard sees it, checkpoints its whole post-seed history to
-// one series of segment files whenever a shard compacts, and rebuilds itself
-// from those two artifacts on the next open — at the same epoch and
-// fingerprint, with byte-identical inference answers over the durable prefix
-// of batches. The shards stay pure in-memory Stores: how the archive is
-// partitioned is a property of the running process, not of the files, so a
-// directory reopens at any shard count. Readers are untouched: the
-// View/Snapshot contract, the canonical result ordering and the epoch-tagged
-// caches all work unchanged over a recovered store, because recovery replays
-// batches through the exact construction path ingest uses.
+// sharding: a Store opened with OpenShardedStore (instead of NewStore or
+// NewShardedStore) writes every admitted batch to one write-ahead log before
+// any shard sees it, checkpoints its whole post-seed history to one series
+// of segment files after every compaction pass, and rebuilds itself from
+// those two artifacts on the next open — at the same epoch and fingerprint,
+// with byte-identical inference answers over the durable prefix of batches.
+// How the archive is partitioned is a property of the running process, not
+// of the files, so a directory reopens at any shard count. Readers are
+// untouched: the View/Snapshot contract, the canonical result ordering and
+// the epoch-tagged caches all work unchanged over a recovered store, because
+// recovery replays batches through the exact construction path ingest uses.
 
 // SyncPolicy selects when WAL records reach stable storage. The zero value
 // is SyncAlways — a durable store is safe by default.
@@ -162,16 +160,14 @@ func fileSize(path string) int64 {
 	return 0
 }
 
-// persist is a durable ShardedStore's attachment to its data directory: the
-// one WAL and the one segment series.
+// persist is a durable Store's attachment to its data directory: the one
+// WAL and the one segment series.
 type persist struct {
 	dir     string
 	policy  SyncPolicy
 	every   time.Duration
 	reg     *obs.Registry
 	seedLen int // leading trips of every snapshot that are the caller's seed
-
-	ckptMu sync.Mutex // serializes whole checkpoints
 
 	mu        sync.Mutex
 	w         *walWriter
@@ -201,7 +197,7 @@ func (p *persist) fail() {
 }
 
 // logBatch logs one admitted batch per the sync policy and reports how
-// durable it is. Callers already serialize batches (the composite's write
+// durable it is. Callers already serialize batches (the store's write
 // mutex); p.mu additionally fences the ticker and checkpoint paths.
 func (p *persist) logBatch(epoch uint64, trips []*traj.Trajectory) string {
 	if p == nil {
@@ -244,21 +240,19 @@ func (p *persist) logBatch(epoch uint64, trips []*traj.Trajectory) string {
 	return DurabilityLogged
 }
 
-// checkpoint serializes the composite's post-seed history — every batch
+// checkpoint serializes the store's post-seed history — every batch
 // 1..epoch, with its boundaries — to the next segment generation and retires
-// the WAL prefix the previous generation makes redundant. It is every
-// shard's compacted hook in a durable composite, so it runs after any shard
-// compaction, background or explicit; checkpoints run one at a time, and one
-// that finds the epoch where the last left it has nothing to add and returns.
+// the WAL prefix the previous generation makes redundant. Every compaction
+// pass that merged something, background or explicit, ends with it, under
+// the pass mutex, so checkpoints run one at a time; one that finds the epoch
+// where the last left it has nothing to add and returns.
 //
 // Truncation deliberately lags one generation: the WAL keeps everything past
 // the previous segment's epoch, so if the newest segment file is ever
 // unreadable, recovery falls back to the previous one and replays the rest
 // from the log.
-func (s *ShardedStore) checkpoint() {
+func (s *Store) checkpoint() {
 	p := s.persist
-	p.ckptMu.Lock()
-	defer p.ckptMu.Unlock()
 	snap := s.cur.Load()
 	p.mu.Lock()
 	skip := p.closed || p.failed || snap.epoch == p.segEpoch
@@ -432,7 +426,7 @@ func foldRecovery(reg *obs.Registry, rs RecoveryStats) {
 	reg.Counter(obs.CounterRecoveryTornBytes).Add(uint64(rs.TornBytes))
 }
 
-// OpenShardedStore opens a durable live archive in dir: a ShardedStore whose
+// OpenShardedStore opens a durable live archive in dir: a Store whose
 // batches are written ahead to a log and checkpointed to segment files, and
 // which on reopen rebuilds the archive those files describe. The seed is
 // re-supplied by the caller on every open (it is the caller's dataset,
@@ -440,11 +434,11 @@ func foldRecovery(reg *obs.Registry, rs RecoveryStats) {
 // different seed — the only thing the opener must get right, since the files
 // say nothing about shards or halo. Recovery takes the newest valid segment
 // file's batches, then the log's trustworthy records past them — truncating
-// a torn final record at the first bad checksum — and replays the lot through
-// IngestTrips into a fresh composite of cfg's shape, so the store resumes at
-// the exact epoch the durable prefix reached, with the shard epochs and
-// fingerprint an uninterrupted composite of that shape would carry.
-func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfig) (*ShardedStore, RecoveryStats, error) {
+// a torn final record at the first bad checksum — and replays the lot
+// through the ingest path into a fresh store of cfg's shape, so the store
+// resumes at the exact epoch the durable prefix reached, with the shard
+// epochs and fingerprint an uninterrupted store of that shape would carry.
+func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfig) (*Store, RecoveryStats, error) {
 	var rs RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rs, err
@@ -472,21 +466,18 @@ func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg
 		rs.WALTrips += len(b.Trips)
 	}
 
-	// Replay with auto-compaction held off — the memtables would be merged
-	// several times over — and compact once at the end. Persistence attaches
-	// only afterwards, so the replay itself writes nothing.
+	// Replay through ingest, which leaves compaction alone, and compact once
+	// at the end. Persistence attaches only afterwards, so the replay itself
+	// writes nothing. Every decoded batch holds a trip with a point, so each
+	// one advances the epoch by exactly one.
 	s := NewShardedStore(g, seed, cfg)
-	auto := s.shards[0].cfg
-	for _, sh := range s.shards {
-		sh.cfg.CompactSegments, sh.cfg.CompactPoints = math.MaxInt, math.MaxInt
-	}
 	p := &persist{dir: dir, policy: cfg.WALSync, every: cfg.WALSyncEvery, reg: cfg.Registry, seedLen: len(seed)}
 	for _, b := range replay {
 		if have := s.cur.Load().epoch; b.Epoch != have+1 {
 			return nil, rs, fmt.Errorf("hist: wal gap in %s: have epoch %d, want %d", dir, b.Epoch, have+1)
 		}
-		s.IngestTrips(b.Trips...)
-		p.ends = append(p.ends, s.cur.Load().NumTrajs()-len(seed))
+		_, next := s.ingest(b.Trips)
+		p.ends = append(p.ends, next.NumTrajs()-len(seed))
 	}
 	s.Compact()
 	rs.Epoch = s.cur.Load().epoch
@@ -499,10 +490,6 @@ func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg
 		return nil, rs, err
 	}
 	s.persist = p
-	for _, sh := range s.shards {
-		sh.cfg = auto
-		sh.compacted = s.checkpoint
-	}
 	if p.policy == SyncInterval {
 		p.startSyncLoop()
 	}
@@ -510,10 +497,10 @@ func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg
 	return s, rs, nil
 }
 
-// Close waits out shard compactions (and the checkpoints they trigger), then
-// syncs and closes the log and detaches the store from its data directory.
-// In-memory composites (NewShardedStore) treat Close as Wait.
-func (s *ShardedStore) Close() error {
+// Close waits out background compaction (and the checkpoint it ends with),
+// then syncs and closes the log and detaches the store from its data
+// directory. In-memory stores treat Close as Wait.
+func (s *Store) Close() error {
 	s.Wait()
 	return s.persist.close()
 }
@@ -522,6 +509,6 @@ func (s *ShardedStore) Close() error {
 // WAL records are dropped (not flushed), nothing is compacted, checkpointed
 // or synced, and the store must not be used afterwards. Crash-recovery tests
 // pair it with OpenShardedStore on the same directory.
-func (s *ShardedStore) CloseAbrupt() {
+func (s *Store) CloseAbrupt() {
 	s.persist.abandon()
 }

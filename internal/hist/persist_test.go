@@ -83,7 +83,7 @@ func TestCompactPointsTrigger(t *testing.T) {
 	}
 }
 
-// durableShards are the composite shapes every durability test runs at: the
+// durableShards are the store shapes every durability test runs at: the
 // single layout must behave identically unsharded and sharded.
 var durableShards = []int{1, 4}
 
@@ -96,7 +96,7 @@ func forShards(t *testing.T, body func(t *testing.T, cfg ShardedConfig)) {
 }
 
 // openForTest fails the test on error.
-func openForTest(t *testing.T, dir string, seed []*traj.Trajectory, cfg ShardedConfig) (*ShardedStore, RecoveryStats) {
+func openForTest(t *testing.T, dir string, seed []*traj.Trajectory, cfg ShardedConfig) (*Store, RecoveryStats) {
 	t.Helper()
 	g, _, _ := refWorld()
 	st, rs, err := OpenShardedStore(dir, g, seed, cfg)
@@ -106,17 +106,21 @@ func openForTest(t *testing.T, dir string, seed []*traj.Trajectory, cfg ShardedC
 	return st, rs
 }
 
-// shardedKey is viewKey plus the sharded epoch fingerprint and shard epochs —
-// the invariants epoch-tagged caches depend on.
-func shardedKey(st *ShardedStore) string {
-	v := st.CurrentSharded()
-	return fmt.Sprintf("fp %x epochs %v\n%s", v.EpochFingerprint(), v.epochs, viewKey(v))
+// shardedKey is viewKey plus the epoch fingerprint and shard epochs — the
+// invariants epoch-tagged caches depend on.
+func shardedKey(st *Store) string {
+	v := st.Snapshot()
+	epochs := make([]uint64, len(v.shards))
+	for i, sh := range v.shards {
+		epochs[i] = sh.epoch
+	}
+	return fmt.Sprintf("fp %x epochs %v\n%s", v.EpochFingerprint(), epochs, viewKey(v))
 }
 
 // TestOpenShardedStoreRoundTrip: clean shutdown and reopen restores content,
-// composite epoch, shard epochs and fingerprint exactly, with part of the
+// store epoch, shard epochs and fingerprint exactly, with part of the
 // history in a segment file and part only in the log — and an in-memory
-// composite fed the same batches agrees, since recovery goes through the
+// store fed the same batches agrees, since recovery goes through the
 // same construction path.
 func TestOpenShardedStoreRoundTrip(t *testing.T) {
 	forShards(t, func(t *testing.T, cfg ShardedConfig) {
@@ -157,7 +161,7 @@ func TestOpenShardedStoreRoundTrip(t *testing.T) {
 		mem.IngestTrips(trips[4])
 		mem.IngestTrips(trips[5])
 		if got := shardedKey(mem); got != want {
-			t.Fatalf("in-memory composite differs from durable one:\n%s\nwant:\n%s", got, want)
+			t.Fatalf("in-memory store differs from durable one:\n%s\nwant:\n%s", got, want)
 		}
 	})
 }
@@ -354,6 +358,74 @@ func TestWALTornWriteRecovery(t *testing.T) {
 				t.Fatalf("cut %d: second recovery epoch %d, want %d", cut, rs2.Epoch, wantEpoch+1)
 			}
 			re2.Close()
+		}
+	})
+}
+
+// TestWALEmptyRecordRecovery: a CRC-valid log record that no writer
+// produces — a batch without trips, or with a trip without points — is as
+// untrustworthy as a torn tail, wherever it sits. Recovery truncates the log
+// there and reopens at the last real epoch, equal to an uninterrupted store
+// over those batches, and a further crash and reopen loses nothing.
+func TestWALEmptyRecordRecovery(t *testing.T) {
+	forShards(t, func(t *testing.T, cfg ShardedConfig) {
+		g, _, _ := refWorld()
+		trips := storeTrips()
+		mem := NewShardedStore(g, nil, cfg)
+		for _, tr := range trips[:3] {
+			mem.IngestTrips(tr)
+		}
+		want := shardedKey(mem)
+		for _, bad := range []struct {
+			name  string
+			trips []*traj.Trajectory
+		}{{"no-trips", nil}, {"no-points", []*traj.Trajectory{{ID: "empty"}}}} {
+			for _, last := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/last=%v", bad.name, last), func(t *testing.T) {
+					dir := t.TempDir()
+					st, _ := openForTest(t, dir, nil, cfg)
+					for _, tr := range trips[:3] {
+						if stats := st.IngestTrips(tr); stats.Durability != DurabilitySynced {
+							t.Fatalf("ingest durability %q, want synced", stats.Durability)
+						}
+					}
+					st.CloseAbrupt()
+					tail := appendFrame(nil, appendBatch(nil, 4, bad.trips))
+					if !last {
+						tail = appendFrame(tail, appendBatch(nil, 5, trips[3:4]))
+					}
+					names, _, err := listWALFiles(dir)
+					if err != nil || len(names) != 1 {
+						t.Fatalf("wal files %v (%v)", names, err)
+					}
+					f, err := os.OpenFile(names[0], os.O_WRONLY|os.O_APPEND, 0o644)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := f.Write(tail); err != nil {
+						t.Fatal(err)
+					}
+					f.Close()
+
+					re, rs := openForTest(t, dir, nil, cfg)
+					if rs.Epoch != 3 || rs.TornBytes != int64(len(tail)) {
+						t.Fatalf("recovery stats %+v, want epoch 3 with %d torn bytes", rs, len(tail))
+					}
+					if got := shardedKey(re); got != want {
+						t.Fatalf("recovered store differs:\n%s\nwant:\n%s", got, want)
+					}
+					if stats := re.IngestTrips(trips[4]); stats.Epoch != 4 || stats.Durability != DurabilitySynced {
+						t.Fatalf("post-recovery ingest %+v, want synced at epoch 4", stats)
+					}
+					again := shardedKey(re)
+					re.CloseAbrupt()
+					re2, rs2 := openForTest(t, dir, nil, cfg)
+					defer re2.Close()
+					if rs2.Epoch != 4 || rs2.TornBytes != 0 || shardedKey(re2) != again {
+						t.Fatalf("second recovery %+v lost acknowledged batches", rs2)
+					}
+				})
+			}
 		}
 	})
 }
@@ -584,7 +656,7 @@ func TestWALFailureIsSticky(t *testing.T) {
 // TestDurableBackgroundCheckpoint: with auto-compaction on, concurrent
 // writers drive background shard merges whose checkpoints race further
 // ingest; whatever interleaving happens, a crash afterwards recovers the
-// store that was running (run under -race this also fences the hook path).
+// store that was running (run under -race this also fences the checkpoint).
 func TestDurableBackgroundCheckpoint(t *testing.T) {
 	forShards(t, func(t *testing.T, cfg ShardedConfig) {
 		cfg.CompactSegments = 2

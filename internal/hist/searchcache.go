@@ -10,9 +10,9 @@ import (
 )
 
 // searchKey identifies one References call: the epoch of the archive
-// generation answered against (plus, for composite sharded views, the
-// fingerprint of the per-shard epoch vector — see Fingerprinted), the query
-// pair and the complete search parameter set. All comparable.
+// generation answered against and the fingerprint of its shard epoch vector
+// (see View.EpochFingerprint), the query pair and the complete search
+// parameter set. All comparable.
 type searchKey struct {
 	epoch  uint64
 	fp     uint64
@@ -76,8 +76,7 @@ func (c *SearchCache) ReferencesOn(ctx context.Context, v View, qi, qj traj.GPSP
 	if !searchable(qi, qj, p) {
 		return nil
 	}
-	ep, fp := EpochKey(v)
-	k := searchKey{epoch: ep, fp: fp, qi: qi, qj: qj, p: p}
+	k := searchKey{epoch: v.Epoch(), fp: v.EpochFingerprint(), qi: qi, qj: qj, p: p}
 	c.mu.RLock()
 	val, ok := c.m[k]
 	c.mu.RUnlock()

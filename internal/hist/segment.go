@@ -14,8 +14,8 @@ import (
 )
 
 // Segment files are the checkpoint tier of the durable archive: after a
-// shard compaction the composite serializes its whole post-seed history to
-// an append-only file — written once, front to back, never modified — so a
+// compaction pass the store serializes its whole post-seed history to an
+// append-only file — written once, front to back, never modified — so a
 // restart needs only the log records newer than the file. Files are named
 // seg-<generation, %016x>.seg, the generation a monotonic per-directory
 // counter; recovery loads the newest file that validates end to end and

@@ -38,7 +38,7 @@ func sortRefs(refs []PointRef) {
 
 // TestShardedBoundaryDedup: points on partition lines and at halo edges are
 // returned exactly once by VisitBox — bare, and under the radius test every
-// range query applies on top of it — matching a single Store over the same
+// range query applies on top of it — matching a one-shard store over the same
 // trips, for queries centered on the boundaries.
 func TestShardedBoundaryDedup(t *testing.T) {
 	g, _, _ := refWorld()
@@ -122,10 +122,10 @@ func TestShardedBoundaryDedup(t *testing.T) {
 	}
 }
 
-// TestShardedStoreMatchesStoreSearch: the composite answers the reference
-// search and connection ranking identically (by content) to a bulk archive,
-// for every required shard count, a zero and a query-sized halo, random
-// ingest orders, and before/after compaction.
+// TestShardedStoreMatchesStoreSearch: a store at any required shard count
+// answers the reference search identically (by content) to a bulk archive,
+// for a zero and a query-sized halo, random ingest orders, and before/after
+// compaction.
 func TestShardedStoreMatchesStoreSearch(t *testing.T) {
 	g, qi, qj := refWorld()
 	trips := storeTrips()
@@ -135,7 +135,6 @@ func TestShardedStoreMatchesStoreSearch(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("fixture yields no references")
 	}
-	wantBC := BestConnecting(arch, []geo.Point{qi.Pt, qj.Pt}, 3, 100)
 
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 4, 9} {
@@ -156,17 +155,6 @@ func TestShardedStoreMatchesStoreSearch(t *testing.T) {
 						t.Fatalf("n=%d halo=%v phase %d: ref %d differs", n, halo, phase, i)
 					}
 				}
-				gotBC := BestConnecting(snap, []geo.Point{qi.Pt, qj.Pt}, 3, 100)
-				if len(gotBC) != len(wantBC) {
-					t.Fatalf("n=%d halo=%v phase %d: BestConnecting %d vs %d",
-						n, halo, phase, len(gotBC), len(wantBC))
-				}
-				for i := range gotBC {
-					if snap.Traj(gotBC[i].Traj).ID != arch.Traj(wantBC[i].Traj).ID ||
-						gotBC[i].Score != wantBC[i].Score {
-						t.Fatalf("n=%d halo=%v phase %d: ranking %d differs", n, halo, phase, i)
-					}
-				}
 				st.Compact()
 				st.Wait()
 			}
@@ -174,7 +162,7 @@ func TestShardedStoreMatchesStoreSearch(t *testing.T) {
 	}
 }
 
-// TestShardedStoreStats: composite counts are global (replicas not double
+// TestShardedStoreStats: store-wide counts are global (replicas not double
 // counted), per-shard summaries expose the replication, and compaction
 // collapses every shard to its single base segment.
 func TestShardedStoreStats(t *testing.T) {
@@ -189,9 +177,9 @@ func TestShardedStoreStats(t *testing.T) {
 	if ist.Trips != len(trips) || ist.Points != points {
 		t.Fatalf("ingest stats %+v, want %d trips / %d points", ist, len(trips), points)
 	}
-	snap := st.CurrentSharded()
+	snap := st.Snapshot()
 	if snap.NumTrajs() != len(trips) || snap.NumPoints() != points {
-		t.Fatalf("composite holds %d/%d, want %d/%d",
+		t.Fatalf("store holds %d/%d, want %d/%d",
 			snap.NumTrajs(), snap.NumPoints(), len(trips), points)
 	}
 	stats := st.Stats()
@@ -206,7 +194,7 @@ func TestShardedStoreStats(t *testing.T) {
 		t.Fatalf("per-shard trips sum %d < %d global", repTrips, len(trips))
 	}
 	if stats.Trajs != len(trips) || stats.Points != points {
-		t.Fatalf("composite stats %+v", stats)
+		t.Fatalf("store stats %+v", stats)
 	}
 	st.Compact()
 	st.Wait()
@@ -216,12 +204,17 @@ func TestShardedStoreStats(t *testing.T) {
 }
 
 // TestShardedEpochFingerprint: distinct shard-epoch vectors fingerprint
-// differently even when their scalar sums collide, and the composite epoch
-// advances exactly once per admitted batch.
+// differently even when their scalar sums collide, the store epoch advances
+// exactly once per admitted batch, and a bulk archive carries the
+// fingerprint of an untouched one-shard store.
 func TestShardedEpochFingerprint(t *testing.T) {
 	fps := map[uint64][]uint64{}
 	for _, v := range [][]uint64{{2, 0}, {1, 1}, {0, 2}, {2, 0, 0}, {0, 0, 2}} {
-		fp := epochFingerprint(v)
+		shards := make([]shard, len(v))
+		for i, e := range v {
+			shards[i].epoch = e
+		}
+		fp := epochFingerprint(shards)
 		if prev, dup := fps[fp]; dup {
 			t.Fatalf("vectors %v and %v collide on fingerprint %x", prev, v, fp)
 		}
@@ -230,28 +223,25 @@ func TestShardedEpochFingerprint(t *testing.T) {
 
 	g, _, _ := refWorld()
 	st := NewShardedStore(g, nil, ShardedConfig{Shards: 4, Halo: 0})
-	s0 := st.CurrentSharded()
+	s0 := st.Snapshot()
 	// Two batches localized to opposite corners: different shards ingest.
 	st.IngestTrips(lineTraj("a", geo.Pt(10, 10), geo.Pt(20, 10)))
-	s1 := st.CurrentSharded()
+	s1 := st.Snapshot()
 	st.IngestTrips(lineTraj("b", geo.Pt(590, 390), geo.Pt(580, 390)))
-	s2 := st.CurrentSharded()
+	s2 := st.Snapshot()
 	if s1.Epoch() != s0.Epoch()+1 || s2.Epoch() != s1.Epoch()+1 {
 		t.Fatalf("epochs %d,%d,%d", s0.Epoch(), s1.Epoch(), s2.Epoch())
 	}
 	if s0.EpochFingerprint() == s1.EpochFingerprint() || s1.EpochFingerprint() == s2.EpochFingerprint() {
 		t.Fatal("fingerprint did not change across single-shard ingests")
 	}
-	if ep, fp := EpochKey(s2); ep != s2.Epoch() || fp != s2.EpochFingerprint() {
-		t.Fatalf("epochKey = (%d,%x)", ep, fp)
-	}
-	if _, fp := EpochKey(NewArchive(g, nil)); fp != 0 {
-		t.Fatalf("plain snapshot fingerprint = %x, want 0", fp)
+	if a, s := NewArchive(g, nil), NewStore(g, nil, StoreConfig{}).Snapshot(); a.EpochFingerprint() != s.EpochFingerprint() {
+		t.Fatalf("archive fingerprint %x, one-shard store %x", a.EpochFingerprint(), s.EpochFingerprint())
 	}
 }
 
-// TestShardedSearchCacheComposite: the memo distinguishes composite
-// generations — a reader pinned to an old composite is served unmemoized
+// TestShardedSearchCacheComposite: the memo distinguishes generations of a
+// sharded store — a reader pinned to an old generation is served unmemoized
 // after a sibling-shard ingest, and current-generation queries miss (never
 // serving stale results) then re-memoize.
 func TestShardedSearchCacheComposite(t *testing.T) {
@@ -267,7 +257,7 @@ func TestShardedSearchCacheComposite(t *testing.T) {
 		t.Fatalf("memo holds %d entries, want 1", c.Len())
 	}
 	// Ingest far from the query corridor: only a sibling shard's epoch
-	// moves, but the composite generation — and thus the cache key — must
+	// moves, but the store's generation — and thus the cache key — must
 	// change anyway.
 	st.IngestTrips(lineTraj("far", geo.Pt(590, 390), geo.Pt(580, 380)))
 	cachedRefs(c, st, qi, qj, sp)
@@ -277,16 +267,16 @@ func TestShardedSearchCacheComposite(t *testing.T) {
 	want := References(old, qi, qj, sp)
 	got := c.ReferencesOn(t.Context(), old, qi, qj, sp, new(Searcher), nil)
 	if len(got) != len(want) {
-		t.Fatalf("pinned-composite answer has %d refs, want %d", len(got), len(want))
+		t.Fatalf("pinned-generation answer has %d refs, want %d", len(got), len(want))
 	}
 	if c.Len() != 1 {
-		t.Fatalf("stale composite result was memoized: %d entries", c.Len())
+		t.Fatalf("stale generation's result was memoized: %d entries", c.Len())
 	}
 }
 
-// TestShardedRefreshAfterCompaction: a background shard compaction republishes
-// the composite with the shards' fresh physical snapshots while preserving
-// epoch, fingerprint and content.
+// TestShardedRefreshAfterCompaction: a compaction pass publishes a new
+// generation with every shard's merged segment stack while preserving epoch,
+// fingerprint and content.
 func TestShardedRefreshAfterCompaction(t *testing.T) {
 	g, qi, _ := refWorld()
 	st := NewShardedStore(g, nil, ShardedConfig{Shards: 2, Halo: 60,
@@ -294,16 +284,16 @@ func TestShardedRefreshAfterCompaction(t *testing.T) {
 	for _, tr := range storeTrips() {
 		st.IngestTrips(tr)
 	}
-	before := st.CurrentSharded()
+	before := st.Snapshot()
 	segsBefore := before.Segments()
 	st.Compact()
 	st.Wait()
-	after := st.CurrentSharded()
+	after := st.Snapshot()
 	if after == before {
-		t.Fatal("composite not refreshed after shard compaction")
+		t.Fatal("compaction published no new generation")
 	}
 	if after.Epoch() != before.Epoch() || after.EpochFingerprint() != before.EpochFingerprint() {
-		t.Fatal("compaction changed the composite generation identity")
+		t.Fatal("compaction changed the generation identity")
 	}
 	if after.Segments() >= segsBefore || after.Segments() != 2 {
 		t.Fatalf("segments %d -> %d, want 2", segsBefore, after.Segments())

@@ -1,6 +1,8 @@
 package hist
 
 import (
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,37 +22,50 @@ type StoreConfig struct {
 	StayPoint traj.StayPointParams
 	MinPoints int
 	VMax      float64
-	// CompactSegments triggers a background compaction once the snapshot
-	// carries this many R-tree segments (base + memtables). NewStore
-	// normalizes degenerate values: <= 0 uses DefaultCompactSegments, and 1
+	// CompactSegments triggers a background compaction once a shard carries
+	// this many R-tree segments (base + memtables). The constructors
+	// normalize degenerate values: <= 0 uses DefaultCompactSegments, and 1
 	// — which would compact on every ingest, since the base segment alone
 	// already counts — is raised to 2. Set it very high to manage compaction
 	// manually via Compact.
 	CompactSegments int
-	// CompactPoints triggers a background compaction once the un-compacted
-	// memtable segments hold this many GPS points, regardless of how few
-	// batches produced them — the backstop against a handful of huge batches
-	// monopolizing memory as dynamic trees. <= 0 uses DefaultCompactPoints.
+	// CompactPoints triggers a background compaction once a shard's
+	// un-compacted memtable segments hold this many GPS points, regardless of
+	// how few batches produced them — the backstop against a handful of huge
+	// batches monopolizing memory as dynamic trees. <= 0 uses
+	// DefaultCompactPoints.
 	CompactPoints int
-	// WALSync selects the write-ahead-log sync policy of composites opened
-	// with OpenShardedStore (the zero value is SyncAlways); the in-memory
+	// WALSync selects the write-ahead-log sync policy of stores opened with
+	// OpenShardedStore (the zero value is SyncAlways); the in-memory
 	// constructors ignore it.
 	WALSync SyncPolicy
 	// WALSyncEvery is the background fsync period under SyncInterval
 	// (<= 0 uses DefaultWALSyncInterval).
 	WALSyncEvery time.Duration
-	// Registry receives ingest/compaction histograms and counters (nil = no
-	// instrumentation, zero clock reads).
+	// Registry receives the ingest, compaction, scatter and durability
+	// histograms and counters (nil = no instrumentation, zero clock reads).
 	Registry *obs.Registry
 }
 
-// DefaultCompactSegments bounds how many memtable segments pile up before a
-// background merge. Range queries fan out across all segments, so this caps
-// the read amplification at base + 7 memtables.
+// ShardedConfig tunes a Store's partition on top of its StoreConfig.
+type ShardedConfig struct {
+	StoreConfig
+	// Shards is the number of spatial shards (< 1 means 1).
+	Shards int
+	// Halo is the partition's halo margin. Answers are exact for any value
+	// (see Partition); sizing it at or above the reference-search radius φ
+	// keeps boundary queries on the single-shard fast path.
+	Halo float64
+}
+
+// DefaultCompactSegments bounds how many memtable segments pile up in a
+// shard before a background merge. Range queries fan out across all of a
+// shard's segments, so this caps the read amplification at base + 7
+// memtables.
 const DefaultCompactSegments = 8
 
-// DefaultCompactPoints bounds how many GPS points the memtable segments may
-// hold before a merge, whatever the batch count.
+// DefaultCompactPoints bounds how many GPS points a shard's memtable
+// segments may hold before a merge, whatever the batch count.
 const DefaultCompactPoints = 1 << 20
 
 // IngestStats describes one admitted ingest batch.
@@ -64,10 +79,9 @@ type IngestStats struct {
 	Durability string `json:"durability,omitempty"`
 }
 
-// StoreStats is a point-in-time summary of the store. A ShardedStore
-// reports its composite totals in the top-level fields — the on-disk gauges
-// exist only there, durability being a property of the composite — and each
-// shard's own summary under Shards (empty for a plain Store).
+// StoreStats is a point-in-time summary of the store: totals in the
+// top-level fields — the on-disk gauges exist only there, durability being
+// a property of the whole store — and each shard's own summary under Shards.
 type StoreStats struct {
 	Epoch        uint64       `json:"epoch"`
 	Trajs        int          `json:"trajs"`
@@ -80,47 +94,50 @@ type StoreStats struct {
 	Shards       []StoreStats `json:"shards,omitempty"`
 }
 
-// Store is the live archive: an LSM-style stack of R-tree segments that
-// admits new trips while queries run. Every mutation publishes a fresh
-// immutable Snapshot through an atomic pointer, so readers are lock-free
-// and wait-free — a reader calls Current once, then works against that
-// generation for as long as it likes (core.Engine pins one snapshot per
-// inference call). Writers are serialized by a mutex.
+// Store is the live archive. A Partition over the graph bbox routes each
+// ingested trip to the shards whose halo cells its points touch, and every
+// mutation publishes a fresh immutable Snapshot through an atomic pointer,
+// so readers are lock-free and wait-free — a reader calls Current once,
+// then works against that generation for as long as it likes (core.Engine
+// pins one snapshot per inference call). Writers are serialized by one
+// mutex.
 //
-// Ingest appends trips into a small dynamic R-tree memtable (one segment
-// per batch, built with the incremental Insert path); once CompactSegments
-// segments accumulate, a background compaction bulk-loads one merged base
-// tree and swaps it in. Compaction is physical reorganization only — the
+// Ingest appends each batch to every shard it touches as one small dynamic
+// R-tree memtable (built with the incremental Insert path). Once a shard
+// crosses a compaction threshold, a single-flight background pass
+// bulk-loads one merged base tree for every shard over its threshold and
+// swaps them in. Compaction is physical reorganization only — the
 // trajectory set is unchanged — so it publishes under the same epoch and
-// epoch-tagged caches stay warm across it.
+// fingerprint, and epoch-tagged caches stay warm across it. Answers are
+// byte-identical to NewArchive over the same trips, for any shard count,
+// halo, ingest order and compaction timing.
 type Store struct {
-	g   *roadnet.Graph
-	cfg StoreConfig
+	cfg ShardedConfig
 
+	mu  sync.Mutex // serializes ingest and snapshot publication
 	cur atomic.Pointer[Snapshot]
 
-	mu sync.Mutex // serializes snapshot publication (writers only)
+	compactMu  sync.Mutex  // serializes whole compaction passes (background and Compact)
+	compacting atomic.Bool // single-flight guard for the background pass
+	wg         sync.WaitGroup
 
-	compactMu   sync.Mutex  // serializes whole compactions (background and Compact)
-	compacting  atomic.Bool // single-flight guard for background compaction
-	wg          sync.WaitGroup
-	compactions atomic.Uint64
-
-	// compacted, when set, runs after every compaction that merged something
-	// — the owning ShardedStore's cue to checkpoint. Set before the store is
-	// shared, never changed afterwards.
-	compacted func()
+	// persist is the data-directory attachment — the WAL and the segment
+	// series — set only by OpenShardedStore, before the store is shared.
+	persist *persist
 }
 
-// NewStore opens a live archive over road network g, seeded with an already
-// preprocessed trip set (may be nil). The seed becomes the epoch-0 base
-// segment, exactly as NewArchive would build it.
+// NewStore opens a one-shard live archive over road network g, seeded with
+// an already preprocessed trip set (may be nil).
 func NewStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreConfig) *Store {
+	return NewShardedStore(g, seed, ShardedConfig{StoreConfig: cfg})
+}
+
+// NewShardedStore opens a live archive over road network g partitioned into
+// cfg.Shards spatial shards, seeded with an already preprocessed trip set
+// (may be nil). The seed becomes every shard's epoch-0 bulk base segment.
+func NewShardedStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfig) *Store {
 	if cfg.StayPoint == (traj.StayPointParams{}) {
 		cfg.StayPoint = traj.DefaultStayPointParams()
-	}
-	if cfg.MinPoints <= 0 {
-		cfg.MinPoints = 2
 	}
 	if cfg.CompactSegments <= 0 {
 		cfg.CompactSegments = DefaultCompactSegments
@@ -133,8 +150,8 @@ func NewStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreConfig) *Store
 	if cfg.CompactPoints <= 0 {
 		cfg.CompactPoints = DefaultCompactPoints
 	}
-	s := &Store{g: g, cfg: cfg}
-	s.cur.Store(NewArchive(g, seed))
+	s := &Store{cfg: cfg}
+	s.cur.Store(newSnapshot(g, NewPartition(g.BBox(), cfg.Shards, cfg.Halo), cfg.Registry, seed))
 	return s
 }
 
@@ -142,23 +159,32 @@ func NewStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreConfig) *Store
 func (s *Store) Current() View { return s.cur.Load() }
 
 // Snapshot returns the latest published generation as its concrete type —
-// the same value Current yields, for callers that need Snapshot-only
-// surface (ShardedStore's pointer comparisons, tests pinning a generation).
+// the same value Current yields.
 func (s *Store) Snapshot() *Snapshot { return s.cur.Load() }
 
-// Graph returns the road network the store is collected over.
-func (s *Store) Graph() *roadnet.Graph { return s.g }
-
-// Stats summarizes the current generation.
+// Stats summarizes the current generation, with each shard's own summary
+// under Shards.
 func (s *Store) Stats() StoreStats {
 	snap := s.cur.Load()
-	return StoreStats{
-		Epoch:       snap.epoch,
-		Trajs:       len(snap.Trajs),
-		Points:      snap.points,
-		Segments:    len(snap.segs),
-		Compactions: s.compactions.Load(),
+	st := StoreStats{
+		Epoch:  snap.epoch,
+		Trajs:  len(snap.trajs),
+		Points: snap.points,
+		Shards: make([]StoreStats, len(snap.shards)),
 	}
+	for i, sh := range snap.shards {
+		st.Shards[i] = StoreStats{
+			Epoch:       sh.epoch,
+			Trajs:       len(sh.trips),
+			Points:      sh.points,
+			Segments:    len(sh.segs),
+			Compactions: sh.compactions,
+		}
+		st.Segments += len(sh.segs)
+		st.Compactions += sh.compactions
+	}
+	s.persist.fold(&st)
+	return st
 }
 
 // Ingest runs the Preprocess pipeline (outlier removal, stay-point trip
@@ -166,18 +192,29 @@ func (s *Store) Stats() StoreStats {
 // resulting trips. It returns what was actually admitted — a log can yield
 // several trips or none at all.
 func (s *Store) Ingest(logs ...*traj.Trajectory) IngestStats {
-	trips := Preprocess(logs, s.cfg.StayPoint, s.cfg.MinPoints, s.cfg.VMax)
-	return s.IngestTrips(trips...)
+	return s.IngestTrips(Preprocess(logs, s.cfg.StayPoint, s.cfg.MinPoints, s.cfg.VMax)...)
 }
 
-// IngestTrips admits already-preprocessed trips as one batch: the batch is
-// indexed into a fresh memtable segment and becomes visible atomically in a
-// new epoch. Admitting the same trips as NewArchive — in any batch
-// partitioning or order — yields a store whose inference answers are
-// byte-identical to that bulk archive's.
+// IngestTrips admits already-preprocessed trips as one batch: each trip is
+// routed to its assigned shards, and the whole batch becomes visible
+// atomically in a new epoch. Trips and points report global counts — halo
+// replication is visible only in the per-shard counters and Stats.
 func (s *Store) IngestTrips(trips ...*traj.Trajectory) IngestStats {
+	stats, next := s.ingest(trips)
+	if next != nil && s.overThreshold(next) {
+		s.triggerCompact()
+	}
+	return stats
+}
+
+// ingest admits one batch without cueing compaction — OpenShardedStore's
+// replay calls it directly, so the replayed memtables are merged once at
+// the end rather than several times over — and returns the snapshot it
+// published (nil when the batch admitted nothing).
+func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
+	reg := s.cfg.Registry
 	var t0 time.Time
-	if s.cfg.Registry != nil {
+	if reg != nil {
 		t0 = time.Now()
 	}
 	kept := make([]*traj.Trajectory, 0, len(trips))
@@ -187,47 +224,85 @@ func (s *Store) IngestTrips(trips ...*traj.Trajectory) IngestStats {
 		}
 	}
 	if len(kept) == 0 {
-		return IngestStats{Epoch: s.cur.Load().epoch}
+		return IngestStats{Epoch: s.cur.Load().epoch}, nil
 	}
 
 	s.mu.Lock()
 	old := s.cur.Load()
-	// Full slice expressions pin capacity so append always copies: the
-	// published snapshot's slices are never writable through the new one.
-	trajs := append(old.Trajs[:len(old.Trajs):len(old.Trajs)], kept...)
-	mem := rtree.New[PointRef]()
-	points := 0
-	for ti, tr := range kept {
-		for pi, p := range tr.Points {
-			mem.Insert(geo.BBox{Min: p.Pt, Max: p.Pt}, PointRef{Traj: len(old.Trajs) + ti, Idx: pi})
-			points++
+	// One WAL record — and one fsync under SyncAlways — makes the whole
+	// batch durable before it becomes visible in any shard.
+	durability := s.persist.logBatch(old.epoch+1, kept)
+	// Full slice expressions pin capacity so append always copies: a
+	// published snapshot's slices are never writable through a newer one.
+	next := *old
+	next.epoch++
+	next.trajs = append(old.trajs[:len(old.trajs):len(old.trajs)], kept...)
+	next.shards = slices.Clone(old.shards)
+	mems := make([]*rtree.Tree[PointRef], len(next.shards))
+	var ids []int
+	for k, tr := range kept {
+		gi := len(old.trajs) + k
+		next.points += tr.Len()
+		ids = next.part.assign(ids[:0], tr)
+		for _, i := range ids {
+			sh := &next.shards[i]
+			if mems[i] == nil {
+				mems[i] = rtree.New[PointRef]()
+				sh.segs = append(sh.segs[:len(sh.segs):len(sh.segs)], mems[i])
+				sh.trips = sh.trips[:len(sh.trips):len(sh.trips)]
+				sh.epoch++
+			}
+			for pi, p := range tr.Points {
+				mems[i].Insert(geo.BBox{Min: p.Pt, Max: p.Pt}, PointRef{Traj: gi, Idx: pi})
+			}
+			sh.trips = append(sh.trips, gi)
+			sh.points += tr.Len()
 		}
 	}
-	next := &Snapshot{
-		G:       s.g,
-		Trajs:   trajs,
-		segs:    append(old.segs[:len(old.segs):len(old.segs)], mem),
-		points:  old.points + points,
-		basePts: old.basePts,
-		epoch:   old.epoch + 1,
-	}
-	s.cur.Store(next)
+	next.fp = epochFingerprint(next.shards)
+	s.cur.Store(&next)
 	s.mu.Unlock()
 
-	if r := s.cfg.Registry; r != nil {
-		r.Histogram(obs.StageIngest).ObserveSince(t0)
-		r.Counter(obs.CounterIngestBatches).Inc()
-		r.Counter(obs.CounterIngestTrips).Add(uint64(len(kept)))
-		r.Counter(obs.CounterIngestPoints).Add(uint64(points))
+	points := next.points - old.points
+	if reg != nil {
+		reg.Histogram(obs.StageIngest).ObserveSince(t0)
+		reg.Counter(obs.CounterIngestBatches).Inc()
+		reg.Counter(obs.CounterIngestTrips).Add(uint64(len(kept)))
+		reg.Counter(obs.CounterIngestPoints).Add(uint64(points))
+		for i, sh := range next.shards {
+			was := &old.shards[i]
+			if sh.epoch == was.epoch {
+				continue
+			}
+			prefix := obs.ShardPrefix + strconv.Itoa(i) + "."
+			reg.Counter(prefix + obs.CounterIngestTrips).Add(uint64(len(sh.trips) - len(was.trips)))
+			reg.Counter(prefix + obs.CounterIngestPoints).Add(uint64(sh.points - was.points))
+			reg.Counter(prefix + obs.CounterIngestBatches).Inc()
+		}
 	}
-	if len(next.segs) >= s.cfg.CompactSegments || next.points-next.basePts >= s.cfg.CompactPoints {
-		s.triggerCompact()
-	}
-	return IngestStats{Trips: len(kept), Points: points, Epoch: next.epoch, Durability: DurabilityMemory}
+	return IngestStats{Trips: len(kept), Points: points, Epoch: next.epoch, Durability: durability}, &next
 }
 
-// triggerCompact starts a background compaction unless one is already
-// running (single-flight: concurrent ingest bursts fold into one merge).
+// over reports whether shard sh has crossed a compaction threshold.
+func (s *Store) over(sh *shard) bool {
+	return len(sh.segs) >= s.cfg.CompactSegments || sh.points-sh.basePts >= s.cfg.CompactPoints
+}
+
+// overThreshold reports whether any shard of snap has crossed one.
+func (s *Store) overThreshold(snap *Snapshot) bool {
+	for i := range snap.shards {
+		if s.over(&snap.shards[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// triggerCompact starts the background compaction pass unless one is
+// already running (single-flight: concurrent ingest bursts fold into one).
+// The pass repeats while some shard is over its threshold, and looks once
+// more after lowering the flag: an ingest that crossed a threshold while
+// the flag was still up left its merge to this pass.
 func (s *Store) triggerCompact() {
 	if !s.compacting.CompareAndSwap(false, true) {
 		return
@@ -235,17 +310,23 @@ func (s *Store) triggerCompact() {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		defer s.compacting.Store(false)
-		s.compact()
+		for {
+			for s.compact(false) {
+			}
+			s.compacting.Store(false)
+			if !s.overThreshold(s.cur.Load()) || !s.compacting.CompareAndSwap(false, true) {
+				return
+			}
+		}
 	}()
 }
 
-// Compact synchronously merges all segments into one bulk-loaded base tree.
+// Compact synchronously merges every shard into one bulk-loaded base tree.
 // It is a no-op when the snapshot is already fully compacted, and safe to
-// call concurrently with ingest, readers, and other compactions (all merges
-// are serialized on one mutex, so overlapping calls simply run in turn).
+// call concurrently with ingest, readers, and other compactions (passes are
+// serialized on one mutex, so overlapping calls simply run in turn).
 func (s *Store) Compact() {
-	s.compact()
+	s.compact(true)
 }
 
 // Wait blocks until any in-flight background compaction finishes. Callers
@@ -255,64 +336,71 @@ func (s *Store) Wait() {
 	s.wg.Wait()
 }
 
-// CompactBeforePublish, when set, runs after a compaction builds its merged
-// base tree and before it publishes. Test-only seam, exported so the
+// CompactBeforePublish, when set, runs after a compaction pass builds its
+// merged base trees and before it publishes. Test-only seam, exported so the
 // cross-package crash-recovery suites can inject failures mid-compaction:
-// it holds a merge open so regression tests can deterministically schedule
-// a second compaction against the same segment stack, or kill a durable
-// composite between a batch's WAL append and the checkpoint that follows
-// the merge.
+// it holds a pass open so regression tests can deterministically schedule a
+// second compaction against the same segment stacks, or kill a durable store
+// between a batch's WAL append and the checkpoint that follows the merge.
 var CompactBeforePublish func()
 
-func (s *Store) compact() {
-	// One merge in flight at a time: a synchronous Compact racing the
-	// background compaction would otherwise load the same pre snapshot and
-	// the loser would splice cur.segs against a base that already absorbed
-	// them (negative capacity, or an index missing memtable segments).
+// compact runs one compaction pass over every shard with memtables — all of
+// them, or only those over a threshold — and reports whether it merged
+// anything. The merges publish once, keeping epoch and fingerprint, and a
+// durable store then checkpoints.
+func (s *Store) compact(all bool) bool {
+	// One pass at a time: a synchronous Compact racing the background pass
+	// would otherwise load the same pre snapshot, and the loser would splice
+	// a shard's segments against a base that already absorbed them
+	// (negative capacity, or an index missing memtable segments).
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
 	pre := s.cur.Load()
-	if len(pre.segs) <= 1 {
-		return
-	}
 	var t0 time.Time
 	if s.cfg.Registry != nil {
 		t0 = time.Now()
 	}
-	// Bulk-load the merge outside the write lock: ingest keeps landing new
-	// memtables meanwhile. Snapshots are append-only in both Trajs and segs,
-	// so pre.segs is exactly the prefix of any later snapshot's segs and
-	// indexes exactly the points of pre.Trajs.
-	merged := rtree.Bulk(pointEntries(pre.Trajs, 0))
+	// Bulk-load the merges outside the write lock: ingest keeps landing new
+	// memtables meanwhile. Shard stacks and trip lists are append-only, so
+	// pre's are exactly the prefix of any later snapshot's.
+	merged := make([]*rtree.Tree[PointRef], len(pre.shards))
+	n := 0
+	for i := range pre.shards {
+		if sh := &pre.shards[i]; len(sh.segs) > 1 && (all || s.over(sh)) {
+			merged[i] = rtree.Bulk(pointEntries(pre.trajs, sh.trips, sh.points))
+			n++
+		}
+	}
+	if n == 0 {
+		return false
+	}
 	if CompactBeforePublish != nil {
 		CompactBeforePublish()
 	}
 
 	s.mu.Lock()
 	cur := s.cur.Load()
-	segs := make([]*rtree.Tree[PointRef], 0, 1+len(cur.segs)-len(pre.segs))
-	segs = append(segs, merged)
-	segs = append(segs, cur.segs[len(pre.segs):]...)
-	// Same trajectory set ⇒ same content generation: keep the epoch, so
-	// epoch-tagged caches survive physical reorganization.
-	next := &Snapshot{
-		G:       s.g,
-		Trajs:   cur.Trajs,
-		segs:    segs,
-		points:  cur.points,
-		basePts: pre.points,
-		epoch:   cur.epoch,
+	next := *cur
+	next.shards = slices.Clone(cur.shards)
+	for i, base := range merged {
+		if base == nil {
+			continue
+		}
+		sh, was := &next.shards[i], &pre.shards[i]
+		sh.segs = append([]*rtree.Tree[PointRef]{base}, sh.segs[len(was.segs):]...)
+		sh.basePts = was.points
+		sh.compactions++
 	}
-	s.cur.Store(next)
+	s.cur.Store(&next)
 	s.mu.Unlock()
 
-	s.compactions.Add(1)
 	if r := s.cfg.Registry; r != nil {
 		r.Histogram(obs.StageCompaction).ObserveSince(t0)
 		r.Counter(obs.CounterCompactions).Inc()
 	}
-	if s.compacted != nil {
-		s.compacted()
+	if s.persist != nil {
+		s.checkpoint()
 	}
+	return true
 }

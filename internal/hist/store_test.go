@@ -90,7 +90,7 @@ func TestStoreIngestVisibility(t *testing.T) {
 
 // TestStoreMatchesArchive: a store that ingested the same trips — any order,
 // any batching, before or after compaction — answers the reference search
-// and the rankings identically (by content) to the bulk archive.
+// identically (by content) to the bulk archive.
 func TestStoreMatchesArchive(t *testing.T) {
 	g, qi, qj := refWorld()
 	trips := storeTrips()
@@ -100,7 +100,6 @@ func TestStoreMatchesArchive(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("fixture yields no references")
 	}
-	wantBC := BestConnecting(arch, []geo.Point{qi.Pt, qj.Pt}, 3, 100)
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
@@ -123,18 +122,6 @@ func TestStoreMatchesArchive(t *testing.T) {
 		for i := range got {
 			if !refEqual(snap, got[i], arch, want[i]) {
 				t.Fatalf("perm %v: ref %d differs", perm, i)
-			}
-		}
-		gotBC := BestConnecting(snap, []geo.Point{qi.Pt, qj.Pt}, 3, 100)
-		if len(gotBC) != len(wantBC) {
-			t.Fatalf("perm %v: BestConnecting %d vs %d", perm, len(gotBC), len(wantBC))
-		}
-		for i := range gotBC {
-			if gotBC[i].Score != wantBC[i].Score ||
-				snap.Traj(gotBC[i].Traj).ID != arch.Traj(wantBC[i].Traj).ID {
-				t.Fatalf("perm %v: BestConnecting[%d] = %+v (id %s), want %+v (id %s)",
-					perm, i, gotBC[i], snap.Traj(gotBC[i].Traj).ID,
-					wantBC[i], arch.Traj(wantBC[i].Traj).ID)
 			}
 		}
 	}
@@ -368,34 +355,5 @@ func TestStoreConcurrentCompaction(t *testing.T) {
 	// lost merge drops whole memtable segments from the published tree.
 	if got := len(withinRadius(snap, geo.Pt(200, 100), 1e6)); got != wantPoints {
 		t.Fatalf("index holds %d points, want %d", got, wantPoints)
-	}
-}
-
-// TestBestConnectingEmptyArchive: guard regression — an empty archive (or
-// empty store) yields nil instead of ranking phantom trajectories.
-func TestBestConnectingEmptyArchive(t *testing.T) {
-	g, qi, qj := refWorld()
-	empty := NewArchive(g, nil)
-	if got := BestConnecting(empty, []geo.Point{qi.Pt, qj.Pt}, 3, 100); got != nil {
-		t.Fatalf("empty archive BestConnecting = %v, want nil", got)
-	}
-	if got := BestConnecting(NewStore(g, nil, StoreConfig{}).Current(), []geo.Point{qi.Pt}, 1, 100); got != nil {
-		t.Fatalf("empty store BestConnecting = %v, want nil", got)
-	}
-}
-
-// TestSimilarTrajectoriesNegativeRadius: guard regression — a negative
-// radius selects nothing and yields nil instead of an inverted search box.
-func TestSimilarTrajectoriesNegativeRadius(t *testing.T) {
-	g, _, _ := refWorld()
-	trips := storeTrips()
-	a := NewArchive(g, trips)
-	q := lineTraj("q", geo.Pt(0, 10), geo.Pt(100, 10), geo.Pt(200, 10))
-	if got := SimilarTrajectories(a, q, 3, -1, LCSSMeasure(100)); got != nil {
-		t.Fatalf("negative radius returned %v, want nil", got)
-	}
-	// Sanity: a zero radius is still a valid (tight) search box.
-	if got := SimilarTrajectories(a, q, 3, 0, LCSSMeasure(100)); len(got) == 0 {
-		t.Fatal("zero radius should still consider on-box trajectories")
 	}
 }

@@ -10,23 +10,29 @@ import (
 )
 
 // View is the read-only surface of one archive generation. Everything that
-// consumes historical trajectories — the reference search, BestConnecting,
-// SimilarTrajectories, the SearchCache and core.Engine — works against this
-// interface, so a frozen Snapshot and the latest generation of a live Store
-// are interchangeable. A View is immutable: all methods may be called
-// concurrently and return identical answers for the lifetime of the value.
+// consumes historical trajectories — the reference search, the SearchCache
+// and core.Engine — works against this interface; *Snapshot implements it,
+// and tests wrap it to count or perturb range walks. A View is immutable:
+// all methods may be called concurrently and return identical answers for
+// the lifetime of the value.
 type View interface {
 	// Graph returns the road network the archive is collected over.
 	Graph() *roadnet.Graph
 	// Epoch identifies this archive generation. A Store increments it on
-	// every published mutation; epoch-tagged caches (SearchCache) use it to
-	// recognize stale entries. Bulk-built snapshots are epoch 0.
+	// every admitted batch; epoch-tagged caches (SearchCache, core.Gate's
+	// flights) use it to recognize stale entries. Bulk-built snapshots are
+	// epoch 0.
 	Epoch() uint64
+	// EpochFingerprint hashes the per-shard epoch vector of the generation.
+	// Epoch-tagged caches key on it next to Epoch, so a memo recorded against
+	// one shard-epoch vector can never satisfy a reader of another, even
+	// under an equal scalar epoch.
+	EpochFingerprint() uint64
 	// NumPoints returns the number of indexed GPS points.
 	NumPoints() int
-	// Segments returns the number of R-tree segments backing the view (1
-	// after a bulk build or full compaction, one extra per un-compacted
-	// ingest batch; a sharded view reports the sum over its shards).
+	// Segments returns the number of R-tree segments backing the view,
+	// summed over its shards (one per shard after a bulk build or full
+	// compaction, one extra per un-compacted ingest batch a shard took).
 	Segments() int
 	// NumTrajs returns the number of archived trajectories.
 	NumTrajs() int
@@ -40,35 +46,13 @@ type View interface {
 	VisitBox(box geo.BBox, fn func(PointRef) bool)
 }
 
-// Source yields the current archive generation. A *Snapshot (or a composite
-// *ShardedSnapshot) is its own, constant, Source; a *Store or *ShardedStore
-// returns the latest published generation. Readers that need a consistent
-// view across several operations — an inference pinning one generation for
-// its whole lifetime — call Current once and hold the view.
+// Source yields the current archive generation. A *Snapshot is its own,
+// constant, Source; a *Store returns the latest published generation.
+// Readers that need a consistent view across several operations — an
+// inference pinning one generation for its whole lifetime — call Current
+// once and hold the view.
 type Source interface {
 	Current() View
-}
-
-// Fingerprinted is implemented by composite views whose generation identity
-// is a vector of per-shard epochs rather than one scalar. Epoch() alone
-// stays monotonic on such views (the composite publication counter), but two
-// different shard-epoch vectors could in principle be observed under one
-// scalar if shards were mutated outside the composite publication path; the
-// fingerprint folds the whole vector into cache keys so a stale shard can
-// never satisfy a memo recorded against a sibling's newer generation.
-type Fingerprinted interface {
-	// EpochFingerprint hashes the per-shard epoch vector of this generation.
-	EpochFingerprint() uint64
-}
-
-// EpochKey returns the (scalar epoch, composite fingerprint) pair that
-// identifies v's generation in epoch-tagged caches (the SearchCache, the
-// core.Gate's flight keys). Single-snapshot views have fingerprint 0.
-func EpochKey(v View) (uint64, uint64) {
-	if f, ok := v.(Fingerprinted); ok {
-		return v.Epoch(), f.EpochFingerprint()
-	}
-	return v.Epoch(), 0
 }
 
 // canonKey orders archive trajectories by content rather than storage

@@ -46,7 +46,8 @@ const (
 	// StageIngest is one Store.Ingest call end to end: preprocessing, memtable
 	// build and snapshot publication.
 	StageIngest = "ingest"
-	// StageCompaction is one background segment-merge pass.
+	// StageCompaction is one compaction pass (background or Compact) over
+	// every shard it merges.
 	StageCompaction = "compaction"
 	// CounterIngestTrips counts trips admitted into the archive (post
 	// preprocessing; rejected fragments don't count).
@@ -56,7 +57,7 @@ const (
 	// CounterIngestBatches counts Ingest/IngestTrips calls that published a
 	// new snapshot.
 	CounterIngestBatches = "ingest.batches"
-	// CounterCompactions counts completed background compaction passes.
+	// CounterCompactions counts completed compaction passes.
 	CounterCompactions = "compactions"
 	// CounterIngestRejected counts ingest inputs dropped before admission
 	// (malformed or oversized NDJSON lines in cmd/hris -follow, bad request
@@ -92,10 +93,11 @@ const (
 	CounterRecoveryTornBytes = "recovery.torn_bytes"
 )
 
-// Names of the sharded-archive instrumentation hist.ShardedStore maintains.
+// Names of the shard instrumentation a hist.Store maintains, at any shard
+// count (one shard answers every range query on the fast path).
 // Per-shard ingest counters are namespaced ShardPrefix + index + "." + name
 // (e.g. "shard.3.ingest.trips"); they count replicas, so their sum exceeds
-// the composite counters by the halo replication factor.
+// the store-wide counters by the halo replication factor.
 const (
 	// CounterQueryFastPath counts range queries answered from a single
 	// shard because the search box fit inside one halo cell.

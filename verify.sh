@@ -46,12 +46,18 @@ go test -timeout 120s -shuffle=on ./...
 # leaks between runs).
 go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Segment|Manifest' ./internal/hist/ ./internal/core/
 
+# Hostile bytes: the batch decoder and the log scan read files this process
+# did not write. Each fuzz target runs for 10 s past its seed corpus: no
+# panic, nothing accepted that ingest never writes, recovery idempotent.
+go test -timeout 120s -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 10s ./internal/hist/
+go test -timeout 120s -run '^$' -fuzz '^FuzzScanWAL$' -fuzztime 10s ./internal/hist/
+
 # The wire-level benchmark is its own module (bench/go.mod, replace repro =>
 # ../), so `./...` above never compiles it. Vet it against this tree's
 # internal/hist and core, and run its smoke test: wire answers served by
-# cmd/hris's one-shard composite must equal an in-process NewStore engine's,
-# and a SIGKILLed four-shard durable store must reopen at or past every
-# acknowledged epoch.
+# cmd/hris's store must equal those of an in-process engine over a store of
+# the same dataset, and a SIGKILLed four-shard durable store must reopen at
+# or past every acknowledged epoch.
 go vet -C bench ./...
 go test -C bench -timeout 300s ./...
 
