@@ -431,7 +431,7 @@ func BenchmarkHRISQuerySharded(b *testing.B) {
 }
 
 // BenchmarkIngest measures admitting one 10-trip batch into a live store —
-// memtable indexing plus snapshot publication, with background compaction
+// segment indexing plus snapshot publication, with background compaction
 // running at its default cadence. The tail matters more than the mean for a
 // live feed, so the p95 per-batch latency is reported alongside ns/op.
 func BenchmarkIngest(b *testing.B) {
@@ -684,7 +684,7 @@ func BenchmarkInferBatch(b *testing.B) {
 }
 
 // BenchmarkArchiveBuild measures preprocessing: dataset simulation plus
-// R-tree indexing of all archive points.
+// indexing all archive points in cell grids.
 func BenchmarkArchiveBuild(b *testing.B) {
 	ccfg := sim.DefaultCityConfig()
 	ccfg.Rows, ccfg.Cols = 12, 12

@@ -20,7 +20,7 @@
 // stats plus the archive summary.
 //
 // Sharding: -shards N partitions the live archive into N spatial shards
-// (uniform grid over the network bbox, each with its own memtable stack,
+// (uniform grid over the network bbox, each with its own segment stack,
 // merged by the store's one compaction pass); ingest routes trips to the
 // shards whose halo cells their points touch, and queries scatter-gather
 // across shards with exact dedup, so results are byte-identical to

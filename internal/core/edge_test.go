@@ -22,7 +22,7 @@ func refsAt(startT ...float64) (hist.View, []hist.Reference) {
 		}})
 		refs = append(refs, hist.Reference{SourceA: int32(i), LenA: 2, SourceB: -1})
 	}
-	return hist.NewArchive(nil, trajs), refs
+	return hist.NewArchive(roadnet.NewGrid(2, 2, 100, 10), trajs), refs
 }
 
 // refPoints materializes a reference's points: its two runs, concatenated.

@@ -7,16 +7,16 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/graphalg"
-	"repro/internal/rtree"
 )
 
 // enumerateTransitTracesRTree is enumerateTransitTraces as it stood while the
 // constrained kNN streamed an R-tree bulk-loaded over the pair's point table
-// — copied verbatim, except that the entry list and the iterator, which left
-// pairScratch with it, are locals — kept as the reference
-// TestTransitTracesOracle compares the table scan against. Among points
-// exactly equidistant from a node its order is whatever the tree's heap
-// layout made it; the scan's is the lower table index first.
+// — copied verbatim, except that the stream is now the whole table sorted by
+// distance from the node, which is the order the tree's best-first walk
+// yielded — kept as the reference TestTransitTracesOracle compares the table
+// scan against. Among points exactly equidistant from a node the tree's order
+// was whatever its heap layout made it; the sort's, like the scan's, is the
+// lower table index first.
 func enumerateTransitTracesRTree(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt geo.Point, p Params, done <-chan struct{}) []int {
 	// Collapse nearby reference points: GPS noise scatters many archive
 	// samples of the same road into a 2D band, and at fine resolution every
@@ -32,15 +32,8 @@ func enumerateTransitTracesRTree(sc *pairScratch, rawPoints []refPoint, qiPt, qj
 	const srcNode = 0
 	sinkNode := len(pts) - 1 // the destination participates in the kNN stream
 
-	// Index reference points plus the destination for kNN streaming.
-	var entries []rtree.Entry[int]
-	for i := 1; i <= sinkNode; i++ {
-		entries = append(entries, rtree.Entry[int]{
-			Box: geo.BBox{Min: pts[i], Max: pts[i]}, Item: i,
-		})
-	}
-	idx := rtree.Bulk(entries)
-	var nnIter rtree.NearestIter[int]
+	// Reference points plus the destination, for the kNN stream.
+	byDist := make([]int, sinkNode)
 	dest := qjPt
 
 	// successors performs the constrained kNN of Algorithm 2 lines 7–17.
@@ -49,14 +42,16 @@ func enumerateTransitTracesRTree(sc *pairScratch, rawPoints []refPoint, qiPt, qj
 		pc := pts[node]
 		dCur := pc.Dist(dest)
 		nn := sc.nn[:0]
-		it := &nnIter
-		idx.NearestInto(pc, it)
-		for len(nn) < p.K2 {
-			e, _, ok := it.Next()
-			if !ok {
+		for i := range byDist {
+			byDist[i] = i + 1
+		}
+		slices.SortFunc(byDist, func(a, b int) int {
+			return cmp.Or(cmp.Compare(pc.Dist(pts[a]), pc.Dist(pts[b])), cmp.Compare(a, b))
+		})
+		for _, cand := range byDist {
+			if len(nn) >= p.K2 {
 				break
 			}
-			cand := e.Item
 			if cand == node {
 				continue
 			}

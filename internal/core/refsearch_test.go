@@ -12,8 +12,8 @@ import (
 )
 
 // countingSource serves views that count their range walks: every VisitBox
-// the pipeline issues is one R-tree traversal per segment — the unit §III-A's
-// cost argument counts.
+// the pipeline issues is one grid walk per segment — the unit §III-A's cost
+// argument counts.
 type countingSource struct {
 	src   hist.Source
 	walks atomic.Int64

@@ -90,8 +90,3 @@ func (b BBox) DistToPoint(p Point) float64 {
 	dy := math.Max(0, math.Max(b.Min.Y-p.Y, p.Y-b.Max.Y))
 	return math.Hypot(dx, dy)
 }
-
-// EnlargementNeeded returns how much the area of b would grow to include o.
-func (b BBox) EnlargementNeeded(o BBox) float64 {
-	return b.Extend(o).Area() - b.Area()
-}

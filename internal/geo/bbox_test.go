@@ -77,16 +77,6 @@ func TestBBoxExtendProperties(t *testing.T) {
 	}
 }
 
-func TestEnlargementNeeded(t *testing.T) {
-	b := BBox{Pt(0, 0), Pt(10, 10)}
-	if got := b.EnlargementNeeded(BBox{Pt(2, 2), Pt(5, 5)}); got != 0 {
-		t.Errorf("contained box enlargement = %v", got)
-	}
-	if got := b.EnlargementNeeded(BBox{Pt(0, 0), Pt(20, 10)}); got != 100 {
-		t.Errorf("enlargement = %v, want 100", got)
-	}
-}
-
 func TestBBoxCenterMargin(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {

@@ -1,19 +1,21 @@
 // Package hist implements the historical-trajectory archive and the
-// reference-trajectory search of §III-A: radius-φ range queries over an
-// R-tree of all archive GPS points yield simple reference trajectories
-// (Definition 6), and an on-line spatial join over the leftover candidates
-// yields spliced reference trajectories (Definition 7).
+// reference-trajectory search of §III-A: radius-φ range queries over a
+// spatial index of all archive GPS points yield simple reference
+// trajectories (Definition 6), and an on-line spatial join over the leftover
+// candidates yields spliced reference trajectories (Definition 7).
 //
 // The archive is one immutable, epoch-numbered generation, Snapshot (alias
 // Archive), and one live store, Store, that admits new trips online and
 // publishes a fresh Snapshot per mutation. A snapshot is a Partition of the
 // plane into N shards — N = 1 unless configured otherwise, and always 1 for
-// NewArchive — each an LSM-style stack of R-tree segments over the trips
-// that touch its halo cell. Range queries take the single-shard fast path
-// when the search box fits one halo cell and otherwise scatter over the
-// overlapping shards with home-ownership dedup, so answers never depend on
-// N. A store opened with OpenShardedStore is also durable: a write-ahead log
-// and checkpoint segment files, independent of N.
+// NewArchive — each an LSM-style stack of immutable segments over the trips
+// that touch its halo cell. A segment is a uniform cell grid built by
+// counting sort (grid.go); the paper's R-tree is not needed for a question
+// whose answer order does not matter. Range queries take the single-shard
+// fast path when the search box fits one halo cell and otherwise scatter
+// over the overlapping shards with home-ownership dedup, so answers never
+// depend on N. A store opened with OpenShardedStore is also durable: a
+// write-ahead log and checkpoint segment files, independent of N.
 package hist
 
 import (
@@ -22,7 +24,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
-	"repro/internal/rtree"
 	"repro/internal/traj"
 )
 
@@ -33,17 +34,18 @@ type PointRef struct {
 }
 
 // Snapshot is one immutable generation of the historical archive: a set of
-// trajectories spatially indexed for search (§II-B.1 "Indexing": an R-tree
-// organizes all the GPS points), partitioned into shards. A snapshot built
-// by NewArchive is one shard holding a single bulk-loaded tree; snapshots
-// published by a Store additionally carry the memtable segments of trips
-// ingested since the last compaction. It implements View and is its own
+// trajectories spatially indexed for search (§II-B.1 "Indexing"; cell grids
+// here, where the paper names an R-tree), partitioned into shards. A
+// snapshot built by NewArchive is one shard holding a single grid;
+// snapshots published by a Store additionally carry one grid per ingest
+// batch since the last compaction. It implements View and is its own
 // constant Source. Every method is safe for unsynchronized concurrent use —
 // nothing is mutated after construction.
 type Snapshot struct {
 	g      *roadnet.Graph
 	part   *Partition
 	reg    *obs.Registry // receives the range-query routing metrics; may be nil
+	clip   geo.BBox      // the graph's bbox, which every grid's extent is clipped to
 	shards []shard
 	trajs  []*traj.Trajectory
 	points int    // distinct indexed GPS points (halo replicas counted once)
@@ -55,28 +57,21 @@ type Snapshot struct {
 // holding it: its segment stack indexes every point of the trips that touch
 // its halo cell, under global PointRefs.
 type shard struct {
-	// segs are the R-tree segments, oldest first: the bulk-loaded base tree
-	// followed by one dynamic memtable per un-compacted ingest batch that
-	// touched the shard. Each indexed point lives in exactly one segment.
-	segs  []*rtree.Tree[PointRef]
-	trips []int // global indices of the indexed trips, ascending
-	// points counts the indexed GPS points; points-basePts is the memtable
-	// backlog the CompactPoints threshold watches.
-	points, basePts int
-	epoch           uint64 // ingest batches that touched the shard
-	compactions     uint64 // merges of the segment stack
+	// segs are the grid segments, oldest first: the base grid followed by
+	// one grid per un-compacted ingest batch that touched the shard. Each
+	// indexed point lives in exactly one segment.
+	segs        []*grid
+	trips       []int  // global indices of the indexed trips, ascending
+	points      int    // indexed GPS points
+	epoch       uint64 // ingest batches that touched the shard
+	compactions uint64 // merges of the segment stack
 }
 
 // visit calls fn for every indexed point intersecting box and reports
 // whether the walk ran to the end (fn never returned false).
 func (sh *shard) visit(box geo.BBox, fn func(PointRef) bool) bool {
 	for _, seg := range sh.segs {
-		stopped := false
-		seg.Visit(box, func(e rtree.Entry[PointRef]) bool {
-			stopped = !fn(e.Item)
-			return !stopped
-		})
-		if stopped {
+		if !seg.visit(box, fn) {
 			return false
 		}
 	}
@@ -93,10 +88,10 @@ func NewArchive(g *roadnet.Graph, trajs []*traj.Trajectory) *Archive {
 	return newSnapshot(g, NewPartition(geo.BBox{}, 1, 0), nil, trajs)
 }
 
-// newSnapshot indexes seed as epoch 0 over part: every shard bulk-loads the
-// seed trips that touch its halo cell into its one base segment.
+// newSnapshot indexes seed as epoch 0 over part: every shard grids the seed
+// trips that touch its halo cell into its one base segment.
 func newSnapshot(g *roadnet.Graph, part *Partition, reg *obs.Registry, seed []*traj.Trajectory) *Snapshot {
-	s := &Snapshot{g: g, part: part, reg: reg, shards: make([]shard, part.N()), trajs: seed}
+	s := &Snapshot{g: g, part: part, reg: reg, clip: g.BBox(), shards: make([]shard, part.N()), trajs: seed}
 	var ids []int
 	for gi, tr := range seed {
 		s.points += tr.Len()
@@ -108,26 +103,10 @@ func newSnapshot(g *roadnet.Graph, part *Partition, reg *obs.Registry, seed []*t
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.basePts = sh.points
-		sh.segs = []*rtree.Tree[PointRef]{rtree.Bulk(pointEntries(seed, sh.trips, sh.points))}
+		sh.segs = []*grid{newGrid(seed, sh.trips, sh.points, s.clip)}
 	}
 	s.fp = epochFingerprint(s.shards)
 	return s
-}
-
-// pointEntries flattens the GPS points of the trips ids names — n points in
-// all — into R-tree entries addressed by global PointRefs.
-func pointEntries(trajs []*traj.Trajectory, ids []int, n int) []rtree.Entry[PointRef] {
-	entries := make([]rtree.Entry[PointRef], 0, n)
-	for _, ti := range ids {
-		for pi, p := range trajs[ti].Points {
-			entries = append(entries, rtree.Entry[PointRef]{
-				Box:  geo.BBox{Min: p.Pt, Max: p.Pt},
-				Item: PointRef{Traj: ti, Idx: pi},
-			})
-		}
-	}
-	return entries
 }
 
 // epochFingerprint folds the shard epoch vector into one comparable hash
@@ -160,7 +139,7 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // EpochFingerprint hashes the shard epoch vector of this generation.
 func (s *Snapshot) EpochFingerprint() uint64 { return s.fp }
 
-// Segments returns the R-tree segment count summed over the shards (one per
+// Segments returns the grid segment count summed over the shards (one per
 // shard after a bulk build or compaction, one extra per un-compacted ingest
 // batch that touched a shard).
 func (s *Snapshot) Segments() int {

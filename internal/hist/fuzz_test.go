@@ -2,8 +2,10 @@ package hist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/geo"
@@ -101,6 +103,73 @@ func FuzzScanWAL(f *testing.F) {
 			if !bytes.Equal(appendBatch(nil, a.Epoch, a.Trips), appendBatch(nil, b.Epoch, b.Trips)) {
 				t.Fatalf("rescan batch %d differs", i)
 			}
+		}
+	})
+}
+
+// FuzzReadSegment reads arbitrary bytes as a segment file: the reader never
+// panics, and every file it accepts holds batches 1..epoch, each with at
+// least one trip of at least one point, and is byte-identical to what
+// writeSegment makes of those batches — so nothing on disk is ignored.
+func FuzzReadSegment(f *testing.F) {
+	trips := []*traj.Trajectory{
+		lineTraj("a", geo.Pt(0, 0)),
+		lineTraj("b", geo.Pt(1, 2), geo.Pt(3, 4)),
+	}
+	seeds := f.TempDir()
+	for gen, batches := range [][][]*traj.Trajectory{nil, {trips[:1]}, {trips[:1], trips[1:]}} {
+		if _, err := writeSegment(seeds, uint64(gen), batches); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(segPath(seeds, uint64(gen)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+	}
+	// A header whose reserved field is set, framed with a valid checksum.
+	hdr := make([]byte, segHeaderSize)
+	binary.LittleEndian.PutUint32(hdr, segMagic)
+	binary.LittleEndian.PutUint16(hdr[4:], segVersion)
+	binary.LittleEndian.PutUint16(hdr[6:], 1)
+	f.Add(appendFrame(nil, hdr))
+	f.Add([]byte{})
+
+	in, out := f.TempDir(), f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(in, "in.seg")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		batches, err := readSegment(path)
+		if err != nil {
+			return
+		}
+		written := make([][]*traj.Trajectory, len(batches))
+		for i, b := range batches {
+			if b.Epoch != uint64(i+1) {
+				t.Fatalf("batch %d carries epoch %d", i, b.Epoch)
+			}
+			if len(b.Trips) == 0 {
+				t.Fatalf("batch %d has no trips", i)
+			}
+			for k, tr := range b.Trips {
+				if tr.Len() == 0 {
+					t.Fatalf("batch %d trip %d has no points", i, k)
+				}
+			}
+			written[i] = b.Trips
+		}
+		if _, err := writeSegment(out, 1, written); err != nil {
+			t.Fatal(err)
+		}
+		again, err := os.ReadFile(segPath(out, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted segment rewrites differently:\n%x\n%x", data, again)
 		}
 	})
 }

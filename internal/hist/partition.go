@@ -88,19 +88,23 @@ func (p *Partition) N() int { return p.nx * p.ny }
 
 // axisCell maps a coordinate to its cell index along one axis: floor-based
 // half-open intervals, clamped so boundary cells own everything beyond the
-// bbox (and a whole unsplit axis maps to 0).
+// bbox (and a whole unsplit axis maps to 0). It clamps before converting to
+// int — Go leaves an out-of-range float→int conversion to the platform, and
+// amd64 turns 1e300 into a negative index — and sends NaN to cell 0. Both
+// Partition and grid number their cells with it, and both rely on it being
+// monotone in v.
 func axisCell(v, min, cell float64, n int) int {
 	if n <= 1 || cell <= 0 {
 		return 0
 	}
-	i := int(math.Floor((v - min) / cell))
-	if i < 0 {
+	f := math.Floor((v - min) / cell)
+	if !(f > 0) {
 		return 0
 	}
-	if i >= n {
+	if f >= float64(n-1) {
 		return n - 1
 	}
-	return i
+	return int(f)
 }
 
 // Home returns the unique shard owning point pt.
@@ -180,21 +184,13 @@ func (p *Partition) assign(dst []int, tr *traj.Trajectory) []int {
 // Overlapping appends to dst the shards whose own cells intersect box — the
 // shards that can own points inside box — and returns it in ascending shard
 // order. The grid is small (tens of cells), so a full sweep beats index
-// arithmetic for clarity and is exact at cell boundaries.
+// arithmetic for clarity and is exact at cell boundaries (touching counts,
+// and the boundary cells' infinite edges compare like any other).
 func (p *Partition) Overlapping(dst []int, box geo.BBox) []int {
 	for i := 0; i < p.N(); i++ {
-		if boxesIntersect(p.OwnCell(i), box) {
+		if p.OwnCell(i).Intersects(box) {
 			dst = append(dst, i)
 		}
 	}
 	return dst
-}
-
-// boxesIntersect is closed-interval bbox intersection that tolerates the
-// infinite edges of boundary cells (geo.BBox.Intersects is equivalent, but
-// spelled locally to keep the partition's boundary semantics — touching
-// counts — explicit and in one place).
-func boxesIntersect(a, b geo.BBox) bool {
-	return a.Min.X <= b.Max.X && b.Min.X <= a.Max.X &&
-		a.Min.Y <= b.Max.Y && b.Min.Y <= a.Max.Y
 }

@@ -107,7 +107,7 @@ func TestShardedPartitionReplicasIncludeHome(t *testing.T) {
 		p := NewPartition(box, 9, halo)
 		for trial := 0; trial < 300; trial++ {
 			pt := geo.Pt(rng.Float64()*800-100, rng.Float64()*600-100)
-			if hc := p.HaloCell(p.Home(pt)); !boxesIntersect(hc, geo.BBox{Min: pt, Max: pt}) {
+			if hc := p.HaloCell(p.Home(pt)); !hc.Contains(pt) {
 				t.Fatalf("halo %v: halo cell %v of home %d misses %v", halo, hc, p.Home(pt), pt)
 			}
 		}

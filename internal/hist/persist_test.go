@@ -55,31 +55,14 @@ func TestParseSyncPolicy(t *testing.T) {
 func TestStoreConfigNormalization(t *testing.T) {
 	g, _, _ := refWorld()
 	for _, cs := range []int{0, -5} {
-		st := NewStore(g, nil, StoreConfig{CompactSegments: cs, CompactPoints: -1})
+		st := NewStore(g, nil, StoreConfig{CompactSegments: cs})
 		if st.cfg.CompactSegments != DefaultCompactSegments {
 			t.Errorf("CompactSegments %d normalized to %d, want %d", cs, st.cfg.CompactSegments, DefaultCompactSegments)
-		}
-		if st.cfg.CompactPoints != DefaultCompactPoints {
-			t.Errorf("CompactPoints -1 normalized to %d, want %d", st.cfg.CompactPoints, DefaultCompactPoints)
 		}
 	}
 	st := NewStore(g, nil, StoreConfig{CompactSegments: 1})
 	if st.cfg.CompactSegments != 2 {
 		t.Errorf("CompactSegments 1 normalized to %d, want 2", st.cfg.CompactSegments)
-	}
-}
-
-// TestCompactPointsTrigger: a handful of batches that blow the point budget
-// must compact even though the segment-count threshold is far away.
-func TestCompactPointsTrigger(t *testing.T) {
-	g, _, _ := refWorld()
-	st := NewStore(g, nil, StoreConfig{CompactSegments: 1 << 30, CompactPoints: 8})
-	for _, tr := range storeTrips() {
-		st.IngestTrips(tr)
-	}
-	st.Wait()
-	if segs := st.Current().Segments(); segs >= len(storeTrips()) {
-		t.Fatalf("point-budget compaction never ran: %d segments after %d batches", segs, len(storeTrips()))
 	}
 }
 

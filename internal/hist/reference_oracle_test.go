@@ -22,7 +22,7 @@ import (
 // compared against. The only edits: it materializes points into oracleRef
 // instead of hist.Reference, and its range primitive is a brute-force scan
 // of the view rather than View.WithinRadius, which no longer exists — so the
-// oracle is also independent of the R-tree and of shard routing.
+// oracle is also independent of the spatial index and of shard routing.
 
 type oracleRef struct {
 	Points           []traj.GPSPoint
@@ -566,6 +566,70 @@ func TestSnapshotWithinRadiusMatchesScan(t *testing.T) {
 	for _, r := range []float64{-1, math.NaN(), math.Inf(-1)} {
 		if hits := snap.WithinRadius(queries[0].Points[0].Pt, r); hits != nil {
 			t.Fatalf("WithinRadius(r=%v) = %d hits, want none", r, len(hits))
+		}
+	}
+
+	// The grids under VisitBox, over degenerate extents and with awkward
+	// boxes, against a scan of every point with the same closed-box test.
+	g, _, _ = refWorld() // bbox (0,0)–(600,400)
+	line := func(id string, from, step geo.Point, n int) *traj.Trajectory {
+		tr := lineTraj(id)
+		for i := 0; i < n; i++ {
+			tr.Points = append(tr.Points, traj.GPSPoint{Pt: from.Add(step.Scale(float64(i))), T: float64(i)})
+		}
+		return tr
+	}
+	extents := map[string][]*traj.Trajectory{
+		"one point":  {lineTraj("p", geo.Pt(50, 50))},
+		"duplicates": {line("d", geo.Pt(70, 30), geo.Pt(0, 0), 40), lineTraj("e", geo.Pt(70, 30))},
+		"horizontal": {line("h", geo.Pt(-50, 20), geo.Pt(7, 0), 100)},
+		"vertical":   {line("v", geo.Pt(40, -30), geo.Pt(0, 5), 100)},
+		// One corner only: three of four shards hold no point.
+		"one corner": {line("c", geo.Pt(10, 10), geo.Pt(2, 1), 60), line("c2", geo.Pt(90, 10), geo.Pt(-1, 2), 60)},
+		// Off-map noise on every side, clamped into the boundary cells.
+		"off map": {line("o", geo.Pt(-900, -700), geo.Pt(30, 25), 80), lineTraj("far", geo.Pt(5000, 3000), geo.Pt(-4000, 200))},
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	boxes := []geo.BBox{
+		{Min: geo.Pt(0, 0), Max: geo.Pt(600, 400)},
+		{Min: geo.Pt(-inf, -inf), Max: geo.Pt(inf, inf)},
+		{Min: geo.Pt(60, 10), Max: geo.Pt(20, 50)},         // inverted in x
+		{Min: geo.Pt(20, 50), Max: geo.Pt(60, 10)},         // inverted in y
+		{Min: geo.Pt(70, 30), Max: geo.Pt(70, 30)},         // zero area, on a point
+		{Min: geo.Pt(0, 20), Max: geo.Pt(600, 20)},         // zero area, along the horizontal line
+		{Min: geo.Pt(40, 0), Max: geo.Pt(40, 400)},         // zero area, along the vertical line
+		{Min: geo.Pt(500, 300), Max: geo.Pt(590, 390)},     // inside the map, away from every trip
+		{Min: geo.Pt(7000, 7000), Max: geo.Pt(8000, 9000)}, // outside the map
+		{Min: geo.Pt(-100, -100), Max: geo.Pt(45, 25)},     // straddling the map's corner
+		{Min: geo.Pt(-1000, 15), Max: geo.Pt(20, 25)},      // straddling the map's edge
+		{Min: geo.Pt(nan, 0), Max: geo.Pt(600, 400)},
+		{Min: geo.Pt(0, 0), Max: geo.Pt(600, nan)},
+	}
+	for name, trips := range extents {
+		st := NewShardedStore(g, nil, ShardedConfig{Shards: 4, Halo: 30})
+		st.IngestTrips(trips[:1]...)
+		st.IngestTrips(trips[1:]...)
+		for _, v := range []*Snapshot{NewArchive(g, trips), st.Snapshot()} {
+			for _, box := range boxes {
+				var want, got []PointRef
+				for ti, tr := range trips {
+					for pi, p := range tr.Points {
+						if box.Contains(p.Pt) {
+							want = append(want, PointRef{Traj: ti, Idx: pi})
+						}
+					}
+				}
+				v.VisitBox(box, func(r PointRef) bool { got = append(got, r); return true })
+				sortRefs(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, %d shards: VisitBox(%v) = %v, scan %v", name, len(v.shards), box, got, want)
+				}
+				seen := 0
+				v.VisitBox(box, func(PointRef) bool { seen++; return seen < 2 })
+				if seen != min(len(want), 2) {
+					t.Fatalf("%s, %d shards: VisitBox(%v) stopped after %d of %d points, want 2", name, len(v.shards), box, seen, len(want))
+				}
+			}
 		}
 	}
 }

@@ -134,7 +134,8 @@ func writeSegment(dir string, gen uint64, batches [][]*traj.Trajectory) (int64, 
 }
 
 // readSegment loads and fully validates one segment file, returning the
-// batches 1..epoch it holds.
+// batches 1..epoch it holds. It accepts exactly what writeSegment writes:
+// every header field is checked, the reserved one included.
 func readSegment(path string) ([]walBatch, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -144,7 +145,7 @@ func readSegment(path string) ([]walBatch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hist: segment %s: %w", path, err)
 	}
-	if len(hdr) != segHeaderSize || binary.LittleEndian.Uint32(hdr) != segMagic {
+	if len(hdr) != segHeaderSize || binary.LittleEndian.Uint32(hdr) != segMagic || binary.LittleEndian.Uint16(hdr[6:]) != 0 {
 		return nil, fmt.Errorf("hist: segment %s: bad header", path)
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:]); v != segVersion {

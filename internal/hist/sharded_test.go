@@ -1,7 +1,9 @@
 package hist
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,8 +13,11 @@ import (
 
 // shardedWorldTrips builds trips that straddle the 2×2 partition lines of
 // refWorld's bbox, with points exactly ON partition lines and exactly AT
-// halo edges — the floating-point worst case for ownership dedup.
+// halo edges — the floating-point worst case for ownership dedup — plus
+// hostile coordinates: ±1e300, which a JSON body can carry and which lies
+// far beyond any cell, and NaN, which lies in no box.
 func shardedWorldTrips(lineX, lineY, halo float64) []*traj.Trajectory {
+	nan := math.NaN()
 	return []*traj.Trajectory{
 		// Horizontal crossing with a point exactly on the vertical line.
 		lineTraj("bx", geo.Pt(lineX-150, 10), geo.Pt(lineX, 10), geo.Pt(lineX+150, 10)),
@@ -24,6 +29,8 @@ func shardedWorldTrips(lineX, lineY, halo float64) []*traj.Trajectory {
 		lineTraj("bc", geo.Pt(lineX-60, lineY-60), geo.Pt(lineX, lineY), geo.Pt(lineX+60, lineY+60)),
 		// Fully inside one cell (control).
 		lineTraj("in", geo.Pt(50, 30), geo.Pt(150, 30), geo.Pt(250, 30)),
+		lineTraj("huge", geo.Pt(1e300, 50), geo.Pt(-1e300, 50)),
+		lineTraj("nan", geo.Pt(nan, nan), geo.Pt(lineX+5, 30), geo.Pt(nan, 30), geo.Pt(30, nan)),
 	}
 }
 
@@ -39,7 +46,10 @@ func sortRefs(refs []PointRef) {
 // TestShardedBoundaryDedup: points on partition lines and at halo edges are
 // returned exactly once by VisitBox — bare, and under the radius test every
 // range query applies on top of it — matching a one-shard store over the same
-// trips, for queries centered on the boundaries.
+// trips, for queries centered on the boundaries. A point at ±1e300 is found
+// by every store (its home is the boundary cell whose halo holds it, not
+// whatever an overflowing float→int conversion says), and a NaN point by
+// none.
 func TestShardedBoundaryDedup(t *testing.T) {
 	g, _, _ := refWorld()
 	bb := g.BBox()
@@ -62,10 +72,12 @@ func TestShardedBoundaryDedup(t *testing.T) {
 			sh := NewShardedStore(g, nil, ShardedConfig{Shards: n, Halo: halo})
 			sh.IngestTrips(trips...)
 
-			centers := []geo.Point{
+			huge := []geo.Point{geo.Pt(1e300, 50), geo.Pt(-1e300, 50)}
+			centers := append([]geo.Point{
 				geo.Pt(lineX, 10), geo.Pt(lineX, 20), geo.Pt(40, lineY),
 				geo.Pt(lineX, lineY), geo.Pt(lineX-halo, 20), geo.Pt(lineX+halo, 20),
-			}
+				geo.Pt(math.NaN(), 30),
+			}, huge...)
 			radii := []float64{1, halo / 2, halo, halo + 1, 2*halo + 10, 500}
 			ov, sv := oracle.Current(), sh.Current()
 			for _, c := range centers {
@@ -77,6 +89,10 @@ func TestShardedBoundaryDedup(t *testing.T) {
 					got := withinRadius(sv, c, r)
 					sortRefs(want)
 					sortRefs(got)
+					if slices.Contains(huge, c) && len(want) != 1 {
+						t.Fatalf("n=%d halo=%v withinRadius(%v,%v): one-shard store finds %d refs, want the one point there",
+							n, halo, c, r, len(want))
+					}
 					if len(got) != len(want) {
 						t.Fatalf("n=%d halo=%v withinRadius(%v,%v): %d refs, want %d",
 							n, halo, c, r, len(got), len(want))
@@ -92,6 +108,14 @@ func TestShardedBoundaryDedup(t *testing.T) {
 							t.Fatalf("n=%d halo=%v withinRadius(%v,%v): duplicate ref %v",
 								n, halo, c, r, got[i])
 						}
+					}
+					for _, v := range []View{ov, sv} {
+						v.VisitBox(geo.BBoxAround(c, r), func(pr PointRef) bool {
+							if pt := v.Point(pr).Pt; math.IsNaN(pt.X) || math.IsNaN(pt.Y) {
+								t.Fatalf("n=%d halo=%v VisitBox around %v reported the NaN point %v", n, halo, c, pr)
+							}
+							return true
+						})
 					}
 
 					box := geo.BBoxAround(c, r)

@@ -7,10 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
-	"repro/internal/rtree"
 	"repro/internal/traj"
 )
 
@@ -23,18 +21,12 @@ type StoreConfig struct {
 	MinPoints int
 	VMax      float64
 	// CompactSegments triggers a background compaction once a shard carries
-	// this many R-tree segments (base + memtables). The constructors
+	// this many grid segments (base + one per batch). The constructors
 	// normalize degenerate values: <= 0 uses DefaultCompactSegments, and 1
 	// — which would compact on every ingest, since the base segment alone
 	// already counts — is raised to 2. Set it very high to manage compaction
 	// manually via Compact.
 	CompactSegments int
-	// CompactPoints triggers a background compaction once a shard's
-	// un-compacted memtable segments hold this many GPS points, regardless of
-	// how few batches produced them — the backstop against a handful of huge
-	// batches monopolizing memory as dynamic trees. <= 0 uses
-	// DefaultCompactPoints.
-	CompactPoints int
 	// WALSync selects the write-ahead-log sync policy of stores opened with
 	// OpenShardedStore (the zero value is SyncAlways); the in-memory
 	// constructors ignore it.
@@ -58,15 +50,10 @@ type ShardedConfig struct {
 	Halo float64
 }
 
-// DefaultCompactSegments bounds how many memtable segments pile up in a
-// shard before a background merge. Range queries fan out across all of a
-// shard's segments, so this caps the read amplification at base + 7
-// memtables.
+// DefaultCompactSegments bounds how many batch segments pile up in a shard
+// before a background merge. Range queries fan out across all of a shard's
+// segments, so this caps the read amplification at base + 7 batches.
 const DefaultCompactSegments = 8
-
-// DefaultCompactPoints bounds how many GPS points a shard's memtable
-// segments may hold before a merge, whatever the batch count.
-const DefaultCompactPoints = 1 << 20
 
 // IngestStats describes one admitted ingest batch.
 type IngestStats struct {
@@ -102,15 +89,16 @@ type StoreStats struct {
 // pins one snapshot per inference call). Writers are serialized by one
 // mutex.
 //
-// Ingest appends each batch to every shard it touches as one small dynamic
-// R-tree memtable (built with the incremental Insert path). Once a shard
-// crosses a compaction threshold, a single-flight background pass
-// bulk-loads one merged base tree for every shard over its threshold and
-// swaps them in. Compaction is physical reorganization only — the
-// trajectory set is unchanged — so it publishes under the same epoch and
-// fingerprint, and epoch-tagged caches stay warm across it. Answers are
-// byte-identical to NewArchive over the same trips, for any shard count,
-// halo, ingest order and compaction timing.
+// Ingest appends each batch to every shard it touches as one grid segment
+// over that batch's trips — the batch is complete before it is published,
+// so a segment is built once and never modified. Once a shard's stack
+// reaches CompactSegments, a single-flight background pass builds one
+// merged base grid for every shard over the threshold and swaps them in.
+// Compaction is physical reorganization only — the trajectory set is
+// unchanged — so it publishes under the same epoch and fingerprint, and
+// epoch-tagged caches stay warm across it. Answers are byte-identical to
+// NewArchive over the same trips, for any shard count, halo, ingest order
+// and compaction timing.
 type Store struct {
 	cfg ShardedConfig
 
@@ -134,7 +122,7 @@ func NewStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreConfig) *Store
 
 // NewShardedStore opens a live archive over road network g partitioned into
 // cfg.Shards spatial shards, seeded with an already preprocessed trip set
-// (may be nil). The seed becomes every shard's epoch-0 bulk base segment.
+// (may be nil). The seed becomes every shard's epoch-0 base segment.
 func NewShardedStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfig) *Store {
 	if cfg.StayPoint == (traj.StayPointParams{}) {
 		cfg.StayPoint = traj.DefaultStayPointParams()
@@ -146,9 +134,6 @@ func NewShardedStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfi
 		// The base segment alone reaches a threshold of 1, so every ingest
 		// would immediately compact — the smallest meaningful stack is 2.
 		cfg.CompactSegments = 2
-	}
-	if cfg.CompactPoints <= 0 {
-		cfg.CompactPoints = DefaultCompactPoints
 	}
 	s := &Store{cfg: cfg}
 	s.cur.Store(newSnapshot(g, NewPartition(g.BBox(), cfg.Shards, cfg.Halo), cfg.Registry, seed))
@@ -208,8 +193,8 @@ func (s *Store) IngestTrips(trips ...*traj.Trajectory) IngestStats {
 }
 
 // ingest admits one batch without cueing compaction — OpenShardedStore's
-// replay calls it directly, so the replayed memtables are merged once at
-// the end rather than several times over — and returns the snapshot it
+// replay calls it directly, so the replayed batch segments are merged once
+// at the end rather than several times over — and returns the snapshot it
 // published (nil when the batch admitted nothing).
 func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 	reg := s.cfg.Registry
@@ -238,7 +223,6 @@ func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 	next.epoch++
 	next.trajs = append(old.trajs[:len(old.trajs):len(old.trajs)], kept...)
 	next.shards = slices.Clone(old.shards)
-	mems := make([]*rtree.Tree[PointRef], len(next.shards))
 	var ids []int
 	for k, tr := range kept {
 		gi := len(old.trajs) + k
@@ -246,18 +230,21 @@ func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 		ids = next.part.assign(ids[:0], tr)
 		for _, i := range ids {
 			sh := &next.shards[i]
-			if mems[i] == nil {
-				mems[i] = rtree.New[PointRef]()
-				sh.segs = append(sh.segs[:len(sh.segs):len(sh.segs)], mems[i])
+			if len(sh.trips) == len(old.shards[i].trips) {
 				sh.trips = sh.trips[:len(sh.trips):len(sh.trips)]
-				sh.epoch++
-			}
-			for pi, p := range tr.Points {
-				mems[i].Insert(geo.BBox{Min: p.Pt, Max: p.Pt}, PointRef{Traj: gi, Idx: pi})
 			}
 			sh.trips = append(sh.trips, gi)
 			sh.points += tr.Len()
 		}
+	}
+	for i := range next.shards {
+		sh, was := &next.shards[i], &old.shards[i]
+		if len(sh.trips) == len(was.trips) {
+			continue
+		}
+		seg := newGrid(next.trajs, sh.trips[len(was.trips):], sh.points-was.points, next.clip)
+		sh.segs = append(sh.segs[:len(sh.segs):len(sh.segs)], seg)
+		sh.epoch++
 	}
 	next.fp = epochFingerprint(next.shards)
 	s.cur.Store(&next)
@@ -283,9 +270,9 @@ func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 	return IngestStats{Trips: len(kept), Points: points, Epoch: next.epoch, Durability: durability}, &next
 }
 
-// over reports whether shard sh has crossed a compaction threshold.
+// over reports whether shard sh has reached the compaction threshold.
 func (s *Store) over(sh *shard) bool {
-	return len(sh.segs) >= s.cfg.CompactSegments || sh.points-sh.basePts >= s.cfg.CompactPoints
+	return len(sh.segs) >= s.cfg.CompactSegments
 }
 
 // overThreshold reports whether any shard of snap has crossed one.
@@ -321,7 +308,7 @@ func (s *Store) triggerCompact() {
 	}()
 }
 
-// Compact synchronously merges every shard into one bulk-loaded base tree.
+// Compact synchronously merges every shard into one base grid.
 // It is a no-op when the snapshot is already fully compacted, and safe to
 // call concurrently with ingest, readers, and other compactions (passes are
 // serialized on one mutex, so overlapping calls simply run in turn).
@@ -337,22 +324,22 @@ func (s *Store) Wait() {
 }
 
 // CompactBeforePublish, when set, runs after a compaction pass builds its
-// merged base trees and before it publishes. Test-only seam, exported so the
+// merged base grids and before it publishes. Test-only seam, exported so the
 // cross-package crash-recovery suites can inject failures mid-compaction:
 // it holds a pass open so regression tests can deterministically schedule a
 // second compaction against the same segment stacks, or kill a durable store
 // between a batch's WAL append and the checkpoint that follows the merge.
 var CompactBeforePublish func()
 
-// compact runs one compaction pass over every shard with memtables — all of
-// them, or only those over a threshold — and reports whether it merged
-// anything. The merges publish once, keeping epoch and fingerprint, and a
-// durable store then checkpoints.
+// compact runs one compaction pass over every shard with batch segments —
+// all of them, or only those over a threshold — and reports whether it
+// merged anything. The merges publish once, keeping epoch and fingerprint,
+// and a durable store then checkpoints.
 func (s *Store) compact(all bool) bool {
 	// One pass at a time: a synchronous Compact racing the background pass
 	// would otherwise load the same pre snapshot, and the loser would splice
 	// a shard's segments against a base that already absorbed them
-	// (negative capacity, or an index missing memtable segments).
+	// (negative capacity, or an index missing batch segments).
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
@@ -361,14 +348,14 @@ func (s *Store) compact(all bool) bool {
 	if s.cfg.Registry != nil {
 		t0 = time.Now()
 	}
-	// Bulk-load the merges outside the write lock: ingest keeps landing new
-	// memtables meanwhile. Shard stacks and trip lists are append-only, so
+	// Build the merges outside the write lock: ingest keeps landing new
+	// segments meanwhile. Shard stacks and trip lists are append-only, so
 	// pre's are exactly the prefix of any later snapshot's.
-	merged := make([]*rtree.Tree[PointRef], len(pre.shards))
+	merged := make([]*grid, len(pre.shards))
 	n := 0
 	for i := range pre.shards {
 		if sh := &pre.shards[i]; len(sh.segs) > 1 && (all || s.over(sh)) {
-			merged[i] = rtree.Bulk(pointEntries(pre.trajs, sh.trips, sh.points))
+			merged[i] = newGrid(pre.trajs, sh.trips, sh.points, pre.clip)
 			n++
 		}
 	}
@@ -388,8 +375,7 @@ func (s *Store) compact(all bool) bool {
 			continue
 		}
 		sh, was := &next.shards[i], &pre.shards[i]
-		sh.segs = append([]*rtree.Tree[PointRef]{base}, sh.segs[len(was.segs):]...)
-		sh.basePts = was.points
+		sh.segs = append([]*grid{base}, sh.segs[len(was.segs):]...)
 		sh.compactions++
 	}
 	s.cur.Store(&next)

@@ -30,9 +30,9 @@ type View interface {
 	EpochFingerprint() uint64
 	// NumPoints returns the number of indexed GPS points.
 	NumPoints() int
-	// Segments returns the number of R-tree segments backing the view,
-	// summed over its shards (one per shard after a bulk build or full
-	// compaction, one extra per un-compacted ingest batch a shard took).
+	// Segments returns the number of index segments (cell grids) backing
+	// the view, summed over its shards (one per shard after a bulk build or
+	// full compaction, one extra per un-compacted ingest batch a shard took).
 	Segments() int
 	// NumTrajs returns the number of archived trajectories.
 	NumTrajs() int

@@ -12,9 +12,9 @@ import (
 	"repro/internal/traj"
 )
 
-// The write-ahead log makes the memtables durable: a durable Store appends
-// one framed record per admitted batch — the batch encoding of codec.go —
-// before the batch becomes visible in any shard, so a
+// The write-ahead log makes the batch segments durable: a durable Store
+// appends one framed record per admitted batch — the batch encoding of
+// codec.go — before the batch becomes visible in any shard, so a
 // crash loses at most the records that never reached disk. Log files are
 // named wal-<start epoch, %016x>.log; a file holds the contiguous run of
 // epochs from its start to the next file's start (the active file runs to

@@ -43,8 +43,8 @@ const (
 // the hot online path, so its latency distribution — p95 especially — is the
 // service-level number; compaction is the background amortizer).
 const (
-	// StageIngest is one Store.Ingest call end to end: preprocessing, memtable
-	// build and snapshot publication.
+	// StageIngest is one Store.Ingest call end to end: preprocessing, the
+	// batch's grid segments and snapshot publication.
 	StageIngest = "ingest"
 	// StageCompaction is one compaction pass (background or Compact) over
 	// every shard it merges.

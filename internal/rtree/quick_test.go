@@ -41,73 +41,3 @@ func TestQuickRangeQueryEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickInsertDeleteInvariant: inserting then deleting arbitrary points
-// restores the original cardinality, and the survivors stay queryable.
-func TestQuickInsertDeleteInvariant(t *testing.T) {
-	f := func(coords []float64) bool {
-		tr := New[int]()
-		pts := make([]geo.Point, 0, len(coords)/2)
-		for i := 0; i+1 < len(coords); i += 2 {
-			p := geo.Pt(clamp(coords[i]), clamp(coords[i+1]))
-			pts = append(pts, p)
-			tr.Insert(geo.BBox{Min: p, Max: p}, len(pts)-1)
-		}
-		// Delete the even-indexed entries.
-		for i := 0; i < len(pts); i += 2 {
-			id := i
-			if !tr.Delete(geo.BBox{Min: pts[i], Max: pts[i]}, func(x int) bool { return x == id }) {
-				return false
-			}
-		}
-		if tr.Len() != len(pts)/2 {
-			return false
-		}
-		// Every odd-indexed entry remains findable.
-		for i := 1; i < len(pts); i += 2 {
-			found := false
-			for _, e := range search(tr, geo.BBox{Min: pts[i], Max: pts[i]}) {
-				if e.Item == i {
-					found = true
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickNearestOrdering: the nearest-neighbor stream is sorted for
-// arbitrary inputs.
-func TestQuickNearestOrdering(t *testing.T) {
-	f := func(coords []float64, qx, qy float64) bool {
-		pts := make([]geo.Point, 0, len(coords)/2)
-		for i := 0; i+1 < len(coords); i += 2 {
-			pts = append(pts, geo.Pt(clamp(coords[i]), clamp(coords[i+1])))
-		}
-		tr := Bulk(pointEntries(pts))
-		it := tr.NearestInto(geo.Pt(clamp(qx), clamp(qy)), &NearestIter[int]{})
-		last := -1.0
-		count := 0
-		for {
-			_, d, ok := it.Next()
-			if !ok {
-				break
-			}
-			if d < last-1e-9 {
-				return false
-			}
-			last = d
-			count++
-		}
-		return count == len(pts)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}

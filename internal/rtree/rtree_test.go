@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -77,33 +78,22 @@ func equalInts(a, b []int) bool {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New[int]()
+	tr := Bulk[int](nil)
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
 	if got := search(tr, geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}); len(got) != 0 {
 		t.Errorf("Visit on empty tree = %v", got)
 	}
-	if _, _, ok := tr.NearestInto(geo.Pt(0, 0), &NearestIter[int]{}).Next(); ok {
-		t.Error("NearestInto on empty tree returned an entry")
-	}
-	bulk := Bulk[int](nil)
-	if bulk.Len() != 0 || len(bulk.KNN(geo.Pt(0, 0), 3)) != 0 {
-		t.Error("empty Bulk tree misbehaves")
-	}
 }
 
-// TestRangeMatchesBruteForce cross-checks both the bulk-loaded and the
-// incrementally built tree against a linear scan on random boxes.
+// TestRangeMatchesBruteForce cross-checks the bulk-loaded tree against a
+// linear scan on random boxes.
 func TestRangeMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(2000, 42)
-	bulk := Bulk(pointEntries(pts))
-	dyn := New[int]()
-	for i, p := range pts {
-		dyn.Insert(geo.BBox{Min: p, Max: p}, i)
-	}
-	if bulk.Len() != 2000 || dyn.Len() != 2000 {
-		t.Fatalf("Len: bulk=%d dyn=%d", bulk.Len(), dyn.Len())
+	tr := Bulk(pointEntries(pts))
+	if tr.Len() != 2000 {
+		t.Fatalf("Len = %d", tr.Len())
 	}
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 100; trial++ {
@@ -112,13 +102,24 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 		q := geo.BBoxAround(c, r)
 		want := bruteRange(pts, q)
 		sort.Ints(want)
-		for name, tr := range map[string]*Tree[int]{"bulk": bulk, "dyn": dyn} {
-			got := sortedItems(search(tr, q))
-			if !equalInts(got, want) {
-				t.Fatalf("%s: Visit mismatch: got %d items, want %d", name, len(got), len(want))
-			}
+		if got := sortedItems(search(tr, q)); !equalInts(got, want) {
+			t.Fatalf("Visit mismatch: got %d items, want %d", len(got), len(want))
 		}
 	}
+}
+
+// withinRadius is a radius query the way roadnet makes one: Visit over the
+// query's bounding box plus the exact distance test.
+func withinRadius(tr *Tree[int], pts []geo.Point, c geo.Point, r float64) []int {
+	var ids []int
+	tr.Visit(geo.BBoxAround(c, r), func(e Entry[int]) bool {
+		if pts[e.Item].Dist(c) <= r {
+			ids = append(ids, e.Item)
+		}
+		return true
+	})
+	sort.Ints(ids)
+	return ids
 }
 
 func TestWithinRadiusMatchesBruteForce(t *testing.T) {
@@ -135,7 +136,7 @@ func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 			}
 		}
 		sort.Ints(want)
-		got := sortedItems(tr.WithinRadius(c, r))
+		got := withinRadius(tr, pts, c, r)
 		if !equalInts(got, want) {
 			t.Fatalf("WithinRadius mismatch: got %d want %d", len(got), len(want))
 		}
@@ -157,11 +158,6 @@ func TestVisitEarlyStop(t *testing.T) {
 
 func TestTreeInvariants(t *testing.T) {
 	pts := randomPoints(3000, 10)
-	dyn := New[int]()
-	for i, p := range pts {
-		dyn.Insert(geo.BBox{Min: p, Max: p}, i)
-	}
-	checkNode(t, dyn.root, true)
 	bulk := Bulk(pointEntries(pts))
 	checkNode(t, bulk.root, true)
 	if h := height(bulk); h < 2 || h > 6 {
@@ -195,14 +191,28 @@ func checkNode(t *testing.T, nd *node[int], isRoot bool) {
 }
 
 func TestDuplicatePoints(t *testing.T) {
-	tr := New[int]()
 	p := geo.Pt(5, 5)
-	for i := 0; i < 100; i++ {
-		tr.Insert(geo.BBox{Min: p, Max: p}, i)
+	pts := make([]geo.Point, 100)
+	for i := range pts {
+		pts[i] = p
 	}
+	tr := Bulk(pointEntries(pts))
 	got := search(tr, geo.BBoxAround(p, 1))
 	if len(got) != 100 {
 		t.Errorf("duplicate search returned %d, want 100", len(got))
+	}
+}
+
+// TestWithinRadiusNegative: a negative radius is an inverted box, which
+// Visit meets with nothing; a zero radius stays an exact point query.
+func TestWithinRadiusNegative(t *testing.T) {
+	pts := randomPoints(50, 31)
+	tr := Bulk(pointEntries(pts))
+	if got := search(tr, geo.BBoxAround(pts[0], -1)); len(got) != 0 {
+		t.Fatalf("Visit(r=-1) = %d entries, want none", len(got))
+	}
+	if got := withinRadius(tr, pts, pts[0], 0); !slices.Contains(got, 0) {
+		t.Fatal("radius-0 query at an entry's own point missed it")
 	}
 }
 

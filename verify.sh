@@ -20,9 +20,10 @@ go run ./internal/tools/reach
 
 # One measurement protocol: bench/ (go run -C bench repro/bench) is the only
 # thing that produces a performance number. The protocol it replaced must
-# not come back by name. CHANGES.md, ROADMAP.md and bench/README.md are
+# not come back by name, nor the archive's R-tree knob and kNN stream the
+# cell grids replaced. CHANGES.md, ROADMAP.md and bench/README.md are
 # history and exempt.
-stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile'
+stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter'
 if grep -nE "$stale" README.md DESIGN.md bench_test.go bench_budget.json \
     $(find cmd internal examples -name '*.go'); then
     exit 1
@@ -46,11 +47,13 @@ go test -timeout 120s -shuffle=on ./...
 # leaks between runs).
 go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Segment|Manifest' ./internal/hist/ ./internal/core/
 
-# Hostile bytes: the batch decoder and the log scan read files this process
-# did not write. Each fuzz target runs for 10 s past its seed corpus: no
-# panic, nothing accepted that ingest never writes, recovery idempotent.
+# Hostile bytes: the batch decoder, the log scan and the segment reader read
+# files this process did not write. Each fuzz target runs for 10 s past its
+# seed corpus: no panic, nothing accepted that ingest never writes, recovery
+# idempotent, and an accepted segment file byte-identical to its rewrite.
 go test -timeout 120s -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 10s ./internal/hist/
 go test -timeout 120s -run '^$' -fuzz '^FuzzScanWAL$' -fuzztime 10s ./internal/hist/
+go test -timeout 120s -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 10s ./internal/hist/
 
 # The wire-level benchmark is its own module (bench/go.mod, replace repro =>
 # ../), so `./...` above never compiles it. Vet it against this tree's
@@ -68,7 +71,7 @@ go test -C bench -timeout 300s ./...
 # the traverse-graph reduction's to its map-based one, the K-shortest-path
 # solver's to the plain-Dijkstra Yen (synthetic graphs in graphalg, recorded
 # real traverse graphs in core) and the transit-trace table scan's to the
-# R-tree stream must give identical verdicts run-to-run (-count=2 defeats test
+# sorted kNN stream must give identical verdicts run-to-run (-count=2 defeats test
 # caching and runs each twice in one binary, the second time on warm pools,
 # memos, solver and searcher scratch).
 go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/
