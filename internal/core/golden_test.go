@@ -15,30 +15,40 @@ import (
 // goldenDigests pins InferRoutes' complete output — routes, exact score
 // bits, pair stats and every local route's support set (encodeFull) — for a
 // fixed-seed query mix, as sha256 digests recorded once on the commit before
-// the per-trajectory match table landed (PR 14's parent). A perf PR proves
-// byte-identity by leaving this table alone; a PR that changes an answer on
-// purpose re-records it and says why.
+// the per-trajectory match table landed, and re-recorded once when candidate
+// edges got a total order: equidistant candidates — the two directions of
+// one road — now break ties by EdgeID, not by the order the old R-tree's
+// leaves happened to visit them. A performance change proves byte-identity
+// by leaving this table alone; a change that alters an answer on purpose
+// re-records it and says why.
 var goldenDigests = map[int64]string{
-	191: "bee299eb67aaa1f6e88cc41799c353761c3b9a43a801e48299f3f04a57d1815f",
-	7:   "1df91a528a5ae175bd99a5ba5734d23f8720ebae37bbd5a4bc674f92d1069ec1",
-	33:  "18a73d2f24fc05eb6a71162497cb068bab70eb63bc304efd99909f90b4077d8f",
+	191: "299451ae75eef50460d80d06a9f355325fe79cb09dfcd4c16b3b62aef74e0136",
+	7:   "7204d3cb740ff1e27538b8836f57eb611fc160ac9de86ffe9ec3172b49c3d468",
+	33:  "bf75fd8d59274f06c1a66338eda69bf2fac7b7415870c517a9da143d551cd4b4",
 }
 
 // goldenNetworkFreeDigests pins the network-free extension's output (paths,
 // exact score bits, sorted support) on the same worlds and query mix;
 // goldenPairLocalDigests pins PairLocalRoutes under each method on every
 // pair of the mix's first 30 queries, PairStats.Spliced excluded (it was
-// never counted there before PR 15). Both were recorded on PR 15's parent.
+// once not counted there). Both were recorded before offline inference
+// became the Session fold. goldenPairLocalDigests was re-recorded with
+// goldenDigests, for the same candidate tie rule (the network-free path
+// never searches candidate edges). goldenNetworkFreeDigests was re-recorded
+// once, on its own, when the network-free DP became kgriInit/kgriStep over
+// support-set local routes: the scores are the same products, but
+// equal-score partials now break ties by their parts (cmpPartial), as the
+// network DP does, not by insertion order.
 var goldenNetworkFreeDigests = map[int64]string{
-	191: "4f72ee1e5358ccf700cb81f1b9a85f222aff254be69f148cc6d5def541101f8f",
-	7:   "f86cf7bd08aa82f439315e6ec51b000b25d5dc62b213d290a9461c7daae7efe2",
-	33:  "0d15743aa5df6fd1c9b412d492c756884b51ec0e86b6f739f60a4d7ef15d5e7a",
+	191: "c2845fb52c4815392ccc684cb79d2ce025154876596921996b04ac06dfa752ab",
+	7:   "6f240c6313651131a049621e38130f7340664a1c89673c0edfb715c80b8e489e",
+	33:  "f4a6c375a1f7af8186c27413619bf4a4ac54c7e669acc00b08650f382599d935",
 }
 
 var goldenPairLocalDigests = map[int64]string{
-	191: "d28417a09ad5e4a5d7bc50473ceda15b8377f9b0ff13ae4d9f590cb7aaabe70d",
-	7:   "139fc02cdaf99bc83009793a5dd0bbed437c35398a4a7a07fc74e0bc435b6e5f",
-	33:  "572796bf8f9e17cac5c9a9c2bc8cece43d1faf51b525e36670401d3e4153a9dd",
+	191: "534cdc8a4ecb7209610aa7ca22138deeb24900775d4689488c2406e560b80085",
+	7:   "e6650e70926c333fd81875169fd08fe866c056f7b4e47b5885e6e9217d66a9f0",
+	33:  "c6b00b40a3d1aa10807ae1c35397c03b399ab57e8d58a1aa950583de0caf704d",
 }
 
 // goldenDigest runs the fixed mix on one world — queries whose sampling

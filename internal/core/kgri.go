@@ -130,6 +130,11 @@ func kgriStep(M [][]partial, prev, cur []LocalRoute, k int, constantTransition b
 // kgriFinalize ranks the accumulated posterior and materializes the top-K
 // global routes.
 func kgriFinalize(g *roadnet.Graph, locals [][]LocalRoute, M [][]partial, k int) []GlobalRoute {
+	return materialize(g, locals, kgriRank(M, k))
+}
+
+// kgriRank flattens the posterior and keeps its top k partials, best first.
+func kgriRank(M [][]partial, k int) []partial {
 	var all []partial
 	for _, ps := range M {
 		all = append(all, ps...)
@@ -138,7 +143,7 @@ func kgriFinalize(g *roadnet.Graph, locals [][]LocalRoute, M [][]partial, k int)
 	if len(all) > k {
 		all = all[:k]
 	}
-	return materialize(g, locals, all)
+	return all
 }
 
 // greedyFinish completes an interrupted K-GRI run cheaply: the single best

@@ -53,12 +53,16 @@ func (e *Engine) InferPathsNetworkFreeCtx(ctx context.Context, q *traj.Trajector
 		Phi: p.Phi, SpliceEps: p.SpliceEps,
 		SpliceMinSimple: p.SpliceMinSimple, VMax: vmax,
 	}
-	// locals[i] holds the pair's candidate point-paths.
+	// locals[i] holds the pair's candidate point-paths; sets[i] holds the
+	// same candidates as the network DP's local routes — support as Refs,
+	// |support| + smoothing as popularity — so K-GRI's own primitives rank
+	// them: score = ∏(|support|+smoothing) · ∏ g(transition).
 	type freeLocal struct {
 		path    geo.Polyline
 		support []int32 // sorted, distinct
 	}
 	var locals [][]freeLocal
+	var sets [][]LocalRoute
 	for i := 0; i+1 < q.Len(); i++ {
 		if graphalg.Stopped(done) {
 			return nil, ctx.Err()
@@ -121,50 +125,23 @@ func (e *Engine) InferPathsNetworkFreeCtx(ctx context.Context, q *traj.Trajector
 		if p.MaxLocalRoutes > 0 && len(cands) > p.MaxLocalRoutes {
 			cands = cands[:p.MaxLocalRoutes]
 		}
-		locals = append(locals, cands)
+		set := make([]LocalRoute, len(cands))
+		for j, c := range cands {
+			set[j] = LocalRoute{Refs: c.support, Popularity: float64(len(c.support)) + entropySmoothing}
+		}
+		locals, sets = append(locals, cands), append(sets, set)
 	}
 
-	// K-GRI-style DP: score = ∏(|support|+smoothing) · ∏ g(transition).
-	type fpartial struct {
-		parts []int
-		score float64
-	}
-	M := make([][]fpartial, len(locals[0]))
-	for j, c := range locals[0] {
-		M[j] = []fpartial{{parts: []int{j}, score: float64(len(c.support)) + entropySmoothing}}
-	}
-	for i := 1; i < len(locals); i++ {
+	M := kgriInit(sets[0])
+	ks := kgriPool.Get().(*kgriScratch)
+	defer kgriPool.Put(ks)
+	for i := 1; i < len(sets); i++ {
 		if graphalg.Stopped(done) {
 			return nil, ctx.Err()
 		}
-		next := make([][]fpartial, len(locals[i]))
-		for j, c := range locals[i] {
-			var cands []fpartial
-			for pj, prev := range locals[i-1] {
-				gConf := jaccardConf(prev.support, c.support)
-				for _, fp := range M[pj] {
-					cands = append(cands, fpartial{
-						parts: append(append([]int(nil), fp.parts...), j),
-						score: fp.score * gConf * (float64(len(c.support)) + entropySmoothing),
-					})
-				}
-			}
-			sort.SliceStable(cands, func(x, y int) bool { return cands[x].score > cands[y].score })
-			if len(cands) > p.K3 {
-				cands = cands[:p.K3]
-			}
-			next[j] = cands
-		}
-		M = next
+		M = kgriStep(M, sets[i-1], sets[i], p.K3, false, ks)
 	}
-	var all []fpartial
-	for _, fs := range M {
-		all = append(all, fs...)
-	}
-	sort.SliceStable(all, func(x, y int) bool { return all[x].score > all[y].score })
-	if len(all) > p.K3 {
-		all = all[:p.K3]
-	}
+	all := kgriRank(M, p.K3)
 	if len(all) == 0 {
 		return nil, ErrNoFreePath
 	}

@@ -17,16 +17,19 @@ import (
 // the float-keyed, one-trace-at-a-time projector that
 // mapmatch/projector_oracle_test.go preserves (that package cannot import
 // this one, so its own equivalence test drives the oracle with synthetic
-// trie-ordered batches; the real batches are pinned here).
+// trie-ordered batches; the real batches are pinned here). Six were
+// re-recorded once when candidate edges got a total order: equidistant
+// candidates now break ties by EdgeID, not by the old R-tree's leaf order
+// (the two ε-30 keys of world 7 meet no such tie and kept their digests).
 var realTraceDigests = map[string]string{
-	"191 true 30":  "69cdc6f2a8af7ff0833c7b43f0565e05f550fdf905dcf5edf2848d62e1fe162c",
-	"191 true 50":  "03074c44fcce992524e74dba3c84d8464916534a1c4bb36472b642ac7ba0080b",
-	"191 false 30": "23626e94538811ce1c26174e054b6aa722a2a4ff3370604e4e529c8b44ca2dca",
-	"191 false 50": "7ef46b707d1535e78685849a7c3c1665c9b266457417ec90e9891f6ee29c8ff9",
+	"191 true 30":  "4e9b2d15c3de49cb8a2c045d1361609444d0181fd0286bdd07641168ce73ed72",
+	"191 true 50":  "106281fe2bd71978b7b995874e2637e148416fca5826201f1423e4872e4c8d9b",
+	"191 false 30": "cffcf462d529e23c22ecda31bb72f3abc71beb39966171f9add093f782a058d6",
+	"191 false 50": "06c6c49fa2c398d19733765f310a096e5d670cd45e833c47d5ae5e4de8664d0b",
 	"7 true 30":    "19f48bf3865a79b4bb50a9ee34f72e044cb50f724a7e2697c59b9121f1db22db",
-	"7 true 50":    "ab4f1017b18076f2b4d2e272578f98eff22a5bcc658addba04219cc500b20c9d",
+	"7 true 50":    "2248bcd77f0964d2926ca52e43516bc307f6da0495fec163de4729674a96a606",
 	"7 false 30":   "0e1984a51bd168ddbda7b27f9d3a92e7d13e4915d5ae248d4a63d696b6f38c5f",
-	"7 false 50":   "9e56f097da1384409c73a6f6f4abb2943e82bc82dfda3f33b4d10ac7c234019a",
+	"7 false 50":   "bba7ba0b155f08ed16206e61ef19beb30dde43246bdb4a29320c3c4be7188a05",
 }
 
 // TestProjectorOracleRealTraces converts the real trace batches of

@@ -255,12 +255,15 @@ func TestReduceTraverseGraphMatchesMapOracle(t *testing.T) {
 // destinations inner. The digests were recorded on this change's parent from
 // the plain-Dijkstra Yen that graphalg/yen_oracle_test.go preserves (that
 // package cannot build a traverse graph, so its own equivalence test drives
-// the oracle with synthetic graphs; the real ones are pinned here).
+// the oracle with synthetic graphs; the real ones are pinned here). All four
+// were re-recorded once when candidate edges got a total order: equidistant
+// candidates now break ties by EdgeID, not by the old R-tree's leaf order,
+// which reorders a traverse graph's source and destination edges.
 var traverseGraphDigests = map[string]string{
-	"191 true":  "b5fb200966381bb430ec4f219460b83bd2456f0c553b3cf2dd1807a0563c9b60", // 251 calls, 1209 paths
-	"191 false": "5306ec6b54eb318963fd97067d21da3025d4bd895eed6dfbbdbe44d2a9c070a0", // 251 calls, 1227 paths
-	"7 true":    "57115cf16aeea93a2dca6219aa97852b4834bf4ab26a7eddd80aed2bf7e32346", // 275 calls, 1291 paths
-	"7 false":   "1bf9cd8698dff81406b6ea70306be1a321019d099b130c4a37403777a6998fb9", // 275 calls, 1340 paths
+	"191 true":  "902fde4c23ed5baa046fc7c9a42ea63e5ff7ef5fc96384e89feb2eaa2b95f364", // 251 calls, 1209 paths
+	"191 false": "418c9c49acf0d6cad1ed8f554a0cc46ad02d2ad2fccc46cdf1007b4495d983fe", // 251 calls, 1227 paths
+	"7 true":    "79a3ad953e0c035e1253883b8e65a5909481b5429f2738da8beaaba5aba24353", // 275 calls, 1312 paths
+	"7 false":   "e1106501da564694597af9665100faae0cc4b1293e33f8f1c466a73cb49f91ef", // 275 calls, 1340 paths
 }
 
 // forEachPair hands f the pair context of every consecutive pair of q,

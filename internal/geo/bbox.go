@@ -49,20 +49,6 @@ func (b BBox) ExtendPoint(p Point) BBox {
 	}
 }
 
-// Extend returns the smallest box containing both b and o.
-func (b BBox) Extend(o BBox) BBox {
-	if o.IsEmpty() {
-		return b
-	}
-	if b.IsEmpty() {
-		return o
-	}
-	return BBox{
-		Min: Point{math.Min(b.Min.X, o.Min.X), math.Min(b.Min.Y, o.Min.Y)},
-		Max: Point{math.Max(b.Max.X, o.Max.X), math.Max(b.Max.Y, o.Max.Y)},
-	}
-}
-
 // Area returns the area of the box in square meters (0 if empty).
 func (b BBox) Area() float64 {
 	if b.IsEmpty() {

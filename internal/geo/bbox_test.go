@@ -64,11 +64,13 @@ func TestBBoxDistToPoint(t *testing.T) {
 	}
 }
 
+// TestBBoxExtendProperties: extending one box by another's two corners —
+// how the grid measures its extent — yields a box containing both.
 func TestBBoxExtendProperties(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy, dx, dy float64) bool {
 		b1 := EmptyBBox().ExtendPoint(Pt(clampCoord(ax), clampCoord(ay))).ExtendPoint(Pt(clampCoord(bx), clampCoord(by)))
 		b2 := EmptyBBox().ExtendPoint(Pt(clampCoord(cx), clampCoord(cy))).ExtendPoint(Pt(clampCoord(dx), clampCoord(dy)))
-		u := b1.Extend(b2)
+		u := b1.ExtendPoint(b2.Min).ExtendPoint(b2.Max)
 		return u.ContainsBox(b1) && u.ContainsBox(b2) &&
 			u.Area() >= b1.Area() && u.Area() >= b2.Area()
 	}

@@ -9,19 +9,22 @@
 // publishes a fresh Snapshot per mutation. A snapshot is a Partition of the
 // plane into N shards — N = 1 unless configured otherwise, and always 1 for
 // NewArchive — each an LSM-style stack of immutable segments over the trips
-// that touch its halo cell. A segment is a uniform cell grid built by
-// counting sort (grid.go); the paper's R-tree is not needed for a question
-// whose answer order does not matter. Range queries take the single-shard
-// fast path when the search box fits one halo cell and otherwise scatter
-// over the overlapping shards with home-ownership dedup, so answers never
-// depend on N. A store opened with OpenShardedStore is also durable: a
-// write-ahead log and checkpoint segment files, independent of N.
+// that touch its halo cell. A segment is an internal/grid cell grid over
+// the points, built by counting sort (newSegment) — the same index the road
+// network keeps its segments in; the paper's R-tree is not needed for a
+// question whose answer order does not matter. Range queries take the
+// single-shard fast path when the search box fits one halo cell and
+// otherwise scatter over the overlapping shards with home-ownership dedup,
+// so answers never depend on N. A store opened with OpenShardedStore is
+// also durable: a write-ahead log and checkpoint segment files, independent
+// of N.
 package hist
 
 import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -60,18 +63,32 @@ type shard struct {
 	// segs are the grid segments, oldest first: the base grid followed by
 	// one grid per un-compacted ingest batch that touched the shard. Each
 	// indexed point lives in exactly one segment.
-	segs        []*grid
+	segs        []*grid.Grid[PointRef]
 	trips       []int  // global indices of the indexed trips, ascending
 	points      int    // indexed GPS points
 	epoch       uint64 // ingest batches that touched the shard
 	compactions uint64 // merges of the segment stack
 }
 
+// newSegment grids every point of the trips ids names under its global
+// PointRef, each cell in (trip, point) order. The extent is clipped to clip
+// (the graph's bbox), so off-map noise clamps into the boundary cells, as
+// Partition's cells do.
+func newSegment(trajs []*traj.Trajectory, ids []int, clip geo.BBox) *grid.Grid[PointRef] {
+	return grid.New(clip, func(yield func(geo.BBox, PointRef)) {
+		for _, ti := range ids {
+			for pi, p := range trajs[ti].Points {
+				yield(geo.BBox{Min: p.Pt, Max: p.Pt}, PointRef{Traj: ti, Idx: pi})
+			}
+		}
+	})
+}
+
 // visit calls fn for every indexed point intersecting box and reports
 // whether the walk ran to the end (fn never returned false).
 func (sh *shard) visit(box geo.BBox, fn func(PointRef) bool) bool {
 	for _, seg := range sh.segs {
-		if !seg.visit(box, fn) {
+		if !seg.Visit(box, fn) {
 			return false
 		}
 	}
@@ -103,7 +120,7 @@ func newSnapshot(g *roadnet.Graph, part *Partition, reg *obs.Registry, seed []*t
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.segs = []*grid{newGrid(seed, sh.trips, sh.points, s.clip)}
+		sh.segs = []*grid.Grid[PointRef]{newSegment(seed, sh.trips, s.clip)}
 	}
 	s.fp = epochFingerprint(s.shards)
 	return s

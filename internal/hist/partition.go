@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/traj"
 )
 
@@ -86,31 +87,11 @@ func NewPartition(box geo.BBox, n int, halo float64) *Partition {
 // N returns the number of shards.
 func (p *Partition) N() int { return p.nx * p.ny }
 
-// axisCell maps a coordinate to its cell index along one axis: floor-based
-// half-open intervals, clamped so boundary cells own everything beyond the
-// bbox (and a whole unsplit axis maps to 0). It clamps before converting to
-// int — Go leaves an out-of-range float→int conversion to the platform, and
-// amd64 turns 1e300 into a negative index — and sends NaN to cell 0. Both
-// Partition and grid number their cells with it, and both rely on it being
-// monotone in v.
-func axisCell(v, min, cell float64, n int) int {
-	if n <= 1 || cell <= 0 {
-		return 0
-	}
-	f := math.Floor((v - min) / cell)
-	if !(f > 0) {
-		return 0
-	}
-	if f >= float64(n-1) {
-		return n - 1
-	}
-	return int(f)
-}
-
-// Home returns the unique shard owning point pt.
+// Home returns the unique shard owning point pt, numbering cells with the
+// same clamped, monotone grid.AxisCell the shard segments use.
 func (p *Partition) Home(pt geo.Point) int {
-	ix := axisCell(pt.X, p.box.Min.X, p.cw, p.nx)
-	iy := axisCell(pt.Y, p.box.Min.Y, p.ch, p.ny)
+	ix := grid.AxisCell(pt.X, p.box.Min.X, p.cw, p.nx)
+	iy := grid.AxisCell(pt.Y, p.box.Min.Y, p.ch, p.ny)
 	return iy*p.nx + ix
 }
 

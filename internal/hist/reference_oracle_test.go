@@ -604,8 +604,9 @@ func TestSnapshotWithinRadiusMatchesScan(t *testing.T) {
 		{Min: geo.Pt(-1000, 15), Max: geo.Pt(20, 25)},      // straddling the map's edge
 		{Min: geo.Pt(nan, 0), Max: geo.Pt(600, 400)},
 		{Min: geo.Pt(0, 0), Max: geo.Pt(600, nan)},
+		{Min: geo.Pt(-inf, -1), Max: geo.Pt(-1e308, 0)}, // reaching the huge graph's west vertex
 	}
-	for name, trips := range extents {
+	check := func(name string, g *roadnet.Graph, trips []*traj.Trajectory) {
 		st := NewShardedStore(g, nil, ShardedConfig{Shards: 4, Halo: 30})
 		st.IngestTrips(trips[:1]...)
 		st.IngestTrips(trips[1:]...)
@@ -632,4 +633,20 @@ func TestSnapshotWithinRadiusMatchesScan(t *testing.T) {
 			}
 		}
 	}
+	for name, trips := range extents {
+		check(name, g, trips)
+	}
+	// A graph wider than a float64 can hold — its bbox width overflows to
+	// +Inf, which once made the grid's cell count Inf/Inf = NaN and the
+	// build panic — with a trip at both x extremes. JSON allows 1e308, so a
+	// dataset file can carry it; the graph passes Validate.
+	b := roadnet.NewBuilder()
+	west, east, north := b.AddVertex(geo.Pt(-1e308, 0)), b.AddVertex(geo.Pt(1e308, 0)), b.AddVertex(geo.Pt(0, 1))
+	b.AddBidirectional(west, north, 10, nil)
+	b.AddBidirectional(north, east, 10, nil)
+	huge := b.Build()
+	if err := huge.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	check("huge extent", huge, []*traj.Trajectory{lineTraj("x", geo.Pt(-1e308, 0), geo.Pt(1e308, 0)), lineTraj("n", geo.Pt(0, 1))})
 }

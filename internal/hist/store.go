@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -242,7 +243,7 @@ func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 		if len(sh.trips) == len(was.trips) {
 			continue
 		}
-		seg := newGrid(next.trajs, sh.trips[len(was.trips):], sh.points-was.points, next.clip)
+		seg := newSegment(next.trajs, sh.trips[len(was.trips):], next.clip)
 		sh.segs = append(sh.segs[:len(sh.segs):len(sh.segs)], seg)
 		sh.epoch++
 	}
@@ -351,11 +352,11 @@ func (s *Store) compact(all bool) bool {
 	// Build the merges outside the write lock: ingest keeps landing new
 	// segments meanwhile. Shard stacks and trip lists are append-only, so
 	// pre's are exactly the prefix of any later snapshot's.
-	merged := make([]*grid, len(pre.shards))
+	merged := make([]*grid.Grid[PointRef], len(pre.shards))
 	n := 0
 	for i := range pre.shards {
 		if sh := &pre.shards[i]; len(sh.segs) > 1 && (all || s.over(sh)) {
-			merged[i] = newGrid(pre.trajs, sh.trips, sh.points, pre.clip)
+			merged[i] = newSegment(pre.trajs, sh.trips, pre.clip)
 			n++
 		}
 	}
@@ -375,7 +376,7 @@ func (s *Store) compact(all bool) bool {
 			continue
 		}
 		sh, was := &next.shards[i], &pre.shards[i]
-		sh.segs = append([]*grid{base}, sh.segs[len(was.segs):]...)
+		sh.segs = append([]*grid.Grid[PointRef]{base}, sh.segs[len(was.segs):]...)
 		sh.compactions++
 	}
 	s.cur.Store(&next)

@@ -47,7 +47,7 @@ type Projector struct {
 }
 
 // RowSource supplies candidate edges an index already holds for table
-// points, sparing the projector the R-tree search.
+// points, sparing the projector the segment-grid search.
 type RowSource interface {
 	// CandidateRow appends to dst the edges of CandidateEdges(pts[i],
 	// CandidateRadius), in that order, if they are stored for table point i,

@@ -1,23 +1,26 @@
 // Package roadnet models the directed road network of Definitions 2–5:
 // road segments (directed edges with polyline shapes, lengths and speed
 // constraints), the road graph, routes (connected segment sequences), and
-// candidate-edge search. It also provides the network operations the rest
-// of the system relies on: shortest paths between network locations,
-// edge-level hop distances and λ-neighborhoods (Definition 8), and
-// shortest-path bridging of edge sequences into valid routes.
+// candidate-edge search over an internal/grid cell grid of the segments'
+// bounding boxes, answered in (distance, EdgeID) order whatever the index
+// visits first. It also provides the network operations the rest of the
+// system relies on: shortest paths between network locations, edge-level
+// hop distances and λ-neighborhoods (Definition 8), and shortest-path
+// bridging of edge sequences into valid routes.
 package roadnet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/graphalg"
-	"repro/internal/rtree"
+	"repro/internal/grid"
 )
 
 // VertexID identifies an intersection or segment terminal point.
@@ -57,7 +60,8 @@ type Graph struct {
 	out        [][]EdgeID // out[v] = segments leaving vertex v
 	maxSpeed   float64
 	segHeading []float64 // SegHeading, computed once in Build
-	edgeIndex  *rtree.Tree[EdgeID]
+	bbox       geo.BBox  // BBox, computed once in Build
+	edgeIndex  *grid.Grid[EdgeID]
 	vertexG    *graphalg.Graph // vertex graph weighted by segment length
 	edgeG      *graphalg.Graph // edge adjacency graph (hop weight 1)
 
@@ -117,16 +121,19 @@ func (b *Builder) AddBidirectional(u, v VertexID, speed float64, shape geo.Polyl
 // constructing shapes that must start and end on the vertices.
 func (b *Builder) VertexPoint(v VertexID) geo.Point { return b.vertices[v].Pt }
 
-// Build finalizes the graph: adjacency lists, the segment R-tree, the
-// vertex-level weighted graph, and the edge-level hop graph.
+// Build finalizes the graph: adjacency lists, the bounding box, the segment
+// grid, the vertex-level weighted graph, and the edge-level hop graph.
 func (b *Builder) Build() *Graph {
 	g := &Graph{
 		Vertices:   b.vertices,
 		Segments:   b.segments,
 		out:        make([][]EdgeID, len(b.vertices)),
 		segHeading: make([]float64, len(b.segments)),
+		bbox:       geo.EmptyBBox(),
 	}
-	entries := make([]rtree.Entry[EdgeID], len(g.Segments))
+	for i := range g.Vertices {
+		g.bbox = g.bbox.ExtendPoint(g.Vertices[i].Pt)
+	}
 	g.vertexG = graphalg.NewGraph(len(g.Vertices))
 	for i := range g.Segments {
 		s := &g.Segments[i]
@@ -135,10 +142,13 @@ func (b *Builder) Build() *Graph {
 			g.maxSpeed = s.Speed
 		}
 		g.segHeading[i] = s.Shape[0].Heading(s.Shape[len(s.Shape)-1])
-		entries[i] = rtree.Entry[EdgeID]{Box: s.Shape.BBox(), Item: s.ID}
 		g.vertexG.AddArc(s.From, s.To, s.Length)
 	}
-	g.edgeIndex = rtree.Bulk(entries)
+	g.edgeIndex = grid.New(g.bbox, func(yield func(geo.BBox, EdgeID)) {
+		for i := range g.Segments {
+			yield(g.Segments[i].Shape.BBox(), g.Segments[i].ID)
+		}
+	})
 	g.edgeG = graphalg.NewGraph(len(g.Segments))
 	for i := range g.Segments {
 		s := &g.Segments[i]
@@ -169,14 +179,8 @@ func (g *Graph) Seg(id EdgeID) *Segment { return &g.Segments[id] }
 // the heading from its first to its last shape point.
 func (g *Graph) SegHeading(id EdgeID) float64 { return g.segHeading[id] }
 
-// BBox returns the bounding box of the whole network.
-func (g *Graph) BBox() geo.BBox {
-	b := geo.EmptyBBox()
-	for i := range g.Vertices {
-		b = b.ExtendPoint(g.Vertices[i].Pt)
-	}
-	return b
-}
+// BBox returns the bounding box of the network's vertices.
+func (g *Graph) BBox() geo.BBox { return g.bbox }
 
 // Candidate is a road segment near a GPS point (Definition 5), together
 // with the projection of the point onto the segment.
@@ -188,16 +192,23 @@ type Candidate struct {
 }
 
 // CandidateEdges returns the segments whose distance to p is at most eps
-// (Definition 5), sorted by distance.
+// (Definition 5), sorted by (distance, EdgeID). That order is total — the
+// two directions of one road are always equidistant and break by id — so
+// the index the edges are found through cannot influence it.
 func (g *Graph) CandidateEdges(p geo.Point, eps float64) []Candidate {
 	var out []Candidate
-	g.edgeIndex.Visit(geo.BBoxAround(p, eps), func(e rtree.Entry[EdgeID]) bool {
-		if c := g.CandidateOn(p, e.Item); c.Dist <= eps {
+	g.edgeIndex.Visit(geo.BBoxAround(p, eps), func(e EdgeID) bool {
+		if c := g.CandidateOn(p, e); c.Dist <= eps {
 			out = append(out, c)
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Edge, b.Edge)
+	})
 	return out
 }
 
@@ -224,8 +235,7 @@ func (g *Graph) NearestCandidates(p geo.Point, k int) []Candidate {
 			}
 			return cands
 		}
-		bb := g.BBox()
-		if eps > bb.Margin()+1 {
+		if eps > g.bbox.Margin()+1 {
 			return cands
 		}
 		eps *= 2

@@ -79,6 +79,9 @@ func TestCandidateEdges(t *testing.T) {
 	if len(cands) != 2 { // both directions of that street
 		t.Fatalf("candidates = %d, want 2", len(cands))
 	}
+	if cands[0].Dist != cands[1].Dist || cands[0].Edge > cands[1].Edge {
+		t.Fatalf("twin edges %v: equidistant twins must come out by EdgeID", cands)
+	}
 	for _, c := range cands {
 		if math.Abs(c.Dist-8) > 1e-9 {
 			t.Fatalf("candidate dist = %v", c.Dist)
@@ -92,9 +95,9 @@ func TestCandidateEdges(t *testing.T) {
 	if len(wide) <= len(cands) {
 		t.Fatalf("wide radius found %d", len(wide))
 	}
-	// Sorted by distance.
+	// Sorted by (distance, EdgeID).
 	for i := 1; i < len(wide); i++ {
-		if wide[i].Dist < wide[i-1].Dist {
+		if a, b := wide[i-1], wide[i]; b.Dist < a.Dist || b.Dist == a.Dist && b.Edge < a.Edge {
 			t.Fatal("candidates not sorted")
 		}
 	}

@@ -21,9 +21,10 @@ go run ./internal/tools/reach
 # One measurement protocol: bench/ (go run -C bench repro/bench) is the only
 # thing that produces a performance number. The protocol it replaced must
 # not come back by name, nor the archive's R-tree knob and kNN stream the
-# cell grids replaced. CHANGES.md, ROADMAP.md and bench/README.md are
-# history and exempt.
-stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter'
+# cell grids replaced, nor the R-tree package internal/grid replaced (the
+# ledger row rtree.range_us keeps its name until the benchmark renames it).
+# CHANGES.md, ROADMAP.md and bench/README.md are history and exempt.
+stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)'
 if grep -nE "$stale" README.md DESIGN.md bench_test.go bench_budget.json \
     $(find cmd internal examples -name '*.go'); then
     exit 1
@@ -47,13 +48,17 @@ go test -timeout 120s -shuffle=on ./...
 # leaks between runs).
 go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Segment|Manifest' ./internal/hist/ ./internal/core/
 
-# Hostile bytes: the batch decoder, the log scan and the segment reader read
-# files this process did not write. Each fuzz target runs for 10 s past its
-# seed corpus: no panic, nothing accepted that ingest never writes, recovery
-# idempotent, and an accepted segment file byte-identical to its rewrite.
+# Hostile bytes: the batch decoder, the log scan, the segment reader and the
+# dataset's road-network loader read files this process did not write. Each
+# fuzz target runs for 10 s past its seed corpus: no panic, nothing accepted
+# that ingest never writes, recovery idempotent, an accepted segment file
+# byte-identical to its rewrite, and an accepted road network valid,
+# byte-identical through a rewrite and answering candidate-edge queries
+# exactly as a scan of every segment does.
 go test -timeout 120s -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 10s ./internal/hist/
 go test -timeout 120s -run '^$' -fuzz '^FuzzScanWAL$' -fuzztime 10s ./internal/hist/
 go test -timeout 120s -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 10s ./internal/hist/
+go test -timeout 120s -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/roadnet/
 
 # The wire-level benchmark is its own module (bench/go.mod, replace repro =>
 # ../), so `./...` above never compiles it. Vet it against this tree's
@@ -65,16 +70,19 @@ go vet -C bench ./...
 go test -C bench -timeout 300s ./...
 
 # Determinism: the Yen equal-weight tie-break, the K-GRI oracle suites, the
-# three golden digests (InferRoutes, network-free, PairLocalRoutes), the
-# reference search's equivalence to its map-based oracle, the trace projector's
-# to its float-keyed one (synthetic batches in mapmatch, real ones in core),
-# the traverse-graph reduction's to its map-based one, the K-shortest-path
-# solver's to the plain-Dijkstra Yen (synthetic graphs in graphalg, recorded
-# real traverse graphs in core) and the transit-trace table scan's to the
-# sorted kNN stream must give identical verdicts run-to-run (-count=2 defeats test
-# caching and runs each twice in one binary, the second time on warm pools,
-# memos, solver and searcher scratch).
+# three golden digests (InferRoutes, network-free, PairLocalRoutes — which
+# pin candidate edges in their total (distance, EdgeID) order, so no index
+# can reorder them), the reference search's equivalence to its map-based
+# oracle, the trace projector's to its float-keyed one (synthetic batches in
+# mapmatch, real ones in core), the traverse-graph reduction's to its
+# map-based one, the K-shortest-path solver's to the plain-Dijkstra Yen
+# (synthetic graphs in graphalg, recorded real traverse graphs in core), the
+# transit-trace table scan's to the sorted kNN stream, and the cell grid's
+# to its brute-force scans must give identical verdicts run-to-run
+# (-count=2 defeats test caching and runs each twice in one binary, the
+# second time on warm pools, memos, solver and searcher scratch).
 go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/
+go test -timeout 120s -count=2 ./internal/grid/
 
 # Bench smoke: the acceleration-layer benchmarks (end-to-end HRIS query,
 # ST-Matching, CH build — each in both oracle modes where applicable), the
