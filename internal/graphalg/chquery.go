@@ -14,22 +14,8 @@ type chWS struct {
 	verF, verB   []uint32
 	setF, setB   []uint32 // settle stamps (label finality, for biSearch)
 	ver          uint32
-	h, h2        pq      // forward / backward frontier of the p2p query
-	touchF       []int32 // settled vertices, forward / backward
-	touchB       []int32
+	h, h2        pq // forward / backward frontier of the p2p query
 	arcbuf       []int32
-
-	// many-to-many buckets: for each vertex settled by a backward
-	// search, (destination group, upward distance to it)
-	bkt      [][]bktEnt
-	bktTouch []int32
-	trees    []map[int32]int32 // pooled backward trees for tableQuery
-	cones    []*dstCone        // per-group cone refs, reused by sessionTable
-}
-
-type bktEnt struct {
-	g int32
-	d float64
 }
 
 func (ch *CH) getWS() *chWS {
@@ -59,26 +45,13 @@ func (w *chWS) bump() {
 	}
 }
 
-func (ch *CH) Mode() string { return "ch" }
-
 func (ch *CH) Dist(src, dst int) float64 {
-	return ch.distQuery(src, dst, nil)
-}
-
-func (ch *CH) DistCtx(ctx context.Context, src, dst int) float64 {
-	return ch.distQuery(src, dst, ctx.Done())
-}
-
-func (ch *CH) distQuery(src, dst int, done <-chan struct{}) float64 {
-	// The entry checkpoint makes pre-cancelled queries deterministic: CH
-	// search cones are usually smaller than one stride of pops, so the
-	// in-loop checkpoints alone might never fire.
-	if src < 0 || src >= ch.n || dst < 0 || dst >= ch.n || Stopped(done) {
+	if src < 0 || src >= ch.n || dst < 0 || dst >= ch.n {
 		return math.Inf(1)
 	}
 	w := ch.getWS()
 	defer ch.putWS(w)
-	meet := ch.biSearch(w, src, dst, done)
+	meet := ch.biSearch(w, src, dst, nil)
 	if meet < 0 {
 		return math.Inf(1)
 	}
@@ -86,15 +59,11 @@ func (ch *CH) distQuery(src, dst int, done <-chan struct{}) float64 {
 	return d
 }
 
-func (ch *CH) PathTo(src, dst int) (Path, bool) {
-	return ch.pathQuery(src, dst, nil)
-}
-
 func (ch *CH) PathToCtx(ctx context.Context, src, dst int) (Path, bool) {
-	return ch.pathQuery(src, dst, ctx.Done())
-}
-
-func (ch *CH) pathQuery(src, dst int, done <-chan struct{}) (Path, bool) {
+	// The entry checkpoint makes pre-cancelled queries deterministic: CH
+	// search cones are usually smaller than one stride of pops, so the
+	// in-loop checkpoints alone might never fire.
+	done := ctx.Done()
 	if src < 0 || src >= ch.n || dst < 0 || dst >= ch.n || Stopped(done) {
 		return Path{}, false
 	}
@@ -252,378 +221,4 @@ func (ch *CH) biSearch(w *chWS, src, dst int, done <-chan struct{}) int {
 		}
 	}
 	return meet
-}
-
-// upwardSearch is one exhaustive search cone of the many-to-many query: a
-// Dijkstra over the upward (fwd) or downward-reversed (!fwd) CSR graph,
-// with stall-on-demand pruning — a vertex provably reached shorter via a
-// higher-ranked neighbour settles but does not relax, cutting the cone it
-// would have expanded. The point-to-point query (biSearch) prunes further
-// with a best-meeting cutoff; the table query needs full cones because a
-// backward cone is met by every later forward search, so it keeps this
-// un-truncated form. Cancellation leaves the search partial; unsettled
-// vertices read as unreachable.
-func (ch *CH) upwardSearch(w *chWS, src int, fwd bool, done <-chan struct{}) {
-	dist, ver, prev, touch := w.distF, w.verF, w.prevF, w.touchF[:0]
-	off, to, wt, arc := ch.upOff, ch.upTo, ch.upW, ch.upArc
-	soff, sto, swt := ch.dnOff, ch.dnTo, ch.dnW
-	if !fwd {
-		dist, ver, prev, touch = w.distB, w.verB, w.prevB, w.touchB[:0]
-		off, to, wt, arc = ch.dnOff, ch.dnTo, ch.dnW, ch.dnArc
-		soff, sto, swt = ch.upOff, ch.upTo, ch.upW
-	}
-	dist[src] = 0
-	ver[src] = w.ver
-	prev[src] = -1
-	w.h = w.h[:0]
-	w.h.push(pqItem{v: src, dist: 0})
-	pops := 0
-	for len(w.h) > 0 {
-		if pops++; pops&(stride-1) == 0 && Stopped(done) {
-			break
-		}
-		it := w.h.pop()
-		v := int32(it.v)
-		if it.dist > dist[v] {
-			continue
-		}
-		touch = append(touch, v)
-		// stall-on-demand: scan the opposite-direction arcs into v; a
-		// shorter label through a higher-ranked neighbour means v is not
-		// on any shortest up-down path, so don't expand it. (It stays a
-		// valid, merely suboptimal, meeting candidate.)
-		stalled := false
-		for i := soff[v]; i < soff[v+1]; i++ {
-			u := sto[i]
-			if ver[u] == w.ver && dist[u]+swt[i] < it.dist {
-				stalled = true
-				break
-			}
-		}
-		if stalled {
-			continue
-		}
-		for i := off[v]; i < off[v+1]; i++ {
-			u := to[i]
-			nd := it.dist + wt[i]
-			if ver[u] != w.ver || nd < dist[u] {
-				dist[u] = nd
-				ver[u] = w.ver
-				prev[u] = arc[i]
-				w.h.push(pqItem{v: int(u), dist: nd})
-			}
-		}
-	}
-	if fwd {
-		w.touchF = touch
-	} else {
-		w.touchB = touch
-	}
-}
-
-func (ch *CH) Table(srcs, dsts []int) [][]float64 {
-	return ch.tableQuery(srcs, dsts, nil)
-}
-
-func (ch *CH) TableCtx(ctx context.Context, srcs, dsts []int) [][]float64 {
-	return ch.tableQuery(srcs, dsts, ctx.Done())
-}
-
-// tableQuery is the bucket-based many-to-many query [Knopp et al. 2007]:
-// one backward search per distinct destination deposits (dest, distance)
-// entries at every vertex it settles; one forward search per distinct
-// source then scans the buckets of the vertices it settles, so every
-// (src,dst) pair is combined at its meeting vertices without any per-pair
-// search. Each finite entry is then re-summed along its unpacked path
-// (see exactPath) so the matrix agrees bit-for-bit with per-pair queries.
-func (ch *CH) tableQuery(srcs, dsts []int, done <-chan struct{}) [][]float64 {
-	out := make([][]float64, len(srcs))
-	for i := range out {
-		row := make([]float64, len(dsts))
-		for j := range row {
-			row[j] = math.Inf(1)
-		}
-		out[i] = row
-	}
-	if len(srcs) == 0 || len(dsts) == 0 {
-		return out
-	}
-	w := ch.getWS()
-	defer ch.putWS(w)
-	if w.bkt == nil {
-		w.bkt = make([][]bktEnt, ch.n)
-	}
-
-	// Group duplicate vertices so each distinct one is searched once.
-	dstGroups, dstCols := groupVerts(dsts)
-	srcGroups, srcRows := groupVerts(srcs)
-
-	// Backward phase: bucket every settled vertex, and keep each group's
-	// search tree (prev arcs of its settled cone) for path unpacking. The
-	// trees are pooled with the workspace — clear() keeps a map's buckets
-	// allocated, so steady-state table probes stop allocating here.
-	for len(w.trees) < len(dstGroups) {
-		w.trees = append(w.trees, nil)
-	}
-	prevB := w.trees[:len(dstGroups)]
-	for gi, t := range dstGroups {
-		if t < 0 || t >= ch.n || Stopped(done) {
-			continue
-		}
-		w.bump()
-		ch.upwardSearch(w, t, false, done)
-		tree := prevB[gi]
-		if tree == nil {
-			tree = make(map[int32]int32, len(w.touchB))
-			prevB[gi] = tree
-		} else {
-			clear(tree)
-		}
-		for _, v := range w.touchB {
-			tree[v] = w.prevB[v]
-			if len(w.bkt[v]) == 0 {
-				w.bktTouch = append(w.bktTouch, v)
-			}
-			w.bkt[v] = append(w.bkt[v], bktEnt{g: int32(gi), d: w.distB[v]})
-		}
-	}
-
-	type best struct {
-		d    float64
-		meet int32
-	}
-	bests := make([]best, len(dstGroups))
-	for _, s := range srcGroups {
-		for j := range bests {
-			bests[j] = best{d: math.Inf(1), meet: -1}
-		}
-		if s >= 0 && s < ch.n && !Stopped(done) {
-			w.bump()
-			ch.upwardSearch(w, s, true, done)
-			for _, v := range w.touchF {
-				ds := w.distF[v]
-				for _, e := range w.bkt[v] {
-					b := &bests[e.g]
-					if d := ds + e.d; d < b.d || (d == b.d && v < b.meet) {
-						b.d, b.meet = d, v
-					}
-				}
-			}
-		}
-		for gj, t := range dstGroups {
-			d := math.Inf(1)
-			if m := bests[gj].meet; m >= 0 {
-				// restore the meeting group's backward chain into prevB
-				// view expected by exactPath
-				d = ch.exactVia(w, prevB[gj], m)
-			}
-			for _, r := range srcRows[s] {
-				for _, c := range dstCols[t] {
-					out[r][c] = d
-				}
-			}
-		}
-	}
-
-	for _, v := range w.bktTouch {
-		w.bkt[v] = w.bkt[v][:0]
-	}
-	w.bktTouch = w.bktTouch[:0]
-	return out
-}
-
-// exactVia re-sums the path through meet, reading the backward chain from
-// a retained tree instead of the workspace arrays (which only hold the
-// latest backward search).
-func (ch *CH) exactVia(w *chWS, treeB map[int32]int32, meet int32) float64 {
-	buf := w.arcbuf[:0]
-	for v := meet; w.prevF[v] >= 0; {
-		a := w.prevF[v]
-		buf = append(buf, a)
-		v = ch.arcs[a].from
-	}
-	for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
-		buf[i], buf[j] = buf[j], buf[i]
-	}
-	for v := meet; ; {
-		a, ok := treeB[v]
-		if !ok || a < 0 {
-			break
-		}
-		buf = append(buf, a)
-		v = ch.arcs[a].to
-	}
-	w.arcbuf = buf
-	var d float64
-	for _, id := range buf {
-		d, _ = ch.unpackArc(id, d, nil)
-	}
-	return d
-}
-
-// dstCone is one memoized backward search: the settled vertices with their
-// upward distances (bucket entries in settle order) and the prev-arc tree
-// exactVia unpacks paths through.
-type dstCone struct {
-	verts []int32
-	dists []float64
-	tree  map[int32]int32
-}
-
-// chTableSession memoizes backward cones per destination vertex. It holds
-// one workspace for its whole life, so it is NOT safe for concurrent use;
-// Close returns the workspace to the CH's pool.
-type chTableSession struct {
-	ch    *CH
-	w     *chWS
-	cones map[int]*dstCone
-}
-
-// NewTableSession returns a session view of the oracle for a burst of
-// related Table calls (the matchers issue one per adjacent point pair, and
-// consecutive pairs share their candidate vertices). CH sessions memoize
-// the per-destination backward search cone — bucket entries plus prev-arc
-// tree — so a repeated destination costs a bucket deposit instead of a full
-// backward Dijkstra. Other oracles delegate per call. Sessions are not safe
-// for concurrent use and must be Closed.
-func NewTableSession(o DistanceOracle) TableSession {
-	if ch, ok := o.(*CH); ok {
-		return &chTableSession{ch: ch, w: ch.getWS(), cones: make(map[int]*dstCone)}
-	}
-	return plainTableSession{o}
-}
-
-func (s *chTableSession) Close() {
-	if s.w != nil {
-		s.ch.putWS(s.w)
-		s.w = nil
-	}
-}
-
-func (s *chTableSession) Table(srcs, dsts []int) [][]float64 {
-	return s.ch.sessionTable(s, srcs, dsts, nil)
-}
-
-func (s *chTableSession) TableCtx(ctx context.Context, srcs, dsts []int) [][]float64 {
-	return s.ch.sessionTable(s, srcs, dsts, ctx.Done())
-}
-
-// sessionTable is tableQuery with the backward phase served from the
-// session's cone memo. For uncancelled runs the bucket contents — entry
-// values and deposit order — are exactly what tableQuery builds, so the
-// matrix is bit-identical to the per-call query.
-func (ch *CH) sessionTable(s *chTableSession, srcs, dsts []int, done <-chan struct{}) [][]float64 {
-	out := make([][]float64, len(srcs))
-	for i := range out {
-		row := make([]float64, len(dsts))
-		for j := range row {
-			row[j] = math.Inf(1)
-		}
-		out[i] = row
-	}
-	if len(srcs) == 0 || len(dsts) == 0 {
-		return out
-	}
-	w := s.w
-	if w.bkt == nil {
-		w.bkt = make([][]bktEnt, ch.n)
-	}
-
-	dstGroups, dstCols := groupVerts(dsts)
-	srcGroups, srcRows := groupVerts(srcs)
-
-	// Backward phase: deposit each destination group's cone, running the
-	// search only on a memo miss.
-	cones := w.cones
-	for gi, t := range dstGroups {
-		var cone *dstCone
-		if t >= 0 && t < ch.n && !Stopped(done) {
-			cone = s.cones[t]
-			if cone == nil {
-				w.bump()
-				ch.upwardSearch(w, t, false, done)
-				cone = &dstCone{
-					verts: append([]int32(nil), w.touchB...),
-					dists: make([]float64, len(w.touchB)),
-					tree:  make(map[int32]int32, len(w.touchB)),
-				}
-				for i, v := range w.touchB {
-					cone.dists[i] = w.distB[v]
-					cone.tree[v] = w.prevB[v]
-				}
-				// A cone cut short by cancellation is a valid partial answer
-				// for this call, but memoizing it would corrupt later ones.
-				if !Stopped(done) {
-					s.cones[t] = cone
-				}
-			}
-			for i, v := range cone.verts {
-				if len(w.bkt[v]) == 0 {
-					w.bktTouch = append(w.bktTouch, v)
-				}
-				w.bkt[v] = append(w.bkt[v], bktEnt{g: int32(gi), d: cone.dists[i]})
-			}
-		}
-		cones = append(cones, cone)
-	}
-
-	type best struct {
-		d    float64
-		meet int32
-	}
-	bests := make([]best, len(dstGroups))
-	for _, src := range srcGroups {
-		for j := range bests {
-			bests[j] = best{d: math.Inf(1), meet: -1}
-		}
-		if src >= 0 && src < ch.n && !Stopped(done) {
-			w.bump()
-			ch.upwardSearch(w, src, true, done)
-			for _, v := range w.touchF {
-				ds := w.distF[v]
-				for _, e := range w.bkt[v] {
-					b := &bests[e.g]
-					if d := ds + e.d; d < b.d || (d == b.d && v < b.meet) {
-						b.d, b.meet = d, v
-					}
-				}
-			}
-		}
-		for gj, t := range dstGroups {
-			d := math.Inf(1)
-			if m := bests[gj].meet; m >= 0 {
-				d = ch.exactVia(w, cones[gj].tree, m)
-			}
-			for _, r := range srcRows[src] {
-				for _, c := range dstCols[t] {
-					out[r][c] = d
-				}
-			}
-		}
-	}
-
-	for _, v := range w.bktTouch {
-		w.bkt[v] = w.bkt[v][:0]
-	}
-	w.bktTouch = w.bktTouch[:0]
-	for i := range cones {
-		cones[i] = nil // don't let the pooled workspace pin dead cones
-	}
-	w.cones = cones[:0]
-	return out
-}
-
-// groupVerts deduplicates a vertex list, returning the distinct vertices
-// in first-appearance order and, per distinct vertex, the positions it
-// occupies in the original list.
-func groupVerts(vs []int) ([]int, map[int][]int) {
-	pos := make(map[int][]int, len(vs))
-	var distinct []int
-	for i, v := range vs {
-		if _, ok := pos[v]; !ok {
-			distinct = append(distinct, v)
-		}
-		pos[v] = append(pos[v], i)
-	}
-	return distinct, pos
 }

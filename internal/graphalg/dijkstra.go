@@ -95,12 +95,52 @@ func AllDistances(g *Graph, src int) []float64 {
 	return out
 }
 
+// DistanceTable returns the |srcs|×|dsts| matrix of shortest-path weights
+// over g: +Inf where a destination is unreachable or either vertex is out
+// of range, and never a nil row. Each distinct source row runs one Dijkstra
+// that stops once every destination has settled; a source equal to the
+// previous one copies its row. The settle order is fixed by (distance,
+// vertex), so a stopped search is a prefix of the full one and every entry
+// is bit-for-bit the label a full Dijkstra from that source assigns.
+func DistanceTable(g *Graph, srcs, dsts []int) [][]float64 {
+	n := g.N()
+	s := getScratch(n)
+	defer putScratch(s)
+	out := make([][]float64, len(srcs))
+	for i, src := range srcs {
+		row := make([]float64, len(dsts))
+		out[i] = row
+		if i > 0 && srcs[i-1] == src {
+			copy(row, out[i-1])
+			continue
+		}
+		s.reset()
+		for _, d := range dsts {
+			if d >= 0 && d < n && !s.closed[d] {
+				s.closed[d] = true
+				s.left++
+			}
+		}
+		if s.left > 0 {
+			dijkstra(s, g, src, -1, nil)
+		}
+		for j, d := range dsts {
+			row[j] = math.Inf(1)
+			if d >= 0 && d < n {
+				row[j] = s.dist[d]
+			}
+		}
+	}
+	return out
+}
+
 // dijkstra runs Dijkstra from src, writing distances and predecessors into
 // s.dist and s.prev (s must be freshly reset). If dst >= 0 it stops when
-// dst settles. A non-nil done channel is polled every stride pops; when
-// closed the search stops and takes back every tentative label — the live
-// entries still in the heap — so that a finite distance is always a final
-// one: vertices that had not settled read +Inf, and callers see
+// dst settles; with s.left > 0 it stops once the last destination marked
+// in s.closed settles. A non-nil done channel is polled every stride pops;
+// when closed the search stops and takes back every tentative label — the
+// live entries still in the heap — so that a finite distance is always a
+// final one: vertices that had not settled read +Inf, and callers see
 // "unreachable".
 func dijkstra(s *searchScratch, g *Graph, src, dst int, done <-chan struct{}) {
 	n := g.N()
@@ -126,6 +166,12 @@ func dijkstra(s *searchScratch, g *Graph, src, dst int, done <-chan struct{}) {
 		}
 		if it.v == dst {
 			break
+		}
+		if s.closed[it.v] {
+			s.closed[it.v] = false
+			if s.left--; s.left == 0 {
+				break
+			}
 		}
 		for _, a := range g.Adj[it.v] {
 			nd := it.dist + a.W

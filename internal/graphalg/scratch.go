@@ -11,9 +11,12 @@ import (
 // O(n) reset cost is the same initialisation loop the searches already paid
 // when they allocated fresh arrays each call.
 type searchScratch struct {
-	dist   []float64
-	prev   []int
+	dist []float64
+	prev []int
+	// closed is A*'s closed set. Dijkstra reads it as the destinations it
+	// has yet to settle (DistanceTable marks them), left of them in all.
 	closed []bool
+	left   int
 	h      pq
 }
 
@@ -43,6 +46,7 @@ func (s *searchScratch) reset() {
 		s.prev[i] = -1
 		s.closed[i] = false
 	}
+	s.left = 0
 	s.h = s.h[:0]
 }
 

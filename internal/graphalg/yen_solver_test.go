@@ -262,39 +262,44 @@ func TestCancelledSearchAnswersExactlyOrNothing(t *testing.T) {
 	o := &DijkstraOracle{G: g}
 	inf := math.Inf(1)
 	src, sink := 0, n-1
-	dsts := make([]int, n)
-	for v := range dsts {
-		dsts[v] = v
-	}
 	final := AllDistances(g, src)
 
+	// labels runs the package's Dijkstra from src (stopping when dst
+	// settles; -1: never) under ctx and returns every label it left.
+	labels := func(ctx context.Context, dst int) []float64 {
+		s := getScratch(n)
+		defer putScratch(s)
+		dijkstra(s, g, src, dst, ctx.Done())
+		return slices.Clone(s.dist)
+	}
+
 	t.Run("Dijkstra", func(t *testing.T) {
-		polls := stopAtPoll(0, func(ctx context.Context) { o.TableCtx(ctx, []int{src}, dsts) })
+		polls := stopAtPoll(0, func(ctx context.Context) { labels(ctx, -1) })
 		if polls < 2 {
 			t.Fatalf("a full search polled %d times", polls)
 		}
 		unsettled := 0
 		for i := 1; i <= polls; i++ {
 			var row []float64
-			stopAtPoll(i, func(ctx context.Context) { row = o.TableCtx(ctx, []int{src}, dsts)[0] })
+			stopAtPoll(i, func(ctx context.Context) { row = labels(ctx, -1) })
 			for v, d := range row {
 				if d != final[v] && d != inf {
-					t.Fatalf("TableCtx stopped at poll %d: dist to %d = %v, want %v or +Inf", i, v, d, final[v])
+					t.Fatalf("dijkstra stopped at poll %d: dist to %d = %v, want %v or +Inf", i, v, d, final[v])
 				}
 			}
 			// Every destination: settled, reached, untouched at the stop.
-			for dst := range dsts {
+			for dst := 0; dst < n; dst++ {
 				want, _ := shortestPath(g, src, dst, nil)
 				var d float64
 				var p, q Path
 				var okP, okQ bool
 				stopAtPoll(i, func(ctx context.Context) {
-					d = o.DistCtx(ctx, src, dst)
+					d = labels(ctx, dst)[dst]
 					p, okP = o.PathToCtx(ctx, src, dst)
 					q, okQ = shortestPath(g, src, dst, ctx.Done())
 				})
 				if d != final[dst] && d != inf {
-					t.Fatalf("DistCtx(%d) stopped at poll %d: %v, want %v or +Inf", dst, i, d, final[dst])
+					t.Fatalf("dijkstra to %d stopped at poll %d: %v, want %v or +Inf", dst, i, d, final[dst])
 				}
 				if d == inf {
 					unsettled++

@@ -6,12 +6,10 @@
 package mapmatch
 
 import (
-	"context"
 	"errors"
 	"math"
 
 	"repro/internal/geo"
-	"repro/internal/graphalg"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -64,7 +62,7 @@ func observation(dist, sigma float64) float64 {
 // are skipped (the later location is dropped), mirroring how practical
 // matchers tolerate outliers. It fails only when no two locations connect.
 func StitchLocations(g *roadnet.Graph, locs []roadnet.Location) (roadnet.Route, error) {
-	return stitchLocations(context.Background(), g, locs)
+	return stitchLocations(g, locs)
 }
 
 // stitcher grows one route location by location: the stitch step every
@@ -92,17 +90,13 @@ func (s *stitcher) step(g *roadnet.Graph, l roadnet.Location, part roadnet.Route
 	}
 }
 
-func stitchLocations(ctx context.Context, g *roadnet.Graph, locs []roadnet.Location) (roadnet.Route, error) {
-	done := ctx.Done()
+func stitchLocations(g *roadnet.Graph, locs []roadnet.Location) (roadnet.Route, error) {
 	var st stitcher
 	for _, l := range locs {
-		if graphalg.Stopped(done) {
-			return nil, ctx.Err()
-		}
 		var part roadnet.Route
 		ok := false
 		if st.have {
-			part, _, ok = g.PathBetweenLocationsCtx(ctx, st.cur, l)
+			part, _, ok = g.PathBetweenLocations(st.cur, l)
 		}
 		st.step(g, l, part, ok)
 	}

@@ -1,10 +1,8 @@
 package mapmatch
 
 import (
-	"context"
 	"math"
 
-	"repro/internal/graphalg"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -36,10 +34,6 @@ func (m *HMM) Name() string { return "hmm" }
 
 // Match implements Matcher.
 func (m *HMM) Match(t *traj.Trajectory) (roadnet.Route, error) {
-	return m.match(context.Background(), t)
-}
-
-func (m *HMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
 	n := t.Len()
 	if n == 0 {
 		return nil, ErrNoRoute
@@ -66,13 +60,7 @@ func (m *HMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, err
 		score[0][j] = logEmission(c)
 		back[0][j] = -1
 	}
-	ts := m.G.NewTableSession()
-	defer ts.Close()
-	done := ctx.Done()
 	for i := 1; i < n; i++ {
-		if graphalg.Stopped(done) {
-			return nil, ctx.Err()
-		}
 		straight := t.Points[i-1].Pt.Dist(t.Points[i].Pt)
 		score[i] = make([]float64, len(cands[i]))
 		back[i] = make([]int, len(cands[i]))
@@ -80,7 +68,7 @@ func (m *HMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, err
 			score[i][j] = math.Inf(-1)
 			back[i][j] = -1
 		}
-		wtbl := candidateDistTable(ctx, m.G, ts, cands[i-1], cands[i])
+		wtbl := candidateDistTable(m.G, cands[i-1], cands[i])
 		for pj := range cands[i-1] {
 			if math.IsInf(score[i-1][pj], -1) {
 				continue
@@ -132,5 +120,5 @@ func (m *HMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, err
 	for a, b := 0, len(locs)-1; a < b; a, b = a+1, b-1 {
 		locs[a], locs[b] = locs[b], locs[a]
 	}
-	return stitchLocations(ctx, m.G, locs)
+	return stitchLocations(m.G, locs)
 }

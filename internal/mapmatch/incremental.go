@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/geo"
-	"repro/internal/graphalg"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -32,20 +31,12 @@ func (m *Incremental) Name() string { return "incremental" }
 
 // Match implements Matcher.
 func (m *Incremental) Match(t *traj.Trajectory) (roadnet.Route, error) {
-	return m.match(context.Background(), t)
-}
-
-func (m *Incremental) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
 	if t.Len() == 0 {
 		return nil, ErrNoRoute
 	}
-	done := ctx.Done()
 	locs := make([]roadnet.Location, 0, t.Len())
 	prevEdge := roadnet.NoEdge
 	for i, p := range t.Points {
-		if graphalg.Stopped(done) {
-			return nil, ctx.Err()
-		}
 		cands := candidatesFor(m.G, p.Pt, m.Params)
 		if len(cands) == 0 {
 			continue
@@ -61,7 +52,7 @@ func (m *Incremental) match(ctx context.Context, t *traj.Trajectory) (roadnet.Ro
 		}
 		var hops []int
 		if prevEdge != roadnet.NoEdge {
-			hops = m.G.EdgeHopsCtx(ctx, prevEdge, m.HopLimit)
+			hops = m.G.EdgeHopsCtx(context.Background(), prevEdge, m.HopLimit)
 		}
 		best, bestScore := cands[0], math.Inf(-1)
 		for _, c := range cands {
@@ -73,7 +64,7 @@ func (m *Incremental) match(ctx context.Context, t *traj.Trajectory) (roadnet.Ro
 		locs = append(locs, roadnet.Location{Edge: best.Edge, Offset: best.Offset})
 		prevEdge = best.Edge
 	}
-	return stitchLocations(ctx, m.G, locs)
+	return stitchLocations(m.G, locs)
 }
 
 // score combines projection distance, heading agreement and topological

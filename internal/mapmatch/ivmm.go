@@ -1,10 +1,8 @@
 package mapmatch
 
 import (
-	"context"
 	"math"
 
-	"repro/internal/graphalg"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -34,10 +32,6 @@ func (m *IVMM) Name() string { return "ivmm" }
 
 // Match implements Matcher.
 func (m *IVMM) Match(t *traj.Trajectory) (roadnet.Route, error) {
-	return m.match(context.Background(), t)
-}
-
-func (m *IVMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
 	n := t.Len()
 	if n == 0 {
 		return nil, ErrNoRoute
@@ -58,18 +52,11 @@ func (m *IVMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, er
 	// temporal), with unreachable transitions at -Inf.
 	F := make([][][]float64, n)
 	st := &STMatcher{G: m.G, Params: m.Params}
-	ts := m.G.NewTableSession()
-	done := ctx.Done()
 	for i := 1; i < n; i++ {
-		if graphalg.Stopped(done) {
-			ts.Close()
-			return nil, ctx.Err()
-		}
 		straight := t.Points[i-1].Pt.Dist(t.Points[i].Pt)
 		dt := t.Points[i].T - t.Points[i-1].T
-		F[i] = st.transitionScores(ctx, ts, cands[i-1], cands[i], straight, dt)
+		F[i] = st.transitionScores(cands[i-1], cands[i], straight, dt)
 	}
-	ts.Close()
 
 	// Interactive voting.
 	votes := make([][]int, n)
@@ -78,9 +65,6 @@ func (m *IVMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, er
 	}
 	weights := make([]float64, n)
 	for i := 0; i < n; i++ {
-		if graphalg.Stopped(done) {
-			return nil, ctx.Err()
-		}
 		for tt := 0; tt < n; tt++ {
 			d := t.Points[i].Pt.Dist(t.Points[tt].Pt)
 			weights[tt] = math.Exp(-(d / m.Beta) * (d / m.Beta))
@@ -108,7 +92,7 @@ func (m *IVMM) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, er
 		}
 		locs = append(locs, roadnet.Location{Edge: cands[i][best].Edge, Offset: cands[i][best].Offset})
 	}
-	return stitchLocations(ctx, m.G, locs)
+	return stitchLocations(m.G, locs)
 }
 
 // constrainedViterbi finds the best candidate sequence subject to point

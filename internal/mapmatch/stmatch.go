@@ -1,7 +1,6 @@
 package mapmatch
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/graphalg"
@@ -33,10 +32,6 @@ func (m *STMatcher) Name() string { return "st-matching" }
 
 // Match implements Matcher.
 func (m *STMatcher) Match(t *traj.Trajectory) (roadnet.Route, error) {
-	return m.match(context.Background(), t)
-}
-
-func (m *STMatcher) match(ctx context.Context, t *traj.Trajectory) (roadnet.Route, error) {
 	if t.Len() == 0 {
 		return nil, ErrNoRoute
 	}
@@ -51,12 +46,6 @@ func (m *STMatcher) match(ctx context.Context, t *traj.Trajectory) (roadnet.Rout
 		return roadnet.Route{cands[0][0].Edge}, nil
 	}
 
-	// One table session serves the whole DP: consecutive point pairs share
-	// candidate vertices, so the CH oracle reuses their backward cones
-	// instead of re-running one search per pair (answers are identical).
-	ts := m.G.NewTableSession()
-	defer ts.Close()
-
 	// DP over the candidate graph: score[i][j] = best cumulative score of a
 	// path ending at candidate j of point i.
 	n := t.Len()
@@ -68,11 +57,7 @@ func (m *STMatcher) match(ctx context.Context, t *traj.Trajectory) (roadnet.Rout
 		score[0][j] = observation(c.Dist, m.Params.GPSSigma)
 		back[0][j] = -1
 	}
-	done := ctx.Done()
 	for i := 1; i < n; i++ {
-		if graphalg.Stopped(done) {
-			return nil, ctx.Err()
-		}
 		score[i] = make([]float64, len(cands[i]))
 		back[i] = make([]int, len(cands[i]))
 		straight := t.Points[i-1].Pt.Dist(t.Points[i].Pt)
@@ -81,7 +66,7 @@ func (m *STMatcher) match(ctx context.Context, t *traj.Trajectory) (roadnet.Rout
 			score[i][j] = math.Inf(-1)
 			back[i][j] = -1
 		}
-		f := m.transitionScores(ctx, ts, cands[i-1], cands[i], straight, dt)
+		f := m.transitionScores(cands[i-1], cands[i], straight, dt)
 		for pj := range cands[i-1] {
 			for j := range cands[i] {
 				if math.IsInf(f[pj][j], -1) {
@@ -132,20 +117,19 @@ func (m *STMatcher) match(ctx context.Context, t *traj.Trajectory) (roadnet.Rout
 	for a, b := 0, len(locs)-1; a < b; a, b = a+1, b-1 {
 		locs[a], locs[b] = locs[b], locs[a]
 	}
-	return stitchLocations(ctx, m.G, locs)
+	return stitchLocations(m.G, locs)
 }
 
 // transitionScores returns the ST-Matching transition matrix f[pj][j]:
 // the score for entering candidate j of the current point from candidate
-// pj of the previous one. Network distances come from a single batched
-// oracle probe per point pair (candidateDistTable) instead of one full
-// Dijkstra per previous candidate; unreachable transitions are explicit
+// pj of the previous one. Network distances come from one distance table
+// per point pair (candidateDistTable); unreachable transitions are explicit
 // -Inf entries, and neither the transmission term nor the temporal
 // speed-constraint cosine (with its denominator) is computed for them.
 // The observation term and the speed-limit lookups are hoisted out of the
 // transition loop.
-func (m *STMatcher) transitionScores(ctx context.Context, ts graphalg.TableSession, prev, cur []roadnet.Candidate, straight, dt float64) [][]float64 {
-	f := candidateDistTable(ctx, m.G, ts, prev, cur)
+func (m *STMatcher) transitionScores(prev, cur []roadnet.Candidate, straight, dt float64) [][]float64 {
+	f := candidateDistTable(m.G, prev, cur)
 	obs := make([]float64, len(cur))
 	u2 := make([]float64, len(cur))
 	for j, c := range cur {
@@ -172,9 +156,12 @@ func (m *STMatcher) transitionScores(ctx context.Context, ts graphalg.TableSessi
 }
 
 // candidateDistTable returns the driving distance from every candidate of
-// prev to every candidate of cur (+Inf when unreachable), resolving the
-// vertex-to-vertex legs with one batched table query through ts.
-func candidateDistTable(ctx context.Context, g *roadnet.Graph, ts graphalg.TableSession, prev, cur []roadnet.Candidate) [][]float64 {
+// prev to every candidate of cur (+Inf when unreachable). The
+// vertex-to-vertex legs come from one graphalg.DistanceTable: a Dijkstra per
+// previous candidate that stops once every current candidate's start vertex
+// has settled, so each search reaches only as far as the gap between the two
+// fixes demands.
+func candidateDistTable(g *roadnet.Graph, prev, cur []roadnet.Candidate) [][]float64 {
 	srcs := make([]roadnet.VertexID, len(prev))
 	for pj, pc := range prev {
 		srcs[pj] = g.Seg(pc.Edge).To
@@ -183,7 +170,7 @@ func candidateDistTable(ctx context.Context, g *roadnet.Graph, ts graphalg.Table
 	for j, c := range cur {
 		dsts[j] = g.Seg(c.Edge).From
 	}
-	tbl := ts.TableCtx(ctx, srcs, dsts)
+	tbl := graphalg.DistanceTable(g.VertexGraph(), srcs, dsts)
 	for pj, pc := range prev {
 		sa := g.Seg(pc.Edge)
 		row := tbl[pj]

@@ -1,7 +1,6 @@
 package mapmatch
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -35,9 +34,7 @@ func TestTransitionScoresDisconnected(t *testing.T) {
 	if len(prev) == 0 || len(cur) == 0 {
 		t.Fatalf("no candidates: prev=%d cur=%d", len(prev), len(cur))
 	}
-	ts := g.NewTableSession()
-	defer ts.Close()
-	f := m.transitionScores(context.Background(), ts, prev, cur, 400, 60)
+	f := m.transitionScores(prev, cur, 400, 60)
 	for pj := range f {
 		for j, s := range f[pj] {
 			if math.IsNaN(s) {
@@ -51,7 +48,7 @@ func TestTransitionScoresDisconnected(t *testing.T) {
 
 	// Sanity check of the reachable direction within one component.
 	cur1 := candidatesFor(g, geo.Pt(80, 5), m.Params)
-	f = m.transitionScores(context.Background(), ts, prev, cur1, 30, 10)
+	f = m.transitionScores(prev, cur1, 30, 10)
 	finite := false
 	for pj := range f {
 		for _, s := range f[pj] {

@@ -7,10 +7,11 @@ import "repro/internal/graphalg"
 type AccelMode int
 
 const (
-	// AccelCH (the default) answers queries from a contraction hierarchy
-	// built lazily on first use: preprocessing once per network, then
-	// point-to-point and many-to-many queries explore only the tiny
-	// upward search cones.
+	// AccelCH (the default) answers point-to-point queries from a
+	// contraction hierarchy built lazily on first use: preprocessing once
+	// per network, then each query explores only the tiny upward search
+	// cones. Many-to-many distance tables never use it (see
+	// graphalg.DistanceTable).
 	AccelCH AccelMode = iota
 	// AccelDijkstra answers every query with plain Dijkstra/A*. No
 	// preprocessing; the always-correct fallback and behavioural
@@ -78,15 +79,4 @@ func (g *Graph) OracleStats() (graphalg.CHStats, bool) {
 		return graphalg.CHStats{}, false
 	}
 	return *g.oracleStats, true
-}
-
-// NewTableSession opens a distance-table session against the graph's
-// oracle: a burst of related |srcs|×|dsts| shortest-distance tables (one
-// per adjacent point pair of a matcher's dynamic program — one oracle probe
-// per point pair instead of one full Dijkstra per candidate) that may share
-// backward search state between them. Results are identical to per-call
-// tables.
-// Sessions are not safe for concurrent use and must be Closed.
-func (g *Graph) NewTableSession() graphalg.TableSession {
-	return graphalg.NewTableSession(g.Oracle())
 }
