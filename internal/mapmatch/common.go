@@ -8,6 +8,7 @@ package mapmatch
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -52,9 +53,87 @@ func candidatesFor(g *roadnet.Graph, p geo.Point, prm Params) []roadnet.Candidat
 	return cands
 }
 
+// candidateLayers returns every point's candidates, or ErrNoRoute when the
+// trajectory is empty or a point has none: the layers of the dynamic
+// programs below.
+func candidateLayers(g *roadnet.Graph, t *traj.Trajectory, prm Params) ([][]roadnet.Candidate, error) {
+	if t.Len() == 0 {
+		return nil, ErrNoRoute
+	}
+	cands := make([][]roadnet.Candidate, t.Len())
+	for i, p := range t.Points {
+		if cands[i] = candidatesFor(g, p.Pt, prm); len(cands[i]) == 0 {
+			return nil, ErrNoRoute
+		}
+	}
+	return cands, nil
+}
+
 // observation is the GPS error likelihood N(dist; 0, σ) up to a constant.
 func observation(dist, sigma float64) float64 {
 	return math.Exp(-dist * dist / (2 * sigma * sigma))
+}
+
+// viterbi is the forward pass ST-Matching, HMM and IVMM share over the
+// candidate layers: score[i][j] is the best score of a chain ending at
+// candidate j of point i, back[i][j] its predecessor in layer i-1. A
+// candidate takes the best step(i, pj, j, score[i-1][pj]) over the finite
+// predecessors — strictly greater, so the lowest pj keeps a tie — and step
+// returns -Inf for a transition that does not exist. Layer 0, and any layer
+// no transition reaches (outlier tolerance), starts the chain afresh:
+// score init(i, j), back -1. step receives the predecessor's score so each
+// matcher keeps its own float64 evaluation order.
+func viterbi(cands [][]roadnet.Candidate, init func(i, j int) float64, step func(i, pj, j int, prev float64) float64) (score [][]float64, back [][]int) {
+	score = make([][]float64, len(cands))
+	back = make([][]int, len(cands))
+	for i := range cands {
+		score[i] = make([]float64, len(cands[i]))
+		back[i] = make([]int, len(cands[i]))
+		dead := true
+		for j := range cands[i] {
+			score[i][j], back[i][j] = math.Inf(-1), -1
+			if i == 0 {
+				continue
+			}
+			for pj, prev := range score[i-1] {
+				if math.IsInf(prev, -1) {
+					continue
+				}
+				if s := step(i, pj, j, prev); s > score[i][j] {
+					score[i][j], back[i][j] = s, pj
+				}
+			}
+			dead = dead && math.IsInf(score[i][j], -1)
+		}
+		if dead {
+			for j := range cands[i] {
+				score[i][j] = init(i, j)
+			}
+		}
+	}
+	return score, back
+}
+
+// bestLocations traces the best chain back from the top-scoring last
+// candidate (the lowest index on a tie) to its start and returns its
+// locations in trajectory order. Points before the chain's last restart
+// could not connect and are dropped.
+func bestLocations(cands [][]roadnet.Candidate, score [][]float64, back [][]int) []roadnet.Location {
+	n := len(cands)
+	j := 0
+	for k, s := range score[n-1] {
+		if s > score[n-1][j] {
+			j = k
+		}
+	}
+	locs := make([]roadnet.Location, 0, n)
+	for i := n - 1; j >= 0; i-- {
+		c := cands[i][j]
+		locs = append(locs, roadnet.Location{Edge: c.Edge, Offset: c.Offset})
+		j = back[i][j]
+	}
+	slices.Reverse(locs)
+	return locs
 }
 
 // StitchLocations connects a sequence of matched network locations into a
@@ -62,7 +141,19 @@ func observation(dist, sigma float64) float64 {
 // are skipped (the later location is dropped), mirroring how practical
 // matchers tolerate outliers. It fails only when no two locations connect.
 func StitchLocations(g *roadnet.Graph, locs []roadnet.Location) (roadnet.Route, error) {
-	return stitchLocations(g, locs)
+	var st stitcher
+	for _, l := range locs {
+		var part roadnet.Route
+		ok := false
+		if st.have {
+			part, _, ok = g.PathBetweenLocations(st.cur, l)
+		}
+		st.step(g, l, part, ok)
+	}
+	if !st.have {
+		return nil, ErrNoRoute
+	}
+	return st.route, nil
 }
 
 // stitcher grows one route location by location: the stitch step every
@@ -88,22 +179,6 @@ func (s *stitcher) step(g *roadnet.Graph, l roadnet.Location, part roadnet.Route
 	if joined, ok := s.route.AppendConcat(g, part); ok {
 		s.route, s.cur = joined, l
 	}
-}
-
-func stitchLocations(g *roadnet.Graph, locs []roadnet.Location) (roadnet.Route, error) {
-	var st stitcher
-	for _, l := range locs {
-		var part roadnet.Route
-		ok := false
-		if st.have {
-			part, _, ok = g.PathBetweenLocations(st.cur, l)
-		}
-		st.step(g, l, part, ok)
-	}
-	if !st.have {
-		return nil, ErrNoRoute
-	}
-	return st.route, nil
 }
 
 // snapMode says which neighbour supplies the travel heading for a snap:

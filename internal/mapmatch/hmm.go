@@ -34,91 +34,27 @@ func (m *HMM) Name() string { return "hmm" }
 
 // Match implements Matcher.
 func (m *HMM) Match(t *traj.Trajectory) (roadnet.Route, error) {
-	n := t.Len()
-	if n == 0 {
-		return nil, ErrNoRoute
+	cands, err := candidateLayers(m.G, t, m.Params)
+	if err != nil {
+		return nil, err
 	}
-	cands := make([][]roadnet.Candidate, n)
-	for i, p := range t.Points {
-		cands[i] = candidatesFor(m.G, p.Pt, m.Params)
-		if len(cands[i]) == 0 {
-			return nil, ErrNoRoute
-		}
+	W := make([][][]float64, len(cands))
+	for i := 1; i < len(cands); i++ {
+		W[i] = candidateDistTable(m.G, cands[i-1], cands[i])
 	}
-	if n == 1 {
-		return roadnet.Route{cands[0][0].Edge}, nil
-	}
-
-	logEmission := func(c roadnet.Candidate) float64 {
+	logEmission := func(i, j int) float64 {
+		c := cands[i][j]
 		return -c.Dist * c.Dist / (2 * m.Params.GPSSigma * m.Params.GPSSigma)
 	}
-	score := make([][]float64, n)
-	back := make([][]int, n)
-	score[0] = make([]float64, len(cands[0]))
-	back[0] = make([]int, len(cands[0]))
-	for j, c := range cands[0] {
-		score[0][j] = logEmission(c)
-		back[0][j] = -1
-	}
-	for i := 1; i < n; i++ {
-		straight := t.Points[i-1].Pt.Dist(t.Points[i].Pt)
-		score[i] = make([]float64, len(cands[i]))
-		back[i] = make([]int, len(cands[i]))
-		for j := range score[i] {
-			score[i][j] = math.Inf(-1)
-			back[i][j] = -1
+	// A dead layer restarts the chain: their "broken" HMM handling.
+	score, back := viterbi(cands, logEmission, func(i, pj, j int, prev float64) float64 {
+		w := W[i][pj][j]
+		if math.IsInf(w, 1) {
+			return math.Inf(-1)
 		}
-		wtbl := candidateDistTable(m.G, cands[i-1], cands[i])
-		for pj := range cands[i-1] {
-			if math.IsInf(score[i-1][pj], -1) {
-				continue
-			}
-			for j, c := range cands[i] {
-				w := wtbl[pj][j]
-				if math.IsInf(w, 1) {
-					continue
-				}
-				// Newson–Krumm transition: exp(-|d_route − d_line|/β).
-				logTrans := -math.Abs(w-straight) / m.Beta
-				if s := score[i-1][pj] + logTrans + logEmission(c); s > score[i][j] {
-					score[i][j] = s
-					back[i][j] = pj
-				}
-			}
-		}
-		// HMM break (their "broken" handling): restart on a dead layer.
-		allDead := true
-		for j := range score[i] {
-			if !math.IsInf(score[i][j], -1) {
-				allDead = false
-				break
-			}
-		}
-		if allDead {
-			for j, c := range cands[i] {
-				score[i][j] = logEmission(c)
-				back[i][j] = -1
-			}
-		}
-	}
-	bestJ := 0
-	for j := range score[n-1] {
-		if score[n-1][j] > score[n-1][bestJ] {
-			bestJ = j
-		}
-	}
-	locs := make([]roadnet.Location, 0, n)
-	j := bestJ
-	for i := n - 1; i >= 0; i-- {
-		c := cands[i][j]
-		locs = append(locs, roadnet.Location{Edge: c.Edge, Offset: c.Offset})
-		if back[i][j] == -1 && i > 0 {
-			break
-		}
-		j = back[i][j]
-	}
-	for a, b := 0, len(locs)-1; a < b; a, b = a+1, b-1 {
-		locs[a], locs[b] = locs[b], locs[a]
-	}
-	return stitchLocations(m.G, locs)
+		// Newson–Krumm transition: exp(-|d_route − d_line|/β).
+		logTrans := -math.Abs(w-t.Points[i-1].Pt.Dist(t.Points[i].Pt)) / m.Beta
+		return prev + logTrans + logEmission(i, j)
+	})
+	return StitchLocations(m.G, bestLocations(cands, score, back))
 }

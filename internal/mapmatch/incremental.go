@@ -64,7 +64,7 @@ func (m *Incremental) Match(t *traj.Trajectory) (roadnet.Route, error) {
 		locs = append(locs, roadnet.Location{Edge: best.Edge, Offset: best.Offset})
 		prevEdge = best.Edge
 	}
-	return stitchLocations(m.G, locs)
+	return StitchLocations(m.G, locs)
 }
 
 // score combines projection distance, heading agreement and topological

@@ -32,31 +32,15 @@ func (m *IVMM) Name() string { return "ivmm" }
 
 // Match implements Matcher.
 func (m *IVMM) Match(t *traj.Trajectory) (roadnet.Route, error) {
-	n := t.Len()
-	if n == 0 {
-		return nil, ErrNoRoute
+	cands, err := candidateLayers(m.G, t, m.Params)
+	if err != nil {
+		return nil, err
 	}
-	cands := make([][]roadnet.Candidate, n)
-	for i, p := range t.Points {
-		cands[i] = candidatesFor(m.G, p.Pt, m.Params)
-		if len(cands[i]) == 0 {
-			return nil, ErrNoRoute
-		}
-	}
-	if n == 1 {
-		return roadnet.Route{cands[0][0].Edge}, nil
-	}
-
+	n := len(cands)
 	// Static score tensor F[i][pj][j]: transitioning into candidate j of
 	// point i from candidate pj of point i-1 (observation × transmission ×
 	// temporal), with unreachable transitions at -Inf.
-	F := make([][][]float64, n)
-	st := &STMatcher{G: m.G, Params: m.Params}
-	for i := 1; i < n; i++ {
-		straight := t.Points[i-1].Pt.Dist(t.Points[i].Pt)
-		dt := t.Points[i].T - t.Points[i-1].T
-		F[i] = st.transitionScores(cands[i-1], cands[i], straight, dt)
-	}
+	F := (&STMatcher{G: m.G, Params: m.Params}).transitions(t, cands)
 
 	// Interactive voting.
 	votes := make([][]int, n)
@@ -92,7 +76,7 @@ func (m *IVMM) Match(t *traj.Trajectory) (roadnet.Route, error) {
 		}
 		locs = append(locs, roadnet.Location{Edge: cands[i][best].Edge, Offset: cands[i][best].Offset})
 	}
-	return stitchLocations(m.G, locs)
+	return StitchLocations(m.G, locs)
 }
 
 // constrainedViterbi finds the best candidate sequence subject to point
@@ -101,55 +85,17 @@ func (m *IVMM) Match(t *traj.Trajectory) (roadnet.Route, error) {
 // valid sequence exists.
 func (m *IVMM) constrainedViterbi(cands [][]roadnet.Candidate, F [][][]float64, weights []float64, fixI, fixJ int) []int {
 	n := len(cands)
-	score := make([][]float64, n)
-	back := make([][]int, n)
-	for i := range score {
-		score[i] = make([]float64, len(cands[i]))
-		back[i] = make([]int, len(cands[i]))
-	}
-	for j, c := range cands[0] {
-		if fixI == 0 && j != fixJ {
-			score[0][j] = math.Inf(-1)
-		} else {
-			score[0][j] = weights[0] * observation(c.Dist, m.Params.GPSSigma)
+	score, back := viterbi(cands, func(i, j int) float64 {
+		if i == fixI && j != fixJ {
+			return math.Inf(-1)
 		}
-		back[0][j] = -1
-	}
-	for i := 1; i < n; i++ {
-		for j := range cands[i] {
-			score[i][j] = math.Inf(-1)
-			back[i][j] = -1
-			if fixI == i && j != fixJ {
-				continue
-			}
-			for pj := range cands[i-1] {
-				if math.IsInf(score[i-1][pj], -1) || math.IsInf(F[i][pj][j], -1) {
-					continue
-				}
-				if s := score[i-1][pj] + weights[i]*F[i][pj][j]; s > score[i][j] {
-					score[i][j] = s
-					back[i][j] = pj
-				}
-			}
+		return weights[i] * observation(cands[i][j].Dist, m.Params.GPSSigma)
+	}, func(i, pj, j int, prev float64) float64 {
+		if i == fixI && j != fixJ || math.IsInf(F[i][pj][j], -1) {
+			return math.Inf(-1)
 		}
-		// Dead layer: restart (outlier tolerance), respecting the fix.
-		allDead := true
-		for j := range score[i] {
-			if !math.IsInf(score[i][j], -1) {
-				allDead = false
-				break
-			}
-		}
-		if allDead {
-			for j, c := range cands[i] {
-				if fixI == i && j != fixJ {
-					continue
-				}
-				score[i][j] = weights[i] * observation(c.Dist, m.Params.GPSSigma)
-				back[i][j] = -1
-			}
-		}
-	}
+		return prev + weights[i]*F[i][pj][j]
+	})
 	bestJ, bestS := -1, math.Inf(-1)
 	for j, s := range score[n-1] {
 		if s > bestS {

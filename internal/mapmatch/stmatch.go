@@ -32,92 +32,29 @@ func (m *STMatcher) Name() string { return "st-matching" }
 
 // Match implements Matcher.
 func (m *STMatcher) Match(t *traj.Trajectory) (roadnet.Route, error) {
-	if t.Len() == 0 {
-		return nil, ErrNoRoute
+	cands, err := candidateLayers(m.G, t, m.Params)
+	if err != nil {
+		return nil, err
 	}
-	cands := make([][]roadnet.Candidate, t.Len())
-	for i, p := range t.Points {
-		cands[i] = candidatesFor(m.G, p.Pt, m.Params)
-		if len(cands[i]) == 0 {
-			return nil, ErrNoRoute
-		}
-	}
-	if t.Len() == 1 {
-		return roadnet.Route{cands[0][0].Edge}, nil
-	}
+	F := m.transitions(t, cands)
+	score, back := viterbi(cands, func(i, j int) float64 {
+		return observation(cands[i][j].Dist, m.Params.GPSSigma)
+	}, func(i, pj, j int, prev float64) float64 {
+		return prev + F[i][pj][j]
+	})
+	return StitchLocations(m.G, bestLocations(cands, score, back))
+}
 
-	// DP over the candidate graph: score[i][j] = best cumulative score of a
-	// path ending at candidate j of point i.
-	n := t.Len()
-	score := make([][]float64, n)
-	back := make([][]int, n)
-	score[0] = make([]float64, len(cands[0]))
-	back[0] = make([]int, len(cands[0]))
-	for j, c := range cands[0] {
-		score[0][j] = observation(c.Dist, m.Params.GPSSigma)
-		back[0][j] = -1
-	}
-	for i := 1; i < n; i++ {
-		score[i] = make([]float64, len(cands[i]))
-		back[i] = make([]int, len(cands[i]))
+// transitions returns the static score tensor F[i][pj][j] (F[0] is nil):
+// the transitionScores of every consecutive point pair.
+func (m *STMatcher) transitions(t *traj.Trajectory, cands [][]roadnet.Candidate) [][][]float64 {
+	F := make([][][]float64, len(cands))
+	for i := 1; i < len(cands); i++ {
 		straight := t.Points[i-1].Pt.Dist(t.Points[i].Pt)
 		dt := t.Points[i].T - t.Points[i-1].T
-		for j := range score[i] {
-			score[i][j] = math.Inf(-1)
-			back[i][j] = -1
-		}
-		f := m.transitionScores(cands[i-1], cands[i], straight, dt)
-		for pj := range cands[i-1] {
-			for j := range cands[i] {
-				if math.IsInf(f[pj][j], -1) {
-					continue
-				}
-				if s := score[i-1][pj] + f[pj][j]; s > score[i][j] {
-					score[i][j] = s
-					back[i][j] = pj
-				}
-			}
-		}
-		// If every transition is unreachable, restart the chain at point i
-		// (outlier tolerance).
-		allDead := true
-		for j := range score[i] {
-			if !math.IsInf(score[i][j], -1) {
-				allDead = false
-				break
-			}
-		}
-		if allDead {
-			for j, c := range cands[i] {
-				score[i][j] = observation(c.Dist, m.Params.GPSSigma)
-				back[i][j] = -1
-			}
-		}
+		F[i] = m.transitionScores(cands[i-1], cands[i], straight, dt)
 	}
-
-	// Trace back the best sequence of candidate locations.
-	bestJ := 0
-	for j := range score[n-1] {
-		if score[n-1][j] > score[n-1][bestJ] {
-			bestJ = j
-		}
-	}
-	locs := make([]roadnet.Location, 0, n)
-	j := bestJ
-	for i := n - 1; i >= 0; i-- {
-		c := cands[i][j]
-		locs = append(locs, roadnet.Location{Edge: c.Edge, Offset: c.Offset})
-		if back[i][j] == -1 && i > 0 {
-			// Chain restart: drop earlier points (they could not connect).
-			break
-		}
-		j = back[i][j]
-	}
-	// Reverse into forward order.
-	for a, b := 0, len(locs)-1; a < b; a, b = a+1, b-1 {
-		locs[a], locs[b] = locs[b], locs[a]
-	}
-	return stitchLocations(m.G, locs)
+	return F
 }
 
 // transitionScores returns the ST-Matching transition matrix f[pj][j]:
