@@ -206,29 +206,6 @@ func TestSplicedPairMinimizesDistanceSum(t *testing.T) {
 	}
 }
 
-func TestMaxRefsKeepsNearest(t *testing.T) {
-	g, qi, qj := refWorld()
-	var trs []*traj.Trajectory
-	for k := 0; k < 6; k++ {
-		off := float64(k) * 8
-		trs = append(trs, lineTraj("t", geo.Pt(40, 10+off), geo.Pt(200, 10+off), geo.Pt(350, 10+off)))
-	}
-	a := NewArchive(g, trs)
-	all := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 0})
-	if len(all) != 6 {
-		t.Fatalf("all refs = %d", len(all))
-	}
-	capped := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 0, MaxRefs: 3})
-	if len(capped) != 3 {
-		t.Fatalf("capped refs = %d", len(capped))
-	}
-	for _, r := range capped {
-		if refPoints(a, r)[0].Pt.Y > 10+2*8 {
-			t.Fatal("MaxRefs kept a farther reference over a nearer one")
-		}
-	}
-}
-
 func TestPreprocess(t *testing.T) {
 	// A log with a long stay in the middle becomes two trips.
 	log := &traj.Trajectory{ID: "log"}

@@ -2,9 +2,7 @@ package hist
 
 import (
 	"cmp"
-	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/geo"
@@ -50,9 +48,6 @@ type SearchParams struct {
 	// (§III-A.2); when simple references abound, splicing only adds noisy
 	// crossing-pair pseudo-routes. 0 means always splice.
 	SpliceMinSimple int
-	// MaxRefs caps the number of references returned (0 = unlimited);
-	// nearer references are preferred.
-	MaxRefs int
 	// VMax overrides the road network's maximum speed in Definition 6's
 	// feasibility condition. Required when the archive has no road network
 	// (the network-free extension); 0 uses the network's V_max.
@@ -259,12 +254,6 @@ func (s *Searcher) references(v View, qi, qj traj.GPSPoint, p SearchParams, near
 	if p.SpliceEps > 0 && (p.SpliceMinSimple == 0 || len(refs) < p.SpliceMinSimple) {
 		refs = s.splice(refs, v, qi.Pt, qj.Pt, p.SpliceEps, budget, ni, nj, done)
 	}
-	if p.MaxRefs > 0 && len(refs) > p.MaxRefs {
-		sort.SliceStable(refs, func(x, y int) bool {
-			return refDist(v, refs[x], qi.Pt, qj.Pt) < refDist(v, refs[y], qi.Pt, qj.Pt)
-		})
-		refs = refs[:p.MaxRefs]
-	}
 	return s.publish(refs)
 }
 
@@ -275,19 +264,6 @@ func (s *Searcher) publish(refs []Reference) []Reference {
 		return nil
 	}
 	return append(make([]Reference, 0, len(refs)), refs...)
-}
-
-// refDist orders references by how tightly they bracket the query pair.
-func refDist(v View, r Reference, qi, qj geo.Point) float64 {
-	a, b := r.Runs(v)
-	if len(a) == 0 {
-		return math.Inf(1)
-	}
-	last := a[len(a)-1]
-	if len(b) > 0 {
-		last = b[len(b)-1]
-	}
-	return a[0].Pt.Dist(qi) + last.Pt.Dist(qj)
 }
 
 // speedFeasible checks condition 3 of Definition 6: every point of the

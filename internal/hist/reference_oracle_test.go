@@ -106,21 +106,7 @@ func oracleReferences(v View, qi, qj traj.GPSPoint, p SearchParams, done <-chan 
 	if p.SpliceEps > 0 && (p.SpliceMinSimple == 0 || len(refs) < p.SpliceMinSimple) {
 		refs = append(refs, oracleSplicedReferences(v, qi, qj, p, bestI, bestJ, usedA, vmaxBudget, done)...)
 	}
-
-	if p.MaxRefs > 0 && len(refs) > p.MaxRefs {
-		sort.SliceStable(refs, func(x, y int) bool {
-			return oracleRefDist(refs[x], qi.Pt, qj.Pt) < oracleRefDist(refs[y], qi.Pt, qj.Pt)
-		})
-		refs = refs[:p.MaxRefs]
-	}
 	return refs
-}
-
-func oracleRefDist(r oracleRef, qi, qj geo.Point) float64 {
-	if len(r.Points) == 0 {
-		return math.Inf(1)
-	}
-	return r.Points[0].Pt.Dist(qi) + r.Points[len(r.Points)-1].Pt.Dist(qj)
 }
 
 // canonicalKeys returns the map's trajectory indices in canonical content
@@ -423,30 +409,28 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 		for name, v := range views {
 			for _, phi := range []float64{100, 300, 500, 1000} {
 				for _, minSimple := range []int{0, 8} {
-					for _, maxRefs := range []int{0, 5} {
-						for _, vmax := range []float64{0, 9} {
-							p := SearchParams{Phi: phi, SpliceEps: 200, SpliceMinSimple: minSimple, MaxRefs: maxRefs, VMax: vmax}
-							for _, q := range queries {
-								wants := make([][]oracleRef, q.Len()-1)
-								for i := range wants {
-									qi, qj := q.Points[i], q.Points[i+1]
-									what := fmt.Sprintf("seed %d %s %+v %s pair %d", seed, name, p, q.ID, i)
-									want := oracleReferences(v, qi, qj, p, nil)
-									checkAgainstOracle(t, what, v, References(v, qi, qj, p), want)
-									checkAgainstOracle(t, what+" (carried)", v, carried.references(v, qi, qj, p, nil, nil), want)
-									for _, w := range want {
-										if w.Spliced {
-											spliced++
-										}
+					for _, vmax := range []float64{0, 9} {
+						p := SearchParams{Phi: phi, SpliceEps: 200, SpliceMinSimple: minSimple, VMax: vmax}
+						for _, q := range queries {
+							wants := make([][]oracleRef, q.Len()-1)
+							for i := range wants {
+								qi, qj := q.Points[i], q.Points[i+1]
+								what := fmt.Sprintf("seed %d %s %+v %s pair %d", seed, name, p, q.ID, i)
+								want := oracleReferences(v, qi, qj, p, nil)
+								checkAgainstOracle(t, what, v, References(v, qi, qj, p), want)
+								checkAgainstOracle(t, what+" (carried)", v, carried.references(v, qi, qj, p, nil, nil), want)
+								for _, w := range want {
+									if w.Spliced {
+										spliced++
 									}
-									wants[i] = want
 								}
-								// And back down the query, the order a worker eating a
-								// region from its far end searches in.
-								for i := len(wants) - 1; i >= 0; i-- {
-									what := fmt.Sprintf("seed %d %s %+v %s pair %d (carried backward)", seed, name, p, q.ID, i)
-									checkAgainstOracle(t, what, v, backward.references(v, q.Points[i], q.Points[i+1], p, nil, nil), wants[i])
-								}
+								wants[i] = want
+							}
+							// And back down the query, the order a worker eating a
+							// region from its far end searches in.
+							for i := len(wants) - 1; i >= 0; i-- {
+								what := fmt.Sprintf("seed %d %s %+v %s pair %d (carried backward)", seed, name, p, q.ID, i)
+								checkAgainstOracle(t, what, v, backward.references(v, q.Points[i], q.Points[i+1], p, nil, nil), wants[i])
 							}
 						}
 					}
