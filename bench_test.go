@@ -251,10 +251,9 @@ func BenchmarkFig14bKGRIvsBrute(b *testing.B) {
 
 // BenchmarkHRISQuery measures one full top-K inference end to end — the
 // headline operation of the system. A few untimed queries populate the
-// scratch pools, CH table sessions and reference-search memos first, so
-// allocs/op is the
-// steady-state number the verify.sh alloc-regression gate budgets against
-// (see bench_budget.json).
+// scratch pools, match tables and reference-search memos first, so
+// allocs/op is the steady-state number the verify.sh alloc-regression gate
+// budgets against (see bench_budget.json).
 func BenchmarkHRISQuery(b *testing.B) {
 	w := world(b)
 	qs := w.Queries(1, 180, w.Cfg.QueryLen, 111)
@@ -509,24 +508,12 @@ func BenchmarkIngestDurable(b *testing.B) {
 	b.ReportMetric(float64(lat[len(lat)*95/100].Nanoseconds()), "p95-ns/op")
 }
 
-// BenchmarkSTMatch measures one ST-Matching run, the heaviest competitor:
-// its candidate-pair distance tables go through the oracle's one-to-many
-// batching, so it is the second headline number of the acceleration layer.
+// BenchmarkSTMatch measures one ST-Matching run. Its candidate-pair
+// distance tables come from graphalg.DistanceTable — one Dijkstra per
+// previous candidate, stopped once every current candidate has settled —
+// and not from the oracle, so the two oracle modes time the same tables.
 func BenchmarkSTMatch(b *testing.B) {
 	w := world(b)
-	qs := w.Queries(1, 180, w.Cfg.QueryLen, 113)
-	if len(qs) == 0 {
-		b.Skip("no query")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = w.ST.Match(qs[0].Query)
-	}
-}
-
-// BenchmarkSTMatchDijkstra is BenchmarkSTMatch without the CH oracle.
-func BenchmarkSTMatchDijkstra(b *testing.B) {
-	w := worldDij(b)
 	qs := w.Queries(1, 180, w.Cfg.QueryLen, 113)
 	if len(qs) == 0 {
 		b.Skip("no query")

@@ -22,9 +22,11 @@ go run ./internal/tools/reach
 # thing that produces a performance number. The protocol it replaced must
 # not come back by name, nor the archive's R-tree knob and kNN stream the
 # cell grids replaced, nor the R-tree package internal/grid replaced (the
-# ledger row rtree.range_us keeps its name until the benchmark renames it).
+# ledger row rtree.range_us keeps its name until the benchmark renames it),
+# nor the contraction hierarchy's table engines and the oracle methods
+# graphalg.DistanceTable made redundant, nor the reference-count cap.
 # CHANGES.md, ROADMAP.md and bench/README.md are history and exempt.
-stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)'
+stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs'
 if grep -nE "$stale" README.md DESIGN.md bench_test.go bench_budget.json \
     $(find cmd internal examples -name '*.go'); then
     exit 1
@@ -80,12 +82,14 @@ go test -C bench -timeout 300s ./...
 # transit-trace table scan's to the sorted kNN stream, and the cell grid's
 # to its brute-force scans must give identical verdicts run-to-run
 # (-count=2 defeats test caching and runs each twice in one binary, the
-# second time on warm pools, memos, solver and searcher scratch).
-go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/
+# second time on warm pools, memos, solver and searcher scratch). The
+# matchers' golden digests (TestMatcherGoldenDigests) pin ST-Matching, IVMM,
+# HMM and the incremental matcher on the same terms.
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
 go test -timeout 120s -count=2 ./internal/grid/
 
-# Bench smoke: the acceleration-layer benchmarks (end-to-end HRIS query,
-# ST-Matching, CH build — each in both oracle modes where applicable), the
+# Bench smoke: the acceleration-layer benchmarks (the end-to-end HRIS query
+# in both oracle modes, ST-Matching, the CH build), the
 # warm pair-context assembly benchmark, the warm NNI and TGI pairs, the cold
 # reference search, the live-archive ingest benchmarks (Ingest matches both
 # the in-memory BenchmarkIngest and the WAL-on BenchmarkIngestDurable) and
