@@ -13,8 +13,8 @@ import (
 type searchScratch struct {
 	dist []float64
 	prev []int
-	// closed is A*'s closed set. Dijkstra reads it as the destinations it
-	// has yet to settle (DistanceTable marks them), left of them in all.
+	// closed is A*'s closed set. For Dijkstra it marks the destinations
+	// still to settle and left counts them; DistanceTable sets both.
 	closed []bool
 	left   int
 	h      pq
