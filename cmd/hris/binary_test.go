@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/traj"
 )
 
@@ -32,6 +34,39 @@ func scrape(t *testing.T, base string) obs.Snapshot {
 	return s
 }
 
+// buildBinary builds cmd/hris into dir and returns its path.
+func buildBinary(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "hris")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// writeFile creates dir/name through fn.
+func writeFile(t *testing.T, dir, name string, fn func(io.Writer) error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err = fn(f); err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		t.Fatalf("write %s: %v", name, err)
+	}
+}
+
+// writeDataset writes the dataset directory loadDataset reads, with the
+// given ground-truth routes.
+func writeDataset(t *testing.T, dir string, ds *sim.Dataset, truth map[string][]int) {
+	t.Helper()
+	writeFile(t, dir, "network.json", ds.City.Graph.WriteJSON)
+	writeFile(t, dir, "archive.json", func(w io.Writer) error { return traj.WriteArchive(w, ds.Archive, truth) })
+}
+
 // TestBinaryWiring runs the built binary, not the handlers: what the
 // in-process tests prove about the gate and the stream handler only holds
 // for users if main passes -max-inflight, -queue-depth and -stream-ingest on
@@ -41,25 +76,8 @@ func scrape(t *testing.T, base string) obs.Snapshot {
 func TestBinaryWiring(t *testing.T) {
 	ds := testWorld(t)
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "hris")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	// The dataset directory loadDataset reads.
-	write := func(name string, fn func(io.Writer) error) {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err = fn(f); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			t.Fatalf("write %s: %v", name, err)
-		}
-	}
-	write("network.json", ds.City.Graph.WriteJSON)
-	write("archive.json", func(w io.Writer) error { return traj.WriteArchive(w, ds.Archive, nil) })
+	bin := buildBinary(t, dir)
+	writeDataset(t, dir, ds, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -168,5 +186,56 @@ func TestBinaryWiring(t *testing.T) {
 		}
 	case <-time.After(6 * time.Second):
 		t.Errorf("binary still running 6 s after SIGTERM")
+	}
+}
+
+// TestBinaryRejectsUnknownTruth: a ground-truth route naming a segment the
+// network does not have — in a -query file or in the dataset's archive — is
+// a clean fatal naming the file and the id, not an index-out-of-range panic
+// when A_L or the GeoJSON export scores the route.
+func TestBinaryRejectsUnknownTruth(t *testing.T) {
+	ds := testWorld(t)
+	bin := buildBinary(t, t.TempDir())
+	n := ds.City.Graph.NumSegments()
+	for _, tc := range []struct {
+		name  string
+		truth []int // the bad route
+		query bool  // in a -query file; otherwise in archive.json under -demo
+		id    string
+	}{
+		{"query/negative", []int{0, -1}, true, "-1"},
+		{"query/past-end", []int{n}, true, fmt.Sprint(n)},
+		{"archive/past-end", []int{0, n + 7}, false, fmt.Sprint(n + 7)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := []string{"-data", dir}
+			if tc.query {
+				writeDataset(t, dir, ds, nil)
+				q := worldLight[0]
+				qj := queryJSON{Truth: tc.truth}
+				for _, p := range q.Points {
+					qj.Points = append(qj.Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
+				}
+				writeFile(t, dir, "q.json", func(w io.Writer) error { return json.NewEncoder(w).Encode(qj) })
+				args = append(args, "-query", filepath.Join(dir, "q.json"))
+			} else {
+				// The one trip with a truth route is the one -demo picks.
+				for _, tr := range ds.Archive {
+					if !tr.IsLowSamplingRate() && tr.Len() >= 10 {
+						writeDataset(t, dir, ds, map[string][]int{tr.ID: tc.truth})
+						break
+					}
+				}
+				args = append(args, "-demo")
+			}
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			if err == nil {
+				t.Fatalf("exit 0 with truth %v, want a fatal\n%s", tc.truth, out)
+			}
+			if bytes.Contains(out, []byte("panic:")) || !bytes.Contains(out, []byte("truth segment "+tc.id+" ")) {
+				t.Fatalf("want a clean fatal naming segment %s, got:\n%s", tc.id, out)
+			}
+		})
 	}
 }

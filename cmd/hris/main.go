@@ -30,17 +30,16 @@
 // counters at every N.
 //
 // Durability: -data-dir DIR makes the live archive survive restarts — every
-// ingested batch is appended to a write-ahead log under DIR before it
-// becomes visible, and each compaction round checkpoints the post-seed
-// history as a checksummed segment file. On startup the store recovers from
-// the newest valid segment plus the log (tolerating a torn final record) and
-// resumes at the recovered epoch. -wal-sync picks the log's fsync policy:
-// "always" (default; every batch is on disk before ingest returns),
-// "interval" (background fsync every 200ms; a crash may lose the last
-// interval) or "off" (fsync only at rotation/shutdown). The files are
-// independent of -shards — DIR holds MANIFEST.json, wal-*.log and seg-*.seg
-// at any N — so a directory written at one shard count reopens at another;
-// only the dataset (-data) must stay the same.
+// ingested batch is appended to a checksummed write-ahead log under DIR
+// before it becomes visible. On startup the store replays the log
+// (tolerating a torn final record) and resumes at the recovered epoch.
+// -wal-sync picks the log's fsync policy: "always" (default; every batch is
+// on disk before ingest returns), "interval" (background fsync every 200ms;
+// a crash may lose the last interval) or "off" (fsync only after a
+// compaction round and at shutdown). The files are independent of -shards —
+// DIR holds MANIFEST.json and wal.log at any N — so a directory written at
+// one shard count reopens at another; only the dataset (-data) must stay
+// the same.
 //
 // Observability: -metrics prints the per-stage cost breakdown (count,
 // total, p50/p95/p99/max per pipeline stage — the paper's Figure 9 cost
@@ -166,7 +165,7 @@ func main() {
 		deadline = flag.Duration("deadline", 0, "per-query inference budget (e.g. 50ms); on expiry a best-effort degraded result is returned")
 		follow   = flag.Bool("follow", false, "read NDJSON trips from stdin and ingest them into the live archive")
 		shards   = flag.Int("shards", 1, "spatial shards for the live archive")
-		dataDir  = flag.String("data-dir", "", "persist the live archive under this directory (WAL + segment files); empty = in-memory only")
+		dataDir  = flag.String("data-dir", "", "persist the live archive under this directory (one write-ahead log); empty = in-memory only")
 		walSync  = flag.String("wal-sync", "always", "WAL fsync policy with -data-dir: always, interval or off")
 
 		maxInflight = flag.Int("max-inflight", 0, "max concurrent /infer inferences (< 1 = GOMAXPROCS)")
@@ -260,7 +259,7 @@ func main() {
 	case *demo:
 		q, truth = demoQuery(g, trajs, truths, *seed)
 	case *query != "":
-		q, truth = loadQuery(*query)
+		q, truth = loadQuery(*query, g)
 	case *follow || *httpAddr != "":
 		// Live-ingestion modes need no one-shot query.
 	default:
@@ -378,11 +377,10 @@ func main() {
 
 // logRecovery summarizes what OpenShardedStore restored.
 func logRecovery(rs hist.RecoveryStats) {
-	if rs.Epoch == 0 && rs.SegmentTrips == 0 && rs.WALBatches == 0 {
+	if rs.Epoch == 0 && rs.TornBytes == 0 {
 		return // virgin data directory
 	}
-	msg := fmt.Sprintf("recovered epoch %d (%d segment trips, %d wal batches / %d trips)",
-		rs.Epoch, rs.SegmentTrips, rs.WALBatches, rs.WALTrips)
+	msg := fmt.Sprintf("recovered epoch %d (%d wal batches / %d trips)", rs.Epoch, rs.WALBatches, rs.WALTrips)
 	if rs.TornBytes > 0 {
 		msg += fmt.Sprintf("; dropped %d bytes of torn wal tail", rs.TornBytes)
 	}
@@ -570,7 +568,8 @@ func loadDataset(dir string) (*roadnet.Graph, []*traj.Trajectory, map[string]roa
 	if err != nil {
 		log.Fatalf("read network: %v", err)
 	}
-	af, err := os.Open(filepath.Join(dir, "archive.json"))
+	archive := filepath.Join(dir, "archive.json")
+	af, err := os.Open(archive)
 	if err != nil {
 		log.Fatalf("open archive: %v", err)
 	}
@@ -581,12 +580,23 @@ func loadDataset(dir string) (*roadnet.Graph, []*traj.Trajectory, map[string]roa
 	}
 	truths := make(map[string]roadnet.Route, len(rawTruth))
 	for id, route := range rawTruth {
+		checkTruth(g, archive, route)
 		truths[id] = route
 	}
 	return g, trajs, truths
 }
 
-func loadQuery(path string) (*traj.Trajectory, roadnet.Route) {
+// checkTruth exits through log.Fatalf unless every id of a truth route names
+// a segment of g: A_L and the GeoJSON export index the network by them.
+func checkTruth(g *roadnet.Graph, file string, truth roadnet.Route) {
+	for _, id := range truth {
+		if id < 0 || id >= g.NumSegments() {
+			log.Fatalf("%s: truth segment %d is not in the network (%d segments)", file, id, g.NumSegments())
+		}
+	}
+}
+
+func loadQuery(path string, g *roadnet.Graph) (*traj.Trajectory, roadnet.Route) {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatalf("open query: %v", err)
@@ -600,6 +610,7 @@ func loadQuery(path string) (*traj.Trajectory, roadnet.Route) {
 	for _, p := range qj.Points {
 		q.Points = append(q.Points, traj.GPSPoint{Pt: geo.Pt(p[0], p[1]), T: p[2]})
 	}
+	checkTruth(g, path, qj.Truth)
 	return q, roadnet.Route(qj.Truth)
 }
 

@@ -70,9 +70,9 @@ func runCrash(t *testing.T, st *hist.Store, batches [][]*traj.Trajectory, plan c
 		}
 		if i+1 == plan.compactAt {
 			if plan.midCompaction {
-				// Kill between the WAL append and the checkpoint: the
-				// compaction pass has merged but neither published nor
-				// cued the segment write.
+				// Kill between the WAL append and the log sync that ends
+				// the compaction pass: the pass has merged but neither
+				// published nor synced.
 				hist.CompactBeforePublish = st.CloseAbrupt
 				st.Compact()
 				hist.CompactBeforePublish = nil
@@ -164,8 +164,8 @@ func TestDurableShardedCrashRecoveryEquivalence(t *testing.T) {
 
 // TestDurableShardedSyncOffPrefix: under SyncOff the acknowledged-but-
 // unsynced tail is genuinely lost on a crash, and the recovered store equals
-// an uninterrupted store over just the segment-covered prefix — never a torn
-// mixture.
+// an uninterrupted store over just the prefix the last compaction synced —
+// never a torn mixture.
 func TestDurableShardedSyncOffPrefix(t *testing.T) {
 	ds, queries := liveWorld(140, 31)
 	batches := durableBatches(ds.Archive, 55)
@@ -181,7 +181,7 @@ func TestDurableShardedSyncOffPrefix(t *testing.T) {
 			for i := 0; i < durable; i++ {
 				st.IngestTrips(batches[i]...)
 			}
-			st.Compact() // checkpoints a segment covering epochs 1..durable
+			st.Compact() // ends with a log sync covering epochs 1..durable
 			st.Wait()
 			for i := durable; i < len(batches); i++ {
 				if stats := st.IngestTrips(batches[i]...); stats.Durability != hist.DurabilityLogged {
@@ -193,7 +193,7 @@ func TestDurableShardedSyncOffPrefix(t *testing.T) {
 			rec, rs := openDurable(t, dir, ds, cfg)
 			defer rec.Close()
 			if rs.Epoch != uint64(durable) {
-				t.Fatalf("recovered epoch %d, want the segment-covered prefix %d", rs.Epoch, durable)
+				t.Fatalf("recovered epoch %d, want the compaction-synced prefix %d", rs.Epoch, durable)
 			}
 			checkRecovered(t, rec, ds, cfg, batches, uint64(durable), queries)
 		})
@@ -201,8 +201,8 @@ func TestDurableShardedSyncOffPrefix(t *testing.T) {
 }
 
 // TestDurableShardedReshardOnReopen: the files do not depend on the partition, so
-// a directory written at one shard — part checkpointed, part only logged —
-// and killed reopens at 4 and at 9 shards as exactly the store an
+// a directory written at one shard — with batches logged on both sides of a
+// compaction — and killed reopens at 4 and at 9 shards as exactly the store an
 // uninterrupted store of that shard count would be.
 func TestDurableShardedReshardOnReopen(t *testing.T) {
 	ds, queries := liveWorld(140, 47)
@@ -213,8 +213,8 @@ func TestDurableShardedReshardOnReopen(t *testing.T) {
 	for _, n := range []int{4, 9} {
 		cfg := durableConfig(n, hist.SyncAlways)
 		rec, rs := openDurable(t, dir, ds, cfg)
-		if rs.Epoch != wantEpoch || rs.SegmentTrips == 0 || rs.WALBatches == 0 {
-			t.Fatalf("shards=%d: recovery stats %+v, want epoch %d from a segment plus the log", n, rs, wantEpoch)
+		if rs.Epoch != wantEpoch || rs.WALBatches != int(wantEpoch) {
+			t.Fatalf("shards=%d: recovery stats %+v, want epoch %d from as many wal batches", n, rs, wantEpoch)
 		}
 		if got := len(rec.Stats().Shards); got != n {
 			t.Fatalf("reopened with %d shards, want %d", got, n)

@@ -216,14 +216,11 @@ func histQuantile(h *runtimemetrics.Float64Histogram, pct int) float64 {
 }
 
 // foldDiskGauges adds a durable store's on-disk state to the snapshot:
-// live WAL and segment bytes plus the active fsync policy (in-memory
-// stores report none of them, so the gauges double as a durability flag).
+// WAL bytes plus the active fsync policy (in-memory stores report neither,
+// so the gauges double as a durability flag).
 func foldDiskGauges(counters map[string]uint64, stats hist.StoreStats) {
 	if stats.WALBytes > 0 || stats.Durability != "" {
 		counters["store.disk.wal_bytes"] = uint64(stats.WALBytes)
-	}
-	if stats.SegmentBytes > 0 {
-		counters["store.disk.segment_bytes"] = uint64(stats.SegmentBytes)
 	}
 	switch stats.Durability {
 	case "always":

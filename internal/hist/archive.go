@@ -16,8 +16,7 @@
 // single-shard fast path when the search box fits one halo cell and
 // otherwise scatter over the overlapping shards with home-ownership dedup,
 // so answers never depend on N. A store opened with OpenShardedStore is
-// also durable: a write-ahead log and checkpoint segment files, independent
-// of N.
+// also durable: one write-ahead log, independent of N.
 package hist
 
 import (

@@ -10,7 +10,7 @@ import (
 	"repro/internal/traj"
 )
 
-// On-disk encoding shared by the write-ahead log and the segment files.
+// On-disk encoding of the write-ahead log.
 //
 // Everything on disk is built from one primitive, the framed record:
 //
@@ -26,8 +26,7 @@ import (
 //
 //	[u32 id length][id bytes][u32 point count][points: x, y, t float64 bits]
 //
-// and a batch — the payload of one WAL record and of one segment-file block
-// alike — as
+// and a batch — the payload of one WAL record — as
 //
 //	[u64 epoch][u32 trip count][trips]
 //
@@ -56,8 +55,7 @@ func appendFrame(buf, payload []byte) []byte {
 
 // readFrame decodes the framed record at the start of b, returning the
 // payload and the remaining bytes. Any truncation or checksum mismatch
-// returns an error — the caller decides whether that means "torn tail,
-// truncate here" (WAL) or "reject the file" (segment).
+// returns an error, which the log scan reads as "torn tail, truncate here".
 func readFrame(b []byte) (payload, rest []byte, err error) {
 	if len(b) < frameHeaderSize {
 		return nil, nil, fmt.Errorf("hist: frame truncated: %d header bytes", len(b))

@@ -18,15 +18,14 @@ import (
 // This file is the durability layer of the live archive, and it sits above
 // sharding: a Store opened with OpenShardedStore (instead of NewStore or
 // NewShardedStore) writes every admitted batch to one write-ahead log before
-// any shard sees it, checkpoints its whole post-seed history to one series
-// of segment files after every compaction pass, and rebuilds itself from
-// those two artifacts on the next open — at the same epoch and fingerprint,
-// with byte-identical inference answers over the durable prefix of batches.
-// How the archive is partitioned is a property of the running process, not
-// of the files, so a directory reopens at any shard count. Readers are
-// untouched: the View/Snapshot contract, the canonical result ordering and
-// the epoch-tagged caches all work unchanged over a recovered store, because
-// recovery replays batches through the exact construction path ingest uses.
+// any shard sees it, and rebuilds itself from that log on the next open — at
+// the same epoch and fingerprint, with byte-identical inference answers over
+// the durable prefix of batches. How the archive is partitioned is a
+// property of the running process, not of the file, so a directory reopens
+// at any shard count. Readers are untouched: the View/Snapshot contract, the
+// canonical result ordering and the epoch-tagged caches all work unchanged
+// over a recovered store, because recovery replays batches through the
+// exact construction path ingest uses.
 
 // SyncPolicy selects when WAL records reach stable storage. The zero value
 // is SyncAlways — a durable store is safe by default.
@@ -36,12 +35,12 @@ const (
 	// SyncAlways fsyncs the log before an ingest returns: an acknowledged
 	// batch survives both process death and machine crash.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background tick (StoreConfig.WALSyncEvery):
-	// an acknowledged batch may be lost if a crash beats the next tick.
+	// SyncInterval fsyncs on a background tick (walSyncInterval): an
+	// acknowledged batch may be lost if a crash beats the next tick.
 	SyncInterval
-	// SyncOff never fsyncs during operation (only at clean Close): records
-	// sit in a user-space buffer and the page cache, so a crash loses
-	// everything since the last checkpoint.
+	// SyncOff fsyncs only at the end of a compaction pass and at clean
+	// Close: records sit in a user-space buffer and the page cache, so a
+	// crash loses everything since the last compaction.
 	SyncOff
 )
 
@@ -68,8 +67,8 @@ func (p SyncPolicy) String() string {
 	return "always"
 }
 
-// DefaultWALSyncInterval is the SyncInterval tick when WALSyncEvery is zero.
-const DefaultWALSyncInterval = 200 * time.Millisecond
+// walSyncInterval is the SyncInterval background fsync period.
+const walSyncInterval = 200 * time.Millisecond
 
 // Durability values reported in IngestStats: how far the batch had
 // provably traveled when the ingest call returned.
@@ -90,21 +89,20 @@ const (
 
 // RecoveryStats summarizes what OpenShardedStore rebuilt.
 type RecoveryStats struct {
-	Epoch        uint64 `json:"epoch"`         // store epoch after recovery
-	SegmentTrips int    `json:"segment_trips"` // trips loaded from the newest valid segment file
-	WALBatches   int    `json:"wal_batches"`   // batch records replayed from the log
-	WALTrips     int    `json:"wal_trips"`     // trips replayed from the log
-	TornBytes    int64  `json:"torn_bytes"`    // log bytes discarded (torn tail etc.)
+	Epoch      uint64 `json:"epoch"`       // store epoch after recovery
+	WALBatches int    `json:"wal_batches"` // batch records replayed from the log
+	WALTrips   int    `json:"wal_trips"`   // trips replayed from the log
+	TornBytes  int64  `json:"torn_bytes"`  // log bytes discarded (torn tail etc.)
 }
 
 const (
 	manifestName    = "MANIFEST.json"
-	manifestVersion = 2
+	manifestVersion = 3
 )
 
-// manifest pins a data directory to the seed it was created over: the files
-// hold only post-seed history, so reopening with a different seed would
-// silently reinterpret them. Nothing else about the opener matters — in
+// manifest pins a data directory to the seed it was created over: the log
+// holds only post-seed history, so reopening with a different seed would
+// silently reinterpret it. Nothing else about the opener matters — in
 // particular not its shard count or halo.
 type manifest struct {
 	Version   int    `json:"version"`
@@ -114,8 +112,9 @@ type manifest struct {
 
 // checkManifest writes want into a virgin directory and verifies an exact
 // match against an existing one. It runs before anything else reads dir, so
-// a refused directory — a different seed, or the version-1 layouts with
-// per-shard subdirectories and annotated segments — is left untouched.
+// a refused directory — a different seed, the version-1 layouts with
+// per-shard subdirectories and annotated segments, or the version-2 layout
+// of rotated logs beside segment checkpoints — is left untouched.
 func checkManifest(dir string, want manifest) error {
 	path := filepath.Join(dir, manifestName)
 	data, err := os.ReadFile(path)
@@ -142,7 +141,7 @@ func checkManifest(dir string, want manifest) error {
 		return fmt.Errorf("hist: %s: %w", path, err)
 	}
 	if have.Version != want.Version {
-		return fmt.Errorf("hist: data directory %s is in on-disk layout version %d; this build reads only version %d (one WAL and one segment series per directory) and does not migrate — point it at a fresh directory and re-ingest",
+		return fmt.Errorf("hist: data directory %s is in on-disk layout version %d; this build reads only version %d (one write-ahead log per directory) and does not migrate — point it at a fresh directory and re-ingest",
 			dir, have.Version, want.Version)
 	}
 	if have != want {
@@ -151,35 +150,27 @@ func checkManifest(dir string, want manifest) error {
 	return nil
 }
 
-func fpString(fp uint64) string { return fmt.Sprintf("%016x", fp) }
-
-func fileSize(path string) int64 {
-	if fi, err := os.Stat(path); err == nil {
-		return fi.Size()
+// syncDir fsyncs a directory so a just-renamed file survives a crash.
+// Best-effort: some platforms refuse directory fsync.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
-	return 0
 }
 
-// persist is a durable Store's attachment to its data directory: the one
-// WAL and the one segment series.
-type persist struct {
-	dir     string
-	policy  SyncPolicy
-	every   time.Duration
-	reg     *obs.Registry
-	seedLen int // leading trips of every snapshot that are the caller's seed
+func fpString(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
-	mu        sync.Mutex
-	w         *walWriter
-	ends      []int  // ends[e-1]: post-seed trips admitted through batch e
-	lastEpoch uint64 // newest epoch appended to the active WAL run
-	walBytes  int64  // live WAL bytes (appends minus truncations)
-	segGen    uint64 // newest segment generation on disk
-	segEpoch  uint64 // epoch covered by that generation
-	prevEpoch uint64 // epoch covered by the previous retained generation
-	segBytes  int64  // size of the newest segment file
-	failed    bool   // sticky: a WAL append/sync/rotate failed; nothing more is written
-	closed    bool
+// persist is a durable Store's attachment to its data directory's log.
+type persist struct {
+	policy SyncPolicy
+	reg    *obs.Registry
+
+	mu       sync.Mutex
+	w        *walWriter
+	walBytes int64 // log bytes: the recovered prefix plus every append since
+	failed   bool  // sticky: a WAL append or sync failed; nothing more is written
+	closed   bool
 
 	stop chan struct{} // SyncInterval ticker lifecycle
 	done chan struct{}
@@ -198,7 +189,7 @@ func (p *persist) fail() {
 
 // logBatch logs one admitted batch per the sync policy and reports how
 // durable it is. Callers already serialize batches (the store's write
-// mutex); p.mu additionally fences the ticker and checkpoint paths.
+// mutex); p.mu additionally fences the ticker and compaction syncs.
 func (p *persist) logBatch(epoch uint64, trips []*traj.Trajectory) string {
 	if p == nil {
 		return DurabilityMemory
@@ -220,12 +211,6 @@ func (p *persist) logBatch(epoch uint64, trips []*traj.Trajectory) string {
 		p.fail()
 		return DurabilityFailed
 	}
-	total := len(trips)
-	if len(p.ends) > 0 {
-		total += p.ends[len(p.ends)-1]
-	}
-	p.ends = append(p.ends, total)
-	p.lastEpoch = epoch
 	p.walBytes += int64(n)
 	if p.reg != nil {
 		p.reg.Counter(obs.CounterWALRecords).Inc()
@@ -240,69 +225,13 @@ func (p *persist) logBatch(epoch uint64, trips []*traj.Trajectory) string {
 	return DurabilityLogged
 }
 
-// checkpoint serializes the store's post-seed history — every batch
-// 1..epoch, with its boundaries — to the next segment generation and retires
-// the WAL prefix the previous generation makes redundant. Every compaction
-// pass that merged something, background or explicit, ends with it, under
-// the pass mutex, so checkpoints run one at a time; one that finds the epoch
-// where the last left it has nothing to add and returns.
-//
-// Truncation deliberately lags one generation: the WAL keeps everything past
-// the previous segment's epoch, so if the newest segment file is ever
-// unreadable, recovery falls back to the previous one and replays the rest
-// from the log.
-func (s *Store) checkpoint() {
-	p := s.persist
-	snap := s.cur.Load()
-	p.mu.Lock()
-	skip := p.closed || p.failed || snap.epoch == p.segEpoch
-	gen := p.segGen + 1
-	// Batches log before they publish, so ends covers snap.epoch; it is
-	// append-only, so the prefix stays valid after the lock drops.
-	ends := p.ends
-	p.mu.Unlock()
-	if skip {
-		return
-	}
-	post := snap.trajs[p.seedLen:]
-	batches := make([][]*traj.Trajectory, snap.epoch)
-	lo := 0
-	for e := range batches {
-		batches[e] = post[lo:ends[e]]
-		lo = ends[e]
-	}
-	size, err := writeSegment(p.dir, gen, batches)
-	if err != nil {
-		if p.reg != nil {
-			p.reg.Counter(obs.CounterWALErrors).Inc()
-		}
-		return
-	}
-	p.mu.Lock()
-	p.prevEpoch, p.segEpoch, p.segGen, p.segBytes = p.segEpoch, snap.epoch, gen, size
-	if !p.closed && !p.failed {
-		if p.prevEpoch >= p.w.start && p.lastEpoch >= p.w.start {
-			if err := p.w.rotate(p.lastEpoch + 1); err != nil {
-				p.fail()
-			}
-		}
-		p.walBytes -= dropWALThrough(p.dir, p.prevEpoch)
-	}
-	p.mu.Unlock()
-	dropOldSegments(p.dir, gen-1)
-	if p.reg != nil {
-		p.reg.Counter(obs.CounterSegmentFlushes).Inc()
-		p.reg.Counter(obs.CounterSegmentBytes).Add(uint64(size))
-	}
-}
-
 // startSyncLoop runs the SyncInterval background fsync tick.
 func (p *persist) startSyncLoop() {
 	p.stop = make(chan struct{})
 	p.done = make(chan struct{})
 	go func() {
 		defer close(p.done)
-		t := time.NewTicker(p.every)
+		t := time.NewTicker(walSyncInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -315,8 +244,13 @@ func (p *persist) startSyncLoop() {
 	}()
 }
 
-// syncNow drains and fsyncs the WAL if it has unsynced bytes.
+// syncNow drains and fsyncs the WAL if it has unsynced bytes. The interval
+// ticker calls it, and so does the end of every compaction pass, which is
+// what makes a compaction a durability point under SyncOff.
 func (p *persist) syncNow() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed || p.failed || !p.w.dirty {
@@ -377,43 +311,10 @@ func (p *persist) fold(st *StoreStats) {
 	}
 	p.mu.Lock()
 	st.WALBytes += p.walBytes
-	st.SegmentBytes += p.segBytes
 	if !p.closed {
 		st.Durability = p.policy.String()
 	}
 	p.mu.Unlock()
-}
-
-// attachWAL opens the active WAL file for a store recovered to epoch. When
-// the log's newest record is exactly the recovered epoch, the existing tail
-// file continues; otherwise everything on disk is redundant (covered by the
-// recovered segment) and a fresh file starting at epoch+1 replaces it — an
-// append into the old file would sit after an epoch gap and be discarded by
-// the next recovery.
-func (p *persist) attachWAL(scan walScanResult, epoch uint64) error {
-	lastDisk := uint64(0)
-	if len(scan.Batches) > 0 {
-		lastDisk = scan.Batches[len(scan.Batches)-1].Epoch
-	}
-	if lastDisk > 0 && lastDisk == epoch {
-		_, starts, err := listWALFiles(p.dir)
-		if err != nil {
-			return err
-		}
-		w, err := openWAL(p.dir, starts[len(starts)-1])
-		if err != nil {
-			return err
-		}
-		p.w, p.lastEpoch, p.walBytes = w, lastDisk, scan.Bytes
-		return nil
-	}
-	removeWALFiles(p.dir)
-	w, err := openWAL(p.dir, epoch+1)
-	if err != nil {
-		return err
-	}
-	p.w = w
-	return nil
 }
 
 // foldRecovery records recovery counters.
@@ -422,22 +323,21 @@ func foldRecovery(reg *obs.Registry, rs RecoveryStats) {
 		return
 	}
 	reg.Counter(obs.CounterRecoveryBatches).Add(uint64(rs.WALBatches))
-	reg.Counter(obs.CounterRecoveryTrips).Add(uint64(rs.SegmentTrips + rs.WALTrips))
+	reg.Counter(obs.CounterRecoveryTrips).Add(uint64(rs.WALTrips))
 	reg.Counter(obs.CounterRecoveryTornBytes).Add(uint64(rs.TornBytes))
 }
 
 // OpenShardedStore opens a durable live archive in dir: a Store whose
-// batches are written ahead to a log and checkpointed to segment files, and
-// which on reopen rebuilds the archive those files describe. The seed is
-// re-supplied by the caller on every open (it is the caller's dataset,
-// durable elsewhere); a fingerprint in the directory's manifest refuses a
-// different seed — the only thing the opener must get right, since the files
-// say nothing about shards or halo. Recovery takes the newest valid segment
-// file's batches, then the log's trustworthy records past them — truncating
-// a torn final record at the first bad checksum — and replays the lot
-// through the ingest path into a fresh store of cfg's shape, so the store
-// resumes at the exact epoch the durable prefix reached, with the shard
-// epochs and fingerprint an uninterrupted store of that shape would carry.
+// batches are written ahead to a log, and which on reopen rebuilds the
+// archive that log describes. The seed is re-supplied by the caller on every
+// open (it is the caller's dataset, durable elsewhere); a fingerprint in the
+// directory's manifest refuses a different seed — the only thing the opener
+// must get right, since the log says nothing about shards or halo. Recovery
+// takes the log's trustworthy records — truncating a torn final record at
+// the first bad checksum — and replays them through the ingest path into a
+// fresh store of cfg's shape, so the store resumes at the exact epoch the
+// durable prefix reached, with the shard epochs and fingerprint an
+// uninterrupted store of that shape would carry.
 func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfig) (*Store, RecoveryStats, error) {
 	var rs RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -447,48 +347,32 @@ func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg
 	if err := checkManifest(dir, want); err != nil {
 		return nil, rs, err
 	}
-	scan, err := scanWAL(dir)
+	path := filepath.Join(dir, walName)
+	scan, err := scanWAL(path)
 	if err != nil {
 		return nil, rs, err
 	}
 	rs.TornBytes = scan.TornBytes
-	replay, segBytes := newestValidSegment(dir)
-	segEpoch := uint64(len(replay))
-	for _, b := range replay {
-		rs.SegmentTrips += len(b.Trips)
-	}
-	for _, b := range scan.Batches {
-		if b.Epoch <= segEpoch {
-			continue // already covered by the segment file
-		}
-		replay = append(replay, b)
-		rs.WALBatches++
-		rs.WALTrips += len(b.Trips)
-	}
 
 	// Replay through ingest, which leaves compaction alone, and compact once
 	// at the end. Persistence attaches only afterwards, so the replay itself
-	// writes nothing. Every decoded batch holds a trip with a point, so each
-	// one advances the epoch by exactly one.
+	// writes nothing. The scan returns epochs 1, 2, 3, ... and every decoded
+	// batch holds a trip with a point, so each one advances the epoch by
+	// exactly one and the store lands on the log's last epoch.
 	s := NewShardedStore(g, seed, cfg)
-	p := &persist{dir: dir, policy: cfg.WALSync, every: cfg.WALSyncEvery, reg: cfg.Registry, seedLen: len(seed)}
-	for _, b := range replay {
-		if have := s.cur.Load().epoch; b.Epoch != have+1 {
-			return nil, rs, fmt.Errorf("hist: wal gap in %s: have epoch %d, want %d", dir, b.Epoch, have+1)
-		}
-		_, next := s.ingest(b.Trips)
-		p.ends = append(p.ends, next.NumTrajs()-len(seed))
+	for _, b := range scan.Batches {
+		s.ingest(b.Trips)
+		rs.WALBatches++
+		rs.WALTrips += len(b.Trips)
 	}
 	s.Compact()
 	rs.Epoch = s.cur.Load().epoch
 
-	if p.every <= 0 {
-		p.every = DefaultWALSyncInterval
-	}
-	p.segGen, p.segEpoch, p.segBytes = maxSegmentGen(dir), segEpoch, segBytes
-	if err := p.attachWAL(scan, rs.Epoch); err != nil {
+	w, err := openWAL(path)
+	if err != nil {
 		return nil, rs, err
 	}
+	p := &persist{policy: cfg.WALSync, reg: cfg.Registry, w: w, walBytes: scan.Bytes}
 	s.persist = p
 	if p.policy == SyncInterval {
 		p.startSyncLoop()
@@ -497,7 +381,7 @@ func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg
 	return s, rs, nil
 }
 
-// Close waits out background compaction (and the checkpoint it ends with),
+// Close waits out background compaction (and the log sync it ends with),
 // then syncs and closes the log and detaches the store from its data
 // directory. In-memory stores treat Close as Wait.
 func (s *Store) Close() error {
@@ -506,9 +390,9 @@ func (s *Store) Close() error {
 }
 
 // CloseAbrupt simulates the process dying mid-flight: buffered, unsynced
-// WAL records are dropped (not flushed), nothing is compacted, checkpointed
-// or synced, and the store must not be used afterwards. Crash-recovery tests
-// pair it with OpenShardedStore on the same directory.
+// WAL records are dropped (not flushed), nothing is compacted or synced, and
+// the store must not be used afterwards. Crash-recovery tests pair it with
+// OpenShardedStore on the same directory.
 func (s *Store) CloseAbrupt() {
 	s.persist.abandon()
 }

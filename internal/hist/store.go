@@ -32,9 +32,6 @@ type StoreConfig struct {
 	// OpenShardedStore (the zero value is SyncAlways); the in-memory
 	// constructors ignore it.
 	WALSync SyncPolicy
-	// WALSyncEvery is the background fsync period under SyncInterval
-	// (<= 0 uses DefaultWALSyncInterval).
-	WALSyncEvery time.Duration
 	// Registry receives the ingest, compaction, scatter and durability
 	// histograms and counters (nil = no instrumentation, zero clock reads).
 	Registry *obs.Registry
@@ -71,15 +68,14 @@ type IngestStats struct {
 // top-level fields — the on-disk gauges exist only there, durability being
 // a property of the whole store — and each shard's own summary under Shards.
 type StoreStats struct {
-	Epoch        uint64       `json:"epoch"`
-	Trajs        int          `json:"trajs"`
-	Points       int          `json:"points"`
-	Segments     int          `json:"segments"`
-	Compactions  uint64       `json:"compactions"`
-	WALBytes     int64        `json:"wal_bytes,omitempty"`     // live write-ahead-log bytes (durable stores)
-	SegmentBytes int64        `json:"segment_bytes,omitempty"` // newest segment file bytes (durable stores)
-	Durability   string       `json:"durability,omitempty"`    // WAL sync policy ("" for in-memory stores)
-	Shards       []StoreStats `json:"shards,omitempty"`
+	Epoch       uint64       `json:"epoch"`
+	Trajs       int          `json:"trajs"`
+	Points      int          `json:"points"`
+	Segments    int          `json:"segments"`
+	Compactions uint64       `json:"compactions"`
+	WALBytes    int64        `json:"wal_bytes,omitempty"`  // write-ahead-log bytes (durable stores)
+	Durability  string       `json:"durability,omitempty"` // WAL sync policy ("" for in-memory stores)
+	Shards      []StoreStats `json:"shards,omitempty"`
 }
 
 // Store is the live archive. A Partition over the graph bbox routes each
@@ -110,8 +106,8 @@ type Store struct {
 	compacting atomic.Bool // single-flight guard for the background pass
 	wg         sync.WaitGroup
 
-	// persist is the data-directory attachment — the WAL and the segment
-	// series — set only by OpenShardedStore, before the store is shared.
+	// persist is the data-directory attachment — the WAL — set only by
+	// OpenShardedStore, before the store is shared.
 	persist *persist
 }
 
@@ -329,13 +325,14 @@ func (s *Store) Wait() {
 // cross-package crash-recovery suites can inject failures mid-compaction:
 // it holds a pass open so regression tests can deterministically schedule a
 // second compaction against the same segment stacks, or kill a durable store
-// between a batch's WAL append and the checkpoint that follows the merge.
+// between a batch's WAL append and the log sync that ends the pass.
 var CompactBeforePublish func()
 
 // compact runs one compaction pass over every shard with batch segments —
 // all of them, or only those over a threshold — and reports whether it
 // merged anything. The merges publish once, keeping epoch and fingerprint,
-// and a durable store then checkpoints.
+// and a durable store then fsyncs its log, so under every sync policy a
+// compaction makes each batch logged before it durable.
 func (s *Store) compact(all bool) bool {
 	// One pass at a time: a synchronous Compact racing the background pass
 	// would otherwise load the same pre snapshot, and the loser would splice
@@ -386,8 +383,6 @@ func (s *Store) compact(all bool) bool {
 		r.Histogram(obs.StageCompaction).ObserveSince(t0)
 		r.Counter(obs.CounterCompactions).Inc()
 	}
-	if s.persist != nil {
-		s.checkpoint()
-	}
+	s.persist.syncNow()
 	return true
 }

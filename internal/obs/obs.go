@@ -74,19 +74,16 @@ const (
 	// CounterWALBytes counts bytes appended to the write-ahead log.
 	CounterWALBytes = "wal.bytes"
 	// CounterWALFsyncs counts fsyncs of the write-ahead log (one per record
-	// under the "always" sync policy, one per tick under "interval").
+	// under the "always" sync policy, one per tick under "interval", and one
+	// per compaction pass that finds unsynced records).
 	CounterWALFsyncs = "wal.fsyncs"
 	// CounterWALErrors counts failed WAL appends or syncs — batches that
 	// stayed visible in memory but did not become durable.
 	CounterWALErrors = "wal.errors"
-	// CounterSegmentFlushes counts segment files written by compaction.
-	CounterSegmentFlushes = "segment.flushes"
-	// CounterSegmentBytes counts bytes written to segment files.
-	CounterSegmentBytes = "segment.bytes"
 	// CounterRecoveryBatches counts WAL batch records replayed at OpenShardedStore.
 	CounterRecoveryBatches = "recovery.batches"
-	// CounterRecoveryTrips counts trips recovered at OpenShardedStore (segment file
-	// plus WAL replay).
+	// CounterRecoveryTrips counts trips recovered at OpenShardedStore (the
+	// WAL replay).
 	CounterRecoveryTrips = "recovery.trips"
 	// CounterRecoveryTornBytes counts WAL bytes discarded at OpenShardedStore —
 	// the torn tail of a crashed append plus anything after it.

@@ -42,22 +42,3 @@ func AddNoise(t *Trajectory, sigma float64, rng *rand.Rand) *Trajectory {
 	}
 	return out
 }
-
-// ClipToLength returns the prefix of t whose path length first reaches
-// maxLen meters (the whole trajectory if shorter) — used to build queries
-// of a target length for the Figure 8b experiment.
-func ClipToLength(t *Trajectory, maxLen float64) *Trajectory {
-	if len(t.Points) == 0 {
-		return t.Clone()
-	}
-	out := &Trajectory{ID: t.ID, Points: []GPSPoint{t.Points[0]}}
-	var walked float64
-	for i := 1; i < len(t.Points); i++ {
-		walked += t.Points[i-1].Pt.Dist(t.Points[i].Pt)
-		out.Points = append(out.Points, t.Points[i])
-		if walked >= maxLen {
-			break
-		}
-	}
-	return out
-}

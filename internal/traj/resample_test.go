@@ -1,7 +1,6 @@
 package traj
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -96,21 +95,6 @@ func TestAddNoiseZeroSigma(t *testing.T) {
 		if out.Points[i].Pt != tr.Points[i].Pt {
 			t.Fatal("zero sigma moved points")
 		}
-	}
-}
-
-func TestClipToLength(t *testing.T) {
-	tr := denseTraj(100, 20) // 10 m steps -> 990 m total
-	out := ClipToLength(tr, 300)
-	if got := out.PathLength(); math.Abs(got-300) > 10+1e-9 {
-		t.Fatalf("clipped length = %v", got)
-	}
-	full := ClipToLength(tr, 1e9)
-	if full.Len() != tr.Len() {
-		t.Fatal("over-length clip should keep all")
-	}
-	if ClipToLength(&Trajectory{}, 100).Len() != 0 {
-		t.Fatal("empty clip")
 	}
 }
 

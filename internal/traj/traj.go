@@ -76,21 +76,6 @@ func (t *Trajectory) NearestPointIndex(q geo.Point) int {
 	return best
 }
 
-// Sub returns the sub-trajectory covering point indexes [from, to]
-// inclusive, sharing the underlying array.
-func (t *Trajectory) Sub(from, to int) *Trajectory {
-	if from < 0 {
-		from = 0
-	}
-	if to >= len(t.Points) {
-		to = len(t.Points) - 1
-	}
-	if from > to {
-		return &Trajectory{ID: t.ID}
-	}
-	return &Trajectory{ID: t.ID, Points: t.Points[from : to+1]}
-}
-
 // Validate checks that timestamps strictly increase.
 func (t *Trajectory) Validate() error {
 	for i := 1; i < len(t.Points); i++ {
@@ -99,15 +84,6 @@ func (t *Trajectory) Validate() error {
 		}
 	}
 	return nil
-}
-
-// BBox returns the bounding box of the sample points.
-func (t *Trajectory) BBox() geo.BBox {
-	b := geo.EmptyBBox()
-	for i := range t.Points {
-		b = b.ExtendPoint(t.Points[i].Pt)
-	}
-	return b
 }
 
 // Clone returns a deep copy of the trajectory.

@@ -78,37 +78,12 @@ func TestNearestPointIndex(t *testing.T) {
 	}
 }
 
-func TestSub(t *testing.T) {
-	tr := mkTraj("a", [3]float64{0, 0, 0}, [3]float64{1, 0, 1}, [3]float64{2, 0, 2}, [3]float64{3, 0, 3})
-	s := tr.Sub(1, 2)
-	if s.Len() != 2 || s.Points[0].T != 1 || s.Points[1].T != 2 {
-		t.Fatalf("Sub = %+v", s.Points)
-	}
-	if got := tr.Sub(-5, 100); got.Len() != 4 {
-		t.Fatalf("clamped Sub = %d", got.Len())
-	}
-	if got := tr.Sub(3, 1); got.Len() != 0 {
-		t.Fatalf("inverted Sub = %d", got.Len())
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	tr := mkTraj("a", [3]float64{0, 0, 0}, [3]float64{1, 0, 1})
 	c := tr.Clone()
 	c.Points[0].Pt.X = 99
 	if tr.Points[0].Pt.X == 99 {
 		t.Fatal("Clone shares points")
-	}
-}
-
-func TestBBox(t *testing.T) {
-	tr := mkTraj("a", [3]float64{-1, 5, 0}, [3]float64{3, -2, 1})
-	b := tr.BBox()
-	if b.Min != geo.Pt(-1, -2) || b.Max != geo.Pt(3, 5) {
-		t.Fatalf("BBox = %v", b)
-	}
-	if !(&Trajectory{}).BBox().IsEmpty() {
-		t.Fatal("empty trajectory BBox not empty")
 	}
 }
 

@@ -24,9 +24,11 @@ go run ./internal/tools/reach
 # cell grids replaced, nor the R-tree package internal/grid replaced (the
 # ledger row rtree.range_us keeps its name until the benchmark renames it),
 # nor the contraction hierarchy's table engines and the oracle methods
-# graphalg.DistanceTable made redundant, nor the reference-count cap.
+# graphalg.DistanceTable made redundant, nor the reference-count cap, nor
+# the segment checkpoints, WAL rotation and sync knob the one-file log
+# replaced.
 # CHANGES.md, ROADMAP.md and bench/README.md are history and exempt.
-stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs'
+stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs|FuzzReadSegment|writeSegment|readSegment|listSegments|newestValidSegment|SegmentBytes|SegmentTrips|segment_bytes|WALSyncEvery|dropWALThrough|listWALFiles|seg-\*'
 if grep -nE "$stale" README.md DESIGN.md bench_test.go bench_budget.json \
     $(find cmd internal examples -name '*.go'); then
     exit 1
@@ -44,22 +46,22 @@ go test -timeout 120s -shuffle=on ./...
 
 # Sharded-archive smoke: the scatter-gather equivalence, boundary-dedup and
 # concurrent ingest/inference suites plus the durability tables (crash
-# recovery, reshard-on-reopen, torn-tail sweep, segment fallback, sticky WAL
-# failure — each at shards {1, 4}) under the race detector, twice in one
-# binary (-count=2 defeats caching and catches epoch/fingerprint state that
-# leaks between runs).
-go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Segment|Manifest' ./internal/hist/ ./internal/core/
+# recovery, reshard-on-reopen, torn-tail sweep, sticky WAL failure — each at
+# shards {1, 4} — and the refusal of older layouts) under the race detector,
+# twice in one binary (-count=2 defeats caching and catches
+# epoch/fingerprint state that leaks between runs).
+go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest' ./internal/hist/ ./internal/core/
 
-# Hostile bytes: the batch decoder, the log scan, the segment reader and the
-# dataset's road-network loader read files this process did not write. Each
-# fuzz target runs for 10 s past its seed corpus: no panic, nothing accepted
-# that ingest never writes, recovery idempotent, an accepted segment file
-# byte-identical to its rewrite, and an accepted road network valid,
-# byte-identical through a rewrite and answering candidate-edge queries
-# exactly as a scan of every segment does.
+# Hostile bytes: the batch decoder, the log scan and the dataset's
+# trajectory and road-network loaders read files this process did not write.
+# Each fuzz target runs for 10 s past its seed corpus: no panic, nothing
+# accepted that ingest never writes, recovery idempotent, accepted
+# trajectories time-ordered and reproduced exactly through a rewrite, and an
+# accepted road network valid, byte-identical through a rewrite and
+# answering candidate-edge queries exactly as a scan of every segment does.
 go test -timeout 120s -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 10s ./internal/hist/
 go test -timeout 120s -run '^$' -fuzz '^FuzzScanWAL$' -fuzztime 10s ./internal/hist/
-go test -timeout 120s -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 10s ./internal/hist/
+go test -timeout 120s -run '^$' -fuzz '^FuzzReadArchive$' -fuzztime 10s ./internal/traj/
 go test -timeout 120s -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/roadnet/
 
 # The wire-level benchmark is its own module (bench/go.mod, replace repro =>
