@@ -1,10 +1,11 @@
-// Package repro's root benchmark harness: one testing.B benchmark per
-// figure of the paper's evaluation section (§IV, Figures 8a–14b). Each
-// benchmark regenerates its figure's series on a compact world and reports
-// the figure's data through -v output; run the full-size sweeps with
-// cmd/experiments.
+// Package repro's root benchmark harness: in-process benchmarks of the
+// query, session, ingest, matcher and preprocessing paths on a compact
+// world, for profiling while you work and for verify.sh's allocation gates.
+// Reported performance numbers come from the wire-level benchmark in bench/;
+// the paper's figures come from cmd/experiments, and internal/eval's tests
+// check their shapes.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 package repro
 
 import (
@@ -57,196 +58,6 @@ func worldDij(b *testing.B) *eval.World {
 		benchWorldDij = eval.NewWorld(cfg)
 	})
 	return benchWorldDij
-}
-
-func BenchmarkFig8aSamplingRate(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Figure8a([]float64{3, 9, 15})
-	}
-}
-
-func BenchmarkFig8bQueryLength(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Figure8b([]float64{4, 6, 8})
-	}
-}
-
-func BenchmarkFig9aPhiAccuracy(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Figure9([]float64{200, 500, 800}, []float64{3})
-	}
-}
-
-func BenchmarkFig9bPhiTime(b *testing.B) {
-	// The φ cost driver in isolation: one reference search per iteration
-	// at increasing radius.
-	w := world(b)
-	qs := w.Queries(1, 180, w.Cfg.QueryLen, 99)
-	if len(qs) == 0 {
-		b.Skip("no query")
-	}
-	q := qs[0].Query
-	for _, phi := range []float64{200, 500, 800} {
-		b.Run("phi="+itoa(int(phi)), func(b *testing.B) {
-			sp := hist.SearchParams{Phi: phi, SpliceEps: 200, SpliceMinSimple: 8}
-			for i := 0; i < b.N; i++ {
-				for j := 1; j < q.Len(); j++ {
-					hist.References(w.Archive, q.Points[j-1], q.Points[j], sp)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFig10aDensityAccuracy(b *testing.B) {
-	cfg := eval.QuickConfig()
-	cfg.Queries = 2
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eval.Figure10(cfg, []int{150, 500})
-	}
-}
-
-func BenchmarkFig10bDensityTime(b *testing.B) {
-	// TGI vs NNI per-query cost on the same (dense) world.
-	w := world(b)
-	qs := w.Queries(1, 180, w.Cfg.QueryLen, 101)
-	if len(qs) == 0 {
-		b.Skip("no query")
-	}
-	for _, m := range []core.Method{core.MethodTGI, core.MethodNNI} {
-		b.Run(m.String(), func(b *testing.B) {
-			p := w.P
-			p.Method = m
-			for i := 0; i < b.N; i++ {
-				_, _ = w.Eng.InferRoutes(qs[0].Query, p)
-			}
-		})
-	}
-}
-
-func BenchmarkFig11aLambdaAccuracy(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Figure11([]int{2, 4, 6}, []float64{3})
-	}
-}
-
-func BenchmarkFig11bGraphReduction(b *testing.B) {
-	w := world(b)
-	qs := w.Queries(1, 180, w.Cfg.QueryLen, 103)
-	if len(qs) == 0 {
-		b.Skip("no query")
-	}
-	for _, red := range []bool{true, false} {
-		name := "reduction"
-		if !red {
-			name = "noreduction"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := w.P
-			p.Method = core.MethodTGI
-			p.Lambda = 6
-			p.GraphReduction = red
-			for i := 0; i < b.N; i++ {
-				_, _ = w.Eng.InferRoutes(qs[0].Query, p)
-			}
-		})
-	}
-}
-
-func BenchmarkFig12aK1Accuracy(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Figure12([]int{1, 4, 8}, []float64{3})
-	}
-}
-
-func BenchmarkFig12bK1Time(b *testing.B) {
-	w := world(b)
-	qs := w.Queries(1, 180, w.Cfg.QueryLen, 105)
-	if len(qs) == 0 {
-		b.Skip("no query")
-	}
-	for _, k1 := range []int{1, 4, 8} {
-		b.Run("k1="+itoa(k1), func(b *testing.B) {
-			p := w.P
-			p.Method = core.MethodTGI
-			p.K1 = k1
-			for i := 0; i < b.N; i++ {
-				_, _ = w.Eng.InferRoutes(qs[0].Query, p)
-			}
-		})
-	}
-}
-
-func BenchmarkFig13aK2Accuracy(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Figure13([]int{2, 4, 6}, []float64{3})
-	}
-}
-
-func BenchmarkFig13bK2Sharing(b *testing.B) {
-	w := world(b)
-	qs := w.Queries(1, 180, w.Cfg.QueryLen, 107)
-	if len(qs) == 0 {
-		b.Skip("no query")
-	}
-	for _, share := range []bool{true, false} {
-		name := "sharing"
-		if !share {
-			name = "nosharing"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := w.P
-			p.Method = core.MethodNNI
-			p.ShareSubstructures = share
-			for i := 0; i < b.N; i++ {
-				_, _ = w.Eng.InferRoutes(qs[0].Query, p)
-			}
-		})
-	}
-}
-
-func BenchmarkFig14aK3Accuracy(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Figure14a([]int{1, 5})
-	}
-}
-
-func BenchmarkFig14bKGRIvsBrute(b *testing.B) {
-	w := world(b)
-	qs := w.Queries(1, 180, w.Cfg.QueryLen*1.5, 109)
-	if len(qs) == 0 {
-		b.Skip("no query")
-	}
-	res, err := w.Eng.InferRoutes(qs[0].Query, w.P)
-	if err != nil || len(res.Locals) < 4 {
-		b.Skip("no locals")
-	}
-	locals := res.Locals[:4]
-	b.Run("kgri", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.KGRI(w.Graph(), locals, 5)
-		}
-	})
-	b.Run("bruteforce", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.BruteForceGlobalRoutes(w.Graph(), locals, 5)
-		}
-	})
 }
 
 // BenchmarkHRISQuery measures one full top-K inference end to end — the
@@ -627,15 +438,6 @@ func BenchmarkCompetitors(b *testing.B) {
 	}
 }
 
-// BenchmarkAblations runs the design-choice ablation sweep (Figure A1).
-func BenchmarkAblations(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Ablations([]float64{3})
-	}
-}
-
 // BenchmarkNetworkFree measures one network-free inference (extension E2).
 func BenchmarkNetworkFree(b *testing.B) {
 	w := world(b)
@@ -662,7 +464,7 @@ func BenchmarkInferBatch(b *testing.B) {
 		queries[i] = qc.Query
 	}
 	for _, workers := range []int{1, 4} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w.Eng.InferBatchCtx(context.Background(), queries, w.P, workers)
 			}
@@ -700,5 +502,3 @@ func BenchmarkReferenceSearchRoot(b *testing.B) {
 		hist.References(w.Archive, qc.Query.Points[0], qc.Query.Points[1], sp)
 	}
 }
-
-func itoa(v int) string { return strconv.Itoa(v) }

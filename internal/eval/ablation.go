@@ -10,14 +10,14 @@ import (
 )
 
 // Ablations quantifies the design choices DESIGN.md calls out by switching
-// each off in isolation and measuring top-1 accuracy across sampling rates:
+// each off in isolation and measuring top-1 accuracy at each sweep rate:
 //
 //   - "full"          — the complete system
 //   - "no-entropy"    — f(R) = |C_i(R)| without Equation 1's entropy factor
 //   - "no-transition" — g ≡ 1 (K-GRI ignores route continuity)
 //   - "no-splicing"   — Definition 7 spliced references disabled
 //   - "no-trim"       — global-route end trimming disabled
-func (w *World) Ablations(ratesMin []float64) *Table {
+func (w *World) Ablations() *Table {
 	t := &Table{Figure: "A1", Title: "Ablations: top-1 accuracy",
 		XLabel: "SR (min)", YLabel: "A_L"}
 	variants := []struct {
@@ -30,7 +30,7 @@ func (w *World) Ablations(ratesMin []float64) *Table {
 		{"no-splicing", func(p *core.Params) { p.SpliceEps = 0 }},
 		{"no-trim", func(p *core.Params) { p.AblateTrim = true }},
 	}
-	for i, sr := range ratesMin {
+	for i, sr := range sweepRates {
 		qs := w.Queries(w.Cfg.Queries, sr*60, w.Cfg.QueryLen, w.Cfg.Seed+int64(i)*709)
 		for _, v := range variants {
 			p := w.P
@@ -46,7 +46,7 @@ func (w *World) Ablations(ratesMin []float64) *Table {
 // HRIS with and without time-of-day reference filtering on PM queries
 // (whose patterns differ from the plain archive majority the untimed
 // system would lean on).
-func TemporalExtension(cfg WorldConfig, ratesMin []float64) *Table {
+func TemporalExtension(cfg WorldConfig) *Table {
 	t := &Table{Figure: "E1", Title: "Temporal extension: PM queries on time-varying patterns",
 		XLabel: "SR (min)", YLabel: "A_L"}
 	// Build a time-patterned world.
@@ -68,7 +68,7 @@ func TemporalExtension(cfg WorldConfig, ratesMin []float64) *Table {
 
 	const pmStart = 61200.0 // 17:00
 
-	for i, sr := range ratesMin {
+	for i, sr := range sweepRates {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*811))
 		var qs []sim.QueryCase
 		for len(qs) < cfg.Queries {
@@ -90,14 +90,14 @@ func TemporalExtension(cfg WorldConfig, ratesMin []float64) *Table {
 }
 
 // NetworkFreeExtension evaluates the paper's §VI future-work case where no
-// road network is available: per sampling rate it reports the mean
+// road network is available: per sweep rate it reports the mean
 // deviation (meters) between the ground-truth path and (a) the top
 // network-free inferred polyline and (b) straight-line interpolation of
 // the query points — the only route estimate available without history.
-func (w *World) NetworkFreeExtension(ratesMin []float64) *Table {
+func (w *World) NetworkFreeExtension() *Table {
 	t := &Table{Figure: "E2", Title: "Network-free inference: mean path deviation",
 		XLabel: "SR (min)", YLabel: "deviation (m)"}
-	for i, sr := range ratesMin {
+	for i, sr := range sweepRates {
 		qs := w.Queries(w.Cfg.Queries, sr*60, w.Cfg.QueryLen, w.Cfg.Seed+int64(i)*877)
 		var devInf, devStraight float64
 		n := 0

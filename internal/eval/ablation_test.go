@@ -2,71 +2,52 @@ package eval
 
 import "testing"
 
+// TestAblationsSmoke: Equation 1's entropy factor helps at every sampling
+// rate, and spliced references win at 15 minutes, where simple references
+// are scarce.
 func TestAblationsSmoke(t *testing.T) {
-	w := NewWorld(tinyConfig())
-	tab := w.Ablations([]float64{3})
-	if len(tab.Series) != 5 {
-		t.Fatalf("series = %d, want 5", len(tab.Series))
-	}
-	var full float64
-	found := false
-	for _, s := range tab.Series {
-		if len(s.Points) != 1 {
-			t.Fatalf("series %s has %d points", s.Name, len(s.Points))
-		}
-		y := s.Points[0].Y
-		if y < 0 || y > 1 {
-			t.Fatalf("series %s accuracy %v out of range", s.Name, y)
-		}
-		if s.Name == "full" {
-			full, found = y, true
+	t.Parallel()
+	w := fullWorld()
+	tab := w.Ablations()
+	full, noEntropy := series(t, tab, "full"), series(t, tab, "no-entropy")
+	for _, p := range full.Points {
+		if e := at(t, noEntropy, p.X); p.Y <= e {
+			t.Errorf("SR=%g min: full %.4f not above no-entropy %.4f", p.X, p.Y, e)
 		}
 	}
-	if !found {
-		t.Fatal("no full series")
+	if f, s := at(t, full, 15), at(t, series(t, tab, "no-splicing"), 15); f <= s {
+		t.Errorf("SR=15 min: full %.4f not above no-splicing %.4f", f, s)
 	}
-	if full <= 0 {
-		t.Fatal("full system scored 0")
-	}
-	// Baseline params untouched by the sweep.
 	if w.P.AblateEntropy || w.P.AblateTransition || w.P.AblateTrim {
 		t.Fatal("Ablations leaked parameter changes")
 	}
 }
 
+// TestNetworkFreeExtensionSmoke: with no road network, chaining historical
+// point paths deviates less from the true path than straight-line
+// interpolation of the query points, at every sampling rate.
 func TestNetworkFreeExtensionSmoke(t *testing.T) {
-	w := NewWorld(tinyConfig())
-	tab := w.NetworkFreeExtension([]float64{5})
-	if len(tab.Series) != 2 {
-		t.Fatalf("series = %d, want 2", len(tab.Series))
-	}
-	var inf, straight float64
-	for _, s := range tab.Series {
-		if len(s.Points) != 1 || s.Points[0].Y < 0 {
-			t.Fatalf("series %s bad points %+v", s.Name, s.Points)
+	t.Parallel()
+	tab := fullWorld().NetworkFreeExtension()
+	straight := series(t, tab, "straight-line")
+	for _, p := range series(t, tab, "network-free HRIS").Points {
+		if s := at(t, straight, p.X); p.Y >= s {
+			t.Errorf("SR=%g min: network-free deviation %.0f m not below straight-line %.0f m", p.X, p.Y, s)
 		}
-		if s.Name == "network-free HRIS" {
-			inf = s.Points[0].Y
-		} else {
-			straight = s.Points[0].Y
-		}
-	}
-	// The headline claim of the extension: history beats interpolation.
-	if inf > straight {
-		t.Errorf("network-free deviation %.0f m above straight-line %.0f m", inf, straight)
 	}
 }
 
+// TestTemporalExtensionSmoke: on PM queries over time-varying patterns,
+// filtering references by time of day wins at 3 and 15 minutes and loses at
+// 9, where it leaves too little evidence.
 func TestTemporalExtensionSmoke(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Queries = 3
-	tab := TemporalExtension(cfg, []float64{3})
-	if len(tab.Series) != 2 {
-		t.Fatalf("series = %d, want 2", len(tab.Series))
-	}
-	for _, s := range tab.Series {
-		if len(s.Points) != 1 || s.Points[0].Y < 0 || s.Points[0].Y > 1 {
-			t.Fatalf("series %s bad points %+v", s.Name, s.Points)
+	t.Parallel()
+	tab := TemporalExtension(FullConfig())
+	untimed, filtered := series(t, tab, "untimed"), series(t, tab, "time-filtered")
+	for sr, wins := range map[float64]bool{3: true, 9: false, 15: true} {
+		u, f := at(t, untimed, sr), at(t, filtered, sr)
+		if (f > u) != wins {
+			t.Errorf("SR=%g min: time-filtered %.4f vs untimed %.4f, want filtering to win=%v", sr, f, u, wins)
 		}
 	}
 }

@@ -66,30 +66,3 @@ func TestEngineIdenticalAcrossOracles(t *testing.T) {
 		t.Error("dijkstra world reports CH stats")
 	}
 }
-
-// TestAccelProfile: the accel figure carries both modes' latency and
-// accuracy series, and the accuracies agree exactly (same worlds, same
-// queries, provably identical results).
-func TestAccelProfile(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Queries = 2
-	tb := AccelProfile(cfg, []float64{3})
-	if tb.Figure != "accel" || len(tb.Series) != 4 {
-		t.Fatalf("unexpected table shape: %q with %d series", tb.Figure, len(tb.Series))
-	}
-	var chAcc, dAcc *Series
-	for i := range tb.Series {
-		switch tb.Series[i].Name {
-		case "A_L (ch)":
-			chAcc = &tb.Series[i]
-		case "A_L (dijkstra)":
-			dAcc = &tb.Series[i]
-		}
-	}
-	if chAcc == nil || dAcc == nil {
-		t.Fatalf("accuracy series missing: %+v", tb.Series)
-	}
-	if !reflect.DeepEqual(chAcc.Points, dAcc.Points) {
-		t.Errorf("accuracy differs across oracles: ch=%v dijkstra=%v", chAcc.Points, dAcc.Points)
-	}
-}

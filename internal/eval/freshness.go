@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/hist"
@@ -11,19 +10,15 @@ import (
 
 // FreshnessProfile measures how inference accuracy improves as the live
 // archive fills: trips stream from a TripEmitter into a hist.Store in small
-// batches, and at each checkpoint (archive size in trips) a fixed query set
-// is inferred against the store's current snapshot. The curve quantifies the
-// paper's premise — reference density drives accuracy — in the online
+// batches, and at each checkpoint (100 to 1500 trips ingested) a fixed query
+// set is inferred against the store's current snapshot. The curve quantifies
+// the paper's premise — reference density drives accuracy — in the online
 // setting: a cold store answers poorly, and every published epoch narrows
 // the gap to the fully loaded batch archive.
-func FreshnessProfile(cfg WorldConfig, checkpoints []int) *Table {
+func FreshnessProfile(cfg WorldConfig) *Table {
 	t := &Table{Figure: "freshness", Title: "Accuracy vs live archive size",
 		XLabel: "trips ingested", YLabel: "A_L"}
-	if len(checkpoints) == 0 {
-		return t
-	}
-	cps := append([]int(nil), checkpoints...)
-	sort.Ints(cps)
+	cps := []int{100, 300, 600, 1000, 1500}
 
 	ccfg := sim.DefaultCityConfig()
 	ccfg.Rows, ccfg.Cols = cfg.CityRows, cfg.CityCols

@@ -2,31 +2,13 @@ package eval
 
 import "testing"
 
-// TestFreshnessProfile streams a small fleet into a live store and checks
-// the profile has one point per checkpoint with sane accuracy values; the
-// final (largest-archive) point must not trail the first by much — more
-// evidence should not make inference collapse.
+// TestFreshnessProfile: a live store answers the fixed query set better
+// once it holds its largest archive than at its smallest.
 func TestFreshnessProfile(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Trips = 150
-	cfg.Queries = 3
-	tab := FreshnessProfile(cfg, []int{50, 100, 150})
-	if len(tab.Series) != 1 {
-		t.Fatalf("series = %d, want 1", len(tab.Series))
-	}
-	pts := tab.Series[0].Points
-	if len(pts) != 3 {
-		t.Fatalf("points = %d, want 3", len(pts))
-	}
-	for i, p := range pts {
-		if p.Y < 0 || p.Y > 1 {
-			t.Fatalf("point %d: accuracy %v out of [0,1]", i, p.Y)
-		}
-	}
-	if pts[0].X != 50 || pts[2].X != 150 {
-		t.Fatalf("x values %v, %v", pts[0].X, pts[2].X)
-	}
-	if pts[2].Y < pts[0].Y-0.2 {
-		t.Fatalf("accuracy degraded with archive growth: %v -> %v", pts[0].Y, pts[2].Y)
+	t.Parallel()
+	pts := series(t, FreshnessProfile(FullConfig()), "HRIS (live store)").Points
+	first, last := pts[0], pts[len(pts)-1]
+	if last.Y <= first.Y {
+		t.Errorf("accuracy at %g trips %.4f, not above %.4f at %g trips", last.X, last.Y, first.Y, first.X)
 	}
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/roadnet"
@@ -10,23 +9,22 @@ import (
 )
 
 // SessionProfile is the streaming-session figure (-fig sessions): the same
-// queries pushed point-by-point through core.Session at several provisional
-// window sizes. Per window it reports the mean firm lag (pairs whose answer
-// may still change under future evidence), the agreement (A_L) between each
-// update's provisional route and what a full offline inference over the same
-// prefix would return, and the mean per-point step time. A larger window
-// merges more of the open tail into each update — agreement with the full
-// requery rises — at a higher per-update merge cost; the firm lag is a
-// property of the evidence (how fast the K-GRI posterior's prefix settles),
-// not of the window, so it stays flat across the sweep.
-func (w *World) SessionProfile(windows []int) *Table {
+// queries pushed point-by-point through core.Session at provisional window
+// sizes of 1–16 pairs. Per window it reports the mean firm lag (pairs whose
+// answer may still change under future evidence) and the agreement (A_L)
+// between each update's provisional route and what a full offline inference
+// over the same prefix would return. A larger window merges more of the
+// open tail into each update, so agreement with the full requery rises; the
+// firm lag is a property of the evidence (how fast the K-GRI posterior's
+// prefix settles), not of the window, so it stays flat across the sweep.
+func (w *World) SessionProfile() *Table {
 	t := &Table{
 		Figure: "sessions",
-		Title:  "Streaming sessions: provisional window vs firm lag, agreement, step cost",
+		Title:  "Streaming sessions: provisional window vs firm lag and agreement",
 		XLabel: "window (pairs)",
-		YLabel: "pairs | A_L | µs",
+		YLabel: "pairs | A_L",
 	}
-	qs := w.Queries(w.Cfg.Queries, 180, w.Cfg.QueryLen, 311)
+	qs := w.Queries(w.Cfg.Queries, 180, w.Cfg.QueryLen, w.Cfg.Seed+311)
 	if len(qs) == 0 {
 		return t
 	}
@@ -45,20 +43,16 @@ func (w *World) SessionProfile(windows []int) *Table {
 		}
 	}
 	ctx := context.Background()
-	for _, win := range windows {
+	for _, win := range []int{1, 2, 4, 8, 16} {
 		var lagSum, alSum float64
-		var lagN, alN, stepN int
-		var stepSum time.Duration
+		var lagN, alN int
 		for qi, qc := range qs {
 			s := w.Eng.NewSession(w.P, core.SessionConfig{Window: win})
 			for i, pt := range qc.Query.Points {
-				t0 := time.Now()
 				upd, err := s.Push(ctx, pt)
 				if err != nil {
 					break
 				}
-				stepSum += time.Since(t0)
-				stepN++
 				if i == 0 {
 					continue
 				}
@@ -77,9 +71,6 @@ func (w *World) SessionProfile(windows []int) *Table {
 		}
 		if alN > 0 {
 			t.Add("provisional_AL", x, alSum/float64(alN))
-		}
-		if stepN > 0 {
-			t.Add("step_us", x, float64(stepSum.Microseconds())/float64(stepN))
 		}
 	}
 	return t

@@ -26,9 +26,11 @@ go run ./internal/tools/reach
 # nor the contraction hierarchy's table engines and the oracle methods
 # graphalg.DistanceTable made redundant, nor the reference-count cap, nor
 # the segment checkpoints, WAL rotation and sync knob the one-file log
-# replaced.
+# replaced, nor cmd/experiments' timing-only figures, its -quick sweep and
+# the root per-figure benchmarks (internal/eval's shape checks replaced
+# them).
 # CHANGES.md, ROADMAP.md and bench/README.md are history and exempt.
-stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs|FuzzReadSegment|writeSegment|readSegment|listSegments|newestValidSegment|SegmentBytes|SegmentTrips|segment_bytes|WALSyncEvery|dropWALThrough|listWALFiles|seg-\*'
+stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs|FuzzReadSegment|writeSegment|readSegment|listSegments|newestValidSegment|SegmentBytes|SegmentTrips|segment_bytes|WALSyncEvery|dropWALThrough|listWALFiles|seg-\*|StageBreakdown|AccelProfile|ShardProfile|quickSweep|BenchmarkFig'
 if grep -nE "$stale" README.md DESIGN.md bench_test.go bench_budget.json \
     $(find cmd internal examples -name '*.go'); then
     exit 1
@@ -188,7 +190,3 @@ grep -q "recovered epoch $recovered " "$tmp/reopen2.log"
 # -stream-ingest reaching the gate and the store, no 5xx, SIGTERM exits 0)
 # are cmd/hris's TestBinaryWiring, already run above with and without -race;
 # every workload against the real process is bench/'s TestSmoke.
-
-# A quick -fig sessions exercises the in-process session profile (firm lag,
-# provisional agreement, per-point step cost against window size).
-go run ./cmd/experiments -quick -fig sessions > /dev/null
