@@ -109,6 +109,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 	rh, rm := e.refs.Stats()
 	s.Counters["cache.refsearch.hits"] = rh
 	s.Counters["cache.refsearch.misses"] = rm
+	s.Counters["cache.refsearch.declined"] = e.refs.Declined()
 	s.Counters["cache.refsearch.resets"] = e.refs.Resets()
 	s.Counters["cache.refsearch.invalidations"] = e.refs.Invalidations()
 	s.Counters["cache.refsearch.entries"] = uint64(e.refs.Len())

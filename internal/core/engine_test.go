@@ -143,6 +143,14 @@ func TestEngineCacheStats(t *testing.T) {
 	if refMisses == 0 || builds == 0 {
 		t.Fatalf("expected cold-cache misses, got ref=%d trajmatch builds=%d", refMisses, builds)
 	}
+	// The second run's misses admit its pairs to the memo (a first sighting
+	// is not retained); the third hits.
+	if _, err := eng.InferRoutes(qc.Query, eng.Defaults()); err != nil {
+		t.Fatalf("admitting inference: %v", err)
+	}
+	if refHits, _ := eng.CacheStats(); refHits != 0 {
+		t.Fatalf("%d memo hits before any pair was asked twice", refHits)
+	}
 	second, err := eng.InferRoutes(qc.Query, eng.Defaults())
 	if err != nil {
 		t.Fatalf("second inference: %v", err)

@@ -221,12 +221,12 @@ func (x exec) pairStage(pair int, qi, qj traj.GPSPoint) (locals []LocalRoute, st
 	}
 	t0 = x.stageStart()
 	pctx := x.buildPairContext(pair, qi, qj, refs)
-	x.stageDone(obs.StageCandidateSearch, pair, t0, len(pctx.points))
+	x.stageDone(obs.StageCandidateSearch, pair, t0, pctx.npoints)
 	t0 = x.stageStart()
 	locals, st.Method = x.inferLocal(pctx)
 	stage := localStage(st.Method)
 	x.stageDone(stage, pair, t0, len(locals))
-	st.Points, st.Density, st.Routes = len(pctx.points), pctx.density(), len(locals)
+	st.Points, st.Density, st.Routes = pctx.npoints, pctx.density(), len(locals)
 	if x.expired() {
 		return nil, st, stage
 	}

@@ -137,9 +137,15 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 		t.Fatal("cache.refsearch gauges missing from snapshot")
 	}
 	// The memo's cost is visible: every entry retains at least its key, and the
-	// whole stays within the byte bound.
-	if n, b := s.Counters["cache.refsearch.entries"], s.Counters["cache.refsearch.bytes"]; n == 0 || b < 100*n || b > 8<<20 {
+	// whole stays within the byte bound. Each pair was asked once per batch,
+	// and a key is memoized on its second miss: every miss was either a first
+	// sighting turned away (declined) or the admission of an entry.
+	n, b := s.Counters["cache.refsearch.entries"], s.Counters["cache.refsearch.bytes"]
+	if n == 0 || b < 100*n || b > 8<<20 {
 		t.Fatalf("cache.refsearch.bytes = %d for %d entries", b, n)
+	}
+	if d, m := s.Counters["cache.refsearch.declined"], s.Counters["cache.refsearch.misses"]; d == 0 || m != d+n {
+		t.Fatalf("cache.refsearch: %d misses, %d declined, %d entries; want misses = declined + entries", m, d, n)
 	}
 	if tm := s.Counters["cache.trajmatch.tables"]; tm == 0 || s.Counters["cache.trajmatch.points"] < tm ||
 		s.Counters["cache.trajmatch.builds"] < tm {
@@ -227,5 +233,11 @@ func TestMetricsUninstrumented(t *testing.T) {
 	}
 	if s.Counters["cache.refsearch.misses"] == 0 {
 		t.Fatal("cache gauges missing")
+	}
+	// One query asks each of its pairs once: all first sightings, none kept.
+	if d, m := s.Counters["cache.refsearch.declined"], s.Counters["cache.refsearch.misses"]; d != m ||
+		s.Counters["cache.refsearch.entries"] != 0 || s.Counters["cache.refsearch.bytes"] != 0 {
+		t.Fatalf("one fresh query: %d misses, %d declined, %d entries, %d bytes; want every miss declined and nothing retained",
+			m, d, s.Counters["cache.refsearch.entries"], s.Counters["cache.refsearch.bytes"])
 	}
 }

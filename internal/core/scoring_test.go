@@ -73,10 +73,9 @@ func testPairContext(m map[roadnet.EdgeID][]int) *pairContext {
 	sc.beginPair(int(maxEdge) + 1)
 	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
 	for _, e := range edges {
-		set := ctx.touchEdge(e)
+		k := ctx.slotOf(e)
 		for _, id := range m[e] {
-			di := ctx.idIndex(int32(id))
-			set[di>>6] |= 1 << (di & 63)
+			ctx.setBit(k, ctx.idIndex(int32(id)))
 		}
 	}
 	return ctx

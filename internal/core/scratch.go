@@ -32,9 +32,8 @@ type pairScratch struct {
 
 	// Interner: the pair's distinct archive trajectory ids, sorted, so a
 	// dense bit index replaces the map[int]struct{} reference sets.
-	idBuf  []int32 // raw source ids before sort/dedup
-	ids    []int32 // sorted unique ids; bit i of a set = ids[i]
-	srcIdx []int32 // dense indices of the current reference's sources
+	idBuf []int32 // raw source ids before sort/dedup
+	ids   []int32 // sorted unique ids; bit i of a set = ids[i]
 
 	// Per-edge reference bitsets: slot k (edge edges[k]) owns
 	// bits[k*words : (k+1)*words]. edgeSlot/edgeVer are stamped arrays
@@ -45,9 +44,17 @@ type pairScratch struct {
 	edgeSlot []int32
 	edgeVer  []uint32
 	ever     uint32
+	slotRun  []int32 // per slot: the last spliceRun that listed its edge
 
 	points []refPoint
-	tabs   []*trajMatch // the pair's match tables; refPoint.tab indexes them
+	tabs   []*trajMatch // the pair's match tables, one per trajectory; refPoint.tab indexes them
+
+	// Per-run assembly of spliced references (see spliceRun): per dense id
+	// its table and runs, per run its edge slots and prefix counts.
+	idSlots  []idSlot
+	runs     []spliceRun
+	runEdges []int32
+	runPre   []int32
 
 	// Scoring buffers (Equation 1).
 	counts []float64
@@ -136,7 +143,7 @@ func (sc *pairScratch) beginPair(nseg int) {
 		}
 		sc.ever = 1
 	}
-	sc.edges = sc.edges[:0]
+	sc.edges, sc.slotRun = sc.edges[:0], sc.slotRun[:0]
 	sc.bits = sc.bits[:0]
 	clear(sc.seen) // let go of the previous pair's published routes
 	sc.seen, sc.seenHash = sc.seen[:0], sc.seenHash[:0]

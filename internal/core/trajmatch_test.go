@@ -20,15 +20,19 @@ import (
 // of every reference probes its candidate edges and recomputes the travel
 // heading and each segment's heading from its shape. It returns the traverse
 // edges in first-touch order, each edge's supporting trajectory ids, and the
-// reference points.
-func oracleSupport(g *roadnet.Graph, v hist.View, refs []hist.Reference, eps float64) ([]roadnet.EdgeID, map[roadnet.EdgeID]map[int32]bool, []geo.Point) {
+// reference points with the archive samples they are.
+func oracleSupport(g *roadnet.Graph, v hist.View, refs []hist.Reference, eps float64) ([]roadnet.EdgeID, map[roadnet.EdgeID]map[int32]bool, []oracleSample) {
 	var edges []roadnet.EdgeID
 	support := make(map[roadnet.EdgeID]map[int32]bool)
-	var points []geo.Point
+	var points []oracleSample
 	for _, r := range refs {
 		pts := refPoints(v, r)
 		for j, p := range pts {
-			points = append(points, p.Pt)
+			smp := oracleSample{p.Pt, r.SourceA, r.OffA + int32(j)}
+			if j >= int(r.LenA) {
+				smp.traj, smp.k = r.SourceB, r.OffB+int32(j)-r.LenA
+			}
+			points = append(points, smp)
 			heading, hasHeading := travelHeading(pts, j)
 			for _, c := range g.CandidateEdges(p.Pt, eps) {
 				if hasHeading && !edgeAligned(g, c.Edge, heading) {
@@ -46,6 +50,26 @@ func oracleSupport(g *roadnet.Graph, v hist.View, refs []hist.Reference, eps flo
 		}
 	}
 	return edges, support, points
+}
+
+// oracleSample is one reference point: sample k of archive trajectory traj.
+type oracleSample struct {
+	pt      geo.Point
+	traj, k int32
+}
+
+// firstSightings returns the samples of pts without repeats, in order of
+// first appearance.
+func firstSightings(pts []oracleSample) []oracleSample {
+	var out []oracleSample
+	seen := make(map[[2]int32]bool)
+	for _, p := range pts {
+		if !seen[[2]int32{p.traj, p.k}] {
+			seen[[2]int32{p.traj, p.k}] = true
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // travelHeading estimates the direction of travel at point j of a
@@ -69,15 +93,20 @@ func edgeAligned(g *roadnet.Graph, e roadnet.EdgeID, heading float64) bool {
 }
 
 // checkAgainstOracle asserts that the table-driven buildPairContext and the
-// per-point oracle agree exactly on refs: same traverse edges in the same
-// first-touch order, same support per edge, same points, same density.
-func checkAgainstOracle(t *testing.T, x exec, refs []hist.Reference, what string) {
+// per-point oracle agree exactly on refs: the same traverse edges (in any
+// order: TGI sorts them), the same support per edge, the same archive samples
+// in order of first appearance (repeats allowed), the same |P_i|, MBR and
+// density, and the same NNI point table.
+func checkAgainstOracle(t *testing.T, x exec, refs []hist.Reference, what string) *pairContext {
 	t.Helper()
 	x.sc = newPairScratch()
 	pctx := x.buildPairContext(0, traj.GPSPoint{}, traj.GPSPoint{}, refs)
 	edges, support, points := oracleSupport(x.eng.g, x.snap, refs, x.p.CandEps)
-	if !slices.Equal(pctx.sc.edges, edges) {
-		t.Fatalf("%s: traverse edges %v, oracle %v", what, pctx.sc.edges, edges)
+	got, want := slices.Clone(pctx.sc.edges), slices.Clone(edges)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: traverse edges %v, oracle %v", what, got, want)
 	}
 	for _, e := range edges {
 		var want []int32
@@ -89,19 +118,53 @@ func checkAgainstOracle(t *testing.T, x exec, refs []hist.Reference, what string
 			t.Fatalf("%s: edge %d supported by %v, oracle %v", what, e, got, want)
 		}
 	}
-	if len(pctx.points) != len(points) {
-		t.Fatalf("%s: %d points, oracle %d", what, len(pctx.points), len(points))
+	// Name the listed samples by trajectory id, through the table index.
+	tabID := make([]int32, len(pctx.sc.tabs))
+	for di, s := range pctx.sc.idSlots {
+		if s.tab >= 0 {
+			tabID[s.tab] = pctx.ids[di]
+		}
+	}
+	listed := make([]oracleSample, len(pctx.points))
+	for i, p := range pctx.points {
+		listed[i] = oracleSample{p.pt, tabID[p.tab], p.k}
+	}
+	if got, want := firstSightings(listed), firstSightings(points); !slices.Equal(got, want) {
+		t.Fatalf("%s: samples %v, oracle %v", what, got, want)
+	}
+	if pctx.npoints != len(points) {
+		t.Fatalf("%s: |P_i| = %d, oracle %d", what, pctx.npoints, len(points))
 	}
 	box := geo.EmptyBBox()
-	for i, p := range points {
-		if pctx.points[i].pt != p {
-			t.Fatalf("%s: point %d = %v, oracle %v", what, i, pctx.points[i].pt, p)
-		}
-		box = box.ExtendPoint(p)
+	for _, p := range points {
+		box = box.ExtendPoint(p.pt)
 	}
 	if pctx.box != box {
 		t.Fatalf("%s: stored MBR %v, rescanned %v", what, pctx.box, box)
 	}
+	if want := float64(len(points)) / (box.Area() / 1e6); len(points) > 0 && box.Area() >= 1 && pctx.density() != want {
+		t.Fatalf("%s: density %v, oracle %v", what, pctx.density(), want)
+	}
+	// NNI's table keeps the first point of each grid cell: listing a sample
+	// once instead of once per reference must not change which.
+	dedupPointsInto(pctx.sc, pctx.points, geo.Point{}, geo.Point{})
+	var table []oracleSample
+	cells := make(map[uint64]bool)
+	for _, p := range points {
+		if k := cellKey(p.pt); !cells[k] {
+			cells[k] = true
+			table = append(table, p)
+		}
+	}
+	if len(pctx.sc.nniSrc) != len(table) {
+		t.Fatalf("%s: NNI table of %d points, oracle %d", what, len(pctx.sc.nniSrc), len(table))
+	}
+	for i, s := range pctx.sc.nniSrc {
+		if got := (oracleSample{pctx.sc.nniPts[i+1], tabID[s.tab], s.k}); got != table[i] {
+			t.Fatalf("%s: NNI table point %d = %v, oracle %v", what, i, got, table[i])
+		}
+	}
+	return pctx
 }
 
 // window is the simple reference covering points [m, n] of trajectory ti.
@@ -126,7 +189,8 @@ func splice(v hist.View, ta, m, a, tb, b, n int) hist.Reference {
 // synthesized references of every shape the heading rule distinguishes —
 // whole trajectories, head/interior/tail windows, single points (no
 // heading), and splices whose A or B part is a single point or reaches a
-// trajectory's end — at the default and two non-default ε on one engine.
+// trajectory's end — and over splice-heavy pairs that share runs (see
+// spliceHeavyGroups), at the default and two non-default ε on one engine.
 func TestMatchTableMatchesPerPointOracle(t *testing.T) {
 	w := newWorld(t, 120, 191)
 	v := w.eng.src.Current()
@@ -150,6 +214,7 @@ func TestMatchTableMatchesPerPointOracle(t *testing.T) {
 	if len(refs) < 200 {
 		t.Fatalf("only %d synthesized references", len(refs))
 	}
+	fanOut, fanIn, mixed := spliceHeavyGroups(t, v, rng)
 	for _, eps := range []float64{w.p.CandEps, 25, 90} {
 		x := w.exec()
 		x.p.CandEps = eps
@@ -159,6 +224,30 @@ func TestMatchTableMatchesPerPointOracle(t *testing.T) {
 				checkAgainstOracle(t, x, refs[i:min(i+12, len(refs))], "group")
 			}
 		}
+		for _, g := range []struct {
+			what string
+			refs []hist.Reference
+		}{{"fan-out", fanOut}, {"fan-in", fanIn}, {"mixed", mixed}} {
+			// Run order must not matter either: reversed, the shortest cuts
+			// of a run come last; shuffled, cuts grow and shrink.
+			shuffled := slices.Clone(g.refs)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for _, refs := range [][]hist.Reference{g.refs, reversed(g.refs), shuffled} {
+				pctx := checkAgainstOracle(t, x, refs, g.what)
+				if g.what == "mixed" {
+					continue
+				}
+				// Fully run-structured: every sample listed exactly once.
+				distinct := make(map[sampleID]bool)
+				for _, p := range pctx.points {
+					distinct[p.sampleID] = true
+				}
+				if len(distinct) != len(pctx.points) || len(pctx.points) >= pctx.npoints {
+					t.Fatalf("%s: %d listed samples, %d distinct, for |P_i| = %d: want each shared sample listed once",
+						g.what, len(pctx.points), len(distinct), pctx.npoints)
+				}
+			}
+		}
 	}
 	// One table per (trajectory, ε): the three ε did not share entries.
 	c := w.eng.Metrics().Counters
@@ -166,6 +255,67 @@ func TestMatchTableMatchesPerPointOracle(t *testing.T) {
 		t.Fatalf("tables %d, builds %d: want one serial build per trajectory per ε",
 			c["cache.trajmatch.tables"], c["cache.trajmatch.builds"])
 	}
+}
+
+// spliceHeavyGroups synthesizes the shapes Definition 7's join emits on a
+// sparse pair: fanOut splices one T_a, always from the same OffA, to 24
+// partners at 24 different cut rows (each partner ending at its own fixed
+// last row); fanIn is the mirror, one T_b always up to the same last row,
+// cut at a different row for each of 24 partners, down to one-row parts. The
+// mixed group is fanOut and fanIn interleaved with references that break
+// their run structure: the same T_a from other start rows, the same T_b up to
+// other last rows, the T_a as a T_b and the T_b as a T_a, and simple windows
+// of both.
+func spliceHeavyGroups(t *testing.T, v hist.View, rng *rand.Rand) (fanOut, fanIn, mixed []hist.Reference) {
+	t.Helper()
+	var long, other []int
+	for ti := 0; ti < v.NumTrajs(); ti++ {
+		switch n := v.Traj(ti).Len(); {
+		case n >= 30 && len(long) < 2:
+			long = append(long, ti)
+		case n >= 4:
+			other = append(other, ti)
+		}
+	}
+	const partners = 24
+	if len(long) < 2 || len(other) < partners {
+		t.Fatalf("world has %d long and %d other trajectories", len(long), len(other))
+	}
+	ta, tb := long[0], long[1]
+	la, lb := v.Traj(ta).Len()-1, v.Traj(tb).Len()-1
+	for p := 0; p < partners; p++ {
+		tp := other[p]
+		lp := v.Traj(tp).Len() - 1
+		// T_a from row 2, cut at rows 2..25: from a one-row part up.
+		fanOut = append(fanOut, splice(v, ta, 2, 2+p, tp, rng.Intn(lp+1), lp))
+		// T_b up to row lb-1, cut at rows lb-1 down to lb-24.
+		fanIn = append(fanIn, splice(v, tp, 0, rng.Intn(lp+1), tb, lb-1-p, lb-1))
+	}
+	for p := 0; p < partners; p++ {
+		mixed = append(mixed, fanOut[p], fanIn[p])
+		switch p % 6 {
+		case 0:
+			mixed = append(mixed, splice(v, ta, 3, 3+p, other[p], 0, 1)) // T_a from another row
+		case 1:
+			mixed = append(mixed, splice(v, other[p], 0, 1, tb, lb-3-p, lb-2)) // T_b to another row
+		case 2:
+			mixed = append(mixed, splice(v, tb, 1, 4, ta, la-p, la)) // the roles swapped
+		case 3:
+			mixed = append(mixed, window(v, ta, 0, la), window(v, tb, p, p+3))
+		case 4:
+			mixed = append(mixed, splice(v, ta, 2, 2+p, tb, lb-1-p, lb-1)) // both runs at once
+		}
+	}
+	// A conflicting reference ahead of every claim: the T_a run then starts
+	// where it says, and the fan-out's references go point by point.
+	mixed = append([]hist.Reference{splice(v, ta, 5, 9, tb, 0, lb)}, mixed...)
+	return fanOut, fanIn, mixed
+}
+
+func reversed(refs []hist.Reference) []hist.Reference {
+	out := slices.Clone(refs)
+	slices.Reverse(out)
+	return out
 }
 
 // TestMatchTableOnLiveShardedStore runs the same property on what the

@@ -44,8 +44,8 @@ func (b BBox) ContainsBox(o BBox) bool {
 // ExtendPoint returns the smallest box containing both b and p.
 func (b BBox) ExtendPoint(p Point) BBox {
 	return BBox{
-		Min: Point{math.Min(b.Min.X, p.X), math.Min(b.Min.Y, p.Y)},
-		Max: Point{math.Max(b.Max.X, p.X), math.Max(b.Max.Y, p.Y)},
+		Min: Point{min(b.Min.X, p.X), min(b.Min.Y, p.Y)},
+		Max: Point{max(b.Max.X, p.X), max(b.Max.Y, p.Y)},
 	}
 }
 
@@ -72,7 +72,7 @@ func (b BBox) Center() Point {
 
 // DistToPoint returns the minimum distance from p to the box (0 if inside).
 func (b BBox) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(b.Min.X-p.X, p.X-b.Max.X))
-	dy := math.Max(0, math.Max(b.Min.Y-p.Y, p.Y-b.Max.Y))
+	dx := max(0, b.Min.X-p.X, p.X-b.Max.X)
+	dy := max(0, b.Min.Y-p.Y, p.Y-b.Max.Y)
 	return math.Hypot(dx, dy)
 }

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -87,6 +88,49 @@ func TestBBoxCenterMargin(t *testing.T) {
 		c := b.Center()
 		if !b.Contains(c) {
 			t.Fatalf("center %v outside box %v", c, b)
+		}
+	}
+}
+
+// TestBuiltinMinMaxMatchMath pins the builtin min and max, which ExtendPoint,
+// DistToPoint and onSegment use, against math.Min and math.Max on the operands
+// where floating-point order is subtle: NaN, signed zeros and infinities.
+// Results are compared by bit pattern, so -0 and +0 are told apart. They
+// agree everywhere but one corner: math lets the infinity that saturates the
+// operation (-Inf for Min, +Inf for Max) beat a NaN, the builtins return the
+// NaN. A box never meets that corner unless a coordinate is already infinite
+// and another NaN (an empty box holds +Inf in Min and -Inf in Max).
+func TestBuiltinMinMaxMatchMath(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	vals := []float64{nan, inf, -inf, 0, negZero, 1, -1, 3.5, -1e300, math.SmallestNonzeroFloat64}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	// saturated reports the corner: a NaN operand beside the saturating infinity.
+	saturated := func(x, y, sat float64) bool {
+		return math.IsNaN(x) && y == sat || x == sat && math.IsNaN(y)
+	}
+	for _, x := range vals {
+		for _, y := range vals {
+			got, want := min(x, y), math.Min(x, y)
+			if saturated(x, y, -inf) {
+				want = nan
+			}
+			if !same(got, want) {
+				t.Errorf("min(%v, %v) = %v, want %v", x, y, got, want)
+			}
+			got, want = max(x, y), math.Max(x, y)
+			if saturated(x, y, inf) {
+				want = nan
+			}
+			if !same(got, want) {
+				t.Errorf("max(%v, %v) = %v, want %v", x, y, got, want)
+			}
+			// DistToPoint's three-operand form is the nested pair.
+			if got, want := max(0, x, y), max(0, max(x, y)); !same(got, want) {
+				t.Errorf("max(0, %v, %v) = %v, nested max = %v", x, y, got, want)
+			}
 		}
 	}
 }

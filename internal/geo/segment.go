@@ -1,7 +1,5 @@
 package geo
 
-import "math"
-
 // Segment is a directed straight line segment from A to B.
 type Segment struct {
 	A, B Point
@@ -53,6 +51,6 @@ func (s Segment) Intersects(t Segment) bool {
 func direction(a, b, c Point) float64 { return c.Sub(a).Cross(b.Sub(a)) }
 
 func onSegment(a, b, c Point) bool {
-	return math.Min(a.X, b.X) <= c.X && c.X <= math.Max(a.X, b.X) &&
-		math.Min(a.Y, b.Y) <= c.Y && c.Y <= math.Max(a.Y, b.Y)
+	return min(a.X, b.X) <= c.X && c.X <= max(a.X, b.X) &&
+		min(a.Y, b.Y) <= c.Y && c.Y <= max(a.Y, b.Y)
 }

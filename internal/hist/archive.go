@@ -130,13 +130,24 @@ func newSnapshot(g *roadnet.Graph, part *Partition, reg *obs.Registry, seed []*t
 // vectors — (2,0) and (1,1) describe different content — which is exactly
 // the confusion epoch-tagged caches must not suffer.
 func epochFingerprint(shards []shard) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for _, sh := range shards {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (sh.epoch >> shift) & 0xff
-			h *= prime
-		}
+		h = fnvMix(h, sh.epoch)
+	}
+	return h
+}
+
+// FNV-1a, shared by the fingerprints and the memo's doorkeeper.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvMix folds v's eight bytes (little-endian, low byte first) into h.
+func fnvMix(h, v uint64) uint64 {
+	for shift := 0; shift < 64; shift += 8 {
+		h ^= (v >> shift) & 0xff
+		h *= fnvPrime
 	}
 	return h
 }

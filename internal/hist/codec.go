@@ -168,26 +168,18 @@ func decodeBatch(payload []byte) (walBatch, error) {
 // dataset, already durable elsewhere), so recovery correctness depends on
 // it being the same seed.
 func seedFingerprint(seed []*traj.Trajectory) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (v >> shift) & 0xff
-			h *= prime
-		}
-	}
-	mix(uint64(len(seed)))
+	h := fnvMix(fnvOffset, uint64(len(seed)))
 	for _, tr := range seed {
 		for i := 0; i < len(tr.ID); i++ {
 			h ^= uint64(tr.ID[i])
-			h *= prime
+			h *= fnvPrime
 		}
-		mix(uint64(tr.Len()))
+		h = fnvMix(h, uint64(tr.Len()))
 		if tr.Len() > 0 {
 			p := tr.Points[0]
-			mix(math.Float64bits(p.Pt.X))
-			mix(math.Float64bits(p.Pt.Y))
-			mix(math.Float64bits(p.T))
+			h = fnvMix(h, math.Float64bits(p.Pt.X))
+			h = fnvMix(h, math.Float64bits(p.Pt.Y))
+			h = fnvMix(h, math.Float64bits(p.T))
 		}
 	}
 	return h

@@ -212,7 +212,8 @@ func TestStoreObs(t *testing.T) {
 }
 
 // TestSearchCacheEpochInvalidation: memos are epoch-tagged — an ingest
-// invalidates them, identical queries within an epoch still hit.
+// invalidates them, identical queries within an epoch still hit once
+// admitted on their second miss.
 func TestSearchCacheEpochInvalidation(t *testing.T) {
 	g, qi, qj := refWorld()
 	st := NewStore(g, nil, StoreConfig{})
@@ -224,14 +225,15 @@ func TestSearchCacheEpochInvalidation(t *testing.T) {
 	if h, m := c.Stats(); h != 0 || m != 1 {
 		t.Fatalf("stats after first call: %d/%d", h, m)
 	}
+	cachedRefs(c, st, qi, qj, sp) // the second miss admits the key
 	cachedRefs(c, st, qi, qj, sp)
-	if h, _ := c.Stats(); h != 1 {
-		t.Fatal("repeat within epoch did not hit")
+	if h, m := c.Stats(); h != 1 || m != 2 {
+		t.Fatalf("stats after repeats within the epoch: %d/%d, want 1/2", h, m)
 	}
 
 	st.IngestTrips(storeTrips()[3:]...)
 	after := cachedRefs(c, st, qi, qj, sp)
-	if h, m := c.Stats(); h != 1 || m != 2 {
+	if h, m := c.Stats(); h != 1 || m != 3 {
 		t.Fatalf("stats after ingest: %d/%d (stale memo served?)", h, m)
 	}
 	if c.Invalidations() != 1 {
@@ -241,9 +243,30 @@ func TestSearchCacheEpochInvalidation(t *testing.T) {
 		// The extra trips add references for this pair in the fixture.
 		t.Fatal("post-ingest answer identical to stale answer")
 	}
-	cachedRefs(c, st, qi, qj, sp)
+	admittedRefs(c, st, qi, qj, sp)
 	if h, _ := c.Stats(); h != 2 {
 		t.Fatal("repeat in new epoch did not hit")
+	}
+}
+
+// TestSearchCacheFirstSightingInvalidates: a key of a newer epoch purges the
+// older generation on its first sighting, though that sighting itself is
+// not memoized.
+func TestSearchCacheFirstSightingInvalidates(t *testing.T) {
+	g, qi, qj := refWorld()
+	st := NewStore(g, nil, StoreConfig{})
+	st.IngestTrips(storeTrips()[:3]...)
+	c := NewSearchCache(0)
+	sp := SearchParams{Phi: 60, SpliceEps: 50}
+	admittedRefs(c, st, qi, qj, sp)
+	if c.Len() != 1 {
+		t.Fatalf("memo holds %d entries before the ingest, want 1", c.Len())
+	}
+	st.IngestTrips(storeTrips()[3:]...)
+	cachedRefs(c, st, qi, qj, sp)
+	if c.Len() != 0 || c.Bytes() != 0 || c.Invalidations() != 1 || c.Declined() != 2 {
+		t.Fatalf("after a newer epoch's first sighting: %d entries, %d bytes, %d invalidations, %d declined; want 0, 0, 1, 2",
+			c.Len(), c.Bytes(), c.Invalidations(), c.Declined())
 	}
 }
 

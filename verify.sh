@@ -88,18 +88,22 @@ go test -C bench -timeout 300s ./...
 # (-count=2 defeats test caching and runs each twice in one binary, the
 # second time on warm pools, memos, solver and searcher scratch). The
 # matchers' golden digests (TestMatcherGoldenDigests) pin ST-Matching, IVMM,
-# HMM and the incremental matcher on the same terms.
-go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
+# HMM and the incremental matcher on the same terms. So do the pair-context
+# assembly's per-point oracle (MatchTable: per-run spliced contexts on a
+# warm pool, where stale run state would show) and the memo's admission
+# contract (SearchCache).
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces|MatchTable|SearchCache' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
 go test -timeout 120s -count=2 ./internal/grid/
 
 # Bench smoke: the acceleration-layer benchmarks (the end-to-end HRIS query
 # in both oracle modes, ST-Matching, the CH build), the
-# warm pair-context assembly benchmark, the warm NNI and TGI pairs, the cold
+# warm pair-context assembly benchmark, the warm NNI, TGI and most-spliced
+# pairs, the cold
 # reference search, the live-archive ingest benchmarks (Ingest matches both
 # the in-memory BenchmarkIngest and the WAL-on BenchmarkIngestDurable) and
 # graphalg's K-shortest-path benchmark must run one iteration without failing.
 # Real numbers come from `go run -C bench repro/bench` (BENCHMARK.json).
-go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|TGIPair|YenK5|ReferenceSearch|STMatch|CH|Ingest|SessionStep' -benchtime 1x . ./internal/graphalg/
+go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|TGIPair|SplicedPair|YenK5|ReferenceSearch|STMatch|CH|Ingest|SessionStep' -benchtime 1x . ./internal/graphalg/
 
 # Alloc-regression gate: the steady-state query hot path must stay within
 # the checked-in budget (bench_budget.json). BenchmarkHRISQuery warms the
