@@ -65,10 +65,13 @@
 // line, answered in order with incremental updates (pairs inferred so far,
 // the firm prefix no future point can revise, a provisional route tail) and,
 // when the request body ends, a final record carrying the same routes POST
-// /infer would return for the completed trace. Sessions are admitted by a
-// bounded manager (-max-sessions, 429 at capacity), hold at most
-// -session-max-points points, and are evicted after -session-idle without a
-// point; -deadline budgets each point's incremental step. With
+// /infer would return for the completed trace. Each stream's handler owns
+// its session from open to final record: at most -max-sessions streams are
+// open (429 beyond, 409 for an id already streaming), a session holds at
+// most -session-max-points points (the next one finalizes it, flagged
+// "truncated"), and a stream with no point for -session-idle gets a final
+// error record and its connection closes, which frees its slot; -deadline
+// budgets each point's incremental step. With
 // -stream-ingest every cleanly finalized stream trajectory is admitted into
 // the live archive, closing the loop from live vehicles to the reference
 // history the next queries search. On SIGINT/SIGTERM open streams finalize
@@ -171,10 +174,10 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "max concurrent /infer inferences (< 1 = GOMAXPROCS)")
 		queueDepth  = flag.Int("queue-depth", -1, "max /infer requests waiting beyond -max-inflight before 429 (< 0 = 4x max-inflight)")
 
-		maxSessions   = flag.Int("max-sessions", 0, "max concurrent /stream sessions before 429 (< 1 = 16384)")
-		sessionIdle   = flag.Duration("session-idle", 0, "evict /stream sessions idle this long (0 = 5m)")
+		maxSessions   = flag.Int("max-sessions", 0, "max concurrent /stream sessions before 429 (0 = 16384, < 0 = unlimited)")
+		sessionIdle   = flag.Duration("session-idle", 0, "close a /stream session with no point for this long (0 = 5m, < 0 = never)")
 		sessionWindow = flag.Int("session-window", 0, "provisional-tail window in pairs for /stream updates (< 1 = 8)")
-		sessionPoints = flag.Int("session-max-points", 0, "max points per /stream session before forced finalize (< 1 = 4096)")
+		sessionPoints = flag.Int("session-max-points", 0, "max points per /stream session before forced finalize (0 = 4096, < 0 = unlimited)")
 		streamIngest  = flag.Bool("stream-ingest", false, "ingest each finalized /stream trajectory into the live archive")
 		drainGrace    = flag.Duration("drain-grace", 2*time.Second, "per-stream finalize window during shutdown (keep below the 5s server shutdown timeout)")
 	)
@@ -238,18 +241,13 @@ func main() {
 	}
 	eng := core.NewEngineWithRegistry(st, params, reg)
 	var srv *http.Server
-	var mgr *core.SessionManager
 	if *httpAddr != "" {
 		gate := core.NewGate(eng, core.GateConfig{MaxInflight: *maxInflight, QueueDepth: *queueDepth})
-		mgr = core.NewSessionManager(eng, core.SessionManagerConfig{
-			MaxSessions: *maxSessions,
-			MaxPoints:   *sessionPoints,
-			IdleTimeout: *sessionIdle,
-			Window:      *sessionWindow,
-		})
 		srv = serveDebug(*httpAddr, &server{
-			eng: eng, gate: gate, mgr: mgr, st: st, params: params, root: ctx,
+			eng: eng, gate: gate, st: st, params: params, root: ctx,
 			streamIngest: *streamIngest, drainGrace: *drainGrace,
+			limits: resolveStreamLimits(*maxSessions, *sessionPoints, *sessionIdle, *sessionWindow),
+			sm:     newSessionMetrics(reg),
 		})
 	}
 
@@ -364,9 +362,6 @@ func main() {
 		} else {
 			log.Printf("debug server stopped")
 		}
-	}
-	if mgr != nil {
-		mgr.Close()
 	}
 	// Flush and close the store last — the debug server is down, so no new
 	// ingests can race the final WAL sync.

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -37,7 +38,6 @@ var errServerShutdown = errors.New("server shutting down")
 type server struct {
 	eng    *core.Engine
 	gate   *core.Gate
-	mgr    *core.SessionManager
 	st     *hist.Store
 	params core.Params
 	root   context.Context
@@ -46,6 +46,13 @@ type server struct {
 	// shutdown (must stay inside main's Shutdown timeout).
 	streamIngest bool
 	drainGrace   time.Duration
+	limits       streamLimits
+	sm           sessionMetrics
+
+	// streamMu guards streams, the vehicle ids of the open /stream
+	// sessions; its size is the admission count.
+	streamMu sync.Mutex
+	streams  map[string]struct{}
 }
 
 // mux assembles the debug/serving routes: /metrics (JSON snapshot),
@@ -56,9 +63,11 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		snap := s.eng.Metrics()
 		// session.active is a point-in-time gauge, not a registry counter:
-		// fold the manager's live count into the snapshot here.
-		if s.mgr != nil && snap.Counters != nil {
-			snap.Counters["session.active"] = uint64(s.mgr.Active())
+		// fold the open-stream count into the snapshot here.
+		if snap.Counters != nil {
+			s.streamMu.Lock()
+			snap.Counters["session.active"] = uint64(len(s.streams))
+			s.streamMu.Unlock()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

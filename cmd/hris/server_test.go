@@ -83,12 +83,9 @@ func newTestServer(t *testing.T, cfg core.GateConfig) (*server, *obs.Registry) {
 	t.Cleanup(func() { st.Close() })
 	params := core.DefaultParams()
 	eng := core.NewEngineWithRegistry(st, params, reg)
-	mgr := core.NewSessionManager(eng, core.SessionManagerConfig{IdleTimeout: -1})
-	t.Cleanup(mgr.Close)
 	return &server{
 		eng:        eng,
 		gate:       core.NewGate(eng, cfg),
-		mgr:        mgr,
 		st:         st,
 		params:     params,
 		root:       context.Background(),

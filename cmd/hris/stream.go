@@ -3,9 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -16,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -59,6 +58,84 @@ type routeJSON struct {
 // streamSeq disambiguates anonymous /stream sessions.
 var streamSeq atomic.Uint64
 
+// streamLimits bounds the /stream sessions of one server. A count ≤ 0 means
+// unlimited and an idle ≤ 0 means a silent stream is never closed;
+// resolveStreamLimits maps the flags' 0 to the defaults.
+type streamLimits struct {
+	maxSessions int           // open sessions before 429
+	maxPoints   int           // points per session before a truncated finalize
+	idle        time.Duration // silence before a stream is closed
+	window      int           // provisional-tail window (core's default when < 1)
+}
+
+// resolveStreamLimits applies the flag defaults: 0 sessions is 16384, 0
+// points is 4096 and 0 idle is 5m; a negative value stays negative, which
+// streamLimits reads as unlimited (never, for idle). The defaults target tens
+// of thousands of vehicles: a session's state is a capped local-route set per
+// pair, so maxSessions × maxPoints bounds resident memory.
+func resolveStreamLimits(maxSessions, maxPoints int, idle time.Duration, window int) streamLimits {
+	if maxSessions == 0 {
+		maxSessions = 16384
+	}
+	if maxPoints == 0 {
+		maxPoints = 4096
+	}
+	if idle == 0 {
+		idle = 5 * time.Minute
+	}
+	return streamLimits{maxSessions: maxSessions, maxPoints: maxPoints, idle: idle, window: window}
+}
+
+// sessionMetrics are the session.* instruments, resolved once from the
+// engine's registry. The zero value records nothing.
+type sessionMetrics struct {
+	created, rejected, duplicate, evicted, finalized, aborted, points *obs.Counter
+	step, finalize, lag                                               *obs.Histogram
+}
+
+func newSessionMetrics(reg *obs.Registry) sessionMetrics {
+	return sessionMetrics{
+		created:   reg.Counter(obs.CounterSessionCreated),
+		rejected:  reg.Counter(obs.CounterSessionRejected),
+		duplicate: reg.Counter(obs.CounterSessionDuplicate),
+		evicted:   reg.Counter(obs.CounterSessionEvicted),
+		finalized: reg.Counter(obs.CounterSessionFinalized),
+		aborted:   reg.Counter(obs.CounterSessionAborted),
+		points:    reg.Counter(obs.CounterSessionPoints),
+		step:      reg.Histogram(obs.HistSessionStep),
+		finalize:  reg.Histogram(obs.HistSessionFinalize),
+		lag:       reg.Histogram(obs.HistSessionLag),
+	}
+}
+
+// admitStream claims the vehicle id for a new stream, or returns the status
+// that refuses it: 429 with maxSessions streams open, 409 when the id is
+// already streaming. A claimed id must be given back with releaseStream.
+func (s *server) admitStream(id string) (int, string) {
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
+	switch _, dup := s.streams[id]; {
+	case s.limits.maxSessions > 0 && len(s.streams) >= s.limits.maxSessions:
+		s.sm.rejected.Inc()
+		return http.StatusTooManyRequests, "session limit reached"
+	case dup:
+		s.sm.duplicate.Inc()
+		return http.StatusConflict, "session id already active"
+	}
+	if s.streams == nil {
+		s.streams = make(map[string]struct{})
+	}
+	s.streams[id] = struct{}{}
+	s.sm.created.Inc()
+	return 0, ""
+}
+
+func (s *server) releaseStream(id string) {
+	s.streamMu.Lock()
+	delete(s.streams, id)
+	s.streamMu.Unlock()
+}
+
 // streamLine is one read off the request body: a raw line or the reader's
 // terminal error.
 type streamLine struct {
@@ -75,7 +152,13 @@ type streamLine struct {
 //
 //	405 not a POST
 //	409 the vehicle id already has an active session
-//	429 the session manager is at capacity — back off and retry
+//	429 -max-sessions streams are open — back off and retry
+//
+// The handler owns its core.Session from open to final record: it enforces
+// the point cap and the idle timeout itself, and gives the id and the slot
+// back before it writes the final record, so a vehicle that reads its final
+// record may reopen at once. A stream silent for -session-idle gets a final
+// error record and its connection closes.
 //
 // Shutdown: when the process begins draining, every open stream finalizes
 // what it has within -drain-grace and answers a final record flagged
@@ -95,25 +178,21 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		rejectStream(`POST an NDJSON stream of [x, y, t] points; add ?id=VEHICLE to name the session`, http.StatusMethodNotAllowed)
 		return
 	}
-	if s.mgr == nil {
-		rejectStream("streaming disabled", http.StatusServiceUnavailable)
-		return
-	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
 		id = fmt.Sprintf("anon-%d", streamSeq.Add(1))
 	}
-	vs, err := s.mgr.Open(id, s.params)
-	switch {
-	case errors.Is(err, core.ErrTooManySessions):
-		rejectStream(err.Error(), http.StatusTooManyRequests)
+	if code, msg := s.admitStream(id); code != 0 {
+		rejectStream(msg, code)
 		return
-	case errors.Is(err, core.ErrDuplicateSession):
-		rejectStream(err.Error(), http.StatusConflict)
-		return
-	case err != nil:
-		rejectStream(err.Error(), http.StatusInternalServerError)
-		return
+	}
+	sess := s.eng.NewSession(s.params, core.SessionConfig{Window: s.limits.window})
+	// drop closes the session unfinalized and gives the id back, counting the
+	// outcome; finish is the other way out. Exactly one of them runs.
+	drop := func(outcome *obs.Counter) {
+		sess.Close()
+		s.releaseStream(id)
+		outcome.Inc()
 	}
 
 	// A stream outlives the server's request read/write timeouts by design;
@@ -171,12 +250,17 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	var pts []traj.GPSPoint
 	finish := func(fin streamFinalJSON) {
-		res, err := vs.Finalize()
+		t0 := time.Now()
+		res, err := sess.Finalize()
+		s.releaseStream(id)
 		if err != nil {
+			s.sm.aborted.Inc()
 			fin.Error = err.Error()
 			writeRec(fin)
 			return
 		}
+		s.sm.finalized.Inc()
+		s.sm.finalize.ObserveSince(t0)
 		fin.Degraded = res.Degraded
 		for _, gr := range res.Routes {
 			fin.Routes = append(fin.Routes, routeJSON{Segments: gr.Route, Score: gr.Score})
@@ -194,13 +278,25 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		writeRec(fin)
 	}
+	// The idle timer is re-armed lazily: a point only stamps last, and a
+	// fire that finds the stream heard from within the idle window re-arms
+	// for the remainder. Reset then always follows a receive from C, which
+	// is safe under either timer-channel semantics.
+	var idle *time.Timer
+	var idleC <-chan time.Time // nil, and never ready, without a timeout
+	last := time.Now()
+	if s.limits.idle > 0 {
+		idle = time.NewTimer(s.limits.idle)
+		defer idle.Stop()
+		idleC = idle.C
+	}
 	for {
 		select {
 		case <-r.Context().Done():
 			// Client vanished (connection aborted); the reader goroutine may
 			// have exited without delivering a final line, so this select arm
 			// is the only guaranteed exit.
-			vs.Abort()
+			drop(s.sm.aborted)
 			return
 		case <-s.root.Done():
 			// Server draining: finalize what we have within the grace period
@@ -215,8 +311,8 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				// Abandon the stream: fail any in-flight response write so
 				// the finish goroutine cannot sit on wmu, then mark it
 				// abandoned so everything it would still do becomes a no-op.
-				// The session is NOT aborted here — Finalize may be mid-run,
-				// and it hands the slot back itself (release is idempotent).
+				// The session is NOT dropped here — Finalize may be mid-run,
+				// and finish hands the id back itself once it returns.
 				_ = rc.SetWriteDeadline(time.Now())
 				wmu.Lock()
 				abandoned = true
@@ -224,10 +320,18 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				log.Printf("/stream %s: drain grace %v expired mid-finalize", id, s.drainGrace)
 			}
 			return
+		case <-idleC:
+			if wait := s.limits.idle - time.Since(last); wait > 0 {
+				idle.Reset(wait)
+				continue
+			}
+			drop(s.sm.evicted)
+			writeRec(streamFinalJSON{Final: true, Error: fmt.Sprintf("session closed: no point for %v", s.limits.idle)})
+			return
 		case ln := <-lines:
 			if ln.err == errLineTooLong {
+				drop(s.sm.aborted)
 				writeRec(streamFinalJSON{Final: true, Error: "point line exceeds size limit"})
-				vs.Abort()
 				return
 			}
 			if ln.err != nil {
@@ -237,7 +341,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				}
 				if ln.err != io.EOF {
 					// Client vanished mid-stream; nothing left to answer.
-					vs.Abort()
+					drop(s.sm.aborted)
 					return
 				}
 				// Unterminated final line: refuse the possibly-torn point but
@@ -250,30 +354,30 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			var p [3]float64
 			if err := json.Unmarshal(ln.data, &p); err != nil {
+				drop(s.sm.aborted)
 				writeRec(streamFinalJSON{Final: true, Error: "bad point: " + err.Error()})
-				vs.Abort()
 				return
 			}
-			pt := traj.GPSPoint{Pt: geo.Pt(p[0], p[1]), T: p[2]}
-			upd, err := vs.Push(r.Context(), pt)
-			switch {
-			case errors.Is(err, core.ErrSessionFull):
+			if max := s.limits.maxPoints; max > 0 && sess.Points() >= max {
 				// Point cap: finalize what fit; the client reopens for the
 				// rest. The refused point is reported, not silently dropped.
 				finish(streamFinalJSON{Final: true, Truncated: true})
 				return
-			case errors.Is(err, core.ErrSessionEvicted):
-				writeRec(streamFinalJSON{Final: true, Error: err.Error()})
-				return
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				vs.Abort()
-				return
-			case err != nil:
-				// Fatal inference error (e.g. a pair with no routes); the
-				// manager already released the session.
+			}
+			pt := traj.GPSPoint{Pt: geo.Pt(p[0], p[1]), T: p[2]}
+			t0 := time.Now()
+			upd, err := sess.Push(r.Context(), pt)
+			if err != nil {
+				// A pair with no routes, or the client gone (cancellation),
+				// in which case the record goes nowhere.
+				drop(s.sm.aborted)
 				writeRec(streamFinalJSON{Final: true, Error: err.Error()})
 				return
 			}
+			s.sm.points.Inc()
+			s.sm.step.ObserveSince(t0)
+			// Update lag, encoded 1µs per unfirmed pair (see obs.HistSessionLag).
+			s.sm.lag.Observe(time.Duration(upd.Pairs-upd.FirmPairs) * time.Microsecond)
 			pts = append(pts, pt)
 			if !writeRec(streamUpdateJSON{
 				Seq:         upd.Seq,
@@ -283,9 +387,10 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				Score:       upd.Score,
 				Degraded:    upd.Degraded,
 			}) {
-				vs.Abort()
+				drop(s.sm.aborted)
 				return
 			}
+			last = time.Now()
 		}
 	}
 }

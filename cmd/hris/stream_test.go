@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,16 @@ import (
 
 // newStreamServer builds a /stream-capable server over an httptest listener,
 // returning the server state (for its store/registry) and the base URL.
-func newStreamServer(t *testing.T, mgrCfg core.SessionManagerConfig, root context.Context, ingest bool) (*server, string) {
+func newStreamServer(t *testing.T, lim streamLimits, root context.Context, ingest bool) (*server, string) {
+	t.Helper()
+	s := newStreamState(t, lim, root, ingest)
+	ts := httptest.NewServer(s.mux())
+	t.Cleanup(ts.Close)
+	return s, ts.URL
+}
+
+// newStreamState builds the server state newStreamServer serves.
+func newStreamState(t *testing.T, lim streamLimits, root context.Context, ingest bool) *server {
 	t.Helper()
 	ds := testWorld(t)
 	reg := obs.New()
@@ -29,19 +40,12 @@ func newStreamServer(t *testing.T, mgrCfg core.SessionManagerConfig, root contex
 	t.Cleanup(func() { st.Close() })
 	params := core.DefaultParams()
 	eng := core.NewEngineWithRegistry(st, params, reg)
-	if mgrCfg.IdleTimeout == 0 {
-		mgrCfg.IdleTimeout = -1 // no janitor unless the test asks for one
-	}
-	mgr := core.NewSessionManager(eng, mgrCfg)
-	t.Cleanup(mgr.Close)
-	s := &server{
-		eng: eng, gate: core.NewGate(eng, core.GateConfig{}), mgr: mgr,
+	return &server{
+		eng: eng, gate: core.NewGate(eng, core.GateConfig{}),
 		st: st, params: params, root: root,
 		streamIngest: ingest, drainGrace: 2 * time.Second,
+		limits: lim, sm: newSessionMetrics(reg),
 	}
-	ts := httptest.NewServer(s.mux())
-	t.Cleanup(ts.Close)
-	return s, ts.URL
 }
 
 // streamClient drives one /stream connection in a strict write-then-read
@@ -114,11 +118,26 @@ func (sc *streamClient) readFinal() streamFinalJSON {
 	return fin
 }
 
+// waitGoroutines fails the test unless the process's goroutine count falls
+// back to base, its count before a stream opened, within 2 s.
+func waitGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 2 s after %s, %d before the stream opened:\n%s",
+				runtime.NumGoroutine(), after, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestStreamProtocol: the happy path end to end over a real connection — one
 // update per point with a sane firm prefix, then a final record whose routes
 // match the offline engine bit for bit on the same trace.
 func TestStreamProtocol(t *testing.T) {
-	s, base := newStreamServer(t, core.SessionManagerConfig{}, context.Background(), false)
+	s, base := newStreamServer(t, streamLimits{}, context.Background(), false)
 	q := worldLight[0]
 	sc, code := openStream(t, base, "veh-proto")
 	if code != http.StatusOK {
@@ -163,8 +182,9 @@ func TestStreamProtocol(t *testing.T) {
 func TestStreamDrainOnShutdown(t *testing.T) {
 	root, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, base := newStreamServer(t, core.SessionManagerConfig{}, root, false)
+	_, base := newStreamServer(t, streamLimits{}, root, false)
 	q := worldLight[1]
+	before := runtime.NumGoroutine()
 	sc, code := openStream(t, base, "veh-drain")
 	if code != http.StatusOK {
 		t.Fatalf("open = %d, want 200", code)
@@ -186,6 +206,10 @@ func TestStreamDrainOnShutdown(t *testing.T) {
 	case <-time.After(4 * time.Second):
 		t.Fatal("no draining final record within the shutdown grace window")
 	}
+	// The drained handler, its body reader and its connection are gone.
+	sc.w.Close()
+	sc.resp.Body.Close()
+	waitGoroutines(t, before, "the drain")
 }
 
 // TestStreamDrainGraceExpiry: when the drain grace expires before the
@@ -197,7 +221,7 @@ func TestStreamDrainOnShutdown(t *testing.T) {
 func TestStreamDrainGraceExpiry(t *testing.T) {
 	root, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s, base := newStreamServer(t, core.SessionManagerConfig{}, root, true)
+	s, base := newStreamServer(t, streamLimits{}, root, true)
 	s.drainGrace = 0 // expire the grace immediately on shutdown
 	q := worldLight[1]
 	sc, code := openStream(t, base, "veh-grace")
@@ -233,7 +257,7 @@ func TestStreamDrainGraceExpiry(t *testing.T) {
 // stream admits its trajectory into the live archive and reports the new
 // epoch in the final record.
 func TestStreamIngestFinalize(t *testing.T) {
-	s, base := newStreamServer(t, core.SessionManagerConfig{}, context.Background(), true)
+	s, base := newStreamServer(t, streamLimits{}, context.Background(), true)
 	before := s.st.Stats().Epoch
 	q := worldLight[2]
 	sc, code := openStream(t, base, "veh-ingest")
@@ -253,10 +277,10 @@ func TestStreamIngestFinalize(t *testing.T) {
 }
 
 // TestStreamAdmission pins the pre-stream status mapping: 405 on GET, 409 on
-// a duplicate vehicle id, 429 at manager capacity, and slot reuse after a
-// stream ends.
+// a duplicate vehicle id, 429 at -max-sessions, and id and slot reuse after a
+// stream ends or its client vanishes.
 func TestStreamAdmission(t *testing.T) {
-	_, base := newStreamServer(t, core.SessionManagerConfig{MaxSessions: 2}, context.Background(), false)
+	_, base := newStreamServer(t, streamLimits{maxSessions: 2}, context.Background(), false)
 
 	resp, err := http.Get(base + "/stream")
 	if err != nil {
@@ -293,6 +317,16 @@ func TestStreamAdmission(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("open after release = %d, want 200", code)
 	}
+
+	// A client that vanishes mid-stream gives back its id and its slot: with
+	// veh-c still open at capacity 2, reopening veh-b answers 200 only once
+	// both are free (409 or 429 until then).
+	scB.resp.Body.Close()
+	waitFor(t, "the vanished stream's id and slot", func() bool {
+		scB, code = openStream(t, base, "veh-b")
+		return code == http.StatusOK
+	})
+	scB.push(worldLight[4].Points[0])
 	scC.w.Close()
 	scB.w.Close()
 }
@@ -300,7 +334,7 @@ func TestStreamAdmission(t *testing.T) {
 // TestStreamPointCap: a session at its point cap finalizes what fit, flagged
 // truncated, instead of failing or silently dropping points.
 func TestStreamPointCap(t *testing.T) {
-	_, base := newStreamServer(t, core.SessionManagerConfig{MaxPoints: 4}, context.Background(), false)
+	_, base := newStreamServer(t, streamLimits{maxPoints: 4}, context.Background(), false)
 	q := worldHeavy // 400 points: comfortably longer than the cap
 	sc, code := openStream(t, base, "veh-cap")
 	if code != http.StatusOK {
@@ -317,5 +351,90 @@ func TestStreamPointCap(t *testing.T) {
 	fin := sc.readFinal()
 	if !fin.Truncated || fin.Error != "" || len(fin.Routes) == 0 {
 		t.Fatalf("final record = %+v, want truncated finalize with routes", fin)
+	}
+}
+
+// TestStreamIdleTimeout: a stream silent for -session-idle gets a final error
+// record and then EOF, and its handler, body reader and connection go with
+// it. With one slot, silent streams opened back to back each get in, no two
+// stream handlers are ever live at once, the goroutine count settles back
+// after each idle close, and a vehicle that does send points streams to a
+// clean finish.
+func TestStreamIdleTimeout(t *testing.T) {
+	const idle = 50 * time.Millisecond
+	s := newStreamState(t, streamLimits{maxSessions: 1, idle: idle}, context.Background(), false)
+	var live, maxLive atomic.Int32
+	mux := s.mux()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/stream" {
+			n := live.Add(1)
+			defer live.Add(-1)
+			for m := maxLive.Load(); n > m && !maxLive.CompareAndSwap(m, n); m = maxLive.Load() {
+			}
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	const silent = 3
+	for i := 0; i < silent; i++ {
+		before := runtime.NumGoroutine()
+		sc, code := openStream(t, ts.URL, fmt.Sprintf("veh-silent-%d", i))
+		if code != http.StatusOK {
+			t.Fatalf("silent stream %d: open = %d, want 200", i, code)
+		}
+		opened := time.Now()
+		// Past the bound, cut the read short so a missing record fails the
+		// test instead of hanging it.
+		cut := time.AfterFunc(idle+time.Second, func() { sc.resp.Body.Close() })
+		fin := sc.readFinal()
+		if fin.Error == "" || len(fin.Routes) != 0 {
+			t.Fatalf("silent stream %d: final record = %+v, want an idle error", i, fin)
+		}
+		if _, err := sc.br.ReadByte(); err != io.EOF {
+			t.Fatalf("silent stream %d: after the final record: %v, want EOF", i, err)
+		}
+		cut.Stop()
+		if d := time.Since(opened); d > idle+time.Second {
+			t.Fatalf("silent stream %d: closed %v after opening, want within 1 s of going idle", i, d)
+		}
+		sc.w.Close()
+		sc.resp.Body.Close()
+		waitGoroutines(t, before, "the idle close")
+	}
+	if got := s.sm.evicted.Value(); got != silent {
+		t.Fatalf("session.evicted = %d, want %d", got, silent)
+	}
+
+	sc, code := openStream(t, ts.URL, "veh-live")
+	if code != http.StatusOK {
+		t.Fatalf("open after idle closes = %d, want 200", code)
+	}
+	for _, pt := range worldLight[0].Points {
+		sc.push(pt)
+	}
+	if fin := sc.finish(); fin.Error != "" || len(fin.Routes) == 0 {
+		t.Fatalf("final record = %+v, want a clean finalize", fin)
+	}
+	if m := maxLive.Load(); m > 1 {
+		t.Fatalf("%d stream handlers were live at once, want at most 1", m)
+	}
+}
+
+// TestResolveStreamLimits pins what the -max-sessions, -session-max-points
+// and -session-idle values mean: 0 is the default, a negative value is kept
+// (unlimited; never, for idle) and any other value is itself.
+func TestResolveStreamLimits(t *testing.T) {
+	for _, tc := range []struct {
+		flag int
+		want streamLimits
+	}{
+		{0, streamLimits{maxSessions: 16384, maxPoints: 4096, idle: 5 * time.Minute}},
+		{-1, streamLimits{maxSessions: -1, maxPoints: -1, idle: -time.Second, window: -1}},
+		{7, streamLimits{maxSessions: 7, maxPoints: 7, idle: 7 * time.Second, window: 7}},
+	} {
+		if got := resolveStreamLimits(tc.flag, tc.flag, time.Duration(tc.flag)*time.Second, tc.flag); got != tc.want {
+			t.Errorf("flags = %d: limits %+v, want %+v", tc.flag, got, tc.want)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // ErrSessionClosed is returned by Push/Finalize on a session that was
-// already finalized, closed, or evicted by its manager.
+// already finalized or closed.
 var ErrSessionClosed = errors.New("core: session closed")
 
 // DefaultSessionWindow is the provisional-tail window when SessionConfig
@@ -59,7 +59,8 @@ type SessionUpdate struct {
 // must report them, and the posterior's partials index into them), so state
 // grows O(points) with a small constant — MaxLocalRoutes routes per pair —
 // and per-push work is O(window) on top of the pair inference itself.
-// SessionManager bounds points per session and sessions per process.
+// cmd/hris's /stream handler bounds points per session and sessions per
+// process.
 //
 // A Session is NOT safe for concurrent use; one vehicle's points arrive in
 // order on one connection. Distinct sessions sharing one Engine are safe —

@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/traj"
 )
@@ -200,178 +198,5 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if s.Epoch() != v.Epoch() {
 		t.Fatalf("session epoch %d, archive epoch %d", s.Epoch(), v.Epoch())
-	}
-}
-
-// TestSessionManagerAdmission: the manager rejects lock-free at MaxSessions,
-// refuses duplicate vehicle ids, and frees the slot on finalize/abort.
-func TestSessionManagerAdmission(t *testing.T) {
-	w := newWorld(t, 30, 5)
-	m := NewSessionManager(w.eng, SessionManagerConfig{MaxSessions: 2, IdleTimeout: -1})
-	defer m.Close()
-
-	a, err := m.Open("veh-a", w.p)
-	if err != nil {
-		t.Fatalf("open a: %v", err)
-	}
-	if _, err := m.Open("veh-a", w.p); !errors.Is(err, ErrDuplicateSession) {
-		t.Fatalf("duplicate open: %v, want ErrDuplicateSession", err)
-	}
-	b, err := m.Open("veh-b", w.p)
-	if err != nil {
-		t.Fatalf("open b: %v", err)
-	}
-	if _, err := m.Open("veh-c", w.p); !errors.Is(err, ErrTooManySessions) {
-		t.Fatalf("open at capacity: %v, want ErrTooManySessions", err)
-	}
-	if got := m.Active(); got != 2 {
-		t.Fatalf("Active = %d, want 2", got)
-	}
-	a.Abort()
-	a.Abort() // idempotent
-	if got := m.Active(); got != 1 {
-		t.Fatalf("Active after abort = %d, want 1", got)
-	}
-	c, err := m.Open("veh-c", w.p)
-	if err != nil {
-		t.Fatalf("open after release: %v", err)
-	}
-	b.Abort()
-	c.Abort()
-	if got := m.Active(); got != 0 {
-		t.Fatalf("Active after all released = %d, want 0", got)
-	}
-}
-
-// TestSessionManagerPointCap: Push refuses the point past MaxPoints with
-// ErrSessionFull, and the session still finalizes cleanly on what it has.
-func TestSessionManagerPointCap(t *testing.T) {
-	w, _, queries := poolWorlds(t, 40, 23)
-	q := queries[0]
-	if q.Len() < 4 {
-		t.Skip("query too short to exercise the cap")
-	}
-	cap := q.Len() - 1
-	m := NewSessionManager(w.eng, SessionManagerConfig{MaxPoints: cap, IdleTimeout: -1})
-	defer m.Close()
-	vs, err := m.Open("veh", w.p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < cap; i++ {
-		if _, err := vs.Push(context.Background(), q.Points[i]); err != nil {
-			t.Fatalf("point %d: %v", i, err)
-		}
-	}
-	if _, err := vs.Push(context.Background(), q.Points[cap]); !errors.Is(err, ErrSessionFull) {
-		t.Fatalf("push past cap: %v, want ErrSessionFull", err)
-	}
-	res, err := vs.Finalize()
-	if err != nil {
-		t.Fatalf("finalize at cap: %v", err)
-	}
-	if len(res.Pairs) != cap-1 {
-		t.Fatalf("finalized %d pairs, want %d", len(res.Pairs), cap-1)
-	}
-	// Finalize released the slot exactly once.
-	if got := m.Active(); got != 0 {
-		t.Fatalf("Active after finalize = %d, want 0", got)
-	}
-}
-
-// TestSessionManagerIdleEviction: a session with no pushes past IdleTimeout
-// is reclaimed by the janitor; the owner observes ErrSessionEvicted and the
-// slot is reusable.
-func TestSessionManagerIdleEviction(t *testing.T) {
-	w, _, queries := poolWorlds(t, 40, 29)
-	m := NewSessionManager(w.eng, SessionManagerConfig{
-		MaxSessions: 1,
-		IdleTimeout: 10 * time.Millisecond,
-		SweepEvery:  2 * time.Millisecond,
-	})
-	defer m.Close()
-	vs, err := m.Open("veh", w.p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Active() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("janitor never evicted the idle session")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if _, err := vs.Push(context.Background(), queries[0].Points[0]); !errors.Is(err, ErrSessionEvicted) {
-		t.Fatalf("push after eviction: %v, want ErrSessionEvicted", err)
-	}
-	if _, err := vs.Finalize(); !errors.Is(err, ErrSessionEvicted) {
-		t.Fatalf("finalize after eviction: %v, want ErrSessionEvicted", err)
-	}
-	if _, err := m.Open("veh", w.p); err != nil {
-		t.Fatalf("reopen after eviction: %v", err)
-	}
-}
-
-// TestSessionEvictionRace hammers an aggressive janitor against owner
-// goroutines under -race: evictions landing mid-Push or mid-Finalize must
-// wait for the in-flight call instead of mutating Session state under it.
-// Owners either complete normally or observe ErrSessionEvicted, and every
-// admission slot is handed back exactly once.
-func TestSessionEvictionRace(t *testing.T) {
-	w, _, queries := poolWorlds(t, 40, 99)
-	m := NewSessionManager(w.eng, SessionManagerConfig{
-		IdleTimeout: time.Millisecond,
-		SweepEvery:  time.Millisecond,
-	})
-	defer m.Close()
-	const vehicles = 8
-	var wg sync.WaitGroup
-	for g := 0; g < vehicles; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			q := queries[g%len(queries)]
-			for round := 0; round < 4; round++ {
-				vs, err := m.Open(fmt.Sprintf("veh-%d-%d", g, round), w.p)
-				if err != nil {
-					t.Errorf("vehicle %d round %d: open: %v", g, round, err)
-					return
-				}
-				evicted := false
-				for i, pt := range q.Points {
-					if i%3 == 2 {
-						// Stall long enough for the janitor to land mid-stream.
-						time.Sleep(2 * time.Millisecond)
-					}
-					if _, err := vs.Push(context.Background(), pt); err != nil {
-						if errors.Is(err, ErrSessionEvicted) {
-							evicted = true
-						} else {
-							// Fatal pair errors release the session themselves;
-							// anything else still aborts it (idempotent).
-							vs.Abort()
-						}
-						break
-					}
-				}
-				if !evicted {
-					if _, err := vs.Finalize(); err != nil && !errors.Is(err, ErrSessionEvicted) &&
-						!errors.Is(err, ErrSessionClosed) && !errors.Is(err, ErrEmptyQuery) {
-						t.Errorf("vehicle %d round %d: finalize: %v", g, round, err)
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// Every path — finalize, abort, eviction — must give the slot back
-	// exactly once. A janitor release may still be a hair behind the owner
-	// observing ErrSessionEvicted, so allow it to settle.
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Active() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("Active = %d after all owners exited, want 0", m.Active())
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

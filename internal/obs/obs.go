@@ -141,8 +141,8 @@ const (
 	CounterServerCoalesced = "server.coalesced"
 )
 
-// Names of the streaming-session instruments core.SessionManager maintains —
-// the per-vehicle incremental inference surface cmd/hris exposes on /stream.
+// Names of the streaming-session instruments cmd/hris's /stream handler
+// maintains — the per-vehicle incremental inference surface.
 const (
 	// HistSessionStep is the per-point incremental inference latency: one
 	// Push end to end (pair inference + one K-GRI DP column + the
@@ -156,22 +156,23 @@ const (
 	// HistScatterFanout encoding): how far the firm prefix trails the
 	// newest point.
 	HistSessionLag = "session.lag"
-	// CounterSessionCreated counts sessions admitted by the manager.
+	// CounterSessionCreated counts sessions admitted on /stream.
 	CounterSessionCreated = "session.created"
 	// CounterSessionRejected counts session opens refused at admission
-	// because the manager was at capacity.
+	// because -max-sessions streams were open.
 	CounterSessionRejected = "session.rejected"
 	// CounterSessionDuplicate counts session opens refused because the
 	// vehicle id already had an active session (one vehicle, one stream) —
 	// kept separate from session.rejected so capacity rejections stay a
 	// clean overload signal.
 	CounterSessionDuplicate = "session.duplicate"
-	// CounterSessionEvicted counts sessions the idle janitor reclaimed.
+	// CounterSessionEvicted counts streams closed after -session-idle
+	// without a point.
 	CounterSessionEvicted = "session.evicted"
 	// CounterSessionFinalized counts sessions that completed via Finalize.
 	CounterSessionFinalized = "session.finalized"
 	// CounterSessionAborted counts sessions closed without finalizing
-	// (client vanished, fatal pair error, point-cap overflow handling).
+	// (client vanished, fatal pair error, malformed point).
 	CounterSessionAborted = "session.aborted"
 	// CounterSessionPoints counts GPS points accepted across all sessions —
 	// with a timestamp delta this is the fleet's points/sec.

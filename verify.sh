@@ -28,9 +28,11 @@ go run ./internal/tools/reach
 # the segment checkpoints, WAL rotation and sync knob the one-file log
 # replaced, nor cmd/experiments' timing-only figures, its -quick sweep and
 # the root per-figure benchmarks (internal/eval's shape checks replaced
-# them).
+# them), nor the streaming-session manager, its per-vehicle wrapper, its
+# eviction error and its janitor's sweep knob (the /stream handler owns its
+# session now).
 # CHANGES.md, ROADMAP.md and bench/README.md are history and exempt.
-stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs|FuzzReadSegment|writeSegment|readSegment|listSegments|newestValidSegment|SegmentBytes|SegmentTrips|segment_bytes|WALSyncEvery|dropWALThrough|listWALFiles|seg-\*|StageBreakdown|AccelProfile|ShardProfile|quickSweep|BenchmarkFig'
+stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs|FuzzReadSegment|writeSegment|readSegment|listSegments|newestValidSegment|SegmentBytes|SegmentTrips|segment_bytes|WALSyncEvery|dropWALThrough|listWALFiles|seg-\*|StageBreakdown|AccelProfile|ShardProfile|quickSweep|BenchmarkFig|SessionManager|VehicleSession|ErrSessionEvicted|SweepEvery'
 if grep -nE "$stale" README.md DESIGN.md bench_test.go bench_budget.json \
     $(find cmd internal examples -name '*.go'); then
     exit 1
@@ -53,6 +55,11 @@ go test -timeout 120s -shuffle=on ./...
 # twice in one binary (-count=2 defeats caching and catches
 # epoch/fingerprint state that leaks between runs).
 go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest' ./internal/hist/ ./internal/core/
+
+# Stream lifecycle: the /stream handler's id set, point cap, idle timer and
+# drain under the race detector, twice in one binary, so admission or timer
+# state that leaks from one run into the next shows up on a warm process.
+go test -timeout 120s -race -count=2 -run Stream ./cmd/hris/
 
 # Hostile bytes: the batch decoder, the log scan and the dataset's
 # trajectory and road-network loaders read files this process did not write.
