@@ -189,6 +189,20 @@ func TestBinaryWiring(t *testing.T) {
 	}
 }
 
+// TestBinaryChecksAccelFirst: a bad -accel is refused before any file is
+// opened, so a missing dataset does not hide it behind "open network".
+func TestBinaryChecksAccelFirst(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildBinary(t, dir)
+	out, err := exec.Command(bin, "-accel", "bogus", "-data", filepath.Join(dir, "missing"), "-demo").CombinedOutput()
+	if err == nil {
+		t.Fatalf("exit 0 with -accel bogus, want a fatal\n%s", out)
+	}
+	if !bytes.Contains(out, []byte(`unknown -accel "bogus"`)) {
+		t.Fatalf("want the -accel message, got:\n%s", out)
+	}
+}
+
 // TestBinaryRejectsUnknownTruth: a ground-truth route naming a segment the
 // network does not have — in a -query file or in the dataset's archive — is
 // a clean fatal naming the file and the id, not an index-out-of-range panic

@@ -85,6 +85,13 @@
 // reports the oracle mode and, for ch, the preprocessing statistics under
 // the oracle.* counters.
 //
+// Start-up: -accel and -method are checked before any file is opened.
+// Then one goroutine reads network.json and, when the process will answer
+// queries (-http, -query or -demo), builds the oracle, while the main
+// goroutine reads archive.json; the store is built once both reads are
+// done, so cold start costs max(network + oracle, archive) plus the store.
+// A -follow-only process builds no oracle.
+//
 // Deadlines: -deadline bounds each inference's wall clock (e.g.
 // -deadline 50ms). On expiry the engine degrades gracefully — expired
 // pairs fall back to shortest paths and the result is flagged degraded —
@@ -190,17 +197,10 @@ func main() {
 		log.Fatalf("%v", err)
 	}
 
-	// Root context: SIGINT/SIGTERM cancels in-flight inference promptly and
-	// triggers the debug server's graceful shutdown.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	g, trajs, truths := loadDataset(*data)
 	mode, ok := roadnet.ParseAccelMode(*accel)
 	if !ok {
 		log.Fatalf("unknown -accel %q (want ch or dijkstra)", *accel)
 	}
-	g.SetAccel(mode)
 	params := core.DefaultParams()
 	params.K3 = *k
 	params.Phi = *phi
@@ -215,6 +215,15 @@ func main() {
 	default:
 		log.Fatalf("unknown -method %q", *method)
 	}
+
+	// Root context: SIGINT/SIGTERM cancels in-flight inference promptly and
+	// triggers the debug server's graceful shutdown.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	// Only a process that answers queries wants the oracle; a -follow-only
+	// one never asks for a distance.
+	g, trajs, truths := loadDataset(*data, mode, *httpAddr != "" || *query != "" || *demo)
 	observe := *metrics || *metricsJ || *httpAddr != ""
 	var reg *obs.Registry
 	if observe {
@@ -553,32 +562,71 @@ func writeGeoJSON(path string, g *roadnet.Graph, q *traj.Trajectory, truth roadn
 	return w.Encode(f)
 }
 
-func loadDataset(dir string) (*roadnet.Graph, []*traj.Trajectory, map[string]roadnet.Route) {
-	nf, err := os.Open(filepath.Join(dir, "network.json"))
-	if err != nil {
-		log.Fatalf("open network: %v (run cmd/gendata first)", err)
+// loadDataset reads the dataset's network and archive at once, the network
+// in a goroutine of its own. That goroutine sets the accel mode and, with
+// oracle set, goes on to build the distance oracle while the archive is
+// still being read and the store is built. It ends when the build does;
+// nothing joins it, because a query that needs the oracle first waits on
+// the oracle's sync.Once. A failed read exits through log.Fatalf, the
+// network's first.
+func loadDataset(dir string, mode roadnet.AccelMode, oracle bool) (*roadnet.Graph, []*traj.Trajectory, map[string]roadnet.Route) {
+	type network struct {
+		g   *roadnet.Graph
+		err error
 	}
-	defer nf.Close()
-	g, err := roadnet.ReadJSON(nf)
-	if err != nil {
-		log.Fatalf("read network: %v", err)
-	}
+	netc := make(chan network, 1)
+	go func() {
+		g, err := readNetwork(filepath.Join(dir, "network.json"))
+		if err == nil {
+			g.SetAccel(mode)
+		}
+		netc <- network{g, err}
+		if err == nil && oracle {
+			g.Oracle()
+		}
+	}()
 	archive := filepath.Join(dir, "archive.json")
-	af, err := os.Open(archive)
-	if err != nil {
-		log.Fatalf("open archive: %v", err)
+	trajs, rawTruth, aerr := readArchive(archive)
+	n := <-netc
+	if n.err != nil {
+		log.Fatal(n.err)
 	}
-	defer af.Close()
-	trajs, rawTruth, err := traj.ReadArchive(af)
-	if err != nil {
-		log.Fatalf("read archive: %v", err)
+	if aerr != nil {
+		log.Fatal(aerr)
 	}
+	g := n.g
 	truths := make(map[string]roadnet.Route, len(rawTruth))
 	for id, route := range rawTruth {
 		checkTruth(g, archive, route)
 		truths[id] = route
 	}
 	return g, trajs, truths
+}
+
+func readNetwork(path string) (*roadnet.Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("open network: %v (run cmd/gendata first)", err)
+	}
+	defer f.Close()
+	g, err := roadnet.ReadJSON(f)
+	if err != nil {
+		return nil, fmt.Errorf("read network: %v", err)
+	}
+	return g, nil
+}
+
+func readArchive(path string) ([]*traj.Trajectory, map[string][]int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("open archive: %v", err)
+	}
+	defer f.Close()
+	trajs, truth, err := traj.ReadArchive(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("read archive: %v", err)
+	}
+	return trajs, truth, nil
 }
 
 // checkTruth exits through log.Fatalf unless every id of a truth route names

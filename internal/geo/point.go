@@ -33,9 +33,6 @@ func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
 // Dot returns the dot product of p and q viewed as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Cross returns the 2D cross product (z component) of p and q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 

@@ -24,9 +24,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Dot(q); got != 11 {
 		t.Errorf("Dot = %v, want 11", got)
 	}
-	if got := p.Cross(q); got != 2 {
-		t.Errorf("Cross = %v, want 2", got)
-	}
 }
 
 func TestDistSymmetryAndTriangle(t *testing.T) {

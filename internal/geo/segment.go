@@ -31,26 +31,3 @@ func (s Segment) Dist(p Point) float64 {
 	c, _ := s.Project(p)
 	return p.Dist(c)
 }
-
-// Intersects reports whether segments s and t share at least one point.
-func (s Segment) Intersects(t Segment) bool {
-	d1 := direction(t.A, t.B, s.A)
-	d2 := direction(t.A, t.B, s.B)
-	d3 := direction(s.A, s.B, t.A)
-	d4 := direction(s.A, s.B, t.B)
-	if ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
-		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0)) {
-		return true
-	}
-	return (d1 == 0 && onSegment(t.A, t.B, s.A)) ||
-		(d2 == 0 && onSegment(t.A, t.B, s.B)) ||
-		(d3 == 0 && onSegment(s.A, s.B, t.A)) ||
-		(d4 == 0 && onSegment(s.A, s.B, t.B))
-}
-
-func direction(a, b, c Point) float64 { return c.Sub(a).Cross(b.Sub(a)) }
-
-func onSegment(a, b, c Point) bool {
-	return min(a.X, b.X) <= c.X && c.X <= max(a.X, b.X) &&
-		min(a.Y, b.Y) <= c.Y && c.Y <= max(a.Y, b.Y)
-}

@@ -57,24 +57,6 @@ func TestProjectionIsNearest(t *testing.T) {
 	}
 }
 
-func TestSegmentIntersects(t *testing.T) {
-	cases := []struct {
-		s, u Segment
-		want bool
-	}{
-		{Segment{Pt(0, 0), Pt(10, 10)}, Segment{Pt(0, 10), Pt(10, 0)}, true},
-		{Segment{Pt(0, 0), Pt(10, 0)}, Segment{Pt(0, 1), Pt(10, 1)}, false},
-		{Segment{Pt(0, 0), Pt(10, 0)}, Segment{Pt(5, 0), Pt(5, 5)}, true},  // T-touch
-		{Segment{Pt(0, 0), Pt(5, 0)}, Segment{Pt(5, 0), Pt(10, 0)}, true},  // endpoint touch
-		{Segment{Pt(0, 0), Pt(4, 0)}, Segment{Pt(5, 0), Pt(10, 0)}, false}, // collinear disjoint
-	}
-	for i, c := range cases {
-		if got := c.s.Intersects(c.u); got != c.want {
-			t.Errorf("case %d: Intersects = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
 func TestSegmentLengthHeading(t *testing.T) {
 	s := Segment{Pt(0, 0), Pt(3, 4)}
 	if s.Length() != 5 {

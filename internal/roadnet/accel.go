@@ -8,9 +8,10 @@ type AccelMode int
 
 const (
 	// AccelCH (the default) answers point-to-point queries from a
-	// contraction hierarchy built lazily on first use: preprocessing once
-	// per network, then each query explores only the tiny upward search
-	// cones. Many-to-many distance tables never use it (see
+	// contraction hierarchy, built once per network by the first Oracle
+	// call (cmd/hris makes that call at start-up, beside the archive
+	// read); each query then explores only the tiny upward search cones.
+	// Many-to-many distance tables never use it (see
 	// graphalg.DistanceTable).
 	AccelCH AccelMode = iota
 	// AccelDijkstra answers every query with plain Dijkstra/A*. No
@@ -37,18 +38,20 @@ func ParseAccelMode(s string) (AccelMode, bool) {
 	return AccelCH, false
 }
 
-// SetAccel chooses the acceleration mode. Call it before the first
-// distance/path query: the oracle is built lazily exactly once, and a
-// SetAccel after that build is a no-op. Not safe concurrently with
-// queries.
+// SetAccel chooses the acceleration mode. Call it before the first Oracle
+// call, whether that is a query or an explicit build: the oracle is built
+// exactly once, and a SetAccel after that build is a no-op. Not safe
+// concurrently with Oracle or queries.
 func (g *Graph) SetAccel(m AccelMode) { g.accel = m }
 
 // Accel reports the configured acceleration mode.
 func (g *Graph) Accel() AccelMode { return g.accel }
 
-// Oracle returns the graph's distance oracle, building it on first use.
-// The build is guarded by sync.Once, so concurrent first queries block
-// until the single preprocessing pass finishes.
+// Oracle returns the graph's distance oracle, building it on the first
+// call. A caller may make that call ahead of any query to take the build
+// off the query path; either way the build is guarded by sync.Once, so
+// queries that arrive during it block until the single preprocessing pass
+// finishes.
 func (g *Graph) Oracle() graphalg.DistanceOracle {
 	g.oracleOnce.Do(func() {
 		if g.accel == AccelCH {

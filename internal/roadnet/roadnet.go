@@ -65,8 +65,9 @@ type Graph struct {
 	vertexG    *graphalg.Graph // vertex graph weighted by segment length
 	edgeG      *graphalg.Graph // edge adjacency graph (hop weight 1)
 
-	// Shortest-path oracle (see accel.go): built lazily on first use so
-	// graphs that never run distance queries pay nothing.
+	// Shortest-path oracle (see accel.go): built by the first Oracle call,
+	// a query's or an explicit one, so graphs that never run distance
+	// queries pay nothing.
 	accel       AccelMode
 	oracleOnce  sync.Once
 	oracle      graphalg.DistanceOracle

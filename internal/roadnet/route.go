@@ -19,17 +19,6 @@ func (r Route) Length(g *Graph) float64 {
 	return l
 }
 
-// TravelTime returns the free-flow driving time of the route in seconds
-// (each segment at its speed limit).
-func (r Route) TravelTime(g *Graph) float64 {
-	var t float64
-	for _, e := range r {
-		s := g.Seg(e)
-		t += s.Length / s.Speed
-	}
-	return t
-}
-
 // Valid reports whether consecutive segments are connected end-to-start
 // (Definition 4). The empty route is valid.
 func (r Route) Valid(g *Graph) bool {

@@ -121,25 +121,6 @@ func TestRoutePoints(t *testing.T) {
 	}
 }
 
-func TestRouteTravelTime(t *testing.T) {
-	g := NewGrid(2, 3, 100, 10)
-	find := func(u, v VertexID) EdgeID {
-		for i := range g.Segments {
-			if g.Segments[i].From == u && g.Segments[i].To == v {
-				return g.Segments[i].ID
-			}
-		}
-		return NoEdge
-	}
-	r := Route{find(0, 1), find(1, 2)}
-	if tt := r.TravelTime(g); math.Abs(tt-20) > 1e-9 { // 200 m at 10 m/s
-		t.Fatalf("TravelTime = %v, want 20", tt)
-	}
-	if tt := (Route{}).TravelTime(g); tt != 0 {
-		t.Fatalf("empty TravelTime = %v", tt)
-	}
-}
-
 // TestAppendConcatMatchesConcat: growing a route in place gives exactly what
 // the copying Concat gives — adjacent, overlapping, bridged, unbridgeable and
 // empty operands alike — and a failed join leaves the route as it was.
