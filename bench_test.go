@@ -12,7 +12,6 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -488,26 +487,6 @@ func BenchmarkNetworkFree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = w.Eng.InferPathsNetworkFreeCtx(context.Background(), qs[0].Query, w.P, vmax)
-	}
-}
-
-// BenchmarkInferBatch measures throughput scaling of concurrent inference.
-func BenchmarkInferBatch(b *testing.B) {
-	w := world(b)
-	qs := w.Queries(6, 180, w.Cfg.QueryLen, 117)
-	if len(qs) < 2 {
-		b.Skip("not enough queries")
-	}
-	queries := make([]*traj.Trajectory, len(qs))
-	for i, qc := range qs {
-		queries[i] = qc.Query
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w.Eng.InferBatchCtx(context.Background(), queries, w.P, workers)
-			}
-		})
 	}
 }
 

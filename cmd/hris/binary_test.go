@@ -139,7 +139,7 @@ func TestBinaryWiring(t *testing.T) {
 	const burst = 6
 	codes := make(chan int, burst)
 	for i := 0; i < burst; i++ {
-		q := worldLight[i+1] // distinct: no coalescing
+		q := worldLight[i+1]
 		go func() { codes <- post(q) }()
 	}
 	for i := 0; i < burst; i++ {

@@ -55,10 +55,9 @@
 // waiters beyond that (default 4× max-inflight), and 429 once both are
 // full. A request whose deadline (the -deadline default or the query's own
 // "deadline_ms" field) would expire before inference can start is shed with
-// 503 instead of burning a worker on a dead answer, and concurrent
-// identical queries coalesce onto one inference. The gate's traffic shows
-// up in /metrics under the server.* instruments (inflight, queue_wait,
-// shed, coalesced); bench/ drives this surface over the wire.
+// 503 instead of burning a worker on a dead answer. The gate's traffic
+// shows up in /metrics under the server.* instruments (inflight,
+// queue_wait, shed); bench/ drives this surface over the wire.
 //
 // Streaming inference: with -http, POST /stream?id=VEHICLE holds one
 // long-lived NDJSON exchange per vehicle — one [x, y, t] point per request
@@ -417,7 +416,7 @@ func ingestHandler(w http.ResponseWriter, r *http.Request, st *hist.Store) {
 	var req struct {
 		Trips []tripJSON `json:"trips"`
 	}
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeOne(body, &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, "bad trips: "+err.Error(), http.StatusRequestEntityTooLarge)
@@ -646,7 +645,7 @@ func loadQuery(path string, g *roadnet.Graph) (*traj.Trajectory, roadnet.Route) 
 	}
 	defer f.Close()
 	var qj queryJSON
-	if err := json.NewDecoder(f).Decode(&qj); err != nil {
+	if err := decodeOne(f, &qj); err != nil {
 		log.Fatalf("decode query: %v", err)
 	}
 	q := &traj.Trajectory{ID: "query"}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -24,6 +25,24 @@ import (
 // could OOM the server with a giant points array (the /ingest surface got
 // the same treatment in PR 5).
 const maxInferBody = 1 << 20
+
+// decodeOne decodes exactly one JSON value from r into v and requires only
+// whitespace after it: json.Decoder.Decode alone stops at the end of the
+// first value and would silently ignore a second one, or any junk.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return err
+		}
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
 
 // errServerShutdown is the cancellation cause installed on in-flight /infer
 // contexts when the process is shutting down, so the handler can tell "the
@@ -113,7 +132,7 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	body := http.MaxBytesReader(w, r.Body, maxInferBody)
 	var qj queryJSON
-	if err := json.NewDecoder(body).Decode(&qj); err != nil {
+	if err := decodeOne(body, &qj); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, "bad query: "+err.Error(), http.StatusRequestEntityTooLarge)

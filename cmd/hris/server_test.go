@@ -21,7 +21,7 @@ import (
 )
 
 // The test world is built once: a small simulated city plus query material.
-// worldLight holds distinct short queries (distinct so they never coalesce);
+// worldLight holds distinct short queries;
 // worldHeavy is a long dense query whose inference spans many pairs — slow
 // enough that a test can deterministically act (cancel, burst) while it holds
 // the gate's worker slot.
@@ -110,6 +110,26 @@ func inferBody(t *testing.T, q *traj.Trajectory, deadlineMS int) []byte {
 	return out
 }
 
+// ingestBody is an /ingest request admitting q's points as one trip.
+func ingestBody(t *testing.T, id string, q *traj.Trajectory) []byte {
+	t.Helper()
+	type tripJSON struct {
+		ID     string       `json:"id"`
+		Points [][3]float64 `json:"points"`
+	}
+	trip := tripJSON{ID: id}
+	for _, p := range q.Points {
+		trip.Points = append(trip.Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
+	}
+	body, err := json.Marshal(struct {
+		Trips []tripJSON `json:"trips"`
+	}{[]tripJSON{trip}})
+	if err != nil {
+		t.Fatalf("marshal trip: %v", err)
+	}
+	return body
+}
+
 // doInfer drives handleInfer directly with an optional request context.
 func doInfer(s *server, ctx context.Context, body []byte) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(body))
@@ -133,8 +153,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestInferRejectsBadRequests pins the pre-gate request validation: method,
-// malformed JSON, and — the previously missing bound — a body over 1 MiB,
-// which must be refused with 413 instead of being buffered without limit.
+// malformed JSON, bytes after the JSON value, and — the previously missing
+// bound — a body over 1 MiB, which must be refused with 413 instead of being
+// buffered without limit.
 func TestInferRejectsBadRequests(t *testing.T) {
 	s, reg := newTestServer(t, core.GateConfig{})
 
@@ -147,6 +168,10 @@ func TestInferRejectsBadRequests(t *testing.T) {
 
 	if rec := doInfer(s, nil, []byte("{not json")); rec.Code != http.StatusBadRequest {
 		t.Fatalf("malformed body = %d, want 400", rec.Code)
+	}
+	junk := append(inferBody(t, worldLight[0], 0), " junk"...)
+	if rec := doInfer(s, nil, junk); rec.Code != http.StatusBadRequest || !strings.HasPrefix(rec.Body.String(), "bad query:") {
+		t.Fatalf("trailing junk = %d %q, want 400 bad query", rec.Code, rec.Body.String())
 	}
 
 	// A syntactically valid query body just over the 1 MiB bound: ~90k
@@ -169,10 +194,11 @@ func TestInferRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestInferServesQuery is the happy path end to end through the gate.
+// TestInferServesQuery is the happy path end to end through the gate. The
+// body ends in a newline, which is whitespace after the one JSON value.
 func TestInferServesQuery(t *testing.T) {
 	s, reg := newTestServer(t, core.GateConfig{})
-	rec := doInfer(s, nil, inferBody(t, worldLight[0], 0))
+	rec := doInfer(s, nil, append(inferBody(t, worldLight[0], 0), '\n'))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/infer = %d, body %q", rec.Code, rec.Body.String())
 	}
@@ -282,7 +308,7 @@ func TestInferAdmissionBurst(t *testing.T) {
 	const burst = 6
 	codes := make(chan int, burst)
 	for i := 0; i < burst; i++ {
-		body := inferBody(t, worldLight[i+1], 0) // distinct: no coalescing
+		body := inferBody(t, worldLight[i+1], 0)
 		go func() { codes <- doInfer(s, nil, body).Code }()
 	}
 	counts := map[int]int{}
@@ -306,9 +332,6 @@ func TestInferAdmissionBurst(t *testing.T) {
 	}
 	if sh := reg.Counter(obs.CounterServerShed).Value(); sh != burst-1 {
 		t.Fatalf("server.shed = %d, want %d", sh, burst-1)
-	}
-	if c := reg.Counter(obs.CounterServerCoalesced).Value(); c != 0 {
-		t.Fatalf("server.coalesced = %d for distinct queries, want 0", c)
 	}
 	// The inflight pseudo-histogram records 1µs per occupied slot at
 	// admission: its max proves concurrency stayed within MaxInflight.
@@ -345,27 +368,39 @@ func TestMuxRoutes(t *testing.T) {
 		t.Fatalf("/debug/vars = %d", rec.Code)
 	}
 
-	var trip struct {
-		Trips []struct {
-			ID     string       `json:"id"`
-			Points [][3]float64 `json:"points"`
-		} `json:"trips"`
-	}
-	trip.Trips = make([]struct {
-		ID     string       `json:"id"`
-		Points [][3]float64 `json:"points"`
-	}, 1)
-	trip.Trips[0].ID = "mux-test"
-	for _, p := range worldHeavy.Points {
-		trip.Trips[0].Points = append(trip.Trips[0].Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
-	}
-	body, err := json.Marshal(trip)
-	if err != nil {
-		t.Fatalf("marshal trip: %v", err)
-	}
+	body := ingestBody(t, "mux-test", worldHeavy)
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "admitted") {
 		t.Fatalf("/ingest = %d, body %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestIngestRejectsConcatenatedBodies: an /ingest body is one JSON value. Two
+// concatenated batches are a 400 that admits neither, while a body ending in
+// a newline is still one batch.
+func TestIngestRejectsConcatenatedBodies(t *testing.T) {
+	s, _ := newTestServer(t, core.GateConfig{})
+	ingest := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		ingestHandler(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)), s.st)
+		return rec
+	}
+	a, b := ingestBody(t, "a", worldLight[0]), ingestBody(t, "b", worldLight[1])
+	before := s.st.Stats()
+	if rec := ingest(append(append([]byte{}, a...), b...)); rec.Code != http.StatusBadRequest ||
+		!strings.HasPrefix(rec.Body.String(), "bad trips:") {
+		t.Fatalf("concatenated batches = %d %q, want 400 bad trips", rec.Code, rec.Body.String())
+	}
+	if after := s.st.Stats(); after.Epoch != before.Epoch || after.Trajs != before.Trajs {
+		t.Fatalf("rejected body moved the store: epoch %d -> %d, trips %d -> %d",
+			before.Epoch, after.Epoch, before.Trajs, after.Trajs)
+	}
+	if rec := ingest(append(a, '\n')); rec.Code != http.StatusOK {
+		t.Fatalf("newline-terminated batch = %d %q, want 200", rec.Code, rec.Body.String())
+	}
+	if after := s.st.Stats(); after.Epoch != before.Epoch+1 || after.Trajs != before.Trajs+1 {
+		t.Fatalf("one batch moved epoch %d -> %d, trips %d -> %d",
+			before.Epoch, after.Epoch, before.Trajs, after.Trajs)
 	}
 }

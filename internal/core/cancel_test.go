@@ -173,26 +173,6 @@ func TestInferRoutesCtxMidFlightCancel(t *testing.T) {
 	}
 }
 
-// TestInferBatchCtxPreCancelled: a cancelled batch context fails every query
-// with the context error rather than hanging or panicking the worker pool.
-func TestInferBatchCtxPreCancelled(t *testing.T) {
-	w := newWorld(t, 200, 229)
-	eng := w.eng
-	queries := obsQueries(t, w, 3)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out := eng.InferBatchCtx(ctx, queries, DefaultParams(), 2)
-	if len(out) != len(queries) {
-		t.Fatalf("batch results = %d, want %d", len(out), len(queries))
-	}
-	for i, r := range out {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("batch query %d: err = %v, want context.Canceled", i, r.Err)
-		}
-	}
-}
-
 // TestInferPathsNetworkFreeCtxPreCancelled: the network-free extension has
 // no degraded mode — any cancellation, deadline included, errors out.
 func TestInferPathsNetworkFreeCtxPreCancelled(t *testing.T) {

@@ -92,10 +92,6 @@ func (e *Engine) Registry() *obs.Registry {
 	return e.met.reg
 }
 
-// CacheStats reports (hits, misses) of the reference-search memo, for
-// observability and tests.
-func (e *Engine) CacheStats() (refHits, refMisses uint64) { return e.refs.Stats() }
-
 // Metrics returns the unified observability snapshot: the per-stage latency
 // histograms and counters of the registry (empty for an uninstrumented
 // engine) with the cache layers' hit/miss/reset/size gauges folded in.
@@ -239,9 +235,9 @@ func foldDiskGauges(counters map[string]uint64, stats hist.StoreStats) {
 type metrics struct {
 	reg *obs.Registry
 
-	query, refSearch, candSearch, culling, localTGI, localNNI, kgri, batch *obs.Histogram
+	query, refSearch, candSearch, culling, localTGI, localNNI, kgri *obs.Histogram
 
-	queries, batchCalls, batchQueries, fallbacks, cancelled, degraded *obs.Counter
+	queries, fallbacks, cancelled, degraded *obs.Counter
 	// nniTraces/nniRoutes: traces NNI enumerated against the distinct routes
 	// they converted to — how much of the conversion is redundant.
 	nniTraces, nniRoutes *obs.Counter
@@ -263,24 +259,21 @@ func newMetrics(reg *obs.Registry) *metrics {
 		deadlines[stage] = reg.Counter(obs.DeadlineCounterPrefix + stage)
 	}
 	return &metrics{
-		reg:          reg,
-		query:        reg.Histogram(obs.StageQuery),
-		refSearch:    reg.Histogram(obs.StageReferenceSearch),
-		candSearch:   reg.Histogram(obs.StageCandidateSearch),
-		culling:      reg.Histogram(obs.StageConnectionCulling),
-		localTGI:     reg.Histogram(obs.StageLocalTGI),
-		localNNI:     reg.Histogram(obs.StageLocalNNI),
-		kgri:         reg.Histogram(obs.StageKGRI),
-		batch:        reg.Histogram(obs.StageBatch),
-		queries:      reg.Counter("queries"),
-		batchCalls:   reg.Counter("batch.calls"),
-		batchQueries: reg.Counter("batch.queries"),
-		fallbacks:    reg.Counter("fallback.local"),
-		nniTraces:    reg.Counter("local.nni.traces"),
-		nniRoutes:    reg.Counter("local.nni.routes"),
-		cancelled:    reg.Counter(obs.CounterQueryCancelled),
-		degraded:     reg.Counter(obs.CounterQueryDegraded),
-		deadlines:    deadlines,
+		reg:        reg,
+		query:      reg.Histogram(obs.StageQuery),
+		refSearch:  reg.Histogram(obs.StageReferenceSearch),
+		candSearch: reg.Histogram(obs.StageCandidateSearch),
+		culling:    reg.Histogram(obs.StageConnectionCulling),
+		localTGI:   reg.Histogram(obs.StageLocalTGI),
+		localNNI:   reg.Histogram(obs.StageLocalNNI),
+		kgri:       reg.Histogram(obs.StageKGRI),
+		queries:    reg.Counter("queries"),
+		fallbacks:  reg.Counter("fallback.local"),
+		nniTraces:  reg.Counter("local.nni.traces"),
+		nniRoutes:  reg.Counter("local.nni.routes"),
+		cancelled:  reg.Counter(obs.CounterQueryCancelled),
+		degraded:   reg.Counter(obs.CounterQueryDegraded),
+		deadlines:  deadlines,
 	}
 }
 
@@ -310,8 +303,6 @@ func (m *metrics) hist(stage string) *obs.Histogram {
 		return m.localNNI
 	case obs.StageKGRI:
 		return m.kgri
-	case obs.StageBatch:
-		return m.batch
 	}
 	return m.reg.Histogram(stage)
 }

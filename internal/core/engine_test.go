@@ -7,16 +7,83 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/traj"
 )
 
+// inferConcurrently runs eng.InferRoutesCtx over queries from workers
+// goroutines, each taking the next unclaimed query, and returns the results
+// and errors in input order: the concurrent load the -race tests put on one
+// engine.
+func inferConcurrently(ctx context.Context, eng *Engine, queries []*traj.Trajectory, p Params, workers int) ([]*Result, []error) {
+	res := make([]*Result, len(queries))
+	errs := make([]error, len(queries))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(queries); i = int(next.Add(1) - 1) {
+				res[i], errs[i] = eng.InferRoutesCtx(ctx, queries[i], p)
+			}
+		}()
+	}
+	wg.Wait()
+	return res, errs
+}
+
+// TestInferBatchMatchesSequential: queries run concurrently on one engine
+// answer exactly as the same queries run one after another.
+func TestInferBatchMatchesSequential(t *testing.T) {
+	w := newWorld(t, 300, 131)
+	var queries []*traj.Trajectory
+	for i := 0; i < 6; i++ {
+		qc, ok := w.ds.GenQuery(6000, 180, 15, w.cfg, w.rng)
+		if !ok {
+			continue
+		}
+		queries = append(queries, qc.Query)
+	}
+	if len(queries) < 3 {
+		t.Fatal("not enough queries")
+	}
+	seq := make([]*Result, len(queries))
+	for i, q := range queries {
+		res, err := w.eng.InferRoutes(q, w.p)
+		if err != nil {
+			t.Fatalf("sequential inference %d: %v", i, err)
+		}
+		seq[i] = res
+	}
+	got, errs := inferConcurrently(context.Background(), w.eng, queries, w.p, 4)
+	for i, res := range got {
+		if errs[i] != nil {
+			t.Fatalf("concurrent %d: %v", i, errs[i])
+		}
+		if len(res.Routes) != len(seq[i].Routes) {
+			t.Fatalf("query %d: %d routes vs %d sequential",
+				i, len(res.Routes), len(seq[i].Routes))
+		}
+		for j := range res.Routes {
+			if !res.Routes[j].Route.Equal(seq[i].Routes[j].Route) {
+				t.Fatalf("query %d route %d differs between concurrent and sequential", i, j)
+			}
+			if res.Routes[j].Score != seq[i].Routes[j].Score {
+				t.Fatalf("query %d route %d score differs", i, j)
+			}
+		}
+	}
+}
+
 // TestConcurrentBatchAndPairLocalRoutes is the regression test for the
 // PairLocalRoutes data race: the pre-Engine implementation saved, mutated
 // and restored the shared Params.Method around each call, so running it
-// while a batch used the same System raced (caught by -race). Both entry
-// points now carry per-call Params copies; this must stay -race clean.
+// while concurrent inferences used the same System raced (caught by -race).
+// Both entry points now carry per-call Params copies; this must stay -race
+// clean.
 func TestConcurrentBatchAndPairLocalRoutes(t *testing.T) {
 	w := newWorld(t, 300, 171)
 	qi, qj := pickPair(t, w, 180, 1)
@@ -35,7 +102,7 @@ func TestConcurrentBatchAndPairLocalRoutes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w.eng.InferBatchCtx(context.Background(), queries, w.p, 2)
+		inferConcurrently(context.Background(), w.eng, queries, w.p, 2)
 	}()
 	for i := 0; i < 10; i++ {
 		m := MethodTGI
@@ -86,18 +153,6 @@ func TestInferRoutesWorkerDeterminism(t *testing.T) {
 	}
 }
 
-func TestBatchWorkersDefault(t *testing.T) {
-	if got, want := batchWorkers(0), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("batchWorkers(0) = %d, want GOMAXPROCS = %d", got, want)
-	}
-	if got, want := batchWorkers(-3), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("batchWorkers(-3) = %d, want GOMAXPROCS = %d", got, want)
-	}
-	if got := batchWorkers(5); got != 5 {
-		t.Fatalf("batchWorkers(5) = %d", got)
-	}
-}
-
 func TestPairWorkersResolution(t *testing.T) {
 	x := exec{p: Params{PairWorkers: 0}}
 	if got, want := x.pairWorkers(100), runtime.GOMAXPROCS(0); got != want {
@@ -138,7 +193,7 @@ func TestEngineCacheStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first inference: %v", err)
 	}
-	_, refMisses := eng.CacheStats()
+	_, refMisses := eng.refs.Stats()
 	builds := eng.Metrics().Counters["cache.trajmatch.builds"]
 	if refMisses == 0 || builds == 0 {
 		t.Fatalf("expected cold-cache misses, got ref=%d trajmatch builds=%d", refMisses, builds)
@@ -148,14 +203,14 @@ func TestEngineCacheStats(t *testing.T) {
 	if _, err := eng.InferRoutes(qc.Query, eng.Defaults()); err != nil {
 		t.Fatalf("admitting inference: %v", err)
 	}
-	if refHits, _ := eng.CacheStats(); refHits != 0 {
+	if refHits, _ := eng.refs.Stats(); refHits != 0 {
 		t.Fatalf("%d memo hits before any pair was asked twice", refHits)
 	}
 	second, err := eng.InferRoutes(qc.Query, eng.Defaults())
 	if err != nil {
 		t.Fatalf("second inference: %v", err)
 	}
-	refHits, _ := eng.CacheStats()
+	refHits, _ := eng.refs.Stats()
 	if refHits == 0 {
 		t.Fatal("repeat query missed the reference memo")
 	}
@@ -182,10 +237,10 @@ func TestEngineCacheStats(t *testing.T) {
 func TestEngineSurface(t *testing.T) {
 	want := []string{
 		// inference
-		"InferBatchCtx", "InferPathsNetworkFreeCtx", "InferRoutes", "InferRoutesCtx",
+		"InferPathsNetworkFreeCtx", "InferRoutes", "InferRoutesCtx",
 		"NewSession", "PairLocalRoutes",
 		// accessors and observability
-		"CacheStats", "Defaults", "Graph", "Metrics", "Registry", "Source",
+		"Defaults", "Graph", "Metrics", "Registry", "Source",
 	}
 	sort.Strings(want)
 	typ := reflect.TypeOf(&Engine{})

@@ -141,174 +141,40 @@ func TestGateShedExpired(t *testing.T) {
 	}
 }
 
-// TestGateCoalesce pins single-flight semantics: two followers arriving
-// while an identical query is in flight share the leader's Result (the same
-// pointer), only the leader's inference runs, and server.coalesced counts
-// the followers.
-func TestGateCoalesce(t *testing.T) {
-	eng, reg, queries := gateWorld(t)
-	g := NewGate(eng, GateConfig{MaxInflight: 3, QueueDepth: 3})
-	release := make(chan struct{})
-	registered := make(chan struct{}, 1)
-	g.flightRegistered = func() {
-		registered <- struct{}{}
-		<-release
-	}
-	type outcome struct {
-		res *Result
-		err error
-	}
-	results := make(chan outcome, 3)
-	do := func() {
-		res, err := g.Do(context.Background(), queries[0], eng.Defaults())
-		results <- outcome{res, err}
-	}
-	go do()
-	<-registered // leader's flight is visible
-	go do()
-	go do()
-	waitFor(t, func() bool {
-		return reg.Snapshot().Counters[obs.CounterServerCoalesced] == 2
-	})
-	close(release)
-	var all []outcome
-	for i := 0; i < 3; i++ {
-		all = append(all, <-results)
-	}
-	for i, out := range all {
-		if out.err != nil || out.res == nil {
-			t.Fatalf("coalesced call %d failed: %v", i, out.err)
-		}
-		if out.res != all[0].res {
-			t.Fatalf("coalesced calls returned distinct results: %p vs %p", out.res, all[0].res)
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["queries"]; got != 1 {
-		t.Fatalf("engine ran %d inferences, want 1 (followers coalesced)", got)
-	}
-	if got := snap.Counters[obs.CounterServerCoalesced]; got != 2 {
-		t.Fatalf("server.coalesced = %d, want 2", got)
-	}
-}
-
-// TestGateCoalesceHashCollision: the query hash only locates a flight — a
-// caller whose hash collides with an in-flight leader over different points
-// must get its own answer, not the leader's (hash-and-verify, like routeSeen
-// and pathHash). The hash seam forces every query onto one flight key.
-func TestGateCoalesceHashCollision(t *testing.T) {
-	eng, reg, queries := gateWorld(t)
-	g := NewGate(eng, GateConfig{MaxInflight: 2, QueueDepth: 2})
-	g.hash = func(*traj.Trajectory) uint64 { return 42 }
-	release := make(chan struct{})
-	registered := make(chan struct{}, 1)
-	g.flightRegistered = func() {
-		registered <- struct{}{}
-		<-release
-	}
-	type outcome struct {
-		res *Result
-		err error
-	}
-	leader := make(chan outcome, 1)
-	go func() {
-		res, err := g.Do(context.Background(), queries[0], eng.Defaults())
-		leader <- outcome{res, err}
-	}()
-	<-registered // the leader's flight over queries[0] is visible and held
-	// The colliding caller must finish while the leader is still in flight:
-	// joining the flight would block it until release (bounded here by the
-	// context, so a regression fails instead of hanging).
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	got, err := g.Do(ctx, queries[1], eng.Defaults())
-	close(release)
-	if err != nil {
-		t.Fatalf("colliding query: %v", err)
-	}
-	first := <-leader
-	if first.err != nil {
-		t.Fatalf("leader: %v", first.err)
-	}
-	for i, res := range []*Result{first.res, got} {
-		want, err := eng.InferRoutes(queries[i], eng.Defaults())
+// TestGateConcurrentIdenticalQueries: identical queries issued concurrently
+// through the gate each get a Result byte-identical to a direct
+// InferRoutesCtx answer for that query — the gate adds admission and
+// queueing, never a different answer.
+func TestGateConcurrentIdenticalQueries(t *testing.T) {
+	eng, _, queries := gateWorld(t)
+	v := eng.Source().Current()
+	queries = queries[:2]
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		res, err := eng.InferRoutesCtx(context.Background(), q, eng.Defaults())
 		if err != nil {
 			t.Fatalf("reference inference %d: %v", i, err)
 		}
-		if encodeRoutes(res) != encodeRoutes(want) {
-			t.Fatalf("query %d got another query's routes", i)
-		}
+		want[i] = encodeFull(v, res)
 	}
-	if n := reg.Snapshot().Counters[obs.CounterServerCoalesced]; n != 0 {
-		t.Fatalf("server.coalesced = %d, want 0 (nothing identical was in flight)", n)
+	const perQuery = 4
+	g := NewGate(eng, GateConfig{MaxInflight: 2, QueueDepth: len(queries) * perQuery})
+	var wg sync.WaitGroup
+	for i := 0; i < len(queries)*perQuery; i++ {
+		wg.Add(1)
+		go func(qi int) {
+			defer wg.Done()
+			res, err := g.Do(context.Background(), queries[qi], eng.Defaults())
+			if err != nil {
+				t.Errorf("query %d through the gate: %v", qi, err)
+				return
+			}
+			if got := encodeFull(v, res); got != want[qi] {
+				t.Errorf("query %d through the gate differs from InferRoutesCtx:\n%s\nvs\n%s", qi, got, want[qi])
+			}
+		}(i % len(queries))
 	}
-}
-
-// TestGateCoalesceLeaderCancelled: a follower must not inherit the leader's
-// client-gone cancellation — it recomputes under its own live context.
-func TestGateCoalesceLeaderCancelled(t *testing.T) {
-	eng, _, queries := gateWorld(t)
-	g := NewGate(eng, GateConfig{MaxInflight: 2, QueueDepth: 2})
-	release := make(chan struct{})
-	registered := make(chan struct{}, 1)
-	g.flightRegistered = func() {
-		select {
-		case registered <- struct{}{}:
-			<-release
-		default: // the follower's recompute takes the direct path anyway
-		}
-	}
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := g.Do(leaderCtx, queries[0], eng.Defaults())
-		leaderErr <- err
-	}()
-	<-registered
-	followerRes := make(chan *Result, 1)
-	followerErr := make(chan error, 1)
-	go func() {
-		res, err := g.Do(context.Background(), queries[0], eng.Defaults())
-		followerRes <- res
-		followerErr <- err
-	}()
-	waitFor(t, func() bool {
-		return eng.Metrics().Counters[obs.CounterServerCoalesced] == 1
-	})
-	cancelLeader()
-	close(release)
-	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled leader: err = %v, want Canceled", err)
-	}
-	if err := <-followerErr; err != nil {
-		t.Fatalf("follower inherited the leader's cancellation: %v", err)
-	}
-	if res := <-followerRes; res == nil || len(res.Routes) == 0 {
-		t.Fatalf("follower got no result after recompute")
-	}
-}
-
-// TestGateFlightKeys pins what may and may not coalesce: the key must
-// separate different point sequences and different parameter sets, and must
-// fold in the archive generation so a flight started against an older epoch
-// is invisible after an ingest.
-func TestGateFlightKeys(t *testing.T) {
-	_, _, queries := gateWorld(t)
-	if hashQuery(queries[0]) == hashQuery(queries[1]) {
-		t.Fatalf("distinct queries hash equal")
-	}
-	p1, p2 := DefaultParams(), DefaultParams()
-	p2.Phi *= 2
-	k1 := flightKey{qhash: hashQuery(queries[0]), params: p1}
-	k2 := flightKey{qhash: hashQuery(queries[0]), params: p2}
-	if k1 == k2 {
-		t.Fatalf("different params produce equal flight keys")
-	}
-	k3 := k1
-	k3.epoch++
-	if k1 == k3 {
-		t.Fatalf("different epochs produce equal flight keys")
-	}
+	wg.Wait()
 }
 
 // TestGateConcurrentBurst floods a tiny gate from many goroutines under the

@@ -143,11 +143,11 @@ func TestStoreInferenceMatchesArchiveQuick(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestAndInferBatch drives concurrent Ingest and
-// InferBatchCtx on one store and asserts (a) every query result matches the
-// result of SOME single published epoch — no torn reads across a snapshot
-// boundary — and (b) queries issued after ingestion completes see the new
-// trips. Run under -race by verify.sh.
+// TestConcurrentIngestAndInferBatch drives concurrent Ingest and inference
+// on one store and asserts (a) every query result matches the result of SOME
+// single published epoch — no torn reads across a snapshot boundary — and
+// (b) queries issued after ingestion completes see the new trips. Run under
+// -race by verify.sh.
 func TestConcurrentIngestAndInferBatch(t *testing.T) {
 	ds, queries := liveWorld(260, 91)
 	const seedTrips = 140
@@ -200,13 +200,14 @@ func TestConcurrentIngestAndInferBatch(t *testing.T) {
 					return
 				default:
 				}
-				for _, br := range eng.InferBatchCtx(t.Context(), queries, DefaultParams(), 2) {
-					if br.Err != nil {
-						t.Errorf("batch query %d: %v", br.Index, br.Err)
+				out, errs := inferConcurrently(t.Context(), eng, queries, DefaultParams(), 2)
+				for i, res := range out {
+					if errs[i] != nil {
+						t.Errorf("query %d: %v", i, errs[i])
 						return
 					}
-					if _, ok := expected[br.Index][encodeRoutes(br.Result)]; !ok {
-						t.Errorf("query %d: result matches no published epoch (torn read?)", br.Index)
+					if _, ok := expected[i][encodeRoutes(res)]; !ok {
+						t.Errorf("query %d: result matches no published epoch (torn read?)", i)
 						return
 					}
 				}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/traj"
 )
 
-// obsQueries generates n well-formed batch queries from a test world.
+// obsQueries generates n well-formed queries from a test world.
 func obsQueries(t *testing.T, w *world, n int) []*traj.Trajectory {
 	t.Helper()
 	var out []*traj.Trajectory
@@ -28,8 +28,8 @@ func obsQueries(t *testing.T, w *world, n int) []*traj.Trajectory {
 	return out
 }
 
-// TestObservedInferBatchConsistency drives two concurrent InferBatchCtx calls
-// against one shared registry and checks the books balance: stage counts
+// TestObservedInferBatchConsistency drives two concurrent rounds of
+// concurrent inference against one shared registry and checks the books balance: stage counts
 // equal the work actually done, per-stage latency aggregates are internally
 // consistent (no torn reads), and the serial nesting invariant holds —
 // with PairWorkers=1 every sub-stage runs inside the query wall time, so
@@ -42,40 +42,35 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 	p := DefaultParams()
 	p.PairWorkers = 1 // serial pairs: enables the nesting-sum invariant
 
-	const batches = 2
-	results := make([][]BatchResult, batches)
+	const rounds = 2
+	type round struct {
+		res  []*Result
+		errs []error
+	}
+	results := make([]round, rounds)
 	var wg sync.WaitGroup
-	for b := 0; b < batches; b++ {
+	for b := 0; b < rounds; b++ {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			results[b] = eng.InferBatchCtx(context.Background(), queries, p, 4)
+			results[b].res, results[b].errs = inferConcurrently(context.Background(), eng, queries, p, 4)
 		}(b)
 	}
 	wg.Wait()
 
-	wantQueries := uint64(batches * len(queries))
+	wantQueries := uint64(rounds * len(queries))
 	wantPairs := uint64(0)
 	for _, q := range queries {
 		wantPairs += uint64(q.Len() - 1)
 	}
-	wantPairs *= batches
+	wantPairs *= rounds
 
 	s := eng.Metrics()
 	if got := s.Counters["queries"]; got != wantQueries {
 		t.Fatalf("queries counter = %d, want %d", got, wantQueries)
 	}
-	if got := s.Counters["batch.calls"]; got != batches {
-		t.Fatalf("batch.calls = %d, want %d", got, batches)
-	}
-	if got := s.Counters["batch.queries"]; got != wantQueries {
-		t.Fatalf("batch.queries = %d, want %d", got, wantQueries)
-	}
 	if got := s.Stages[obs.StageQuery].Count; got != wantQueries {
 		t.Fatalf("query stage count = %d, want %d", got, wantQueries)
-	}
-	if got := s.Stages[obs.StageBatch].Count; got != batches {
-		t.Fatalf("batch stage count = %d, want %d", got, batches)
 	}
 	for _, stage := range []string{obs.StageReferenceSearch, obs.StageCandidateSearch} {
 		if got := s.Stages[stage].Count; got != wantPairs {
@@ -86,7 +81,7 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 	if locals != wantPairs {
 		t.Fatalf("local stage counts = %d, want %d", locals, wantPairs)
 	}
-	// Both batches ran the identical work, so K-GRI ran once per query.
+	// Both rounds ran the identical work, so K-GRI ran once per query.
 	if got := s.Stages[obs.StageKGRI].Count; got != wantQueries {
 		t.Fatalf("kgri count = %d, want %d", got, wantQueries)
 	}
@@ -111,13 +106,13 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 	if q := s.Stages[obs.StageQuery].Sum; sub > q {
 		t.Fatalf("sub-stage sums %v exceed query sum %v", sub, q)
 	}
-	// The two concurrent batches must also agree with each other.
-	for i := range results[0] {
-		a, b := results[0][i], results[1][i]
-		if (a.Err == nil) != (b.Err == nil) {
-			t.Fatalf("query %d: batches disagree on error", i)
+	// The two concurrent rounds must also agree with each other.
+	r0, r1 := results[0], results[1]
+	for i := range r0.res {
+		if (r0.errs[i] == nil) != (r1.errs[i] == nil) {
+			t.Fatalf("query %d: rounds disagree on error", i)
 		}
-		if a.Err == nil && len(a.Result.Routes) != len(b.Result.Routes) {
+		if r0.errs[i] == nil && len(r0.res[i].Routes) != len(r1.res[i].Routes) {
 			t.Fatalf("query %d: route counts differ", i)
 		}
 	}
@@ -137,7 +132,7 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 		t.Fatal("cache.refsearch gauges missing from snapshot")
 	}
 	// The memo's cost is visible: every entry retains at least its key, and the
-	// whole stays within the byte bound. Each pair was asked once per batch,
+	// whole stays within the byte bound. Each pair was asked once per round,
 	// and a key is memoized on its second miss: every miss was either a first
 	// sighting turned away (declined) or the admission of an entry.
 	n, b := s.Counters["cache.refsearch.entries"], s.Counters["cache.refsearch.bytes"]

@@ -2,15 +2,11 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/geo"
 	"repro/internal/traj"
 )
 
@@ -90,7 +86,7 @@ func TestQuickPooledMatchesUnpooled(t *testing.T) {
 }
 
 // TestPooledConcurrentBatch is the -race stress case: concurrent
-// InferBatchCtx runs share the scratch pools across goroutines and rounds,
+// inferences share the scratch pools across goroutines and rounds,
 // and every result must still match the pool-disabled engine byte for byte.
 func TestPooledConcurrentBatch(t *testing.T) {
 	w, unpooled, queries := poolWorlds(t, 60, 654)
@@ -104,13 +100,13 @@ func TestPooledConcurrentBatch(t *testing.T) {
 		want[i] = encodeFull(v, res)
 	}
 	for round := 0; round < 3; round++ {
-		out := w.eng.InferBatchCtx(context.Background(), queries, w.p, 4)
-		for i, br := range out {
-			if br.Err != nil {
-				t.Fatalf("round %d query %d: %v", round, i, br.Err)
+		out, errs := inferConcurrently(context.Background(), w.eng, queries, w.p, 4)
+		for i, res := range out {
+			if errs[i] != nil {
+				t.Fatalf("round %d query %d: %v", round, i, errs[i])
 			}
-			if got := encodeFull(v, br.Result); got != want[i] {
-				t.Fatalf("round %d query %d: pooled batch output differs", round, i)
+			if got := encodeFull(v, res); got != want[i] {
+				t.Fatalf("round %d query %d: pooled concurrent output differs", round, i)
 			}
 		}
 	}
@@ -129,7 +125,7 @@ func TestPublishedResultSurvivesScratchReuse(t *testing.T) {
 	}
 	snap := encodeFull(v, first)
 	for round := 0; round < 2; round++ {
-		w.eng.InferBatchCtx(context.Background(), queries, w.p, 4)
+		inferConcurrently(context.Background(), w.eng, queries, w.p, 4)
 	}
 	if got := encodeFull(v, first); got != snap {
 		t.Fatalf("published Result mutated by later inferences (scratch aliasing):\nbefore:\n%s\nafter:\n%s", snap, got)
@@ -175,45 +171,5 @@ func TestPublishedResultSurvivesScratchReuse(t *testing.T) {
 		if routes == 0 {
 			t.Fatalf("%v published no local route on the test query", m)
 		}
-	}
-}
-
-// refHashQuery is the old hash/fnv + encoding/binary implementation of the
-// gate's single-flight key, kept as the regression reference for the inlined
-// fold.
-func refHashQuery(q *traj.Trajectory) uint64 {
-	h := fnv.New64a()
-	var buf [24]byte
-	for _, pt := range q.Points {
-		binary.LittleEndian.PutUint64(buf[0:8], math.Float64bits(pt.Pt.X))
-		binary.LittleEndian.PutUint64(buf[8:16], math.Float64bits(pt.Pt.Y))
-		binary.LittleEndian.PutUint64(buf[16:24], math.Float64bits(pt.T))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
-// TestHashQueryMatchesFNVReference: the allocation-free fold must be
-// bit-identical to the hash/fnv reference on arbitrary trajectories, and
-// distinct point sequences must keep distinct digests (the coalescing
-// correctness the gate relies on).
-func TestHashQueryMatchesFNVReference(t *testing.T) {
-	f := func(coords []float64) bool {
-		q := &traj.Trajectory{ID: "h"}
-		for i := 0; i+2 < len(coords); i += 3 {
-			q.Points = append(q.Points, traj.GPSPoint{
-				Pt: geo.Pt(coords[i], coords[i+1]), T: coords[i+2],
-			})
-		}
-		return hashQuery(q) == refHashQuery(q)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	a := &traj.Trajectory{Points: []traj.GPSPoint{{Pt: geo.Pt(1, 2), T: 3}}}
-	b := &traj.Trajectory{Points: []traj.GPSPoint{{Pt: geo.Pt(1, 2), T: 4}}}
-	c := &traj.Trajectory{Points: []traj.GPSPoint{{Pt: geo.Pt(2, 1), T: 3}}}
-	if hashQuery(a) == hashQuery(b) || hashQuery(a) == hashQuery(c) {
-		t.Fatal("distinct queries collided")
 	}
 }

@@ -132,7 +132,7 @@ func TestMemoizedRunsSurviveScratchReuse(t *testing.T) {
 		}
 	}
 	var memo, before [][]hist.Reference
-	hits, _ := w.eng.CacheStats()
+	hits, _ := w.eng.refs.Stats()
 	for i := 0; i+1 < q.Len(); i++ {
 		refs := w.eng.refs.ReferencesOn(ctx, v, q.Points[i], q.Points[i+1], sp, new(hist.Searcher), nil)
 		if len(refs) != cap(refs) {
@@ -140,14 +140,14 @@ func TestMemoizedRunsSurviveScratchReuse(t *testing.T) {
 		}
 		memo, before = append(memo, refs), append(before, slices.Clone(refs))
 	}
-	if h, _ := w.eng.CacheStats(); h-hits != uint64(len(memo)) {
+	if h, _ := w.eng.refs.Stats(); h-hits != uint64(len(memo)) {
 		t.Fatalf("read %d memo entries with %d hits", len(memo), h-hits)
 	}
 	wide := w.p
 	wide.Phi, wide.SpliceMinSimple = 2*w.p.Phi, 0
 	for round := 0; round < 2; round++ {
-		w.eng.InferBatchCtx(ctx, queries, w.p, 4)
-		w.eng.InferBatchCtx(ctx, queries, wide, 1)
+		inferConcurrently(ctx, w.eng, queries, w.p, 4)
+		inferConcurrently(ctx, w.eng, queries, wide, 1)
 	}
 	for i := range memo {
 		fresh := hist.References(v, q.Points[i], q.Points[i+1], sp)

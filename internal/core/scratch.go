@@ -165,7 +165,7 @@ func (sc *pairScratch) beginNodes(nseg int) {
 	}
 }
 
-// FNV-1a, shared by the route/path dedup hashes and the gate's query hash.
+// FNV-1a, shared by the route and path dedup hashes.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

@@ -96,7 +96,7 @@ func TestShardedInferenceMatchesArchiveQuick(t *testing.T) {
 
 // TestShardedConcurrentIngestAndInferBatch is the sharded twin of
 // TestConcurrentIngestAndInferBatch: concurrent IngestTrips and
-// InferBatchCtx over a 4-shard store, every result matching exactly one
+// inference over a 4-shard store, every result matching exactly one
 // published epoch (no torn reads across shard snapshots) and
 // post-ingest queries seeing the full archive. Run under -race by verify.sh.
 func TestShardedConcurrentIngestAndInferBatch(t *testing.T) {
@@ -153,13 +153,14 @@ func TestShardedConcurrentIngestAndInferBatch(t *testing.T) {
 					return
 				default:
 				}
-				for _, br := range eng.InferBatchCtx(t.Context(), queries, DefaultParams(), 2) {
-					if br.Err != nil {
-						t.Errorf("batch query %d: %v", br.Index, br.Err)
+				out, errs := inferConcurrently(t.Context(), eng, queries, DefaultParams(), 2)
+				for i, res := range out {
+					if errs[i] != nil {
+						t.Errorf("query %d: %v", i, errs[i])
 						return
 					}
-					if _, ok := expected[br.Index][encodeRoutes(br.Result)]; !ok {
-						t.Errorf("query %d: result matches no published epoch (torn read?)", br.Index)
+					if _, ok := expected[i][encodeRoutes(res)]; !ok {
+						t.Errorf("query %d: result matches no published epoch (torn read?)", i)
 						return
 					}
 				}

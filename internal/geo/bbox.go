@@ -35,12 +35,6 @@ func (b BBox) Intersects(o BBox) bool {
 		b.Min.Y <= o.Max.Y && o.Min.Y <= b.Max.Y
 }
 
-// ContainsBox reports whether o lies entirely within b.
-func (b BBox) ContainsBox(o BBox) bool {
-	return b.Min.X <= o.Min.X && o.Max.X <= b.Max.X &&
-		b.Min.Y <= o.Min.Y && o.Max.Y <= b.Max.Y
-}
-
 // ExtendPoint returns the smallest box containing both b and p.
 func (b BBox) ExtendPoint(p Point) BBox {
 	return BBox{

@@ -54,7 +54,7 @@ func FuzzBBoxOps(f *testing.F) {
 		b := EmptyBBox().ExtendPoint(Pt(ax, ay)).ExtendPoint(Pt(bx, by))
 		p := Pt(px, py)
 		ext := b.ExtendPoint(p)
-		if !ext.Contains(p) || !ext.ContainsBox(b) {
+		if !ext.Contains(p) || !containsBox(ext, b) {
 			t.Fatal("extend lost containment")
 		}
 		if b.Contains(p) && b.DistToPoint(p) != 0 {

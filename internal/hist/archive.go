@@ -52,7 +52,6 @@ type Snapshot struct {
 	trajs  []*traj.Trajectory
 	points int    // distinct indexed GPS points (halo replicas counted once)
 	epoch  uint64 // publication counter: one bump per admitted ingest batch
-	fp     uint64 // epochFingerprint of the shard epochs
 }
 
 // shard is one partition cell of a snapshot, as immutable as the snapshot
@@ -121,23 +120,10 @@ func newSnapshot(g *roadnet.Graph, part *Partition, reg *obs.Registry, seed []*t
 		sh := &s.shards[i]
 		sh.segs = []*grid.Grid[PointRef]{newSegment(seed, sh.trips, s.clip)}
 	}
-	s.fp = epochFingerprint(s.shards)
 	return s
 }
 
-// epochFingerprint folds the shard epoch vector into one comparable hash
-// (FNV-1a over the little-endian bytes). Scalar sums would alias distinct
-// vectors — (2,0) and (1,1) describe different content — which is exactly
-// the confusion epoch-tagged caches must not suffer.
-func epochFingerprint(shards []shard) uint64 {
-	h := uint64(fnvOffset)
-	for _, sh := range shards {
-		h = fnvMix(h, sh.epoch)
-	}
-	return h
-}
-
-// FNV-1a, shared by the fingerprints and the memo's doorkeeper.
+// FNV-1a, shared by the seed fingerprint and the memo's doorkeeper.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -162,9 +148,6 @@ func (s *Snapshot) Graph() *roadnet.Graph { return s.g }
 // batches, bumped once per batch however many shards it touched (0 for
 // bulk-built snapshots).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
-
-// EpochFingerprint hashes the shard epoch vector of this generation.
-func (s *Snapshot) EpochFingerprint() uint64 { return s.fp }
 
 // Segments returns the grid segment count summed over the shards (one per
 // shard after a bulk build or compaction, one extra per un-compacted ingest

@@ -19,7 +19,7 @@ import (
 // sharding: a Store opened with OpenShardedStore (instead of NewStore or
 // NewShardedStore) writes every admitted batch to one write-ahead log before
 // any shard sees it, and rebuilds itself from that log on the next open — at
-// the same epoch and fingerprint, with byte-identical inference answers over
+// the same epoch and shard epochs, with byte-identical inference answers over
 // the durable prefix of batches. How the archive is partitioned is a
 // property of the running process, not of the file, so a directory reopens
 // at any shard count. Readers are untouched: the View/Snapshot contract, the
@@ -336,8 +336,8 @@ func foldRecovery(reg *obs.Registry, rs RecoveryStats) {
 // takes the log's trustworthy records — truncating a torn final record at
 // the first bad checksum — and replays them through the ingest path into a
 // fresh store of cfg's shape, so the store resumes at the exact epoch the
-// durable prefix reached, with the shard epochs and fingerprint an
-// uninterrupted store of that shape would carry.
+// durable prefix reached, with the shard epochs an uninterrupted store of
+// that shape would carry.
 func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfig) (*Store, RecoveryStats, error) {
 	var rs RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -90,19 +90,24 @@ func openForTest(t *testing.T, dir string, seed []*traj.Trajectory, cfg ShardedC
 	return st, rs
 }
 
-// shardedKey is viewKey plus the epoch fingerprint and shard epochs — the
-// invariants epoch-tagged caches depend on.
-func shardedKey(st *Store) string {
-	v := st.Snapshot()
+// shardEpochs is v's per-shard epoch vector.
+func shardEpochs(v *Snapshot) []uint64 {
 	epochs := make([]uint64, len(v.shards))
 	for i, sh := range v.shards {
 		epochs[i] = sh.epoch
 	}
-	return fmt.Sprintf("fp %x epochs %v\n%s", v.EpochFingerprint(), epochs, viewKey(v))
+	return epochs
+}
+
+// shardedKey is viewKey plus the store epoch and shard epochs — the
+// generation identity epoch-tagged caches depend on.
+func shardedKey(st *Store) string {
+	v := st.Snapshot()
+	return fmt.Sprintf("epoch %d shards %v\n%s", v.Epoch(), shardEpochs(v), viewKey(v))
 }
 
 // TestOpenShardedStoreRoundTrip: clean shutdown and reopen restores content,
-// store epoch, shard epochs and fingerprint exactly, with batches logged on
+// store epoch and shard epochs exactly, with batches logged on
 // both sides of a compaction — and an in-memory store fed the same batches
 // agrees, since recovery goes through the same construction path.
 func TestOpenShardedStoreRoundTrip(t *testing.T) {

@@ -11,12 +11,10 @@ import (
 )
 
 // searchKey identifies one References call: the epoch of the archive
-// generation answered against and the fingerprint of its shard epoch vector
-// (see View.EpochFingerprint), the query pair and the complete search
-// parameter set. All comparable.
+// generation answered against (see View.Epoch), the query pair and the
+// complete search parameter set. All comparable.
 type searchKey struct {
 	epoch  uint64
-	fp     uint64
 	qi, qj traj.GPSPoint
 	p      SearchParams
 }
@@ -74,7 +72,7 @@ const (
 func (k *searchKey) hash() uint64 {
 	h := uint64(fnvOffset)
 	for _, v := range [...]uint64{
-		k.epoch, k.fp,
+		k.epoch,
 		math.Float64bits(k.qi.Pt.X), math.Float64bits(k.qi.Pt.Y), math.Float64bits(k.qi.T),
 		math.Float64bits(k.qj.Pt.X), math.Float64bits(k.qj.Pt.Y), math.Float64bits(k.qj.T),
 		math.Float64bits(k.p.Phi), math.Float64bits(k.p.SpliceEps), uint64(int64(k.p.SpliceMinSimple)),
@@ -115,7 +113,7 @@ func (c *SearchCache) ReferencesOn(ctx context.Context, v View, qi, qj traj.GPSP
 	if !searchable(qi, qj, p) {
 		return nil
 	}
-	k := searchKey{epoch: v.Epoch(), fp: v.EpochFingerprint(), qi: qi, qj: qj, p: p}
+	k := searchKey{epoch: v.Epoch(), qi: qi, qj: qj, p: p}
 	c.mu.RLock()
 	val, ok := c.m[k]
 	c.mu.RUnlock()

@@ -237,7 +237,7 @@ func TestSearchCacheDoorkeeperCollisions(t *testing.T) {
 			t.Fatal("no four candidate keys share a doorkeeper slot")
 		}
 		qi := traj.GPSPoint{Pt: geo.Pt(float64(i%200), float64(i/200)*0.01), T: 0}
-		k := searchKey{epoch: a.Epoch(), fp: a.EpochFingerprint(), qi: qi, qj: qj, p: sp}
+		k := searchKey{epoch: a.Epoch(), qi: qi, qj: qj, p: sp}
 		slot := k.hash() >> doorShift
 		if bySlot[slot] = append(bySlot[slot], qi); len(bySlot[slot]) == 4 {
 			group = bySlot[slot]

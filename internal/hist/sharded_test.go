@@ -1,10 +1,12 @@
 package hist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -227,24 +229,10 @@ func TestShardedStoreStats(t *testing.T) {
 	}
 }
 
-// TestShardedEpochFingerprint: distinct shard-epoch vectors fingerprint
-// differently even when their scalar sums collide, the store epoch advances
-// exactly once per admitted batch, and a bulk archive carries the
-// fingerprint of an untouched one-shard store.
+// TestShardedEpochFingerprint: the store epoch advances exactly once per
+// admitted batch, each batch advances the epochs of the shards it touched,
+// and a bulk archive carries the epochs of an untouched one-shard store.
 func TestShardedEpochFingerprint(t *testing.T) {
-	fps := map[uint64][]uint64{}
-	for _, v := range [][]uint64{{2, 0}, {1, 1}, {0, 2}, {2, 0, 0}, {0, 0, 2}} {
-		shards := make([]shard, len(v))
-		for i, e := range v {
-			shards[i].epoch = e
-		}
-		fp := epochFingerprint(shards)
-		if prev, dup := fps[fp]; dup {
-			t.Fatalf("vectors %v and %v collide on fingerprint %x", prev, v, fp)
-		}
-		fps[fp] = v
-	}
-
 	g, _, _ := refWorld()
 	st := NewShardedStore(g, nil, ShardedConfig{Shards: 4, Halo: 0})
 	s0 := st.Snapshot()
@@ -256,11 +244,99 @@ func TestShardedEpochFingerprint(t *testing.T) {
 	if s1.Epoch() != s0.Epoch()+1 || s2.Epoch() != s1.Epoch()+1 {
 		t.Fatalf("epochs %d,%d,%d", s0.Epoch(), s1.Epoch(), s2.Epoch())
 	}
-	if s0.EpochFingerprint() == s1.EpochFingerprint() || s1.EpochFingerprint() == s2.EpochFingerprint() {
-		t.Fatal("fingerprint did not change across single-shard ingests")
+	e0, e1, e2 := shardEpochs(s0), shardEpochs(s1), shardEpochs(s2)
+	if slices.Equal(e0, e1) || slices.Equal(e1, e2) {
+		t.Fatalf("shard epochs %v, %v, %v: a single-shard ingest moved none", e0, e1, e2)
 	}
-	if a, s := NewArchive(g, nil), NewStore(g, nil, StoreConfig{}).Snapshot(); a.EpochFingerprint() != s.EpochFingerprint() {
-		t.Fatalf("archive fingerprint %x, one-shard store %x", a.EpochFingerprint(), s.EpochFingerprint())
+	a, s := NewArchive(g, nil), NewStore(g, nil, StoreConfig{}).Snapshot()
+	if a.Epoch() != s.Epoch() || !slices.Equal(shardEpochs(a), shardEpochs(s)) {
+		t.Fatalf("archive epoch %d shards %v, one-shard store %d shards %v",
+			a.Epoch(), shardEpochs(a), s.Epoch(), shardEpochs(s))
+	}
+}
+
+// TestOneEpochOneGeneration: within one store an epoch names exactly one
+// generation — one per-shard epoch vector and one content — across ingests
+// localized to different shards, background and explicit compactions (which
+// publish new snapshots under an old epoch), a reader polling concurrently,
+// and a durable copy fed the same batches and reopened. It is why the
+// epoch-tagged SearchCache keys on the epoch alone.
+func TestOneEpochOneGeneration(t *testing.T) {
+	g, _, _ := refWorld()
+	corners := []geo.Point{geo.Pt(10, 10), geo.Pt(590, 10), geo.Pt(10, 390), geo.Pt(590, 390)}
+	var batches [][]*traj.Trajectory
+	for i := 0; i < 14; i++ {
+		c := corners[(i*3)%len(corners)] // 0, 3, 2, 1, …: every shard, out of order
+		d := float64(i%3+1) * 10
+		batches = append(batches, []*traj.Trajectory{lineTraj(fmt.Sprintf("b%d", i),
+			c, geo.Pt(c.X+d, c.Y), geo.Pt(c.X+d, c.Y+d))})
+	}
+
+	type generation struct{ shards, content string }
+	var mu sync.Mutex
+	seen := map[uint64]generation{}
+	observe := func(where string, v *Snapshot) {
+		gen := generation{fmt.Sprint(shardEpochs(v)), viewKey(v)}
+		mu.Lock()
+		defer mu.Unlock()
+		if prev, ok := seen[v.Epoch()]; ok && prev != gen {
+			t.Errorf("%s: epoch %d names two generations: shards %s vs %s, content equal %v",
+				where, v.Epoch(), prev.shards, gen.shards, prev.content == gen.content)
+		}
+		seen[v.Epoch()] = gen
+	}
+
+	cfg := ShardedConfig{Shards: 4, StoreConfig: StoreConfig{CompactSegments: 2}}
+	mem := NewShardedStore(g, nil, cfg)
+	dir := t.TempDir()
+	dur, _ := openForTest(t, dir, nil, cfg)
+	observe("memory", mem.Snapshot())
+	observe("durable", dur.Snapshot())
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // a reader racing every publication, compactions included
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				observe("reader", mem.Snapshot())
+			}
+		}
+	}()
+	for i, b := range batches {
+		mem.IngestTrips(b...)
+		observe("memory", mem.Snapshot())
+		dur.IngestTrips(b...)
+		observe("durable", dur.Snapshot())
+		if i%5 == 4 {
+			mem.Compact()
+			mem.Wait()
+			observe("memory, compacted", mem.Snapshot())
+		}
+	}
+	close(done)
+	wg.Wait()
+	mem.Wait()
+	dur.Wait()
+	observe("memory, settled", mem.Snapshot())
+	observe("durable, settled", dur.Snapshot())
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _ := openForTest(t, dir, nil, cfg)
+	defer reopened.Close()
+	observe("reopened", reopened.Snapshot())
+	if got := reopened.Snapshot().Epoch(); got != uint64(len(batches)) {
+		t.Fatalf("reopened at epoch %d, want %d", got, len(batches))
+	}
+	if len(seen) != len(batches)+1 {
+		t.Fatalf("observed %d epochs, want %d", len(seen), len(batches)+1)
+	}
+	if c := mem.Stats().Compactions; c == 0 {
+		t.Fatal("no compaction ran")
 	}
 }
 
@@ -302,7 +378,7 @@ func TestShardedSearchCacheComposite(t *testing.T) {
 
 // TestShardedRefreshAfterCompaction: a compaction pass publishes a new
 // generation with every shard's merged segment stack while preserving epoch,
-// fingerprint and content.
+// shard epochs and content.
 func TestShardedRefreshAfterCompaction(t *testing.T) {
 	g, qi, _ := refWorld()
 	st := NewShardedStore(g, nil, ShardedConfig{Shards: 2, Halo: 60,
@@ -318,7 +394,7 @@ func TestShardedRefreshAfterCompaction(t *testing.T) {
 	if after == before {
 		t.Fatal("compaction published no new generation")
 	}
-	if after.Epoch() != before.Epoch() || after.EpochFingerprint() != before.EpochFingerprint() {
+	if after.Epoch() != before.Epoch() || !slices.Equal(shardEpochs(after), shardEpochs(before)) {
 		t.Fatal("compaction changed the generation identity")
 	}
 	if after.Segments() >= segsBefore || after.Segments() != 2 {

@@ -92,7 +92,7 @@ type StoreStats struct {
 // reaches CompactSegments, a single-flight background pass builds one
 // merged base grid for every shard over the threshold and swaps them in.
 // Compaction is physical reorganization only — the trajectory set is
-// unchanged — so it publishes under the same epoch and fingerprint, and
+// unchanged — so it publishes under the same epoch and shard epochs, and
 // epoch-tagged caches stay warm across it. Answers are byte-identical to
 // NewArchive over the same trips, for any shard count, halo, ingest order
 // and compaction timing.
@@ -243,7 +243,6 @@ func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 		sh.segs = append(sh.segs[:len(sh.segs):len(sh.segs)], seg)
 		sh.epoch++
 	}
-	next.fp = epochFingerprint(next.shards)
 	s.cur.Store(&next)
 	s.mu.Unlock()
 
@@ -330,7 +329,7 @@ var CompactBeforePublish func()
 
 // compact runs one compaction pass over every shard with batch segments —
 // all of them, or only those over a threshold — and reports whether it
-// merged anything. The merges publish once, keeping epoch and fingerprint,
+// merged anything. The merges publish once, keeping every epoch,
 // and a durable store then fsyncs its log, so under every sync policy a
 // compaction makes each batch logged before it durable.
 func (s *Store) compact(all bool) bool {

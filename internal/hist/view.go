@@ -19,15 +19,11 @@ type View interface {
 	// Graph returns the road network the archive is collected over.
 	Graph() *roadnet.Graph
 	// Epoch identifies this archive generation. A Store increments it on
-	// every admitted batch; epoch-tagged caches (SearchCache, core.Gate's
-	// flights) use it to recognize stale entries. Bulk-built snapshots are
-	// epoch 0.
+	// every admitted batch, under the one lock that publishes snapshots, and
+	// compaction keeps it, so within one Store an epoch names one content;
+	// the epoch-tagged SearchCache keys on it alone. Bulk-built snapshots
+	// are epoch 0.
 	Epoch() uint64
-	// EpochFingerprint hashes the per-shard epoch vector of the generation.
-	// Epoch-tagged caches key on it next to Epoch, so a memo recorded against
-	// one shard-epoch vector can never satisfy a reader of another, even
-	// under an equal scalar epoch.
-	EpochFingerprint() uint64
 	// NumPoints returns the number of indexed GPS points.
 	NumPoints() int
 	// Segments returns the number of index segments (cell grids) backing

@@ -35,8 +35,6 @@ const (
 	// StageKGRI is the global K-GRI dynamic program plus route trimming —
 	// the serial tail joining the per-pair results (§III-C).
 	StageKGRI = "kgri_global"
-	// StageBatch is one whole InferBatchCtx invocation, wall clock.
-	StageBatch = "batch"
 )
 
 // Names of the live-archive instrumentation hist.Store maintains (ingest is
@@ -111,9 +109,9 @@ const (
 )
 
 // Names of the serving-path instruments core.Gate maintains — the admission
-// control, load-shedding and coalescing layer cmd/hris puts in front of
-// /infer. Under sustained traffic these are the numbers the load generator's
-// report and the sustained-throughput figure are built from.
+// control and load-shedding layer cmd/hris puts in front of /infer. Under
+// sustained traffic these are the numbers the load generator's report and
+// the sustained-throughput figure are built from.
 const (
 	// HistServerInflight is the concurrent-inference distribution, recorded
 	// as a pseudo-duration of 1µs per occupied worker slot at admission (the
@@ -135,10 +133,6 @@ const (
 	// inference could start (HTTP 503): the worker is spent on a request
 	// that can still answer in time instead.
 	CounterServerShedExpired = "server.shed.expired"
-	// CounterServerCoalesced counts requests that shared another in-flight
-	// identical inference instead of computing their own (single-flight
-	// coalescing; the leader is not counted).
-	CounterServerCoalesced = "server.coalesced"
 )
 
 // Names of the streaming-session instruments cmd/hris's /stream handler

@@ -13,8 +13,8 @@ import (
 func TestNeighborhoodDegenerateLambda(t *testing.T) {
 	g := NewGrid(3, 3, 100, 15)
 	for _, lambda := range []int{0, 1} {
-		if n := g.Neighborhood(0, lambda); len(n) != 0 {
-			t.Errorf("Neighborhood(0, %d) = %v, want empty", lambda, n)
+		if n := lambdaHood(g, 0, lambda); len(n) != 0 {
+			t.Errorf("N_%d(0) = %v, want empty", lambda, n)
 		}
 	}
 }

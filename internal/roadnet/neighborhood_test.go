@@ -49,6 +49,19 @@ func TestEdgeHopsMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// lambdaHood is N_λ(r) (Definition 8) read off the hop counts the way TGI
+// builds its traverse-graph arcs: a search capped at λ−1 hops, then every
+// segment s ≠ r with 0 < h(r, s) < λ, with its hop count.
+func lambdaHood(g *Graph, r EdgeID, lambda int) map[EdgeID]int {
+	out := make(map[EdgeID]int)
+	for s, h := range g.EdgeHopsIntoCtx(context.Background(), r, lambda-1, nil) {
+		if EdgeID(s) != r && h > 0 && h < lambda {
+			out[EdgeID(s)] = h
+		}
+	}
+	return out
+}
+
 // TestNeighborhoodDefinition: N_λ(r) contains exactly the edges with
 // 0 < h(r,s) < λ, and grows monotonically with λ.
 func TestNeighborhoodDefinition(t *testing.T) {
@@ -59,7 +72,7 @@ func TestNeighborhoodDefinition(t *testing.T) {
 		want := bruteHops(g, r)
 		prevSize := 0
 		for lambda := 1; lambda <= 5; lambda++ {
-			n := g.Neighborhood(r, lambda)
+			n := lambdaHood(g, r, lambda)
 			for s, h := range n {
 				if s == r {
 					t.Fatal("neighborhood contains the edge itself")

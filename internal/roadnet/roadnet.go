@@ -5,8 +5,8 @@
 // bounding boxes, answered in (distance, EdgeID) order whatever the index
 // visits first. It also provides the network operations the rest of the
 // system relies on: shortest paths between network locations, edge-level
-// hop distances and λ-neighborhoods (Definition 8), and shortest-path
-// bridging of edge sequences into valid routes.
+// hop distances (from which TGI reads Definition 8's λ-neighborhoods), and
+// shortest-path bridging of edge sequences into valid routes.
 package roadnet
 
 import (
@@ -301,18 +301,6 @@ func (g *Graph) NetworkDistance(a, b Location) float64 {
 // segments, and the driving distance.
 func (g *Graph) PathBetweenLocations(a, b Location) (Route, float64, bool) {
 	return g.PathBetweenLocationsCtx(context.Background(), a, b)
-}
-
-// Neighborhood returns N_λ(r) (Definition 8): every segment s ≠ r with
-// h(r, s) < lambda, together with its hop count.
-func (g *Graph) Neighborhood(r EdgeID, lambda int) map[EdgeID]int {
-	out := make(map[EdgeID]int)
-	for s, h := range g.EdgeHopsCtx(context.Background(), r, lambda-1) {
-		if s != r && h > 0 && h < lambda {
-			out[EdgeID(s)] = h
-		}
-	}
-	return out
 }
 
 // VertexGraph exposes the vertex graph weighted by segment length.

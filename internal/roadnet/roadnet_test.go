@@ -172,11 +172,11 @@ func TestEdgeHopsAndNeighborhood(t *testing.T) {
 		}
 	}
 	// Definition 8: N_λ(r) = {s : h(r,s) < λ}.
-	n2 := g.Neighborhood(es[0], 2)
+	n2 := lambdaHood(g, es[0], 2)
 	if len(n2) != 1 || n2[es[1]] != 1 {
 		t.Fatalf("N_2(e0) = %v", n2)
 	}
-	n4 := g.Neighborhood(es[0], 4)
+	n4 := lambdaHood(g, es[0], 4)
 	if len(n4) != 3 {
 		t.Fatalf("N_4(e0) = %v", n4)
 	}

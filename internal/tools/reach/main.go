@@ -32,7 +32,7 @@ import (
 const (
 	module    = "repro"
 	allowFile = "internal/tools/reach/allow.txt"
-	maxAllow  = 20 // api + fixture + oracle; "tested" is a backlog that only shrinks
+	maxAllow  = 20
 )
 
 // stdMethods are the methods of error, fmt.Stringer, sort.Interface,
@@ -41,7 +41,7 @@ const (
 var stdMethods = []string{"Error", "String", "Len", "Less", "Swap", "Push", "Pop",
 	"ServeHTTP", "Read", "Write", "Close", "MarshalJSON", "UnmarshalJSON", "Set"}
 
-var allowReasons = map[string]bool{"api": true, "fixture": true, "oracle": true, "tested": true}
+var allowReasons = map[string]bool{"api": true, "fixture": true, "oracle": true}
 
 // loader type-checks the tree's packages from source, on demand.
 type loader struct {
@@ -167,22 +167,19 @@ func readAllow(root string) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	allow, kept := map[string]string{}, 0
+	allow := map[string]string{}
 	for i, line := range strings.Split(string(data), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		key, reason, ok := strings.Cut(line, "\t")
 		if !ok || !allowReasons[reason] {
-			return nil, fmt.Errorf("%s:%d: want \"pkg.Name<TAB>api|fixture|oracle|tested\", got %q", allowFile, i+1, line)
+			return nil, fmt.Errorf("%s:%d: want \"pkg.Name<TAB>api|fixture|oracle\", got %q", allowFile, i+1, line)
 		}
 		allow[key] = reason
-		if reason != "tested" {
-			kept++
-		}
 	}
-	if kept > maxAllow {
-		return nil, fmt.Errorf("%s: %d api/fixture/oracle entries, at most %d", allowFile, kept, maxAllow)
+	if len(allow) > maxAllow {
+		return nil, fmt.Errorf("%s: %d entries, at most %d", allowFile, len(allow), maxAllow)
 	}
 	return allow, nil
 }

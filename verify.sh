@@ -30,9 +30,13 @@ go run ./internal/tools/reach
 # the root per-figure benchmarks (internal/eval's shape checks replaced
 # them), nor the streaming-session manager, its per-vehicle wrapper, its
 # eviction error and its janitor's sweep knob (the /stream handler owns its
-# session now).
+# session now), nor the gate's single-flight coalescing, the engine's batch
+# entry point and memo-stats accessor, and the shard-epoch fingerprint (one
+# store's epoch already names one generation). Those last names are matched
+# as whole words, so the floor tests that keep them inside a longer name
+# (TestShardedEpochFingerprint, TestEngineCacheStats) do not trip it.
 # CHANGES.md, ROADMAP.md and bench/README.md are history and exempt.
-stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs|FuzzReadSegment|writeSegment|readSegment|listSegments|newestValidSegment|SegmentBytes|SegmentTrips|segment_bytes|WALSyncEvery|dropWALThrough|listWALFiles|seg-\*|StageBreakdown|AccelProfile|ShardProfile|quickSweep|BenchmarkFig|SessionManager|VehicleSession|ErrSessionEvicted|SweepEvery'
+stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs|FuzzReadSegment|writeSegment|readSegment|listSegments|newestValidSegment|SegmentBytes|SegmentTrips|segment_bytes|WALSyncEvery|dropWALThrough|listWALFiles|seg-\*|StageBreakdown|AccelProfile|ShardProfile|quickSweep|BenchmarkFig|SessionManager|VehicleSession|ErrSessionEvicted|SweepEvery|\b(EpochFingerprint|epochFingerprint|flightKey|hashQuery|CounterServerCoalesced|InferBatchCtx|BatchResult|StageBatch|CacheStats)\b'
 if grep -nE "$stale" README.md DESIGN.md bench_test.go bench_budget.json \
     $(find cmd internal examples -name '*.go'); then
     exit 1
@@ -52,8 +56,8 @@ go test -timeout 120s -shuffle=on ./...
 # concurrent ingest/inference suites plus the durability tables (crash
 # recovery, reshard-on-reopen, torn-tail sweep, sticky WAL failure — each at
 # shards {1, 4} — and the refusal of older layouts) under the race detector,
-# twice in one binary (-count=2 defeats caching and catches
-# epoch/fingerprint state that leaks between runs).
+# twice in one binary (-count=2 defeats caching and catches store, epoch or
+# shard-epoch state that leaks between runs).
 go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest' ./internal/hist/ ./internal/core/
 
 # Stream lifecycle: the /stream handler's id set, point cap, idle timer and
