@@ -468,17 +468,18 @@ func readLine(br *bufio.Reader, max int) ([]byte, error) {
 	for {
 		chunk, err := br.ReadSlice('\n')
 		buf = append(buf, chunk...)
-		if err == bufio.ErrBufferFull {
-			if len(buf) > max {
-				for err == bufio.ErrBufferFull {
-					_, err = br.ReadSlice('\n')
-				}
-				return nil, errLineTooLong
-			}
+		switch {
+		case err == bufio.ErrBufferFull && len(buf) <= max:
 			continue
-		}
-		if err != nil {
+		case err == bufio.ErrBufferFull:
+			for err == bufio.ErrBufferFull {
+				_, err = br.ReadSlice('\n')
+			}
+			return nil, errLineTooLong
+		case err != nil:
 			return buf, err
+		case len(buf) > max+1: // the terminator does not count
+			return nil, errLineTooLong
 		}
 		return buf[:len(buf)-1], nil
 	}

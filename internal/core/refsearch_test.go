@@ -28,7 +28,7 @@ func (c *countingSource) Current() hist.View {
 	return &countingView{View: c.src.Current(), walks: &c.walks}
 }
 
-func (v *countingView) VisitBox(box geo.BBox, fn func(hist.PointRef) bool) {
+func (v *countingView) VisitBox(box geo.BBox, fn func(geo.Point, hist.PointRef) bool) {
 	v.walks.Add(1)
 	v.View.VisitBox(box, fn)
 }

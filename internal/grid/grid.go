@@ -167,9 +167,11 @@ func (g *Grid[T]) span(b geo.BBox) (x0, x1, y0, y1 int) {
 	return x0, x1, y0, y1
 }
 
-// Visit calls fn with the item of every entry whose box meets q (boundary
-// contact counts), each exactly once, and reports whether the walk ran to
-// the end (fn never returned false). Cells are monotone in each coordinate,
+// Visit calls fn with the lower corner and the item of every entry whose
+// box meets q (boundary contact counts), each exactly once, and reports
+// whether the walk ran to the end (fn never returned false). In a point
+// grid the lower corner is the point itself, so a caller filtering hits by
+// position reads nothing but the grid. Cells are monotone in each coordinate,
 // so an entry meeting q is stored in a cell between the cells of q's
 // corners, and the cells q overlaps in one row are one contiguous run of
 // slots. A multi-cell entry is seen in every such cell it spans and
@@ -178,7 +180,7 @@ func (g *Grid[T]) span(b geo.BBox) (x0, x1, y0, y1 int) {
 // run's slot i is in that cell when start[c] ≤ i < start[c+1]. An entry of
 // zero width or height spans one cell on that axis and skips the check
 // there; a point skips both.
-func (g *Grid[T]) Visit(q geo.BBox, fn func(T) bool) bool {
+func (g *Grid[T]) Visit(q geo.BBox, fn func(geo.Point, T) bool) bool {
 	if !(q.Min.X <= q.Max.X && q.Min.Y <= q.Max.Y) {
 		return true // inverted or NaN: meets nothing
 	}
@@ -201,7 +203,7 @@ func (g *Grid[T]) Visit(q geo.BBox, fn func(T) bool) bool {
 			if l.Y != h.Y && AxisCell(max(l.Y, q.Min.Y), g.min.Y, g.ch, g.ny) != y {
 				continue
 			}
-			if !fn(items[k]) {
+			if !fn(l, items[k]) {
 				return false
 			}
 		}

@@ -60,10 +60,15 @@ func bruteBoxes(boxes []geo.BBox, q geo.BBox) []int {
 }
 
 // search collects, sorted, every item Visit reports for q — an entry
-// reported twice appears twice.
-func search(g *Grid[int], q geo.BBox) []int {
+// reported twice appears twice — and checks that each comes with the lower
+// corner of its box (boxes[i] for item i).
+func search(t testing.TB, g *Grid[int], boxes []geo.BBox, q geo.BBox) []int {
+	t.Helper()
 	var out []int
-	g.Visit(q, func(i int) bool {
+	g.Visit(q, func(lo geo.Point, i int) bool {
+		if lo != boxes[i].Min {
+			t.Fatalf("Visit(%v) reported item %d at %v, its box starts at %v", q, i, lo, boxes[i].Min)
+		}
 		out = append(out, i)
 		return true
 	})
@@ -76,7 +81,7 @@ func TestEmptyTree(t *testing.T) {
 	if len(g.items) != 0 {
 		t.Errorf("%d entries", len(g.items))
 	}
-	if got := search(g, geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}); len(got) != 0 {
+	if got := search(t, g, nil, geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}); len(got) != 0 {
 		t.Errorf("Visit on empty grid = %v", got)
 	}
 }
@@ -97,7 +102,7 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 		c := geo.Pt(rng.Float64()*10000, rng.Float64()*10000)
 		r := rng.Float64() * 2000
 		q := geo.BBoxAround(c, r)
-		if got, want := search(g, q), bruteRange(pts, q); !slices.Equal(got, want) {
+		if got, want := search(t, g, pointBoxes(pts), q), bruteRange(pts, q); !slices.Equal(got, want) {
 			t.Fatalf("Visit mismatch: got %d items, want %d", len(got), len(want))
 		}
 	}
@@ -137,24 +142,25 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 		queries = append(queries, geo.BBoxAround(c, rng.Float64()*1500))
 	}
 	for _, q := range queries {
-		got, want := search(g, q), bruteBoxes(boxes, q)
+		got, want := search(t, g, boxes, q), bruteBoxes(boxes, q)
 		if !slices.Equal(got, want) {
 			t.Fatalf("Visit(%v) reported %v, scan %v", q, got, want)
 		}
 	}
 	for i, b := range long {
-		if got := search(g, b); slices.Index(got, len(boxes)-len(long)+i) < 0 {
+		if got := search(t, g, boxes, b); slices.Index(got, len(boxes)-len(long)+i) < 0 {
 			t.Fatalf("long entry %d missed by a query on its own box", i)
 		}
 	}
 }
 
-// withinRadius is a radius query the way roadnet makes one: Visit over the
-// query's bounding box plus the exact distance test.
-func withinRadius(g *Grid[int], pts []geo.Point, c geo.Point, r float64) []int {
+// withinRadius is a radius query the way hist makes one: Visit over the
+// query's bounding box plus the exact distance test on the point the grid
+// hands over.
+func withinRadius(g *Grid[int], c geo.Point, r float64) []int {
 	var ids []int
-	g.Visit(geo.BBoxAround(c, r), func(i int) bool {
-		if pts[i].Dist(c) <= r {
+	g.Visit(geo.BBoxAround(c, r), func(p geo.Point, i int) bool {
+		if p.Dist(c) <= r {
 			ids = append(ids, i)
 		}
 		return true
@@ -176,7 +182,7 @@ func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 				want = append(want, i)
 			}
 		}
-		if got := withinRadius(g, pts, c, r); !slices.Equal(got, want) {
+		if got := withinRadius(g, c, r); !slices.Equal(got, want) {
 			t.Fatalf("WithinRadius mismatch: got %d want %d", len(got), len(want))
 		}
 	}
@@ -185,7 +191,7 @@ func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 func TestVisitEarlyStop(t *testing.T) {
 	g := build(pointBoxes(randomPoints(500, 9)))
 	count := 0
-	done := g.Visit(geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(10000, 10000)}, func(int) bool {
+	done := g.Visit(geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(10000, 10000)}, func(geo.Point, int) bool {
 		count++
 		return count < 10
 	})
@@ -248,7 +254,7 @@ func TestDuplicatePoints(t *testing.T) {
 		pts[i] = p
 	}
 	g := build(pointBoxes(pts))
-	if got := search(g, geo.BBoxAround(p, 1)); len(got) != 100 {
+	if got := search(t, g, pointBoxes(pts), geo.BBoxAround(p, 1)); len(got) != 100 {
 		t.Errorf("duplicate search returned %d, want 100", len(got))
 	}
 }
@@ -258,10 +264,10 @@ func TestDuplicatePoints(t *testing.T) {
 func TestWithinRadiusNegative(t *testing.T) {
 	pts := randomPoints(50, 31)
 	g := build(pointBoxes(pts))
-	if got := search(g, geo.BBoxAround(pts[0], -1)); len(got) != 0 {
+	if got := search(t, g, pointBoxes(pts), geo.BBoxAround(pts[0], -1)); len(got) != 0 {
 		t.Fatalf("Visit(r=-1) = %d entries, want none", len(got))
 	}
-	if got := withinRadius(g, pts, pts[0], 0); !slices.Contains(got, 0) {
+	if got := withinRadius(g, pts[0], 0); !slices.Contains(got, 0) {
 		t.Fatal("radius-0 query at an entry's own point missed it")
 	}
 }
@@ -275,9 +281,10 @@ func BenchmarkBuild10k(b *testing.B) {
 }
 
 func BenchmarkRangeQuery(b *testing.B) {
-	g := build(pointBoxes(randomPoints(50000, 2)))
+	boxes := pointBoxes(randomPoints(50000, 2))
+	g := build(boxes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		search(g, geo.BBoxAround(geo.Pt(5000, 5000), 500))
+		search(b, g, boxes, geo.BBoxAround(geo.Pt(5000, 5000), 500))
 	}
 }

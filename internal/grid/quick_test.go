@@ -27,7 +27,7 @@ func TestQuickRangeQueryEquivalence(t *testing.T) {
 		}
 		g := build(pointBoxes(pts))
 		q := geo.BBoxAround(geo.Pt(clamp(cx), clamp(cy)), math.Abs(clamp(r)))
-		return slices.Equal(search(g, q), bruteRange(pts, q))
+		return slices.Equal(search(t, g, pointBoxes(pts), q), bruteRange(pts, q))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -20,6 +20,7 @@
 package hist
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/geo"
@@ -50,8 +51,11 @@ type Snapshot struct {
 	clip   geo.BBox      // the graph's bbox, which every grid's extent is clipped to
 	shards []shard
 	trajs  []*traj.Trajectory
-	points int    // distinct indexed GPS points (halo replicas counted once)
-	epoch  uint64 // publication counter: one bump per admitted ingest batch
+	// The trip indices by (canonKey, index), and each trip's dense rank in
+	// that order (equal keys share one); extended at ingest by canonRanks.
+	order, rank []int32
+	points      int    // distinct indexed GPS points (halo replicas counted once)
+	epoch       uint64 // publication counter: one bump per admitted ingest batch
 }
 
 // shard is one partition cell of a snapshot, as immutable as the snapshot
@@ -82,9 +86,10 @@ func newSegment(trajs []*traj.Trajectory, ids []int, clip geo.BBox) *grid.Grid[P
 	})
 }
 
-// visit calls fn for every indexed point intersecting box and reports
-// whether the walk ran to the end (fn never returned false).
-func (sh *shard) visit(box geo.BBox, fn func(PointRef) bool) bool {
+// visit calls fn with the location and the ref of every indexed point
+// intersecting box and reports whether the walk ran to the end (fn never
+// returned false).
+func (sh *shard) visit(box geo.BBox, fn func(geo.Point, PointRef) bool) bool {
 	for _, seg := range sh.segs {
 		if !seg.Visit(box, fn) {
 			return false
@@ -107,6 +112,7 @@ func NewArchive(g *roadnet.Graph, trajs []*traj.Trajectory) *Archive {
 // trips that touch its halo cell into its one base segment.
 func newSnapshot(g *roadnet.Graph, part *Partition, reg *obs.Registry, seed []*traj.Trajectory) *Snapshot {
 	s := &Snapshot{g: g, part: part, reg: reg, clip: g.BBox(), shards: make([]shard, part.N()), trajs: seed}
+	s.order, s.rank = canonRanks(seed, nil, nil)
 	var ids []int
 	for gi, tr := range seed {
 		s.points += tr.Len()
@@ -170,10 +176,8 @@ func (s *Snapshot) NumTrajs() int { return len(s.trajs) }
 // Traj returns archived trajectory i.
 func (s *Snapshot) Traj(i int) *traj.Trajectory { return s.trajs[i] }
 
-// Point resolves a PointRef.
-func (s *Snapshot) Point(r PointRef) traj.GPSPoint {
-	return s.trajs[r.Traj].Points[r.Idx]
-}
+// CanonRank returns trajectory i's rank in canonical order.
+func (s *Snapshot) CanonRank(i int) int32 { return s.rank[i] }
 
 // WithinRadius returns the archive points within radius r of p, in arbitrary
 // order (none for a negative or NaN r): VisitBox plus the exact distance test,
@@ -182,9 +186,10 @@ func (s *Snapshot) WithinRadius(p geo.Point, r float64) []PointRef {
 	if !(r >= 0) {
 		return nil
 	}
+	rad := newRadius(r)
 	var out []PointRef
-	s.VisitBox(geo.BBoxAround(p, r), func(ref PointRef) bool {
-		if s.Point(ref).Pt.Dist(p) <= r {
+	s.VisitBox(geo.BBoxAround(p, r), func(pt geo.Point, ref PointRef) bool {
+		if _, in := rad.contains(pt, p); in {
 			out = append(out, ref)
 		}
 		return true
@@ -192,14 +197,35 @@ func (s *Snapshot) WithinRadius(p geo.Point, r float64) []PointRef {
 	return out
 }
 
-// VisitBox calls fn for every archive point intersecting box, each exactly
-// once; fn returning false stops the traversal. A box strictly inside one
-// halo cell is answered from that single shard (every point there is indexed
-// locally, each at most once); otherwise the query scatters over the shards
-// whose own cell overlaps the box, in ascending order and sequentially (a
-// range walk takes tens of microseconds), and delivers only hits owned by
-// the queried shard: halo replicas dedup exactly.
-func (s *Snapshot) VisitBox(box geo.BBox, fn func(PointRef) bool) {
+// radius is the test pt.Dist(q) <= phi, decided on Dist2 where that is
+// safe: both are within a few ulps of exact, so a squared distance more
+// than a relative 1e-9 from φ² gives Dist's verdict, and only hits inside
+// that band pay for math.Hypot. The band is off when φ is NaN, negative,
+// tiny (≤ 1e-100: φ² nears underflow) or huge (≥ 1e150: φ² nears overflow).
+type radius struct{ phi, in2, out2 float64 }
+
+func newRadius(phi float64) radius {
+	if !(phi > 1e-100 && phi < 1e150) {
+		return radius{phi, -1, math.Inf(1)}
+	}
+	return radius{phi, phi * phi * (1 - 1e-9), phi * phi * (1 + 1e-9)}
+}
+
+// contains returns pt.Dist2(q) and whether pt.Dist(q) <= r.phi.
+func (r radius) contains(pt, q geo.Point) (float64, bool) {
+	d2 := pt.Dist2(q)
+	return d2, d2 < r.in2 || !(d2 > r.out2) && pt.Dist(q) <= r.phi // NaN d2 asks Dist
+}
+
+// VisitBox calls fn with the location, read from the grid, and the ref of
+// every archive point intersecting box, each exactly once; fn returning
+// false stops the traversal. A box strictly inside one halo cell is
+// answered from that single shard (every point there is indexed locally,
+// each at most once); otherwise the query scatters over the shards whose
+// own cell overlaps the box, in ascending order and sequentially (a range
+// walk takes tens of microseconds), and delivers only hits the queried
+// shard is home to: halo replicas dedup exactly, by location alone.
+func (s *Snapshot) VisitBox(box geo.BBox, fn func(geo.Point, PointRef) bool) {
 	if home, ok := s.part.Covering(box); ok {
 		s.observeFanout(1, true)
 		s.shards[home].visit(box, fn)
@@ -208,8 +234,8 @@ func (s *Snapshot) VisitBox(box geo.BBox, fn func(PointRef) bool) {
 	ids := s.part.Overlapping(nil, box)
 	s.observeFanout(len(ids), false)
 	for _, id := range ids {
-		if !s.shards[id].visit(box, func(r PointRef) bool {
-			return s.part.Home(s.Point(r).Pt) != id || fn(r)
+		if !s.shards[id].visit(box, func(pt geo.Point, r PointRef) bool {
+			return s.part.Home(pt) != id || fn(pt, r)
 		}) {
 			return
 		}

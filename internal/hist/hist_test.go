@@ -23,6 +23,10 @@ func lineTraj(id string, pts ...geo.Point) *traj.Trajectory {
 	return tr
 }
 
+// pointOf reads the location of the archive point r names from its
+// trajectory, independently of the grids.
+func pointOf(v View, r PointRef) geo.Point { return v.Traj(r.Traj).Points[r.Idx].Pt }
+
 // refPoints materializes a reference's points: its two runs, concatenated.
 func refPoints(v View, r Reference) []traj.GPSPoint {
 	return slices.Concat(r.Runs(v))

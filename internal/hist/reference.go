@@ -75,9 +75,10 @@ func References(v View, qi, qj traj.GPSPoint, p SearchParams) []Reference {
 
 var searcherPool = sync.Pool{New: func() any { return new(Searcher) }}
 
-// nearHit is one trajectory of a near set with the index of nn(q, T). Hits
-// share grp only when their trajectories are indistinguishable by canonKey.
-type nearHit struct{ traj, idx, grp int32 }
+// nearHit is one trajectory of a near set with the index of nn(q, T) and
+// its canonical rank, which hits share only when their trajectories are
+// indistinguishable by canonKey.
+type nearHit struct{ traj, idx, canon int32 }
 
 // NearSet carries the near sets of the last pair searched — per query point
 // the archive trajectories with a sample within φ of it, in canonical order
@@ -91,12 +92,12 @@ type NearSet struct {
 	hits [2][]nearHit
 }
 
-// nearCand is a trajectory touched by the walk in progress: idx is its
-// nearest in-range sample so far, at squared distance d2.
+// nearCand is a trajectory touched by the walk in progress, with its
+// canonical rank: idx is its nearest in-range sample so far, at squared
+// distance d2.
 type nearCand struct {
-	key       canonKey
-	d2        float64
-	traj, idx int32
+	d2              float64
+	rank, traj, idx int32
 }
 
 // sidePoint is one candidate point of the splice join: d is its distance to its
@@ -122,13 +123,14 @@ type Searcher struct {
 	slot []int32
 	cur  uint32
 	// The walk in progress: the visitor (bound once, so a walk allocates
-	// nothing) reads v, q and phi and fills touched; order sorts it by handle.
-	visit   func(PointRef) bool
+	// nothing) reads v, q and rad and fills touched; order sorts it by
+	// (rank, trajectory), packed into one integer.
+	visit   func(geo.Point, PointRef) bool
 	v       View
 	q       geo.Point
-	phi     float64
+	rad     radius
 	touched []nearCand
-	order   []int32
+	order   []uint64
 
 	own          NearSet // the carried set when the caller passes none
 	aside, bside []sidePoint
@@ -156,42 +158,33 @@ func (s *Searcher) walk(v View, q geo.Point, phi float64, out []nearHit) []nearH
 		s.visit = s.visitHit
 	}
 	s.begin(v.NumTrajs())
-	s.v, s.q, s.phi, s.touched, s.order = v, q, phi, s.touched[:0], s.order[:0]
+	s.v, s.q, s.rad, s.touched, s.order = v, q, newRadius(phi), s.touched[:0], s.order[:0]
 	v.VisitBox(geo.BBoxAround(q, phi), s.visit)
 	s.v = nil
 	// Canonical order: reference order feeds tie-breaking downstream, so it
-	// must not depend on storage or index order. Sorted by handle: 4 B, not 64.
-	for i := range s.touched {
-		s.order = append(s.order, int32(i))
+	// must not depend on storage or index order. (rank, trajectory) packs
+	// into one uint64, which sorts without a comparison function; the stamp
+	// table still maps each trajectory to its candidate.
+	for _, c := range s.touched {
+		s.order = append(s.order, uint64(c.rank)<<32|uint64(c.traj))
 	}
-	slices.SortFunc(s.order, func(a, b int32) int {
-		ca, cb := &s.touched[a], &s.touched[b]
-		if c := ca.key.compare(cb.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(ca.traj, cb.traj)
-	})
-	grp := int32(0)
-	for i, o := range s.order {
-		c := &s.touched[o]
-		if i > 0 && c.key.compare(s.touched[s.order[i-1]].key) != 0 {
-			grp++
-		}
-		out = append(out, nearHit{c.traj, c.idx, grp})
+	slices.Sort(s.order)
+	for _, o := range s.order {
+		c := &s.touched[s.slot[uint32(o)]]
+		out = append(out, nearHit{c.traj, c.idx, c.rank})
 	}
 	return out
 }
 
-func (s *Searcher) visitHit(r PointRef) bool {
-	tr := s.v.Traj(r.Traj)
-	pt := tr.Points[r.Idx].Pt
-	if !(pt.Dist(s.q) <= s.phi) {
+func (s *Searcher) visitHit(pt geo.Point, r PointRef) bool {
+	d2, in := s.rad.contains(pt, s.q)
+	if !in {
 		return true // in the box, outside the circle
 	}
-	d2, idx := pt.Dist2(s.q), int32(r.Idx)
+	idx := int32(r.Idx)
 	if s.ver[r.Traj] != s.cur {
 		s.ver[r.Traj], s.slot[r.Traj] = s.cur, int32(len(s.touched))
-		s.touched = append(s.touched, nearCand{key: canonKeyOf(tr), d2: d2, traj: int32(r.Traj), idx: idx})
+		s.touched = append(s.touched, nearCand{d2: d2, rank: s.v.CanonRank(r.Traj), traj: int32(r.Traj), idx: idx})
 	} else if c := &s.touched[s.slot[r.Traj]]; d2 < c.d2 || d2 == c.d2 && idx < c.idx {
 		c.d2, c.idx = d2, idx
 	}
@@ -365,10 +358,10 @@ func (s *Searcher) splice(refs []Reference, v View, qi, qj geo.Point, eps, budge
 	// Emission order is (key of T_a, key of T_b, storage indices): the table
 	// row by row, except that rows — and columns — of one key group interleave.
 	for a0, a1 := 0, 0; a0 < len(arank); a0 = a1 {
-		for a1 = a0 + 1; a1 < len(arank) && arank[a1].grp == arank[a0].grp; a1++ {
+		for a1 = a0 + 1; a1 < len(arank) && arank[a1].canon == arank[a0].canon; a1++ {
 		}
 		for b0, b1 := 0, 0; b0 < nb; b0 = b1 {
-			for b1 = b0 + 1; b1 < nb && brank[b1].grp == brank[b0].grp; b1++ {
+			for b1 = b0 + 1; b1 < nb && brank[b1].canon == brank[b0].canon; b1++ {
 			}
 			for a := a0; a < a1; a++ {
 				for b := b0; b < b1; b++ {

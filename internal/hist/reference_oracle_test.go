@@ -152,7 +152,7 @@ func oracleNearestPerTraj(v View, hits []PointRef, q geo.Point) map[int]PointRef
 	best := make(map[int]PointRef)
 	for _, h := range hits {
 		cur, ok := best[h.Traj]
-		if !ok || v.Point(h).Pt.Dist2(q) < v.Point(cur).Pt.Dist2(q) {
+		if !ok || pointOf(v, h).Dist2(q) < pointOf(v, cur).Dist2(q) {
 			best[h.Traj] = h
 		}
 	}
@@ -604,13 +604,19 @@ func TestSnapshotWithinRadiusMatchesScan(t *testing.T) {
 						}
 					}
 				}
-				v.VisitBox(box, func(r PointRef) bool { got = append(got, r); return true })
+				v.VisitBox(box, func(pt geo.Point, r PointRef) bool {
+					if pt != pointOf(v, r) {
+						t.Fatalf("%s, %d shards: VisitBox(%v) reported %v at %v, stored at %v", name, len(v.shards), box, r, pt, pointOf(v, r))
+					}
+					got = append(got, r)
+					return true
+				})
 				sortRefs(got)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s, %d shards: VisitBox(%v) = %v, scan %v", name, len(v.shards), box, got, want)
 				}
 				seen := 0
-				v.VisitBox(box, func(PointRef) bool { seen++; return seen < 2 })
+				v.VisitBox(box, func(geo.Point, PointRef) bool { seen++; return seen < 2 })
 				if seen != min(len(want), 2) {
 					t.Fatalf("%s, %d shards: VisitBox(%v) stopped after %d of %d points, want 2", name, len(v.shards), box, seen, len(want))
 				}

@@ -112,8 +112,8 @@ func TestShardedBoundaryDedup(t *testing.T) {
 						}
 					}
 					for _, v := range []View{ov, sv} {
-						v.VisitBox(geo.BBoxAround(c, r), func(pr PointRef) bool {
-							if pt := v.Point(pr).Pt; math.IsNaN(pt.X) || math.IsNaN(pt.Y) {
+						v.VisitBox(geo.BBoxAround(c, r), func(_ geo.Point, pr PointRef) bool {
+							if pt := pointOf(v, pr); math.IsNaN(pt.X) || math.IsNaN(pt.Y) {
 								t.Fatalf("n=%d halo=%v VisitBox around %v reported the NaN point %v", n, halo, c, pr)
 							}
 							return true
@@ -122,8 +122,14 @@ func TestShardedBoundaryDedup(t *testing.T) {
 
 					box := geo.BBoxAround(c, r)
 					var wantV, gotV []PointRef
-					ov.VisitBox(box, func(pr PointRef) bool { wantV = append(wantV, pr); return true })
-					sv.VisitBox(box, func(pr PointRef) bool { gotV = append(gotV, pr); return true })
+					ov.VisitBox(box, func(_ geo.Point, pr PointRef) bool { wantV = append(wantV, pr); return true })
+					sv.VisitBox(box, func(pt geo.Point, pr PointRef) bool {
+						if pt != pointOf(sv, pr) {
+							t.Fatalf("n=%d halo=%v VisitBox(%v) reported %v at %v, stored at %v", n, halo, box, pr, pt, pointOf(sv, pr))
+						}
+						gotV = append(gotV, pr)
+						return true
+					})
 					sortRefs(wantV)
 					sortRefs(gotV)
 					if len(gotV) != len(wantV) {
@@ -138,7 +144,7 @@ func TestShardedBoundaryDedup(t *testing.T) {
 					}
 					// Early-stop contract: the traversal halts after one point.
 					seen := 0
-					sv.VisitBox(box, func(PointRef) bool { seen++; return false })
+					sv.VisitBox(box, func(geo.Point, PointRef) bool { seen++; return false })
 					if len(gotV) > 0 && seen != 1 {
 						t.Fatalf("n=%d halo=%v VisitBox early stop visited %d points", n, halo, seen)
 					}

@@ -219,6 +219,7 @@ func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 	next := *old
 	next.epoch++
 	next.trajs = append(old.trajs[:len(old.trajs):len(old.trajs)], kept...)
+	next.order, next.rank = canonRanks(next.trajs, old.order, old.rank)
 	next.shards = slices.Clone(old.shards)
 	var ids []int
 	for k, tr := range kept {

@@ -35,8 +35,8 @@ func refEqual(va View, a Reference, vb View, b Reference) bool {
 // makes one: VisitBox plus the exact distance test.
 func withinRadius(v View, p geo.Point, r float64) []PointRef {
 	var out []PointRef
-	v.VisitBox(geo.BBoxAround(p, r), func(ref PointRef) bool {
-		if v.Point(ref).Pt.Dist(p) <= r {
+	v.VisitBox(geo.BBoxAround(p, r), func(_ geo.Point, ref PointRef) bool {
+		if pointOf(v, ref).Dist(p) <= r {
 			out = append(out, ref)
 		}
 		return true

@@ -2,6 +2,7 @@ package hist
 
 import (
 	"cmp"
+	"slices"
 	"strings"
 
 	"repro/internal/geo"
@@ -34,12 +35,15 @@ type View interface {
 	NumTrajs() int
 	// Traj returns archived trajectory i (0 <= i < NumTrajs).
 	Traj(i int) *traj.Trajectory
-	// Point resolves a PointRef.
-	Point(r PointRef) traj.GPSPoint
-	// VisitBox calls fn for every archive point whose location intersects
-	// box, each exactly once, in arbitrary order; fn returning false stops it.
-	// The one range primitive: a radius query adds its own distance test.
-	VisitBox(box geo.BBox, fn func(PointRef) bool)
+	// CanonRank returns trajectory i's rank in canonical order (see
+	// canonKey): sorting by (rank, index) is sorting by (key, index), and
+	// trajectories with equal keys share a rank.
+	CanonRank(i int) int32
+	// VisitBox calls fn with the location and the ref of every archive
+	// point whose location intersects box, each exactly once, in arbitrary
+	// order; fn returning false stops it. The one range primitive: a radius
+	// query adds its own distance test.
+	VisitBox(box geo.BBox, fn func(geo.Point, PointRef) bool)
 }
 
 // Source yields the current archive generation. A *Snapshot is its own,
@@ -60,7 +64,8 @@ type Source interface {
 // to a bulk-built archive holding the same trips in any order, as long as
 // trajectory identities (ID plus start point) are distinct — the storage
 // index remains only as the final tie-break for truly indistinguishable
-// trajectories.
+// trajectories. Searches read the order as View.CanonRank, published once
+// per snapshot (canonRanks).
 type canonKey struct {
 	id         string
 	t0, x0, y0 float64
@@ -82,4 +87,43 @@ func (k canonKey) compare(o canonKey) int {
 		return c
 	}
 	return cmp.Or(cmp.Compare(k.t0, o.t0), cmp.Compare(k.x0, o.x0), cmp.Compare(k.y0, o.y0), cmp.Compare(k.n, o.n))
+}
+
+// canonRanks extends the canonical order and ranks of trajs[:len(order)] to
+// all of trajs, in fresh slices. Each new trip, in (key, index) order, is
+// placed by binary search after the old trips with a key not above its own
+// (its index exceeds theirs); ranks are then renumbered densely, comparing
+// keys only next to a new trip, since neighboring old trips share a key
+// exactly when they shared a rank.
+func canonRanks(trajs []*traj.Trajectory, order, rank []int32) ([]int32, []int32) {
+	old := int32(len(order))
+	byKey := func(a, b int32) int {
+		return cmp.Or(canonKeyOf(trajs[a]).compare(canonKeyOf(trajs[b])), cmp.Compare(a, b))
+	}
+	batch := make([]int32, len(trajs)-len(order))
+	for k := range batch {
+		batch[k] = old + int32(k)
+	}
+	slices.SortFunc(batch, byKey)
+	next := make([]int32, 0, len(trajs))
+	for _, t := range batch {
+		j, _ := slices.BinarySearchFunc(order, t, byKey)
+		next, order = append(append(next, order[:j]...), t), order[j:]
+	}
+	next = append(next, order...)
+
+	same := func(a, b int32) bool {
+		if a < old && b < old {
+			return rank[a] == rank[b]
+		}
+		return canonKeyOf(trajs[a]).compare(canonKeyOf(trajs[b])) == 0
+	}
+	nextRank, r := make([]int32, len(trajs)), int32(0)
+	for k, t := range next {
+		if k > 0 && !same(next[k-1], t) {
+			r++
+		}
+		nextRank[t] = r
+	}
+	return next, nextRank
 }

@@ -65,7 +65,7 @@ func TestCandidateQueryOnVertex(t *testing.T) {
 			t.Errorf("edge %d: offset %v, want 0 or %v", c.Edge, c.Offset, s.Length)
 		}
 	}
-	if l, ok := g.LocationOf(p); !ok || g.Point(l).Dist(p) != 0 {
+	if l, ok := g.LocationOf(p); !ok || g.Seg(l.Edge).Shape.At(l.Offset).Dist(p) != 0 {
 		t.Errorf("LocationOf(vertex point) = %v, %v", l, ok)
 	}
 }

@@ -198,7 +198,7 @@ type Candidate struct {
 // the index the edges are found through cannot influence it.
 func (g *Graph) CandidateEdges(p geo.Point, eps float64) []Candidate {
 	var out []Candidate
-	g.edgeIndex.Visit(geo.BBoxAround(p, eps), func(e EdgeID) bool {
+	g.edgeIndex.Visit(geo.BBoxAround(p, eps), func(_ geo.Point, e EdgeID) bool {
 		if c := g.CandidateOn(p, e); c.Dist <= eps {
 			out = append(out, c)
 		}
@@ -257,11 +257,6 @@ func (g *Graph) LocationOf(p geo.Point) (Location, bool) {
 		return Location{}, false
 	}
 	return Location{Edge: cands[0].Edge, Offset: cands[0].Offset}, true
-}
-
-// Point returns the planar point of a network location.
-func (g *Graph) Point(l Location) geo.Point {
-	return g.Seg(l.Edge).Shape.At(l.Offset)
 }
 
 // edgeFor returns the shortest segment from u to v — the lowest id among

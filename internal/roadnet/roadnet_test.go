@@ -147,7 +147,7 @@ func TestNetworkDistanceAcrossGrid(t *testing.T) {
 		t.Fatalf("bridged route invalid: %v", route)
 	}
 	// Manhattan driving distance sanity: at least straight-line.
-	pa, pb := g.Point(a), g.Point(bLoc)
+	pa, pb := g.Seg(a.Edge).Shape.At(a.Offset), g.Seg(bLoc.Edge).Shape.At(bLoc.Offset)
 	if d < pa.Dist(pb)-1e-9 {
 		t.Fatalf("network distance %v below straight line %v", d, pa.Dist(pb))
 	}

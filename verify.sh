@@ -57,8 +57,11 @@ go test -timeout 120s -shuffle=on ./...
 # recovery, reshard-on-reopen, torn-tail sweep, sticky WAL failure — each at
 # shards {1, 4} — and the refusal of older layouts) under the race detector,
 # twice in one binary (-count=2 defeats caching and catches store, epoch or
-# shard-epoch state that leaks between runs).
-go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest' ./internal/hist/ ./internal/core/
+# shard-epoch state that leaks between runs). The canonical ranks are
+# published under the writer lock and read lock-free by every range walk, so
+# their merge (TestCanonRankOrder) and the radius test the walk applies run
+# here too.
+go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest|Canon|Radius' ./internal/hist/ ./internal/core/
 
 # Stream lifecycle: the /stream handler's id set, point cap, idle timer and
 # drain under the race detector, twice in one binary, so admission or timer
@@ -102,8 +105,10 @@ go test -C bench -timeout 300s ./...
 # HMM and the incremental matcher on the same terms. So do the pair-context
 # assembly's per-point oracle (MatchTable: per-run spliced contexts on a
 # warm pool, where stale run state would show) and the memo's admission
-# contract (SearchCache).
-go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces|MatchTable|SearchCache' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
+# contract (SearchCache), and the near set's two integer shortcuts: the
+# canonical ranks against the key they replace (Canon) and the squared-
+# distance radius test against math.Hypot (Radius).
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces|MatchTable|SearchCache|Canon|Radius' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
 go test -timeout 120s -count=2 ./internal/grid/
 
 # Bench smoke: the acceleration-layer benchmarks (the end-to-end HRIS query
