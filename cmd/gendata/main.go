@@ -12,13 +12,6 @@
 // ({"id": "...", "points": [[x, y, t], ...]} per line) — fresh trips the
 // archive has not seen, ready to pipe into `hris -follow`. Informational
 // output moves to stderr so the stream stays clean.
-//
-// With -bbox-split S (and optionally -bbox-cell i), the stream keeps only
-// trips confined to one cell of an S-way partition of the network bbox —
-// the same uniform grid `hris -shards S` uses — so every streamed trip
-// lands in a single shard. That is the worst-case ingest skew for the
-// sharded live archive: one shard absorbs the whole write load while its
-// siblings stay cold.
 package main
 
 import (
@@ -29,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/hist"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
 	"repro/internal/traj"
@@ -46,8 +38,6 @@ func main() {
 		trips  = flag.Int("trips", 1200, "archive trips to simulate")
 		hot    = flag.Int("hotspots", 10, "number of trip hotspots")
 		stream = flag.Int("stream", 0, "after the archive, emit this many extra trips as NDJSON on stdout")
-		split  = flag.Int("bbox-split", 0, "with -stream: keep only trips confined to one cell of an S-way bbox partition (worst-case shard skew); 0 = no filter")
-		cell   = flag.Int("bbox-cell", 0, "with -bbox-split: index of the partition cell to concentrate the stream in")
 	)
 	flag.Parse()
 
@@ -124,35 +114,13 @@ func main() {
 		archPath, len(ds.Archive), points, 100*low/len(ds.Archive))
 
 	if *stream > 0 {
-		var part *hist.Partition
-		if *split > 1 {
-			part = hist.NewPartition(city.Graph.BBox(), *split, 0)
-			if *cell < 0 || *cell >= part.N() {
-				log.Fatalf("-bbox-cell %d out of range [0,%d)", *cell, part.N())
-			}
-		}
-		// A trip passes the skew filter when every point homes to the
-		// chosen cell — exactly the trips `hris -shards S` routes to that
-		// single shard, with zero halo replication elsewhere.
-		keep := func(tr *traj.Trajectory) bool {
-			if part == nil {
-				return true
-			}
-			for _, p := range tr.Points {
-				if part.Home(p.Pt) != *cell {
-					return false
-				}
-			}
-			return true
-		}
 		enc := json.NewEncoder(os.Stdout)
 		emitted := 0
-		// The filter rejects cross-cell trips, so bound the simulation work
-		// instead of looping until the quota fills: a cell without hotspot
-		// traffic might never yield enough confined trips.
+		// A trip the simulation fails to route is skipped; the bound keeps a
+		// fleet that never yields one from looping forever.
 		for attempts := 0; emitted < *stream && attempts < 200*(*stream); attempts++ {
 			tr, _, ok := em.Next()
-			if !ok || !keep(tr) {
+			if !ok {
 				continue
 			}
 			line := struct {
@@ -167,13 +135,6 @@ func main() {
 			}
 			emitted++
 		}
-		if part != nil {
-			info("streamed %d extra trips as NDJSON (confined to cell %d of %d)\n", emitted, *cell, part.N())
-			if emitted < *stream {
-				info("note: cell %d yielded only %d/%d confined trips\n", *cell, emitted, *stream)
-			}
-		} else {
-			info("streamed %d extra trips as NDJSON\n", emitted)
-		}
+		info("streamed %d extra trips as NDJSON\n", emitted)
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -189,17 +190,42 @@ func TestBinaryWiring(t *testing.T) {
 	}
 }
 
-// TestBinaryChecksAccelFirst: a bad -accel is refused before any file is
+// TestBinaryChecksFlagsFirst: a bad -method is refused before any file is
 // opened, so a missing dataset does not hide it behind "open network".
-func TestBinaryChecksAccelFirst(t *testing.T) {
+func TestBinaryChecksFlagsFirst(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildBinary(t, dir)
-	out, err := exec.Command(bin, "-accel", "bogus", "-data", filepath.Join(dir, "missing"), "-demo").CombinedOutput()
+	out, err := exec.Command(bin, "-method", "bogus", "-data", filepath.Join(dir, "missing"), "-demo").CombinedOutput()
 	if err == nil {
-		t.Fatalf("exit 0 with -accel bogus, want a fatal\n%s", out)
+		t.Fatalf("exit 0 with -method bogus, want a fatal\n%s", out)
 	}
-	if !bytes.Contains(out, []byte(`unknown -accel "bogus"`)) {
-		t.Fatalf("want the -accel message, got:\n%s", out)
+	if !bytes.Contains(out, []byte(`unknown -method "bogus"`)) {
+		t.Fatalf("want the -method message, got:\n%s", out)
+	}
+}
+
+// TestBinaryBindFailureIsFatal: -http on an address another listener holds
+// exits non-zero with the bind error, so a supervisor does not see a clean
+// exit from a server that never served.
+func TestBinaryBindFailureIsFatal(t *testing.T) {
+	ds := testWorld(t)
+	dir := t.TempDir()
+	bin := buildBinary(t, dir)
+	writeDataset(t, dir, ds, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Were the bind failure not fatal, the binary would serve forever.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-data", dir, "-http", ln.Addr().String()).CombinedOutput()
+	if err == nil {
+		t.Fatalf("exit 0 with -http on a held port, want a fatal\n%s", out)
+	}
+	if !bytes.Contains(out, []byte("address already in use")) {
+		t.Fatalf("want the bind error, got:\n%s", out)
 	}
 }
 

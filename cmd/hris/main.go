@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hris -data data/ -query query.json [-k 5] [-method hybrid] [-compare]
-//	     [-accel ch] [-metrics] [-trace] [-http :6060] [-follow]
+//	     [-metrics] [-trace] [-http :6060] [-follow]
 //
 // The query file holds one trajectory: {"points": [[x, y, t], ...]}.
 // With -demo, a query is synthesized from the archive instead.
@@ -43,12 +43,12 @@
 //
 // Observability: -metrics prints the per-stage cost breakdown (count,
 // total, p50/p95/p99/max per pipeline stage — the paper's Figure 9 cost
-// attribution) after the run; -metrics-json dumps the same snapshot as
-// JSON; -trace prints the query's span timeline. -http starts a debug
-// server exposing /metrics (JSON snapshot), /debug/vars (expvar),
-// /debug/pprof and POST /infer (context-aware inference), and keeps the
-// process alive for scraping until SIGINT/SIGTERM, then shuts down
-// gracefully.
+// attribution) after the run; -trace prints the query's span timeline.
+// -http starts a debug server exposing /metrics (the same snapshot as
+// JSON), /debug/vars (expvar), /debug/pprof and POST /infer (context-aware
+// inference), and keeps the process alive for scraping until
+// SIGINT/SIGTERM, then shuts down gracefully. An address that cannot be
+// bound is fatal.
 //
 // Admission control: /infer runs behind a bounded worker queue —
 // -max-inflight concurrent inferences (default GOMAXPROCS), -queue-depth
@@ -69,27 +69,21 @@
 // open (429 beyond, 409 for an id already streaming), a session holds at
 // most -session-max-points points (the next one finalizes it, flagged
 // "truncated"), and a stream with no point for -session-idle gets a final
-// error record and its connection closes, which frees its slot; -deadline
-// budgets each point's incremental step. With
-// -stream-ingest every cleanly finalized stream trajectory is admitted into
-// the live archive, closing the loop from live vehicles to the reference
-// history the next queries search. On SIGINT/SIGTERM open streams finalize
-// what they have within -drain-grace (flagged "draining" in the final
-// record) before the server shuts down.
+// error record and its connection closes, which frees its slot; a value
+// ≤ 0 lifts the bound. -deadline budgets each point's incremental step.
+// With -stream-ingest every cleanly finalized stream trajectory is admitted
+// into the live archive, closing the loop from live vehicles to the
+// reference history the next queries search. On SIGINT/SIGTERM open streams
+// finalize what they have within a 2 s grace (flagged "draining" in the
+// final record) before the server shuts down.
 //
-// Shortest paths: -accel selects the network's distance oracle — "ch"
-// (default) builds a contraction hierarchy once and answers queries from
-// its tiny upward search cones, "dijkstra" keeps the plain Dijkstra/A*
-// fallback. Results are identical either way; the /metrics snapshot
-// reports the oracle mode and, for ch, the preprocessing statistics under
-// the oracle.* counters.
-//
-// Start-up: -accel and -method are checked before any file is opened.
-// Then one goroutine reads network.json and, when the process will answer
-// queries (-http, -query or -demo), builds the oracle, while the main
-// goroutine reads archive.json; the store is built once both reads are
-// done, so cold start costs max(network + oracle, archive) plus the store.
-// A -follow-only process builds no oracle.
+// Start-up: parseConfig checks every flag before any file is opened. Then
+// one goroutine reads network.json and, when the process will answer
+// queries (-http, -query or -demo), builds the contraction hierarchy that
+// answers its shortest-path queries, while the main goroutine reads
+// archive.json; the store is built once both reads are done, so cold start
+// costs max(network + CH, archive) plus the store. A -follow-only process
+// builds no CH.
 //
 // Deadlines: -deadline bounds each inference's wall clock (e.g.
 // -deadline 50ms). On expiry the engine degrades gracefully — expired
@@ -107,6 +101,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -126,6 +121,15 @@ import (
 	"repro/internal/traj"
 )
 
+const (
+	// shutdownTimeout bounds the debug server's graceful shutdown.
+	shutdownTimeout = 5 * time.Second
+	// drainGrace is each open /stream's finalize window once shutdown
+	// begins; it stays below shutdownTimeout so drained streams return
+	// inside it.
+	drainGrace = 2 * time.Second
+)
+
 type queryJSON struct {
 	Points [][3]float64 `json:"points"`
 	Truth  []int        `json:"truth,omitempty"`
@@ -142,134 +146,166 @@ type tripJSON struct {
 }
 
 func (tj tripJSON) trajectory(fallbackID string) *traj.Trajectory {
-	tr := &traj.Trajectory{ID: tj.ID}
+	tr := &traj.Trajectory{ID: tj.ID, Points: gpsPoints(tj.Points)}
 	if tr.ID == "" {
 		tr.ID = fallbackID
 	}
-	for _, p := range tj.Points {
-		tr.Points = append(tr.Points, traj.GPSPoint{Pt: geo.Pt(p[0], p[1]), T: p[2]})
-	}
 	return tr
+}
+
+// gpsPoints converts wire points, [x, y, t] triples, to GPS points.
+func gpsPoints(wire [][3]float64) []traj.GPSPoint {
+	var pts []traj.GPSPoint
+	for _, p := range wire {
+		pts = append(pts, traj.GPSPoint{Pt: geo.Pt(p[0], p[1]), T: p[2]})
+	}
+	return pts
+}
+
+// config is one run's command line, validated.
+type config struct {
+	data, query, geojson string
+	demo, compare        bool
+	seed                 int64
+	params               core.Params // DefaultParams with -k, -phi, -method, -deadline
+	metrics, trace       bool
+	httpAddr             string
+	follow               bool
+	shards               int
+	dataDir              string
+	walSync              hist.SyncPolicy
+	gate                 core.GateConfig // -max-inflight, -queue-depth
+	limits               streamLimits    // -max-sessions, -session-idle, -session-max-points
+	ingest               bool            // -stream-ingest
+}
+
+// parseConfig parses and checks the command line. Every rejection happens
+// here, so a bad flag is reported before any file is opened.
+func parseConfig(args []string) (config, error) {
+	c := config{params: core.DefaultParams()}
+	fs := flag.NewFlagSet("hris", flag.ContinueOnError)
+	fs.StringVar(&c.data, "data", "data", "dataset directory from gendata")
+	fs.StringVar(&c.query, "query", "", "query trajectory JSON file")
+	fs.BoolVar(&c.demo, "demo", false, "synthesize a demo query from the archive")
+	fs.IntVar(&c.params.K3, "k", c.params.K3, "number of global routes to suggest (k3, >= 1)")
+	method := fs.String("method", "hybrid", "local inference: tgi, nni or hybrid")
+	fs.Float64Var(&c.params.Phi, "phi", c.params.Phi, "reference search radius (m, finite and >= 0)")
+	fs.BoolVar(&c.compare, "compare", false, "also run incremental/ST-matching/IVMM")
+	fs.Int64Var(&c.seed, "seed", 1, "seed for -demo")
+	fs.StringVar(&c.geojson, "geojson", "", "write query + suggested routes as GeoJSON to this file")
+
+	fs.BoolVar(&c.metrics, "metrics", false, "print the per-stage cost breakdown after the run")
+	fs.BoolVar(&c.trace, "trace", false, "print the query's per-stage span timeline")
+	fs.StringVar(&c.httpAddr, "http", "", "serve /metrics, /debug/vars, /debug/pprof, POST /infer and POST /ingest on this address and stay alive")
+	fs.DurationVar(&c.params.Deadline, "deadline", 0, "per-query inference budget (e.g. 50ms; 0 = none); on expiry a best-effort degraded result is returned")
+	fs.BoolVar(&c.follow, "follow", false, "read NDJSON trips from stdin and ingest them into the live archive")
+	fs.IntVar(&c.shards, "shards", 1, "spatial shards for the live archive")
+	fs.StringVar(&c.dataDir, "data-dir", "", "persist the live archive under this directory (one write-ahead log); empty = in-memory only")
+	walSync := fs.String("wal-sync", "always", "WAL fsync policy with -data-dir: always, interval or off")
+
+	fs.IntVar(&c.gate.MaxInflight, "max-inflight", 0, "max concurrent /infer inferences (< 1 = GOMAXPROCS)")
+	fs.IntVar(&c.gate.QueueDepth, "queue-depth", -1, "max /infer requests waiting beyond -max-inflight before 429 (< 0 = 4x max-inflight)")
+
+	// The session bounds target tens of thousands of vehicles: a session's
+	// state is a capped local-route set per pair, so max-sessions ×
+	// max-points bounds resident memory.
+	fs.IntVar(&c.limits.maxSessions, "max-sessions", 16384, "max concurrent /stream sessions before 429 (<= 0 = unlimited)")
+	fs.DurationVar(&c.limits.idle, "session-idle", 5*time.Minute, "close a /stream session with no point for this long (<= 0 = never)")
+	fs.IntVar(&c.limits.maxPoints, "session-max-points", 4096, "max points per /stream session before forced finalize (<= 0 = unlimited)")
+	fs.BoolVar(&c.ingest, "stream-ingest", false, "ingest each finalized /stream trajectory into the live archive")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+
+	var err error
+	if c.walSync, err = hist.ParseSyncPolicy(*walSync); err != nil {
+		return c, fmt.Errorf("-wal-sync: %v", err)
+	}
+	switch *method {
+	case "tgi":
+		c.params.Method = core.MethodTGI
+	case "nni":
+		c.params.Method = core.MethodNNI
+	case "hybrid":
+		c.params.Method = core.MethodHybrid
+	default:
+		return c, fmt.Errorf("unknown -method %q (want tgi, nni or hybrid)", *method)
+	}
+	switch {
+	case c.shards < 1:
+		return c, fmt.Errorf("-shards must be >= 1 (got %d)", c.shards)
+	case c.params.K3 < 1:
+		return c, fmt.Errorf("-k must be >= 1 (got %d)", c.params.K3)
+	case !(c.params.Phi >= 0) || math.IsInf(c.params.Phi, 1):
+		return c, fmt.Errorf("-phi must be finite and >= 0 (got %v)", c.params.Phi)
+	case c.params.Deadline < 0:
+		return c, fmt.Errorf("-deadline must be >= 0 (got %v)", c.params.Deadline)
+	case !c.demo && c.query == "" && !c.follow && c.httpAddr == "":
+		return c, errors.New("need -query FILE, -demo, -follow or -http")
+	}
+	return c, nil
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hris: ")
-	var (
-		data    = flag.String("data", "data", "dataset directory from gendata")
-		query   = flag.String("query", "", "query trajectory JSON file")
-		demo    = flag.Bool("demo", false, "synthesize a demo query from the archive")
-		k       = flag.Int("k", 5, "number of global routes to suggest (k3)")
-		method  = flag.String("method", "hybrid", "local inference: tgi, nni or hybrid")
-		phi     = flag.Float64("phi", 500, "reference search radius (m)")
-		compare = flag.Bool("compare", false, "also run incremental/ST-matching/IVMM")
-		accel   = flag.String("accel", "ch", "shortest-path engine: ch (contraction hierarchies) or dijkstra")
-		seed    = flag.Int64("seed", 1, "seed for -demo")
-		gjOut   = flag.String("geojson", "", "write query + suggested routes as GeoJSON to this file")
-
-		metrics  = flag.Bool("metrics", false, "print the per-stage cost breakdown after the run")
-		metricsJ = flag.Bool("metrics-json", false, "dump the metrics snapshot as JSON after the run")
-		trace    = flag.Bool("trace", false, "print the query's per-stage span timeline")
-		httpAddr = flag.String("http", "", "serve /metrics, /debug/vars, /debug/pprof, POST /infer and POST /ingest on this address and stay alive")
-		deadline = flag.Duration("deadline", 0, "per-query inference budget (e.g. 50ms); on expiry a best-effort degraded result is returned")
-		follow   = flag.Bool("follow", false, "read NDJSON trips from stdin and ingest them into the live archive")
-		shards   = flag.Int("shards", 1, "spatial shards for the live archive")
-		dataDir  = flag.String("data-dir", "", "persist the live archive under this directory (one write-ahead log); empty = in-memory only")
-		walSync  = flag.String("wal-sync", "always", "WAL fsync policy with -data-dir: always, interval or off")
-
-		maxInflight = flag.Int("max-inflight", 0, "max concurrent /infer inferences (< 1 = GOMAXPROCS)")
-		queueDepth  = flag.Int("queue-depth", -1, "max /infer requests waiting beyond -max-inflight before 429 (< 0 = 4x max-inflight)")
-
-		maxSessions   = flag.Int("max-sessions", 0, "max concurrent /stream sessions before 429 (0 = 16384, < 0 = unlimited)")
-		sessionIdle   = flag.Duration("session-idle", 0, "close a /stream session with no point for this long (0 = 5m, < 0 = never)")
-		sessionWindow = flag.Int("session-window", 0, "provisional-tail window in pairs for /stream updates (< 1 = 8)")
-		sessionPoints = flag.Int("session-max-points", 0, "max points per /stream session before forced finalize (0 = 4096, < 0 = unlimited)")
-		streamIngest  = flag.Bool("stream-ingest", false, "ingest each finalized /stream trajectory into the live archive")
-		drainGrace    = flag.Duration("drain-grace", 2*time.Second, "per-stream finalize window during shutdown (keep below the 5s server shutdown timeout)")
-	)
-	flag.Parse()
-	if *shards < 1 {
-		log.Fatalf("-shards must be >= 1 (got %d)", *shards)
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	syncPolicy, err := hist.ParseSyncPolicy(*walSync)
 	if err != nil {
-		log.Fatalf("%v", err)
+		log.Fatal(err)
 	}
-
-	mode, ok := roadnet.ParseAccelMode(*accel)
-	if !ok {
-		log.Fatalf("unknown -accel %q (want ch or dijkstra)", *accel)
-	}
-	params := core.DefaultParams()
-	params.K3 = *k
-	params.Phi = *phi
-	params.Deadline = *deadline
-	switch *method {
-	case "tgi":
-		params.Method = core.MethodTGI
-	case "nni":
-		params.Method = core.MethodNNI
-	case "hybrid":
-		params.Method = core.MethodHybrid
-	default:
-		log.Fatalf("unknown -method %q", *method)
-	}
+	params := cfg.params
 
 	// Root context: SIGINT/SIGTERM cancels in-flight inference promptly and
 	// triggers the debug server's graceful shutdown.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Only a process that answers queries wants the oracle; a -follow-only
-	// one never asks for a distance.
-	g, trajs, truths := loadDataset(*data, mode, *httpAddr != "" || *query != "" || *demo)
-	observe := *metrics || *metricsJ || *httpAddr != ""
+	// Only a process that answers queries wants the CH; a -follow-only one
+	// never asks for a distance.
+	g, trajs, truths := loadDataset(cfg.data, cfg.httpAddr != "" || cfg.query != "" || cfg.demo)
 	var reg *obs.Registry
-	if observe {
+	if cfg.metrics || cfg.httpAddr != "" {
 		reg = obs.New()
 	}
 	// The dataset seeds a live store; -follow and POST /ingest grow it while
 	// the engine answers queries against pinned snapshots. -shards picks how
 	// many spatial partitions back it; with -data-dir the store is durable
 	// and recovers its post-seed history before serving.
-	cfg := hist.ShardedConfig{
-		StoreConfig: hist.StoreConfig{Registry: reg, WALSync: syncPolicy},
-		Shards:      *shards,
-		Halo:        *phi,
+	scfg := hist.ShardedConfig{
+		StoreConfig: hist.StoreConfig{Registry: reg, WALSync: cfg.walSync},
+		Shards:      cfg.shards,
+		Halo:        params.Phi,
 	}
 	var st *hist.Store
-	if *dataDir != "" {
+	if cfg.dataDir != "" {
 		var rs hist.RecoveryStats
-		if st, rs, err = hist.OpenShardedStore(*dataDir, g, trajs, cfg); err != nil {
+		if st, rs, err = hist.OpenShardedStore(cfg.dataDir, g, trajs, scfg); err != nil {
 			log.Fatalf("open store: %v", err)
 		}
 		logRecovery(rs)
 	} else {
-		st = hist.NewShardedStore(g, trajs, cfg)
+		st = hist.NewShardedStore(g, trajs, scfg)
 	}
 	eng := core.NewEngineWithRegistry(st, params, reg)
 	var srv *http.Server
-	if *httpAddr != "" {
-		gate := core.NewGate(eng, core.GateConfig{MaxInflight: *maxInflight, QueueDepth: *queueDepth})
-		srv = serveDebug(*httpAddr, &server{
-			eng: eng, gate: gate, st: st, params: params, root: ctx,
-			streamIngest: *streamIngest, drainGrace: *drainGrace,
-			limits: resolveStreamLimits(*maxSessions, *sessionPoints, *sessionIdle, *sessionWindow),
-			sm:     newSessionMetrics(reg),
+	if cfg.httpAddr != "" {
+		srv = serveDebug(cfg.httpAddr, &server{
+			eng: eng, gate: core.NewGate(eng, cfg.gate), st: st, params: params, root: ctx,
+			streamIngest: cfg.ingest, drainGrace: drainGrace,
+			limits: cfg.limits, sm: newSessionMetrics(reg),
 		})
 	}
 
 	var q *traj.Trajectory
 	var truth roadnet.Route
 	switch {
-	case *demo:
-		q, truth = demoQuery(g, trajs, truths, *seed)
-	case *query != "":
-		q, truth = loadQuery(*query, g)
-	case *follow || *httpAddr != "":
-		// Live-ingestion modes need no one-shot query.
-	default:
-		log.Fatal("need -query FILE, -demo, -follow or -http")
+	case cfg.demo:
+		q, truth = demoQuery(g, trajs, truths, cfg.seed)
+	case cfg.query != "":
+		q, truth = loadQuery(cfg.query, g)
 	}
 	if q != nil {
 		fmt.Printf("query: %d points, %.1f km span, avg interval %.0f s (low-sampling-rate: %v)\n",
@@ -279,7 +315,7 @@ func main() {
 		// pipeline stage into whatever trace its context carries.
 		var tr *obs.Trace
 		qctx := ctx
-		if *trace {
+		if cfg.trace {
 			tr = obs.StartTrace()
 			qctx = obs.WithTrace(ctx, tr)
 		}
@@ -289,7 +325,7 @@ func main() {
 			log.Fatalf("inference failed: %v", err)
 		}
 		if res.Degraded {
-			fmt.Printf("note: deadline %v expired mid-inference; routes below are best-effort (degraded)\n", *deadline)
+			fmt.Printf("note: deadline %v expired mid-inference; routes below are best-effort (degraded)\n", params.Deadline)
 		}
 		for i, r := range res.Routes {
 			fmt.Printf("route %d: score %.4g, %.1f km, %d segments", i+1, r.Score,
@@ -306,19 +342,19 @@ func main() {
 		}
 		fmt.Printf("references used: %d (%d spliced) across %d pairs\n", refs, spliced, len(res.Pairs))
 
-		if *trace {
+		if cfg.trace {
 			fmt.Println("\nquery trace (one span per pipeline stage):")
 			tr.WriteText(os.Stdout)
 		}
 
-		if *gjOut != "" {
-			if err := writeGeoJSON(*gjOut, g, q, truth, res); err != nil {
+		if cfg.geojson != "" {
+			if err := writeGeoJSON(cfg.geojson, g, q, truth, res); err != nil {
 				log.Fatalf("geojson: %v", err)
 			}
-			fmt.Printf("wrote %s\n", *gjOut)
+			fmt.Printf("wrote %s\n", cfg.geojson)
 		}
 
-		if *compare {
+		if cfg.compare {
 			prm := mapmatch.DefaultParams()
 			for _, m := range []mapmatch.Matcher{
 				mapmatch.NewPointToCurve(g, prm),
@@ -341,30 +377,23 @@ func main() {
 		}
 	}
 
-	if *follow {
+	if cfg.follow {
 		followStdin(ctx, st, reg)
 	}
 
-	if *metrics {
+	if cfg.metrics {
 		fmt.Println("\nper-stage cost breakdown:")
 		eng.Metrics().WriteText(os.Stdout)
 	}
-	if *metricsJ {
-		out, err := json.MarshalIndent(eng.Metrics(), "", "  ")
-		if err != nil {
-			log.Fatalf("marshal metrics: %v", err)
-		}
-		fmt.Printf("%s\n", out)
-	}
 	if srv != nil {
-		log.Printf("run complete; serving debug endpoints on %s (ctrl-c to exit)", *httpAddr)
+		log.Printf("run complete; serving debug endpoints on %s (ctrl-c to exit)", cfg.httpAddr)
 		<-ctx.Done()
 		stop() // restore default signal handling: a second ctrl-c kills us
-		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		shCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer cancel()
 		// Shutdown waits for in-flight handlers, including open /stream
 		// connections: root cancellation already told each of them to
-		// finalize within -drain-grace, so they return inside this window.
+		// finalize within drainGrace, so they return inside this window.
 		if err := srv.Shutdown(shCtx); err != nil {
 			log.Printf("debug server shutdown: %v", err)
 		} else {
@@ -563,13 +592,12 @@ func writeGeoJSON(path string, g *roadnet.Graph, q *traj.Trajectory, truth roadn
 }
 
 // loadDataset reads the dataset's network and archive at once, the network
-// in a goroutine of its own. That goroutine sets the accel mode and, with
-// oracle set, goes on to build the distance oracle while the archive is
-// still being read and the store is built. It ends when the build does;
-// nothing joins it, because a query that needs the oracle first waits on
-// the oracle's sync.Once. A failed read exits through log.Fatalf, the
-// network's first.
-func loadDataset(dir string, mode roadnet.AccelMode, oracle bool) (*roadnet.Graph, []*traj.Trajectory, map[string]roadnet.Route) {
+// in a goroutine of its own. With oracle set, that goroutine goes on to
+// build the distance oracle (the CH) while the archive is still being read
+// and the store is built. It ends when the build does; nothing joins it,
+// because a query that needs the oracle first waits on the oracle's
+// sync.Once. A failed read exits through log.Fatalf, the network's first.
+func loadDataset(dir string, oracle bool) (*roadnet.Graph, []*traj.Trajectory, map[string]roadnet.Route) {
 	type network struct {
 		g   *roadnet.Graph
 		err error
@@ -577,9 +605,6 @@ func loadDataset(dir string, mode roadnet.AccelMode, oracle bool) (*roadnet.Grap
 	netc := make(chan network, 1)
 	go func() {
 		g, err := readNetwork(filepath.Join(dir, "network.json"))
-		if err == nil {
-			g.SetAccel(mode)
-		}
 		netc <- network{g, err}
 		if err == nil && oracle {
 			g.Oracle()
@@ -649,10 +674,7 @@ func loadQuery(path string, g *roadnet.Graph) (*traj.Trajectory, roadnet.Route) 
 	if err := decodeOne(f, &qj); err != nil {
 		log.Fatalf("decode query: %v", err)
 	}
-	q := &traj.Trajectory{ID: "query"}
-	for _, p := range qj.Points {
-		q.Points = append(q.Points, traj.GPSPoint{Pt: geo.Pt(p[0], p[1]), T: p[2]})
-	}
+	q := &traj.Trajectory{ID: "query", Points: gpsPoints(qj.Points)}
 	checkTruth(g, path, qj.Truth)
 	return q, roadnet.Route(qj.Truth)
 }

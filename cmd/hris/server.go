@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geo"
 	"repro/internal/hist"
 	"repro/internal/traj"
 )
@@ -62,7 +61,7 @@ type server struct {
 	root   context.Context
 	// streamIngest feeds each finalized /stream trajectory back into the
 	// live archive; drainGrace bounds the per-stream finalize window during
-	// shutdown (must stay inside main's Shutdown timeout).
+	// shutdown (main passes the drainGrace constant, tests shorten it).
 	streamIngest bool
 	drainGrace   time.Duration
 	limits       streamLimits
@@ -141,10 +140,7 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	q := &traj.Trajectory{ID: "http-query"}
-	for _, p := range qj.Points {
-		q.Points = append(q.Points, traj.GPSPoint{Pt: geo.Pt(p[0], p[1]), T: p[2]})
-	}
+	q := &traj.Trajectory{ID: "http-query", Points: gpsPoints(qj.Points)}
 	p := s.params
 	if qj.DeadlineMS > 0 {
 		p.Deadline = time.Duration(qj.DeadlineMS) * time.Millisecond
@@ -200,8 +196,7 @@ func inferErrStatus(ctx context.Context, err error) int {
 	}
 }
 
-// serveDebug starts the HTTP server on addr. A bind failure is logged and
-// nil is returned — the CLI run still proceeds without the server. The
+// serveDebug starts the HTTP server on addr; a bind failure is fatal. The
 // returned server has bounded read/write timeouts and is shut down
 // gracefully by main on SIGINT/SIGTERM.
 func serveDebug(addr string, s *server) *http.Server {
@@ -218,8 +213,7 @@ func serveDebug(addr string, s *server) *http.Server {
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		log.Printf("debug server: %v; continuing without it", err)
-		return nil
+		log.Fatalf("debug server: %v", err)
 	}
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {

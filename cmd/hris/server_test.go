@@ -89,7 +89,7 @@ func newTestServer(t *testing.T, cfg core.GateConfig) (*server, *obs.Registry) {
 		st:         st,
 		params:     params,
 		root:       context.Background(),
-		drainGrace: 2 * time.Second,
+		drainGrace: drainGrace,
 	}, reg
 }
 

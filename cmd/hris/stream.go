@@ -59,31 +59,11 @@ type routeJSON struct {
 var streamSeq atomic.Uint64
 
 // streamLimits bounds the /stream sessions of one server. A count ≤ 0 means
-// unlimited and an idle ≤ 0 means a silent stream is never closed;
-// resolveStreamLimits maps the flags' 0 to the defaults.
+// unlimited and an idle ≤ 0 means a silent stream is never closed.
 type streamLimits struct {
 	maxSessions int           // open sessions before 429
 	maxPoints   int           // points per session before a truncated finalize
 	idle        time.Duration // silence before a stream is closed
-	window      int           // provisional-tail window (core's default when < 1)
-}
-
-// resolveStreamLimits applies the flag defaults: 0 sessions is 16384, 0
-// points is 4096 and 0 idle is 5m; a negative value stays negative, which
-// streamLimits reads as unlimited (never, for idle). The defaults target tens
-// of thousands of vehicles: a session's state is a capped local-route set per
-// pair, so maxSessions × maxPoints bounds resident memory.
-func resolveStreamLimits(maxSessions, maxPoints int, idle time.Duration, window int) streamLimits {
-	if maxSessions == 0 {
-		maxSessions = 16384
-	}
-	if maxPoints == 0 {
-		maxPoints = 4096
-	}
-	if idle == 0 {
-		idle = 5 * time.Minute
-	}
-	return streamLimits{maxSessions: maxSessions, maxPoints: maxPoints, idle: idle, window: window}
 }
 
 // sessionMetrics are the session.* instruments, resolved once from the
@@ -161,7 +141,7 @@ type streamLine struct {
 // error record and its connection closes.
 //
 // Shutdown: when the process begins draining, every open stream finalizes
-// what it has within -drain-grace and answers a final record flagged
+// what it has within drainGrace and answers a final record flagged
 // "draining", so the server's graceful Shutdown window is honored and no
 // accepted point is silently dropped.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -186,7 +166,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		rejectStream(msg, code)
 		return
 	}
-	sess := s.eng.NewSession(s.params, core.SessionConfig{Window: s.limits.window})
+	sess := s.eng.NewSession(s.params, core.SessionConfig{})
 	// drop closes the session unfinalized and gives the id back, counting the
 	// outcome; finish is the other way out. Exactly one of them runs.
 	drop := func(outcome *obs.Counter) {
@@ -209,7 +189,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	_ = rc.Flush()
 	enc := json.NewEncoder(w)
 	// wmu serializes response writes and the finalize-to-ingest handoff
-	// against drain-grace abandonment: once the grace expires the handler
+	// against drain grace abandonment: once the grace expires the handler
 	// returns, and nothing may touch the ResponseWriter (net/http forbids
 	// writes after ServeHTTP returns) or the store (main closes it once
 	// Shutdown unblocks) — a lagging finish goroutine flips to a no-op

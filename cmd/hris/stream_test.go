@@ -43,7 +43,7 @@ func newStreamState(t *testing.T, lim streamLimits, root context.Context, ingest
 	return &server{
 		eng: eng, gate: core.NewGate(eng, core.GateConfig{}),
 		st: st, params: params, root: root,
-		streamIngest: ingest, drainGrace: 2 * time.Second,
+		streamIngest: ingest, drainGrace: drainGrace,
 		limits: lim, sm: newSessionMetrics(reg),
 	}
 }
@@ -418,23 +418,5 @@ func TestStreamIdleTimeout(t *testing.T) {
 	}
 	if m := maxLive.Load(); m > 1 {
 		t.Fatalf("%d stream handlers were live at once, want at most 1", m)
-	}
-}
-
-// TestResolveStreamLimits pins what the -max-sessions, -session-max-points
-// and -session-idle values mean: 0 is the default, a negative value is kept
-// (unlimited; never, for idle) and any other value is itself.
-func TestResolveStreamLimits(t *testing.T) {
-	for _, tc := range []struct {
-		flag int
-		want streamLimits
-	}{
-		{0, streamLimits{maxSessions: 16384, maxPoints: 4096, idle: 5 * time.Minute}},
-		{-1, streamLimits{maxSessions: -1, maxPoints: -1, idle: -time.Second, window: -1}},
-		{7, streamLimits{maxSessions: 7, maxPoints: 7, idle: 7 * time.Second, window: 7}},
-	} {
-		if got := resolveStreamLimits(tc.flag, tc.flag, time.Duration(tc.flag)*time.Second, tc.flag); got != tc.want {
-			t.Errorf("flags = %d: limits %+v, want %+v", tc.flag, got, tc.want)
-		}
 	}
 }

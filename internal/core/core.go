@@ -102,12 +102,6 @@ type Params struct {
 	// TimeWindow is the time-of-day half-window in seconds (default 4 h).
 	TimeWindow float64
 
-	// PairWorkers bounds the worker pool of InferRoutes' per-pair stage.
-	// Values < 1 (the default) use runtime.GOMAXPROCS(0); 1 forces the
-	// serial path. The result is identical for every setting — pairs are
-	// independent and joined in order — so this is purely a latency knob.
-	PairWorkers int
-
 	// Deadline is the per-query wall-clock budget. When > 0, InferRoutes
 	// derives a context.WithTimeout from the caller's context; on expiry
 	// the pipeline degrades gracefully — expired pairs fall back to one

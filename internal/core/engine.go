@@ -45,6 +45,11 @@ type Engine struct {
 	// arena instead of a recycled one. Test hook for the pooled-vs-unpooled
 	// equivalence and leak checks — pooling must never change an output.
 	noPool bool
+	// pairWorkers bounds the worker pool of InferRoutes' per-pair stage;
+	// < 1 means runtime.GOMAXPROCS(0). Test hook for the worker-count
+	// equivalence checks: pairs are independent and joined in order, so
+	// every setting yields the same result.
+	pairWorkers int
 }
 
 // NewEngine builds an engine over an archive source — a frozen
@@ -410,10 +415,10 @@ func (x exec) stageDone(stage string, pair int, t0 time.Time, n int) {
 }
 
 // pairWorkers resolves the per-pair worker bound for one offline query:
-// the PairWorkers param, defaulting to runtime.GOMAXPROCS(0) when < 1, and
-// never more than the number of pairs.
+// the engine's pairWorkers, defaulting to runtime.GOMAXPROCS(0) when < 1,
+// and never more than the number of pairs.
 func (x exec) pairWorkers(pairs int) int {
-	w := x.p.PairWorkers
+	w := x.eng.pairWorkers
 	if w < 1 {
 		w = runtime.GOMAXPROCS(0)
 	}

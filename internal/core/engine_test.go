@@ -118,7 +118,8 @@ func TestConcurrentBatchAndPairLocalRoutes(t *testing.T) {
 }
 
 // TestInferRoutesWorkerDeterminism: the per-pair fan-out must not change
-// the answer — any PairWorkers setting yields identical routes and scores.
+// the answer — any engine pairWorkers setting yields identical routes and
+// scores.
 func TestInferRoutesWorkerDeterminism(t *testing.T) {
 	w := newWorld(t, 300, 173)
 	qc, ok := w.ds.GenQuery(8000, 180, 15, w.cfg, w.rng)
@@ -126,16 +127,14 @@ func TestInferRoutesWorkerDeterminism(t *testing.T) {
 		t.Fatal("GenQuery failed")
 	}
 	eng := w.eng
-	base := w.p
-	base.PairWorkers = 1
-	want, err := eng.InferRoutes(qc.Query, base)
+	eng.pairWorkers = 1
+	want, err := eng.InferRoutes(qc.Query, w.p)
 	if err != nil {
 		t.Fatalf("serial inference: %v", err)
 	}
 	for _, workers := range []int{2, 4, 0, -1} {
-		p := base
-		p.PairWorkers = workers
-		got, err := eng.InferRoutes(qc.Query, p)
+		eng.pairWorkers = workers
+		got, err := eng.InferRoutes(qc.Query, w.p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -154,17 +153,17 @@ func TestInferRoutesWorkerDeterminism(t *testing.T) {
 }
 
 func TestPairWorkersResolution(t *testing.T) {
-	x := exec{p: Params{PairWorkers: 0}}
+	x := exec{eng: &Engine{}}
 	if got, want := x.pairWorkers(100), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("PairWorkers=0 over 100 pairs = %d, want GOMAXPROCS = %d", got, want)
+		t.Fatalf("pairWorkers=0 over 100 pairs = %d, want GOMAXPROCS = %d", got, want)
 	}
-	x.p.PairWorkers = 8
+	x.eng.pairWorkers = 8
 	if got := x.pairWorkers(3); got != 3 {
 		t.Fatalf("worker bound not capped at pair count: %d", got)
 	}
-	x.p.PairWorkers = 2
+	x.eng.pairWorkers = 2
 	if got := x.pairWorkers(100); got != 2 {
-		t.Fatalf("explicit PairWorkers ignored: %d", got)
+		t.Fatalf("explicit pairWorkers ignored: %d", got)
 	}
 }
 

@@ -107,9 +107,9 @@ func (e *Engine) InferRoutesCtx(ctx context.Context, q *traj.Trajectory, p Param
 // The per-pair stage — reference search, pair context assembly, local
 // inference — is embarrassingly parallel (§III treats pairs independently
 // until K-GRI joins them), so it fans out over a bounded worker pool of
-// p.PairWorkers goroutines (GOMAXPROCS when < 1). Outcomes are committed in
-// pair order and every pair's computation is deterministic, so the output
-// is identical for any worker count, including 1.
+// GOMAXPROCS goroutines. Outcomes are committed in pair order and every
+// pair's computation is deterministic, so the output is identical for any
+// worker count, including 1.
 func (x exec) inferRoutes(s *Session, q *traj.Trajectory) (*Result, error) {
 	e, n := x.eng, q.Len()-1
 	outs := make([]pairOutcome, n)

@@ -32,15 +32,15 @@ func obsQueries(t *testing.T, w *world, n int) []*traj.Trajectory {
 // concurrent inference against one shared registry and checks the books balance: stage counts
 // equal the work actually done, per-stage latency aggregates are internally
 // consistent (no torn reads), and the serial nesting invariant holds —
-// with PairWorkers=1 every sub-stage runs inside the query wall time, so
+// with pairWorkers=1 every sub-stage runs inside the query wall time, so
 // the sub-stage sums cannot exceed the query sum.
 func TestObservedInferBatchConsistency(t *testing.T) {
 	w := newWorld(t, 300, 191)
 	reg := obs.New()
 	eng := NewEngineWithRegistry(w.eng.Source(), DefaultParams(), reg)
 	queries := obsQueries(t, w, 6)
+	eng.pairWorkers = 1 // serial pairs: enables the nesting-sum invariant
 	p := DefaultParams()
-	p.PairWorkers = 1 // serial pairs: enables the nesting-sum invariant
 
 	const rounds = 2
 	type round struct {
@@ -162,7 +162,7 @@ func TestInferRoutesTraced(t *testing.T) {
 	queries := obsQueries(t, w, 1)
 	q := queries[0]
 	p := DefaultParams()
-	p.PairWorkers = 1
+	eng.pairWorkers = 1
 
 	tr := obs.StartTrace()
 	res, err := eng.InferRoutesCtx(obs.WithTrace(context.Background(), tr), q, p)

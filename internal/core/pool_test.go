@@ -40,7 +40,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	v := w.eng.src.Current()
 	for _, workers := range []int{1, 4} {
 		p := w.p
-		p.PairWorkers = workers
+		w.eng.pairWorkers, unpooled.pairWorkers = workers, workers
 		for qi, q := range queries {
 			want, err1 := unpooled.InferRoutes(q, p)
 			got, err2 := w.eng.InferRoutes(q, p)

@@ -43,8 +43,8 @@ func TestRangeWalksPerQuery(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 64} {
 		src := &countingSource{src: w.eng.Source()}
 		eng := NewEngine(src, w.p)
+		eng.pairWorkers = workers
 		p := w.p
-		p.PairWorkers = workers
 		for qi, q := range queries {
 			n := int64(q.Len() - 1)
 			before := src.walks.Load()

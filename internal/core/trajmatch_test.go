@@ -428,8 +428,8 @@ func TestMatchTableConcurrentFirstTouch(t *testing.T) {
 	}
 
 	cold := NewEngine(w.eng.Source(), DefaultParams())
+	cold.pairWorkers = workers
 	p := w.p
-	p.PairWorkers = workers
 	for n := 0; n < 6; {
 		qc, ok := w.ds.GenQuery(6000, 120, 15, w.cfg, w.rng)
 		if !ok {

@@ -137,8 +137,8 @@ func shape(w, h float64, cells int) (nx, ny int) {
 // extent (and a whole unsplit axis maps to 0). It clamps before converting
 // to int — Go leaves an out-of-range float→int conversion to the platform,
 // and amd64 turns 1e300 into a negative index — and sends NaN to cell 0.
-// Grid and hist.Partition number their cells with it, and both rely on it
-// being monotone in v.
+// Grid and hist's shard partition number their cells with it, and both
+// rely on it being monotone in v.
 func AxisCell(v, min, cell float64, n int) int {
 	if n <= 1 || cell <= 0 {
 		return 0

@@ -6,7 +6,7 @@
 //
 // The archive is one immutable, epoch-numbered generation, Snapshot (alias
 // Archive), and one live store, Store, that admits new trips online and
-// publishes a fresh Snapshot per mutation. A snapshot is a Partition of the
+// publishes a fresh Snapshot per mutation. A snapshot is a partition of the
 // plane into N shards — N = 1 unless configured otherwise, and always 1 for
 // NewArchive — each an LSM-style stack of immutable segments over the trips
 // that touch its halo cell. A segment is an internal/grid cell grid over
@@ -46,7 +46,7 @@ type PointRef struct {
 // nothing is mutated after construction.
 type Snapshot struct {
 	g      *roadnet.Graph
-	part   *Partition
+	part   *partition
 	reg    *obs.Registry // receives the range-query routing metrics; may be nil
 	clip   geo.BBox      // the graph's bbox, which every grid's extent is clipped to
 	shards []shard
@@ -75,7 +75,7 @@ type shard struct {
 // newSegment grids every point of the trips ids names under its global
 // PointRef, each cell in (trip, point) order. The extent is clipped to clip
 // (the graph's bbox), so off-map noise clamps into the boundary cells, as
-// Partition's cells do.
+// the partition's cells do.
 func newSegment(trajs []*traj.Trajectory, ids []int, clip geo.BBox) *grid.Grid[PointRef] {
 	return grid.New(clip, func(yield func(geo.BBox, PointRef)) {
 		for _, ti := range ids {
@@ -105,12 +105,12 @@ type Archive = Snapshot
 // NewArchive bulk-indexes trajs over the road network g as epoch 0 of a
 // single shard.
 func NewArchive(g *roadnet.Graph, trajs []*traj.Trajectory) *Archive {
-	return newSnapshot(g, NewPartition(geo.BBox{}, 1, 0), nil, trajs)
+	return newSnapshot(g, newPartition(geo.BBox{}, 1, 0), nil, trajs)
 }
 
 // newSnapshot indexes seed as epoch 0 over part: every shard grids the seed
 // trips that touch its halo cell into its one base segment.
-func newSnapshot(g *roadnet.Graph, part *Partition, reg *obs.Registry, seed []*traj.Trajectory) *Snapshot {
+func newSnapshot(g *roadnet.Graph, part *partition, reg *obs.Registry, seed []*traj.Trajectory) *Snapshot {
 	s := &Snapshot{g: g, part: part, reg: reg, clip: g.BBox(), shards: make([]shard, part.N()), trajs: seed}
 	s.order, s.rank = canonRanks(seed, nil, nil)
 	var ids []int

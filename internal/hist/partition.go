@@ -8,7 +8,7 @@ import (
 	"repro/internal/traj"
 )
 
-// Partition is a uniform nx×ny grid over the graph's bounding box that
+// partition is a uniform nx×ny grid over the graph's bounding box that
 // assigns every point in the plane to exactly one shard (its "home") and,
 // around every cell, a halo margin in which neighboring shards replicate
 // trips. The grid cells tile the whole plane, not just the bbox: boundary
@@ -29,18 +29,18 @@ import (
 // is complete for halo 0. The halo is a performance knob — sizing it at or
 // above the reference-search radius φ makes boundary-adjacent queries
 // resolvable from one shard.
-type Partition struct {
+type partition struct {
 	box    geo.BBox // partitioned extent (the graph bbox)
 	nx, ny int
 	cw, ch float64 // cell width / height (0 when the axis is not split)
 	halo   float64
 }
 
-// NewPartition grids box into n shards with the given halo margin. The n
+// newPartition grids box into n shards with the given halo margin. The n
 // shards are arranged as the most balanced divisor pair nx·ny = n, with the
 // larger factor along the wider bbox axis; a degenerate axis (zero extent)
 // is never split. n < 1 is treated as 1; a negative halo as 0.
-func NewPartition(box geo.BBox, n int, halo float64) *Partition {
+func newPartition(box geo.BBox, n int, halo float64) *partition {
 	if n < 1 {
 		n = 1
 	}
@@ -74,7 +74,7 @@ func NewPartition(box geo.BBox, n int, halo float64) *Partition {
 			nx, ny = n, 1
 		}
 	}
-	p := &Partition{box: box, nx: nx, ny: ny, halo: halo}
+	p := &partition{box: box, nx: nx, ny: ny, halo: halo}
 	if nx > 1 {
 		p.cw = w / float64(nx)
 	}
@@ -85,11 +85,11 @@ func NewPartition(box geo.BBox, n int, halo float64) *Partition {
 }
 
 // N returns the number of shards.
-func (p *Partition) N() int { return p.nx * p.ny }
+func (p *partition) N() int { return p.nx * p.ny }
 
 // Home returns the unique shard owning point pt, numbering cells with the
 // same clamped, monotone grid.AxisCell the shard segments use.
-func (p *Partition) Home(pt geo.Point) int {
+func (p *partition) Home(pt geo.Point) int {
 	ix := grid.AxisCell(pt.X, p.box.Min.X, p.cw, p.nx)
 	iy := grid.AxisCell(pt.Y, p.box.Min.Y, p.ch, p.ny)
 	return iy*p.nx + ix
@@ -113,7 +113,7 @@ func axisSpan(i int, min, cell float64, n int, margin float64) (lo, hi float64) 
 }
 
 // cellBox returns shard i's territory expanded by margin on interior edges.
-func (p *Partition) cellBox(i int, margin float64) geo.BBox {
+func (p *partition) cellBox(i int, margin float64) geo.BBox {
 	ix, iy := i%p.nx, i/p.nx
 	x0, x1 := axisSpan(ix, p.box.Min.X, p.cw, p.nx, margin)
 	y0, y1 := axisSpan(iy, p.box.Min.Y, p.ch, p.ny, margin)
@@ -123,18 +123,18 @@ func (p *Partition) cellBox(i int, margin float64) geo.BBox {
 // OwnCell returns shard i's exclusive territory: Home(pt) == i exactly when
 // OwnCell(i) contains pt (lower edges inclusive, upper edges exclusive;
 // boundary cells unbounded outward).
-func (p *Partition) OwnCell(i int) geo.BBox { return p.cellBox(i, 0) }
+func (p *partition) OwnCell(i int) geo.BBox { return p.cellBox(i, 0) }
 
 // HaloCell returns OwnCell(i) expanded by the halo margin — the region whose
 // archive points shard i is guaranteed to index.
-func (p *Partition) HaloCell(i int) geo.BBox { return p.cellBox(i, p.halo) }
+func (p *partition) HaloCell(i int) geo.BBox { return p.cellBox(i, p.halo) }
 
 // Covering returns the single shard whose halo cell strictly contains box,
 // if any — the query fast path. Strict containment (not touching the halo
 // boundary) sidesteps the floating-point edge where a point at exactly halo
 // distance could be assigned to one side only; boxes reaching the boundary
 // fall back to the exact scatter path.
-func (p *Partition) Covering(box geo.BBox) (int, bool) {
+func (p *partition) Covering(box geo.BBox) (int, bool) {
 	home := p.Home(box.Center())
 	hc := p.HaloCell(home)
 	if hc.Min.X < box.Min.X && box.Max.X < hc.Max.X &&
@@ -148,7 +148,7 @@ func (p *Partition) Covering(box geo.BBox) (int, bool) {
 // halo cell contains at least one of tr's points. The trip's home shards (of
 // each point) are always included, because a point's own cell is inside its
 // halo cell — that containment is the scatter path's completeness invariant.
-func (p *Partition) assign(dst []int, tr *traj.Trajectory) []int {
+func (p *partition) assign(dst []int, tr *traj.Trajectory) []int {
 	for i := 0; i < p.N(); i++ {
 		hc := p.HaloCell(i)
 		for _, pt := range tr.Points {
@@ -167,7 +167,7 @@ func (p *Partition) assign(dst []int, tr *traj.Trajectory) []int {
 // order. The grid is small (tens of cells), so a full sweep beats index
 // arithmetic for clarity and is exact at cell boundaries (touching counts,
 // and the boundary cells' infinite edges compare like any other).
-func (p *Partition) Overlapping(dst []int, box geo.BBox) []int {
+func (p *partition) Overlapping(dst []int, box geo.BBox) []int {
 	for i := 0; i < p.N(); i++ {
 		if p.OwnCell(i).Intersects(box) {
 			dst = append(dst, i)

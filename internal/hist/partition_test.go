@@ -15,7 +15,7 @@ func TestShardedPartitionGeometry(t *testing.T) {
 	box := geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(600, 400)}
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 2, 3, 4, 6, 9, 12} {
-		p := NewPartition(box, n, 50)
+		p := newPartition(box, n, 50)
 		nx, ny := p.nx, p.ny
 		if nx*ny != n {
 			t.Fatalf("n=%d: dims %dx%d", n, nx, ny)
@@ -63,7 +63,7 @@ func TestShardedPartitionGeometry(t *testing.T) {
 // shard replicates (i.e. the box stays inside the halo cell).
 func TestShardedPartitionCovering(t *testing.T) {
 	box := geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(600, 400)}
-	p := NewPartition(box, 4, 50) // 2×2: lines at x=300, y=200
+	p := newPartition(box, 4, 50) // 2×2: lines at x=300, y=200
 	cases := []struct {
 		box  geo.BBox
 		want bool
@@ -85,12 +85,12 @@ func TestShardedPartitionCovering(t *testing.T) {
 		}
 	}
 	// A single-shard partition covers everything: its cell is the plane.
-	p1 := NewPartition(box, 1, 0)
+	p1 := newPartition(box, 1, 0)
 	if _, ok := p1.Covering(geo.BBoxAround(geo.Pt(1e6, -1e6), 1e5)); !ok {
 		t.Fatal("1-shard partition must cover every box")
 	}
 	// Degenerate bbox: never split the zero-extent axis.
-	flat := NewPartition(geo.BBox{Min: geo.Pt(0, 7), Max: geo.Pt(100, 7)}, 4, 0)
+	flat := newPartition(geo.BBox{Min: geo.Pt(0, 7), Max: geo.Pt(100, 7)}, 4, 0)
 	if nx, ny := flat.nx, flat.ny; ny != 1 || nx != 4 {
 		t.Fatalf("flat bbox dims %dx%d, want 4x1", nx, ny)
 	}
@@ -104,7 +104,7 @@ func TestShardedPartitionReplicasIncludeHome(t *testing.T) {
 	box := geo.BBox{Min: geo.Pt(0, 0), Max: geo.Pt(600, 400)}
 	rng := rand.New(rand.NewSource(7))
 	for _, halo := range []float64{0, 25, 200} {
-		p := NewPartition(box, 9, halo)
+		p := newPartition(box, 9, halo)
 		for trial := 0; trial < 300; trial++ {
 			pt := geo.Pt(rng.Float64()*800-100, rng.Float64()*600-100)
 			if hc := p.HaloCell(p.Home(pt)); !hc.Contains(pt) {

@@ -57,7 +57,7 @@ func TestShardedBoundaryDedup(t *testing.T) {
 	bb := g.BBox()
 	for _, n := range []int{2, 4, 9} {
 		for _, halo := range []float64{0, 60} {
-			part := NewPartition(bb, n, halo)
+			part := newPartition(bb, n, halo)
 			nx, ny := part.nx, part.ny
 			lineX := bb.Min.X + (bb.Max.X-bb.Min.X)/float64(max(nx, 1))
 			lineY := bb.Min.Y + (bb.Max.Y-bb.Min.Y)/float64(max(ny, 1))

@@ -15,12 +15,6 @@ import (
 
 // StoreConfig tunes a live Store.
 type StoreConfig struct {
-	// StayPoint / MinPoints / VMax parameterize the Preprocess pipeline run
-	// by Ingest (§II-B.1). Zero values mean traj.DefaultStayPointParams, a
-	// MinPoints of 2, and no outlier removal respectively.
-	StayPoint traj.StayPointParams
-	MinPoints int
-	VMax      float64
 	// CompactSegments triggers a background compaction once a shard carries
 	// this many grid segments (base + one per batch). The constructors
 	// normalize degenerate values: <= 0 uses DefaultCompactSegments, and 1
@@ -43,7 +37,7 @@ type ShardedConfig struct {
 	// Shards is the number of spatial shards (< 1 means 1).
 	Shards int
 	// Halo is the partition's halo margin. Answers are exact for any value
-	// (see Partition); sizing it at or above the reference-search radius φ
+	// (see partition); sizing it at or above the reference-search radius φ
 	// keeps boundary queries on the single-shard fast path.
 	Halo float64
 }
@@ -78,7 +72,7 @@ type StoreStats struct {
 	Shards      []StoreStats `json:"shards,omitempty"`
 }
 
-// Store is the live archive. A Partition over the graph bbox routes each
+// Store is the live archive. A partition over the graph bbox routes each
 // ingested trip to the shards whose halo cells its points touch, and every
 // mutation publishes a fresh immutable Snapshot through an atomic pointer,
 // so readers are lock-free and wait-free — a reader calls Current once,
@@ -121,9 +115,6 @@ func NewStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreConfig) *Store
 // cfg.Shards spatial shards, seeded with an already preprocessed trip set
 // (may be nil). The seed becomes every shard's epoch-0 base segment.
 func NewShardedStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfig) *Store {
-	if cfg.StayPoint == (traj.StayPointParams{}) {
-		cfg.StayPoint = traj.DefaultStayPointParams()
-	}
 	if cfg.CompactSegments <= 0 {
 		cfg.CompactSegments = DefaultCompactSegments
 	}
@@ -133,7 +124,7 @@ func NewShardedStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfi
 		cfg.CompactSegments = 2
 	}
 	s := &Store{cfg: cfg}
-	s.cur.Store(newSnapshot(g, NewPartition(g.BBox(), cfg.Shards, cfg.Halo), cfg.Registry, seed))
+	s.cur.Store(newSnapshot(g, newPartition(g.BBox(), cfg.Shards, cfg.Halo), cfg.Registry, seed))
 	return s
 }
 
@@ -169,12 +160,13 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// Ingest runs the Preprocess pipeline (outlier removal, stay-point trip
-// partitioning, short-fragment dropping) on raw GPS logs and admits the
-// resulting trips. It returns what was actually admitted — a log can yield
-// several trips or none at all.
+// Ingest runs the Preprocess pipeline on raw GPS logs — stay-point trip
+// partitioning with traj.DefaultStayPointParams, dropping fragments of
+// fewer than 2 points, no outlier removal — and admits the resulting trips.
+// It returns what was actually admitted — a log can yield several trips or
+// none at all.
 func (s *Store) Ingest(logs ...*traj.Trajectory) IngestStats {
-	return s.IngestTrips(Preprocess(logs, s.cfg.StayPoint, s.cfg.MinPoints, s.cfg.VMax)...)
+	return s.IngestTrips(Preprocess(logs, traj.DefaultStayPointParams(), 2, 0)...)
 }
 
 // IngestTrips admits already-preprocessed trips as one batch: each trip is

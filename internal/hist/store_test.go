@@ -156,31 +156,33 @@ func TestStoreAutoCompaction(t *testing.T) {
 	}
 }
 
-// TestStorePreprocessingIngest: Ingest runs the §II-B.1 pipeline — a raw log
-// with a stay point splits into trips, short fragments are dropped.
+// TestStorePreprocessingIngest: Ingest runs the §II-B.1 pipeline with the
+// default stay-point parameters (200 m, 20 min) — a raw log splits at each
+// dwell into trips, and a one-point fragment is dropped.
 func TestStorePreprocessingIngest(t *testing.T) {
 	g, _, _ := refWorld()
 	log := &traj.Trajectory{ID: "raw"}
 	add := func(x, y, ts float64) {
 		log.Points = append(log.Points, traj.GPSPoint{Pt: geo.Pt(x, y), T: ts})
 	}
-	// Drive, dwell 700 s within 50 m, drive again.
+	// Drive, dwell 1,400 s within 10 m, drive, dwell again, one last fix.
 	for i := 0; i < 5; i++ {
 		add(float64(i)*200, 0, float64(i)*30)
 	}
 	for i := 0; i < 8; i++ {
-		add(1000+float64(i%2)*10, 0, 150+float64(i)*100)
+		add(1000+float64(i%2)*10, 0, 150+float64(i)*200)
 	}
 	for i := 0; i < 5; i++ {
-		add(1000+float64(i+1)*200, 0, 900+float64(i)*30)
+		add(1300+float64(i)*300, 0, 1600+float64(i)*30)
 	}
-	st := NewStore(g, nil, StoreConfig{
-		StayPoint: traj.StayPointParams{DistThreshold: 150, TimeThreshold: 600},
-		MinPoints: 3,
-	})
+	for i := 0; i < 8; i++ {
+		add(2800+float64(i%2)*10, 0, 1800+float64(i)*200)
+	}
+	add(3200, 0, 3250)
+	st := NewStore(g, nil, StoreConfig{})
 	stats := st.Ingest(log)
-	if stats.Trips != 2 {
-		t.Fatalf("Ingest admitted %d trips, want 2 (stay point must split)", stats.Trips)
+	if stats.Trips != 2 || stats.Points != 10 {
+		t.Fatalf("Ingest admitted %d trips / %d points, want 2 / 10 (each dwell splits, the last fix is dropped)", stats.Trips, stats.Points)
 	}
 	if st.Current().NumTrajs() != 2 {
 		t.Fatalf("store holds %d trajs", st.Current().NumTrajs())

@@ -27,17 +27,6 @@ func (m AccelMode) String() string {
 	return "ch"
 }
 
-// ParseAccelMode maps "ch"/"dijkstra" to a mode (ok=false otherwise).
-func ParseAccelMode(s string) (AccelMode, bool) {
-	switch s {
-	case "ch", "":
-		return AccelCH, true
-	case "dijkstra":
-		return AccelDijkstra, true
-	}
-	return AccelCH, false
-}
-
 // SetAccel chooses the acceleration mode. Call it before the first Oracle
 // call, whether that is a query or an explicit build: the oracle is built
 // exactly once, and a SetAccel after that build is a no-op. Not safe

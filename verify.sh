@@ -32,11 +32,15 @@ go run ./internal/tools/reach
 # eviction error and its janitor's sweep knob (the /stream handler owns its
 # session now), nor the gate's single-flight coalescing, the engine's batch
 # entry point and memo-stats accessor, and the shard-epoch fingerprint (one
-# store's epoch already names one generation). Those last names are matched
+# store's epoch already names one generation), nor the knobs nothing set —
+# the accelerator flag and its parser, the session window, drain grace and
+# metrics-JSON flags, the zero-means-default stream limits, gendata's bbox
+# skew filter and the per-pair worker param. Those last names are matched
 # as whole words, so the floor tests that keep them inside a longer name
-# (TestShardedEpochFingerprint, TestEngineCacheStats) do not trip it.
+# (TestShardedEpochFingerprint, TestEngineCacheStats,
+# TestPairWorkersResolution) do not trip it.
 # CHANGES.md, ROADMAP.md and bench/README.md are history and exempt.
-stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs|FuzzReadSegment|writeSegment|readSegment|listSegments|newestValidSegment|SegmentBytes|SegmentTrips|segment_bytes|WALSyncEvery|dropWALThrough|listWALFiles|seg-\*|StageBreakdown|AccelProfile|ShardProfile|quickSweep|BenchmarkFig|SessionManager|VehicleSession|ErrSessionEvicted|SweepEvery|\b(EpochFingerprint|epochFingerprint|flightKey|hashQuery|CounterServerCoalesced|InferBatchCtx|BatchResult|StageBatch|CacheStats)\b'
+stale='BENCH_[0-9]|loadgen|bench-json|BenchJSON|LoadProfile|CompactPoints|NearestIter|internal/rtree|rtree\.(Bulk|Tree|Entry)|TableSession|tableQuery|sessionTable|upwardSearch|DistCtx|TableCtx|MaxRefs|FuzzReadSegment|writeSegment|readSegment|listSegments|newestValidSegment|SegmentBytes|SegmentTrips|segment_bytes|WALSyncEvery|dropWALThrough|listWALFiles|seg-\*|StageBreakdown|AccelProfile|ShardProfile|quickSweep|BenchmarkFig|SessionManager|VehicleSession|ErrSessionEvicted|SweepEvery|ParseAccelMode|resolveStreamLimits|metrics-json|session-window|drain-grace|bbox-split|bbox-cell|(^|[^[:alnum:]_-])-accel\b|\b(EpochFingerprint|epochFingerprint|flightKey|hashQuery|CounterServerCoalesced|InferBatchCtx|BatchResult|StageBatch|CacheStats|PairWorkers)\b'
 if grep -nE "$stale" README.md DESIGN.md bench_test.go bench_budget.json \
     $(find cmd internal examples -name '*.go'); then
     exit 1
