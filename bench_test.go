@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"sort"
@@ -175,6 +176,84 @@ func timePair(b *testing.B, w *eval.World, qi, qj traj.GPSPoint, m core.Method) 
 	for i := 0; i < b.N; i++ {
 		_, _ = w.Eng.PairLocalRoutes(qi, qj, m, w.P)
 	}
+}
+
+// BenchmarkBridges replays the bridges one warm query asks — the distinct
+// vertex pairs each of its pairs' local inference joins with a shortest path
+// (core.PairBridges) — through the contraction hierarchy and through A*, on
+// the bench/ world of scale s (a 22×22 city with 1,200 trips) and on a
+// 64×64 city. ns/op is one replay of the whole list; us/bridge is the
+// per-bridge cost, the number the CH's verdict weighs against network size.
+func BenchmarkBridges(b *testing.B) {
+	for _, size := range []struct {
+		name             string
+		rows, hot, trips int
+	}{{"s", 22, 10, 1200}, {"64x64", 64, 24, 1500}} {
+		bridgeWorldsOnce[size.name].Do(func() {
+			cfg := eval.WorldConfig{
+				Seed: 7, CityRows: size.rows, CityCols: size.rows, Hotspots: size.hot,
+				Trips: size.trips, QueryLen: 15000, Noise: 15,
+			}
+			bridgeWorlds[size.name] = newBridgeWorld(cfg)
+		})
+		bw := bridgeWorlds[size.name]
+		if len(bw.bridges) == 0 {
+			b.Fatalf("%s: the query asked no bridges", size.name)
+		}
+		for _, accel := range []roadnet.AccelMode{roadnet.AccelCH, roadnet.AccelDijkstra} {
+			g := bw.graphs[accel]
+			b.Run(size.name+"/"+accel.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, uv := range bw.bridges {
+						if _, _, ok := g.EdgePathBetweenVertices(uv[0], uv[1]); !ok {
+							b.Fatalf("no route %d→%d", uv[0], uv[1])
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(bw.bridges)), "us/bridge")
+			})
+		}
+	}
+}
+
+// bridgeWorld is BenchmarkBridges' input: the bridges of one query and its
+// road network loaded twice, once per accelerator, each oracle built.
+type bridgeWorld struct {
+	bridges [][2]roadnet.VertexID
+	graphs  map[roadnet.AccelMode]*roadnet.Graph
+}
+
+var (
+	bridgeWorldsOnce = map[string]*sync.Once{"s": new(sync.Once), "64x64": new(sync.Once)}
+	bridgeWorlds     = map[string]*bridgeWorld{}
+)
+
+func newBridgeWorld(cfg eval.WorldConfig) *bridgeWorld {
+	w := eval.NewWorld(cfg)
+	bw := &bridgeWorld{graphs: map[roadnet.AccelMode]*roadnet.Graph{}}
+	for _, qc := range w.Queries(1, 180, cfg.QueryLen, 111) {
+		pts := qc.Query.Points
+		_, _ = w.Eng.InferRoutes(qc.Query, w.P) // warm: match tables and memo
+		for i := 0; i+1 < len(pts); i++ {
+			bw.bridges = append(bw.bridges, core.PairBridges(w.Eng, pts[i], pts[i+1], w.P.Method, w.P)...)
+		}
+	}
+	var net bytes.Buffer
+	if err := w.Graph().WriteJSON(&net); err != nil {
+		panic(err)
+	}
+	for _, accel := range []roadnet.AccelMode{roadnet.AccelCH, roadnet.AccelDijkstra} {
+		g, err := roadnet.ReadJSON(bytes.NewReader(net.Bytes()))
+		if err != nil {
+			panic(err)
+		}
+		g.SetAccel(accel)
+		g.Oracle()
+		bw.graphs[accel] = g
+	}
+	return bw
 }
 
 // BenchmarkSplicedPair times one warm pair of the shape that dominates fresh

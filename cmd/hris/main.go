@@ -78,12 +78,12 @@
 // final record) before the server shuts down.
 //
 // Start-up: parseConfig checks every flag before any file is opened. Then
-// one goroutine reads network.json and, when the process will answer
-// queries (-http, -query or -demo), builds the contraction hierarchy that
-// answers its shortest-path queries, while the main goroutine reads
-// archive.json; the store is built once both reads are done, so cold start
-// costs max(network + CH, archive) plus the store. A -follow-only process
-// builds no CH.
+// one goroutine reads network.json while the main goroutine reads
+// archive.json, and the store is built once both reads are done, so cold
+// start costs max(network, archive) plus the store. Nothing is
+// preprocessed: shortest paths run A* on demand, memoised per query pair.
+// With -http, the "debug server listening" line reports the three
+// durations.
 //
 // Deadlines: -deadline bounds each inference's wall clock (e.g.
 // -deadline 50ms). On expiry the engine degrades gracefully — expired
@@ -263,9 +263,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Only a process that answers queries wants the CH; a -follow-only one
-	// never asks for a distance.
-	g, trajs, truths := loadDataset(cfg.data, cfg.httpAddr != "" || cfg.query != "" || cfg.demo)
+	g, trajs, truths, took := loadDataset(cfg.data)
 	var reg *obs.Registry
 	if cfg.metrics || cfg.httpAddr != "" {
 		reg = obs.New()
@@ -280,6 +278,7 @@ func main() {
 		Halo:        params.Phi,
 	}
 	var st *hist.Store
+	t0 := time.Now()
 	if cfg.dataDir != "" {
 		var rs hist.RecoveryStats
 		if st, rs, err = hist.OpenShardedStore(cfg.dataDir, g, trajs, scfg); err != nil {
@@ -289,10 +288,11 @@ func main() {
 	} else {
 		st = hist.NewShardedStore(g, trajs, scfg)
 	}
+	took.store = time.Since(t0)
 	eng := core.NewEngineWithRegistry(st, params, reg)
 	var srv *http.Server
 	if cfg.httpAddr != "" {
-		srv = serveDebug(cfg.httpAddr, &server{
+		srv = serveDebug(cfg.httpAddr, took, &server{
 			eng: eng, gate: core.NewGate(eng, cfg.gate), st: st, params: params, root: ctx,
 			streamIngest: cfg.ingest, drainGrace: drainGrace,
 			limits: cfg.limits, sm: newSessionMetrics(reg),
@@ -591,27 +591,36 @@ func writeGeoJSON(path string, g *roadnet.Graph, q *traj.Trajectory, truth roadn
 	return w.Encode(f)
 }
 
+// startup is how long cold start's steps took: reading network.json and
+// archive.json (concurrently) and opening the live store. -http logs it.
+type startup struct {
+	network, archive, store time.Duration
+}
+
 // loadDataset reads the dataset's network and archive at once, the network
-// in a goroutine of its own. With oracle set, that goroutine goes on to
-// build the distance oracle (the CH) while the archive is still being read
-// and the store is built. It ends when the build does; nothing joins it,
-// because a query that needs the oracle first waits on the oracle's
-// sync.Once. A failed read exits through log.Fatalf, the network's first.
-func loadDataset(dir string, oracle bool) (*roadnet.Graph, []*traj.Trajectory, map[string]roadnet.Route) {
+// in a goroutine of its own, and reports how long each read took. The graph
+// answers its shortest-path queries with A*, which needs no preprocessing:
+// HRIS memoises the bridges of each query pair, so no contraction hierarchy
+// is built. A failed read exits through log.Fatalf, the network's first.
+func loadDataset(dir string) (*roadnet.Graph, []*traj.Trajectory, map[string]roadnet.Route, startup) {
 	type network struct {
 		g   *roadnet.Graph
 		err error
+		d   time.Duration
 	}
 	netc := make(chan network, 1)
 	go func() {
+		t0 := time.Now()
 		g, err := readNetwork(filepath.Join(dir, "network.json"))
-		netc <- network{g, err}
-		if err == nil && oracle {
-			g.Oracle()
+		if err == nil {
+			g.SetAccel(roadnet.AccelDijkstra)
 		}
+		netc <- network{g, err, time.Since(t0)}
 	}()
+	t0 := time.Now()
 	archive := filepath.Join(dir, "archive.json")
 	trajs, rawTruth, aerr := readArchive(archive)
+	took := startup{archive: time.Since(t0)}
 	n := <-netc
 	if n.err != nil {
 		log.Fatal(n.err)
@@ -620,12 +629,13 @@ func loadDataset(dir string, oracle bool) (*roadnet.Graph, []*traj.Trajectory, m
 		log.Fatal(aerr)
 	}
 	g := n.g
+	took.network = n.d
 	truths := make(map[string]roadnet.Route, len(rawTruth))
 	for id, route := range rawTruth {
 		checkTruth(g, archive, route)
 		truths[id] = route
 	}
-	return g, trajs, truths
+	return g, trajs, truths, took
 }
 
 func readNetwork(path string) (*roadnet.Graph, error) {

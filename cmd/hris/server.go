@@ -196,10 +196,11 @@ func inferErrStatus(ctx context.Context, err error) int {
 	}
 }
 
-// serveDebug starts the HTTP server on addr; a bind failure is fatal. The
-// returned server has bounded read/write timeouts and is shut down
-// gracefully by main on SIGINT/SIGTERM.
-func serveDebug(addr string, s *server) *http.Server {
+// serveDebug starts the HTTP server on addr; a bind failure is fatal. Its
+// log line carries the start-up durations took. The returned server has
+// bounded read/write timeouts and is shut down gracefully by main on
+// SIGINT/SIGTERM.
+func serveDebug(addr string, took startup, s *server) *http.Server {
 	expvar.Publish("hris", expvar.Func(func() any { return s.eng.Metrics() }))
 	srv := &http.Server{
 		Addr:    addr,
@@ -220,6 +221,7 @@ func serveDebug(addr string, s *server) *http.Server {
 			log.Printf("debug server: %v", err)
 		}
 	}()
-	log.Printf("debug server listening on %s", ln.Addr())
+	log.Printf("debug server listening on %s (network read %v, archive read %v, store open %v)",
+		ln.Addr(), took.network.Round(time.Microsecond), took.archive.Round(time.Microsecond), took.store.Round(time.Microsecond))
 	return srv
 }

@@ -312,6 +312,7 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 	ctx := &sc.pctx
 	*ctx = pairContext{pair: pair, qi: qi, qj: qj, sc: sc, box: geo.EmptyBBox()}
 	sc.beginPair(x.eng.g.NumSegments())
+	sc.bridges.Reset(x.eng.g)
 
 	// Intern every source trajectory id of the pair. Collecting a superset
 	// (refs the deadline later truncates) is harmless — unset bits

@@ -297,6 +297,20 @@ func (e *Engine) PairLocalRoutes(qi, qj traj.GPSPoint, m Method, p Params) ([]Lo
 	return locals, st
 }
 
+// PairBridges runs e.PairLocalRoutes(qi, qj, m, p) and returns the distinct
+// ⟨from, to⟩ vertex pairs its local inference bridged, ascending: the
+// shortest-path queries that pair puts to the distance oracle. It is the
+// fixture of benchmarks that replay them through each oracle.
+func PairBridges(e *Engine, qi, qj traj.GPSPoint, m Method, p Params) [][2]roadnet.VertexID {
+	p.Method = m
+	x := e.newExec(context.Background(), p, e.src.Current())
+	x.sc = e.getScratch()
+	defer e.putScratch(x.sc)
+	x.sc.bridges.Reset(e.g) // a pair that stops before its context asks none
+	x.pairStage(0, qi, qj)
+	return x.sc.bridges.Pairs()
+}
+
 // filterByTimeOfDay keeps references whose sub-trajectory starts within
 // window seconds (circularly) of the query point's time of day — the
 // paper's future-work temporal extension. Travel patterns can differ by

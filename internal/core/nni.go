@@ -61,12 +61,13 @@ func (x exec) inferNNI(pctx *pairContext) []LocalRoute {
 	// traces arrive in depth-first order, each repeating most of its
 	// predecessor, so the arena's projector resumes one from the other, reads
 	// archive points' candidate edges off the match tables (sc is its row
-	// source) and hands back a scratch-backed route; most are duplicates, and
-	// routeSeen copies out only the new ones.
+	// source), takes its bridges from the pair's memo and hands back a
+	// scratch-backed route; most are duplicates, and routeSeen copies out
+	// only the new ones.
 	var out []LocalRoute
 	mprm := mapmatch.DefaultParams()
 	mprm.CandidateRadius = p.CandEps
-	sc.pj.Reset(x.eng.g, mprm, sc.nniPts, sc)
+	sc.pj.Reset(x.eng.g, mprm, sc.nniPts, sc, &sc.bridges)
 	for t := 0; t+1 < len(off); t++ {
 		if graphalg.Stopped(x.done) {
 			break // partial route set; the caller degrades the pair

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"repro/internal/mapmatch"
+	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
 
@@ -54,7 +55,7 @@ func TestProjectorOracleRealTraces(t *testing.T) {
 					mprm.CandidateRadius = eps
 					forEachPair(x, q, func(i int, pctx *pairContext) {
 						off := enumerateTransitTraces(sc, pctx.points, pctx.qi.Pt, pctx.qj.Pt, p, nil)
-						sc.pj.Reset(w.g, mprm, sc.nniPts, sc)
+						sc.pj.Reset(w.g, mprm, sc.nniPts, sc, &sc.bridges)
 						fmt.Fprintf(h, "\nP%d", i)
 						for n := 0; n+1 < len(off); n++ {
 							tr := sc.traces[off[n]:off[n+1]]
@@ -64,7 +65,9 @@ func TestProjectorOracleRealTraces(t *testing.T) {
 							traces++
 							route, err := sc.pj.Project(x.ctx, tr)
 							var fresh mapmatch.Projector
-							fresh.Reset(w.g, mprm, sc.nniPts, nil)
+							var br roadnet.Bridges
+							br.Reset(w.g)
+							fresh.Reset(w.g, mprm, sc.nniPts, nil, &br)
 							if plain, perr := fresh.Project(x.ctx, tr); perr != err || !plain.Equal(route) {
 								t.Fatalf("%s pair %d trace %d: resumed off the tables %v, %v; from scratch by search %v, %v",
 									key, i, n, route, err, plain, perr)

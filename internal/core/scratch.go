@@ -64,13 +64,18 @@ type pairScratch struct {
 	seen     []roadnet.Route
 	seenHash []uint64
 
+	// bridges memoises the pair's shortest-path bridges, for TGI's path
+	// projection and NNI's trace projector alike.
+	bridges roadnet.Bridges
+
 	// TGI.
 	sorted           []roadnet.EdgeID // traverse edges, sorted
 	tgEdges          []roadnet.EdgeID // traverse-graph node -> edge
 	nodeSlot         []int32          // stamped EdgeID -> node index
 	nodeVer          []uint32
 	nver             uint32
-	hops             []int
+	hopSearch        graphalg.HopSearch // λ-neighbourhood BFS
+	links            []int32            // one node's λ-neighbours, as node indices
 	tg               graphalg.Graph
 	ksp              graphalg.KShortest // bound to tg by inferTGI
 	mid              []geo.Point
@@ -129,7 +134,8 @@ func (e *Engine) putScratch(sc *pairScratch) {
 
 // beginPair resets the per-pair state for a road network with nseg
 // segments: the edge-bitset arena empties and the stamped edge map clears
-// by version bump. Route dedup state clears too.
+// by version bump. Route dedup state clears too; buildPairContext resets
+// the bridge memo beside it.
 func (sc *pairScratch) beginPair(nseg int) {
 	if len(sc.edgeSlot) < nseg {
 		sc.edgeSlot = make([]int32, nseg)

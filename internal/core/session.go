@@ -55,10 +55,13 @@ type SessionUpdate struct {
 // session tests pin — because InferRoutesCtx is this same fold on another
 // schedule: exec.inferPair per pair, commit per outcome, finish at the end.
 //
-// Memory: the session retains every pair's capped local-route set (Result
-// must report them, and the posterior's partials index into them), so state
-// grows O(points) with a small constant — MaxLocalRoutes routes per pair —
-// and per-push work is O(window) on top of the pair inference itself.
+// Memory and time: the session retains every pair's capped local-route set
+// (Result must report them, and the posterior's partials index into them),
+// so state grows O(points) with a small constant — MaxLocalRoutes routes
+// per pair. Per-push work, on top of the pair inference itself, grows with
+// the pairs pushed so far: each K-GRI column copies every survivor's parts
+// (one index per pair) and firmPrefix scans them all, so a push costs
+// O(K3 · MaxLocalRoutes · pairs), and the provisional tail adds O(window).
 // cmd/hris's /stream handler bounds points per session and sessions per
 // process.
 //

@@ -108,24 +108,30 @@ func (x exec) traverseGraph(pctx *pairContext) (srcs, dsts []roadnet.EdgeID) {
 	// s's start plus s's length — so that the K "shortest" paths of line 13
 	// are the physically shortest reference-supported routes rather than
 	// the fewest-hop ones.
+	//
+	// The search is stamped, so it costs the segments it reaches; the nodes
+	// among them are linked in ascending node order, the order a scan of
+	// every node would add them in.
 	tg := &sc.tg
 	tg.Reset(len(edges))
+	hs := &sc.hopSearch
 	for i, r := range edges {
 		if graphalg.Stopped(x.done) {
 			break // truncated traverse graph; the caller degrades the pair
 		}
-		hops := g.EdgeHopsIntoCtx(x.ctx, r, p.Lambda-1, sc.hops)
-		sc.hops = hops
+		links := sc.links[:0]
+		for _, s := range g.EdgeHopsFrom(x.ctx, hs, r, p.Lambda-1) {
+			if h := hs.Hops(s); h > 0 && h < p.Lambda && sc.nodeVer[s] == sc.nver {
+				links = append(links, sc.nodeSlot[s])
+			}
+		}
+		slices.Sort(links)
+		sc.links = links
 		rEnd := g.Vertices[g.Seg(r).To].Pt
-		for j, sEdge := range edges {
-			if i == j {
-				continue
-			}
-			if h := hops[sEdge]; h > 0 && h < p.Lambda {
-				sSeg := g.Seg(sEdge)
-				gap := rEnd.Dist(g.Vertices[sSeg.From].Pt)
-				tg.AddArc(i, j, gap+sSeg.Length)
-			}
+		for _, j := range links {
+			sSeg := g.Seg(edges[j])
+			gap := rEnd.Dist(g.Vertices[sSeg.From].Pt)
+			tg.AddArc(i, int(j), gap+sSeg.Length)
 		}
 	}
 
@@ -287,8 +293,9 @@ func reduceTraverseGraph(tg *graphalg.Graph, done <-chan struct{}, sc *pairScrat
 }
 
 // projectPath maps a traverse-graph path (node indices) to a physical road
-// route, bridging non-adjacent consecutive edges with shortest paths. The
-// route is assembled in, and aliases, sc.routeBuf: routeSeen publishes it.
+// route, bridging non-adjacent consecutive edges with shortest paths from
+// the pair's bridge memo. The route is assembled in, and aliases,
+// sc.routeBuf: routeSeen publishes it.
 func projectPath(g *roadnet.Graph, nodes []int, edges []roadnet.EdgeID, sc *pairScratch) (roadnet.Route, bool) {
 	if len(nodes) == 0 {
 		return nil, false
@@ -296,7 +303,7 @@ func projectPath(g *roadnet.Graph, nodes []int, edges []roadnet.EdgeID, sc *pair
 	buf := append(sc.routeBuf[:0], edges[nodes[0]])
 	ok := true
 	for _, n := range nodes[1:] {
-		buf, ok = buf.AppendConcat(g, edges[n:n+1])
+		buf, ok = sc.bridges.AppendConcat(buf, edges[n:n+1])
 		if !ok {
 			break
 		}

@@ -115,7 +115,9 @@ func TestProjectPathBridgesGaps(t *testing.T) {
 	g := w.g
 	// Two far-apart edges: projection must produce a valid bridged route.
 	edges := []roadnet.EdgeID{0, roadnet.EdgeID(g.NumSegments() / 2)}
-	route, ok := projectPath(g, []int{0, 1}, edges, newPairScratch())
+	sc := newPairScratch()
+	sc.bridges.Reset(g)
+	route, ok := projectPath(g, []int{0, 1}, edges, sc)
 	if !ok {
 		t.Skip("no path between the fixture edges in this seed")
 	}
@@ -126,7 +128,7 @@ func TestProjectPathBridgesGaps(t *testing.T) {
 		t.Fatal("projected route endpoints wrong")
 	}
 	// Empty input.
-	if _, ok := projectPath(g, nil, edges, newPairScratch()); ok {
+	if _, ok := projectPath(g, nil, edges, sc); ok {
 		t.Fatal("empty path accepted")
 	}
 }

@@ -3,7 +3,6 @@ package graphalg
 import (
 	"context"
 	"math"
-	"sync"
 )
 
 // Path is a shortest-path result: the vertex sequence and its total weight.
@@ -210,51 +209,76 @@ func reconstruct(prev []int, src, dst int) []int {
 // stops expanding past maxHops. A cancelled search returns the hop counts
 // discovered so far; unvisited vertices stay -1.
 func BFSHopsCtx(ctx context.Context, g *Graph, src int, maxHops int) []int {
-	return bfsHopsInto(g, src, maxHops, nil, ctx.Done())
-}
-
-// BFSHopsIntoCtx is BFSHopsCtx writing the hop counts into hops (grown when
-// too small) and drawing its queue from a pool, so steady-state
-// λ-neighborhood scans allocate nothing. Returns hops resliced to g.N().
-func BFSHopsIntoCtx(ctx context.Context, g *Graph, src, maxHops int, hops []int) []int {
-	return bfsHopsInto(g, src, maxHops, hops, ctx.Done())
-}
-
-var bfsQueuePool = sync.Pool{New: func() any { return new([]int) }}
-
-func bfsHopsInto(g *Graph, src, maxHops int, hops []int, done <-chan struct{}) []int {
-	n := g.N()
-	if cap(hops) < n {
-		hops = make([]int, n)
-	}
-	hops = hops[:n]
+	hops := make([]int, g.N())
 	for i := range hops {
 		hops[i] = -1
 	}
-	if src < 0 || src >= n {
-		return hops
+	var hs HopSearch
+	for _, v := range hs.Run(ctx.Done(), g, src, maxHops) {
+		hops[v] = hs.Hops(v)
 	}
-	qp := bfsQueuePool.Get().(*[]int)
-	queue := (*qp)[:0]
-	hops[src] = 0
-	queue = append(queue, src)
-	pops := 0
-	for head := 0; head < len(queue); head++ {
-		if pops++; pops&(stride-1) == 0 && Stopped(done) {
+	return hops
+}
+
+// HopSearch is a reusable breadth-first search over arc counts. Its hop
+// counts are version-stamped, as KShortest's labels and the CH's workspaces
+// are, so a run costs what it reaches rather than g.N(): a λ-neighbourhood
+// scan on a large network touches a few dozen vertices.
+//
+// The zero value is ready to Run. Not safe for concurrent use.
+type HopSearch struct {
+	hops    []int32
+	ver     []uint32
+	cur     uint32
+	reached []int // BFS order; also the queue
+}
+
+// Run searches from src and returns the vertices reached, src first, in
+// breadth-first order (so by ascending hop count). maxHops < 0 means
+// unlimited; otherwise the search stops expanding past maxHops. A non-nil
+// done is polled every stride pops: a cancelled run returns what it reached
+// so far. The slice is reused by the next Run; Hops answers for this run
+// until then.
+func (s *HopSearch) Run(done <-chan struct{}, g *Graph, src, maxHops int) []int {
+	n := g.N()
+	if len(s.ver) < n {
+		s.hops, s.ver, s.cur = make([]int32, n), make([]uint32, n), 0
+	}
+	s.cur++
+	if s.cur == 0 { // uint32 wrap: stale stamps could collide, clear
+		clear(s.ver)
+		s.cur = 1
+	}
+	s.reached = s.reached[:0]
+	if src < 0 || src >= n {
+		return s.reached
+	}
+	s.ver[src], s.hops[src] = s.cur, 0
+	s.reached = append(s.reached, src)
+	for head := 0; head < len(s.reached); head++ {
+		if head&(stride-1) == stride-1 && Stopped(done) {
 			break
 		}
-		v := queue[head]
-		if maxHops >= 0 && hops[v] >= maxHops {
+		v := s.reached[head]
+		h := s.hops[v]
+		if maxHops >= 0 && int(h) >= maxHops {
 			continue
 		}
 		for _, a := range g.Adj[v] {
-			if hops[a.To] == -1 {
-				hops[a.To] = hops[v] + 1
-				queue = append(queue, a.To)
+			if s.ver[a.To] != s.cur {
+				s.ver[a.To], s.hops[a.To] = s.cur, h+1
+				s.reached = append(s.reached, a.To)
 			}
 		}
 	}
-	*qp = queue[:0]
-	bfsQueuePool.Put(qp)
-	return hops
+	return s.reached
+}
+
+// Hops returns v's arc count from the last run's source, -1 when that run
+// did not reach v.
+func (s *HopSearch) Hops(v int) int {
+	if v < 0 || v >= len(s.ver) || s.ver[v] != s.cur {
+		return -1
+	}
+	return int(s.hops[v])
 }

@@ -136,6 +136,55 @@ func TestBFSHops(t *testing.T) {
 	}
 }
 
+// TestHopSearchReuse: one HopSearch run again and again — stamped, never
+// cleared — answers every run like a search filled from scratch: the hop
+// count of each vertex within maxHops, -1 for the rest, and the reached
+// list holding each reached vertex once, src first, by ascending hops.
+func TestHopSearchReuse(t *testing.T) {
+	g := randomGraph(60, 2, 9)
+	rng := rand.New(rand.NewSource(3))
+	var hs HopSearch
+	for run := 0; run < 200; run++ {
+		src, maxHops := rng.Intn(g.N()+1)-1, rng.Intn(6)-1
+		want := make([]int, g.N())
+		for i := range want {
+			want[i] = -1
+		}
+		var queue []int
+		if src >= 0 {
+			want[src], queue = 0, []int{src}
+		}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, a := range g.Adj[v] {
+				if want[a.To] == -1 && (maxHops < 0 || want[v] < maxHops) {
+					want[a.To] = want[v] + 1
+					queue = append(queue, a.To)
+				}
+			}
+		}
+		reached := hs.Run(nil, g, src, maxHops)
+		n := 0
+		for v, h := range want {
+			if hs.Hops(v) != h {
+				t.Fatalf("run %d (src %d, maxHops %d): Hops(%d) = %d, want %d", run, src, maxHops, v, hs.Hops(v), h)
+			}
+			if h >= 0 {
+				n++
+			}
+		}
+		if len(reached) != n || (n > 0 && reached[0] != src) {
+			t.Fatalf("run %d: reached %v, want %d vertices from %d", run, reached, n, src)
+		}
+		for i := 1; i < len(reached); i++ {
+			if hs.Hops(reached[i]) < hs.Hops(reached[i-1]) {
+				t.Fatalf("run %d: reached %v is not by ascending hops", run, reached)
+			}
+		}
+	}
+}
+
 func TestGraphEditing(t *testing.T) {
 	g := NewGraph(3)
 	g.AddArc(0, 1, 1)

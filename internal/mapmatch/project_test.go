@@ -8,11 +8,18 @@ import (
 	"repro/internal/roadnet"
 )
 
+// resetProjector resets pj over g with a bridge memo of its own.
+func resetProjector(pj *Projector, g *roadnet.Graph, prm Params, pts []geo.Point, rows RowSource) {
+	var br roadnet.Bridges
+	br.Reset(g)
+	pj.Reset(g, prm, pts, rows, &br)
+}
+
 // projectPoints projects pts in order: a Projector over pts as its point
 // table, driven with the identity index sequence.
 func projectPoints(g *roadnet.Graph, pts []geo.Point, prm Params) (roadnet.Route, error) {
 	var pj Projector
-	pj.Reset(g, prm, pts, nil)
+	resetProjector(&pj, g, prm, pts, nil)
 	seq := make([]int, len(pts))
 	for i := range seq {
 		seq[i] = i

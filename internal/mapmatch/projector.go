@@ -20,8 +20,9 @@ import (
 // a sequence sharing c leading indices with the previous one resumes at
 // position c−1 (that point's snap looks at its successor, which may differ)
 // instead of at 0. What is recomputed is served from integer-keyed memos: a
-// point's candidates by table index, a snap by (point, neighbour, mode), a
-// bridge by its two edges. The graph is immutable and every primitive
+// point's candidates by table index, a snap by (point, neighbour, mode), and
+// the shortest path between two snaps' edges by the caller's bridge memo,
+// keyed by its two vertices. The graph is immutable and every primitive
 // deterministic, so a resumed, memo-served route is identical to one
 // projected from scratch.
 //
@@ -37,9 +38,9 @@ type Projector struct {
 	cands   []roadnet.Candidate
 	ncand   []int32
 	rowBuf  []roadnet.EdgeID
-	snaps   map[uint64]snapVal   // point<<33 | neighbour<<2 | mode
-	bridges map[uint64]bridgeVal // from edge<<32 | to edge
-	one     [1]roadnet.EdgeID    // the same-edge bridge, without allocating it
+	snaps   map[uint64]snapVal // point<<33 | neighbour<<2 | mode
+	bridges *roadnet.Bridges
+	part    roadnet.Route // the bridge being joined
 
 	st   stitcher
 	prev []int        // the sequence the checkpoints belong to
@@ -60,27 +61,23 @@ type snapVal struct {
 	ok  bool
 }
 
-type bridgeVal struct {
-	part roadnet.Route
-	ok   bool
-}
-
 type checkpoint struct {
 	n    int // len(route)
 	cur  roadnet.Location
 	have bool
 }
 
-// Reset binds the projector to a pair's point table and empties every memo
-// and the resume state, keeping their storage. rows may be nil. pts must
-// stay unchanged until the next Reset.
-func (pj *Projector) Reset(g *roadnet.Graph, prm Params, pts []geo.Point, rows RowSource) {
-	pj.g, pj.prm, pj.pts, pj.rows = g, prm, pts, rows
+// Reset binds the projector to a pair's point table and empties its memos
+// and the resume state, keeping their storage. rows may be nil. bridges
+// serves the shortest paths between snaps; it must be bound to g, and the
+// caller owns it — it may share it with other users of g and decides when
+// to reset it. pts must stay unchanged until the next Reset.
+func (pj *Projector) Reset(g *roadnet.Graph, prm Params, pts []geo.Point, rows RowSource, bridges *roadnet.Bridges) {
+	pj.g, pj.prm, pj.pts, pj.rows, pj.bridges = g, prm, pts, rows, bridges
 	if pj.snaps == nil {
-		pj.snaps, pj.bridges = make(map[uint64]snapVal), make(map[uint64]bridgeVal)
+		pj.snaps = make(map[uint64]snapVal)
 	}
 	clear(pj.snaps)
-	clear(pj.bridges)
 	if n := len(pts) * prm.MaxCandidates; cap(pj.cands) < n {
 		pj.cands = make([]roadnet.Candidate, n)
 	}
@@ -132,26 +129,24 @@ func (pj *Projector) snap(seq []int, i int) (roadnet.Location, bool) {
 	return loc, ok
 }
 
-// bridge is PathBetweenLocationsCtx through the memo. The path reads the
-// offsets only to decide whether b lies ahead of a on one edge; every other
-// bridge runs from a's edge end to b's edge start and so is a function of
-// the two edges (ids fit 32 bits). A failure observed while the context is
-// cancelled is not cached: it means "aborted", not "unreachable".
+// bridge is PathBetweenLocationsCtx with the search between a's edge end and
+// b's edge start served by the bridge memo, assembled in pj.part without
+// its deduplication: the stitch step appends it to a route that ends on
+// a's edge, dropping repeats as it goes, so the joined route is the same.
 func (pj *Projector) bridge(ctx context.Context, a, b roadnet.Location) (roadnet.Route, bool) {
+	pj.part = append(pj.part[:0], a.Edge)
 	if a.Edge == b.Edge && b.Offset >= a.Offset {
-		pj.one[0] = a.Edge
-		return pj.one[:], true
+		return pj.part, true
 	}
-	k := uint64(a.Edge)<<32 | uint64(b.Edge)
-	if br, hit := pj.bridges[k]; hit {
-		return br.part, br.ok
+	if u, v := pj.g.Seg(a.Edge).To, pj.g.Seg(b.Edge).From; u != v {
+		mid, ok := pj.bridges.Path(ctx, u, v)
+		if !ok {
+			return nil, false
+		}
+		pj.part = append(pj.part, mid...)
 	}
-	part, _, ok := pj.g.PathBetweenLocationsCtx(ctx, a, b)
-	if !ok && ctx.Err() != nil {
-		return nil, false
-	}
-	pj.bridges[k] = bridgeVal{part: part, ok: ok}
-	return part, ok
+	pj.part = append(pj.part, b.Edge)
+	return pj.part, true
 }
 
 // Project converts the point sequence pts[seq[0]], pts[seq[1]], … to a route,

@@ -40,7 +40,7 @@ func checkBatch(t *testing.T, name string, g *roadnet.Graph, prm Params, pts []g
 	t.Helper()
 	ctx := context.Background()
 	oracle := newOracleProjector(g, prm)
-	reused.Reset(g, prm, pts, rows)
+	resetProjector(reused, g, prm, pts, rows)
 	for n, seq := range batch {
 		seqPts := make([]geo.Point, len(seq))
 		for i, k := range seq {
@@ -52,7 +52,7 @@ func checkBatch(t *testing.T, name string, g *roadnet.Graph, prm Params, pts []g
 			t.Fatalf("%s: trace %d %v: reused projector gave %v, %v; oracle %v, %v", name, n, seq, got, err, want, wantErr)
 		}
 		var fresh Projector
-		fresh.Reset(g, prm, pts, rows)
+		resetProjector(&fresh, g, prm, pts, rows)
 		if got, err := fresh.Project(ctx, seq); err != wantErr || !got.Equal(want) {
 			t.Fatalf("%s: trace %d %v: fresh projector gave %v, %v; oracle %v, %v", name, n, seq, got, err, want, wantErr)
 		}
@@ -213,7 +213,7 @@ func TestProjectorOracleEquivalence(t *testing.T) {
 		checkBatch(t, c.name+" search", oneWay, prm, oneWayPts, nil, &reused, c.batch)
 	}
 	var pj Projector
-	pj.Reset(oneWay, prm, oneWayPts, nil)
+	resetProjector(&pj, oneWay, prm, oneWayPts, nil)
 	if r, err := pj.Project(context.Background(), []int{1, 0}); err != nil || len(r) != 5 || r[0] != r[4] {
 		t.Fatalf("decreasing offset on one edge: route %v, %v; want the loop back onto the edge", r, err)
 	}
@@ -248,7 +248,7 @@ func TestProjectorCancelledCallLeavesNoState(t *testing.T) {
 	live := context.Background()
 	clean := func(seq []int) roadnet.Route {
 		var pj Projector
-		pj.Reset(g, prm, pts, nil)
+		resetProjector(&pj, g, prm, pts, nil)
 		r, err := pj.Project(live, seq)
 		if err != nil {
 			t.Fatalf("clean projection of %v: %v", seq, err)
@@ -259,7 +259,7 @@ func TestProjectorCancelledCallLeavesNoState(t *testing.T) {
 	// Cancelled before the call: nothing runs, and the trace that follows —
 	// sharing a prefix with the trace before the cancelled one — is right.
 	var pj Projector
-	pj.Reset(g, prm, pts, nil)
+	resetProjector(&pj, g, prm, pts, nil)
 	if _, err := pj.Project(live, batch[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestProjectorCancelledCallLeavesNoState(t *testing.T) {
 	// would cut every later trace short the same way.
 	grid := roadnet.NewGrid(4, 6, 100, 15)
 	pts = []geo.Point{geo.Pt(10, 4), geo.Pt(404, 230), geo.Pt(230, 306)}
-	pj.Reset(grid, prm, pts, nil)
+	resetProjector(&pj, grid, prm, pts, nil)
 	n := 2
 	base, cancel := context.WithCancel(live)
 	defer cancel()
@@ -289,7 +289,7 @@ func TestProjectorCancelledCallLeavesNoState(t *testing.T) {
 	}
 	for _, seq := range [][]int{{0, 1}, {0, 1, 2}} {
 		var fresh Projector
-		fresh.Reset(grid, prm, pts, nil)
+		resetProjector(&fresh, grid, prm, pts, nil)
 		want, _ := fresh.Project(live, seq)
 		if got, err := pj.Project(live, seq); err != nil || len(got) < 4 || !got.Equal(want) {
 			t.Fatalf("after a mid-bridge cancellation %v projected to %v, %v; clean projector %v", seq, got, err, want)

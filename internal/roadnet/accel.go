@@ -9,14 +9,14 @@ type AccelMode int
 const (
 	// AccelCH (the default) answers point-to-point queries from a
 	// contraction hierarchy, built once per network by the first Oracle
-	// call (cmd/hris makes that call at start-up, beside the archive
-	// read); each query then explores only the tiny upward search cones.
-	// Many-to-many distance tables never use it (see
-	// graphalg.DistanceTable).
+	// call, a query's or an explicit one; each query then explores only
+	// the tiny upward search cones. Many-to-many distance tables never
+	// use it (see graphalg.DistanceTable).
 	AccelCH AccelMode = iota
 	// AccelDijkstra answers every query with plain Dijkstra/A*. No
 	// preprocessing; the always-correct fallback and behavioural
-	// baseline.
+	// baseline. cmd/hris runs it: HRIS memoises its bridges per query
+	// pair (Bridges), which leaves too few searches to repay a CH build.
 	AccelDijkstra
 )
 

@@ -38,15 +38,25 @@ func (g *Graph) EdgePathBetweenVerticesCtx(ctx context.Context, u, v VertexID) (
 	if !ok {
 		return nil, 0, false
 	}
-	route := make(Route, 0, len(vs)-1)
+	route, ok := g.appendEdges(make(Route, 0, len(vs)-1), vs)
+	if !ok {
+		return nil, 0, false
+	}
+	return route, w, true
+}
+
+// appendEdges appends to dst the segments joining the consecutive vertices
+// of the path vs, and fails (dst unchanged) when two are not joined by one.
+func (g *Graph) appendEdges(dst Route, vs []VertexID) (Route, bool) {
+	n := len(dst)
 	for i := 1; i < len(vs); i++ {
 		e := g.edgeFor(vs[i-1], vs[i])
 		if e == NoEdge {
-			return nil, 0, false
+			return dst[:n], false
 		}
-		route = append(route, e)
+		dst = append(dst, e)
 	}
-	return route, w, true
+	return dst, true
 }
 
 // PathBetweenLocationsCtx is PathBetweenLocations with cancellation
@@ -77,8 +87,11 @@ func (g *Graph) EdgeHopsCtx(ctx context.Context, r EdgeID, maxHops int) []int {
 	return graphalg.BFSHopsCtx(ctx, g.edgeG, r, maxHops)
 }
 
-// EdgeHopsIntoCtx is EdgeHopsCtx writing into hops (grown when too small),
-// so per-query λ-neighborhood scans can reuse one buffer.
-func (g *Graph) EdgeHopsIntoCtx(ctx context.Context, r EdgeID, maxHops int, hops []int) []int {
-	return graphalg.BFSHopsIntoCtx(ctx, g.edgeG, r, maxHops, hops)
+// EdgeHopsFrom runs hs from segment r over the segment-adjacency graph —
+// the search EdgeHopsCtx does, stamped instead of filled, so it costs what
+// it reaches — and returns the segments reached, r first, by ascending hop
+// count; hs.Hops(s) is h(r, s) until hs runs again. A cancelled search
+// returns the segments reached so far, a subset of the full answer.
+func (g *Graph) EdgeHopsFrom(ctx context.Context, hs *graphalg.HopSearch, r EdgeID, maxHops int) []EdgeID {
+	return hs.Run(ctx.Done(), g.edgeG, r, maxHops)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"repro/internal/graphalg"
 )
 
 // bruteHops computes edge hop distances by explicit breadth-first search
@@ -54,9 +56,10 @@ func TestEdgeHopsMatchesBruteForce(t *testing.T) {
 // segment s ≠ r with 0 < h(r, s) < λ, with its hop count.
 func lambdaHood(g *Graph, r EdgeID, lambda int) map[EdgeID]int {
 	out := make(map[EdgeID]int)
-	for s, h := range g.EdgeHopsIntoCtx(context.Background(), r, lambda-1, nil) {
-		if EdgeID(s) != r && h > 0 && h < lambda {
-			out[EdgeID(s)] = h
+	var hs graphalg.HopSearch
+	for _, s := range g.EdgeHopsFrom(context.Background(), &hs, r, lambda-1) {
+		if h := hs.Hops(s); s != r && h > 0 && h < lambda {
+			out[s] = h
 		}
 	}
 	return out

@@ -91,14 +91,24 @@ func (r Route) Concat(g *Graph, s Route) (Route, bool) {
 // segments, which makes deduplicating the appended part equal to
 // re-deduplicating the whole; ok=false leaves r unchanged.
 func (r Route) AppendConcat(g *Graph, s Route) (Route, bool) {
-	if len(r) > 0 && len(s) > 0 && g.Seg(s[0]).From != r.End(g) && s[0] != r[len(r)-1] {
-		bridge, _, ok := g.EdgePathBetweenVertices(r.End(g), g.Seg(s[0]).From)
+	if u, v, gap := r.gapTo(g, s); gap {
+		bridge, _, ok := g.EdgePathBetweenVertices(u, v)
 		if !ok {
 			return r, false
 		}
 		r = r.appendDedup(bridge)
 	}
 	return r.appendDedup(s), true
+}
+
+// gapTo reports whether joining s to r needs a bridge, and if so its ends:
+// from r's end vertex u to s's start vertex v.
+func (r Route) gapTo(g *Graph, s Route) (u, v VertexID, gap bool) {
+	if len(r) == 0 || len(s) == 0 || s[0] == r[len(r)-1] {
+		return 0, 0, false
+	}
+	u, v = r.End(g), g.Seg(s[0]).From
+	return u, v, u != v
 }
 
 // appendDedup appends s to r, dropping segments that repeat the one before

@@ -72,6 +72,13 @@ go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest|Canon|Ra
 # state that leaks from one run into the next shows up on a warm process.
 go test -timeout 120s -race -count=2 -run Stream ./cmd/hris/
 
+# Bridges: the per-pair bridge memo lives in pooled scratch, so its
+# equivalence to EdgePathBetweenVertices, its one search per distinct
+# (from, to) pair and its refusal to cache a cancelled failure run twice in
+# one binary under the race detector, with the pooled ≡ unpooled suites and
+# cmd/hris serving /infer and /stream without a CH, byte-equal to a CH graph.
+go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|PooledMatchesUnpooled|ServesWithoutCH' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
+
 # Hostile bytes: the batch decoder, the log scan and the dataset's
 # trajectory and road-network loaders read files this process did not write.
 # Each fuzz target runs for 10 s past its seed corpus: no panic, nothing
@@ -116,14 +123,14 @@ go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOr
 go test -timeout 120s -count=2 ./internal/grid/
 
 # Bench smoke: the acceleration-layer benchmarks (the end-to-end HRIS query
-# in both oracle modes, ST-Matching, the CH build), the
+# in both oracle modes, ST-Matching, the CH build, the bridge replay), the
 # warm pair-context assembly benchmark, the warm NNI, TGI and most-spliced
 # pairs, the cold
 # reference search, the live-archive ingest benchmarks (Ingest matches both
 # the in-memory BenchmarkIngest and the WAL-on BenchmarkIngestDurable) and
 # graphalg's K-shortest-path benchmark must run one iteration without failing.
 # Real numbers come from `go run -C bench repro/bench` (BENCHMARK.json).
-go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|TGIPair|SplicedPair|YenK5|ReferenceSearch|STMatch|CH|Ingest|SessionStep' -benchtime 1x . ./internal/graphalg/
+go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|TGIPair|SplicedPair|YenK5|ReferenceSearch|STMatch|CH|Bridges|Ingest|SessionStep' -benchtime 1x . ./internal/graphalg/
 
 # Alloc-regression gate: the steady-state query hot path must stay within
 # the checked-in budget (bench_budget.json). BenchmarkHRISQuery warms the
