@@ -49,8 +49,11 @@ func TestAblateTransitionInKGRI(t *testing.T) {
 		},
 	}
 	best := func(constantTransition bool) GlobalRoute {
-		M := kgriStep(kgriInit(locals[0]), locals[0], locals[1], 1, constantTransition, new(kgriScratch))
-		return kgriFinalize(g, locals, M, 1)[0]
+		post := newPosterior(1, constantTransition)
+		for _, set := range locals {
+			post.push(set)
+		}
+		return materialize(g, locals, post.rank())[0]
 	}
 	// With transition confidence the continuous chain wins despite lower f.
 	if with := best(false); with.Parts[1] != 0 {

@@ -35,10 +35,10 @@ var goldenDigests = map[int64]string{
 // became the Session fold. goldenPairLocalDigests was re-recorded with
 // goldenDigests, for the same candidate tie rule (the network-free path
 // never searches candidate edges). goldenNetworkFreeDigests was re-recorded
-// once, on its own, when the network-free DP became kgriInit/kgriStep over
-// support-set local routes: the scores are the same products, but
-// equal-score partials now break ties by their parts (cmpPartial), as the
-// network DP does, not by insertion order.
+// once, on its own, when the network-free DP moved onto the network DP's
+// K-GRI over support-set local routes: the scores are the same products,
+// but equal-score partials now break ties by their parts, as the network
+// DP does, not by insertion order.
 var goldenNetworkFreeDigests = map[int64]string{
 	191: "c2845fb52c4815392ccc684cb79d2ce025154876596921996b04ac06dfa752ab",
 	7:   "6f240c6313651131a049621e38130f7340664a1c89673c0edfb715c80b8e489e",

@@ -132,16 +132,14 @@ func (e *Engine) InferPathsNetworkFreeCtx(ctx context.Context, q *traj.Trajector
 		locals, sets = append(locals, cands), append(sets, set)
 	}
 
-	M := kgriInit(sets[0])
-	ks := kgriPool.Get().(*kgriScratch)
-	defer kgriPool.Put(ks)
-	for i := 1; i < len(sets); i++ {
-		if graphalg.Stopped(done) {
+	post := newPosterior(p.K3, false)
+	for i, set := range sets {
+		if i > 0 && graphalg.Stopped(done) {
 			return nil, ctx.Err()
 		}
-		M = kgriStep(M, sets[i-1], sets[i], p.K3, false, ks)
+		post.push(set)
 	}
-	all := kgriRank(M, p.K3)
+	all := post.rank()
 	if len(all) == 0 {
 		return nil, ErrNoFreePath
 	}
@@ -149,7 +147,7 @@ func (e *Engine) InferPathsNetworkFreeCtx(ctx context.Context, q *traj.Trajector
 	for _, fp := range all {
 		var path geo.Polyline
 		var support []int32
-		for i, j := range fp.parts {
+		for i, j := range fp.Parts {
 			part := locals[i][j].path
 			if len(path) > 0 && len(part) > 0 && path[len(path)-1].Equal(part[0], 1e-9) {
 				part = part[1:]
@@ -157,7 +155,7 @@ func (e *Engine) InferPathsNetworkFreeCtx(ctx context.Context, q *traj.Trajector
 			path = append(path, part...)
 			support = append(support, locals[i][j].support...)
 		}
-		out = append(out, FreeRoute{Path: path, Score: fp.score, Support: sortedSet(support)})
+		out = append(out, FreeRoute{Path: path, Score: fp.Score, Support: sortedSet(support)})
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -77,6 +78,22 @@ func TestInferPathsNetworkFreeDegenerate(t *testing.T) {
 	w := newWorld(t, 50, 95)
 	if _, err := w.eng.InferPathsNetworkFreeCtx(context.Background(), &traj.Trajectory{}, w.p, 20); err == nil {
 		t.Fatal("empty query accepted")
+	}
+	// K3 < 0 asks for no paths: refused like InferRoutesCtx refuses it, on
+	// one pair and on several.
+	qc, ok := w.ds.GenQuery(5000, 180, 15, w.cfg, w.rng)
+	if !ok || qc.Query.Len() < 3 {
+		t.Fatal("GenQuery failed")
+	}
+	p := w.p
+	p.K3 = -1
+	for _, q := range []*traj.Trajectory{{Points: qc.Query.Points[:2]}, qc.Query} {
+		if _, err := w.eng.InferPathsNetworkFreeCtx(context.Background(), q, p, w.g.MaxSpeed()); !errors.Is(err, ErrNoFreePath) {
+			t.Fatalf("%d points, K3 < 0: network-free err = %v, want ErrNoFreePath", q.Len(), err)
+		}
+		if _, err := w.eng.InferRoutesCtx(context.Background(), q, p); !errors.Is(err, ErrNoRoutes) {
+			t.Fatalf("%d points, K3 < 0: InferRoutesCtx err = %v, want ErrNoRoutes", q.Len(), err)
+		}
 	}
 }
 

@@ -231,12 +231,3 @@ func (sc *pairScratch) CandidateRow(i int, dst []roadnet.EdgeID) []roadnet.EdgeI
 	}
 	return dst
 }
-
-// kgriScratch pools the K-GRI candidate buffer. The pool is shared
-// regardless of Engine.noPool: the buffer's content is truncated and fully
-// rewritten before every read, so recycling cannot change an outcome.
-type kgriScratch struct {
-	cands []kgriCand
-}
-
-var kgriPool = sync.Pool{New: func() any { return new(kgriScratch) }}

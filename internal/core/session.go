@@ -56,12 +56,14 @@ type SessionUpdate struct {
 // schedule: exec.inferPair per pair, commit per outcome, finish at the end.
 //
 // Memory and time: the session retains every pair's capped local-route set
-// (Result must report them, and the posterior's partials index into them),
-// so state grows O(points) with a small constant — MaxLocalRoutes routes
-// per pair. Per-push work, on top of the pair inference itself, grows with
-// the pairs pushed so far: each K-GRI column copies every survivor's parts
-// (one index per pair) and firmPrefix scans them all, so a push costs
-// O(K3 · MaxLocalRoutes · pairs), and the provisional tail adds O(window).
+// (Result must report them, and the posterior's nodes index into them) and
+// every posterior column of at most K3 · MaxLocalRoutes back-pointer nodes,
+// so state grows O(points) with a small constant. Per-push work, on top of
+// the pair inference itself, does not grow with the trip: the new column
+// sorts m·K candidates for each of its m local routes (m = MaxLocalRoutes,
+// K = K3), and ties and the firmness walk reach back only over the unfirm
+// lag, so a push costs O(m²·K·log(m·K) + m·K·lag), and the provisional tail
+// adds O(window).
 // cmd/hris's /stream handler bounds points per session and sessions per
 // process.
 //
@@ -82,11 +84,12 @@ type Session struct {
 	// the index once; it stays valid across epoch publishes, snap being pinned.
 	near hist.NearSet
 
-	res *Result     // accumulating Pairs/Locals/Degraded, in pair order
-	M   [][]partial // K-GRI posterior over the latest absorbed pair's locals
+	res  *Result    // accumulating Pairs/Locals/Degraded, in pair order
+	post *posterior // K-GRI posterior, one column per absorbed pair
+	tail []int      // provisionalTail's local-route indices
 	// stall is the first pair the posterior did not absorb because the
 	// query deadline had closed (0 = none: pair 0 only seeds). From there on
-	// M stays put and finish extends its best partial greedily.
+	// post stays put and finish extends its best partial greedily.
 	stall int
 
 	err    error // sticky fatal error (a pair with no routes)
@@ -112,15 +115,13 @@ func (e *Engine) NewSession(p Params, cfg SessionConfig) *Session {
 	if w < 1 {
 		w = DefaultSessionWindow
 	}
-	// K3 ≤ 0 asks for no routes (ErrNoRoutes at the end); the DP truncates
-	// its columns to K3, which must not go negative.
-	p.K3 = max(p.K3, 0)
 	return &Session{
 		eng:    e,
 		p:      p,
 		snap:   e.src.Current(),
 		window: w,
 		res:    &Result{},
+		post:   newPosterior(p.K3, p.AblateTransition),
 	}
 }
 
@@ -167,7 +168,7 @@ func (s *Session) Push(ctx context.Context, pt traj.GPSPoint) (SessionUpdate, er
 		return SessionUpdate{}, err
 	}
 	upd := SessionUpdate{Seq: s.n - 1, Pairs: s.n - 1, Degraded: out.stats.Degraded}
-	upd.FirmPairs = firmPrefix(s.M)
+	upd.FirmPairs = s.post.firm()
 	upd.Provisional, upd.Score = s.provisionalTail()
 	return upd, nil
 }
@@ -195,17 +196,13 @@ func (s *Session) commit(i int, qi, qj traj.GPSPoint, out pairOutcome, done <-ch
 	switch {
 	case i == 0:
 		s.first = qi
-		s.M = kgriInit(s.res.Locals[0])
-	case s.stall > 0: // already stalled: M stays at the stall column
+		s.post.push(out.locals)
+	case s.stall > 0: // already stalled: the posterior stays at the stall column
 	case graphalg.Stopped(done):
 		s.stall = i
 		s.res.Degraded = true
 	default:
-		// The candidate buffer comes from a pool — it is the one allocation
-		// the DP's inner loop would otherwise repeat per column.
-		ks := kgriPool.Get().(*kgriScratch)
-		s.M = kgriStep(s.M, s.res.Locals[i-1], s.res.Locals[i], s.p.K3, s.p.AblateTransition, ks)
-		kgriPool.Put(ks)
+		s.post.push(out.locals)
 	}
 	s.prev, s.n = qj, i+2
 	return nil
@@ -215,13 +212,13 @@ func (s *Session) commit(i int, qi, qj traj.GPSPoint, out pairOutcome, done <-ch
 // posterior (or, for a stalled posterior, greedyFinish from the stall index)
 // plus the endpoint trimming.
 func (s *Session) finish() (*Result, error) {
-	res, M := s.res, s.M
-	s.res, s.M = nil, nil
+	res, post := s.res, s.post
+	s.res, s.post = nil, nil
 	g := s.eng.g
 	if s.stall > 0 {
-		res.Routes = greedyFinish(g, res.Locals, M, s.stall)
+		res.Routes = greedyFinish(g, res.Locals, post)
 	} else {
-		res.Routes = kgriFinalize(g, res.Locals, M, s.p.K3)
+		res.Routes = materialize(g, res.Locals, post.rank())
 	}
 	if len(res.Routes) == 0 {
 		return nil, ErrNoRoutes
@@ -258,7 +255,7 @@ func (s *Session) Finalize() (*Result, error) {
 // Closing an already-closed session is a no-op.
 func (s *Session) Close() {
 	s.closed = true
-	s.res, s.M = nil, nil
+	s.res, s.post = nil, nil
 }
 
 // Points returns how many points the session has accepted.
@@ -267,74 +264,26 @@ func (s *Session) Points() int { return s.n }
 // Epoch returns the archive epoch the session pinned at creation.
 func (s *Session) Epoch() uint64 { return s.snap.Epoch() }
 
-// firmPrefix is the length of the longest common prefix of parts across
-// every partial in the posterior: pairs no future evidence can revise,
-// because kgriStep only ever extends existing partials.
-func firmPrefix(M [][]partial) int {
-	var ref []int
-	n := -1
-	for _, ps := range M {
-		for _, p := range ps {
-			if ref == nil {
-				ref = p.parts
-				n = len(ref)
-				continue
-			}
-			if len(p.parts) < n {
-				n = len(p.parts)
-			}
-			for t := 0; t < n; t++ {
-				if p.parts[t] != ref[t] {
-					n = t
-					break
-				}
-			}
-			if n == 0 {
-				return 0
-			}
-		}
-	}
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// bestPartial returns the posterior's current winner under the same total
-// order kgriFinalize ranks by, or nil for an empty posterior.
-func bestPartial(M [][]partial) *partial {
-	var best *partial
-	for j := range M {
-		for t := range M[j] {
-			if best == nil || cmpPartial(M[j][t], *best) < 0 {
-				best = &M[j][t]
-			}
-		}
-	}
-	return best
-}
-
 // provisionalTail materializes the best partial's last min(window, pairs)
 // local routes into a route — the per-update cost is O(window), independent
 // of how long the session has run. A failed splice truncates the tail at the
 // break instead of failing the update (materialize would drop the whole
 // candidate; a best-effort live tail is more useful than none).
 func (s *Session) provisionalTail() (roadnet.Route, float64) {
-	best := bestPartial(s.M)
-	if best == nil {
+	best, ok := s.post.best()
+	if !ok {
 		return nil, 0
 	}
-	lo := len(best.parts) - s.window
-	if lo < 0 {
-		lo = 0
-	}
+	cols := len(s.post.cols)
+	lo := max(cols-s.window, 0)
+	s.tail = s.post.path(s.tail, best, cols-lo)
 	var route roadnet.Route
-	for i := lo; i < len(best.parts); i++ {
-		joined, ok := mergeRoutes(s.eng.g, route, s.res.Locals[i][best.parts[i]].Route)
+	for t, j := range s.tail {
+		joined, ok := mergeRoutes(s.eng.g, route, s.res.Locals[lo+t][j].Route)
 		if !ok {
 			break
 		}
 		route = joined
 	}
-	return route, best.score
+	return route, s.post.cols[cols-1][best].score
 }

@@ -77,7 +77,9 @@ go test -timeout 120s -race -count=2 -run Stream ./cmd/hris/
 # (from, to) pair and its refusal to cache a cancelled failure run twice in
 # one binary under the race detector, with the pooled ≡ unpooled suites and
 # cmd/hris serving /infer and /stream without a CH, byte-equal to a CH graph.
-go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|PooledMatchesUnpooled|ServesWithoutCH' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
+# Beside them, the K-GRI posterior's per-push allocation must not grow with
+# the trip (pushes 700-799 within twice the bytes of pushes 0-99).
+go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|PooledMatchesUnpooled|ServesWithoutCH|PosteriorPushDoesNotGrow' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
 
 # Hostile bytes: the batch decoder, the log scan and the dataset's
 # trajectory and road-network loaders read files this process did not write.
@@ -100,7 +102,8 @@ go test -timeout 120s -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/
 go vet -C bench ./...
 go test -C bench -timeout 300s ./...
 
-# Determinism: the Yen equal-weight tie-break, the K-GRI oracle suites, the
+# Determinism: the Yen equal-weight tie-break, the K-GRI oracle suites (the
+# firmness oracle among them: FirmPairs against the parts' common prefix), the
 # three golden digests (InferRoutes, network-free, PairLocalRoutes — which
 # pin candidate edges in their total (distance, EdgeID) order, so no index
 # can reorder them), the reference search's equivalence to its map-based
