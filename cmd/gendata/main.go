@@ -123,14 +123,7 @@ func main() {
 			if !ok {
 				continue
 			}
-			line := struct {
-				ID     string       `json:"id"`
-				Points [][3]float64 `json:"points"`
-			}{ID: tr.ID}
-			for _, p := range tr.Points {
-				line.Points = append(line.Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
-			}
-			if err := enc.Encode(line); err != nil {
+			if err := enc.Encode(traj.NewTrajJSON(tr, nil)); err != nil {
 				log.Fatalf("stream: %v", err)
 			}
 			emitted++

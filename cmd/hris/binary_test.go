@@ -252,11 +252,7 @@ func TestBinaryRejectsUnknownTruth(t *testing.T) {
 			args := []string{"-data", dir}
 			if tc.query {
 				writeDataset(t, dir, ds, nil)
-				q := worldLight[0]
-				qj := queryJSON{Truth: tc.truth}
-				for _, p := range q.Points {
-					qj.Points = append(qj.Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
-				}
+				qj := traj.NewTrajJSON(worldLight[0], tc.truth)
 				writeFile(t, dir, "q.json", func(w io.Writer) error { return json.NewEncoder(w).Encode(qj) })
 				args = append(args, "-query", filepath.Join(dir, "q.json"))
 			} else {

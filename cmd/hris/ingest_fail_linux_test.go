@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/hist"
+	"repro/internal/traj"
 )
 
 // breakWAL makes every further write to the process's open WAL file under
@@ -64,12 +65,9 @@ func TestIngestWALFailureIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	post := func(i int) (int, string) {
-		tr := ds.Archive[i]
-		tj := tripJSON{ID: fmt.Sprintf("fail-%d", i)}
-		for _, p := range tr.Points {
-			tj.Points = append(tj.Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
-		}
-		body, err := json.Marshal(map[string][]tripJSON{"trips": {tj}})
+		tj := traj.NewTrajJSON(ds.Archive[i], nil)
+		tj.ID = fmt.Sprintf("fail-%d", i)
+		body, err := json.Marshal(map[string][]traj.TrajJSON{"trips": {tj}})
 		if err != nil {
 			t.Fatal(err)
 		}

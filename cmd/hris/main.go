@@ -8,16 +8,25 @@
 //	hris -data data/ -query query.json [-k 5] [-method hybrid] [-compare]
 //	     [-metrics] [-trace] [-http :6060] [-follow]
 //
-// The query file holds one trajectory: {"points": [[x, y, t], ...]}.
-// With -demo, a query is synthesized from the archive instead.
+// The query file holds one trip; with -demo, a query is synthesized from
+// the archive instead.
+//
+// Input: every surface reads the trip format with traj's archive scanner,
+// in its one grammar: a point is exactly three JSON numbers [x, y, t]; a
+// trip is an object whose keys are "id", "points" and "truth", each at most
+// once, in exact case. A -query file and a POST /infer body are one trip
+// plus an optional integer "deadline_ms" (-query ignores it); a -follow
+// line is one trip; a POST /ingest body is {"trips": [trip, ...]}; a POST
+// /stream line is one point. A point of two or four numbers, a key in
+// another case, a repeated or unknown key, bytes after the value, NaN and
+// Inf are all refused.
 //
 // Live archive: the loaded dataset seeds a versioned store that keeps
 // admitting trips while queries run. With -follow, the process reads NDJSON
-// trips from stdin ({"id": "...", "points": [[x, y, t], ...]} per line,
-// e.g. piped from gendata -stream) and ingests each one; every admitted
-// batch becomes visible atomically in a new epoch. With -http, POST /ingest
-// accepts {"trips": [...]} in the same trip shape and returns the admit
-// stats plus the archive summary.
+// trips from stdin (e.g. piped from gendata -stream) and ingests each one;
+// every admitted batch becomes visible atomically in a new epoch. With
+// -http, POST /ingest admits a list of trips and returns the admit stats
+// plus the archive summary.
 //
 // Sharding: -shards N partitions the live archive into N spatial shards
 // (uniform grid over the network bbox, each with its own segment stack,
@@ -129,38 +138,6 @@ const (
 	// inside it.
 	drainGrace = 2 * time.Second
 )
-
-type queryJSON struct {
-	Points [][3]float64 `json:"points"`
-	Truth  []int        `json:"truth,omitempty"`
-	// DeadlineMS overrides the server's -deadline for this request (ms).
-	// The budget starts at admission, so queue wait consumes it.
-	DeadlineMS int `json:"deadline_ms,omitempty"`
-}
-
-// tripJSON is one archive trip on the ingestion surfaces (-follow lines and
-// POST /ingest elements).
-type tripJSON struct {
-	ID     string       `json:"id"`
-	Points [][3]float64 `json:"points"`
-}
-
-func (tj tripJSON) trajectory(fallbackID string) *traj.Trajectory {
-	tr := &traj.Trajectory{ID: tj.ID, Points: gpsPoints(tj.Points)}
-	if tr.ID == "" {
-		tr.ID = fallbackID
-	}
-	return tr
-}
-
-// gpsPoints converts wire points, [x, y, t] triples, to GPS points.
-func gpsPoints(wire [][3]float64) []traj.GPSPoint {
-	var pts []traj.GPSPoint
-	for _, p := range wire {
-		pts = append(pts, traj.GPSPoint{Pt: geo.Pt(p[0], p[1]), T: p[2]})
-	}
-	return pts
-}
 
 // config is one run's command line, validated.
 type config struct {
@@ -378,7 +355,7 @@ func main() {
 	}
 
 	if cfg.follow {
-		followStdin(ctx, st, reg)
+		follow(ctx, os.Stdin, st, reg)
 	}
 
 	if cfg.metrics {
@@ -419,9 +396,9 @@ func logRecovery(rs hist.RecoveryStats) {
 	log.Print(msg)
 }
 
-// ingestHandler admits POSTed trips ({"trips": [{"id": "...", "points":
-// [[x, y, t], ...]}, ...]}) into the live store through the preprocessing
-// pipeline and reports what was admitted plus the resulting archive state.
+// ingestHandler admits a POSTed trip list into the live store through the
+// preprocessing pipeline and reports what was admitted plus the resulting
+// archive state.
 // Queries running concurrently keep their pinned snapshot; the next query
 // sees the new epoch.
 //
@@ -441,28 +418,16 @@ func ingestHandler(w http.ResponseWriter, r *http.Request, st *hist.Store) {
 	// Unlike /infer, admitted trips are retained in the live store for good,
 	// so an unbounded body is a memory-exhaustion hazard. 32 MiB is far above
 	// any reasonable batch (a trip point is three JSON numbers).
-	body := http.MaxBytesReader(w, r.Body, 32<<20)
-	var req struct {
-		Trips []tripJSON `json:"trips"`
-	}
-	if err := decodeOne(body, &req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "bad trips: "+err.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad trips: "+err.Error(), http.StatusBadRequest)
+	logs, err := traj.ReadTrips(http.MaxBytesReader(w, r.Body, 32<<20), "trips")
+	if err != nil {
+		http.Error(w, "bad trips: "+err.Error(), badBodyStatus(err))
 		return
 	}
-	logs := make([]*traj.Trajectory, 0, len(req.Trips))
-	for i, tj := range req.Trips {
-		logs = append(logs, tj.trajectory(fmt.Sprintf("ingest-%d", i)))
+	for i, tr := range logs {
+		if tr.ID == "" {
+			tr.ID = fmt.Sprintf("ingest-%d", i)
+		}
 	}
-	// Ingest returns only after the batch is handled per the -wal-sync
-	// policy, so under "always" writing the 200 below implies the batch is
-	// already fsynced. The response's admitted.durability spells out the
-	// weaker guarantees: "logged" (interval/off — a crash inside the sync
-	// window can lose the batch) and "memory" (no -data-dir).
 	stats := st.Ingest(logs...)
 	resp := struct {
 		Admitted hist.IngestStats `json:"admitted"`
@@ -514,15 +479,15 @@ func readLine(br *bufio.Reader, max int) ([]byte, error) {
 	}
 }
 
-// followStdin streams NDJSON trips from stdin into the live store, one line
-// per trip, until EOF or interrupt. Each admitted line publishes a new
-// epoch. Malformed and oversized lines are logged, counted under the
-// ingest.rejected metric and skipped — a long-running feed survives the
-// occasional bad record instead of aborting — and a trailing partial line
-// at EOF is rejected rather than ingested as a truncated trip (the producer
-// may have died mid-record).
-func followStdin(ctx context.Context, st *hist.Store, reg *obs.Registry) {
-	br := bufio.NewReaderSize(os.Stdin, 1<<20)
+// follow streams NDJSON trips from in (stdin under -follow) into the live
+// store, one line per trip, until EOF or interrupt. Each admitted line
+// publishes a new epoch. Malformed and oversized lines are logged, counted
+// under the ingest.rejected metric and skipped — a long-running feed
+// survives the occasional bad record instead of aborting — and a trailing
+// partial line at EOF is rejected rather than ingested as a truncated trip
+// (the producer may have died mid-record).
+func follow(ctx context.Context, in io.Reader, st *hist.Store, reg *obs.Registry) {
+	br := bufio.NewReaderSize(in, 1<<20)
 	lines, admitted, rejected := 0, 0, 0
 	reject := func(format string, args ...any) {
 		rejected++
@@ -542,7 +507,7 @@ func followStdin(ctx context.Context, st *hist.Store, reg *obs.Registry) {
 		}
 		if err != nil {
 			if err != io.EOF {
-				log.Printf("follow: stdin: %v", err)
+				log.Printf("follow: read: %v", err)
 			}
 			break
 		}
@@ -550,16 +515,19 @@ func followStdin(ctx context.Context, st *hist.Store, reg *obs.Registry) {
 			continue
 		}
 		lines++
-		var tj tripJSON
-		if err := json.Unmarshal(line, &tj); err != nil {
+		tr, _, _, err := traj.ReadTrip(bytes.NewReader(line), "")
+		if err != nil {
 			reject("skipping line %d: %v", lines, err)
 			continue
 		}
-		if len(tj.Points) == 0 {
+		if tr.Len() == 0 {
 			reject("skipping line %d: trip has no points", lines)
 			continue
 		}
-		stats := st.Ingest(tj.trajectory(fmt.Sprintf("follow-%d", lines)))
+		if tr.ID == "" {
+			tr.ID = fmt.Sprintf("follow-%d", lines)
+		}
+		stats := st.Ingest(tr)
 		admitted += stats.Trips
 		fmt.Printf("follow: +%d trips / %d points (epoch %d, %s)\n", stats.Trips, stats.Points, stats.Epoch, stats.Durability)
 	}
@@ -680,13 +648,13 @@ func loadQuery(path string, g *roadnet.Graph) (*traj.Trajectory, roadnet.Route) 
 		log.Fatalf("open query: %v", err)
 	}
 	defer f.Close()
-	var qj queryJSON
-	if err := decodeOne(f, &qj); err != nil {
+	q, truth, _, err := traj.ReadTrip(f, "deadline_ms")
+	if err != nil {
 		log.Fatalf("decode query: %v", err)
 	}
-	q := &traj.Trajectory{ID: "query", Points: gpsPoints(qj.Points)}
-	checkTruth(g, path, qj.Truth)
-	return q, roadnet.Route(qj.Truth)
+	q.ID = "query"
+	checkTruth(g, path, truth)
+	return q, truth
 }
 
 // demoQuery downsamples a random high-rate archive trajectory to 3-minute

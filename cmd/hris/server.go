@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -21,26 +20,16 @@ import (
 // maxInferBody bounds one /infer request body. A query is a short
 // low-sampling-rate trajectory — tens of points, three JSON numbers each —
 // so 1 MiB is generous by orders of magnitude; without the bound one client
-// could OOM the server with a giant points array (the /ingest surface got
-// the same treatment in PR 5).
+// could OOM the server with a giant points array.
 const maxInferBody = 1 << 20
 
-// decodeOne decodes exactly one JSON value from r into v and requires only
-// whitespace after it: json.Decoder.Decode alone stops at the end of the
-// first value and would silently ignore a second one, or any junk.
-func decodeOne(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(v); err != nil {
-		return err
+// badBodyStatus is 413 for a body that ran past its size bound, else 400.
+func badBodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return err
-		}
-		return errors.New("unexpected data after the JSON value")
-	}
-	return nil
+	return http.StatusBadRequest
 }
 
 // errServerShutdown is the cancellation cause installed on in-flight /infer
@@ -110,14 +99,13 @@ func (s *server) mux() *http.ServeMux {
 
 // handleInfer serves one inference request through the admission gate.
 //
-// Request: {"points": [[x, y, t], ...], "deadline_ms": 100} — deadline_ms
-// optionally overrides the server's -deadline for this request; the budget
-// starts at admission, so queue wait consumes it.
+// Request: one trip, whose optional "deadline_ms" overrides the server's
+// -deadline from admission on, so queue wait consumes it.
 //
 // Status mapping:
 //
 //	200 routes (the "degraded" field marks a best-effort deadline answer)
-//	400 malformed body          413 body over 1 MiB
+//	400 not one trip            413 body over 1 MiB
 //	405 not a POST              422 inference failed (e.g. no routes)
 //	429 admission queue full — back off and retry
 //	503 shed (deadline would expire before inference starts) or the
@@ -129,21 +117,15 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `POST a query JSON: {"points": [[x, y, t], ...]}`, http.StatusMethodNotAllowed)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, maxInferBody)
-	var qj queryJSON
-	if err := decodeOne(body, &qj); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "bad query: "+err.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
+	q, _, deadlineMS, err := traj.ReadTrip(http.MaxBytesReader(w, r.Body, maxInferBody), "deadline_ms")
+	if err != nil {
+		http.Error(w, "bad query: "+err.Error(), badBodyStatus(err))
 		return
 	}
-	q := &traj.Trajectory{ID: "http-query", Points: gpsPoints(qj.Points)}
+	q.ID = "http-query"
 	p := s.params
-	if qj.DeadlineMS > 0 {
-		p.Deadline = time.Duration(qj.DeadlineMS) * time.Millisecond
+	if deadlineMS > 0 {
+		p.Deadline = time.Duration(deadlineMS) * time.Millisecond
 	}
 	// The inference context dies with the client (r.Context()) or with the
 	// process: a shutdown cancels it with errServerShutdown as the cause, so
@@ -173,11 +155,9 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 }
 
 // inferErrStatus maps a gate/inference error to its HTTP status. ctx is the
-// per-request inference context whose cancellation cause distinguishes a
-// vanished client from a shutting-down server — before this mapping every
-// context.Canceled was answered 408 "client went away", which blamed the
-// client for the server's own shutdown, and a request-scoped deadline fell
-// through to a misleading 422.
+// per-request inference context whose cancellation cause tells a vanished
+// client (408) from a shutting-down server (503) and a lapsed request
+// deadline (504).
 func inferErrStatus(ctx context.Context, err error) int {
 	cause := context.Cause(ctx)
 	switch {

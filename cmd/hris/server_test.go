@@ -95,15 +95,10 @@ func newTestServer(t *testing.T, cfg core.GateConfig) (*server, *obs.Registry) {
 
 func inferBody(t *testing.T, q *traj.Trajectory, deadlineMS int) []byte {
 	t.Helper()
-	var req struct {
-		Points     [][3]float64 `json:"points"`
-		DeadlineMS int          `json:"deadline_ms,omitempty"`
-	}
-	for _, p := range q.Points {
-		req.Points = append(req.Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
-	}
-	req.DeadlineMS = deadlineMS
-	out, err := json.Marshal(req)
+	out, err := json.Marshal(struct {
+		traj.TrajJSON
+		DeadlineMS int `json:"deadline_ms,omitempty"`
+	}{traj.NewTrajJSON(q, nil), deadlineMS})
 	if err != nil {
 		t.Fatalf("marshal query: %v", err)
 	}
@@ -113,17 +108,9 @@ func inferBody(t *testing.T, q *traj.Trajectory, deadlineMS int) []byte {
 // ingestBody is an /ingest request admitting q's points as one trip.
 func ingestBody(t *testing.T, id string, q *traj.Trajectory) []byte {
 	t.Helper()
-	type tripJSON struct {
-		ID     string       `json:"id"`
-		Points [][3]float64 `json:"points"`
-	}
-	trip := tripJSON{ID: id}
-	for _, p := range q.Points {
-		trip.Points = append(trip.Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
-	}
-	body, err := json.Marshal(struct {
-		Trips []tripJSON `json:"trips"`
-	}{[]tripJSON{trip}})
+	trip := traj.NewTrajJSON(q, nil)
+	trip.ID = id
+	body, err := json.Marshal(map[string][]traj.TrajJSON{"trips": {trip}})
 	if err != nil {
 		t.Fatalf("marshal trip: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -332,8 +331,8 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if len(bytes.TrimSpace(ln.data)) == 0 {
 				continue
 			}
-			var p [3]float64
-			if err := json.Unmarshal(ln.data, &p); err != nil {
+			pt, err := traj.ParsePoint(ln.data)
+			if err != nil {
 				drop(s.sm.aborted)
 				writeRec(streamFinalJSON{Final: true, Error: "bad point: " + err.Error()})
 				return
@@ -344,7 +343,6 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 				finish(streamFinalJSON{Final: true, Truncated: true})
 				return
 			}
-			pt := traj.GPSPoint{Pt: geo.Pt(p[0], p[1]), T: p[2]}
 			t0 := time.Now()
 			upd, err := sess.Push(r.Context(), pt)
 			if err != nil {

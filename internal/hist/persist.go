@@ -391,8 +391,11 @@ func (s *Store) Close() error {
 
 // CloseAbrupt simulates the process dying mid-flight: buffered, unsynced
 // WAL records are dropped (not flushed), nothing is compacted or synced, and
-// the store must not be used afterwards. Crash-recovery tests pair it with
-// OpenShardedStore on the same directory.
+// the store must not be used afterwards. A background compaction pass still
+// running finishes in memory only, its log sync a no-op, before CloseAbrupt
+// returns. Crash-recovery tests pair it with OpenShardedStore on the same
+// directory.
 func (s *Store) CloseAbrupt() {
 	s.persist.abandon()
+	s.Wait()
 }

@@ -5,10 +5,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/traj"
@@ -600,4 +602,54 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 			t.Fatalf("recovered store differs:\n%s\nwant:\n%s", got, want)
 		}
 	})
+}
+
+// TestDurableCloseReturnsGoroutines: once a durable store is closed, by
+// Close or by CloseAbrupt, under every sync policy, the goroutines it
+// started are gone: the SyncInterval ticker, and a background compaction
+// pass that was still running at the close.
+func TestDurableCloseReturnsGoroutines(t *testing.T) {
+	t.Cleanup(func() { CompactBeforePublish = nil })
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
+		for _, abrupt := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/abrupt=%v", policy, abrupt), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				cfg := ShardedConfig{Shards: 4, Halo: 60, StoreConfig: StoreConfig{CompactSegments: 2, WALSync: policy}}
+				st, _ := openForTest(t, t.TempDir(), nil, cfg)
+				// Hold the first background pass open until 10 ms after the
+				// close starts, so the close finds it running.
+				started, release := make(chan struct{}), make(chan struct{})
+				var once sync.Once
+				CompactBeforePublish = func() {
+					once.Do(func() { close(started) })
+					<-release
+				}
+				for _, tr := range storeTrips() {
+					st.IngestTrips(tr)
+				}
+				<-started
+				closed := make(chan struct{})
+				go func() {
+					if abrupt {
+						st.CloseAbrupt()
+					} else if err := st.Close(); err != nil {
+						t.Errorf("Close: %v", err)
+					}
+					close(closed)
+				}()
+				time.AfterFunc(10*time.Millisecond, func() { close(release) })
+				<-closed
+				CompactBeforePublish = nil // the pass it held is over
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > base {
+					if time.Now().After(deadline) {
+						buf := make([]byte, 1<<16)
+						t.Fatalf("%d goroutines 5 s after the close, %d before the open:\n%s",
+							runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
+	}
 }

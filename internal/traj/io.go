@@ -27,19 +27,22 @@ type TrajJSON struct {
 	Truth  []int        `json:"truth,omitempty"`
 }
 
+// NewTrajJSON is the one conversion of a trajectory and its optional
+// ground-truth route to the shape every trip is written in.
+func NewTrajJSON(tr *Trajectory, truth []int) TrajJSON {
+	tj := TrajJSON{ID: tr.ID, Truth: truth}
+	for _, p := range tr.Points {
+		tj.Points = append(tj.Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
+	}
+	return tj
+}
+
 // WriteArchive serializes trajectories and their optional ground-truth
 // routes (keyed by trajectory id; pass nil when unknown).
 func WriteArchive(w io.Writer, trajs []*Trajectory, truth map[string][]int) error {
 	var aj ArchiveJSON
 	for _, tr := range trajs {
-		tj := TrajJSON{ID: tr.ID}
-		for _, p := range tr.Points {
-			tj.Points = append(tj.Points, [3]float64{p.Pt.X, p.Pt.Y, p.T})
-		}
-		if truth != nil {
-			tj.Truth = truth[tr.ID]
-		}
-		aj.Trajectories = append(aj.Trajectories, tj)
+		aj.Trajectories = append(aj.Trajectories, NewTrajJSON(tr, truth[tr.ID]))
 	}
 	return json.NewEncoder(w).Encode(aj)
 }
@@ -75,30 +78,81 @@ func WriteArchive(w io.Writer, trajs []*Trajectory, truth map[string][]int) erro
 //   - invalid UTF-8 in an id;
 //   - anything but whitespace after the top-level object.
 func ReadArchive(r io.Reader) ([]*Trajectory, map[string][]int, error) {
+	return readList(r, "archive", "trajectories")
+}
+
+// ReadTrips decodes { key: null | [ traj, ... ] } in ReadArchive's grammar,
+// without Validate. Errors start with "traj: decode trips:".
+func ReadTrips(r io.Reader, key string) ([]*Trajectory, error) {
+	trajs, _, err := readList(r, "trips", key)
+	return trajs, err
+}
+
+// ReadTrip decodes one traj in ReadArchive's grammar, without Validate, and
+// returns it with its truth route. A non-empty extra admits one more member
+// of that name, an integer read as a truth id is; n is its value, 0 when it
+// is absent. Errors start with "traj: decode trip:".
+func ReadTrip(r io.Reader, extra string) (tr *Trajectory, truth []int, n int, err error) {
+	s, err := scan(r, "trip")
+	if err == nil {
+		if extra != "" {
+			s.keys = append(tripKeys, extra)
+		}
+		err = s.top(s.trajectory)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	sp := s.trajs[0]
+	return &Trajectory{ID: sp.id, Points: s.pts[sp.p0:sp.p1]}, s.ids[sp.t0:sp.t1], s.n, nil
+}
+
+// ParsePoint decodes one [x, y, t] in ReadArchive's grammar. Errors start
+// with "traj: decode point:".
+func ParsePoint(b []byte) (GPSPoint, error) {
+	s := archiveScanner{b: b, what: "point", pts: make([]GPSPoint, 0, 1)}
+	if err := s.top(s.point); err != nil {
+		return GPSPoint{}, err
+	}
+	return s.pts[0], nil
+}
+
+// scan reads r whole into a scanner for the decoder named what.
+func scan(r io.Reader, what string) (*archiveScanner, error) {
 	// A bytes.Buffer doubles as it reads; io.ReadAll's 1.25× steps would
 	// copy a large archive several times over.
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, nil, fmt.Errorf("traj: decode archive: %w", err)
+		return nil, fmt.Errorf("traj: decode %s: %w", what, err)
 	}
-	b := buf.Bytes()
-	s := archiveScanner{b: b}
-	seen := false
-	err := s.object(func(key []byte) error {
-		if string(key) != "trajectories" || seen {
-			return s.errorf("unexpected key %q", key)
-		}
-		seen = true
-		if s.null() {
-			return nil
-		}
-		return s.list('[', ']', s.trajectory)
-	})
+	return &archiveScanner{b: buf.Bytes(), what: what, keys: tripKeys}, nil
+}
+
+// tripKeys are a trajectory object's keys, numbered as its members are.
+var tripKeys = []string{"id", "points", "truth"}
+
+// readList reads r whole as { key: null | [ traj, ... ] } and returns the
+// trajectories and their non-empty truth routes.
+func readList(r io.Reader, what, key string) ([]*Trajectory, map[string][]int, error) {
+	s, err := scan(r, what)
 	if err != nil {
 		return nil, nil, err
 	}
-	if s.ws(); s.i != len(b) {
-		return nil, nil, s.errorf("unexpected bytes after the archive")
+	seen := false
+	err = s.top(func() error {
+		return s.object(func(k []byte) error {
+			if string(k) != key || seen {
+				return s.errorf("unexpected key %q", k)
+			}
+			seen = true
+			if s.null() {
+				return nil
+			}
+			return s.list('[', ']', s.trajectory)
+		})
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Trajectories and truth routes share two backing arrays, each slice
@@ -119,13 +173,16 @@ func ReadArchive(r io.Reader) ([]*Trajectory, map[string][]int, error) {
 	return trajs, truth, nil
 }
 
-// archiveScanner is ReadArchive's cursor over the archive bytes. Points and
-// truth ids of every trajectory append to one array each; a trajSpan
+// archiveScanner is the cursor of every reader of the trip format. Points
+// and truth ids of every trajectory append to one array each; a trajSpan
 // records which run of them is whose.
 type archiveScanner struct {
 	b     []byte
 	i     int
-	esc   []byte // unescaped string scratch
+	what  string   // the decoder's name in errors
+	keys  []string // tripKeys, and a trajectory's extra integer member
+	n     int      // that member's value
+	esc   []byte   // unescaped string scratch
 	pts   []GPSPoint
 	ids   []int
 	trajs []trajSpan
@@ -141,7 +198,18 @@ func (s *archiveScanner) errorf(format string, args ...any) error {
 }
 
 func (s *archiveScanner) errorAt(off int, err error) error {
-	return fmt.Errorf("traj: decode archive: byte %d: %w", off, err)
+	return fmt.Errorf("traj: decode %s: byte %d: %w", s.what, off, err)
+}
+
+// top consumes the whole input: one value, scanned by value, and whitespace.
+func (s *archiveScanner) top(value func() error) error {
+	if err := value(); err != nil {
+		return err
+	}
+	if s.ws(); s.i != len(s.b) {
+		return s.errorf("unexpected bytes after the %s", s.what)
+	}
+	return nil
 }
 
 // ws skips JSON whitespace.
@@ -217,20 +285,17 @@ func (s *archiveScanner) object(member func(key []byte) error) error {
 	})
 }
 
-// trajectory consumes one trajectory object and validates it.
+// trajectory consumes one trajectory object, validated in an archive.
 func (s *archiveScanner) trajectory() error {
 	start := s.i
 	sp := trajSpan{p0: len(s.pts), p1: len(s.pts), t0: len(s.ids), t1: len(s.ids)}
-	var seen [3]bool
+	var seen [4]bool
 	err := s.object(func(key []byte) error {
 		k := -1
-		switch string(key) {
-		case "id":
-			k = 0
-		case "points":
-			k = 1
-		case "truth":
-			k = 2
+		for j, name := range s.keys {
+			if string(key) == name {
+				k = j
+			}
 		}
 		if k < 0 || seen[k] {
 			return s.errorf("unexpected key %q", key)
@@ -246,6 +311,10 @@ func (s *archiveScanner) trajectory() error {
 				return s.errorf("invalid UTF-8 in id")
 			}
 			sp.id = string(id)
+		case k == 3:
+			var err error
+			s.n, err = s.integer()
+			return err
 		case s.null():
 		case k == 1:
 			if err := s.list('[', ']', s.point); err != nil {
@@ -263,15 +332,17 @@ func (s *archiveScanner) trajectory() error {
 	if err != nil {
 		return err
 	}
-	tr := Trajectory{ID: sp.id, Points: s.pts[sp.p0:sp.p1]}
-	if err := tr.Validate(); err != nil {
-		return s.errorAt(start, err)
+	if s.what == "archive" {
+		tr := Trajectory{ID: sp.id, Points: s.pts[sp.p0:sp.p1]}
+		if err := tr.Validate(); err != nil {
+			return s.errorAt(start, err)
+		}
 	}
 	s.trajs = append(s.trajs, sp)
 	return nil
 }
 
-// point consumes one [x, y, t] array.
+// point consumes one [x, y, t] array onto the point array.
 func (s *archiveScanner) point() error {
 	var p [3]float64
 	if err := s.expect('['); err != nil {
@@ -309,16 +380,23 @@ func grow[E any](s []E) []E {
 
 // truthID consumes one integer segment id.
 func (s *archiveScanner) truthID() error {
+	id, err := s.integer()
+	s.ids = append(grow(s.ids), id)
+	return err
+}
+
+// integer consumes one number and converts it as encoding/json converts an
+// int, with strconv.ParseInt.
+func (s *archiveScanner) integer() (int, error) {
 	num, err := s.number()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	id, err := strconv.ParseInt(string(num), 10, 0)
+	n, err := strconv.ParseInt(string(num), 10, 0)
 	if err != nil {
-		return s.errorf("%w", err)
+		return 0, s.errorf("%w", err)
 	}
-	s.ids = append(grow(s.ids), int(id))
-	return nil
+	return int(n), nil
 }
 
 // number consumes one literal of the JSON number grammar,

@@ -81,16 +81,19 @@ go test -timeout 120s -race -count=2 -run Stream ./cmd/hris/
 # the trip (pushes 700-799 within twice the bytes of pushes 0-99).
 go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|PooledMatchesUnpooled|ServesWithoutCH|PosteriorPushDoesNotGrow' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
 
-# Hostile bytes: the batch decoder, the log scan and the dataset's
-# trajectory and road-network loaders read files this process did not write.
+# Hostile bytes: the batch decoder, the log scan, the dataset's trajectory
+# and road-network loaders and the trip format's wire readers (/infer,
+# -query, -follow, /ingest, /stream) read bytes this process did not write.
 # Each fuzz target runs for 10 s past its seed corpus: no panic, nothing
 # accepted that ingest never writes, recovery idempotent, accepted
-# trajectories time-ordered and reproduced exactly through a rewrite, and an
-# accepted road network valid, byte-identical through a rewrite and
+# trajectories time-ordered and reproduced exactly through a rewrite, every
+# accepted trip, trip list or point decoded as encoding/json decodes it, and
+# an accepted road network valid, byte-identical through a rewrite and
 # answering candidate-edge queries exactly as a scan of every segment does.
 go test -timeout 120s -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 10s ./internal/hist/
 go test -timeout 120s -run '^$' -fuzz '^FuzzScanWAL$' -fuzztime 10s ./internal/hist/
 go test -timeout 120s -run '^$' -fuzz '^FuzzReadArchive$' -fuzztime 10s ./internal/traj/
+go test -timeout 120s -run '^$' -fuzz '^FuzzReadWire$' -fuzztime 10s ./internal/traj/
 go test -timeout 120s -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/roadnet/
 
 # The wire-level benchmark is its own module (bench/go.mod, replace repro =>
