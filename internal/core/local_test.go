@@ -121,7 +121,7 @@ func TestHybridSwitchesOnDensity(t *testing.T) {
 	w.p.Tau = DefaultParams().Tau
 }
 
-// TestGraphReductionPreservesResults: reduction is a performance
+// TestGraphReductionPreservesTopRoute: reduction is a performance
 // optimization; the produced local route set must not get worse (the top
 // route survives).
 func TestGraphReductionPreservesTopRoute(t *testing.T) {

@@ -18,7 +18,7 @@ var ErrSessionClosed = errors.New("core: session closed")
 // DefaultSessionWindow is the provisional-tail window when SessionConfig
 // leaves it unset: how many trailing pairs each SessionUpdate materializes.
 // Eight pairs is past the point where the posterior's top partial has
-// stabilized on this workload (eval.SessionProfile sweeps it).
+// stabilized on this workload (eval.World.SessionProfile sweeps it).
 const DefaultSessionWindow = 8
 
 // SessionUpdate is the incremental answer emitted after each pushed point:

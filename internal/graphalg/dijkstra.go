@@ -1,9 +1,6 @@
 package graphalg
 
-import (
-	"context"
-	"math"
-)
+import "math"
 
 // Path is a shortest-path result: the vertex sequence and its total weight.
 type Path struct {
@@ -202,22 +199,6 @@ func reconstruct(prev []int, src, dst int) []int {
 		v = prev[v]
 	}
 	return out
-}
-
-// BFSHopsCtx returns, for every vertex, the minimum number of arcs from src
-// (-1 when unreachable). maxHops < 0 means unlimited; otherwise the search
-// stops expanding past maxHops. A cancelled search returns the hop counts
-// discovered so far; unvisited vertices stay -1.
-func BFSHopsCtx(ctx context.Context, g *Graph, src int, maxHops int) []int {
-	hops := make([]int, g.N())
-	for i := range hops {
-		hops[i] = -1
-	}
-	var hs HopSearch
-	for _, v := range hs.Run(ctx.Done(), g, src, maxHops) {
-		hops[v] = hs.Hops(v)
-	}
-	return hops
 }
 
 // HopSearch is a reusable breadth-first search over arc counts. Its hop

@@ -1,7 +1,6 @@
 package graphalg
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -120,19 +119,20 @@ func TestShortestPathIsConnectedAndConsistent(t *testing.T) {
 
 func TestBFSHops(t *testing.T) {
 	g := lineGraph(6)
-	hops := BFSHopsCtx(context.Background(), g, 0, -1)
-	for i, h := range hops {
-		if h != i {
-			t.Fatalf("hops[%d] = %d", i, h)
+	var hs HopSearch
+	hs.Run(nil, g, 0, -1)
+	for v := 0; v < g.N(); v++ {
+		if h := hs.Hops(v); h != v {
+			t.Fatalf("hops[%d] = %d", v, h)
 		}
 	}
-	limited := BFSHopsCtx(context.Background(), g, 0, 3)
-	if limited[3] != 3 || limited[4] != -1 {
-		t.Fatalf("limited hops = %v", limited)
+	hs.Run(nil, g, 0, 3)
+	if hs.Hops(3) != 3 || hs.Hops(4) != -1 {
+		t.Fatalf("limited hops: h(3) = %d, h(4) = %d", hs.Hops(3), hs.Hops(4))
 	}
-	rev := BFSHopsCtx(context.Background(), g, 5, -1)
-	if rev[0] != -1 || rev[5] != 0 {
-		t.Fatalf("rev hops = %v", rev)
+	hs.Run(nil, g, 5, -1)
+	if hs.Hops(0) != -1 || hs.Hops(5) != 0 {
+		t.Fatalf("rev hops: h(0) = %d, h(5) = %d", hs.Hops(0), hs.Hops(5))
 	}
 }
 

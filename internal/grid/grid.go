@@ -26,8 +26,8 @@ import (
 // to step through and a larger offsets table (8 bytes per cell); more means
 // more entries scanned and rejected at the box's edges. Measured on a
 // 1,200-trip archive at φ = 500 m, 2, 4 and 8 answer within noise of each
-// other and 16 and 32 are slower (DESIGN.md §6b.10); 8 is the smallest table
-// on the flat part, one byte per point.
+// other and 16 and 32 are slower; 8 is the smallest table on the flat part,
+// one byte per point. DESIGN.md §6b.10 says why one grid serves both indexes.
 const occupancy = 8
 
 // Grid is a uniform grid of cells over entries of type T, in CSR layout:

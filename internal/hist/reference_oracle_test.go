@@ -21,8 +21,8 @@ import (
 // re-checks the rewrite deleted) as the oracle the production search is
 // compared against. The only edits: it materializes points into oracleRef
 // instead of hist.Reference, and its range primitive is a brute-force scan
-// of the view rather than View.WithinRadius, which no longer exists — so the
-// oracle is also independent of the spatial index and of shard routing.
+// of the view rather than View.VisitBox — so the oracle is also
+// independent of the spatial index and of shard routing.
 
 type oracleRef struct {
 	Points           []traj.GPSPoint

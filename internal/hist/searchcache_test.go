@@ -76,6 +76,33 @@ func TestSearchCacheAdmitsOnSecondMiss(t *testing.T) {
 	}
 }
 
+// TestSearchCacheSkipsCancelledSearch: a search whose context is cancelled
+// is neither memoized nor counted as a sighting, so a later complete
+// search still needs two misses to be admitted.
+func TestSearchCacheSkipsCancelledSearch(t *testing.T) {
+	g, qi, qj := refWorld()
+	t1 := lineTraj("t1", geo.Pt(0, 10), geo.Pt(100, 10), geo.Pt(200, 10), geo.Pt(300, 10), geo.Pt(400, 10))
+	a := NewArchive(g, []*traj.Trajectory{t1})
+	c := NewSearchCache(0)
+	sp := SearchParams{Phi: 60}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 2; i++ {
+		c.ReferencesOn(ctx, a.Current(), qi, qj, sp, new(Searcher), nil)
+	}
+	if c.Len() != 0 || c.Declined() != 0 {
+		t.Fatalf("after cancelled searches: %d entries, %d declined, want 0/0", c.Len(), c.Declined())
+	}
+	cachedRefs(c, a, qi, qj, sp)
+	if c.Len() != 0 || c.Declined() != 1 {
+		t.Fatalf("first complete search: %d entries, %d declined, want 0/1", c.Len(), c.Declined())
+	}
+	cachedRefs(c, a, qi, qj, sp)
+	if c.Len() != 1 {
+		t.Fatalf("second complete search: %d entries, want 1", c.Len())
+	}
+}
+
 // TestSearchCacheFreshKeysRetainNothing: never-repeated keys — fresh traffic
 // — leave the memo empty, each one counted as declined.
 func TestSearchCacheFreshKeysRetainNothing(t *testing.T) {

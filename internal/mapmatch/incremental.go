@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geo"
+	"repro/internal/graphalg"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -36,6 +37,7 @@ func (m *Incremental) Match(t *traj.Trajectory) (roadnet.Route, error) {
 	}
 	locs := make([]roadnet.Location, 0, t.Len())
 	prevEdge := roadnet.NoEdge
+	var hs graphalg.HopSearch
 	for i, p := range t.Points {
 		cands := candidatesFor(m.G, p.Pt, m.Params)
 		if len(cands) == 0 {
@@ -50,9 +52,10 @@ func (m *Incremental) Match(t *traj.Trajectory) (roadnet.Route, error) {
 			heading = t.Points[i-1].Pt.Heading(p.Pt)
 			hasHeading = true
 		}
-		var hops []int
+		var hops *graphalg.HopSearch
 		if prevEdge != roadnet.NoEdge {
-			hops = m.G.EdgeHopsCtx(context.Background(), prevEdge, m.HopLimit)
+			m.G.EdgeHopsFrom(context.Background(), &hs, prevEdge, m.HopLimit)
+			hops = &hs
 		}
 		best, bestScore := cands[0], math.Inf(-1)
 		for _, c := range cands {
@@ -68,8 +71,9 @@ func (m *Incremental) Match(t *traj.Trajectory) (roadnet.Route, error) {
 }
 
 // score combines projection distance, heading agreement and topological
-// continuity, following Greenfeld's weighted similarity measure.
-func (m *Incremental) score(c roadnet.Candidate, heading float64, hasHeading bool, hopsFromPrev []int) float64 {
+// continuity, following Greenfeld's weighted similarity measure. hopsFromPrev
+// holds the last search from the previous point's edge, nil at the first.
+func (m *Incremental) score(c roadnet.Candidate, heading float64, hasHeading bool, hopsFromPrev *graphalg.HopSearch) float64 {
 	s := observation(c.Dist, m.Params.GPSSigma)
 	if hasHeading {
 		seg := m.G.Seg(c.Edge)
@@ -78,7 +82,7 @@ func (m *Incremental) score(c roadnet.Candidate, heading float64, hasHeading boo
 		s += 0.5 * math.Cos(diff) // in [-0.5, 0.5]
 	}
 	if hopsFromPrev != nil {
-		if h := hopsFromPrev[c.Edge]; h >= 0 {
+		if h := hopsFromPrev.Hops(int(c.Edge)); h >= 0 {
 			s += 0.6 / float64(h+1) // reachable: closer is better
 		} else {
 			s -= 0.6 // unreachable from the previous edge

@@ -78,20 +78,12 @@ func (g *Graph) PathBetweenLocationsCtx(ctx context.Context, a, b Location) (Rou
 	return route.Dedup(), sa.Length - a.Offset + w + b.Offset, true
 }
 
-// EdgeHopsCtx returns h(r, s) for every segment s: the minimum number of
-// segment transitions for an object moving from r (h(r,r)=0, an immediately
-// following segment has h=1; -1 when unreachable). maxHops < 0 means
-// unlimited. Segments not reached before cancellation stay -1, so a
-// cancelled λ-neighborhood is a subset of the full one.
-func (g *Graph) EdgeHopsCtx(ctx context.Context, r EdgeID, maxHops int) []int {
-	return graphalg.BFSHopsCtx(ctx, g.edgeG, r, maxHops)
-}
-
-// EdgeHopsFrom runs hs from segment r over the segment-adjacency graph —
-// the search EdgeHopsCtx does, stamped instead of filled, so it costs what
-// it reaches — and returns the segments reached, r first, by ascending hop
-// count; hs.Hops(s) is h(r, s) until hs runs again. A cancelled search
-// returns the segments reached so far, a subset of the full answer.
+// EdgeHopsFrom runs hs from segment r over the segment-adjacency graph and
+// returns the segments reached, r first, by ascending hop count; hs.Hops(s)
+// is h(r, s) — the minimum number of segment transitions for an object
+// moving from r, h(r, r) = 0 — until hs runs again, -1 for a segment not
+// reached. maxHops < 0 means unlimited. A cancelled search returns the
+// segments reached so far, a subset of the full answer.
 func (g *Graph) EdgeHopsFrom(ctx context.Context, hs *graphalg.HopSearch, r EdgeID, maxHops int) []EdgeID {
 	return hs.Run(ctx.Done(), g.edgeG, r, maxHops)
 }

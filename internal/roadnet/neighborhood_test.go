@@ -9,7 +9,7 @@ import (
 )
 
 // bruteHops computes edge hop distances by explicit breadth-first search
-// over the segment-adjacency relation — the oracle for EdgeHops.
+// over the segment-adjacency relation — the oracle for EdgeHopsFrom.
 func bruteHops(g *Graph, from EdgeID) map[EdgeID]int {
 	dist := map[EdgeID]int{from: 0}
 	frontier := []EdgeID{from}
@@ -28,24 +28,29 @@ func bruteHops(g *Graph, from EdgeID) map[EdgeID]int {
 	return dist
 }
 
-// TestEdgeHopsMatchesBruteForce cross-checks EdgeHops on random grids.
+// TestEdgeHopsMatchesBruteForce cross-checks EdgeHopsFrom on random grids,
+// on one HopSearch reused across trials.
 func TestEdgeHopsMatchesBruteForce(t *testing.T) {
 	g := NewGrid(5, 5, 100, 15)
 	rng := rand.New(rand.NewSource(3))
+	var hs graphalg.HopSearch
 	for trial := 0; trial < 20; trial++ {
 		from := EdgeID(rng.Intn(g.NumSegments()))
 		want := bruteHops(g, from)
-		got := g.EdgeHopsCtx(context.Background(), from, -1)
+		if reached := g.EdgeHopsFrom(context.Background(), &hs, from, -1); len(reached) != len(want) {
+			t.Fatalf("from %d: reached %d segments, want %d", from, len(reached), len(want))
+		}
 		for e := 0; e < g.NumSegments(); e++ {
+			got := hs.Hops(e)
 			w, reachable := want[EdgeID(e)]
 			if !reachable {
-				if got[e] != -1 {
-					t.Fatalf("edge %d: got %d, want unreachable", e, got[e])
+				if got != -1 {
+					t.Fatalf("edge %d: got %d, want unreachable", e, got)
 				}
 				continue
 			}
-			if got[e] != w {
-				t.Fatalf("edge %d: got %d, want %d", e, got[e], w)
+			if got != w {
+				t.Fatalf("edge %d: got %d, want %d", e, got, w)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/graphalg"
 )
 
 func TestBuilderAndValidate(t *testing.T) {
@@ -165,10 +166,11 @@ func TestEdgeHopsAndNeighborhood(t *testing.T) {
 		es = append(es, b.AddEdge(vs[i], vs[i+1], 10, nil))
 	}
 	g := b.Build()
-	hops := g.EdgeHopsCtx(context.Background(), es[0], -1)
+	var hs graphalg.HopSearch
+	g.EdgeHopsFrom(context.Background(), &hs, es[0], -1)
 	for i, want := range []int{0, 1, 2, 3} {
-		if hops[es[i]] != want {
-			t.Fatalf("h(e0,e%d) = %d, want %d", i, hops[es[i]], want)
+		if h := hs.Hops(es[i]); h != want {
+			t.Fatalf("h(e0,e%d) = %d, want %d", i, h, want)
 		}
 	}
 	// Definition 8: N_λ(r) = {s : h(r,s) < λ}.
@@ -181,8 +183,8 @@ func TestEdgeHopsAndNeighborhood(t *testing.T) {
 		t.Fatalf("N_4(e0) = %v", n4)
 	}
 	// No backward reachability on one-way edges.
-	back := g.EdgeHopsCtx(context.Background(), es[3], -1)
-	if back[es[0]] != -1 {
+	g.EdgeHopsFrom(context.Background(), &hs, es[3], -1)
+	if hs.Hops(es[0]) != -1 {
 		t.Fatal("one-way edge should not reach backwards")
 	}
 }

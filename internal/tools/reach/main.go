@@ -1,4 +1,5 @@
-// Command reach fails when internal/ declares something no binary can reach.
+// Command reach fails when internal/ declares something no binary can reach,
+// or when the docs cite a name the tree does not have.
 //
 // It type-checks every non-test package under cmd/, internal/, examples/ and
 // bench/ (bench's repro/... imports resolve to this tree, so nothing the
@@ -10,6 +11,11 @@
 // package-level func, method, type, var or const of internal/ that stays
 // unreached must be listed in allow.txt, which explains its reasons; an
 // entry that is reached, or names nothing, fails too.
+//
+// The same run checks citations (cite.go): what README.md, DESIGN.md and the
+// verify skill cite in backticks, and what Go comments and verify.sh cite,
+// must resolve against the type-checked tree, the parsed _test.go files, the
+// mains' flag sets, the repo's files and DESIGN.md's headings.
 //
 //	go run ./internal/tools/reach
 package main
@@ -36,7 +42,7 @@ const (
 )
 
 // stdMethods are the methods of error, fmt.Stringer, sort.Interface,
-// heap.Interface, http.Handler, io.{Reader,Writer,Closer},
+// container/heap's Interface, http.Handler, io.{Reader,Writer,Closer},
 // json.{Marshaler,Unmarshaler} and flag.Value.
 var stdMethods = []string{"Error", "String", "Len", "Less", "Swap", "Push", "Pop",
 	"ServeHTTP", "Read", "Write", "Close", "MarshalJSON", "UnmarshalJSON", "Set"}
@@ -66,7 +72,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	}
 	parsed, err := parser.ParseDir(l.fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.SkipObjectResolution)
+	}, parser.SkipObjectResolution|parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +159,8 @@ func recv(o types.Object) *types.TypeName {
 	return t.(*types.Named).Obj()
 }
 
-// name spells o as allow.txt does: pkg.Name or pkg.Type.Method.
+// name spells o as allow.txt does: package, receiver type for a method,
+// name, joined by dots.
 func name(o types.Object) string {
 	if t := recv(o); t != nil {
 		return name(t) + "." + o.Name()
@@ -184,13 +191,9 @@ func readAllow(root string) (map[string]string, error) {
 	return allow, nil
 }
 
-// run returns one complaint per unreached-and-unlisted declaration of
-// internal/ and per stale allow.txt entry.
-func run(root string) ([]string, error) {
-	allow, err := readAllow(root)
-	if err != nil {
-		return nil, err
-	}
+// load type-checks every non-test package under cmd/, internal/, examples/
+// and bench/, comments kept.
+func load(root string) (*loader, error) {
 	build.Default.CgoEnabled = false // type-check net and os/user from their pure-Go files
 	fset := token.NewFileSet()
 	l := &loader{fset: fset, std: importer.ForCompiler(fset, "source", nil),
@@ -211,16 +214,29 @@ func run(root string) ([]string, error) {
 			return nil, err
 		}
 	}
+	for path := range l.dirs {
+		if _, err := l.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
+// unreached returns one complaint per unreached-and-unlisted declaration of
+// internal/ and per stale allow.txt entry.
+func unreached(root string, l *loader) ([]string, error) {
+	allow, err := readAllow(root)
+	if err != nil {
+		return nil, err
+	}
+	fset := l.fset
 	g := &graph{info: l.info, nodes: map[types.Object]*node{}, dynamic: map[string]bool{}, reached: map[types.Object]bool{}}
 	for _, m := range stdMethods {
 		g.dynamic[m] = true
 	}
 	var roots []types.Object
 	for path := range l.dirs {
-		pkg, err := l.Import(path)
-		if err != nil {
-			return nil, err
-		}
+		pkg := l.pkgs[path]
 		for _, f := range l.files[path] {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
@@ -277,6 +293,25 @@ func run(root string) ([]string, error) {
 			out = append(out, fmt.Sprintf("%s:%d: %s is reached by no binary (delete it, or list it in %s)", rel, p.Line, key, allowFile))
 		}
 	}
+	return out, nil
+}
+
+// run returns every complaint: unreached declarations, stale allow.txt
+// entries and citations that name nothing.
+func run(root string) ([]string, error) {
+	l, err := load(root)
+	if err != nil {
+		return nil, err
+	}
+	out, err := unreached(root, l)
+	if err != nil {
+		return nil, err
+	}
+	c, err := newCiteChecker(root, l)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, c.tree()...)
 	sort.Strings(out)
 	return out, nil
 }
