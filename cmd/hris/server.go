@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
+	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -120,6 +122,12 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	q, _, deadlineMS, err := traj.ReadTrip(http.MaxBytesReader(w, r.Body, maxInferBody), "deadline_ms")
 	if err != nil {
 		http.Error(w, "bad query: "+err.Error(), badBodyStatus(err))
+		return
+	}
+	if deadlineMS < 0 || deadlineMS > math.MaxInt64/int(time.Millisecond) {
+		// A negative budget would silently mean "the server default", and one
+		// past ~292 years overflows time.Duration into a wrapped value.
+		http.Error(w, fmt.Sprintf("bad query: deadline_ms %d out of range [0, %d]", deadlineMS, math.MaxInt64/int(time.Millisecond)), http.StatusBadRequest)
 		return
 	}
 	q.ID = "http-query"

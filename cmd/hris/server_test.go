@@ -160,6 +160,14 @@ func TestInferRejectsBadRequests(t *testing.T) {
 	if rec := doInfer(s, nil, junk); rec.Code != http.StatusBadRequest || !strings.HasPrefix(rec.Body.String(), "bad query:") {
 		t.Fatalf("trailing junk = %d %q, want 400 bad query", rec.Code, rec.Body.String())
 	}
+	// A negative budget is refused, not read as "the server default", and so
+	// is one whose milliseconds overflow a time.Duration: 9300000000000 would
+	// wrap to no deadline at all, 18446744073710 to under a millisecond.
+	for _, ms := range []int{-5, 9_223_372_036_855, 9_300_000_000_000, 18_446_744_073_710} {
+		if rec := doInfer(s, nil, inferBody(t, worldLight[0], ms)); rec.Code != http.StatusBadRequest || !strings.HasPrefix(rec.Body.String(), "bad query:") {
+			t.Fatalf("deadline_ms %d = %d %q, want 400 bad query", ms, rec.Code, rec.Body.String())
+		}
+	}
 
 	// A syntactically valid query body just over the 1 MiB bound: ~90k
 	// three-number points at 14 bytes each.

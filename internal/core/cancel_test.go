@@ -17,7 +17,7 @@ func TestInferRoutesCtxPreCancelled(t *testing.T) {
 	w := newWorld(t, 200, 211)
 	reg := obs.New()
 	eng := NewEngineWithRegistry(w.eng.Source(), DefaultParams(), reg)
-	q := obsQueries(t, w, 1)[0]
+	q := w.queries(t, 1)[0]
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -54,7 +54,7 @@ func TestInferRoutesDeadlineDegrades(t *testing.T) {
 	w := newWorld(t, 300, 223)
 	reg := obs.New()
 	eng := NewEngineWithRegistry(w.eng.Source(), DefaultParams(), reg)
-	q := obsQueries(t, w, 1)[0]
+	q := w.queries(t, 1)[0]
 	p := DefaultParams()
 	p.Deadline = time.Nanosecond // expired before the first checkpoint
 
@@ -145,7 +145,7 @@ func TestInferRoutesDeadlineDegrades(t *testing.T) {
 func TestInferRoutesCtxMidFlightCancel(t *testing.T) {
 	w := newWorld(t, 400, 227)
 	eng := w.eng
-	queries := obsQueries(t, w, 4)
+	queries := w.queries(t, 4)
 	p := DefaultParams()
 
 	for i, q := range queries {
@@ -178,7 +178,7 @@ func TestInferRoutesCtxMidFlightCancel(t *testing.T) {
 func TestInferPathsNetworkFreeCtxPreCancelled(t *testing.T) {
 	w := newWorld(t, 200, 233)
 	eng := w.eng
-	q := obsQueries(t, w, 1)[0]
+	q := w.queries(t, 1)[0]
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

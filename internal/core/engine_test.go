@@ -35,49 +35,6 @@ func inferConcurrently(ctx context.Context, eng *Engine, queries []*traj.Traject
 	return res, errs
 }
 
-// TestInferBatchMatchesSequential: queries run concurrently on one engine
-// answer exactly as the same queries run one after another.
-func TestInferBatchMatchesSequential(t *testing.T) {
-	w := newWorld(t, 300, 131)
-	var queries []*traj.Trajectory
-	for i := 0; i < 6; i++ {
-		qc, ok := w.ds.GenQuery(6000, 180, 15, w.cfg, w.rng)
-		if !ok {
-			continue
-		}
-		queries = append(queries, qc.Query)
-	}
-	if len(queries) < 3 {
-		t.Fatal("not enough queries")
-	}
-	seq := make([]*Result, len(queries))
-	for i, q := range queries {
-		res, err := w.eng.InferRoutes(q, w.p)
-		if err != nil {
-			t.Fatalf("sequential inference %d: %v", i, err)
-		}
-		seq[i] = res
-	}
-	got, errs := inferConcurrently(context.Background(), w.eng, queries, w.p, 4)
-	for i, res := range got {
-		if errs[i] != nil {
-			t.Fatalf("concurrent %d: %v", i, errs[i])
-		}
-		if len(res.Routes) != len(seq[i].Routes) {
-			t.Fatalf("query %d: %d routes vs %d sequential",
-				i, len(res.Routes), len(seq[i].Routes))
-		}
-		for j := range res.Routes {
-			if !res.Routes[j].Route.Equal(seq[i].Routes[j].Route) {
-				t.Fatalf("query %d route %d differs between concurrent and sequential", i, j)
-			}
-			if res.Routes[j].Score != seq[i].Routes[j].Score {
-				t.Fatalf("query %d route %d score differs", i, j)
-			}
-		}
-	}
-}
-
 // TestConcurrentBatchAndPairLocalRoutes is the regression test for the
 // PairLocalRoutes data race: the pre-Engine implementation saved, mutated
 // and restored the shared Params.Method around each call, so running it
@@ -87,17 +44,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 func TestConcurrentBatchAndPairLocalRoutes(t *testing.T) {
 	w := newWorld(t, 300, 171)
 	qi, qj := pickPair(t, w, 180, 1)
-	var queries []*traj.Trajectory
-	for i := 0; i < 4; i++ {
-		qc, ok := w.ds.GenQuery(6000, 180, 15, w.cfg, w.rng)
-		if !ok {
-			continue
-		}
-		queries = append(queries, qc.Query)
-	}
-	if len(queries) == 0 {
-		t.Fatal("no queries")
-	}
+	queries := w.queries(t, 4)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -115,41 +62,6 @@ func TestConcurrentBatchAndPairLocalRoutes(t *testing.T) {
 		}
 	}
 	wg.Wait()
-}
-
-// TestInferRoutesWorkerDeterminism: the per-pair fan-out must not change
-// the answer — any engine pairWorkers setting yields identical routes and
-// scores.
-func TestInferRoutesWorkerDeterminism(t *testing.T) {
-	w := newWorld(t, 300, 173)
-	qc, ok := w.ds.GenQuery(8000, 180, 15, w.cfg, w.rng)
-	if !ok {
-		t.Fatal("GenQuery failed")
-	}
-	eng := w.eng
-	eng.pairWorkers = 1
-	want, err := eng.InferRoutes(qc.Query, w.p)
-	if err != nil {
-		t.Fatalf("serial inference: %v", err)
-	}
-	for _, workers := range []int{2, 4, 0, -1} {
-		eng.pairWorkers = workers
-		got, err := eng.InferRoutes(qc.Query, w.p)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got.Routes) != len(want.Routes) {
-			t.Fatalf("workers=%d: %d routes vs %d serial", workers, len(got.Routes), len(want.Routes))
-		}
-		for j := range got.Routes {
-			if !got.Routes[j].Route.Equal(want.Routes[j].Route) {
-				t.Fatalf("workers=%d route %d differs from serial", workers, j)
-			}
-			if got.Routes[j].Score != want.Routes[j].Score {
-				t.Fatalf("workers=%d route %d score differs", workers, j)
-			}
-		}
-	}
 }
 
 func TestPairWorkersResolution(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/hist"
 	"repro/internal/obs"
 	"repro/internal/traj"
 )
@@ -16,10 +15,9 @@ import (
 // admission-control tests.
 func gateWorld(t *testing.T) (*Engine, *obs.Registry, []*traj.Trajectory) {
 	t.Helper()
-	ds, queries := liveWorld(40, 11)
+	w := newWorld(t, 40, 11)
 	reg := obs.New()
-	eng := NewEngineWithRegistry(hist.NewArchive(ds.City.Graph, ds.Archive), DefaultParams(), reg)
-	return eng, reg, queries
+	return NewEngineWithRegistry(w.eng.Source(), DefaultParams(), reg), reg, w.queries(t, 3)
 }
 
 // TestGateQueueFull pins the admission bound: with MaxInflight=1 and

@@ -44,6 +44,21 @@ func newWorld(t testing.TB, trips int, seed int64) *world {
 	}
 }
 
+// queries draws n low-rate evaluation queries from the world's fleet.
+func (w *world) queries(t testing.TB, n int) []*traj.Trajectory {
+	t.Helper()
+	var out []*traj.Trajectory
+	for tries := 0; len(out) < n && tries < 200; tries++ {
+		if qc, ok := w.ds.GenQuery(6000, 180, 15, w.cfg, w.rng); ok && qc.Query.Len() >= 2 {
+			out = append(out, qc.Query)
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("drew %d of %d queries", len(out), n)
+	}
+	return out
+}
+
 // exec builds a one-off invocation context for tests poking at pipeline
 // internals directly.
 func (w *world) exec() exec {

@@ -6,27 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/traj"
 )
-
-// obsQueries generates n well-formed queries from a test world.
-func obsQueries(t *testing.T, w *world, n int) []*traj.Trajectory {
-	t.Helper()
-	var out []*traj.Trajectory
-	for i := 0; i < n*3 && len(out) < n; i++ {
-		qc, ok := w.ds.GenQuery(6000, 180, 15, w.cfg, w.rng)
-		if !ok {
-			break
-		}
-		if qc.Query.Len() >= 2 {
-			out = append(out, qc.Query)
-		}
-	}
-	if len(out) == 0 {
-		t.Fatal("no queries generated")
-	}
-	return out
-}
 
 // TestObservedInferBatchConsistency drives two concurrent rounds of
 // concurrent inference against one shared registry and checks the books balance: stage counts
@@ -38,7 +18,7 @@ func TestObservedInferBatchConsistency(t *testing.T) {
 	w := newWorld(t, 300, 191)
 	reg := obs.New()
 	eng := NewEngineWithRegistry(w.eng.Source(), DefaultParams(), reg)
-	queries := obsQueries(t, w, 6)
+	queries := w.queries(t, 6)
 	eng.pairWorkers = 1 // serial pairs: enables the nesting-sum invariant
 	p := DefaultParams()
 
@@ -159,7 +139,7 @@ func TestInferRoutesTraced(t *testing.T) {
 	if eng.Registry() != nil {
 		t.Fatal("plain engine unexpectedly instrumented")
 	}
-	queries := obsQueries(t, w, 1)
+	queries := w.queries(t, 1)
 	q := queries[0]
 	p := DefaultParams()
 	eng.pairWorkers = 1
@@ -218,7 +198,7 @@ func TestInferRoutesTraced(t *testing.T) {
 func TestMetricsUninstrumented(t *testing.T) {
 	w := newWorld(t, 200, 197)
 	eng := w.eng
-	queries := obsQueries(t, w, 1)
+	queries := w.queries(t, 1)
 	if _, err := eng.InferRoutes(queries[0], DefaultParams()); err != nil {
 		t.Fatalf("InferRoutes: %v", err)
 	}

@@ -13,23 +13,30 @@ import (
 
 // countingSource serves views that count their range walks: every VisitBox
 // the pipeline issues is one grid walk per segment — the unit §III-A's cost
-// argument counts.
+// argument counts. Armed with trap = n, it cancels at the n-th walk.
 type countingSource struct {
-	src   hist.Source
-	walks atomic.Int64
+	src    hist.Source
+	walks  atomic.Int64
+	trap   atomic.Int64 // walks until cancel is called; <= 0 disarmed
+	cancel context.CancelFunc
+	fired  atomic.Bool
 }
 
 type countingView struct {
 	hist.View
-	walks *atomic.Int64
+	c *countingSource
 }
 
 func (c *countingSource) Current() hist.View {
-	return &countingView{View: c.src.Current(), walks: &c.walks}
+	return &countingView{View: c.src.Current(), c: c}
 }
 
 func (v *countingView) VisitBox(box geo.BBox, fn func(geo.Point, hist.PointRef) bool) {
-	v.walks.Add(1)
+	v.c.walks.Add(1)
+	if v.c.trap.Load() > 0 && v.c.trap.Add(-1) == 0 {
+		v.c.fired.Store(true)
+		v.c.cancel()
+	}
 	v.View.VisitBox(box, fn)
 }
 
@@ -39,7 +46,8 @@ func (v *countingView) VisitBox(box geo.BBox, fn func(geo.Point, hist.PointRef) 
 // it); a memo hit walks nothing. The second run's misses admit every pair to
 // the memo, so the third is the memo-resident one.
 func TestRangeWalksPerQuery(t *testing.T) {
-	w, _, queries := poolWorlds(t, 60, 321)
+	w := newWorld(t, 60, 321)
+	queries := w.queries(t, 4)
 	for _, workers := range []int{1, 2, 3, 64} {
 		src := &countingSource{src: w.eng.Source()}
 		eng := NewEngine(src, w.p)
@@ -77,7 +85,8 @@ func TestRangeWalksPerQuery(t *testing.T) {
 // query's path): the session pinned its snapshot, so the carried set stays
 // valid and the answer is the pinned generation's.
 func TestSessionCarriesNearSet(t *testing.T) {
-	ds, queries := liveWorld(150, 41)
+	w := newWorld(t, 150, 41)
+	ds, queries := w.ds, w.queries(t, 3)
 	st := hist.NewStore(ds.City.Graph, ds.Archive[:100], hist.StoreConfig{CompactSegments: 1 << 30})
 	st.IngestTrips(ds.Archive[100:]...)
 	p := DefaultParams()
@@ -122,7 +131,8 @@ func TestSessionCarriesNearSet(t *testing.T) {
 // same recycled scratch — other queries, other parameters — must leave every
 // memoized run list bit-stable and equal to a fresh search.
 func TestMemoizedRunsSurviveScratchReuse(t *testing.T) {
-	w, _, queries := poolWorlds(t, 60, 987)
+	w := newWorld(t, 60, 987)
+	queries := w.queries(t, 4)
 	v, ctx := w.eng.src.Current(), context.Background()
 	sp := hist.SearchParams{Phi: w.p.Phi, SpliceEps: w.p.SpliceEps, SpliceMinSimple: w.p.SpliceMinSimple}
 	q := queries[0]

@@ -335,7 +335,8 @@ func TestKShortestRealTraverseGraphs(t *testing.T) {
 // (graphalg.KShortestPaths) in the same order; holding a solver path across
 // calls makes the two disagree.
 func TestTGIProjectsPathsBeforeNextSearch(t *testing.T) {
-	w, _, queries := poolWorlds(t, 60, 987)
+	w := newWorld(t, 60, 987)
+	queries := w.queries(t, 4)
 	p := w.p
 	p.Method = MethodTGI
 	x := w.eng.newExec(t.Context(), p, w.eng.src.Current())

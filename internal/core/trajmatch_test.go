@@ -324,7 +324,8 @@ func reversed(refs []hist.Reference) []hist.Reference {
 // store's indices, trips of a new epoch get tables, and the tables of
 // old trips survive the epoch instead of being rebuilt.
 func TestMatchTableOnLiveShardedStore(t *testing.T) {
-	ds, queries := liveWorld(260, 23)
+	w := newWorld(t, 260, 23)
+	ds, queries := w.ds, w.queries(t, 3)
 	const seedTrips = 130
 	st := hist.NewShardedStore(ds.City.Graph, ds.Archive[:seedTrips], hist.ShardedConfig{
 		Shards: 4, Halo: DefaultParams().Phi,
@@ -389,9 +390,8 @@ func TestMatchTableOnLiveShardedStore(t *testing.T) {
 
 // TestMatchTableConcurrentFirstTouch: goroutines that first-touch the same
 // trajectories at once all get one and the same complete table per
-// trajectory — equal to a table built alone — and a cold engine inferring
-// with parallel pair workers answers exactly like a warm serial one. Run
-// under -race.
+// trajectory, equal to a table built alone. Run under -race. (That cold
+// engines racing first touches answer as the model is TestModelConcurrent's.)
 func TestMatchTableConcurrentFirstTouch(t *testing.T) {
 	w := newWorld(t, 150, 33)
 	v := w.eng.src.Current()
@@ -427,33 +427,4 @@ func TestMatchTableConcurrentFirstTouch(t *testing.T) {
 			tables, points, builds, v.NumTrajs(), v.NumPoints())
 	}
 
-	cold := NewEngine(w.eng.Source(), DefaultParams())
-	cold.pairWorkers = workers
-	p := w.p
-	for n := 0; n < 6; {
-		qc, ok := w.ds.GenQuery(6000, 120, 15, w.cfg, w.rng)
-		if !ok {
-			continue
-		}
-		n++
-		var res [2]*Result
-		var errs [2]error
-		wg.Add(2)
-		for i := range res {
-			go func() {
-				defer wg.Done()
-				res[i], errs[i] = cold.InferRoutes(qc.Query, p)
-			}()
-		}
-		wg.Wait()
-		want, werr := w.eng.InferRoutes(qc.Query, w.p)
-		for i := range res {
-			if (errs[i] == nil) != (werr == nil) {
-				t.Fatalf("query %d: errors diverge: %v vs %v", n, errs[i], werr)
-			}
-			if werr == nil && encodeFull(v, res[i]) != encodeFull(v, want) {
-				t.Fatalf("query %d: cold parallel answer differs from warm serial", n)
-			}
-		}
-	}
 }

@@ -31,16 +31,20 @@ go test -timeout 300s -race ./...
 # test cache, so everything actually reruns).
 go test -timeout 120s -shuffle=on ./...
 
-# Sharded-archive smoke: the scatter-gather equivalence, boundary-dedup and
-# concurrent ingest/inference suites plus the durability tables (crash
-# recovery, reshard-on-reopen, torn-tail sweep, sticky WAL failure — each at
-# shards {1, 4} — and the refusal of older layouts) under the race detector,
-# twice in one binary (-count=2 defeats caching and catches store, epoch or
-# shard-epoch state that leaks between runs). The canonical ranks are
+# Sharded-archive smoke: hist's scatter-gather, boundary-dedup and
+# concurrent ingest/search suites plus the durability tables (torn-tail
+# sweep, sticky WAL failure, the refusal of older layouts) under the race
+# detector, twice in one binary (-count=2 defeats caching and catches store,
+# epoch or shard-epoch state that leaks between runs). Beside them, core's
+# model harness in both modes: sequential (any shard count, halo and sync
+# policy; crashes, mid-compaction too, reopened at another shard count) and
+# concurrent (one writer, three readers, goroutines back at baseline), with
+# its sharded and durable cases by name; the second run draws the next block
+# of seeds. The canonical ranks are
 # published under the writer lock and read lock-free by every range walk, so
 # their merge (TestCanonRankOrder) and the radius test the walk applies run
 # here too.
-go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest|Canon|Radius' ./internal/hist/ ./internal/core/
+go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest|Canon|Radius|Model' ./internal/hist/ ./internal/core/
 
 # Stream lifecycle: the /stream handler's id set, point cap, idle timer and
 # drain under the race detector, twice in one binary, so admission or timer
@@ -52,11 +56,13 @@ go test -timeout 120s -race -count=2 -run 'Stream|ShutdownReturnsGoroutines' ./c
 # Bridges: the per-pair bridge memo lives in pooled scratch, so its
 # equivalence to EdgePathBetweenVertices, its one search per distinct
 # (from, to) pair and its refusal to cache a cancelled failure run twice in
-# one binary under the race detector, with the pooled ≡ unpooled suites and
-# cmd/hris serving /infer and /stream without a CH, byte-equal to a CH graph.
+# one binary under the race detector, with the model harness (pooled or
+# unpooled engines against an unpooled model, cancellations at the n-th range
+# walk; its pooled ≡ unpooled cases by name too) and cmd/hris serving /infer
+# and /stream without a CH, byte-equal to a CH graph.
 # Beside them, the K-GRI posterior's per-push allocation must not grow with
 # the trip (pushes 700-799 within twice the bytes of pushes 0-99).
-go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|PooledMatchesUnpooled|ServesWithoutCH|PosteriorPushDoesNotGrow' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
+go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|Model|PooledMatchesUnpooled|ServesWithoutCH|PosteriorPushDoesNotGrow' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
 
 # Hostile bytes: the batch decoder, the log scan, the dataset's trajectory
 # and road-network loaders and the trip format's wire readers (/infer,
