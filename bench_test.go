@@ -301,7 +301,7 @@ func BenchmarkHRISQueryDijkstra(b *testing.B) {
 // the bulk-archive number: after compaction both serve one STR-packed tree.
 func BenchmarkHRISQueryStore(b *testing.B) {
 	w := world(b)
-	st := hist.NewStore(w.Graph(), nil, hist.StoreConfig{CompactSegments: 1 << 30})
+	st := hist.NewStore(w.Graph(), nil, hist.StoreConfig{})
 	const batch = 25
 	for lo := 0; lo < len(w.DS.Archive); lo += batch {
 		hi := lo + batch
@@ -329,11 +329,7 @@ func BenchmarkHRISQueryStore(b *testing.B) {
 // gap against BenchmarkHRISQueryStore is the spatial-sharding overhead.
 func BenchmarkHRISQuerySharded(b *testing.B) {
 	w := world(b)
-	st := hist.NewShardedStore(w.Graph(), nil, hist.ShardedConfig{
-		StoreConfig: hist.StoreConfig{CompactSegments: 1 << 30},
-		Shards:      4,
-		Halo:        w.P.Phi,
-	})
+	st := hist.NewShardedStore(w.Graph(), nil, hist.ShardedConfig{Shards: 4, Halo: w.P.Phi})
 	const batch = 25
 	for lo := 0; lo < len(w.DS.Archive); lo += batch {
 		hi := lo + batch
@@ -343,7 +339,6 @@ func BenchmarkHRISQuerySharded(b *testing.B) {
 		st.IngestTrips(w.DS.Archive[lo:hi]...)
 	}
 	st.Compact()
-	st.Wait()
 	eng := core.NewEngine(st, core.DefaultParams())
 	qs := w.Queries(1, 180, w.Cfg.QueryLen, 111)
 	if len(qs) == 0 {
@@ -356,8 +351,8 @@ func BenchmarkHRISQuerySharded(b *testing.B) {
 }
 
 // BenchmarkIngest measures admitting one 10-trip batch into a live store —
-// segment indexing plus snapshot publication, with background compaction
-// running at its default cadence. The tail matters more than the mean for a
+// segment indexing plus snapshot publication, with every seventh batch
+// merging the stack it fills. The tail matters more than the mean for a
 // live feed, so the p95 per-batch latency is reported alongside ns/op.
 func BenchmarkIngest(b *testing.B) {
 	ccfg := sim.DefaultCityConfig()
@@ -375,7 +370,6 @@ func BenchmarkIngest(b *testing.B) {
 		// the benchmark measures steady-state batches, not unbounded growth.
 		if i > 0 && i%64 == 0 {
 			b.StopTimer()
-			st.Wait()
 			st = hist.NewStore(city.Graph, nil, hist.StoreConfig{})
 			b.StartTimer()
 		}
@@ -385,7 +379,6 @@ func BenchmarkIngest(b *testing.B) {
 		lat = append(lat, time.Since(start))
 	}
 	b.StopTimer()
-	st.Wait()
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	b.ReportMetric(float64(lat[len(lat)*95/100].Nanoseconds()), "p95-ns/op")
 }

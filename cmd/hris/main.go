@@ -30,7 +30,7 @@
 //
 // Sharding: -shards N partitions the live archive into N spatial shards
 // (uniform grid over the network bbox, each with its own segment stack,
-// merged by the store's one compaction pass); ingest routes trips to the
+// merged inside the write that fills it); ingest routes trips to the
 // shards whose halo cells their points touch, and queries scatter-gather
 // across shards with exact dedup, so results are byte-identical to
 // -shards 1. The halo margin is the -phi search radius, which keeps
@@ -44,8 +44,8 @@
 // (tolerating a torn final record) and resumes at the recovered epoch.
 // -wal-sync picks the log's fsync policy: "always" (default; every batch is
 // on disk before ingest returns), "interval" (background fsync every 200ms;
-// a crash may lose the last interval) or "off" (fsync only after a
-// compaction round and at shutdown). The files are independent of -shards —
+// a crash may lose the last interval) or "off" (fsync only after a merge
+// and at shutdown). The files are independent of -shards —
 // DIR holds MANIFEST.json and wal.log at any N — so a directory written at
 // one shard count reopens at another; only the dataset (-data) must stay
 // the same.
@@ -531,7 +531,6 @@ func follow(ctx context.Context, in io.Reader, st *hist.Store, reg *obs.Registry
 		admitted += stats.Trips
 		fmt.Printf("follow: +%d trips / %d points (epoch %d, %s)\n", stats.Trips, stats.Points, stats.Epoch, stats.Durability)
 	}
-	st.Wait()
 	s := st.Stats()
 	fmt.Printf("follow done: %d lines (%d rejected), %d trips admitted; archive now %d trips / %d points in %d segments (epoch %d, %d compactions)\n",
 		lines, rejected, admitted, s.Trajs, s.Points, s.Segments, s.Epoch, s.Compactions)

@@ -371,6 +371,31 @@ func TestMuxRoutes(t *testing.T) {
 	}
 }
 
+// TestIngestEmptiedBatchDurability: a batch that preprocessing empties (one
+// one-point trip) admits nothing, and its acknowledgment still says what a
+// batch admitted at that moment would have meant.
+func TestIngestEmptiedBatchDurability(t *testing.T) {
+	s, _ := newTestServer(t, core.GateConfig{})
+	ds := testWorld(t)
+	durable, _, err := hist.OpenShardedStore(t.TempDir(), ds.City.Graph, ds.Archive, hist.ShardedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	body := ingestBody(t, "one", &traj.Trajectory{Points: worldLight[0].Points[:1]})
+	for want, st := range map[string]*hist.Store{hist.DurabilityMemory: s.st, hist.DurabilitySynced: durable} {
+		rec := httptest.NewRecorder()
+		ingestHandler(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)), st)
+		var resp struct{ Admitted hist.IngestStats }
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("/ingest = %d %q (%v)", rec.Code, rec.Body.String(), err)
+		}
+		if resp.Admitted.Trips != 0 || resp.Admitted.Durability != want {
+			t.Fatalf("emptied batch admitted as %+v, want 0 trips, durability %q", resp.Admitted, want)
+		}
+	}
+}
+
 // TestIngestRejectsConcatenatedBodies: an /ingest body is one JSON value. Two
 // concatenated batches are a 400 that admits neither, while a body ending in
 // a newline is still one batch.

@@ -29,7 +29,7 @@ func TestServerShutdownReturnsGoroutines(t *testing.T) {
 	reg := obs.New()
 	st, _, err := hist.OpenShardedStore(t.TempDir(), ds.City.Graph, ds.Archive, hist.ShardedConfig{
 		Shards:      2,
-		StoreConfig: hist.StoreConfig{Registry: reg, WALSync: hist.SyncInterval, CompactSegments: 2},
+		StoreConfig: hist.StoreConfig{Registry: reg, WALSync: hist.SyncInterval},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,14 @@
 package core
 
 // The model harness: one seeded generator for the serving invariant. Every
-// serving shape — in-memory or durable store at any shard count, halo,
-// compaction threshold and sync policy; pooled or unpooled engine at any
-// pair-worker count; offline or streamed — must answer exactly as the
-// reference model does: hist.NewArchive over the trips the store admitted
-// (after a crash, its durable prefix), in dataset order, served offline by an
-// unpooled engine with one worker. From a seed the harness draws a store
-// shape, an engine shape and a sequence of operations, runs them, and
-// compares every answer, error text included, under encodeFull.
+// serving shape — in-memory or durable store at any shard count, halo and
+// sync policy; pooled or unpooled engine at any pair-worker count; offline
+// or streamed — must answer exactly as the reference model does:
+// hist.NewArchive over the trips the store admitted (after a crash, its
+// durable prefix), in dataset order, served offline by an unpooled engine
+// with one worker. From a seed the harness draws a store shape, an engine
+// shape and a sequence of operations, runs them, and compares every answer,
+// error text included, under encodeFull.
 //
 // TestModelSequential runs the operations one at a time; TestModelConcurrent
 // runs them with one writer and three readers. Each test invocation draws the
@@ -81,7 +81,6 @@ func shardLayout(st *hist.Store) string {
 type shape struct {
 	shards  int
 	halo    float64
-	compact int    // CompactSegments
 	seed    int    // leading permutation trips the store is opened over
 	wal     string // "" in memory, else the durable store's sync policy
 	pooled  bool
@@ -108,7 +107,7 @@ type op struct {
 	kind   opKind
 	n      int
 	q      int  // query index (infer, stream, cancel)
-	mid    bool // crash: inside a compaction pass; cancel: ask in full first
+	mid    bool // cancel: ask in full first
 	window int  // stream: SessionConfig.Window
 }
 
@@ -126,7 +125,6 @@ func draw(seed int64, queries, trips int, pin func(*shape)) (shape, []op) {
 	s := shape{
 		shards:  shardCounts[rng.Intn(4)],
 		halo:    []float64{0, DefaultParams().Phi}[rng.Intn(2)],
-		compact: []int{2, 3, 1 << 30}[rng.Intn(3)],
 		seed:    []int{0, trips / 2}[rng.Intn(2)],
 		wal:     []string{"", "always", "interval", "off"}[rng.Intn(4)],
 		pooled:  rng.Intn(2) == 0,
@@ -148,7 +146,7 @@ func draw(seed int64, queries, trips int, pin func(*shape)) (shape, []op) {
 			if s.wal == "" {
 				o.kind = opCompact
 			}
-			o.n, o.mid = shardCounts[rng.Intn(4)], rng.Intn(2) == 0
+			o.n = shardCounts[rng.Intn(4)]
 		case opStream:
 			o.window, o.n = 1+rng.Intn(12), rng.Intn(12)
 		case opCancel:
@@ -250,7 +248,7 @@ func newRun(m *modelWorld, sh shape, seed int64, dir string) (*run, error) {
 	r := &run{m: m, sh: sh, dir: dir, perm: rand.New(rand.NewSource(seed)).Perm(len(m.w.ds.Archive)), ends: []int{sh.seed}}
 	sync, _ := hist.ParseSyncPolicy(sh.wal)
 	r.cfg = hist.ShardedConfig{Shards: sh.shards, Halo: sh.halo,
-		StoreConfig: hist.StoreConfig{CompactSegments: sh.compact, WALSync: sync}}
+		StoreConfig: hist.StoreConfig{WALSync: sync}}
 	st, _, err := r.open(r.cfg)
 	if err == nil {
 		r.attach(st)
@@ -293,16 +291,19 @@ func (r *run) want(ep uint64, qi int) string { return r.m.answer(r.perm[:r.ends[
 func (r *run) ingest(n int) error {
 	lo := r.ends[len(r.ends)-1]
 	hi, before := min(lo+n, len(r.perm)), r.epoch()
+	want := map[string]string{"": hist.DurabilityMemory, "always": hist.DurabilitySynced,
+		"interval": hist.DurabilityLogged, "off": hist.DurabilityLogged}[r.sh.wal]
 	if lo == hi {
-		if stats := r.st.Ingest(&traj.Trajectory{ID: "stray", Points: r.m.queries[0].Points[:1]}); stats != (hist.IngestStats{Epoch: before}) {
-			return fmt.Errorf("emptied batch acknowledged as %+v at epoch %d", stats, before)
+		if stats := r.st.Ingest(&traj.Trajectory{ID: "stray", Points: r.m.queries[0].Points[:1]}); stats != (hist.IngestStats{Epoch: before, Durability: want}) {
+			return fmt.Errorf("emptied batch acknowledged as %+v at epoch %d, want durability %q", stats, before, want)
 		}
 		return nil
 	}
 	stats := r.st.IngestTrips(r.trips(lo, hi)...)
 	r.ends = append(r.ends, hi)
-	want := map[string]string{"": hist.DurabilityMemory, "always": hist.DurabilitySynced,
-		"interval": hist.DurabilityLogged, "off": hist.DurabilityLogged}[r.sh.wal]
+	if s := r.st.Stats(); s.Compactions > r.mark.Compactions {
+		r.mark = s // the batch filled a stack, and its merge synced the log
+	}
 	if got := r.st.Current().NumTrajs(); stats.Trips != hi-lo || stats.Epoch != before+1 || stats.Durability != want || got != hi {
 		return fmt.Errorf("batch of %d acknowledged as %+v holding %d trips, want epoch %d, durability %q, %d trips",
 			hi-lo, stats, got, before+1, want, hi)
@@ -310,20 +311,14 @@ func (r *run) ingest(n int) error {
 	return nil
 }
 
-// crash kills the durable store — inside a compaction pass when mid — and
-// reopens its directory at shards shards. Recovery must land between the
-// last synced and the last acknowledged epoch (exactly on the acknowledged
-// one under SyncAlways, on the synced one under SyncOff while no record can
-// have left the buffer) and equal an uninterrupted in-memory store of the
-// new shape fed the same batches: epoch, shard count and shard layout.
-func (r *run) crash(mid bool, shards int) error {
-	if mid {
-		r.st.Wait() // no background pass may reach the hook
-		hist.CompactBeforePublish = r.st.CloseAbrupt
-		r.st.Compact()
-		hist.CompactBeforePublish = nil
-	}
-	r.st.CloseAbrupt() // a no-op after the hook's
+// crash kills the durable store and reopens its directory at shards shards.
+// Recovery must land between the last synced and the last acknowledged epoch
+// (exactly on the acknowledged one under SyncAlways, on the synced one under
+// SyncOff while no record can have left the buffer) and equal an
+// uninterrupted in-memory store of the new shape fed the same batches: epoch,
+// shard count and shard layout.
+func (r *run) crash(shards int) error {
+	r.st.CloseAbrupt()
 	lo, hi := r.mark.Epoch, r.epoch()
 	if stats := r.st.Stats(); r.sh.wal == "always" {
 		lo = hi
@@ -340,9 +335,7 @@ func (r *run) crash(mid bool, shards int) error {
 		return fmt.Errorf("recovered %+v, want epoch in [%d, %d] from as many wal batches", rs, lo, hi)
 	}
 	r.ends = r.ends[:rs.Epoch+1]
-	cfg := r.cfg
-	cfg.CompactSegments = 1 << 30 // no background pass may outlive the check
-	oracle := hist.NewShardedStore(r.m.w.g, r.trips(0, r.sh.seed), cfg)
+	oracle := hist.NewShardedStore(r.m.w.g, r.trips(0, r.sh.seed), r.cfg)
 	for k := 1; k < len(r.ends); k++ {
 		oracle.IngestTrips(r.trips(r.ends[k-1], r.ends[k])...)
 	}
@@ -402,11 +395,10 @@ func (r *run) step(o op) error {
 	case opIngest:
 		return r.ingest(o.n)
 	case opCompact:
-		r.st.Compact()
-		r.st.Wait() // the pass, and any it waited on, ended with a log sync
+		r.st.Compact() // it ends with a log sync
 		r.mark = r.st.Stats()
 	case opCrash:
-		return r.crash(o.mid, o.n)
+		return r.crash(o.n)
 	case opInfer:
 		return check("answer", r.epoch(), r.infer(context.Background(), o.q))
 	case opStream:
@@ -515,17 +507,17 @@ func TestModelSequential(t *testing.T) {
 	for _, seed := range seeds {
 		sh, ops := draw(seed, len(m.queries), len(m.w.ds.Archive), nil)
 		for _, o := range ops {
-			seen[fmt.Sprint("op ", o.kind, o.kind == opCrash && o.mid)] = true
+			seen[fmt.Sprint("op ", o.kind)] = true
 		}
-		for i, v := range []any{sh.shards, sh.halo, sh.compact, sh.seed, sh.wal, sh.pooled, sh.workers} {
+		for i, v := range []any{sh.shards, sh.halo, sh.seed, sh.wal, sh.pooled, sh.workers} {
 			seen[fmt.Sprint(i, v)] = true
 		}
 		checkCase(t, m, sh, seed, ops)
 	}
-	// 4 shard counts, 2 halos, 3 thresholds, 2 seeds, 4 durabilities, pooled
-	// or not, 4 worker counts, 5 non-crash kinds and 2 crash kinds.
-	if fixed && len(seen) != 4+2+3+2+4+2+4+5+2 {
-		t.Errorf("the fixed seeds cover %d of 28 shape values and operation kinds: %v", len(seen), seen)
+	// 4 shard counts, 2 halos, 2 seeds, 4 durabilities, pooled or not, 4
+	// worker counts and 6 operation kinds.
+	if fixed && len(seen) != 4+2+2+4+2+4+6 {
+		t.Errorf("the fixed seeds cover %d of 24 shape values and operation kinds: %v", len(seen), seen)
 	}
 }
 
@@ -688,7 +680,7 @@ func ingests(ns ...int) (ops []op) {
 
 var compaction = []op{{kind: opCompact}}
 
-func crashTo(shards int, mid bool) []op { return []op{{kind: opCrash, n: shards, mid: mid}} }
+func crashTo(shards int) []op { return []op{{kind: opCrash, n: shards}} }
 
 // everyQuery asks each query of the pool once; streamed, query q publishes a
 // batch before its push q mod 3.
@@ -709,7 +701,7 @@ func archiveScript() []op {
 // permutation of the archive in batches answers as NewArchive over the same
 // trips, before and after compaction.
 func TestStoreInferenceMatchesArchive(t *testing.T) {
-	scripted(t, 1, shape{shards: 1, compact: 2}, archiveScript())
+	scripted(t, 1, shape{shards: 1}, archiveScript())
 }
 
 // TestStoreInferenceMatchesArchiveQuick: drawn cases on one-shard in-memory
@@ -722,7 +714,7 @@ func TestStoreInferenceMatchesArchiveQuick(t *testing.T) {
 // the halo alternating between 0 and φ.
 func TestShardedInferenceMatchesArchive(t *testing.T) {
 	for i, shards := range shardCounts[1:] {
-		scripted(t, 1, shape{shards: shards, halo: float64(i%2) * DefaultParams().Phi, compact: 2}, archiveScript())
+		scripted(t, 1, shape{shards: shards, halo: float64(i%2) * DefaultParams().Phi}, archiveScript())
 	}
 }
 
@@ -744,8 +736,8 @@ func TestShardedConcurrentIngestAndInferBatch(t *testing.T) {
 }
 
 // TestDurableShardedCrashRecoveryEquivalence: a SyncAlways store killed at
-// each point of its life recovers every acknowledged batch and answers as the
-// model after.
+// each point of its life, right after a write that filled and merged a stack
+// too, recovers every acknowledged batch and answers as the model after.
 func TestDurableShardedCrashRecoveryEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -753,13 +745,13 @@ func TestDurableShardedCrashRecoveryEquivalence(t *testing.T) {
 				name string
 				ops  []op
 			}{
-				{"before-any-compact", slices.Concat(ingests(40, 40), crashTo(shards, false))},
-				{"between-compact-and-ingest", slices.Concat(ingests(40), compaction, crashTo(shards, false), ingests(40))},
-				{"mid-compaction", slices.Concat(ingests(40, 40), crashTo(shards, true))},
-				{"all-ingested", slices.Concat(ingests(40, rest), compaction, crashTo(shards, false))},
+				{"before-any-compact", slices.Concat(ingests(40, 40), crashTo(shards))},
+				{"between-compact-and-ingest", slices.Concat(ingests(40), compaction, crashTo(shards), ingests(40))},
+				{"after-filling-write", slices.Concat(ingests(10, 10, 10, 10, 10, 10, 10), crashTo(shards))},
+				{"all-ingested", slices.Concat(ingests(40, rest), compaction, crashTo(shards))},
 			} {
 				t.Run(c.name, func(t *testing.T) {
-					scripted(t, 1, shape{shards: shards, compact: 1 << 30, wal: "always"}, c.ops, everyQuery(opInfer, 0))
+					scripted(t, 1, shape{shards: shards, wal: "always"}, c.ops, everyQuery(opInfer, 0))
 				})
 			}
 		})
@@ -772,19 +764,19 @@ func TestDurableShardedCrashRecoveryEquivalence(t *testing.T) {
 func TestDurableShardedSyncOffPrefix(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			scripted(t, 1, shape{shards: shards, compact: 1 << 30, wal: "off"},
-				ingests(40), compaction, ingests(2, 2), crashTo(shards, false), everyQuery(opInfer, 0))
+			scripted(t, 1, shape{shards: shards, wal: "off"},
+				ingests(40), compaction, ingests(2, 2), crashTo(shards), everyQuery(opInfer, 0))
 		})
 	}
 }
 
 // TestDurableShardedReshardOnReopen: a durable store reopened at other shard
-// counts, mid-compaction too, holds what an uninterrupted store of the new
-// shape would and answers as the model.
+// counts holds what an uninterrupted store of the new shape would and
+// answers as the model.
 func TestDurableShardedReshardOnReopen(t *testing.T) {
-	scripted(t, 1, shape{shards: 1, compact: 3, wal: "always"},
-		ingests(40, 40), crashTo(4, false), everyQuery(opInfer, 0),
-		ingests(30), crashTo(2, true), crashTo(9, false), ingests(rest), everyQuery(opInfer, 0))
+	scripted(t, 1, shape{shards: 1, wal: "always"},
+		ingests(40, 40), crashTo(4), everyQuery(opInfer, 0),
+		ingests(30), crashTo(2), crashTo(9), ingests(rest), everyQuery(opInfer, 0))
 }
 
 // TestPooledMatchesUnpooled: a pooled engine, serial or with more pair
@@ -792,7 +784,7 @@ func TestDurableShardedReshardOnReopen(t *testing.T) {
 // over recycled scratch.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		scripted(t, 1, shape{shards: 1, compact: 1 << 30, pooled: true, workers: workers},
+		scripted(t, 1, shape{shards: 1, pooled: true, workers: workers},
 			ingests(rest), everyQuery(opInfer, 0), everyQuery(opInfer, 0))
 	}
 }
@@ -811,7 +803,7 @@ func TestPooledConcurrentBatch(t *testing.T) {
 // with a batch published mid-session, answers as the offline model at the
 // session's epoch.
 func TestSessionMatchesOffline(t *testing.T) {
-	scripted(t, 1, shape{shards: 1, compact: 1 << 30}, ingests(60),
+	scripted(t, 1, shape{shards: 1}, ingests(60),
 		everyQuery(opStream, 1), everyQuery(opStream, 12))
 }
 
@@ -840,13 +832,13 @@ func TestSessionConcurrentSharedEngine(t *testing.T) {
 // TestInferBatchMatchesSequential: concurrent answers on one unpooled engine
 // of four pair workers equal the sequential model's.
 func TestInferBatchMatchesSequential(t *testing.T) {
-	pinned(t, 1, true, func(s *shape) { s.pooled, s.workers, s.compact = false, 4, 1<<30 })
+	pinned(t, 1, true, func(s *shape) { s.pooled, s.workers = false, 4 })
 }
 
 // TestInferRoutesWorkerDeterminism: an unpooled engine at any pair-worker
 // count answers as the one-worker model.
 func TestInferRoutesWorkerDeterminism(t *testing.T) {
 	for _, workers := range []int{0, 4} {
-		scripted(t, 1, shape{shards: 1, compact: 1 << 30, workers: workers}, ingests(rest), everyQuery(opInfer, 0))
+		scripted(t, 1, shape{shards: 1, workers: workers}, ingests(rest), everyQuery(opInfer, 0))
 	}
 }

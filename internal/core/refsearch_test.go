@@ -87,7 +87,7 @@ func TestRangeWalksPerQuery(t *testing.T) {
 func TestSessionCarriesNearSet(t *testing.T) {
 	w := newWorld(t, 150, 41)
 	ds, queries := w.ds, w.queries(t, 3)
-	st := hist.NewStore(ds.City.Graph, ds.Archive[:100], hist.StoreConfig{CompactSegments: 1 << 30})
+	st := hist.NewStore(ds.City.Graph, ds.Archive[:100], hist.StoreConfig{})
 	st.IngestTrips(ds.Archive[100:]...)
 	p := DefaultParams()
 	for qi, q := range queries {

@@ -362,7 +362,6 @@ func TestMatchTableOnLiveShardedStore(t *testing.T) {
 
 	st.IngestTrips(ds.Archive[seedTrips:]...)
 	st.Compact()
-	st.Wait()
 	round("after ingest")
 	if simple == 0 || spliced == 0 {
 		t.Fatalf("reference search returned %d simple and %d spliced references; want both kinds", simple, spliced)

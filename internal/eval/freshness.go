@@ -74,6 +74,5 @@ func FreshnessProfile(cfg WorldConfig) *Table {
 			t.Add("HRIS (live store)", float64(n), sum/float64(len(qs)))
 		}
 	}
-	st.Wait()
 	return t
 }

@@ -94,7 +94,7 @@ func TestCanonRankOrder(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		for trial := 0; trial < 4; trial++ {
 			what := fmt.Sprintf("shards=%d trial %d", n, trial)
-			cfg := ShardedConfig{Shards: n, Halo: 200, StoreConfig: StoreConfig{CompactSegments: 1 << 30}}
+			cfg := ShardedConfig{Shards: n, Halo: 200}
 			seed, batches := splitBatches(rng, trips)
 			st := NewShardedStore(g, seed, cfg)
 			checkCanonRanks(t, what+" seed", st.Snapshot())
@@ -104,7 +104,6 @@ func TestCanonRankOrder(t *testing.T) {
 			}
 			before := st.Snapshot().rank
 			st.Compact()
-			st.Wait()
 			if after := st.Snapshot(); after.Segments() != n || !slices.Equal(after.rank, before) {
 				t.Fatalf("%s: compaction to %d segments changed the ranks", what, after.Segments())
 			}

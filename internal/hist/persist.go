@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -38,9 +39,9 @@ const (
 	// SyncInterval fsyncs on a background tick (walSyncInterval): an
 	// acknowledged batch may be lost if a crash beats the next tick.
 	SyncInterval
-	// SyncOff fsyncs only at the end of a compaction pass and at clean
-	// Close: records sit in a user-space buffer and the page cache, so a
-	// crash loses everything since the last compaction.
+	// SyncOff fsyncs only when a merge ends and at clean Close: records sit
+	// in a user-space buffer and the page cache, so a crash loses everything
+	// since the last merge.
 	SyncOff
 )
 
@@ -127,7 +128,7 @@ func checkManifest(dir string, want manifest) error {
 			return err
 		}
 		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
+		if err := writeSynced(tmp, append(buf, '\n')); err != nil {
 			return err
 		}
 		if err := os.Rename(tmp, path); err != nil {
@@ -150,7 +151,22 @@ func checkManifest(dir string, want manifest) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file survives a crash.
+// writeSynced writes data to a new file at path and fsyncs it, so a rename
+// that follows cannot publish an empty or partial file after a crash.
+func writeSynced(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	return errors.Join(err, f.Close())
+}
+
+// syncDir fsyncs a directory so a just-created or just-renamed file survives
+// a crash.
 // Best-effort: some platforms refuse directory fsync.
 func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
@@ -187,9 +203,33 @@ func (p *persist) fail() {
 	}
 }
 
+// label is the durability a batch acknowledged now is reported with (call
+// with mu held, or on a nil p).
+func (p *persist) label() string {
+	switch {
+	case p == nil || p.closed:
+		return DurabilityMemory
+	case p.failed:
+		return DurabilityFailed
+	case p.policy == SyncAlways:
+		return DurabilitySynced
+	}
+	return DurabilityLogged
+}
+
+// durability is the label a batch would get now, for a batch that
+// preprocessing emptied: nothing is written.
+func (p *persist) durability() string {
+	if p != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
+	return p.label()
+}
+
 // logBatch logs one admitted batch per the sync policy and reports how
 // durable it is. Callers already serialize batches (the store's write
-// mutex); p.mu additionally fences the ticker and compaction syncs.
+// mutex); p.mu additionally fences the ticker's syncs.
 func (p *persist) logBatch(epoch uint64, trips []*traj.Trajectory) string {
 	if p == nil {
 		return DurabilityMemory
@@ -219,10 +259,7 @@ func (p *persist) logBatch(epoch uint64, trips []*traj.Trajectory) string {
 			p.reg.Counter(obs.CounterWALFsyncs).Inc()
 		}
 	}
-	if p.policy == SyncAlways {
-		return DurabilitySynced
-	}
-	return DurabilityLogged
+	return p.label()
 }
 
 // startSyncLoop runs the SyncInterval background fsync tick.
@@ -245,8 +282,8 @@ func (p *persist) startSyncLoop() {
 }
 
 // syncNow drains and fsyncs the WAL if it has unsynced bytes. The interval
-// ticker calls it, and so does the end of every compaction pass, which is
-// what makes a compaction a durability point under SyncOff.
+// ticker calls it, and so does the end of every merge, which is what makes a
+// merge a durability point under SyncOff.
 func (p *persist) syncNow() {
 	if p == nil {
 		return
@@ -354,14 +391,14 @@ func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg
 	}
 	rs.TornBytes = scan.TornBytes
 
-	// Replay through ingest, which leaves compaction alone, and compact once
+	// Replay through ingest with no reachable merge limit, and compact once
 	// at the end. Persistence attaches only afterwards, so the replay itself
 	// writes nothing. The scan returns epochs 1, 2, 3, ... and every decoded
 	// batch holds a trip with a point, so each one advances the epoch by
 	// exactly one and the store lands on the log's last epoch.
 	s := NewShardedStore(g, seed, cfg)
 	for _, b := range scan.Batches {
-		s.ingest(b.Trips)
+		s.ingest(b.Trips, math.MaxInt)
 		rs.WALBatches++
 		rs.WALTrips += len(b.Trips)
 	}
@@ -381,21 +418,12 @@ func OpenShardedStore(dir string, g *roadnet.Graph, seed []*traj.Trajectory, cfg
 	return s, rs, nil
 }
 
-// Close waits out background compaction (and the log sync it ends with),
-// then syncs and closes the log and detaches the store from its data
-// directory. In-memory stores treat Close as Wait.
-func (s *Store) Close() error {
-	s.Wait()
-	return s.persist.close()
-}
+// Close syncs and closes the log and detaches the store from its data
+// directory. It is a no-op for in-memory stores.
+func (s *Store) Close() error { return s.persist.close() }
 
 // CloseAbrupt simulates the process dying mid-flight: buffered, unsynced
 // WAL records are dropped (not flushed), nothing is compacted or synced, and
-// the store must not be used afterwards. A background compaction pass still
-// running finishes in memory only, its log sync a no-op, before CloseAbrupt
-// returns. Crash-recovery tests pair it with OpenShardedStore on the same
-// directory.
-func (s *Store) CloseAbrupt() {
-	s.persist.abandon()
-	s.Wait()
-}
+// the store must not be used afterwards. Crash-recovery tests pair it with
+// OpenShardedStore on the same directory.
+func (s *Store) CloseAbrupt() { s.persist.abandon() }

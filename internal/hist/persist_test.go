@@ -52,23 +52,6 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 }
 
-// TestStoreConfigNormalization: degenerate compaction thresholds must not
-// make the store compact on every ingest (threshold 1: the base segment
-// alone reaches it) or never compact (zero/negative values).
-func TestStoreConfigNormalization(t *testing.T) {
-	g, _, _ := refWorld()
-	for _, cs := range []int{0, -5} {
-		st := NewStore(g, nil, StoreConfig{CompactSegments: cs})
-		if st.cfg.CompactSegments != DefaultCompactSegments {
-			t.Errorf("CompactSegments %d normalized to %d, want %d", cs, st.cfg.CompactSegments, DefaultCompactSegments)
-		}
-	}
-	st := NewStore(g, nil, StoreConfig{CompactSegments: 1})
-	if st.cfg.CompactSegments != 2 {
-		t.Errorf("CompactSegments 1 normalized to %d, want 2", st.cfg.CompactSegments)
-	}
-}
-
 // durableShards are the store shapes every durability test runs at: the
 // single layout must behave identically unsharded and sharded.
 var durableShards = []int{1, 4}
@@ -76,7 +59,7 @@ var durableShards = []int{1, 4}
 // forShards runs body once per durable shape, as a subtest.
 func forShards(t *testing.T, body func(t *testing.T, cfg ShardedConfig)) {
 	for _, n := range durableShards {
-		cfg := ShardedConfig{Shards: n, Halo: 60, StoreConfig: StoreConfig{CompactSegments: 1 << 30}}
+		cfg := ShardedConfig{Shards: n, Halo: 60}
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { body(t, cfg) })
 	}
 }
@@ -565,13 +548,13 @@ func TestWALFailureIsSticky(t *testing.T) {
 	})
 }
 
-// TestDurableBackgroundCheckpoint: with auto-compaction on, concurrent
-// writers drive background shard merges whose log syncs race further
-// ingest; whatever interleaving happens, a crash afterwards recovers the
-// store that was running (run under -race this also fences the sync).
+// TestDurableBackgroundCheckpoint: concurrent writers fill shard stacks, and
+// the merges inside those writes end with log syncs that race further
+// ingest and readers; whatever interleaving happens, a crash afterwards
+// recovers the store that was running (run under -race this also fences the
+// sync).
 func TestDurableBackgroundCheckpoint(t *testing.T) {
 	forShards(t, func(t *testing.T, cfg ShardedConfig) {
-		cfg.CompactSegments = 2
 		trips := storeTrips()
 		dir := t.TempDir()
 		st, _ := openForTest(t, dir, nil, cfg)
@@ -587,9 +570,8 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		st.Wait()
 		if st.Stats().Compactions == 0 {
-			t.Fatalf("48 batches at CompactSegments=2 never compacted")
+			t.Fatalf("48 batches never filled a stack")
 		}
 		want := shardedKey(st)
 		st.CloseAbrupt()
@@ -604,42 +586,28 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 	})
 }
 
-// TestDurableCloseReturnsGoroutines: once a durable store is closed, by
-// Close or by CloseAbrupt, under every sync policy, the goroutines it
-// started are gone: the SyncInterval ticker, and a background compaction
-// pass that was still running at the close.
+// TestDurableCloseReturnsGoroutines: once a durable store whose writes
+// filled and merged its stacks is closed, by Close or by CloseAbrupt, under
+// every sync policy, the goroutines it started are gone — the SyncInterval
+// ticker is the only one it has.
 func TestDurableCloseReturnsGoroutines(t *testing.T) {
-	t.Cleanup(func() { CompactBeforePublish = nil })
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
 		for _, abrupt := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/abrupt=%v", policy, abrupt), func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				cfg := ShardedConfig{Shards: 4, Halo: 60, StoreConfig: StoreConfig{CompactSegments: 2, WALSync: policy}}
+				cfg := ShardedConfig{Shards: 4, Halo: 60, StoreConfig: StoreConfig{WALSync: policy}}
 				st, _ := openForTest(t, t.TempDir(), nil, cfg)
-				// Hold the first background pass open until 10 ms after the
-				// close starts, so the close finds it running.
-				started, release := make(chan struct{}), make(chan struct{})
-				var once sync.Once
-				CompactBeforePublish = func() {
-					once.Do(func() { close(started) })
-					<-release
+				for range compactSegments {
+					st.IngestTrips(storeTrips()...)
 				}
-				for _, tr := range storeTrips() {
-					st.IngestTrips(tr)
+				if st.Stats().Compactions == 0 {
+					t.Fatal("no write filled a stack")
 				}
-				<-started
-				closed := make(chan struct{})
-				go func() {
-					if abrupt {
-						st.CloseAbrupt()
-					} else if err := st.Close(); err != nil {
-						t.Errorf("Close: %v", err)
-					}
-					close(closed)
-				}()
-				time.AfterFunc(10*time.Millisecond, func() { close(release) })
-				<-closed
-				CompactBeforePublish = nil // the pass it held is over
+				if abrupt {
+					st.CloseAbrupt()
+				} else if err := st.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
 				deadline := time.Now().Add(5 * time.Second)
 				for runtime.NumGoroutine() > base {
 					if time.Now().After(deadline) {

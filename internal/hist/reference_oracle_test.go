@@ -393,7 +393,7 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 	var carried, backward Searcher
 	for _, seed := range seeds {
 		g, trips, queries := oracleWorld(seed)
-		live := NewStore(g, trips[:40], StoreConfig{CompactSegments: 1 << 20})
+		live := NewStore(g, trips[:40], StoreConfig{})
 		for lo := 40; lo < len(trips); lo += 30 {
 			live.IngestTrips(trips[lo:min(lo+30, len(trips))]...)
 		}
@@ -532,7 +532,7 @@ func TestReferenceSearchHostileInputs(t *testing.T) {
 // selects nothing for a radius that is not a distance.
 func TestSnapshotWithinRadiusMatchesScan(t *testing.T) {
 	g, trips, queries := oracleWorld(13)
-	st := NewStore(g, trips[:60], StoreConfig{CompactSegments: 1 << 20})
+	st := NewStore(g, trips[:60], StoreConfig{})
 	st.IngestTrips(trips[60:120]...)
 	st.IngestTrips(trips[120:]...)
 	snap := st.Snapshot()

@@ -188,7 +188,6 @@ func TestShardedStoreMatchesStoreSearch(t *testing.T) {
 					}
 				}
 				st.Compact()
-				st.Wait()
 			}
 		}
 	}
@@ -229,7 +228,6 @@ func TestShardedStoreStats(t *testing.T) {
 		t.Fatalf("store stats %+v", stats)
 	}
 	st.Compact()
-	st.Wait()
 	if segs := st.Current().Segments(); segs != 4 {
 		t.Fatalf("post-compaction segments = %d, want 4 (one per shard)", segs)
 	}
@@ -263,15 +261,16 @@ func TestShardedEpochFingerprint(t *testing.T) {
 
 // TestOneEpochOneGeneration: within one store an epoch names exactly one
 // generation — one per-shard epoch vector and one content — across ingests
-// localized to different shards, background and explicit compactions (which
-// publish new snapshots under an old epoch), a reader polling concurrently,
+// localized to different shards, merges inside the write that fills a
+// stack and explicit compactions (which publish new snapshots under an old
+// epoch), a reader polling concurrently,
 // and a durable copy fed the same batches and reopened. It is why the
 // epoch-tagged SearchCache keys on the epoch alone.
 func TestOneEpochOneGeneration(t *testing.T) {
 	g, _, _ := refWorld()
 	corners := []geo.Point{geo.Pt(10, 10), geo.Pt(590, 10), geo.Pt(10, 390), geo.Pt(590, 390)}
 	var batches [][]*traj.Trajectory
-	for i := 0; i < 14; i++ {
+	for i := 0; i < 28; i++ { // seven per shard: each stack fills once
 		c := corners[(i*3)%len(corners)] // 0, 3, 2, 1, …: every shard, out of order
 		d := float64(i%3+1) * 10
 		batches = append(batches, []*traj.Trajectory{lineTraj(fmt.Sprintf("b%d", i),
@@ -292,7 +291,7 @@ func TestOneEpochOneGeneration(t *testing.T) {
 		seen[v.Epoch()] = gen
 	}
 
-	cfg := ShardedConfig{Shards: 4, StoreConfig: StoreConfig{CompactSegments: 2}}
+	cfg := ShardedConfig{Shards: 4}
 	mem := NewShardedStore(g, nil, cfg)
 	dir := t.TempDir()
 	dur, _ := openForTest(t, dir, nil, cfg)
@@ -319,14 +318,11 @@ func TestOneEpochOneGeneration(t *testing.T) {
 		observe("durable", dur.Snapshot())
 		if i%5 == 4 {
 			mem.Compact()
-			mem.Wait()
 			observe("memory, compacted", mem.Snapshot())
 		}
 	}
 	close(done)
 	wg.Wait()
-	mem.Wait()
-	dur.Wait()
 	observe("memory, settled", mem.Snapshot())
 	observe("durable, settled", dur.Snapshot())
 	if err := dur.Close(); err != nil {
@@ -343,6 +339,9 @@ func TestOneEpochOneGeneration(t *testing.T) {
 	}
 	if c := mem.Stats().Compactions; c == 0 {
 		t.Fatal("no compaction ran")
+	}
+	if c := dur.Stats().Compactions; c == 0 {
+		t.Fatal("no write filled a stack")
 	}
 }
 
@@ -387,15 +386,13 @@ func TestShardedSearchCacheComposite(t *testing.T) {
 // shard epochs and content.
 func TestShardedRefreshAfterCompaction(t *testing.T) {
 	g, qi, _ := refWorld()
-	st := NewShardedStore(g, nil, ShardedConfig{Shards: 2, Halo: 60,
-		StoreConfig: StoreConfig{CompactSegments: 1 << 30}})
+	st := NewShardedStore(g, nil, ShardedConfig{Shards: 2, Halo: 60})
 	for _, tr := range storeTrips() {
 		st.IngestTrips(tr)
 	}
 	before := st.Snapshot()
 	segsBefore := before.Segments()
 	st.Compact()
-	st.Wait()
 	after := st.Snapshot()
 	if after == before {
 		t.Fatal("compaction published no new generation")

@@ -15,13 +15,6 @@ import (
 
 // StoreConfig tunes a live Store.
 type StoreConfig struct {
-	// CompactSegments triggers a background compaction once a shard carries
-	// this many grid segments (base + one per batch). The constructors
-	// normalize degenerate values: <= 0 uses DefaultCompactSegments, and 1
-	// — which would compact on every ingest, since the base segment alone
-	// already counts — is raised to 2. Set it very high to manage compaction
-	// manually via Compact.
-	CompactSegments int
 	// WALSync selects the write-ahead-log sync policy of stores opened with
 	// OpenShardedStore (the zero value is SyncAlways); the in-memory
 	// constructors ignore it.
@@ -42,10 +35,11 @@ type ShardedConfig struct {
 	Halo float64
 }
 
-// DefaultCompactSegments bounds how many batch segments pile up in a shard
-// before a background merge. Range queries fan out across all of a shard's
-// segments, so this caps the read amplification at base + 7 batches.
-const DefaultCompactSegments = 8
+// compactSegments bounds a shard's segment stack: the batch that would
+// bring it to this many grids is merged with the rest into one base grid
+// instead. Range queries fan out across all of a shard's segments, so this
+// caps the read amplification at base + 6 batches.
+const compactSegments = 8
 
 // IngestStats describes one admitted ingest batch.
 type IngestStats struct {
@@ -54,7 +48,8 @@ type IngestStats struct {
 	Epoch  uint64 `json:"epoch"`  // epoch of the snapshot the batch became visible in
 	// Durability reports how far the batch had traveled when the call
 	// returned: "synced", "logged", "memory" or "failed" (the Durability...
-	// constants in persist.go).
+	// constants in persist.go); for a batch preprocessing emptied, the label
+	// one admitted at that moment would have got.
 	Durability string `json:"durability,omitempty"`
 }
 
@@ -82,23 +77,19 @@ type StoreStats struct {
 //
 // Ingest appends each batch to every shard it touches as one grid segment
 // over that batch's trips — the batch is complete before it is published,
-// so a segment is built once and never modified. Once a shard's stack
-// reaches CompactSegments, a single-flight background pass builds one
-// merged base grid for every shard over the threshold and swaps them in.
-// Compaction is physical reorganization only — the trajectory set is
-// unchanged — so it publishes under the same epoch and shard epochs, and
-// epoch-tagged caches stay warm across it. Answers are byte-identical to
-// NewArchive over the same trips, for any shard count, halo, ingest order
-// and compaction timing.
+// so a segment is built once and never modified. A shard whose stack the
+// batch would fill gets one merged base grid over all of its trips instead,
+// inside the same write and under the batch's epoch; Compact merges every
+// stack the same way. A merge is physical reorganization only — the
+// trajectory set is unchanged — so a Compact publishes under the same epoch
+// and shard epochs, and epoch-tagged caches stay warm across it. Answers
+// are byte-identical to NewArchive over the same trips, for any shard
+// count, halo, ingest order and batch split.
 type Store struct {
 	cfg ShardedConfig
 
-	mu  sync.Mutex // serializes ingest and snapshot publication
+	mu  sync.Mutex // serializes ingest, merges and snapshot publication
 	cur atomic.Pointer[Snapshot]
-
-	compactMu  sync.Mutex  // serializes whole compaction passes (background and Compact)
-	compacting atomic.Bool // single-flight guard for the background pass
-	wg         sync.WaitGroup
 
 	// persist is the data-directory attachment — the WAL — set only by
 	// OpenShardedStore, before the store is shared.
@@ -115,14 +106,6 @@ func NewStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg StoreConfig) *Store
 // cfg.Shards spatial shards, seeded with an already preprocessed trip set
 // (may be nil). The seed becomes every shard's epoch-0 base segment.
 func NewShardedStore(g *roadnet.Graph, seed []*traj.Trajectory, cfg ShardedConfig) *Store {
-	if cfg.CompactSegments <= 0 {
-		cfg.CompactSegments = DefaultCompactSegments
-	}
-	if cfg.CompactSegments == 1 {
-		// The base segment alone reaches a threshold of 1, so every ingest
-		// would immediately compact — the smallest meaningful stack is 2.
-		cfg.CompactSegments = 2
-	}
 	s := &Store{cfg: cfg}
 	s.cur.Store(newSnapshot(g, newPartition(g.BBox(), cfg.Shards, cfg.Halo), cfg.Registry, seed))
 	return s
@@ -174,18 +157,14 @@ func (s *Store) Ingest(logs ...*traj.Trajectory) IngestStats {
 // atomically in a new epoch. Trips and points report global counts — halo
 // replication is visible only in the per-shard counters and Stats.
 func (s *Store) IngestTrips(trips ...*traj.Trajectory) IngestStats {
-	stats, next := s.ingest(trips)
-	if next != nil && s.overThreshold(next) {
-		s.triggerCompact()
-	}
-	return stats
+	return s.ingest(trips, compactSegments)
 }
 
-// ingest admits one batch without cueing compaction — OpenShardedStore's
-// replay calls it directly, so the replayed batch segments are merged once
-// at the end rather than several times over — and returns the snapshot it
-// published (nil when the batch admitted nothing).
-func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
+// ingest admits one batch; a touched shard whose stack the batch would bring
+// to limit grids is merged, batch included. OpenShardedStore's replay passes
+// no reachable limit, so the replayed batch segments are merged once at the
+// end rather than several times over.
+func (s *Store) ingest(trips []*traj.Trajectory, limit int) IngestStats {
 	reg := s.cfg.Registry
 	var t0 time.Time
 	if reg != nil {
@@ -198,7 +177,7 @@ func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 		}
 	}
 	if len(kept) == 0 {
-		return IngestStats{Epoch: s.cur.Load().epoch}, nil
+		return IngestStats{Epoch: s.cur.Load().epoch, Durability: s.persist.durability()}
 	}
 
 	s.mu.Lock()
@@ -232,10 +211,15 @@ func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 		if len(sh.trips) == len(was.trips) {
 			continue
 		}
+		sh.epoch++
+		if len(sh.segs)+1 >= limit {
+			sh.segs = nil // full: merged below, this batch included
+			continue
+		}
 		seg := newSegment(next.trajs, sh.trips[len(was.trips):], next.clip)
 		sh.segs = append(sh.segs[:len(sh.segs):len(sh.segs)], seg)
-		sh.epoch++
 	}
+	s.merge(&next)
 	s.cur.Store(&next)
 	s.mu.Unlock()
 
@@ -256,124 +240,57 @@ func (s *Store) ingest(trips []*traj.Trajectory) (IngestStats, *Snapshot) {
 			reg.Counter(prefix + obs.CounterIngestBatches).Inc()
 		}
 	}
-	return IngestStats{Trips: len(kept), Points: points, Epoch: next.epoch, Durability: durability}, &next
+	return IngestStats{Trips: len(kept), Points: points, Epoch: next.epoch, Durability: durability}
 }
 
-// over reports whether shard sh has reached the compaction threshold.
-func (s *Store) over(sh *shard) bool {
-	return len(sh.segs) >= s.cfg.CompactSegments
-}
-
-// overThreshold reports whether any shard of snap has crossed one.
-func (s *Store) overThreshold(snap *Snapshot) bool {
-	for i := range snap.shards {
-		if s.over(&snap.shards[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// triggerCompact starts the background compaction pass unless one is
-// already running (single-flight: concurrent ingest bursts fold into one).
-// The pass repeats while some shard is over its threshold, and looks once
-// more after lowering the flag: an ingest that crossed a threshold while
-// the flag was still up left its merge to this pass.
-func (s *Store) triggerCompact() {
-	if !s.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			for s.compact(false) {
-			}
-			s.compacting.Store(false)
-			if !s.overThreshold(s.cur.Load()) || !s.compacting.CompareAndSwap(false, true) {
-				return
-			}
-		}
-	}()
-}
-
-// Compact synchronously merges every shard into one base grid.
-// It is a no-op when the snapshot is already fully compacted, and safe to
-// call concurrently with ingest, readers, and other compactions (passes are
-// serialized on one mutex, so overlapping calls simply run in turn).
+// Compact merges every shard's segment stack into one base grid and
+// publishes the result under the same epoch. It is a no-op when every
+// shard already holds one grid.
 func (s *Store) Compact() {
-	s.compact(true)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := s.cur.Load()
+	next := *cur
+	next.shards = slices.Clone(cur.shards)
+	for i := range next.shards {
+		if sh := &next.shards[i]; len(sh.segs) > 1 {
+			sh.segs = nil
+		}
+	}
+	if s.merge(&next) {
+		s.cur.Store(&next)
+	}
 }
 
-// Wait blocks until any in-flight background compaction finishes. Callers
-// needing a deterministic segment layout (benchmarks, shutdown) call
-// Compact then Wait.
-func (s *Store) Wait() {
-	s.wg.Wait()
-}
+// Wait returns at once: every merge finishes inside the ingest or Compact
+// call that causes it, so there is nothing left to wait for.
+func (s *Store) Wait() {}
 
-// CompactBeforePublish, when set, runs after a compaction pass builds its
-// merged base grids and before it publishes. Test-only seam, exported so the
-// cross-package crash-recovery suites can inject failures mid-compaction:
-// it holds a pass open so regression tests can deterministically schedule a
-// second compaction against the same segment stacks, or kill a durable store
-// between a batch's WAL append and the log sync that ends the pass.
-var CompactBeforePublish func()
-
-// compact runs one compaction pass over every shard with batch segments —
-// all of them, or only those over a threshold — and reports whether it
-// merged anything. The merges publish once, keeping every epoch,
-// and a durable store then fsyncs its log, so under every sync policy a
-// compaction makes each batch logged before it durable.
-func (s *Store) compact(all bool) bool {
-	// One pass at a time: a synchronous Compact racing the background pass
-	// would otherwise load the same pre snapshot, and the loser would splice
-	// a shard's segments against a base that already absorbed them
-	// (negative capacity, or an index missing batch segments).
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-
-	pre := s.cur.Load()
+// merge gives every shard of next whose stack was cleared for merging one
+// base grid over all of its trips, with s.mu held, and reports whether there
+// was one. A pass that merged anything is counted and ends with a log sync,
+// so under every sync policy a merge makes each batch logged before it
+// durable.
+func (s *Store) merge(next *Snapshot) bool {
+	reg := s.cfg.Registry
 	var t0 time.Time
-	if s.cfg.Registry != nil {
+	if reg != nil {
 		t0 = time.Now()
 	}
-	// Build the merges outside the write lock: ingest keeps landing new
-	// segments meanwhile. Shard stacks and trip lists are append-only, so
-	// pre's are exactly the prefix of any later snapshot's.
-	merged := make([]*grid.Grid[PointRef], len(pre.shards))
 	n := 0
-	for i := range pre.shards {
-		if sh := &pre.shards[i]; len(sh.segs) > 1 && (all || s.over(sh)) {
-			merged[i] = newSegment(pre.trajs, sh.trips, pre.clip)
+	for i := range next.shards {
+		if sh := &next.shards[i]; sh.segs == nil {
+			sh.segs = []*grid.Grid[PointRef]{newSegment(next.trajs, sh.trips, next.clip)}
+			sh.compactions++
 			n++
 		}
 	}
 	if n == 0 {
 		return false
 	}
-	if CompactBeforePublish != nil {
-		CompactBeforePublish()
-	}
-
-	s.mu.Lock()
-	cur := s.cur.Load()
-	next := *cur
-	next.shards = slices.Clone(cur.shards)
-	for i, base := range merged {
-		if base == nil {
-			continue
-		}
-		sh, was := &next.shards[i], &pre.shards[i]
-		sh.segs = append([]*grid.Grid[PointRef]{base}, sh.segs[len(was.segs):]...)
-		sh.compactions++
-	}
-	s.cur.Store(&next)
-	s.mu.Unlock()
-
-	if r := s.cfg.Registry; r != nil {
-		r.Histogram(obs.StageCompaction).ObserveSince(t0)
-		r.Counter(obs.CounterCompactions).Inc()
+	if reg != nil {
+		reg.Histogram(obs.StageCompaction).ObserveSince(t0)
+		reg.Counter(obs.CounterCompactions).Inc()
 	}
 	s.persist.syncNow()
 	return true

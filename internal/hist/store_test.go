@@ -2,10 +2,10 @@ package hist
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/obs"
@@ -127,32 +127,52 @@ func TestStoreMatchesArchive(t *testing.T) {
 	}
 }
 
-// TestStoreAutoCompaction: hitting CompactSegments triggers the background
-// merge; compaction preserves content and epoch.
+// TestStoreAutoCompaction: the write that would fill a shard's stack returns
+// with that shard merged to one grid, its compaction count one higher and
+// the store at the batch's own epoch; any other write adds one grid to each
+// shard it touches. Two stores fed the same batches agree on Stats after
+// every call, so the layout is a function of the batch sequence alone.
 func TestStoreAutoCompaction(t *testing.T) {
 	g, qi, _ := refWorld()
-	st := NewStore(g, nil, StoreConfig{CompactSegments: 3})
 	trips := storeTrips()
-	for _, tr := range trips {
-		st.IngestTrips(tr)
-		st.Wait() // serialize so every trigger observes the full stack
-	}
-	st.Compact()
-	stats := st.Stats()
-	if stats.Segments != 1 {
-		t.Fatalf("segments = %d after compaction", stats.Segments)
-	}
-	if stats.Compactions == 0 {
-		t.Fatal("auto compaction never ran")
-	}
-	if stats.Epoch != uint64(len(trips)) {
-		t.Fatalf("epoch = %d, want %d (compaction must not bump it)", stats.Epoch, len(trips))
-	}
-	if stats.Trajs != len(trips) {
-		t.Fatalf("trajs = %d", stats.Trajs)
-	}
-	if got := len(withinRadius(st.Current(), qi.Pt, 60)); got == 0 {
-		t.Fatal("points lost in compaction")
+	for _, n := range []int{1, 4} {
+		cfg := ShardedConfig{Shards: n, Halo: 60}
+		st, twin := NewShardedStore(g, nil, cfg), NewShardedStore(g, nil, cfg)
+		prev, merges := st.Stats(), 0
+		for k := 1; k <= 5*len(trips); k++ {
+			tr := trips[k%len(trips)]
+			ist := st.IngestTrips(tr)
+			twin.IngestTrips(tr)
+			got := st.Stats()
+			if !reflect.DeepEqual(got, twin.Stats()) {
+				t.Fatalf("shards=%d batch %d: stats %+v, a twin fed the same batches %+v", n, k, got, twin.Stats())
+			}
+			if ist.Epoch != uint64(k) || got.Epoch != uint64(k) {
+				t.Fatalf("shards=%d batch %d: acknowledged at epoch %d, store at %d", n, k, ist.Epoch, got.Epoch)
+			}
+			for i, sh := range got.Shards {
+				want := prev.Shards[i]
+				switch {
+				case sh.Epoch == want.Epoch:
+				case want.Segments+1 == compactSegments:
+					want.Segments, want.Compactions = 1, want.Compactions+1
+					merges++
+				default:
+					want.Segments++
+				}
+				if sh.Segments != want.Segments || sh.Compactions != want.Compactions {
+					t.Fatalf("shards=%d batch %d: shard %d at %d segments / %d compactions, want %d / %d",
+						n, k, i, sh.Segments, sh.Compactions, want.Segments, want.Compactions)
+				}
+			}
+			prev = got
+		}
+		if merges == 0 {
+			t.Fatalf("shards=%d: no write filled a stack", n)
+		}
+		if got := len(withinRadius(st.Current(), qi.Pt, 60)); got == 0 {
+			t.Fatalf("shards=%d: points lost in a merge", n)
+		}
 	}
 }
 
@@ -276,7 +296,7 @@ func TestSearchCacheFirstSightingInvalidates(t *testing.T) {
 // snapshots and search while writers ingest and compact.
 func TestStoreConcurrentIngestAndSearch(t *testing.T) {
 	g, qi, qj := refWorld()
-	st := NewStore(g, nil, StoreConfig{CompactSegments: 2})
+	st := NewStore(g, nil, StoreConfig{})
 	c := NewSearchCache(0)
 	trips := storeTrips()
 	var wg sync.WaitGroup
@@ -309,76 +329,65 @@ func TestStoreConcurrentIngestAndSearch(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st.Wait()
 	if st.Current().NumTrajs() != len(trips) {
 		t.Fatalf("store holds %d trajs, want %d", st.Current().NumTrajs(), len(trips))
 	}
 }
 
-// TestStoreConcurrentCompaction: synchronous Compact racing the background
-// compaction (and other Compact calls) must serialize. Before the fix, two
-// overlapping merges loaded the same pre snapshot; the losing merge then
-// spliced cur.segs against a base that had already absorbed them and either
-// panicked on a negative slice capacity or published an index silently
-// missing memtable segments. The schedule is forced through the
-// CompactBeforePublish seam (a single-CPU machine never preempts inside the
-// merge window, so the overlap cannot be provoked by load alone): compactor
-// A builds its merge and parks before publishing; a second compaction and
-// an ingest then run to completion against the same stack; A resumes.
+// TestStoreConcurrentCompaction: Compact calls racing each other and writers
+// whose batches fill stacks (and merge them) must serialize. A merge built
+// against a stale stack would publish an index missing segments, so every
+// snapshot a reader sees must reach each point it counts, and the last
+// Compact must leave one grid per shard over every point.
 func TestStoreConcurrentCompaction(t *testing.T) {
 	g, _, _ := refWorld()
 	trips := storeTrips()
+	st := NewShardedStore(g, nil, ShardedConfig{Shards: 4, Halo: 60})
+	reachable := func(snap *Snapshot) int { return len(withinRadius(snap, geo.Pt(200, 100), 1e6)) }
+	var writers, others sync.WaitGroup
+	done := make(chan struct{})
 	wantPoints := 0
-	for _, tr := range trips {
-		wantPoints += tr.Len()
+	for w := 0; w < 2; w++ {
+		for _, tr := range trips {
+			wantPoints += compactSegments * tr.Len()
+		}
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for range compactSegments {
+				st.IngestTrips(trips...)
+			}
+		}()
 	}
-
-	// Auto-compaction off: the test owns the compaction schedule.
-	st := NewStore(g, nil, StoreConfig{CompactSegments: 1 << 30})
-	for _, tr := range trips[:len(trips)-1] {
-		st.IngestTrips(tr)
+	for r := 0; r < 3; r++ {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if r == 0 {
+					if snap := st.Snapshot(); reachable(snap) != snap.NumPoints() {
+						t.Errorf("epoch %d: index reaches %d points, snapshot counts %d", snap.Epoch(), reachable(snap), snap.NumPoints())
+						return
+					}
+				} else {
+					st.Compact()
+				}
+			}
+		}()
 	}
-
-	reached := make(chan struct{}, 8)
-	resume := make(chan struct{})
-	CompactBeforePublish = func() {
-		reached <- struct{}{}
-		<-resume
-	}
-	defer func() { CompactBeforePublish = nil }()
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // compactor A: parks at the seam with its merge built
-		defer wg.Done()
-		st.Compact()
-	}()
-	<-reached
-	go func() { // compactor B: with the fix it waits its turn behind A
-		defer wg.Done()
-		st.Compact()
-	}()
-	// Give B its chance to overlap (unfixed it runs straight through the
-	// seam's already-signaled channel and publishes under A's feet), land
-	// one more memtable, then release everyone.
-	st.IngestTrips(trips[len(trips)-1])
-	time.Sleep(50 * time.Millisecond)
-	close(resume)
-	wg.Wait()
-	st.Wait()
-	CompactBeforePublish = nil
+	writers.Wait()
+	close(done)
+	others.Wait()
 
 	st.Compact()
-	snap := st.Current()
-	if snap.Segments() != 1 {
-		t.Fatalf("%d segments after final compaction", snap.Segments())
-	}
-	if snap.NumPoints() != wantPoints {
-		t.Fatalf("snapshot counts %d points, want %d", snap.NumPoints(), wantPoints)
-	}
-	// Every ingested point must still be reachable through the index — a
-	// lost merge drops whole memtable segments from the published tree.
-	if got := len(withinRadius(snap, geo.Pt(200, 100), 1e6)); got != wantPoints {
-		t.Fatalf("index holds %d points, want %d", got, wantPoints)
+	snap := st.Snapshot()
+	if snap.Segments() != 4 || snap.NumPoints() != wantPoints || reachable(snap) != wantPoints {
+		t.Fatalf("after the final compaction: %d segments, %d points counted, %d reachable; want 4, %d, %d",
+			snap.Segments(), snap.NumPoints(), reachable(snap), wantPoints, wantPoints)
 	}
 }

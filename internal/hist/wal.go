@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io/fs"
 	"os"
+	"path/filepath"
 
 	"repro/internal/traj"
 )
@@ -40,9 +41,15 @@ type walWriter struct {
 
 // openWAL opens (creating if needed) the log at path for appending. Recovery
 // has already truncated any untrustworthy tail, so the next record continues
-// the run the file holds.
+// the run the file holds. A created log's directory entry is fsynced: the
+// batches acknowledged as synced live in it.
 func openWAL(path string) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		syncDir(filepath.Dir(path))
+	} else if errors.Is(err, fs.ErrExist) {
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -39,13 +39,14 @@ const (
 
 // Names of the live-archive instrumentation hist.Store maintains (ingest is
 // the hot online path, so its latency distribution — p95 especially — is the
-// service-level number; compaction is the background amortizer).
+// service-level number; compaction is the amortizer, run inside the write
+// that fills a segment stack or by Store.Compact).
 const (
 	// StageIngest is one Store.Ingest call end to end: preprocessing, the
 	// batch's grid segments and snapshot publication.
 	StageIngest = "ingest"
-	// StageCompaction is one compaction pass (background or Compact) over
-	// every shard it merges.
+	// StageCompaction is one compaction pass (inside the ingest that fills a
+	// stack, or Compact) over every shard it merges.
 	StageCompaction = "compaction"
 	// CounterIngestTrips counts trips admitted into the archive (post
 	// preprocessing; rejected fragments don't count).

@@ -35,16 +35,19 @@ go test -timeout 120s -shuffle=on ./...
 # concurrent ingest/search suites plus the durability tables (torn-tail
 # sweep, sticky WAL failure, the refusal of older layouts) under the race
 # detector, twice in one binary (-count=2 defeats caching and catches store,
-# epoch or shard-epoch state that leaks between runs). Beside them, core's
+# epoch or shard-epoch state that leaks between runs). Every merge runs
+# under the store's one writer mutex, inside the write that fills a stack or
+# in Compact, so the write-path locking is pinned by
+# TestStoreConcurrentIngestAndSearch and TestStoreConcurrentCompaction
+# (writers, Compact calls and readers racing) here too. Beside them, core's
 # model harness in both modes: sequential (any shard count, halo and sync
-# policy; crashes, mid-compaction too, reopened at another shard count) and
-# concurrent (one writer, three readers, goroutines back at baseline), with
-# its sharded and durable cases by name; the second run draws the next block
-# of seeds. The canonical ranks are
-# published under the writer lock and read lock-free by every range walk, so
-# their merge (TestCanonRankOrder) and the radius test the walk applies run
-# here too.
-go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest|Canon|Radius|Model' ./internal/hist/ ./internal/core/
+# policy; crashes reopened at another shard count) and concurrent (one
+# writer, three readers, goroutines back at baseline), with its sharded and
+# durable cases by name; the second run draws the next block of seeds. The
+# canonical ranks are published under the writer lock and read lock-free by
+# every range walk, so their merge (TestCanonRankOrder) and the radius test
+# the walk applies run here too.
+go test -timeout 300s -race -count=2 -run 'Sharded|Durable|WAL|Manifest|Canon|Radius|Model|StoreConcurrent' ./internal/hist/ ./internal/core/
 
 # Stream lifecycle: the /stream handler's id set, point cap, idle timer and
 # drain under the race detector, twice in one binary, so admission or timer
