@@ -196,20 +196,9 @@ type refPoint struct {
 type sampleID struct{ tab, k int32 }
 
 // idIndex returns id's dense index — its rank in the sorted ids slice.
-// Callers only look up ids collected by buildPairContext, so the search
-// always hits.
-func (ctx *pairContext) idIndex(id int32) int32 {
-	lo, hi := 0, len(ctx.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ctx.ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
-}
+// Callers only look up ids collected by buildPairContext, which wrote the
+// table entry of every one of them.
+func (ctx *pairContext) idIndex(id int32) int32 { return ctx.sc.idDense[id] }
 
 // slotOf returns edge e's slot in the bitset arena, creating it zeroed on
 // first touch.
@@ -314,23 +303,24 @@ func (x exec) buildPairContext(pair int, qi, qj traj.GPSPoint, refs []hist.Refer
 	sc.beginPair(x.eng.g.NumSegments())
 	sc.bridges.Reset(x.eng.g)
 
-	// Intern every source trajectory id of the pair. Collecting a superset
-	// (refs the deadline later truncates) is harmless — unset bits
-	// contribute nothing to any count.
-	idBuf := sc.idBuf[:0]
+	// Intern every source trajectory id of the pair: the set reads back the
+	// distinct ids ascending, and the table maps each to its dense index.
+	// Collecting a superset (refs the deadline later truncates) is harmless
+	// — unset bits contribute nothing to any count.
+	n := x.snap.NumTrajs()
+	sc.idSet.reserve(n)
+	if len(sc.idDense) < n {
+		sc.idDense = make([]int32, n)
+	}
 	for _, r := range refs {
-		idBuf = append(idBuf, r.SourceA)
+		sc.idSet.add(r.SourceA)
 		if r.SourceB >= 0 {
-			idBuf = append(idBuf, r.SourceB)
+			sc.idSet.add(r.SourceB)
 		}
 	}
-	slices.Sort(idBuf)
-	sc.idBuf = idBuf
-	ids := sc.ids[:0]
-	for i, id := range idBuf {
-		if i == 0 || id != idBuf[i-1] {
-			ids = append(ids, id)
-		}
+	ids := sc.idSet.drain(sc.ids[:0])
+	for i, id := range ids {
+		sc.idDense[id] = int32(i)
 	}
 	sc.ids = ids
 	ctx.ids = ids

@@ -50,6 +50,28 @@ func TestFilterByTimeOfDayMidnightWrap(t *testing.T) {
 	}
 }
 
+// TestFilterByTimeOfDayNegativeTimes: Validate admits negative timestamps,
+// and a time of day is the same on either side of t = 0. Queries at
+// T = −80,000 and T = 6,400 are both at 01:46:40, 11 h 53 min from the
+// 13:53:20 of references at T = 50,000 and T = −122,800: each query time
+// gets the same verdict, against either reference.
+func TestFilterByTimeOfDayNegativeTimes(t *testing.T) {
+	v, refs := refsAt(50000, 50000-2*86400)
+	for _, tc := range []struct {
+		queryT, window float64
+		want           int
+	}{
+		{6400, 3600, 0}, {-80000, 3600, 0}, // 11 h 53 min apart: both dropped
+		{6400, 43000, 2}, {-80000, 43000, 2}, // inside a window that wide: both kept
+		{50000 - 86400, 60, 2}, {-122800 + 30, 60, 2}, // the same time of day
+	} {
+		if got := filterByTimeOfDay(v, refs, tc.queryT, tc.window); len(got) != tc.want {
+			t.Errorf("query at T=%v, window %v: kept %d of the references at T=50000 and T=-122800, want %d",
+				tc.queryT, tc.window, len(got), tc.want)
+		}
+	}
+}
+
 // TestFilterByTimeOfDayDisabled: window <= 0 means "no temporal filter" and
 // must pass the input through untouched, empty-point entries included.
 func TestFilterByTimeOfDayDisabled(t *testing.T) {

@@ -321,14 +321,23 @@ func filterByTimeOfDay(v hist.View, refs []hist.Reference, queryT, window float6
 		return refs
 	}
 	const day = 86400.0
-	qt := math.Mod(queryT, day)
+	// timeOfDay folds t into [0, day): math.Mod keeps t's sign, and a
+	// negative remainder would put |rt − qt| past a day.
+	timeOfDay := func(t float64) float64 {
+		d := math.Mod(t, day)
+		if d < 0 {
+			d += day
+		}
+		return d
+	}
+	qt := timeOfDay(queryT)
 	out := refs[:0:0]
 	for _, r := range refs {
 		a, _ := r.Runs(v)
 		if len(a) == 0 {
 			continue
 		}
-		rt := math.Mod(a[0].T, day)
+		rt := timeOfDay(a[0].T)
 		d := math.Abs(rt - qt)
 		if d > day/2 {
 			d = day - d

@@ -29,8 +29,8 @@ type posterior struct {
 	constantTransition bool
 	cols               [][]node
 	prev               []LocalRoute // the last column's local routes
-	cands              []node
 	set                []int32
+	compares           int // cmpNodes calls so far: the DP's work, in a unit no clock skews
 }
 
 // newPosterior returns an empty posterior keeping the top k partials per
@@ -49,6 +49,7 @@ func newPosterior(k int, constantTransition bool) *posterior {
 // in j, so distinct nodes never compare equal and sorting by this order has
 // one outcome whatever the algorithm. The walk is bounded by the unfirm lag.
 func (po *posterior) cmpNodes(c int, a, b node) int {
+	po.compares++
 	if a.score != b.score {
 		return cmp.Compare(b.score, a.score)
 	}
@@ -61,7 +62,10 @@ func (po *posterior) cmpNodes(c int, a, b node) int {
 
 // push absorbs the next pair's local routes as one DP column. The first
 // column holds one node per local route; every later node extends a parent
-// by one local route j, scored parent · g(transition) · popularity.
+// by one local route j, scored parent · g(transition) · popularity. Group j
+// keeps its best keep candidates by insertion into keep slots, at most keep
+// comparisons per candidate; cmpNodes is a total order, so the group is the
+// sorted candidates' prefix whatever the order they arrive in.
 func (po *posterior) push(cur []LocalRoute) {
 	c := len(po.cols)
 	if c == 0 {
@@ -76,19 +80,28 @@ func (po *posterior) push(cur []LocalRoute) {
 	keep := min(po.k, len(last))
 	col := make([]node, 0, len(cur)*keep)
 	for j, lr := range cur {
-		cands := po.cands[:0]
-		gConf := 1.0
+		if keep == 0 {
+			break
+		}
+		group, gConf := len(col), 1.0
 		for pi, p := range last {
 			// The transition factor depends on the parent's j only, and
 			// the column is grouped by j: one Jaccard merge per group.
 			if !po.constantTransition && (pi == 0 || p.j != last[pi-1].j) {
 				gConf = jaccardConf(po.prev[p.j].Refs, lr.Refs)
 			}
-			cands = append(cands, node{score: p.score * gConf * lr.Popularity, parent: int32(pi), j: int32(j)})
+			nd := node{score: p.score * gConf * lr.Popularity, parent: int32(pi), j: int32(j)}
+			i := len(col)
+			if i-group < keep {
+				col = append(col, nd)
+			} else if i--; po.cmpNodes(c, nd, col[i]) >= 0 {
+				continue // no better than the group's worst
+			}
+			for ; i > group && po.cmpNodes(c, nd, col[i-1]) < 0; i-- {
+				col[i] = col[i-1]
+			}
+			col[i] = nd
 		}
-		slices.SortFunc(cands, func(a, b node) int { return po.cmpNodes(c, a, b) })
-		col = append(col, cands[:keep]...)
-		po.cands = cands
 	}
 	po.cols, po.prev = append(po.cols, col), cur
 }

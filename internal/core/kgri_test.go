@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/hist"
@@ -290,6 +291,81 @@ func TestPosteriorPushDoesNotGrow(t *testing.T) {
 	t.Logf("bytes per push: %d over pushes 0-99, %d over pushes 700-799", early/100, late/100)
 	if late > 2*early {
 		t.Fatalf("pushes 700-799 allocate %d B, more than twice the %d B of pushes 0-99", late, early)
+	}
+}
+
+// TestPosteriorSelectionMatchesSortedPrefix: each group of a pushed column
+// is the prefix of its candidates fully sorted by cmpNodes, on columns whose
+// popularities and supports are drawn from so few values that equal scores
+// abound and the order rests on the back-pointer walk and then j.
+func TestPosteriorSelectionMatchesSortedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, k := range []int{1, 2, 5, 9} {
+		po, ties := newPosterior(k, false), 0
+		for c := 0; c < 40; c++ {
+			cur := synthColumn(rng, 1+rng.Intn(7))
+			if c == 0 {
+				po.push(cur)
+				continue
+			}
+			last, prev := po.cols[c-1], po.prev
+			po.push(cur)
+			var want []node
+			for j, lr := range cur {
+				var cands []node
+				for pi, p := range last {
+					cands = append(cands, node{score: p.score * jaccardConf(prev[p.j].Refs, lr.Refs) * lr.Popularity, parent: int32(pi), j: int32(j)})
+				}
+				slices.SortFunc(cands, func(a, b node) int { return po.cmpNodes(c, a, b) })
+				for i := 1; i < min(k, len(cands)); i++ {
+					if cands[i].score == cands[i-1].score {
+						ties++
+					}
+				}
+				want = append(want, cands[:min(k, len(cands))]...)
+			}
+			if !slices.Equal(po.cols[c], want) {
+				t.Fatalf("K=%d column %d:\n got %+v\nwant %+v", k, c, po.cols[c], want)
+			}
+		}
+		if k > 1 && ties == 0 {
+			t.Fatalf("K=%d: no kept candidates tied on score; the tie-break went untested", k)
+		}
+	}
+}
+
+// TestPosteriorPushWorkBounded counts the comparisons a push makes — work,
+// not time. Each candidate is compared with at most K kept ones, so a push
+// makes at most len(cur)·len(last)·K comparisons (a sort of the m·K
+// candidates would make ~m·K·log₂(m·K) per group), and pushes 700–799 make
+// no more than pushes 0–99 do, give or take the data: within 1.25 times.
+func TestPosteriorPushWorkBounded(t *testing.T) {
+	const k = 5
+	rng := rand.New(rand.NewSource(5))
+	po := newPosterior(k, false)
+	var early, late int
+	for c := range 800 {
+		cur := synthColumn(rng, 10)
+		last, before := len(po.cols), po.compares
+		if last > 0 {
+			last = len(po.cols[last-1])
+		}
+		po.push(cur)
+		po.firm()
+		n := po.compares - before
+		if bound := len(cur) * last * k; n > bound {
+			t.Fatalf("push %d: %d comparisons, more than len(cur)·len(last)·K = %d", c, n, bound)
+		}
+		switch {
+		case c < 100:
+			early += n
+		case c >= 700:
+			late += n
+		}
+	}
+	t.Logf("comparisons per push: %d over pushes 0-99, %d over pushes 700-799", early/100, late/100)
+	if early == 0 || 4*late > 5*early {
+		t.Fatalf("pushes 700-799 make %d comparisons, pushes 0-99 %d", late, early)
 	}
 }
 

@@ -3,7 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/hist"
 )
 
 // TestPublishedResultSurvivesScratchReuse is the aliasing leak check: a
@@ -66,5 +70,62 @@ func TestPublishedResultSurvivesScratchReuse(t *testing.T) {
 		if routes == 0 {
 			t.Fatalf("%v published no local route on the test query", m)
 		}
+	}
+}
+
+// TestPairScratchSurvivesWrapAndGrowth: one warm scratch, reused pair after
+// pair and query after query, answers every pair as a fresh engine on fresh
+// scratch does — when its edge and node stamps wrap mid-query, and when an
+// ingest between two queries grows the archive's trajectory count, by which
+// the id interner's bitset and dense-index table are sized.
+func TestPairScratchSurvivesWrapAndGrowth(t *testing.T) {
+	w := newWorld(t, 90, 55)
+	queries := w.queries(t, 3)
+	trips := w.ds.Archive
+	store := hist.NewStore(w.g, trips[:20], hist.StoreConfig{})
+	warm := NewEngine(store, w.p)
+	sc := newPairScratch()
+	sizes := map[int]bool{}
+	routes, wraps := 0, [2]int{}
+	for lo := 20; ; lo += 35 {
+		v := store.Current()
+		fresh := NewEngine(store, w.p)
+		fresh.noPool = true
+		for _, m := range []Method{MethodTGI, MethodNNI} {
+			p := w.p
+			p.Method = m
+			for qn, q := range queries {
+				sc.ever, sc.nver = math.MaxUint32, math.MaxUint32-1 // both wrap within the first two pairs
+				x := warm.newExec(context.Background(), p, v)
+				x.sc = sc
+				for i := 0; i+1 < q.Len(); i++ {
+					got, _, _ := x.pairStage(i, q.Points[i], q.Points[i+1])
+					want, _ := fresh.PairLocalRoutes(q.Points[i], q.Points[i+1], m, p)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%d trips, %v query %d pair %d: warm scratch\n%v\nfresh engine\n%v", v.NumTrajs(), m, qn, i, got, want)
+					}
+					routes += len(got)
+				}
+				if sc.ever < 1000 {
+					wraps[0]++
+				}
+				if sc.nver < 1000 {
+					wraps[1]++
+				}
+			}
+		}
+		sizes[len(sc.idDense)] = true
+		if len(sc.idDense) < v.NumTrajs() {
+			t.Fatalf("id table holds %d trips, the view %d", len(sc.idDense), v.NumTrajs())
+		}
+		if lo >= len(trips) {
+			break
+		}
+		store.IngestTrips(trips[lo:min(lo+35, len(trips))]...)
+	}
+	t.Logf("%d local routes compared; id table sizes %v; edge and node stamp wraps %v", routes, sizes, wraps)
+	if routes == 0 || len(sizes) < 2 || wraps[0] == 0 || wraps[1] == 0 {
+		t.Fatalf("%d local routes compared, id table sizes %v, edge and node stamp wraps %v: want routes, a table that grew and wraps",
+			routes, sizes, wraps)
 	}
 }

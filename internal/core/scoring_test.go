@@ -68,6 +68,12 @@ func testPairContext(m map[roadnet.EdgeID][]int) *pairContext {
 	}
 	slices.Sort(all)
 	sc.ids = slices.Compact(all)
+	if len(sc.ids) > 0 {
+		sc.idDense = make([]int32, sc.ids[len(sc.ids)-1]+1)
+	}
+	for i, id := range sc.ids {
+		sc.idDense[id] = int32(i)
+	}
 	ctx.ids = sc.ids
 	ctx.words = (len(ctx.ids) + 63) / 64
 	sc.beginPair(int(maxEdge) + 1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/geo"
@@ -32,8 +33,9 @@ type pairScratch struct {
 
 	// Interner: the pair's distinct archive trajectory ids, sorted, so a
 	// dense bit index replaces the map[int]struct{} reference sets.
-	idBuf []int32 // raw source ids before sort/dedup
-	ids   []int32 // sorted unique ids; bit i of a set = ids[i]
+	idSet   bitList // the pair's source ids, by trajectory index
+	ids     []int32 // sorted unique ids; bit i of a set = ids[i]
+	idDense []int32 // by trajectory index: its index in ids, if in ids
 
 	// Per-edge reference bitsets: slot k (edge edges[k]) owns
 	// bits[k*words : (k+1)*words]. edgeSlot/edgeVer are stamped arrays
@@ -69,13 +71,13 @@ type pairScratch struct {
 	bridges roadnet.Bridges
 
 	// TGI.
-	sorted           []roadnet.EdgeID // traverse edges, sorted
+	ascending        bitList          // reads out the traverse edges, then each node's λ-links…
+	ordered          []int32          // …into this buffer, ascending
 	tgEdges          []roadnet.EdgeID // traverse-graph node -> edge
 	nodeSlot         []int32          // stamped EdgeID -> node index
 	nodeVer          []uint32
 	nver             uint32
 	hopSearch        graphalg.HopSearch // λ-neighbourhood BFS
-	links            []int32            // one node's λ-neighbours, as node indices
 	tg               graphalg.Graph
 	ksp              graphalg.KShortest // bound to tg by inferTGI
 	mid              []geo.Point
@@ -169,6 +171,40 @@ func (sc *pairScratch) beginNodes(nseg int) {
 		}
 		sc.nver = 1
 	}
+}
+
+// bitList is a set of small non-negative integers that reads back in
+// ascending order and is empty again once read: a bitmap with the range of
+// words that may hold set bits. Its cost is the words it spans, not a sort.
+type bitList struct {
+	words  []uint64
+	lo, hi int // words[lo:hi] holds every set bit
+}
+
+// reserve makes room for members below n; the set must be empty.
+func (b *bitList) reserve(n int) {
+	if len(b.words)*64 < n {
+		b.words = make([]uint64, (n+63)/64)
+	}
+	b.lo, b.hi = len(b.words), 0
+}
+
+func (b *bitList) add(i int32) {
+	w := int(i >> 6)
+	b.words[w] |= 1 << (i & 63)
+	b.lo, b.hi = min(b.lo, w), max(b.hi, w+1)
+}
+
+// drain appends the members to dst in ascending order and empties the set.
+func (b *bitList) drain(dst []int32) []int32 {
+	for w := b.lo; w < b.hi; w++ {
+		for word := b.words[w]; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+		b.words[w] = 0
+	}
+	b.lo, b.hi = len(b.words), 0
+	return dst
 }
 
 // FNV-1a, shared by the route and path dedup hashes.

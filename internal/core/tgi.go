@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/geo"
 	"repro/internal/graphalg"
@@ -84,15 +83,17 @@ func (x exec) traverseGraph(pctx *pairContext) (srcs, dsts []roadnet.EdgeID) {
 		sc.nodeSlot[e] = int32(len(edges))
 		edges = append(edges, e)
 	}
-	// Sorted insertion keeps the traverse graph — and with it Yen's
+	// Ascending insertion keeps the traverse graph — and with it Yen's
 	// tie-breaking among equal-weight paths — deterministic across runs.
 	// (sc.edges is in first-touch order; the map-based code sorted its
-	// keys, which yields the same sorted sequence.)
-	sorted := append(sc.sorted[:0], sc.edges...)
-	sort.Ints(sorted)
-	sc.sorted = sorted
-	for _, e := range sorted {
-		addNode(e)
+	// keys, which yields the same sequence.)
+	sc.ascending.reserve(g.NumSegments())
+	for _, e := range sc.edges {
+		sc.ascending.add(int32(e))
+	}
+	sc.ordered = sc.ascending.drain(sc.ordered[:0])
+	for _, e := range sc.ordered {
+		addNode(roadnet.EdgeID(e))
 	}
 	for _, e := range srcs {
 		addNode(e)
@@ -115,18 +116,18 @@ func (x exec) traverseGraph(pctx *pairContext) (srcs, dsts []roadnet.EdgeID) {
 	tg := &sc.tg
 	tg.Reset(len(edges))
 	hs := &sc.hopSearch
+	sc.ascending.reserve(len(edges))
 	for i, r := range edges {
 		if graphalg.Stopped(x.done) {
 			break // truncated traverse graph; the caller degrades the pair
 		}
-		links := sc.links[:0]
 		for _, s := range g.EdgeHopsFrom(x.ctx, hs, r, p.Lambda-1) {
 			if h := hs.Hops(s); h > 0 && h < p.Lambda && sc.nodeVer[s] == sc.nver {
-				links = append(links, sc.nodeSlot[s])
+				sc.ascending.add(sc.nodeSlot[s])
 			}
 		}
-		slices.Sort(links)
-		sc.links = links
+		links := sc.ascending.drain(sc.ordered[:0])
+		sc.ordered = links
 		rEnd := g.Vertices[g.Seg(r).To].Pt
 		for _, j := range links {
 			sSeg := g.Seg(edges[j])

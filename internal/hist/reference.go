@@ -1,7 +1,8 @@
 package hist
 
 import (
-	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -94,18 +95,25 @@ type NearSet struct {
 
 // nearCand is a trajectory touched by the walk in progress, with its
 // canonical rank: idx is its nearest in-range sample so far, at squared
-// distance d2.
+// distance d2. next chains the touched trajectories of one rank in
+// trajectory order (-1 ends the chain).
 type nearCand struct {
-	d2              float64
-	rank, traj, idx int32
+	d2                    float64
+	rank, traj, idx, next int32
 }
 
 // sidePoint is one candidate point of the splice join: d is its distance to its
-// side's query point, rank its trajectory's rank in the side, seq its fill order.
+// side's query point, rank its trajectory's rank in the side.
 type sidePoint struct {
-	pt             geo.Point
-	d              float64
-	rank, idx, seq int32
+	pt        geo.Point
+	d         float64
+	rank, idx int32
+}
+
+// sideKey is a side point's position with its X as an order-preserving key.
+type sideKey struct {
+	key uint64
+	pos int32
 }
 
 // spliceBest is one (T_a, T_b)'s best splicing pair and its score; pa < 0: none.
@@ -123,20 +131,26 @@ type Searcher struct {
 	slot []int32
 	cur  uint32
 	// The walk in progress: the visitor (bound once, so a walk allocates
-	// nothing) reads v, q and rad and fills touched; order sorts it by
-	// (rank, trajectory), packed into one integer.
+	// nothing) reads v, q and rad and fills touched.
 	visit   func(geo.Point, PointRef) bool
 	v       View
 	q       geo.Point
 	rad     radius
 	touched []nearCand
-	order   []uint64
+	// The walk's canonical order, by canonical rank: bit r of rankBits is set
+	// while a touched trajectory has rank r, rankHead[r] is the first of them
+	// and nearCand.next chains the rest. Words rlo..rhi-1 hold every set bit;
+	// reading the near set out clears them, so the next walk starts empty.
+	rankBits []uint64
+	rankHead []int32
+	rlo, rhi int
 
-	own          NearSet // the carried set when the caller passes none
-	aside, bside []sidePoint
-	arank, brank []nearHit // side rank -> trajectory and its nn index
-	best         []spliceBest
-	refs         []Reference
+	own                 NearSet // the carried set when the caller passes none
+	aside, bside, spare []sidePoint
+	keys, keys2         []sideKey // the radix sort's two key buffers
+	arank, brank        []nearHit // side rank -> trajectory and its nn index
+	best                []spliceBest
+	refs                []Reference
 }
 
 // Release unpins the view of the searcher's own near sets, for pooled owners.
@@ -157,21 +171,26 @@ func (s *Searcher) walk(v View, q geo.Point, phi float64, out []nearHit) []nearH
 	if s.visit == nil {
 		s.visit = s.visitHit
 	}
-	s.begin(v.NumTrajs())
-	s.v, s.q, s.rad, s.touched, s.order = v, q, newRadius(phi), s.touched[:0], s.order[:0]
+	n := v.NumTrajs()
+	s.begin(n)
+	if len(s.rankHead) < n { // ranks are dense in [0, n)
+		s.rankBits, s.rankHead = make([]uint64, (n+63)/64), make([]int32, n)
+	}
+	s.v, s.q, s.rad, s.touched = v, q, newRadius(phi), s.touched[:0]
+	s.rlo, s.rhi = len(s.rankBits), 0
 	v.VisitBox(geo.BBoxAround(q, phi), s.visit)
 	s.v = nil
 	// Canonical order: reference order feeds tie-breaking downstream, so it
-	// must not depend on storage or index order. (rank, trajectory) packs
-	// into one uint64, which sorts without a comparison function; the stamp
-	// table still maps each trajectory to its candidate.
-	for _, c := range s.touched {
-		s.order = append(s.order, uint64(c.rank)<<32|uint64(c.traj))
-	}
-	slices.Sort(s.order)
-	for _, o := range s.order {
-		c := &s.touched[s.slot[uint32(o)]]
-		out = append(out, nearHit{c.traj, c.idx, c.rank})
+	// must not depend on storage or index order. The set bits are the
+	// touched ranks, ascending; each rank's chain is in trajectory order.
+	for w := s.rlo; w < s.rhi; w++ {
+		for word := s.rankBits[w]; word != 0; word &= word - 1 {
+			for k := s.rankHead[w<<6+bits.TrailingZeros64(word)]; k >= 0; {
+				c := &s.touched[k]
+				out, k = append(out, nearHit{c.traj, c.idx, c.rank}), c.next
+			}
+		}
+		s.rankBits[w] = 0
 	}
 	return out
 }
@@ -182,11 +201,25 @@ func (s *Searcher) visitHit(pt geo.Point, r PointRef) bool {
 		return true // in the box, outside the circle
 	}
 	idx := int32(r.Idx)
-	if s.ver[r.Traj] != s.cur {
-		s.ver[r.Traj], s.slot[r.Traj] = s.cur, int32(len(s.touched))
-		s.touched = append(s.touched, nearCand{d2: d2, rank: s.v.CanonRank(r.Traj), traj: int32(r.Traj), idx: idx})
-	} else if c := &s.touched[s.slot[r.Traj]]; d2 < c.d2 || d2 == c.d2 && idx < c.idx {
-		c.d2, c.idx = d2, idx
+	if s.ver[r.Traj] == s.cur {
+		if c := &s.touched[s.slot[r.Traj]]; d2 < c.d2 || d2 == c.d2 && idx < c.idx {
+			c.d2, c.idx = d2, idx
+		}
+		return true
+	}
+	k, rank := int32(len(s.touched)), s.v.CanonRank(r.Traj)
+	s.ver[r.Traj], s.slot[r.Traj] = s.cur, k
+	s.touched = append(s.touched, nearCand{d2: d2, rank: rank, traj: int32(r.Traj), idx: idx, next: -1})
+	if w, b := int(rank>>6), uint64(1)<<(rank&63); s.rankBits[w]&b == 0 {
+		s.rankBits[w] |= b
+		s.rankHead[rank] = k
+		s.rlo, s.rhi = min(s.rlo, w), max(s.rhi, w+1)
+	} else { // trajectories indistinguishable by canonKey: chain by index
+		at := &s.rankHead[rank]
+		for *at >= 0 && s.touched[*at].traj < int32(r.Traj) {
+			at = &s.touched[*at].next
+		}
+		s.touched[k].next, *at = *at, k
 	}
 	return true
 }
@@ -281,12 +314,66 @@ func fillSide(side []sidePoint, ranks []nearHit, h nearHit, pts []traj.GPSPoint,
 		if d+pts[k].Pt.Dist(other) > budget {
 			break // heading out of the feasible lens
 		}
-		side = append(side, sidePoint{pt: pts[k].Pt, d: d, rank: int32(len(ranks)), idx: int32(k), seq: int32(len(side))})
+		side = append(side, sidePoint{pt: pts[k].Pt, d: d, rank: int32(len(ranks)), idx: int32(k)})
 	}
 	if len(side) > before {
 		ranks = append(ranks, h)
 	}
 	return side, ranks
+}
+
+// xKey maps x to an unsigned key in the order cmp.Compare gives floats: NaN
+// first, then −Inf up to +Inf, with −0 and +0 sharing one key.
+func xKey(x float64) uint64 {
+	switch b := math.Float64bits(x); {
+	case x != x:
+		return 0
+	case x == 0:
+		return 1 << 63
+	case b>>63 != 0:
+		return ^b
+	default:
+		return b | 1<<63
+	}
+}
+
+// sortByX returns side's points ordered by (X, fill order), gathered into
+// buf, and side's array as the next spare. The order is a stable LSD radix
+// sort on xKey, one pass per key byte that varies across the side.
+func (s *Searcher) sortByX(side, buf []sidePoint) (sorted, spare []sidePoint) {
+	n := len(side)
+	a, b := slices.Grow(s.keys[:0], n)[:n], slices.Grow(s.keys2[:0], n)[:n]
+	var diff uint64
+	for i, p := range side {
+		a[i] = sideKey{xKey(p.pt.X), int32(i)}
+		diff |= a[i].key ^ a[0].key
+	}
+	var count [256]int32
+	for shift := 0; shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		clear(count[:])
+		for _, e := range a {
+			count[e.key>>shift&0xff]++
+		}
+		sum := int32(0)
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		for _, e := range a {
+			d := e.key >> shift & 0xff
+			b[count[d]] = e
+			count[d]++
+		}
+		a, b = b, a
+	}
+	s.keys, s.keys2 = a, b
+	sorted = slices.Grow(buf[:0], n)[:n]
+	for i, e := range a {
+		sorted[i] = side[e.pos]
+	}
+	return sorted, side[:0]
 }
 
 // splice appends the Definition 7 references: T_a passes near q_i only, T_b
@@ -320,14 +407,9 @@ func (s *Searcher) splice(refs []Reference, v View, qi, qj geo.Point, eps, budge
 	// Plane-sweep join on X with window e [Arge et al. 1998]. Equal X keeps
 	// fill order — canonical trajectory order, then along the direction the
 	// side was filled in — so tie-breaking is storage-order independent.
-	byX := func(a, b sidePoint) int {
-		if c := cmp.Compare(a.pt.X, b.pt.X); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	}
-	slices.SortFunc(aside, byX)
-	slices.SortFunc(bside, byX)
+	aside, s.spare = s.sortByX(aside, s.spare)
+	bside, s.spare = s.sortByX(bside, s.spare)
+	s.aside, s.bside = aside, bside
 	nb := len(brank)
 	best := slices.Grow(s.best[:0], len(arank)*nb)[:len(arank)*nb]
 	s.best = best

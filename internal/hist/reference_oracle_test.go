@@ -379,18 +379,77 @@ func checkAgainstOracle(t *testing.T, what string, v View, got []Reference, want
 	}
 }
 
+// tieWorld is a hand-built archive around one query pair, q_i = (−300, 0)
+// and q_{i+1} = (300, 0), salted with every tie the search's orders must
+// break exactly as the oracle's comparison sorts do:
+//   - A side: "ta" runs from q_i to samples at X = +0.0 and X = −0.0, equal
+//     under cmp.Compare, mirrored in Y so either one splices at the same
+//     score; fill order (+0.0 first) must decide.
+//   - B side: "tb" reaches q_{i+1} from two samples at X = 100, mirrored in Y
+//     the same way; fill order must decide again.
+//   - Shared canonical ranks: "ta" and "tb" have byte-identical twins, and
+//     "through", a simple reference, has a twin that starts at the same
+//     sample with as many samples but a different path (one canonKey).
+//
+// The trips come in an order that puts each twin's storage index on the
+// other side of its original than bulk order does, ingested in two batches.
+func tieWorld() (*roadnet.Graph, []*traj.Trajectory, *traj.Trajectory) {
+	at := func(id string, pts ...geo.Point) *traj.Trajectory {
+		tr := &traj.Trajectory{ID: id}
+		for i, p := range pts {
+			tr.Points = append(tr.Points, traj.GPSPoint{Pt: p, T: float64(i) * 10})
+		}
+		return tr
+	}
+	negZero := math.Copysign(0, -1)
+	ta := at("ta", geo.Pt(-290, 0), geo.Pt(-150, 0), geo.Pt(0, 50), geo.Pt(negZero, -50))
+	tb := at("tb", geo.Pt(100, 40), geo.Pt(100, -40), geo.Pt(200, 0), geo.Pt(290, 0))
+	through := at("through", geo.Pt(-295, 5), geo.Pt(-100, 5), geo.Pt(100, 5), geo.Pt(295, 5))
+	bend := at("through", geo.Pt(-295, 5), geo.Pt(-120, 30), geo.Pt(80, 30), geo.Pt(290, 8))
+	trips := []*traj.Trajectory{bend, tb.Clone(), ta, through, tb, ta.Clone()}
+	q := &traj.Trajectory{ID: "q", Points: []traj.GPSPoint{{Pt: geo.Pt(-300, 0), T: 0}, {Pt: geo.Pt(300, 0), T: 100}}}
+	return roadnet.NewGrid(4, 4, 200, 15), trips, q
+}
+
 // TestReferenceOracleEquivalence: the near-set search returns exactly what
 // the map-based search it replaced returns, on every view kind, across the
 // parameter space — through the pooled entry point, and through one
 // long-lived Searcher whose carried near sets and stamp tables survive from
 // pair to pair (up a query, and down it), view to view and parameter set to
-// parameter set.
+// parameter set. The simulated worlds are followed by tieWorld, whose ties
+// (equal X at different fill positions, −0 against +0, trips sharing a
+// canonical rank) the test checks did occur.
 func TestReferenceOracleEquivalence(t *testing.T) {
 	seeds := []int64{11, 12}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	var carried, backward Searcher
+	// check compares the search of every pair of q with the oracle, and
+	// returns how many spliced references the oracle found.
+	check := func(what string, v View, q *traj.Trajectory, p SearchParams) (spliced int) {
+		wants := make([][]oracleRef, q.Len()-1)
+		for i := range wants {
+			qi, qj := q.Points[i], q.Points[i+1]
+			what := fmt.Sprintf("%s %+v %s pair %d", what, p, q.ID, i)
+			want := oracleReferences(v, qi, qj, p, nil)
+			checkAgainstOracle(t, what, v, References(v, qi, qj, p), want)
+			checkAgainstOracle(t, what+" (carried)", v, carried.references(v, qi, qj, p, nil, nil), want)
+			for _, w := range want {
+				if w.Spliced {
+					spliced++
+				}
+			}
+			wants[i] = want
+		}
+		// And back down the query, the order a worker eating a region from
+		// its far end searches in.
+		for i := len(wants) - 1; i >= 0; i-- {
+			what := fmt.Sprintf("%s %+v %s pair %d (carried backward)", what, p, q.ID, i)
+			checkAgainstOracle(t, what, v, backward.references(v, q.Points[i], q.Points[i+1], p, nil, nil), wants[i])
+		}
+		return spliced
+	}
 	for _, seed := range seeds {
 		g, trips, queries := oracleWorld(seed)
 		live := NewStore(g, trips[:40], StoreConfig{})
@@ -412,26 +471,7 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 					for _, vmax := range []float64{0, 9} {
 						p := SearchParams{Phi: phi, SpliceEps: 200, SpliceMinSimple: minSimple, VMax: vmax}
 						for _, q := range queries {
-							wants := make([][]oracleRef, q.Len()-1)
-							for i := range wants {
-								qi, qj := q.Points[i], q.Points[i+1]
-								what := fmt.Sprintf("seed %d %s %+v %s pair %d", seed, name, p, q.ID, i)
-								want := oracleReferences(v, qi, qj, p, nil)
-								checkAgainstOracle(t, what, v, References(v, qi, qj, p), want)
-								checkAgainstOracle(t, what+" (carried)", v, carried.references(v, qi, qj, p, nil, nil), want)
-								for _, w := range want {
-									if w.Spliced {
-										spliced++
-									}
-								}
-								wants[i] = want
-							}
-							// And back down the query, the order a worker eating a
-							// region from its far end searches in.
-							for i := len(wants) - 1; i >= 0; i-- {
-								what := fmt.Sprintf("seed %d %s %+v %s pair %d (carried backward)", seed, name, p, q.ID, i)
-								checkAgainstOracle(t, what, v, backward.references(v, q.Points[i], q.Points[i+1], p, nil, nil), wants[i])
-							}
+							spliced += check(fmt.Sprintf("seed %d %s", seed, name), v, q, p)
 						}
 					}
 				}
@@ -445,6 +485,92 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 	// closing speedFeasible over every spliced reference and never rejects one.
 	if oracleSpliceRecheckFired != 0 {
 		t.Fatalf("the oracle's spliced speedFeasible re-check rejected %d references", oracleSpliceRecheckFired)
+	}
+
+	g, trips, q := tieWorld()
+	live := NewStore(g, trips[:3], StoreConfig{})
+	live.IngestTrips(trips[3:]...)
+	sharded := NewShardedStore(g, nil, ShardedConfig{Shards: 4, Halo: 200})
+	sharded.IngestTrips(trips[4:]...)
+	sharded.IngestTrips(trips[:4]...)
+	for name, v := range map[string]View{"bulk": NewArchive(g, trips), "live": live.Current(), "sharded": sharded.Current()} {
+		for _, p := range []SearchParams{{Phi: 100, SpliceEps: 200, VMax: 20}, {Phi: 100, SpliceEps: 200, SpliceMinSimple: 3, VMax: 20}} {
+			if spliced := check("ties "+name, v, q, p); spliced != 4 {
+				t.Fatalf("ties %s %+v: the oracle spliced %d references, want 4 (ta and tb, twice each)", name, p, spliced)
+			}
+		}
+		// The ties were there to break: twins adjacent in the near sets, and
+		// sides holding equal X — −0 and +0 among them — at different fill
+		// positions.
+		var s Searcher
+		s.references(v, q.Points[0], q.Points[1], SearchParams{Phi: 100, SpliceEps: 200, VMax: 20}, nil, nil)
+		for k, hits := range s.own.hits {
+			twins := false
+			for i := 1; i < len(hits); i++ {
+				twins = twins || hits[i].canon == hits[i-1].canon
+			}
+			if !twins {
+				t.Fatalf("ties %s: near set %d = %+v holds no two trips of one canonical rank", name, k, hits)
+			}
+		}
+		var posZero, negZero bool
+		for _, p := range s.aside {
+			posZero = posZero || p.pt.X == 0 && !math.Signbit(p.pt.X)
+			negZero = negZero || p.pt.X == 0 && math.Signbit(p.pt.X)
+		}
+		equalX := func(side []sidePoint) bool {
+			for i := 1; i < len(side); i++ {
+				if side[i].pt.X == side[i-1].pt.X && side[i].rank == side[i-1].rank {
+					return true
+				}
+			}
+			return false
+		}
+		if !posZero || !negZero || !equalX(s.aside) || !equalX(s.bside) {
+			t.Fatalf("ties %s: sides lack the ties (side A holds +0: %v, −0: %v; equal X within one trip: A %v, B %v)",
+				name, posZero, negZero, equalX(s.aside), equalX(s.bside))
+		}
+	}
+}
+
+// TestSearcherSurvivesWrapAndGrowth: a warm Searcher whose stamp counter
+// wraps mid-query, carried from pair to pair and across ingests that grow the
+// archive's trajectory count (and with it the stamp and rank tables), answers
+// every pair as a fresh Searcher does, and as the oracle does.
+func TestSearcherSurvivesWrapAndGrowth(t *testing.T) {
+	g, trips, queries := oracleWorld(14)
+	st := NewStore(g, trips[:25], StoreConfig{})
+	p := SearchParams{Phi: 500, SpliceEps: 200}
+	var warm Searcher
+	wraps := 0
+	for lo := 25; ; lo += 70 {
+		v := st.Current()
+		for _, q := range queries {
+			warm.cur = math.MaxUint32 - 1 // the pair's second stamp generation wraps
+			for i := 0; i+1 < q.Len(); i++ {
+				qi, qj := q.Points[i], q.Points[i+1]
+				var fresh Searcher
+				want := fresh.references(v, qi, qj, p, nil, nil)
+				what := fmt.Sprintf("%d trips, %s pair %d", v.NumTrajs(), q.ID, i)
+				if got := warm.references(v, qi, qj, p, nil, nil); !slices.Equal(got, want) {
+					t.Fatalf("%s: warm searcher = %+v, fresh %+v", what, got, want)
+				}
+				checkAgainstOracle(t, what, v, want, oracleReferences(v, qi, qj, p, nil))
+			}
+			if warm.cur < math.MaxUint32-1 {
+				wraps++
+			}
+		}
+		if len(warm.rankHead) < v.NumTrajs() {
+			t.Fatalf("rank table holds %d trips, the view %d", len(warm.rankHead), v.NumTrajs())
+		}
+		if lo >= len(trips) {
+			break
+		}
+		st.IngestTrips(trips[lo:min(lo+70, len(trips))]...)
+	}
+	if wraps == 0 {
+		t.Fatal("the stamp counter never wrapped")
 	}
 }
 

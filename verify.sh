@@ -110,8 +110,15 @@ go test -C bench -timeout 300s ./...
 # warm pool, where stale run state would show) and the memo's admission
 # contract (SearchCache), and the near set's two integer shortcuts: the
 # canonical ranks against the key they replace (Canon) and the squared-
-# distance radius test against math.Hypot (Radius).
-go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces|MatchTable|SearchCache|Canon|Radius' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
+# distance radius test against math.Hypot (Radius). The per-pair path orders
+# by dense tables, not sorts, so the ties those tables must break as the
+# sorts did run here on warm pools too: the reference oracle's tie world
+# (equal X at different fill positions, -0 against +0, trips sharing a
+# canonical rank), the K-GRI column against its fully sorted candidates
+# (PosteriorSelection), the tables' stamp wraps, warm reuse and growth under
+# an ingest (SurvivesWrap), and the comparisons a K-GRI push makes
+# (PosteriorPushWork: at most K per candidate, flat over a long trip).
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces|MatchTable|SearchCache|Canon|Radius|SurvivesWrap|PosteriorSelection|PosteriorPushWork' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
 go test -timeout 120s -count=2 ./internal/grid/
 
 # Bench smoke: the acceleration-layer benchmarks (the end-to-end HRIS query
