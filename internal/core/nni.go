@@ -143,6 +143,12 @@ func enumerateTransitTraces(sc *pairScratch, rawPoints []refPoint, qiPt, qjPt ge
 			if cand == node || toDest[cand]-alpha > dCur { // line 9: drifting away beyond the α budget
 				continue
 			}
+			// Full slots reject by the squared hop first; the margin lies far
+			// above the rounding of Dist2 and Hypot, so a candidate that passes
+			// gets the exact hop, and every verdict below stays the Hypot one.
+			if len(nn) == p.K2 && pc.Dist2(pts[cand]) > nnD[p.K2-1]*nnD[p.K2-1]*(1+1e-9) {
+				continue
+			}
 			hop := pc.Dist(pts[cand])
 			if hop < 1e-9 || len(nn) == p.K2 && hop >= nnD[p.K2-1] {
 				continue // co-located sample: no progress; or K2 admissible points come first

@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -187,7 +189,9 @@ func enumerateTransitTracesRTree(sc *pairScratch, rawPoints []refPoint, qiPt, qj
 // order — that streaming the R-tree did. No pair of these worlds has two
 // points exactly equidistant from a node (the tree's order among such points
 // depended on its heap layout); the hand-built table below has, and pins the
-// scan's rule: lower table index first.
+// scan's rule: lower table index first. Integer lattices and points about a
+// circle then put exact ties and near-ulp squares at the K2-th slot, where
+// the scan's squared pre-test hands over to the exact hop.
 func TestTransitTracesOracle(t *testing.T) {
 	for _, seed := range []int64{191, 7} {
 		w := newWorld(t, 600, seed)
@@ -244,5 +248,85 @@ func TestTransitTracesOracle(t *testing.T) {
 		if want := []int{0, 1, 2, 4}; len(off) != 2 || !slices.Equal(sc.traces, want) {
 			t.Fatalf("table order %v: traces %v (offsets %v), want the one trace %v through the lower index", order, sc.traces, off, want)
 		}
+	}
+
+	// Tables at the K2-th slot's boundary, where the kNN's squared pre-test
+	// and its exact hop must agree: integer lattices, whose hops tie exactly
+	// and often (and whose Dist2 is exact), and points scattered about one
+	// circle around q_i, whose Dist2 land within a few ulps of each other's
+	// squared hops. The α and β of the first budget are wide open, so from
+	// q_i every point is admissible and the slot boundary is the k-th
+	// nearest; the checks below require each kind of tie to occur there.
+	rng, osc := rand.New(rand.NewSource(3)), newPairScratch()
+	var ties, nearUlp int
+	for table := 0; table < 12; table++ {
+		var raw []refPoint
+		qj := geo.Pt(3000, 0)
+		if table%2 == 0 {
+			for x := 1; x < 30; x++ {
+				for y := -6; y <= 6; y++ {
+					if rng.Intn(4) == 0 {
+						raw = append(raw, refPoint{pt: geo.Pt(float64(100*x), float64(100*y))})
+					}
+				}
+			}
+		} else {
+			r := 1000 + 1000*rng.Float64()
+			for k := 0; k < 40; k++ {
+				a := 2.4*rng.Float64() - 1.2
+				raw = append(raw, refPoint{pt: geo.Pt(r*math.Cos(a), r*math.Sin(a))})
+			}
+			qj = geo.Pt(4000, 0)
+		}
+		for _, k2 := range []int{1, 2, 3, 4, 8} {
+			for _, share := range []bool{true, false} {
+				for _, ab := range [][2]float64{{1e6, 10}, {500, 1.5}, {150, 1.1}} {
+					p := DefaultParams()
+					p.ShareSubstructures, p.K2, p.Alpha, p.Beta = share, k2, ab[0], ab[1]
+					off := enumerateTransitTraces(sc, raw, geo.Pt(0, 0), qj, p, nil)
+					want := enumerateTransitTracesRTree(osc, raw, geo.Pt(0, 0), qj, p, nil)
+					if !slices.Equal(off, want) || (off != nil && !slices.Equal(sc.traces, osc.traces)) {
+						t.Fatalf("table %d K2=%d share=%v α=%v β=%v:\nscan  %v %v\nrtree %v %v", table, k2, share, ab[0], ab[1], off, sc.traces, want, osc.traces)
+					}
+				}
+			}
+			// The boundary from q_i: hops from the table, the k-th one s.
+			pts := sc.nniPts[1:]
+			hops := make([]float64, len(pts))
+			for i, pt := range pts {
+				hops[i] = pt.Dist(geo.Pt(0, 0))
+			}
+			slices.Sort(hops)
+			s := hops[k2-1]
+			for _, pt := range pts {
+				d2 := pt.Dist2(geo.Pt(0, 0))
+				if pt.Dist(geo.Pt(0, 0)) == s {
+					ties++
+				} else if ulp := math.Nextafter(s*s, math.Inf(1)) - s*s; d2 != s*s && math.Abs(d2-s*s) <= 4*ulp {
+					nearUlp++
+				}
+			}
+		}
+	}
+	if ties < 100 || nearUlp < 20 {
+		t.Fatalf("boundary tables: %d points tie the K2-th hop exactly and %d lie within 4 ulps of its square — the tables no longer probe the boundary", ties, nearUlp)
+	}
+
+	// The case the pre-test's margin exists for: b is nearer q_i than a by
+	// Hypot, yet its Dist2 exceeds a's squared hop, so a pre-test without
+	// margin would keep a, first in the table, in the one slot.
+	o := geo.Pt(0, 0)
+	for {
+		aa, ab := -0.2-0.8*rng.Float64(), 0.2+0.8*rng.Float64()
+		a, b := geo.Pt(1000*math.Cos(aa), 1000*math.Sin(aa)), geo.Pt(1000*math.Cos(ab), 1000*math.Sin(ab))
+		if s := o.Dist(a); o.Dist(b) >= s || o.Dist2(b) <= s*s {
+			continue
+		}
+		p := DefaultParams()
+		p.K2 = 1
+		if off := enumerateTransitTraces(sc, []refPoint{{pt: a}, {pt: b}}, o, geo.Pt(3000, 0), p, nil); len(off) < 2 || sc.traces[1] != 2 {
+			t.Fatalf("a %v, b %v: traces %v (offsets %v), want the first hop to b, the nearer by Hypot", a, b, sc.traces, off)
+		}
+		break
 	}
 }

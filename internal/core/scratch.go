@@ -83,8 +83,11 @@ type pairScratch struct {
 	mid              []geo.Point
 	comp             []int
 	redOff, redTo    []int32   // reduceTraverseGraph's CSR rows
-	redW             []float64 // their weights; +Inf = removed
-	redSlot, redWit  []int32   // its per-row target index and witness counts
+	redW             []float64 // their weights
+	redInOff         []int32   // its reverse index: k's in-arcs start at redInOff[k]
+	redIn            []inArc
+	redInAt          []int32   // row position → its in-arc
+	redRow           []float64 // the live links of the row being reduced
 	srcCand, dstCand []roadnet.EdgeID
 	routeBuf         roadnet.Route
 

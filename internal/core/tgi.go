@@ -214,12 +214,22 @@ func augmentStronglyConnected(tg *graphalg.Graph, edges []roadnet.EdgeID, g *roa
 	}
 }
 
+// inArc is an arc of reduceTraverseGraph's reverse index: its source and its
+// weight, +Inf once removed.
+type inArc struct {
+	from int32
+	w    float64
+}
+
 // reduceTraverseGraph removes redundant links: r→k is redundant when some
-// intermediate node j has links r→j and j→k whose hop distances compose
-// exactly to h(r,k) (the paper's h(r_i,r_k) = h(r_i,r_j)+h(r_j,r_k)+1 rule,
-// expressed in our hop convention where adjacent edges are 1 hop apart).
-// Removal preserves all shortest-path distances while shrinking the search
-// space of the K-shortest-path stage. sc supplies the adjacency rows.
+// intermediate node j has live links r→j and j→k whose weights compose to
+// within 30 m of w(r,k) — the float-weight analogue of the paper's exact hop
+// composition rule h(r_i,r_k) = h(r_i,r_j)+h(r_j,r_k)+1. The tolerance
+// absorbs street curvature and vertex jitter; removed links change path
+// weights by at most this amount, so removal keeps shortest-path distances
+// within it while shrinking the search space of the K-shortest-path stage.
+// Each link is judged once, by a scan of k's in-arcs that stops at the first
+// witness. sc supplies the adjacency rows.
 func reduceTraverseGraph(tg *graphalg.Graph, done <-chan struct{}, sc *pairScratch) {
 	// CSR copy of the graph: row u holds u's distinct targets in ascending
 	// order, each with the lightest of its parallel arcs. Arcs arrive almost
@@ -243,16 +253,33 @@ func reduceTraverseGraph(tg *graphalg.Graph, done <-chan struct{}, sc *pairScrat
 		off = append(off, int32(len(to)))
 	}
 	sc.redOff, sc.redTo, sc.redW = off, to, w
-	// slot[k] is link r→k's position in the row being reduced (anything else
-	// for a k the row does not link: a position outside the row, or one that
-	// holds another target); wit[i] counts the witnesses of the link at i.
-	slot, wit := slices.Grow(sc.redSlot[:0], n)[:n], slices.Grow(sc.redWit[:0], len(to))[:len(to)]
-	sc.redSlot, sc.redWit = slot, wit
-	// A direct link is redundant when routing through an intermediate
-	// traverse edge composes to (approximately) the same physical length —
-	// the float-weight analogue of the paper's exact hop composition rule.
-	// The tolerance absorbs street curvature and vertex jitter; removed
-	// links change path weights by at most this amount.
+	// The reverse index: k's in-arcs are in[inOff[k]:inOff[k+1]], each its
+	// source and weight, and inAt[a] is the in-arc of row position a, through
+	// which a removal sets that weight to +Inf.
+	inOff := slices.Grow(sc.redInOff[:0], n+2)[:n+2]
+	in, inAt := slices.Grow(sc.redIn[:0], len(to))[:len(to)], slices.Grow(sc.redInAt[:0], len(to))[:len(to)]
+	clear(inOff)
+	for _, k := range to {
+		inOff[k+2]++
+	}
+	for k := 2; k < len(inOff); k++ {
+		inOff[k] += inOff[k-1]
+	}
+	for u := 0; u < n; u++ {
+		for a := off[u]; a < off[u+1]; a++ {
+			k := to[a] + 1
+			in[inOff[k]], inAt[a] = inArc{from: int32(u), w: w[a]}, inOff[k]
+			inOff[k]++
+		}
+	}
+	sc.redInOff, sc.redIn, sc.redInAt = inOff, in, inAt
+	// row[j] is w(r,j) while r→j is a live link of the row being reduced, and
+	// +Inf otherwise: a removed link completes no detour.
+	row := slices.Grow(sc.redRow[:0], n)[:n]
+	sc.redRow = row
+	for j := range row {
+		row[j] = math.Inf(1)
+	}
 	const tol = 30.0 // meters
 	for r := 0; r < n; r++ {
 		// Reduction only ever removes redundant links, so stopping part-way
@@ -261,35 +288,30 @@ func reduceTraverseGraph(tg *graphalg.Graph, done <-chan struct{}, sc *pairScrat
 			return
 		}
 		lo, hi := off[r], off[r+1]
-		// vouch adds d to the witness count of every link r→k that the detour
-		// r→j→k, r→j weighing wrj, makes redundant. A removed link weighs
-		// +Inf and so completes no detour.
-		vouch := func(j int32, wrj float64, d int32) {
-			for a := off[j]; a < off[j+1]; a++ {
-				k := to[a]
-				if i := slot[k]; i >= lo && i < hi && to[i] == k && k != j && wrj+w[a] <= w[i]+tol {
-					wit[i] += d
-				}
-			}
-		}
 		for i := lo; i < hi; i++ {
-			slot[to[i]], wit[i] = i, 0
-		}
-		for i := lo; i < hi; i++ {
-			vouch(to[i], w[i], 1)
+			row[to[i]] = w[i]
 		}
 		// Removal order matters — deleting r→k takes away the witness k was
-		// for other links of r — so candidates go in row (= ascending target)
+		// for other links of r — so links go in row (= ascending target)
 		// order, each judged by the witnesses still linked when its turn
 		// comes, to keep the reduced graph (and the K-shortest-path results on
 		// it) identical across runs.
+		removed := false
 		for i := lo; i < hi; i++ {
-			if wit[i] > 0 {
-				vouch(to[i], w[i], -1)
-				w[i] = math.Inf(1)
+			k := to[i]
+			for _, e := range in[inOff[k]:inOff[k+1]] {
+				if e.from != k && row[e.from]+e.w <= w[i]+tol {
+					row[k], in[inAt[i]].w, removed = math.Inf(1), math.Inf(1), true
+					break
+				}
 			}
 		}
-		tg.Adj[r] = slices.DeleteFunc(tg.Adj[r], func(a graphalg.Arc) bool { return math.IsInf(w[slot[a.To]], 1) })
+		if removed {
+			tg.Adj[r] = slices.DeleteFunc(tg.Adj[r], func(a graphalg.Arc) bool { return math.IsInf(row[a.To], 1) })
+		}
+		for i := lo; i < hi; i++ {
+			row[to[i]] = math.Inf(1)
+		}
 	}
 }
 

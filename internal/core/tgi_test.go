@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -190,10 +191,12 @@ func reduceTraverseGraphMaps(tg *graphalg.Graph) {
 }
 
 // TestReduceTraverseGraphMatchesMapOracle: on random digraphs with parallel
-// arcs and weights tied exactly at the tolerance, and on chains where
-// removing one link destroys the witness of another, the scratch-backed
-// reduction leaves exactly the arcs the map-based one does, in the same
-// order, from a fresh and from a reused arena.
+// arcs and weights tied exactly at the tolerance, on chains and a cascade
+// where removing one link destroys the witness of another, and on graphs of
+// the server's sizes built from a city grid, the scratch-backed reduction
+// leaves exactly the arcs the map-based one does, in the same order, from a
+// fresh and from a reused arena; a reduction stopped before it starts
+// removes nothing.
 func TestReduceTraverseGraphMatchesMapOracle(t *testing.T) {
 	sc := newPairScratch()
 	check := func(name string, tg *graphalg.Graph) {
@@ -249,6 +252,104 @@ func TestReduceTraverseGraphMatchesMapOracle(t *testing.T) {
 		}
 		check(fmt.Sprintf("random %d", trial), tg)
 	}
+
+	// A cascade: 0→1 falls to the detour through 9, and from there on each
+	// link 0→k is vouched for only by 0→k-1 (10 m less, plus a 10 m leg), so
+	// the links alternate: 1, 3, 5, 7 go, 2, 4, 6, 8 stay. Every k ≥ 2 also
+	// has an in-arc from 1 listed first, which the scan must pass over once
+	// 0→1 is gone.
+	cascade := graphalg.NewGraph(10)
+	cascade.AddArc(0, 9, 5)
+	cascade.AddArc(9, 1, 5)
+	for k := 1; k <= 8; k++ {
+		cascade.AddArc(0, k, float64(10*k))
+		if k >= 2 {
+			cascade.AddArc(1, k, 1)
+			cascade.AddArc(k-1, k, 10)
+		}
+	}
+	check("cascade", cascade.Clone())
+	reduceTraverseGraph(cascade, nil, sc)
+	for k := 1; k <= 8; k++ {
+		if cascade.HasArc(0, k) != (k%2 == 0) {
+			t.Fatalf("cascade: 0→%d kept = %v, want the even targets kept: %v", k, cascade.HasArc(0, k), cascade.Adj[0])
+		}
+	}
+
+	// Graphs shaped like the server's: segments of a city grid linked to
+	// their λ = 4 neighbourhoods and augmented, ~47 nodes and ~13 arcs a node
+	// on average, up to 375 nodes, 38 % of the links redundant and one graph
+	// in five with augmentation arcs out of row order. One arena reduces them
+	// all, and the sizes first shrink from the largest to two nodes and then
+	// grow back, so that offsets or rows left over from a larger graph would
+	// show.
+	g := roadnet.NewGrid(30, 30, 100, 15)
+	sizes := []int{375, 120, 30, 6, 2, 48, 375}
+	for len(sizes) < 60 {
+		sizes = append(sizes, 8+int(rng.ExpFloat64()*36))
+	}
+	var nodes, arcs, kept, unordered int
+	for i, n := range sizes {
+		tg := gridTraverseGraph(g, rng, n)
+		for _, row := range tg.Adj {
+			if !sort.SliceIsSorted(row, func(a, b int) bool { return row[a].To < row[b].To }) {
+				unordered++
+				break
+			}
+		}
+		nodes, arcs = nodes+n, arcs+tg.ArcCount()
+		check(fmt.Sprintf("grid %d (%d nodes)", i, n), tg)
+		kept += tg.ArcCount()
+	}
+	removed := 1 - float64(kept)/float64(arcs)
+	if nodes < 40*len(sizes) || arcs < 10*nodes || removed < 0.3 || removed > 0.6 || unordered < len(sizes)/10 {
+		t.Fatalf("grid graphs: %d nodes and %d arcs on average, %.0f%% removed, %d of %d with augmentation arcs out of order — no longer the server's shape",
+			nodes/len(sizes), arcs/len(sizes), 100*removed, unordered, len(sizes))
+	}
+
+	// A done closed before the call leaves the graph untouched.
+	stopped := make(chan struct{})
+	close(stopped)
+	tg := gridTraverseGraph(g, rng, 48)
+	before := tg.Clone()
+	reduceTraverseGraph(tg, stopped, sc)
+	if !reflect.DeepEqual(tg.Adj, before.Adj) {
+		t.Fatal("a reduction stopped before it began removed links")
+	}
+}
+
+// gridTraverseGraph builds a traverse graph the way traverseGraph does over n
+// segments of g, drawn from a window of consecutive segment ids (each kept
+// with probability 0.6): links to the segments within λ = 4 hops, weighed by
+// the gap plus the target's length and added by ascending target, then
+// augmentStronglyConnected's arc pairs, which land out of order at the ends
+// of their rows.
+func gridTraverseGraph(g *roadnet.Graph, rng *rand.Rand, n int) *graphalg.Graph {
+	sc := newPairScratch()
+	edges, slot := make([]roadnet.EdgeID, 0, n), make(map[roadnet.EdgeID]int, n)
+	for e := rng.Intn(g.NumSegments()); len(edges) < n; e = (e + 1) % g.NumSegments() {
+		if rng.Float64() < 0.6 {
+			slot[roadnet.EdgeID(e)] = len(edges)
+			edges = append(edges, roadnet.EdgeID(e))
+		}
+	}
+	tg := graphalg.NewGraph(n)
+	for i, r := range edges {
+		var links []int
+		for _, s := range g.EdgeHopsFrom(context.Background(), &sc.hopSearch, r, 3) {
+			if j, ok := slot[s]; ok && sc.hopSearch.Hops(s) > 0 {
+				links = append(links, j)
+			}
+		}
+		sort.Ints(links)
+		rEnd := g.Vertices[g.Seg(r).To].Pt
+		for _, j := range links {
+			sSeg := g.Seg(edges[j])
+			tg.AddArc(i, j, rEnd.Dist(g.Vertices[sSeg.From].Pt)+sSeg.Length)
+		}
+	}
+	augmentStronglyConnected(tg, edges, g, nil, sc)
+	return tg
 }
 
 // traverseGraphDigests pins, per world × GraphReduction, every path — vertex

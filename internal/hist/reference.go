@@ -116,7 +116,7 @@ type sideKey struct {
 	pos int32
 }
 
-// spliceBest is one (T_a, T_b)'s best splicing pair and its score; pa < 0: none.
+// spliceBest is one (T_a, T_b)'s best splicing pair and its score.
 type spliceBest struct {
 	d      float64
 	pa, pb int32
@@ -150,6 +150,7 @@ type Searcher struct {
 	keys, keys2         []sideKey // the radix sort's two key buffers
 	arank, brank        []nearHit // side rank -> trajectory and its nn index
 	best                []spliceBest
+	filled              []uint64 // bit c set: best[c] holds a splicing pair
 	refs                []Reference
 }
 
@@ -376,6 +377,17 @@ func (s *Searcher) sortByX(side, buf []sidePoint) (sorted, spare []sidePoint) {
 	return sorted, side[:0]
 }
 
+// nextBit returns the first set bit of bm in [from, to), or to.
+func nextBit(bm []uint64, from, to int) int {
+	for from < to {
+		if word := bm[from>>6] >> (from & 63); word != 0 {
+			return min(from+bits.TrailingZeros64(word), to)
+		}
+		from = (from | 63) + 1
+	}
+	return to
+}
+
 // splice appends the Definition 7 references: T_a passes near q_i only, T_b
 // near q_{i+1} only; a splicing pair (p_a, p_b) with d(p_a, p_b) ≤ e joins
 // them into a virtual reference. The splicing pairs are found with a
@@ -410,13 +422,18 @@ func (s *Searcher) splice(refs []Reference, v View, qi, qj geo.Point, eps, budge
 	aside, s.spare = s.sortByX(aside, s.spare)
 	bside, s.spare = s.sortByX(bside, s.spare)
 	s.aside, s.bside = aside, bside
-	nb := len(brank)
-	best := slices.Grow(s.best[:0], len(arank)*nb)[:len(arank)*nb]
-	s.best = best
-	for i := range best {
-		best[i].pa = -1
+	nb, cells := len(brank), len(arank)*len(brank)
+	best := slices.Grow(s.best[:0], cells)[:cells]
+	filled := slices.Grow(s.filled[:0], (cells+63)/64)[:(cells+63)/64]
+	s.best, s.filled = best, filled
+	clear(filled)
+	// The squared distance decides a pair unless it lies within a relative
+	// 1e-9 of e², where Dist decides as the join always did: the margin is
+	// far above the rounding of both wherever e² is a normal float.
+	lo, lo2, hi2 := 0, eps*eps*(1-1e-9), eps*eps*(1+1e-9)
+	if eps < 1e-150 || eps > 1e150 {
+		lo2, hi2 = -1, math.Inf(1)
 	}
-	lo := 0
 	for i, pa := range aside {
 		if i&255 == 0 && graphalg.Stopped(done) {
 			return refs // a partial sweep would bias pair selection; drop it
@@ -425,32 +442,36 @@ func (s *Searcher) splice(refs []Reference, v View, qi, qj geo.Point, eps, budge
 			lo++
 		}
 		for k := lo; k < len(bside) && bside[k].pt.X <= pa.pt.X+eps; k++ {
-			pb := bside[k]
+			pb := &bside[k]
 			if dy := pa.pt.Y - pb.pt.Y; dy > eps || dy < -eps {
 				continue
 			}
-			if pa.pt.Dist(pb.pt) > eps {
+			if d2 := pa.pt.Dist2(pb.pt); d2 > hi2 || d2 > lo2 && pa.pt.Dist(pb.pt) > eps {
 				continue
 			}
-			if e := &best[int(pa.rank)*nb+int(pb.rank)]; e.pa < 0 || pa.d+pb.d < e.d {
-				*e = spliceBest{d: pa.d + pb.d, pa: pa.idx, pb: pb.idx}
+			c := int(pa.rank)*nb + int(pb.rank)
+			if w, bit := c>>6, uint64(1)<<(c&63); filled[w]&bit == 0 || pa.d+pb.d < best[c].d {
+				filled[w] |= bit
+				best[c] = spliceBest{d: pa.d + pb.d, pa: pa.idx, pb: pb.idx}
 			}
 		}
 	}
-	// Emission order is (key of T_a, key of T_b, storage indices): the table
-	// row by row, except that rows — and columns — of one key group interleave.
-	for a0, a1 := 0, 0; a0 < len(arank); a0 = a1 {
-		for a1 = a0 + 1; a1 < len(arank) && arank[a1].canon == arank[a0].canon; a1++ {
+	// Emission order is (key of T_a, key of T_b, storage indices): the filled
+	// cells in table order, read off the bitmap, except that the rows of one
+	// key group of T_a (twins) interleave by key group of T_b.
+	for c := nextBit(filled, 0, cells); c < cells; c = nextBit(filled, c, cells) {
+		a0, a1 := c/nb, c/nb+1 // a0: the group's first filled row
+		for a1 < len(arank) && arank[a1].canon == arank[a0].canon {
+			a1++
 		}
-		for b0, b1 := 0, 0; b0 < nb; b0 = b1 {
-			for b1 = b0 + 1; b1 < nb && brank[b1].canon == brank[b0].canon; b1++ {
+		for b0, b1 := 0, nb; b0 < nb; b0 = b1 {
+			if a1 > a0+1 { // twins: one key group of T_b at a time
+				for b1 = b0 + 1; b1 < nb && brank[b1].canon == brank[b0].canon; b1++ {
+				}
 			}
 			for a := a0; a < a1; a++ {
-				for b := b0; b < b1; b++ {
-					e, ha, hb := best[a*nb+b], arank[a], brank[b]
-					if e.pa < 0 {
-						continue
-					}
+				for c = nextBit(filled, a*nb+b0, a*nb+b1); c < a*nb+b1; c = nextBit(filled, c+1, a*nb+b1) {
+					e, ha, hb := best[c], arank[a], brank[c-a*nb]
 					refs = append(refs, Reference{
 						SourceA: ha.traj, OffA: ha.idx, LenA: e.pa - ha.idx + 1,
 						SourceB: hb.traj, OffB: e.pb, LenB: hb.idx - e.pb + 1,
@@ -459,6 +480,7 @@ func (s *Searcher) splice(refs []Reference, v View, qi, qj geo.Point, eps, budge
 				}
 			}
 		}
+		c = a1 * nb
 	}
 	return refs
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -418,13 +419,20 @@ func tieWorld() (*roadnet.Graph, []*traj.Trajectory, *traj.Trajectory) {
 // pair to pair (up a query, and down it), view to view and parameter set to
 // parameter set. The simulated worlds are followed by tieWorld, whose ties
 // (equal X at different fill positions, −0 against +0, trips sharing a
-// canonical rank) the test checks did occur.
+// canonical rank) the test checks did occur, and by wideWorld, whose join
+// table is wide and nearly empty and whose pairs on the e-circle the squared
+// distance alone would misjudge. The splice's two read-outs must both run:
+// a filled row without canonical twins in the simulated worlds, the
+// interleaved rows of twins in tieWorld.
 func TestReferenceOracleEquivalence(t *testing.T) {
 	seeds := []int64{11, 12}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	var carried, backward Searcher
+	// plain and twins count the carried searches whose splice emitted
+	// through each read-out (see emissionCases).
+	var plain, twins int
 	// check compares the search of every pair of q with the oracle, and
 	// returns how many spliced references the oracle found.
 	check := func(what string, v View, q *traj.Trajectory, p SearchParams) (spliced int) {
@@ -439,6 +447,10 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 				if w.Spliced {
 					spliced++
 				}
+			}
+			if len(want) > 0 && want[len(want)-1].Spliced {
+				pl, tw := emissionCases(&carried)
+				plain, twins = plain+pl, twins+tw
 			}
 			wants[i] = want
 		}
@@ -481,6 +493,9 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: the oracle never spliced — the join went untested", seed)
 		}
 	}
+	if plain == 0 {
+		t.Fatal("no splice emitted a row of a trajectory without canonical twins")
+	}
 	// The passes the rewrite deleted were dead: the oracle still runs its
 	// closing speedFeasible over every spliced reference and never rejects one.
 	if oracleSpliceRecheckFired != 0 {
@@ -495,8 +510,12 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 	sharded.IngestTrips(trips[:4]...)
 	for name, v := range map[string]View{"bulk": NewArchive(g, trips), "live": live.Current(), "sharded": sharded.Current()} {
 		for _, p := range []SearchParams{{Phi: 100, SpliceEps: 200, VMax: 20}, {Phi: 100, SpliceEps: 200, SpliceMinSimple: 3, VMax: 20}} {
+			before := twins
 			if spliced := check("ties "+name, v, q, p); spliced != 4 {
 				t.Fatalf("ties %s %+v: the oracle spliced %d references, want 4 (ta and tb, twice each)", name, p, spliced)
+			}
+			if twins == before {
+				t.Fatalf("ties %s %+v: the splice never interleaved the rows of ta and its twin", name, p)
 			}
 		}
 		// The ties were there to break: twins adjacent in the near sets, and
@@ -531,6 +550,107 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 				name, posZero, negZero, equalX(s.aside), equalX(s.bside))
 		}
 	}
+
+	g, trips, q = wideWorld()
+	live = NewStore(g, trips[:60], StoreConfig{})
+	live.IngestTrips(trips[60:]...)
+	sharded = NewShardedStore(g, trips[70:], ShardedConfig{Shards: 4, Halo: 200})
+	sharded.IngestTrips(trips[:70]...)
+	for name, v := range map[string]View{"bulk": NewArchive(g, trips), "live": live.Current(), "sharded": sharded.Current()} {
+		p := SearchParams{Phi: 100, SpliceEps: 200, VMax: 1000}
+		if spliced := check("wide "+name, v, q, p); spliced != 12 {
+			t.Fatalf("wide %s: the oracle spliced %d references, want 12", name, spliced)
+		}
+		var s Searcher
+		s.references(v, q.Points[0], q.Points[1], p, nil, nil)
+		filled := 0
+		for _, w := range s.filled {
+			filled += bits.OnesCount64(w)
+		}
+		if cells := len(s.arank) * len(s.brank); cells != 70*73 || filled != 12 {
+			t.Fatalf("wide %s: the join filled %d of %d cells, want 12 of %d", name, filled, cells, 70*73)
+		}
+	}
+}
+
+// emissionCases reports how s's last splice read its filled cells out: per
+// key group of T_a from its first filled row on, a group of one row is read
+// in table order (plain), one of several rows interleaved by key group of
+// T_b; twins counts only groups that fill two rows or more.
+func emissionCases(s *Searcher) (plain, twins int) {
+	nb := len(s.brank)
+	filledRows := func(a0, a1 int) (n int) {
+		for a := a0; a < a1; a++ {
+			if nextBit(s.filled, a*nb, (a+1)*nb) < (a+1)*nb {
+				n++
+			}
+		}
+		return n
+	}
+	for a := 0; a < len(s.arank); a++ {
+		if filledRows(a, a+1) == 0 {
+			continue
+		}
+		a1 := a + 1
+		for a1 < len(s.arank) && s.arank[a1].canon == s.arank[a].canon {
+			a1++
+		}
+		switch {
+		case a1 == a+1:
+			plain++
+		case filledRows(a, a1) >= 2:
+			twins++
+		}
+		a = a1 - 1
+	}
+	return plain, twins
+}
+
+// wideWorld is an archive whose splice join has wide sides that fill few
+// cells: 70 trips leave q_i = (−3000, 0) and 73 reach q_{i+1} = (3000, 0),
+// each over its own parallel street 1 km from the next, and only the street
+// pairs that meet within e = 200 m at X = 0 splice — every seventh, plus one
+// B trip that meets the seventh A trip beside its own B, and one of two that
+// start on the e-circle around an A street's end. Its table has 70 × 73
+// cells and 12 filled.
+func wideWorld() (*roadnet.Graph, []*traj.Trajectory, *traj.Trajectory) {
+	at := func(id string, pts ...geo.Point) *traj.Trajectory {
+		tr := &traj.Trajectory{ID: id}
+		for i, p := range pts {
+			tr.Points = append(tr.Points, traj.GPSPoint{Pt: p, T: float64(i) * 10})
+		}
+		return tr
+	}
+	var trips []*traj.Trajectory
+	street := func(i int) float64 { return float64(1000*i - 35000) }
+	for i := 0; i < 70; i++ {
+		y, meet := street(i), street(i)+500
+		if i%7 == 0 {
+			meet = y
+		}
+		trips = append(trips,
+			at(fmt.Sprintf("a%d", i), geo.Pt(-2995+float64(i)/10, 0), geo.Pt(-1000, y), geo.Pt(0, y)),
+			at(fmt.Sprintf("b%d", i), geo.Pt(0, meet), geo.Pt(1000, meet), geo.Pt(2995-float64(i)/10, 0)))
+	}
+	trips = append(trips, at("b-beside", geo.Pt(0, street(7)+100), geo.Pt(1000, street(7)+100), geo.Pt(2990, 0)))
+	// Two more B trips start on the e-circle around the end of an A street,
+	// where the squared distance and Dist (math.Hypot) disagree about e: the
+	// one Dist puts within e of street 21 splices, the one it puts beyond e
+	// of street 28 does not.
+	rng := rand.New(rand.NewSource(1))
+	for _, i := range []int{21, 28} {
+		end := geo.Pt(0, street(i))
+		for {
+			a := rng.Float64() * math.Pi / 2
+			q := geo.Pt(200*math.Cos(a), end.Y+200*math.Sin(a))
+			if within := end.Dist(q) <= 200; within != (end.Dist2(q) <= 200*200) && within == (i == 21) {
+				trips = append(trips, at(fmt.Sprintf("b-circle%d", i), q, geo.Pt(1000, q.Y), geo.Pt(2990, 0)))
+				break
+			}
+		}
+	}
+	q := &traj.Trajectory{ID: "q", Points: []traj.GPSPoint{{Pt: geo.Pt(-3000, 0), T: 0}, {Pt: geo.Pt(3000, 0), T: 100}}}
+	return roadnet.NewGrid(4, 4, 200, 15), trips, q
 }
 
 // TestSearcherSurvivesWrapAndGrowth: a warm Searcher whose stamp counter
