@@ -578,15 +578,22 @@ func BenchmarkArchiveBuild(b *testing.B) {
 }
 
 // BenchmarkReferenceSearchRoot measures the Definition 6/7 search on the
-// shared world.
-func BenchmarkReferenceSearchRoot(b *testing.B) {
+// shared world. Its pair has enough simple references (14, SpliceMinSimple
+// is 8) that it never splices.
+func BenchmarkReferenceSearchRoot(b *testing.B) { benchReferenceSearch(b, 8) }
+
+// BenchmarkReferenceSearchSpliced is the same search with splicing always on:
+// 94 of the pair's 108 references are spliced.
+func BenchmarkReferenceSearchSpliced(b *testing.B) { benchReferenceSearch(b, 0) }
+
+func benchReferenceSearch(b *testing.B, minSimple int) {
 	w := world(b)
 	rng := rand.New(rand.NewSource(9))
 	qc, ok := w.DS.GenQuery(w.Cfg.QueryLen, 180, 15, w.Fleet, rng)
 	if !ok {
 		b.Skip("no query")
 	}
-	sp := hist.SearchParams{Phi: 500, SpliceEps: 200, SpliceMinSimple: 8}
+	sp := hist.SearchParams{Phi: 500, SpliceEps: 200, SpliceMinSimple: minSimple}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hist.References(w.Archive, qc.Query.Points[0], qc.Query.Points[1], sp)

@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -143,16 +144,15 @@ func TestSplicedReference(t *testing.T) {
 	}
 }
 
-// TestSplicedPlaneSweepDuplicateXAtWindowEdge pins the plane-sweep join's
-// boundary handling: b-side points with duplicate X coordinates sitting
-// exactly on the ε window edges (pa.X−ε and pa.X+ε) must all be examined —
-// the sweep's lower pointer may not skip past equal-X duplicates, and both
+// TestSpliceDuplicateXAtWindowEdge pins the splice join's boundary
+// handling: b-side points with duplicate X coordinates sitting exactly on
+// the ε window edges (pa.X−ε and pa.X+ε) must all be examined, and both
 // window edges are inclusive so a pair at Euclidean distance exactly ε
 // splices. Whether a boundary point joins is then decided by the true
-// distance filter, not by which duplicate the sort happened to put first.
-func TestSplicedPlaneSweepDuplicateXAtWindowEdge(t *testing.T) {
+// distance filter, not by which duplicate a cell happens to list first.
+func TestSpliceDuplicateXAtWindowEdge(t *testing.T) {
 	g, qi, qj := refWorld()
-	// A-side: near qi only; its point (200,10) is the sweep anchor, so with
+	// A-side: near qi only; its point (200,10) is the probing point, so with
 	// ε=60 the X window is exactly [140, 260].
 	ta := lineTraj("ta", geo.Pt(40, 10), geo.Pt(200, 10))
 	// Two b-side trajectories share X=140 — duplicates straddling the lower
@@ -183,6 +183,18 @@ func TestSplicedPlaneSweepDuplicateXAtWindowEdge(t *testing.T) {
 	// two accepted splices really did sit on the window edge.
 	if refs := References(a, qi, qj, SearchParams{Phi: 60, SpliceEps: 59.9}); len(refs) != 0 {
 		t.Fatalf("ε=59.9 should reject the exact-60 m pairs, got %d", len(refs))
+	}
+	// One ulp outside the window: p_b.X is just below 70 − ε = 10, yet the
+	// computed |dx| rounds to ε, so the distance alone would accept the pair.
+	// The window rejects it; a hair more ε takes it in.
+	edge := NewArchive(g, []*traj.Trajectory{
+		lineTraj("ta", geo.Pt(40, 10), geo.Pt(70, 100)),
+		lineTraj("below", geo.Pt(math.Nextafter(10, 0), 100), geo.Pt(350, 20)),
+	})
+	for eps, want := range map[float64]int{60: 0, 60 + 1e-12: 1} {
+		if refs := References(edge, qi, qj, SearchParams{Phi: 60, SpliceEps: eps}); len(refs) != want {
+			t.Fatalf("p_b one ulp outside the window, ε=%v: %d references, want %d", eps, len(refs), want)
+		}
 	}
 }
 

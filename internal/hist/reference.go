@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/graphalg"
+	"repro/internal/grid"
 	"repro/internal/traj"
 )
 
@@ -110,13 +112,8 @@ type sidePoint struct {
 	rank, idx int32
 }
 
-// sideKey is a side point's position with its X as an order-preserving key.
-type sideKey struct {
-	key uint64
-	pos int32
-}
-
-// spliceBest is one (T_a, T_b)'s best splicing pair and its score.
+// spliceBest is one (T_a, T_b)'s best splicing pair, as positions in the
+// two sides, and its score.
 type spliceBest struct {
 	d      float64
 	pa, pb int32
@@ -145,13 +142,13 @@ type Searcher struct {
 	rankHead []int32
 	rlo, rhi int
 
-	own                 NearSet // the carried set when the caller passes none
-	aside, bside, spare []sidePoint
-	keys, keys2         []sideKey // the radix sort's two key buffers
-	arank, brank        []nearHit // side rank -> trajectory and its nn index
-	best                []spliceBest
-	filled              []uint64 // bit c set: best[c] holds a splicing pair
-	refs                []Reference
+	own            NearSet // the carried set when the caller passes none
+	aside, bside   []sidePoint
+	bstart, border []int32   // side B by cell: the splice join's counting sort
+	arank, brank   []nearHit // side rank -> trajectory and its nn index
+	best           []spliceBest
+	filled         []uint64 // bit c set: best[c] holds a splicing pair
+	refs           []Reference
 }
 
 // Release unpins the view of the searcher's own near sets, for pooled owners.
@@ -323,60 +320,6 @@ func fillSide(side []sidePoint, ranks []nearHit, h nearHit, pts []traj.GPSPoint,
 	return side, ranks
 }
 
-// xKey maps x to an unsigned key in the order cmp.Compare gives floats: NaN
-// first, then −Inf up to +Inf, with −0 and +0 sharing one key.
-func xKey(x float64) uint64 {
-	switch b := math.Float64bits(x); {
-	case x != x:
-		return 0
-	case x == 0:
-		return 1 << 63
-	case b>>63 != 0:
-		return ^b
-	default:
-		return b | 1<<63
-	}
-}
-
-// sortByX returns side's points ordered by (X, fill order), gathered into
-// buf, and side's array as the next spare. The order is a stable LSD radix
-// sort on xKey, one pass per key byte that varies across the side.
-func (s *Searcher) sortByX(side, buf []sidePoint) (sorted, spare []sidePoint) {
-	n := len(side)
-	a, b := slices.Grow(s.keys[:0], n)[:n], slices.Grow(s.keys2[:0], n)[:n]
-	var diff uint64
-	for i, p := range side {
-		a[i] = sideKey{xKey(p.pt.X), int32(i)}
-		diff |= a[i].key ^ a[0].key
-	}
-	var count [256]int32
-	for shift := 0; shift < 64; shift += 8 {
-		if diff>>shift&0xff == 0 {
-			continue
-		}
-		clear(count[:])
-		for _, e := range a {
-			count[e.key>>shift&0xff]++
-		}
-		sum := int32(0)
-		for d, c := range count {
-			count[d], sum = sum, sum+c
-		}
-		for _, e := range a {
-			d := e.key >> shift & 0xff
-			b[count[d]] = e
-			count[d]++
-		}
-		a, b = b, a
-	}
-	s.keys, s.keys2 = a, b
-	sorted = slices.Grow(buf[:0], n)[:n]
-	for i, e := range a {
-		sorted[i] = side[e.pos]
-	}
-	return sorted, side[:0]
-}
-
 // nextBit returns the first set bit of bm in [from, to), or to.
 func nextBit(bm []uint64, from, to int) int {
 	for from < to {
@@ -390,12 +333,15 @@ func nextBit(bm []uint64, from, to int) int {
 
 // splice appends the Definition 7 references: T_a passes near q_i only, T_b
 // near q_{i+1} only; a splicing pair (p_a, p_b) with d(p_a, p_b) ≤ e joins
-// them into a virtual reference. The splicing pairs are found with a
-// plane-sweep spatial join over the two candidate point sets; for each
-// (T_a, T_b) the pair minimizing d(p_a,q_i)+d(p_b,q_{i+1}), first in sweep
-// order, is kept in a dense table indexed by the sides' canonical ranks. A
-// side holds only points inside the feasible lens, contiguous from the nn
-// sample, so what is emitted already passed Definition 6's speed test.
+// them into a virtual reference. The splicing pairs are found by a cell
+// join: side B is bucketed into cells of side at least e, and each side-A
+// point tests only the side-B points of the cells its e-box meets. For each
+// (T_a, T_b) the pair minimizing d(p_a,q_i)+d(p_b,q_{i+1}) is kept in a
+// dense table indexed by the sides' canonical ranks; an exact tie keeps the
+// pair first in (p_a's X, p_a's fill position, p_b's X, p_b's fill position),
+// X by cmp.Compare (−0 as +0), so the choice depends on no storage or scan
+// order. A side holds only points inside the feasible lens, contiguous from
+// the nn sample, so what is emitted already passed Definition 6's speed test.
 func (s *Searcher) splice(refs []Reference, v View, qi, qj geo.Point, eps, budget float64,
 	ni, nj []nearHit, done <-chan struct{}) []Reference {
 	// A-side: points after nn(q_i, T_a) on trajectories near q_i only; B-side:
@@ -416,43 +362,89 @@ func (s *Searcher) splice(refs []Reference, v View, qi, qj geo.Point, eps, budge
 		return refs
 	}
 
-	// Plane-sweep join on X with window e [Arge et al. 1998]. Equal X keeps
-	// fill order — canonical trajectory order, then along the direction the
-	// side was filled in — so tie-breaking is storage-order independent.
-	aside, s.spare = s.sortByX(aside, s.spare)
-	bside, s.spare = s.sortByX(bside, s.spare)
-	s.aside, s.bside = aside, bside
+	// Side B's cells: squares of side at least e over its bounding box, no
+	// more of them than it has points (side ≥ √(w·h/n) and ≥ max(w, h)/n).
+	// A NaN anywhere makes one cell, so no NaN or Inf reaches an int. They
+	// are numbered by grid.AxisCell, and a counting sort lists each cell's
+	// points in fill order: the side-B positions of cell c are
+	// order[start[c]:start[c+1]].
+	box := geo.EmptyBBox()
+	for _, p := range bside {
+		box = box.ExtendPoint(p.pt)
+	}
+	bw, bh, n := box.Max.X-box.Min.X, box.Max.Y-box.Min.Y, float64(len(bside))
+	side := max(eps, math.Sqrt(bw*bh/n), max(bw, bh)/n)
+	along := func(ext float64) int {
+		if k := math.Floor(ext / side); k >= 1 {
+			return int(k)
+		}
+		return 1 // also NaN, and Inf/Inf
+	}
+	nx, ny := along(bw), along(bh)
+	cell := func(x, y float64) (int, int) {
+		return grid.AxisCell(x, box.Min.X, side, nx), grid.AxisCell(y, box.Min.Y, side, ny)
+	}
+	start := slices.Grow(s.bstart[:0], nx*ny+1)[:nx*ny+1]
+	order := slices.Grow(s.border[:0], len(bside))[:len(bside)]
+	s.bstart, s.border = start, order
+	clear(start)
+	for _, p := range bside {
+		x, y := cell(p.pt.X, p.pt.Y)
+		start[y*nx+x+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	for k, p := range bside {
+		x, y := cell(p.pt.X, p.pt.Y)
+		order[start[y*nx+x]] = int32(k)
+		start[y*nx+x]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
+
 	nb, cells := len(brank), len(arank)*len(brank)
 	best := slices.Grow(s.best[:0], cells)[:cells]
 	filled := slices.Grow(s.filled[:0], (cells+63)/64)[:(cells+63)/64]
 	s.best, s.filled = best, filled
 	clear(filled)
-	// The squared distance decides a pair unless it lies within a relative
-	// 1e-9 of e², where Dist decides as the join always did: the margin is
-	// far above the rounding of both wherever e² is a normal float.
-	lo, lo2, hi2 := 0, eps*eps*(1-1e-9), eps*eps*(1+1e-9)
+	// A pair passes the X window, then |dy| ≤ e, then the distance: the
+	// squared distance decides unless it lies within a relative 1e-9 of e²,
+	// where Dist decides: the margin is far above the rounding of both
+	// wherever e² is a normal float; NaN fails that last test. The probe box
+	// is one ulp wider than e, so it holds every p_b whose computed |dx| or
+	// |dy| rounds to e or less.
+	lo2, hi2 := eps*eps*(1-1e-9), eps*eps*(1+1e-9)
 	if eps < 1e-150 || eps > 1e150 {
 		lo2, hi2 = -1, math.Inf(1)
 	}
-	for i, pa := range aside {
+	probe := math.Nextafter(eps, math.Inf(1))
+	for i := range aside {
 		if i&255 == 0 && graphalg.Stopped(done) {
-			return refs // a partial sweep would bias pair selection; drop it
+			return refs // a partial join would bias pair selection; drop it
 		}
-		for lo < len(bside) && bside[lo].pt.X < pa.pt.X-eps {
-			lo++
-		}
-		for k := lo; k < len(bside) && bside[k].pt.X <= pa.pt.X+eps; k++ {
-			pb := &bside[k]
-			if dy := pa.pt.Y - pb.pt.Y; dy > eps || dy < -eps {
-				continue
-			}
-			if d2 := pa.pt.Dist2(pb.pt); d2 > hi2 || d2 > lo2 && pa.pt.Dist(pb.pt) > eps {
-				continue
-			}
-			c := int(pa.rank)*nb + int(pb.rank)
-			if w, bit := c>>6, uint64(1)<<(c&63); filled[w]&bit == 0 || pa.d+pb.d < best[c].d {
-				filled[w] |= bit
-				best[c] = spliceBest{d: pa.d + pb.d, pa: pa.idx, pb: pb.idx}
+		pa := &aside[i]
+		x0, y0 := cell(pa.pt.X-probe, pa.pt.Y-probe)
+		x1, y1 := cell(pa.pt.X+probe, pa.pt.Y+probe)
+		for y := y0; y <= y1; y++ {
+			for _, k := range order[start[y*nx+x0]:start[y*nx+x1+1]] {
+				pb := &bside[k]
+				if pb.pt.X < pa.pt.X-eps || pb.pt.X > pa.pt.X+eps {
+					continue
+				}
+				if dy := pa.pt.Y - pb.pt.Y; dy > eps || dy < -eps {
+					continue
+				}
+				if d2 := pa.pt.Dist2(pb.pt); !(d2 <= lo2 || d2 <= hi2 && pa.pt.Dist(pb.pt) <= eps) {
+					continue
+				}
+				c, d := int(pa.rank)*nb+int(pb.rank), pa.d+pb.d
+				if w, bit, e := c>>6, uint64(1)<<(c&63), &best[c]; filled[w]&bit == 0 || d < e.d || d == e.d && cmp.Or(
+					cmp.Compare(pa.pt.X, aside[e.pa].pt.X), cmp.Compare(int32(i), e.pa),
+					cmp.Compare(pb.pt.X, bside[e.pb].pt.X), cmp.Compare(k, e.pb)) < 0 {
+					filled[w] |= bit
+					*e = spliceBest{d: d, pa: int32(i), pb: k}
+				}
 			}
 		}
 	}
@@ -472,9 +464,10 @@ func (s *Searcher) splice(refs []Reference, v View, qi, qj geo.Point, eps, budge
 			for a := a0; a < a1; a++ {
 				for c = nextBit(filled, a*nb+b0, a*nb+b1); c < a*nb+b1; c = nextBit(filled, c+1, a*nb+b1) {
 					e, ha, hb := best[c], arank[a], brank[c-a*nb]
+					pa, pb := aside[e.pa].idx, bside[e.pb].idx
 					refs = append(refs, Reference{
-						SourceA: ha.traj, OffA: ha.idx, LenA: e.pa - ha.idx + 1,
-						SourceB: hb.traj, OffB: e.pb, LenB: hb.idx - e.pb + 1,
+						SourceA: ha.traj, OffA: ha.idx, LenA: pa - ha.idx + 1,
+						SourceB: hb.traj, OffB: pb, LenB: hb.idx - pb + 1,
 						Spliced: true,
 					})
 				}

@@ -421,9 +421,10 @@ func tieWorld() (*roadnet.Graph, []*traj.Trajectory, *traj.Trajectory) {
 // (equal X at different fill positions, −0 against +0, trips sharing a
 // canonical rank) the test checks did occur, and by wideWorld, whose join
 // table is wide and nearly empty and whose pairs on the e-circle the squared
-// distance alone would misjudge. The splice's two read-outs must both run:
-// a filled row without canonical twins in the simulated worlds, the
-// interleaved rows of twins in tieWorld.
+// distance alone would misjudge, and by the cell join's own cases
+// (probeTieWorld, latticeWorld flat and not) at e from 1e-300 to +Inf. The
+// splice's two read-outs must both run: a filled row without canonical twins
+// in the simulated worlds, the interleaved rows of twins in tieWorld.
 func TestReferenceOracleEquivalence(t *testing.T) {
 	seeds := []int64{11, 12}
 	if testing.Short() {
@@ -571,6 +572,78 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 			t.Fatalf("wide %s: the join filled %d of %d cells, want 12 of %d", name, filled, cells, 70*73)
 		}
 	}
+	// The cell join's own cases: ties the row-major cell scan meets in the
+	// wrong order, a B side of zero height and one far wider than e·√|B|,
+	// each also at thresholds near both ends of the float range.
+	for k, world := range []string{"probe ties", "flat", "lattice"} {
+		g, trips, q := probeTieWorld()
+		if k > 0 {
+			g, trips, q = latticeWorld(world == "flat")
+		}
+		cut := len(trips) / 2
+		live := NewStore(g, trips[:cut], StoreConfig{})
+		live.IngestTrips(trips[cut:]...)
+		sharded := NewShardedStore(g, trips[cut:], ShardedConfig{Shards: 4, Halo: 200})
+		sharded.IngestTrips(trips[:cut]...)
+		for name, v := range map[string]View{"bulk": NewArchive(g, trips), "live": live.Current(), "sharded": sharded.Current()} {
+			for _, eps := range []float64{25, 200, 1e-300, 1e200, math.Inf(1)} {
+				p := SearchParams{Phi: 50, SpliceEps: eps, VMax: 1000}
+				if check(world+" "+name, v, q, p) == 0 {
+					t.Fatalf("%s %s e=%g: the oracle never spliced", world, name, eps)
+				}
+				// Never more cells than side B has points; at e = 25 the
+				// lattice sides spread over many.
+				var s Searcher
+				s.references(v, q.Points[0], q.Points[1], p, nil, nil)
+				if cells := len(s.bstart) - 1; cells > len(s.bside) || k > 0 && eps == 25 && cells < 2 {
+					t.Fatalf("%s %s e=%g: %d cells for %d side-B points", world, name, eps, cells, len(s.bside))
+				}
+			}
+		}
+	}
+}
+
+// probeTieWorld plants exact ties in d(p_a,q_i)+d(p_b,q_{i+1}) at different
+// X, each met first in fill order by the side that is later in X: "ta"
+// leaves q_i = (−300, 0) through (100, 300) and then (0, 400), "tb" reaches
+// q_{i+1} = (300, 0) from (−100, 300) through (0, 400), all four 500 m from
+// their query point. The four pairs within e = 200 m score 1000 each, and
+// side B's three points share one cell: scanned in fill order, the join
+// meets (100, 300)–(0, 400) first, while the rule keeps (0, 400)–(−100, 300).
+func probeTieWorld() (*roadnet.Graph, []*traj.Trajectory, *traj.Trajectory) {
+	ta := lineTraj("ta", geo.Pt(-290, 0), geo.Pt(100, 300), geo.Pt(0, 400))
+	tb := lineTraj("tb", geo.Pt(-100, 300), geo.Pt(0, 400), geo.Pt(290, 0))
+	q := &traj.Trajectory{ID: "q", Points: []traj.GPSPoint{{Pt: geo.Pt(-300, 0), T: 0}, {Pt: geo.Pt(300, 0), T: 100}}}
+	return roadnet.NewGrid(4, 4, 200, 15), []*traj.Trajectory{tb, ta}, q
+}
+
+// latticeWorld is an archive whose splice sides sit on a lattice (X a
+// multiple of 50, Y of 25), so distances, X and scores tie exactly and A
+// and B samples coincide: 24 trips leave q_i = (−1000, 0) through one to
+// three lattice points in [−900, 900] × [−300, 300], and 24 reach
+// q_{i+1} = (1000, 0) from such points. When flat, side B lies on y = 0,
+// a box of zero height; otherwise it is about 1900 × 600 m.
+func latticeWorld(flat bool) (*roadnet.Graph, []*traj.Trajectory, *traj.Trajectory) {
+	rng := rand.New(rand.NewSource(5))
+	lattice := func(onAxis bool) geo.Point {
+		y := float64(25 * (rng.Intn(25) - 12))
+		if onAxis {
+			y = 0
+		}
+		return geo.Pt(float64(50*(rng.Intn(37)-18)), y)
+	}
+	var trips []*traj.Trajectory
+	for i := 0; i < 24; i++ {
+		a := []geo.Point{geo.Pt(-995, float64(i%5-2))}
+		var b []geo.Point
+		for k := rng.Intn(3); k >= 0; k-- {
+			a, b = append(a, lattice(false)), append(b, lattice(flat))
+		}
+		trips = append(trips, lineTraj(fmt.Sprintf("a%d", i), a...),
+			lineTraj(fmt.Sprintf("b%d", i), append(b, geo.Pt(995, 0))...))
+	}
+	q := &traj.Trajectory{ID: "q", Points: []traj.GPSPoint{{Pt: geo.Pt(-1000, 0), T: 0}, {Pt: geo.Pt(1000, 0), T: 100}}}
+	return roadnet.NewGrid(4, 4, 200, 15), trips, q
 }
 
 // emissionCases reports how s's last splice read its filled cells out: per
@@ -759,6 +832,48 @@ func TestReferenceSearchHostileInputs(t *testing.T) {
 		}
 	}
 
+	// A NaN sample past a trip's nn sample enters its splice side, since a NaN
+	// distance never leaves the feasible lens; under an infinite speed budget
+	// an infinite sample does too. The join must not panic, must splice no
+	// such sample, and must still splice ta with tb.
+	inf := math.Inf(1)
+	odd := NewArchive(g, []*traj.Trajectory{ta, tb,
+		lineTraj("nanA", geo.Pt(45, 15), geo.Pt(nan, 10), geo.Pt(200, 12)),
+		lineTraj("nanB", geo.Pt(205, 25), geo.Pt(nan, 5), geo.Pt(210, nan), geo.Pt(345, 5)),
+		lineTraj("infA", geo.Pt(55, -5), geo.Pt(inf, 0), geo.Pt(190, 5)),
+		lineTraj("infB", geo.Pt(220, 0), geo.Pt(-inf, 7), geo.Pt(355, -5)),
+	})
+	for _, p := range []SearchParams{ok, {Phi: 60, SpliceEps: 50, VMax: inf}, {Phi: 60, SpliceEps: inf, VMax: inf}} {
+		var s Searcher
+		refs := s.references(odd, qi, qj, p, nil, nil)
+		nonFinite := func(side []sidePoint) (n int) {
+			for _, sp := range side {
+				if !finite(sp.pt) {
+					n++
+				}
+			}
+			return n
+		}
+		want := 3 // the NaN samples
+		if p.VMax == inf {
+			want += 2
+		}
+		if got := nonFinite(s.aside) + nonFinite(s.bside); got != want {
+			t.Fatalf("odd samples, %+v: sides hold %d non-finite samples, want %d", p, got, want)
+		}
+		spliced := false
+		for _, r := range refs {
+			a, b := r.Runs(odd)
+			if r.Spliced && (!finite(a[len(a)-1].Pt) || !finite(b[0].Pt)) {
+				t.Fatalf("odd samples, %+v: %+v splices at a non-finite sample", p, r)
+			}
+			spliced = spliced || r.Spliced && r.SourceA == 0 && r.SourceB == 1
+		}
+		if !spliced {
+			t.Fatalf("odd samples, %+v: ta and tb no longer splice: %+v", p, refs)
+		}
+	}
+
 	// An empty archive, and one holding a single one-point trajectory in range
 	// of both query points (a legitimate, if degenerate, simple reference).
 	if refs := References(NewArchive(g, nil), qi, qj, ok); len(refs) != 0 {
@@ -771,6 +886,12 @@ func TestReferenceSearchHostileInputs(t *testing.T) {
 	if len(want) != 1 || want[0].LenA != 1 {
 		t.Errorf("one-point trajectory near both query points: oracle = %+v, want one single-point reference", want)
 	}
+}
+
+// finite reports whether both of p's coordinates are finite: x−x is NaN
+// exactly when x is NaN or ±Inf.
+func finite(p geo.Point) bool {
+	return !math.IsNaN(p.X-p.X) && !math.IsNaN(p.Y-p.Y)
 }
 
 // TestSnapshotWithinRadiusMatchesScan: the concrete convenience the benchmark

@@ -22,7 +22,7 @@ var citedDocs = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.
 // goFlags are the go command's build and test flags; every flag set also
 // answers -h and -help.
 var goFlags = []string{"bench", "benchmem", "benchtime", "count", "cover", "cpu", "cpuprofile",
-	"failfast", "fuzz", "fuzztime", "h", "help", "json", "list", "memprofile", "o", "parallel",
+	"failfast", "fuzz", "fuzzminimizetime", "fuzztime", "h", "help", "json", "list", "memprofile", "o", "parallel",
 	"race", "run", "short", "shuffle", "skip", "tags", "timeout", "trimpath", "v", "x"}
 
 // commands are the programs whose flags a Markdown span may cite after

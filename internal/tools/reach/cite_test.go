@@ -98,6 +98,10 @@ var staleNames = []struct{ md, comment string }{
 	{"EdgeHopsCtx", "roadnet.Graph.EdgeHopsCtx"},
 	{"BFSHopsCtx", "graphalg.BFSHopsCtx"},
 	{"-quick", "-quick"},
+	{"sortByX", "hist.Searcher.sortByX"},
+	{"xKey", "hist.xKey"},
+	{"sideKey", "hist.sideKey"},
+	{"Searcher.spare", "hist.Searcher.spare"},
 }
 
 func TestStaleNamesReported(t *testing.T) {

@@ -76,11 +76,13 @@ go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|Model|PooledMatches
 # accepted trip, trip list or point decoded as encoding/json decodes it, and
 # an accepted road network valid, byte-identical through a rewrite and
 # answering candidate-edge queries exactly as a scan of every segment does.
-go test -timeout 120s -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 10s ./internal/hist/
-go test -timeout 120s -run '^$' -fuzz '^FuzzScanWAL$' -fuzztime 10s ./internal/hist/
-go test -timeout 120s -run '^$' -fuzz '^FuzzReadArchive$' -fuzztime 10s ./internal/traj/
-go test -timeout 120s -run '^$' -fuzz '^FuzzReadWire$' -fuzztime 10s ./internal/traj/
-go test -timeout 120s -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/roadnet/
+# Minimizing a new interesting input may take at most 1 s (the default is
+# 60 s, longer than the leg), so a leg spends its 10 s fuzzing.
+go test -timeout 120s -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hist/
+go test -timeout 120s -run '^$' -fuzz '^FuzzScanWAL$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hist/
+go test -timeout 120s -run '^$' -fuzz '^FuzzReadArchive$' -fuzztime 10s -fuzzminimizetime 1s ./internal/traj/
+go test -timeout 120s -run '^$' -fuzz '^FuzzReadWire$' -fuzztime 10s -fuzzminimizetime 1s ./internal/traj/
+go test -timeout 120s -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s -fuzzminimizetime 1s ./internal/roadnet/
 
 # The wire-level benchmark is its own module (bench/go.mod, replace repro =>
 # ../), so `./...` above never compiles it. Vet it against this tree's
@@ -114,7 +116,9 @@ go test -C bench -timeout 300s ./...
 # by dense tables, not sorts, so the ties those tables must break as the
 # sorts did run here on warm pools too: the reference oracle's tie world
 # (equal X at different fill positions, -0 against +0, trips sharing a
-# canonical rank), the K-GRI column against its fully sorted candidates
+# canonical rank) and the splice join's cell cases (score ties the cell scan
+# meets out of order, a flat and a wide side, e from 1e-300 to +Inf), the
+# K-GRI column against its fully sorted candidates
 # (PosteriorSelection), the tables' stamp wraps, warm reuse and growth under
 # an ingest (SurvivesWrap), and the comparisons a K-GRI push makes
 # (PosteriorPushWork: at most K per candidate, flat over a long trip).
@@ -175,6 +179,20 @@ bytes=$(echo "$refsearch_line" | awk '{print $(NF-3)}')
 max_allocs=$(sed -n 's/.*"refsearch_max_allocs_per_op": *\([0-9][0-9]*\).*/\1/p' bench_budget.json)
 max_bytes=$(sed -n 's/.*"refsearch_max_bytes_per_op": *\([0-9][0-9]*\).*/\1/p' bench_budget.json)
 test -n "$max_allocs" && test -n "$max_bytes"
+test "$allocs" -le "$max_allocs"
+test "$bytes" -le "$max_bytes"
+
+# The same search with splicing always on, so the splice join runs (94 of
+# the pair's 108 references are spliced): it too allocates only the list it
+# returns, not the join's cells or tables, and is held to the allocs budget
+# read above and a bytes budget of its own.
+spliced_line=$(go test -timeout 300s -run '^$' -bench '^BenchmarkReferenceSearchSpliced$' \
+    -benchmem -benchtime 200x . | grep '^BenchmarkReferenceSearchSpliced')
+echo "$spliced_line"
+allocs=$(echo "$spliced_line" | awk '{print $(NF-1)}')
+bytes=$(echo "$spliced_line" | awk '{print $(NF-3)}')
+max_bytes=$(sed -n 's/.*"refsearch_spliced_max_bytes_per_op": *\([0-9][0-9]*\).*/\1/p' bench_budget.json)
+test -n "$max_bytes"
 test "$allocs" -le "$max_allocs"
 test "$bytes" -le "$max_bytes"
 
