@@ -28,16 +28,16 @@ import (
 // immutable epoch-numbered snapshots (a frozen *hist.Archive is its own
 // constant source, a live *hist.Store publishes a new one per ingest), and
 // every inference call pins exactly one snapshot for its whole lifetime;
-// the reference-search memo and the match tables are internally locked
-// read-through memos whose hits and misses return byte-identical results,
-// so caching never changes an outcome.
+// the pair memo and the match tables are internally locked read-through
+// memos whose hits and misses return byte-identical results, so caching
+// never changes an outcome.
 type Engine struct {
 	g        *roadnet.Graph
 	src      hist.Source
 	defaults Params
 
-	refs  *hist.SearchCache // reference-search memo (per epoch × query pair)
-	match *matchTables      // archive map-matching (per trajectory × ε)
+	memo  *pairMemo    // pair outcomes (per epoch × query pair × params)
+	match *matchTables // archive map-matching (per trajectory × ε)
 
 	met *metrics // nil when built without a registry: zero-cost no-op
 
@@ -71,7 +71,7 @@ func NewEngineWithRegistry(src hist.Source, defaults Params, reg *obs.Registry) 
 		g:        g,
 		src:      src,
 		defaults: defaults,
-		refs:     hist.NewSearchCache(0),
+		memo:     newPairMemo(pairMemoBytes),
 		match:    &matchTables{g: g, m: make(map[matchKey]*trajMatch)},
 		met:      newMetrics(reg),
 	}
@@ -107,14 +107,17 @@ func (e *Engine) Metrics() obs.Snapshot {
 	} else {
 		s = obs.Snapshot{Counters: map[string]uint64{}, Stages: map[string]obs.HistStats{}}
 	}
-	rh, rm := e.refs.Stats()
-	s.Counters["cache.refsearch.hits"] = rh
-	s.Counters["cache.refsearch.misses"] = rm
-	s.Counters["cache.refsearch.declined"] = e.refs.Declined()
-	s.Counters["cache.refsearch.resets"] = e.refs.Resets()
-	s.Counters["cache.refsearch.invalidations"] = e.refs.Invalidations()
-	s.Counters["cache.refsearch.entries"] = uint64(e.refs.Len())
-	s.Counters["cache.refsearch.bytes"] = uint64(e.refs.Bytes())
+	// The pair memo keeps the counter names of the reference-search memo it
+	// replaced: they count pair lookups, and a hit also serves the pair's
+	// reference search.
+	entries, bytes := e.memo.size()
+	s.Counters["cache.refsearch.hits"] = e.memo.hits.Load()
+	s.Counters["cache.refsearch.misses"] = e.memo.misses.Load()
+	s.Counters["cache.refsearch.declined"] = e.memo.declined.Load()
+	s.Counters["cache.refsearch.resets"] = e.memo.resets.Load()
+	s.Counters["cache.refsearch.invalidations"] = e.memo.invalidations.Load()
+	s.Counters["cache.refsearch.entries"] = uint64(entries)
+	s.Counters["cache.refsearch.bytes"] = uint64(bytes)
 	// Archive gauges: which generation queries currently pin and how much
 	// history backs them; a live Store adds its segment/compaction state.
 	snap := e.src.Current()

@@ -91,8 +91,9 @@ func TestEngineDefaultsFrozen(t *testing.T) {
 	}
 }
 
-// TestEngineCacheStats: a repeated identical query must hit the reference
-// memo, build no further match tables and answer identically.
+// TestEngineCacheStats: a repeated identical query must hit the pair memo,
+// build no further match tables and answer identically, Pairs stats and
+// local route sets included.
 func TestEngineCacheStats(t *testing.T) {
 	w := newWorld(t, 300, 179)
 	qc, ok := w.ds.GenQuery(6000, 180, 15, w.cfg, w.rng)
@@ -104,7 +105,7 @@ func TestEngineCacheStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first inference: %v", err)
 	}
-	_, refMisses := eng.refs.Stats()
+	refMisses := eng.memo.misses.Load()
 	builds := eng.Metrics().Counters["cache.trajmatch.builds"]
 	if refMisses == 0 || builds == 0 {
 		t.Fatalf("expected cold-cache misses, got ref=%d trajmatch builds=%d", refMisses, builds)
@@ -114,16 +115,15 @@ func TestEngineCacheStats(t *testing.T) {
 	if _, err := eng.InferRoutes(qc.Query, eng.Defaults()); err != nil {
 		t.Fatalf("admitting inference: %v", err)
 	}
-	if refHits, _ := eng.refs.Stats(); refHits != 0 {
+	if refHits := eng.memo.hits.Load(); refHits != 0 {
 		t.Fatalf("%d memo hits before any pair was asked twice", refHits)
 	}
 	second, err := eng.InferRoutes(qc.Query, eng.Defaults())
 	if err != nil {
 		t.Fatalf("second inference: %v", err)
 	}
-	refHits, _ := eng.refs.Stats()
-	if refHits == 0 {
-		t.Fatal("repeat query missed the reference memo")
+	if refHits := eng.memo.hits.Load(); refHits != uint64(qc.Query.Len()-1) {
+		t.Fatalf("repeat query hit the pair memo %d times for %d pairs", refHits, qc.Query.Len()-1)
 	}
 	// Pair workers may race a first touch (builds > tables), never a later one.
 	if c := eng.Metrics().Counters; c["cache.trajmatch.builds"] != builds ||
@@ -138,6 +138,9 @@ func TestEngineCacheStats(t *testing.T) {
 		if !first.Routes[j].Route.Equal(second.Routes[j].Route) || first.Routes[j].Score != second.Routes[j].Score {
 			t.Fatalf("cached run changed route %d", j)
 		}
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("the memo-served run differs from the first:\n%+v\nvs\n%+v", second, first)
 	}
 }
 

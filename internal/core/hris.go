@@ -184,10 +184,10 @@ func numRoutes(res *Result) int {
 	return len(res.Routes)
 }
 
-// pairStage is the one per-pair stage for ⟨q_i, q_{i+1}⟩: reference search
-// (memoized), optional temporal filtering, context assembly and local route
-// inference, with the pair's statistics. pair is the pair index within the
-// query, tagged onto the stage timings.
+// pairStage is the one per-pair stage for ⟨q_i, q_{i+1}⟩: reference search,
+// optional temporal filtering, context assembly and local route inference,
+// with the pair's statistics. pair is the pair index within the query,
+// tagged onto the stage timings.
 //
 // Each stage boundary checks whether the invocation's context is done; the
 // first boundary to notice it returns that stage's name in stopped (with the
@@ -201,11 +201,11 @@ func (x exec) pairStage(pair int, qi, qj traj.GPSPoint) (locals []LocalRoute, st
 		return nil, st, obs.StageReferenceSearch
 	}
 	t0 := x.stageStart()
-	refs := x.eng.refs.ReferencesOn(x.ctx, x.snap, qi, qj, hist.SearchParams{
+	refs := x.sc.search.Search(x.snap, qi, qj, hist.SearchParams{
 		Phi:             x.p.Phi,
 		SpliceEps:       x.p.SpliceEps,
 		SpliceMinSimple: x.p.SpliceMinSimple,
-	}, &x.sc.search, x.near)
+	}, x.near, x.done)
 	if x.p.TemporalWeighting {
 		refs = filterByTimeOfDay(x.snap, refs, qi.T, x.p.TimeWindow)
 	}
@@ -233,7 +233,26 @@ func (x exec) pairStage(pair int, qi, qj traj.GPSPoint) (locals []LocalRoute, st
 	return locals, st, ""
 }
 
-// inferPair is pairStage plus what a whole query needs around it: deadline
+// inferPair is the pair's outcome for a whole query, served from the
+// engine's pair memo when the same pair was answered complete before at the
+// same epoch with the same parameters (Deadline aside), and computed by
+// solvePair otherwise. A hit records no stage span and bumps no fallback or
+// local.nni counter. An outcome is memoized only when it is complete: never
+// a degraded one, nor any computed while the context was done.
+func (x exec) inferPair(pair int, qi, qj traj.GPSPoint) pairOutcome {
+	k := pairKey{epoch: x.snap.Epoch(), qi: qi, qj: qj, p: x.p}
+	k.p.Deadline = 0
+	if out, ok := x.eng.memo.get(k); ok {
+		return out
+	}
+	out := x.solvePair(pair, qi, qj)
+	if !out.stats.Degraded && !x.expired() {
+		x.eng.memo.put(k, out)
+	}
+	return out
+}
+
+// solvePair is pairStage plus what a whole query needs around it: deadline
 // degradation and the shortest-path fallback.
 //
 // A pair stopped by the query deadline records one deadline.<stage> hit and
@@ -243,7 +262,7 @@ func (x exec) pairStage(pair int, qi, qj traj.GPSPoint) (locals []LocalRoute, st
 // not itself be cut short. A pair stopped by outright cancellation returns
 // an empty outcome — the join in inferRoutes discards it and aborts the
 // whole query with the context error.
-func (x exec) inferPair(pair int, qi, qj traj.GPSPoint) pairOutcome {
+func (x exec) solvePair(pair int, qi, qj traj.GPSPoint) pairOutcome {
 	locals, st, stopped := x.pairStage(pair, qi, qj)
 	if stopped != "" {
 		if !x.deadlineExpired(stopped) {

@@ -96,13 +96,15 @@ const (
 	opInfer
 	opStream
 	opCancel
+	opRepeat
 )
 
-var opNames = []string{"ingest", "compact", "crash", "infer", "stream", "cancel"}
+var opNames = []string{"ingest", "compact", "crash", "infer", "stream", "cancel", "repeat"}
 
 // op is one operation. n is the ingest's batch size (0: a batch
-// preprocessing empties), the shard count a crash reopens at, the push a
-// stream publishes a batch of n+1 before, or the VisitBox that cancels.
+// preprocessing empties; a repeat's ingest between its asks), the shard count
+// a crash reopens at, the push a stream publishes a batch of n+1 before, or
+// the VisitBox that cancels.
 type op struct {
 	kind   opKind
 	n      int
@@ -133,7 +135,7 @@ func draw(seed int64, queries, trips int, pin func(*shape)) (shape, []op) {
 	if pin != nil {
 		pin(&s)
 	}
-	weights := []opKind{opIngest, opIngest, opIngest, opCompact, opCrash, opInfer, opInfer, opStream, opCancel}
+	weights := []opKind{opIngest, opIngest, opIngest, opCompact, opCrash, opInfer, opInfer, opStream, opCancel, opRepeat}
 	var ops []op
 	for i := 6 + rng.Intn(11); i > 0; i-- {
 		o := op{kind: weights[rng.Intn(len(weights))], q: rng.Intn(queries)}
@@ -142,6 +144,8 @@ func draw(seed int64, queries, trips int, pin func(*shape)) (shape, []op) {
 			if rng.Intn(5) > 0 {
 				o.n = 1 + rng.Intn(trips/4)
 			}
+		case opRepeat:
+			o.n = 1 + rng.Intn(trips/4)
 		case opCrash:
 			if s.wal == "" {
 				o.kind = opCompact
@@ -406,7 +410,7 @@ func (r *run) step(o op) error {
 		return check("session", ep, got)
 	case opCancel:
 		// Warm, the cancelled search is the pair's second sighting: the one
-		// the reference-search memo would retain.
+		// the pair memo would retain.
 		if o.mid {
 			if err := r.step(op{kind: opInfer, q: o.q}); err != nil {
 				return err
@@ -427,6 +431,22 @@ func (r *run) step(o op) error {
 		// Whatever the cancelled search left behind must not change the
 		// full answer that follows.
 		return check("answer after the cancellation", r.epoch(), r.infer(context.Background(), o.q))
+	case opRepeat:
+		// Three asks at one epoch: the second admits every pair to the pair
+		// memo and the third is served from it. An ingest then moves the
+		// epoch, and the same three asks must answer as the new generation.
+		for round := 0; round < 2; round++ {
+			if round == 1 {
+				if err := r.ingest(o.n); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < 3; i++ {
+				if err := check(fmt.Sprintf("answer %d of a repeat, round %d", i, round), r.epoch(), r.infer(context.Background(), o.q)); err != nil {
+					return err
+				}
+			}
+		}
 	}
 	return nil
 }
@@ -515,9 +535,9 @@ func TestModelSequential(t *testing.T) {
 		checkCase(t, m, sh, seed, ops)
 	}
 	// 4 shard counts, 2 halos, 2 seeds, 4 durabilities, pooled or not, 4
-	// worker counts and 6 operation kinds.
-	if fixed && len(seen) != 4+2+2+4+2+4+6 {
-		t.Errorf("the fixed seeds cover %d of 24 shape values and operation kinds: %v", len(seen), seen)
+	// worker counts and 7 operation kinds.
+	if fixed && len(seen) != 4+2+2+4+2+4+7 {
+		t.Errorf("the fixed seeds cover %d of 25 shape values and operation kinds: %v", len(seen), seen)
 	}
 }
 
@@ -562,7 +582,7 @@ func checkConcurrent(t *testing.T, m *modelWorld, sh shape, seed int64, ops []op
 			mu.Unlock()
 			if o.kind == opCompact || o.kind == opCrash {
 				r.st.Compact()
-			} else if o.kind == opIngest || o.kind == opStream {
+			} else if o.kind == opIngest || o.kind == opStream || o.kind == opRepeat {
 				if writerErr = r.ingest(o.n); writerErr != nil {
 					return
 				}

@@ -30,12 +30,11 @@ var ErrNoFreePath = errors.New("core: no network-free path inferred")
 
 // InferPathsNetworkFreeCtx suggests up to p.K3 paths for a query without
 // any road network: per consecutive pair, the reference search (with vmax
-// as the feasibility speed, since no network supplies V_max; memoized like
-// every engine search) feeds the same transit-graph recursion NNI uses, but
-// the enumerated traces are kept as polylines instead of being map-matched;
-// a K-GRI-style dynamic program over support sets assembles the global
-// paths. Like every other engine entry point it pins one archive snapshot
-// for the whole call.
+// as the feasibility speed, since no network supplies V_max) feeds the same
+// transit-graph recursion NNI uses, but the enumerated traces are kept as
+// polylines instead of being map-matched; a K-GRI-style dynamic program over
+// support sets assembles the global paths. Like every other engine entry
+// point it pins one archive snapshot for the whole call.
 //
 // Cancellation of any kind — network-free inference has no degraded mode —
 // aborts with the context's error at the next per-pair or DP checkpoint.
@@ -68,7 +67,7 @@ func (e *Engine) InferPathsNetworkFreeCtx(ctx context.Context, q *traj.Trajector
 			return nil, ctx.Err()
 		}
 		qi, qj := q.Points[i], q.Points[i+1]
-		refs := e.refs.ReferencesOn(ctx, snap, qi, qj, sp, &sc.search, nil)
+		refs := sc.search.Search(snap, qi, qj, sp, nil, done)
 		var pts []refPoint
 		var owner []int // pts[i] is a point of refs[owner[i]]
 		for ri, r := range refs {

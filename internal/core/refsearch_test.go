@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -126,31 +127,33 @@ func TestSessionCarriesNearSet(t *testing.T) {
 	}
 }
 
-// TestMemoizedRunsSurviveScratchReuse: what the reference-search memo retains
-// is cloned out of the searcher scratch at exact size. Later searches on the
-// same recycled scratch — other queries, other parameters — must leave every
-// memoized run list bit-stable and equal to a fresh search.
+// TestMemoizedRunsSurviveScratchReuse: what the pair memo retains is copied
+// out of the pair scratch, local route set at exact size. Later inferences
+// on the same recycled scratch — other queries, other parameters — must leave
+// every memoized outcome bit-stable and equal to a fresh computation.
 func TestMemoizedRunsSurviveScratchReuse(t *testing.T) {
 	w := newWorld(t, 60, 987)
 	queries := w.queries(t, 4)
 	v, ctx := w.eng.src.Current(), context.Background()
-	sp := hist.SearchParams{Phi: w.p.Phi, SpliceEps: w.p.SpliceEps, SpliceMinSimple: w.p.SpliceMinSimple}
 	q := queries[0]
 	for i := 0; i < 2; i++ { // the second run's misses admit the pairs
 		if _, err := w.eng.InferRoutes(q, w.p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var memo, before [][]hist.Reference
-	hits, _ := w.eng.refs.Stats()
+	var memo, before []pairOutcome
+	hits := w.eng.memo.hits.Load()
 	for i := 0; i+1 < q.Len(); i++ {
-		refs := w.eng.refs.ReferencesOn(ctx, v, q.Points[i], q.Points[i+1], sp, new(hist.Searcher), nil)
-		if len(refs) != cap(refs) {
-			t.Fatalf("pair %d: memoized run list has len %d cap %d, want exact size", i, len(refs), cap(refs))
+		out, ok := w.eng.memo.get(pairKey{epoch: v.Epoch(), qi: q.Points[i], qj: q.Points[i+1], p: w.p})
+		if !ok {
+			t.Fatalf("pair %d was not admitted on its second miss", i)
 		}
-		memo, before = append(memo, refs), append(before, slices.Clone(refs))
+		if len(out.locals) != cap(out.locals) {
+			t.Fatalf("pair %d: memoized local routes have len %d cap %d, want exact size", i, len(out.locals), cap(out.locals))
+		}
+		memo, before = append(memo, out), append(before, cloneOutcome(out))
 	}
-	if h, _ := w.eng.refs.Stats(); h-hits != uint64(len(memo)) {
+	if h := w.eng.memo.hits.Load(); h-hits != uint64(len(memo)) {
 		t.Fatalf("read %d memo entries with %d hits", len(memo), h-hits)
 	}
 	wide := w.p
@@ -159,10 +162,10 @@ func TestMemoizedRunsSurviveScratchReuse(t *testing.T) {
 		inferConcurrently(ctx, w.eng, queries, w.p, 4)
 		inferConcurrently(ctx, w.eng, queries, wide, 1)
 	}
+	fresh := NewEngine(w.eng.src, w.p)
 	for i := range memo {
-		fresh := hist.References(v, q.Points[i], q.Points[i+1], sp)
-		if !slices.Equal(memo[i], before[i]) || !slices.Equal(memo[i], fresh) {
-			t.Fatalf("pair %d: memoized run list changed under scratch reuse", i)
+		if !reflect.DeepEqual(memo[i], before[i]) || !reflect.DeepEqual(memo[i], solveFresh(fresh, v, w.p, q.Points[i], q.Points[i+1])) {
+			t.Fatalf("pair %d: memoized outcome changed under scratch reuse", i)
 		}
 	}
 }

@@ -374,9 +374,9 @@ var traverseGraphDigests = map[string]string{
 func forEachPair(x exec, q *traj.Trajectory, f func(i int, pctx *pairContext)) {
 	for i := 0; i+1 < q.Len(); i++ {
 		qi, qj := q.Points[i], q.Points[i+1]
-		refs := x.eng.refs.ReferencesOn(x.ctx, x.snap, qi, qj, hist.SearchParams{
+		refs := x.sc.search.Search(x.snap, qi, qj, hist.SearchParams{
 			Phi: x.p.Phi, SpliceEps: x.p.SpliceEps, SpliceMinSimple: x.p.SpliceMinSimple,
-		}, &x.sc.search, nil)
+		}, nil, x.done)
 		f(i, x.buildPairContext(i, qi, qj, refs))
 	}
 }

@@ -337,7 +337,7 @@ func TestMatchTableOnLiveShardedStore(t *testing.T) {
 		sp := hist.SearchParams{Phi: x.p.Phi, SpliceEps: x.p.SpliceEps, SpliceMinSimple: x.p.SpliceMinSimple}
 		for _, q := range queries {
 			for i := 0; i+1 < q.Len(); i++ {
-				refs := eng.refs.ReferencesOn(x.ctx, x.snap, q.Points[i], q.Points[i+1], sp, new(hist.Searcher), nil)
+				refs := new(hist.Searcher).Search(x.snap, q.Points[i], q.Points[i+1], sp, nil, x.done)
 				checkAgainstOracle(t, x, refs, what)
 				for _, r := range refs {
 					if r.Spliced {

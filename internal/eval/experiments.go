@@ -355,7 +355,10 @@ func (w *World) Figure14b() *Table {
 // set and the fraction of queries that returned a best-effort Degraded
 // result. A deadline of 0 (no budget) is the baseline row. Failed queries
 // (no route at all) score zero accuracy, like everywhere else in the
-// harness.
+// harness. Each row runs on a fresh engine warmed by one unbudgeted pass: its
+// match tables are built, and no pair is served from the pair memo, which
+// keys on everything but the deadline and would answer a budgeted row from
+// an earlier row's complete outcomes.
 func (w *World) DeadlineProfile() *Table {
 	t := &Table{Figure: "deadline", Title: "Graceful degradation vs per-query deadline",
 		XLabel: "deadline (ms)", YLabel: "value"}
@@ -366,10 +369,14 @@ func (w *World) DeadlineProfile() *Table {
 	for _, ms := range []time.Duration{0, 1, 5, 20, 100, 500} {
 		p := w.P
 		p.Deadline = ms * time.Millisecond
+		eng := core.NewEngine(w.Eng.Source(), w.P)
+		for _, qc := range qs {
+			_, _ = eng.InferRoutes(qc.Query, w.P)
+		}
 		var acc float64
 		degraded := 0
 		for _, qc := range qs {
-			res, err := w.Eng.InferRoutes(qc.Query, p)
+			res, err := eng.InferRoutes(qc.Query, p)
 			if err != nil || len(res.Routes) == 0 {
 				continue
 			}

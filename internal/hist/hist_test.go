@@ -309,10 +309,10 @@ func BenchmarkReferenceSearch(b *testing.B) {
 	}
 }
 
-// TestReferenceSize: a Reference is the unit the reference-search memo
-// retains (~80 per query pair) and the memo's byte bound counts it at
-// unsafe.Sizeof, so it must stay a run — at most 32 bytes and no pointer into
-// anything (a pointer would also mean it owns or pins storage).
+// TestReferenceSize: a Reference is the unit a search returns (~80 per query
+// pair, one list allocated per pair), so it must stay a run — at most 32
+// bytes and no pointer into anything (a pointer would also mean it owns or
+// pins storage).
 func TestReferenceSize(t *testing.T) {
 	if got := unsafe.Sizeof(Reference{}); got > 32 {
 		t.Fatalf("unsafe.Sizeof(Reference{}) = %d, want <= 32", got)

@@ -20,8 +20,9 @@ import (
 // its points instead of holding them: LenA points of archive trajectory
 // SourceA from index OffA on, then — spliced references only — LenB points of
 // SourceB from OffB on (SourceB is -1 otherwise). Runs resolves the names;
-// core's match tables are indexed by the same positions. The memo retains
-// References, so one stays within 32 bytes and holds no pointer (tested).
+// core's match tables are indexed by the same positions. A search returns
+// a list of them per pair, so one stays within 32 bytes and holds no pointer
+// (tested).
 type Reference struct {
 	SourceA, OffA, LenA int32
 	SourceB, OffB, LenB int32
@@ -70,7 +71,7 @@ func searchable(qi, qj traj.GPSPoint, p SearchParams) bool {
 // the leftover one-sided candidates.
 func References(v View, qi, qj traj.GPSPoint, p SearchParams) []Reference {
 	s := searcherPool.Get().(*Searcher)
-	refs := s.references(v, qi, qj, p, nil, nil)
+	refs := s.Search(v, qi, qj, p, nil, nil)
 	s.Release()
 	searcherPool.Put(s)
 	return refs
@@ -222,11 +223,13 @@ func (s *Searcher) visitHit(pt geo.Point, r PointRef) bool {
 	return true
 }
 
-// references runs one search. Once done is closed it returns the references
-// found so far, a valid subset the caller may use or discard. near holds the
-// carried near sets (nil: the searcher's own): when the pair is adjacent to
-// the last one the search walks once, and it leaves its own two sets behind.
-func (s *Searcher) references(v View, qi, qj traj.GPSPoint, p SearchParams, near *NearSet, done <-chan struct{}) []Reference {
+// Search returns References(v, qi, qj, p), run on s's scratch. Once done is
+// closed it returns the references found so far, a valid subset the caller
+// may use or discard (nil: uncancellable). near holds the carried near sets
+// (nil: the searcher's own): when the pair is adjacent to the last one the
+// search walks once, and it leaves its own two sets behind. The result is
+// fresh, exact-size and the caller's.
+func (s *Searcher) Search(v View, qi, qj traj.GPSPoint, p SearchParams, near *NearSet, done <-chan struct{}) []Reference {
 	if !searchable(qi, qj, p) {
 		return nil
 	}

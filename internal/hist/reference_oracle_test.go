@@ -443,7 +443,7 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 			what := fmt.Sprintf("%s %+v %s pair %d", what, p, q.ID, i)
 			want := oracleReferences(v, qi, qj, p, nil)
 			checkAgainstOracle(t, what, v, References(v, qi, qj, p), want)
-			checkAgainstOracle(t, what+" (carried)", v, carried.references(v, qi, qj, p, nil, nil), want)
+			checkAgainstOracle(t, what+" (carried)", v, carried.Search(v, qi, qj, p, nil, nil), want)
 			for _, w := range want {
 				if w.Spliced {
 					spliced++
@@ -459,7 +459,7 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 		// its far end searches in.
 		for i := len(wants) - 1; i >= 0; i-- {
 			what := fmt.Sprintf("%s %+v %s pair %d (carried backward)", what, p, q.ID, i)
-			checkAgainstOracle(t, what, v, backward.references(v, q.Points[i], q.Points[i+1], p, nil, nil), wants[i])
+			checkAgainstOracle(t, what, v, backward.Search(v, q.Points[i], q.Points[i+1], p, nil, nil), wants[i])
 		}
 		return spliced
 	}
@@ -523,7 +523,7 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 		// sides holding equal X — −0 and +0 among them — at different fill
 		// positions.
 		var s Searcher
-		s.references(v, q.Points[0], q.Points[1], SearchParams{Phi: 100, SpliceEps: 200, VMax: 20}, nil, nil)
+		s.Search(v, q.Points[0], q.Points[1], SearchParams{Phi: 100, SpliceEps: 200, VMax: 20}, nil, nil)
 		for k, hits := range s.own.hits {
 			twins := false
 			for i := 1; i < len(hits); i++ {
@@ -563,7 +563,7 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 			t.Fatalf("wide %s: the oracle spliced %d references, want 12", name, spliced)
 		}
 		var s Searcher
-		s.references(v, q.Points[0], q.Points[1], p, nil, nil)
+		s.Search(v, q.Points[0], q.Points[1], p, nil, nil)
 		filled := 0
 		for _, w := range s.filled {
 			filled += bits.OnesCount64(w)
@@ -594,7 +594,7 @@ func TestReferenceOracleEquivalence(t *testing.T) {
 				// Never more cells than side B has points; at e = 25 the
 				// lattice sides spread over many.
 				var s Searcher
-				s.references(v, q.Points[0], q.Points[1], p, nil, nil)
+				s.Search(v, q.Points[0], q.Points[1], p, nil, nil)
 				if cells := len(s.bstart) - 1; cells > len(s.bside) || k > 0 && eps == 25 && cells < 2 {
 					t.Fatalf("%s %s e=%g: %d cells for %d side-B points", world, name, eps, cells, len(s.bside))
 				}
@@ -743,9 +743,9 @@ func TestSearcherSurvivesWrapAndGrowth(t *testing.T) {
 			for i := 0; i+1 < q.Len(); i++ {
 				qi, qj := q.Points[i], q.Points[i+1]
 				var fresh Searcher
-				want := fresh.references(v, qi, qj, p, nil, nil)
+				want := fresh.Search(v, qi, qj, p, nil, nil)
 				what := fmt.Sprintf("%d trips, %s pair %d", v.NumTrajs(), q.ID, i)
-				if got := warm.references(v, qi, qj, p, nil, nil); !slices.Equal(got, want) {
+				if got := warm.Search(v, qi, qj, p, nil, nil); !slices.Equal(got, want) {
 					t.Fatalf("%s: warm searcher = %+v, fresh %+v", what, got, want)
 				}
 				checkAgainstOracle(t, what, v, want, oracleReferences(v, qi, qj, p, nil))
@@ -769,7 +769,8 @@ func TestSearcherSurvivesWrapAndGrowth(t *testing.T) {
 
 // TestReferenceSearchHostileInputs pins what the search does with inputs no
 // well-formed query has — the ones a /stream client can send: they have no
-// references, do not panic, and leave nothing in the memo, on both view kinds.
+// references, do not panic, and never reach a warm searcher's scratch, on
+// both view kinds.
 func TestReferenceSearchHostileInputs(t *testing.T) {
 	g, qi, qj := refWorld()
 	through := lineTraj("through", geo.Pt(0, 10), geo.Pt(100, 10), geo.Pt(200, 10), geo.Pt(300, 10), geo.Pt(400, 10))
@@ -783,20 +784,20 @@ func TestReferenceSearchHostileInputs(t *testing.T) {
 	sharded := NewShardedStore(g, nil, ShardedConfig{Shards: 4, Halo: 60})
 	sharded.IngestTrips(trips...)
 	for name, v := range map[string]View{"snapshot": NewArchive(g, trips), "sharded": sharded.Current()} {
-		c := NewSearchCache(0)
+		var warm Searcher
 		search := func(qi, qj traj.GPSPoint, p SearchParams) []Reference {
 			direct := References(v, qi, qj, p)
-			memo := c.ReferencesOn(t.Context(), v, qi, qj, p, new(Searcher), nil)
-			if !slices.Equal(direct, memo) {
-				t.Fatalf("%s: memoized search disagrees with the direct one", name)
+			got := warm.Search(v, qi, qj, p, nil, nil)
+			if !slices.Equal(direct, got) {
+				t.Fatalf("%s: the warm searcher disagrees with a fresh one", name)
 			}
-			return memo
+			return got
 		}
 		valid := search(qi, qj, ok)
 		if len(valid) != 2 || valid[0].Spliced || !valid[1].Spliced {
 			t.Fatalf("%s: well-formed pair = %+v, want one simple and one spliced reference", name, valid)
 		}
-		entries := c.Len()
+		carried := warm.own
 
 		late := qi
 		late.T = qj.T + 1
@@ -815,8 +816,9 @@ func TestReferenceSearchHostileInputs(t *testing.T) {
 				t.Errorf("%s: %s yields %d references", name, what, len(refs))
 			}
 		}
-		if c.Len() != entries {
-			t.Errorf("%s: hostile inputs left %d entries in the memo", name, c.Len()-entries)
+		if warm.own.view != carried.view || warm.own.phi != carried.phi || warm.own.pt != carried.pt {
+			t.Errorf("%s: hostile inputs reached the searcher: it carries %v at φ %v, not %v at φ %v",
+				name, warm.own.pt, warm.own.phi, carried.pt, carried.phi)
 		}
 		// A negative splice threshold is no splicing, not an inverted window.
 		if refs := search(qi, qj, SearchParams{Phi: 60, SpliceEps: -50}); len(refs) != 1 || refs[0].Spliced {
@@ -845,7 +847,7 @@ func TestReferenceSearchHostileInputs(t *testing.T) {
 	})
 	for _, p := range []SearchParams{ok, {Phi: 60, SpliceEps: 50, VMax: inf}, {Phi: 60, SpliceEps: inf, VMax: inf}} {
 		var s Searcher
-		refs := s.references(odd, qi, qj, p, nil, nil)
+		refs := s.Search(odd, qi, qj, p, nil, nil)
 		nonFinite := func(side []sidePoint) (n int) {
 			for _, sp := range side {
 				if !finite(sp.pt) {

@@ -265,7 +265,7 @@ func TestShardedEpochFingerprint(t *testing.T) {
 // stack and explicit compactions (which publish new snapshots under an old
 // epoch), a reader polling concurrently,
 // and a durable copy fed the same batches and reopened. It is why the
-// epoch-tagged SearchCache keys on the epoch alone.
+// epoch-tagged pair memo in core keys on the epoch alone.
 func TestOneEpochOneGeneration(t *testing.T) {
 	g, _, _ := refWorld()
 	corners := []geo.Point{geo.Pt(10, 10), geo.Pt(590, 10), geo.Pt(10, 390), geo.Pt(590, 390)}
@@ -342,42 +342,6 @@ func TestOneEpochOneGeneration(t *testing.T) {
 	}
 	if c := dur.Stats().Compactions; c == 0 {
 		t.Fatal("no write filled a stack")
-	}
-}
-
-// TestShardedSearchCacheComposite: the memo distinguishes generations of a
-// sharded store — a reader pinned to an old generation is served unmemoized
-// after a sibling-shard ingest, and current-generation queries miss (never
-// serving stale results) then re-memoize on their second miss.
-func TestShardedSearchCacheComposite(t *testing.T) {
-	g, qi, qj := refWorld()
-	st := NewShardedStore(g, nil, ShardedConfig{Shards: 4, Halo: 60})
-	st.IngestTrips(storeTrips()[:3]...)
-	old := st.Current()
-	c := NewSearchCache(0)
-	sp := SearchParams{Phi: 60, SpliceEps: 50}
-
-	admittedRefs(c, st, qi, qj, sp)
-	if c.Len() != 1 {
-		t.Fatalf("memo holds %d entries, want 1", c.Len())
-	}
-	// Ingest far from the query corridor: only a sibling shard's epoch
-	// moves, but the store's generation — and thus the cache key — must
-	// change anyway.
-	st.IngestTrips(lineTraj("far", geo.Pt(590, 390), geo.Pt(580, 380)))
-	admittedRefs(c, st, qi, qj, sp)
-	if _, m := c.Stats(); m != 4 {
-		t.Fatalf("misses = %d, want 4 (stale generation must not hit)", m)
-	}
-	want := References(old, qi, qj, sp)
-	for i := 0; i < 2; i++ {
-		got := c.ReferencesOn(t.Context(), old, qi, qj, sp, new(Searcher), nil)
-		if len(got) != len(want) {
-			t.Fatalf("pinned-generation answer has %d refs, want %d", len(got), len(want))
-		}
-	}
-	if c.Len() != 1 {
-		t.Fatalf("stale generation's result was memoized: %d entries", c.Len())
 	}
 }
 

@@ -233,71 +233,11 @@ func TestStoreObs(t *testing.T) {
 	}
 }
 
-// TestSearchCacheEpochInvalidation: memos are epoch-tagged — an ingest
-// invalidates them, identical queries within an epoch still hit once
-// admitted on their second miss.
-func TestSearchCacheEpochInvalidation(t *testing.T) {
-	g, qi, qj := refWorld()
-	st := NewStore(g, nil, StoreConfig{})
-	st.IngestTrips(storeTrips()[:3]...)
-	c := NewSearchCache(0)
-	sp := SearchParams{Phi: 60, SpliceEps: 50}
-
-	before := cachedRefs(c, st, qi, qj, sp)
-	if h, m := c.Stats(); h != 0 || m != 1 {
-		t.Fatalf("stats after first call: %d/%d", h, m)
-	}
-	cachedRefs(c, st, qi, qj, sp) // the second miss admits the key
-	cachedRefs(c, st, qi, qj, sp)
-	if h, m := c.Stats(); h != 1 || m != 2 {
-		t.Fatalf("stats after repeats within the epoch: %d/%d, want 1/2", h, m)
-	}
-
-	st.IngestTrips(storeTrips()[3:]...)
-	after := cachedRefs(c, st, qi, qj, sp)
-	if h, m := c.Stats(); h != 1 || m != 3 {
-		t.Fatalf("stats after ingest: %d/%d (stale memo served?)", h, m)
-	}
-	if c.Invalidations() != 1 {
-		t.Fatalf("invalidations = %d", c.Invalidations())
-	}
-	if len(after) == len(before) {
-		// The extra trips add references for this pair in the fixture.
-		t.Fatal("post-ingest answer identical to stale answer")
-	}
-	admittedRefs(c, st, qi, qj, sp)
-	if h, _ := c.Stats(); h != 2 {
-		t.Fatal("repeat in new epoch did not hit")
-	}
-}
-
-// TestSearchCacheFirstSightingInvalidates: a key of a newer epoch purges the
-// older generation on its first sighting, though that sighting itself is
-// not memoized.
-func TestSearchCacheFirstSightingInvalidates(t *testing.T) {
-	g, qi, qj := refWorld()
-	st := NewStore(g, nil, StoreConfig{})
-	st.IngestTrips(storeTrips()[:3]...)
-	c := NewSearchCache(0)
-	sp := SearchParams{Phi: 60, SpliceEps: 50}
-	admittedRefs(c, st, qi, qj, sp)
-	if c.Len() != 1 {
-		t.Fatalf("memo holds %d entries before the ingest, want 1", c.Len())
-	}
-	st.IngestTrips(storeTrips()[3:]...)
-	cachedRefs(c, st, qi, qj, sp)
-	if c.Len() != 0 || c.Bytes() != 0 || c.Invalidations() != 1 || c.Declined() != 2 {
-		t.Fatalf("after a newer epoch's first sighting: %d entries, %d bytes, %d invalidations, %d declined; want 0, 0, 1, 2",
-			c.Len(), c.Bytes(), c.Invalidations(), c.Declined())
-	}
-}
-
 // TestStoreConcurrentIngestAndSearch is a -race smoke test: readers pin
 // snapshots and search while writers ingest and compact.
 func TestStoreConcurrentIngestAndSearch(t *testing.T) {
 	g, qi, qj := refWorld()
 	st := NewStore(g, nil, StoreConfig{})
-	c := NewSearchCache(0)
 	trips := storeTrips()
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -313,6 +253,7 @@ func TestStoreConcurrentIngestAndSearch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s Searcher // warm across generations, as a pooled engine arena is
 			for i := 0; i < 50; i++ {
 				snap := st.Current()
 				n := snap.NumTrajs()
@@ -324,7 +265,11 @@ func TestStoreConcurrentIngestAndSearch(t *testing.T) {
 						return
 					}
 				}
-				c.ReferencesOn(t.Context(), st.Current(), qi, qj, SearchParams{Phi: 60, SpliceEps: 50}, new(Searcher), nil)
+				snap = st.Current()
+				if got, want := s.Search(snap, qi, qj, SearchParams{Phi: 60, SpliceEps: 50}, nil, nil), References(snap, qi, qj, SearchParams{Phi: 60, SpliceEps: 50}); !slices.Equal(got, want) {
+					t.Errorf("a warm searcher answered %+v, a fresh one %+v", got, want)
+					return
+				}
 			}
 		}()
 	}

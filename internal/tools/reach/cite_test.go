@@ -102,6 +102,10 @@ var staleNames = []struct{ md, comment string }{
 	{"xKey", "hist.xKey"},
 	{"sideKey", "hist.sideKey"},
 	{"Searcher.spare", "hist.Searcher.spare"},
+	{"SearchCache", "hist.SearchCache"},
+	{"NewSearchCache", "hist.NewSearchCache"},
+	{"ReferencesOn", "hist.SearchCache.ReferencesOn"},
+	{"searchKey", "hist.searchKey"},
 }
 
 func TestStaleNamesReported(t *testing.T) {

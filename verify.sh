@@ -64,8 +64,11 @@ go test -timeout 120s -race -count=2 -run 'Stream|ShutdownReturnsGoroutines' ./c
 # walk; its pooled ≡ unpooled cases by name too) and cmd/hris serving /infer
 # and /stream without a CH, byte-equal to a CH graph.
 # Beside them, the K-GRI posterior's per-push allocation must not grow with
-# the trip (pushes 700-799 within twice the bytes of pushes 0-99).
-go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|Model|PooledMatchesUnpooled|ServesWithoutCH|PosteriorPushDoesNotGrow' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
+# the trip (pushes 700-799 within twice the bytes of pushes 0-99), and the
+# pair memo's outcomes, shared by every hit, must stay unwritten while
+# concurrent offline queries and sessions are served and JSON-encoded from
+# them (PairMemoReadOnly).
+go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|Model|PooledMatchesUnpooled|ServesWithoutCH|PosteriorPushDoesNotGrow|PairMemoReadOnly' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
 
 # Hostile bytes: the batch decoder, the log scan, the dataset's trajectory
 # and road-network loaders and the trip format's wire readers (/infer,
@@ -77,12 +80,28 @@ go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|Model|PooledMatches
 # an accepted road network valid, byte-identical through a rewrite and
 # answering candidate-edge queries exactly as a scan of every segment does.
 # Minimizing a new interesting input may take at most 1 s (the default is
-# 60 s, longer than the leg), so a leg spends its 10 s fuzzing.
-go test -timeout 120s -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hist/
-go test -timeout 120s -run '^$' -fuzz '^FuzzScanWAL$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hist/
-go test -timeout 120s -run '^$' -fuzz '^FuzzReadArchive$' -fuzztime 10s -fuzzminimizetime 1s ./internal/traj/
-go test -timeout 120s -run '^$' -fuzz '^FuzzReadWire$' -fuzztime 10s -fuzzminimizetime 1s ./internal/traj/
-go test -timeout 120s -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s -fuzzminimizetime 1s ./internal/roadnet/
+# 60 s, longer than the leg), so a leg spends its 10 s fuzzing — and a leg
+# must show it: its output is kept, and every "fuzz: elapsed" report after
+# the first must count more execs than the one before, or the leg fails.
+fuzzlog=$(mktemp -d)
+trap 'rm -rf "$fuzzlog"' EXIT
+fuzz_leg() {
+    go test -timeout 120s -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 1s "$2" > "$fuzzlog/$1" 2>&1 ||
+        { cat "$fuzzlog/$1"; return 1; }
+    cat "$fuzzlog/$1"
+    awk -v leg="$1" '/^fuzz: elapsed: .*, execs: / {
+        n = $0; sub(/.*, execs: /, "", n); sub(/ .*/, "", n); n += 0
+        if (seen && n <= last) { print leg ": no new execs: " $0; stalled = 1 }
+        last = n; seen = 1
+    }
+    END { exit stalled }' "$fuzzlog/$1"
+}
+fuzz_leg FuzzDecodeBatch ./internal/hist/
+fuzz_leg FuzzScanWAL ./internal/hist/
+fuzz_leg FuzzReadArchive ./internal/traj/
+fuzz_leg FuzzReadWire ./internal/traj/
+fuzz_leg FuzzReadJSON ./internal/roadnet/
+rm -rf "$fuzzlog"
 
 # The wire-level benchmark is its own module (bench/go.mod, replace repro =>
 # ../), so `./...` above never compiles it. Vet it against this tree's
@@ -109,8 +128,8 @@ go test -C bench -timeout 300s ./...
 # matchers' golden digests (TestMatcherGoldenDigests) pin ST-Matching, IVMM,
 # HMM and the incremental matcher on the same terms. So do the pair-context
 # assembly's per-point oracle (MatchTable: per-run spliced contexts on a
-# warm pool, where stale run state would show) and the memo's admission
-# contract (SearchCache), and the near set's two integer shortcuts: the
+# warm pool, where stale run state would show) and the pair memo's admission
+# and epoch contract (PairMemo), and the near set's two integer shortcuts: the
 # canonical ranks against the key they replace (Canon) and the squared-
 # distance radius test against math.Hypot (Radius). The per-pair path orders
 # by dense tables, not sorts, so the ties those tables must break as the
@@ -122,11 +141,12 @@ go test -C bench -timeout 300s ./...
 # (PosteriorSelection), the tables' stamp wraps, warm reuse and growth under
 # an ingest (SurvivesWrap), and the comparisons a K-GRI push makes
 # (PosteriorPushWork: at most K per candidate, flat over a long trip).
-go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces|MatchTable|SearchCache|Canon|Radius|SurvivesWrap|PosteriorSelection|PosteriorPushWork' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces|MatchTable|PairMemo|Canon|Radius|SurvivesWrap|PosteriorSelection|PosteriorPushWork' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
 go test -timeout 120s -count=2 ./internal/grid/
 
 # Bench smoke: the acceleration-layer benchmarks (the end-to-end HRIS query
-# in both oracle modes, ST-Matching, the CH build, the bridge replay), the
+# in both oracle modes, computed and served from the pair memo
+# (HRISQueryMemoHit), ST-Matching, the CH build, the bridge replay), the
 # warm pair-context assembly benchmark, the warm NNI, TGI and most-spliced
 # pairs, the cold
 # reference search, the live-archive ingest benchmarks (Ingest matches both
@@ -137,8 +157,9 @@ go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|TGIPair
 
 # Alloc-regression gate: the steady-state query hot path must stay within
 # the checked-in budget (bench_budget.json). BenchmarkHRISQuery warms the
-# pools and memos before the timer starts, so allocs/op here is the
-# steady-state number — stable to ±1 across runs. The benchmark line format
+# pools and match tables before the timer starts and asks each timed query
+# with fresh parameters, so every pair is computed, not served from the pair
+# memo; allocs/op here is the steady-state number — stable to ±1 across runs. The benchmark line format
 # is "BenchmarkHRISQuery <N> <ns/op> ns/op <B/op> B/op <allocs/op> allocs/op";
 # allocs/op is field NF-1 and B/op is field NF-3.
 bench_line=$(go test -timeout 300s -run '^$' -bench '^BenchmarkHRISQuery$' \
@@ -168,9 +189,9 @@ test -n "$max_allocs" && test -n "$max_bytes"
 test "$allocs" -le "$max_allocs"
 test "$bytes" -le "$max_bytes"
 
-# And for the cold reference search, which the two gates above do not see
-# (their queries are memo-resident): one search allocates the run list it
-# returns and nothing per reference, per candidate or per range hit.
+# And for the cold reference search alone, which the two gates above run
+# inside each pair: one search allocates the run list it returns and nothing
+# per reference, per candidate or per range hit.
 refsearch_line=$(go test -timeout 300s -run '^$' -bench '^BenchmarkReferenceSearchRoot$' \
     -benchmem -benchtime 200x . | grep '^BenchmarkReferenceSearchRoot')
 echo "$refsearch_line"
