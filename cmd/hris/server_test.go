@@ -52,15 +52,15 @@ func testWorld(t *testing.T) *sim.Dataset {
 			worldLight = append(worldLight, qc.Query)
 		}
 		// The heavy query stitches downsampled points from many trips into
-		// one 400-point cross-city query: ~400 pairs of real inference work
-		// (tens of milliseconds) — long enough for a test to act while it
-		// holds the gate's worker slot.
+		// one 2,000-point cross-city query: ~2,000 pairs of real inference
+		// work (tens of milliseconds) — long enough for a test to act while
+		// it holds the gate's worker slot.
 		worldHeavy = &traj.Trajectory{ID: "heavy"}
-		for len(worldHeavy.Points) < 400 {
+		for len(worldHeavy.Points) < 2000 {
 			tr := worldDS.Archive[rng.Intn(len(worldDS.Archive))]
 			worldHeavy.Points = append(worldHeavy.Points, traj.Downsample(tr, 180).Points...)
 		}
-		worldHeavy.Points = worldHeavy.Points[:400]
+		worldHeavy.Points = worldHeavy.Points[:2000]
 		for i := range worldHeavy.Points {
 			worldHeavy.Points[i].T = float64(i) * 180
 		}

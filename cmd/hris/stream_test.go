@@ -335,7 +335,7 @@ func TestStreamAdmission(t *testing.T) {
 // truncated, instead of failing or silently dropping points.
 func TestStreamPointCap(t *testing.T) {
 	_, base := newStreamServer(t, streamLimits{maxPoints: 4}, context.Background(), false)
-	q := worldHeavy // 400 points: comfortably longer than the cap
+	q := worldHeavy // 2,000 points: comfortably longer than the cap
 	sc, code := openStream(t, base, "veh-cap")
 	if code != http.StatusOK {
 		t.Fatalf("open = %d, want 200", code)

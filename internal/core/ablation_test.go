@@ -108,12 +108,13 @@ func TestMergeRoutesOverlapSplice(t *testing.T) {
 		}
 		return roadnet.NoEdge
 	}
+	join := func(parts ...roadnet.Route) (roadnet.Route, bool) { return joinRoutes(g, parts...) }
 	e01, e12, e23, e34 := find(0, 1), find(1, 2), find(2, 3), find(3, 4)
 	// a ends with [e12 e23]; b begins with [e23 e34]: splice at e23 with no
 	// duplicated or bridged edges.
 	a := roadnet.Route{e01, e12, e23}
 	b := roadnet.Route{e23, e34}
-	merged, ok := mergeRoutes(g, a, b)
+	merged, ok := join(a, b)
 	if !ok {
 		t.Fatal("merge failed")
 	}
@@ -125,9 +126,17 @@ func TestMergeRoutesOverlapSplice(t *testing.T) {
 	}
 	// Disjoint routes fall back to a shortest-path bridge.
 	c := roadnet.Route{find(4, 5)}
-	bridged, ok := mergeRoutes(g, roadnet.Route{e01}, c)
+	bridged, ok := join(roadnet.Route{e01}, c)
 	if !ok || !bridged.Valid(g) {
 		t.Fatalf("bridged merge failed: %v ok=%v", bridged, ok)
+	}
+	// A route of one part keeps its repeats until its first non-empty join,
+	// which deduplicates it whole; an empty part joins nothing.
+	if one, _ := join(roadnet.Route{e01, e01}, nil); !one.Equal(roadnet.Route{e01, e01}) {
+		t.Fatalf("one part = %v", one)
+	}
+	if two, _ := join(roadnet.Route{e01, e01, e12}, nil, roadnet.Route{e12, e23}); !two.Equal(roadnet.Route{e01, e12, e23}) {
+		t.Fatalf("two parts = %v", two)
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // immutable epoch-numbered snapshots (a frozen *hist.Archive is its own
 // constant source, a live *hist.Store publishes a new one per ingest), and
 // every inference call pins exactly one snapshot for its whole lifetime;
-// the pair memo and the match tables are internally locked read-through
+// the query memo and the match tables are internally locked read-through
 // memos whose hits and misses return byte-identical results, so caching
 // never changes an outcome.
 type Engine struct {
@@ -36,7 +36,7 @@ type Engine struct {
 	src      hist.Source
 	defaults Params
 
-	memo  *pairMemo    // pair outcomes (per epoch × query pair × params)
+	memo  *queryMemo   // whole-query answers (per epoch × query points × params)
 	match *matchTables // archive map-matching (per trajectory × ε)
 
 	met *metrics // nil when built without a registry: zero-cost no-op
@@ -71,7 +71,7 @@ func NewEngineWithRegistry(src hist.Source, defaults Params, reg *obs.Registry) 
 		g:        g,
 		src:      src,
 		defaults: defaults,
-		memo:     newPairMemo(pairMemoBytes),
+		memo:     newQueryMemo(queryMemoBytes),
 		match:    &matchTables{g: g, m: make(map[matchKey]*trajMatch)},
 		met:      newMetrics(reg),
 	}
@@ -107,9 +107,8 @@ func (e *Engine) Metrics() obs.Snapshot {
 	} else {
 		s = obs.Snapshot{Counters: map[string]uint64{}, Stages: map[string]obs.HistStats{}}
 	}
-	// The pair memo keeps the counter names of the reference-search memo it
-	// replaced: they count pair lookups, and a hit also serves the pair's
-	// reference search.
+	// The query memo keeps the counter names of the reference-search memo it
+	// descends from; they count query lookups.
 	entries, bytes := e.memo.size()
 	s.Counters["cache.refsearch.hits"] = e.memo.hits.Load()
 	s.Counters["cache.refsearch.misses"] = e.memo.misses.Load()
@@ -243,15 +242,14 @@ func foldDiskGauges(counters map[string]uint64, stats hist.StoreStats) {
 type metrics struct {
 	reg *obs.Registry
 
-	query, refSearch, candSearch, culling, localTGI, localNNI, kgri *obs.Histogram
-
 	queries, fallbacks, cancelled, degraded *obs.Counter
 	// nniTraces/nniRoutes: traces NNI enumerated against the distinct routes
 	// they converted to — how much of the conversion is redundant.
 	nniTraces, nniRoutes *obs.Counter
 
-	// deadlines maps a stage name to its deadline-hit counter
-	// (obs.DeadlineCounterPrefix + stage), pre-resolved like the histograms.
+	// stages and deadlines map a stage name to its latency histogram and to
+	// its deadline-hit counter (obs.DeadlineCounterPrefix + stage).
+	stages    map[string]*obs.Histogram
 	deadlines map[string]*obs.Counter
 }
 
@@ -259,30 +257,25 @@ func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
 		return nil
 	}
-	deadlines := make(map[string]*obs.Counter)
+	m := &metrics{
+		reg:       reg,
+		queries:   reg.Counter("queries"),
+		fallbacks: reg.Counter("fallback.local"),
+		nniTraces: reg.Counter("local.nni.traces"),
+		nniRoutes: reg.Counter("local.nni.routes"),
+		cancelled: reg.Counter(obs.CounterQueryCancelled),
+		degraded:  reg.Counter(obs.CounterQueryDegraded),
+		stages:    map[string]*obs.Histogram{obs.StageConnectionCulling: reg.Histogram(obs.StageConnectionCulling)},
+		deadlines: make(map[string]*obs.Counter),
+	}
 	for _, stage := range []string{
 		obs.StageQuery, obs.StageReferenceSearch, obs.StageCandidateSearch,
 		obs.StageLocalTGI, obs.StageLocalNNI, obs.StageKGRI,
 	} {
-		deadlines[stage] = reg.Counter(obs.DeadlineCounterPrefix + stage)
+		m.stages[stage] = reg.Histogram(stage)
+		m.deadlines[stage] = reg.Counter(obs.DeadlineCounterPrefix + stage)
 	}
-	return &metrics{
-		reg:        reg,
-		query:      reg.Histogram(obs.StageQuery),
-		refSearch:  reg.Histogram(obs.StageReferenceSearch),
-		candSearch: reg.Histogram(obs.StageCandidateSearch),
-		culling:    reg.Histogram(obs.StageConnectionCulling),
-		localTGI:   reg.Histogram(obs.StageLocalTGI),
-		localNNI:   reg.Histogram(obs.StageLocalNNI),
-		kgri:       reg.Histogram(obs.StageKGRI),
-		queries:    reg.Counter("queries"),
-		fallbacks:  reg.Counter("fallback.local"),
-		nniTraces:  reg.Counter("local.nni.traces"),
-		nniRoutes:  reg.Counter("local.nni.routes"),
-		cancelled:  reg.Counter(obs.CounterQueryCancelled),
-		degraded:   reg.Counter(obs.CounterQueryDegraded),
-		deadlines:  deadlines,
-	}
+	return m
 }
 
 // deadlineHit records that budget expiry was first detected in stage.
@@ -296,21 +289,8 @@ func (m *metrics) deadlineHit(stage string) {
 
 // hist maps a stage name to its pre-resolved histogram.
 func (m *metrics) hist(stage string) *obs.Histogram {
-	switch stage {
-	case obs.StageQuery:
-		return m.query
-	case obs.StageReferenceSearch:
-		return m.refSearch
-	case obs.StageCandidateSearch:
-		return m.candSearch
-	case obs.StageConnectionCulling:
-		return m.culling
-	case obs.StageLocalTGI:
-		return m.localTGI
-	case obs.StageLocalNNI:
-		return m.localNNI
-	case obs.StageKGRI:
-		return m.kgri
+	if h, ok := m.stages[stage]; ok {
+		return h
 	}
 	return m.reg.Histogram(stage)
 }

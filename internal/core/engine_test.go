@@ -91,7 +91,7 @@ func TestEngineDefaultsFrozen(t *testing.T) {
 	}
 }
 
-// TestEngineCacheStats: a repeated identical query must hit the pair memo,
+// TestEngineCacheStats: a repeated identical query must hit the query memo,
 // build no further match tables and answer identically, Pairs stats and
 // local route sets included.
 func TestEngineCacheStats(t *testing.T) {
@@ -110,20 +110,20 @@ func TestEngineCacheStats(t *testing.T) {
 	if refMisses == 0 || builds == 0 {
 		t.Fatalf("expected cold-cache misses, got ref=%d trajmatch builds=%d", refMisses, builds)
 	}
-	// The second run's misses admit its pairs to the memo (a first sighting
+	// The second run's miss admits the query to the memo (a first sighting
 	// is not retained); the third hits.
 	if _, err := eng.InferRoutes(qc.Query, eng.Defaults()); err != nil {
 		t.Fatalf("admitting inference: %v", err)
 	}
 	if refHits := eng.memo.hits.Load(); refHits != 0 {
-		t.Fatalf("%d memo hits before any pair was asked twice", refHits)
+		t.Fatalf("%d memo hits before the query was asked twice", refHits)
 	}
 	second, err := eng.InferRoutes(qc.Query, eng.Defaults())
 	if err != nil {
 		t.Fatalf("second inference: %v", err)
 	}
-	if refHits := eng.memo.hits.Load(); refHits != uint64(qc.Query.Len()-1) {
-		t.Fatalf("repeat query hit the pair memo %d times for %d pairs", refHits, qc.Query.Len()-1)
+	if refHits := eng.memo.hits.Load(); refHits != 1 {
+		t.Fatalf("repeat query hit the query memo %d times, want once", refHits)
 	}
 	// Pair workers may race a first touch (builds > tables), never a later one.
 	if c := eng.Metrics().Counters; c["cache.trajmatch.builds"] != builds ||

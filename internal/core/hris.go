@@ -69,13 +69,17 @@ func (e *Engine) InferRoutes(q *traj.Trajectory, p Params) (*Result, error) {
 // session in pair order, and the session finishes — so Session.Finalize and
 // this function cannot drift apart.
 //
+// A query repeated at one epoch and Params (Deadline aside) may be served
+// from the engine's query memo (see queryMemo): a shallow copy of a
+// complete Result, whose slices are shared and read-only.
+//
 // Outright cancellation (context.Canceled, or any custom cause) aborts
 // promptly with the context's error; deadline expiry — whether from ctx or
 // from Params.Deadline — instead degrades gracefully and returns a
 // best-effort Result with Degraded set. See DESIGN.md "Cancellation &
 // deadlines". A trace carried by ctx (obs.WithTrace) receives one span per
 // pipeline-stage occurrence, on instrumented and uninstrumented engines
-// alike.
+// alike; a memo hit records the query span alone.
 func (e *Engine) InferRoutesCtx(ctx context.Context, q *traj.Trajectory, p Params) (*Result, error) {
 	if q.Len() < 2 {
 		return nil, ErrEmptyQuery
@@ -85,8 +89,10 @@ func (e *Engine) InferRoutesCtx(ctx context.Context, q *traj.Trajectory, p Param
 		ctx, cancel = context.WithTimeout(ctx, p.Deadline)
 		defer cancel()
 	}
-	s := e.NewSession(p, SessionConfig{})
-	x := e.newExec(ctx, p, s.snap)
+	// One snapshot keys the memo and feeds the session, so an answer is
+	// never memoized under an epoch it was not computed on.
+	snap := e.src.Current()
+	x := e.newExec(ctx, p, snap)
 	// An already-cancelled context aborts before any work. The check runs
 	// before the queries counter so it stays equal to the query histogram's
 	// sample count (only started queries are counted by either).
@@ -97,7 +103,15 @@ func (e *Engine) InferRoutesCtx(ctx context.Context, q *traj.Trajectory, p Param
 		x.met.queries.Inc()
 	}
 	t0 := x.stageStart()
-	res, err := x.inferRoutes(s, q)
+	k := newQueryKey(snap.Epoch(), p, q.Points)
+	res, ok := e.memo.get(&k)
+	var err error
+	if !ok {
+		res, err = x.inferRoutes(e.newSession(p, SessionConfig{}, snap), q)
+		if err == nil && !res.Degraded && !x.expired() {
+			e.memo.put(&k, res)
+		}
+	}
 	x.stageDone(obs.StageQuery, -1, t0, numRoutes(res))
 	return res, err
 }
@@ -133,7 +147,7 @@ func (x exec) inferRoutes(s *Session, q *traj.Trajectory) (*Result, error) {
 			i, step = hi-1, -1
 		}
 		for ; claims[w/2].Add(1) <= int32(hi-lo); i += step {
-			outs[i] = xw.inferPair(i, q.Points[i], q.Points[i+1])
+			outs[i] = xw.solvePair(i, q.Points[i], q.Points[i+1])
 		}
 	}
 	var wg sync.WaitGroup
@@ -231,25 +245,6 @@ func (x exec) pairStage(pair int, qi, qj traj.GPSPoint) (locals []LocalRoute, st
 		return nil, st, stage
 	}
 	return locals, st, ""
-}
-
-// inferPair is the pair's outcome for a whole query, served from the
-// engine's pair memo when the same pair was answered complete before at the
-// same epoch with the same parameters (Deadline aside), and computed by
-// solvePair otherwise. A hit records no stage span and bumps no fallback or
-// local.nni counter. An outcome is memoized only when it is complete: never
-// a degraded one, nor any computed while the context was done.
-func (x exec) inferPair(pair int, qi, qj traj.GPSPoint) pairOutcome {
-	k := pairKey{epoch: x.snap.Epoch(), qi: qi, qj: qj, p: x.p}
-	k.p.Deadline = 0
-	if out, ok := x.eng.memo.get(k); ok {
-		return out
-	}
-	out := x.solvePair(pair, qi, qj)
-	if !out.stats.Degraded && !x.expired() {
-		x.eng.memo.put(k, out)
-	}
-	return out
 }
 
 // solvePair is pairStage plus what a whole query needs around it: deadline

@@ -180,19 +180,20 @@ func (po *posterior) firm() int {
 // the top k partials materialized. Complexity is O(K·n·m²) against the
 // brute force's O(mⁿ).
 func KGRI(g *roadnet.Graph, locals [][]LocalRoute, k int) []GlobalRoute {
-	if len(locals) == 0 || k <= 0 {
+	if !chainable(locals, k) {
 		return nil
-	}
-	for _, set := range locals {
-		if len(set) == 0 {
-			return nil // a pair with no local routes breaks every chain
-		}
 	}
 	po := newPosterior(k, false)
 	for _, set := range locals {
 		po.push(set)
 	}
 	return materialize(g, locals, po.rank())
+}
+
+// chainable reports whether locals can yield any of k global routes: k > 0,
+// at least one pair, and no pair without local routes to break every chain.
+func chainable(locals [][]LocalRoute, k int) bool {
+	return k > 0 && len(locals) > 0 && !slices.ContainsFunc(locals, func(set []LocalRoute) bool { return len(set) == 0 })
 }
 
 // greedyFinish completes an interrupted K-GRI run cheaply: the single best
@@ -220,13 +221,8 @@ func greedyFinish(g *roadnet.Graph, locals [][]LocalRoute, po *posterior) []Glob
 // and the correctness oracle for KGRI.
 func BruteForceGlobalRoutes(g *roadnet.Graph, locals [][]LocalRoute, k int) []GlobalRoute {
 	n := len(locals)
-	if n == 0 || k <= 0 {
+	if !chainable(locals, k) {
 		return nil
-	}
-	for _, set := range locals {
-		if len(set) == 0 {
-			return nil
-		}
 	}
 	var all []GlobalRoute
 	parts := make([]int, n)
@@ -265,55 +261,58 @@ func BruteForceGlobalRoutes(g *roadnet.Graph, locals [][]LocalRoute, k int) []Gl
 func materialize(g *roadnet.Graph, locals [][]LocalRoute, rs []GlobalRoute) []GlobalRoute {
 	out := make([]GlobalRoute, 0, len(rs))
 	for _, r := range rs {
-		var route roadnet.Route
-		ok := true
-		for i, j := range r.Parts {
-			joined, jok := mergeRoutes(g, route, locals[i][j].Route)
-			if !jok {
-				ok = false
-				break
-			}
-			route = joined
+		if route, ok := joinParts(g, locals, r.Parts); ok && len(route) > 0 {
+			r.Route = route
+			out = append(out, r)
 		}
-		if !ok || len(route) == 0 {
-			continue
-		}
-		r.Route = route
-		out = append(out, r)
 	}
 	return out
 }
 
-// mergeRoutes joins consecutive local routes. Adjacent pairs overlap around
-// the shared query point — local route i runs up to a candidate edge of
-// q_{i+1} and local route i+1 starts at one — so we first look for a shared
-// segment near a's tail and b's head and splice there, avoiding the
-// backtracking a blind shortest-path bridge between different candidate
-// edges of the same point would introduce. Without an overlap we fall back
-// to Route.Concat's shortest-path bridge.
-func mergeRoutes(g *roadnet.Graph, a, b roadnet.Route) (roadnet.Route, bool) {
-	if len(a) == 0 {
-		return b, true
+// joinParts joins locals[i][parts[i]] into one route it owns, splicing where
+// the route's tail and the next part's head share a segment (a blind bridge
+// between two candidate edges of one point would backtrack), else bridging
+// (Route.AppendConcat): the fold of a ◇ b = Dedup(a[:i] ++ b[j:]) or
+// Dedup(a.Concat(b)), ∅ ◇ b = b, deduplicating only seams once joined. It
+// writes no part; a failed join returns the route so far and false.
+func joinParts(g *roadnet.Graph, locals [][]LocalRoute, parts []int) (route roadnet.Route, ok bool) {
+	n := 0
+	for i, j := range parts {
+		n += len(locals[i][j].Route)
 	}
-	if len(b) == 0 {
-		return a, true
+	if n > 0 { // an all-empty join stays nil
+		route = make(roadnet.Route, 0, n)
 	}
-	const window = 8
-	loA := len(a) - window
-	if loA < 0 {
-		loA = 0
+	deduped := false
+	for i, j := range parts {
+		part := locals[i][j].Route
+		if len(part) == 0 || len(route) == 0 {
+			route = append(route, part...)
+			continue
+		}
+		if a, b, spliced := overlap(route, part); spliced {
+			route = append(route[:a], part[b:]...)
+			seam := max(a-1, 0)
+			route = route[:seam+len(slices.Compact(route[seam:]))]
+		} else if route, ok = route.AppendConcat(g, part); !ok {
+			return route, false
+		}
+		if !deduped {
+			route, deduped = slices.Compact(route), true
+		}
 	}
-	hiB := window
-	if hiB > len(b) {
-		hiB = len(b)
-	}
-	for i := len(a) - 1; i >= loA; i-- {
-		for j := 0; j < hiB; j++ {
+	return route, true
+}
+
+// overlap finds the splice of b onto a: the last of a's final eight
+// segments that is among b's first eight, at a[i] == b[j].
+func overlap(a, b roadnet.Route) (i, j int, ok bool) {
+	for i = len(a) - 1; i >= max(len(a)-8, 0); i-- {
+		for j = 0; j < min(8, len(b)); j++ {
 			if a[i] == b[j] {
-				merged := append(append(roadnet.Route{}, a[:i]...), b[j:]...)
-				return merged.Dedup(), true
+				return i, j, true
 			}
 		}
 	}
-	return a.Concat(g, b)
+	return 0, 0, false
 }

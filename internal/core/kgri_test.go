@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -77,6 +78,196 @@ func TestKGRIMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// mergeRoutes is the pairwise join materialize and Session.provisionalTail
+// folded before joinParts: it copies the whole accumulated route and
+// re-deduplicates it at every join. Kept as joinParts' oracle.
+func mergeRoutes(g *roadnet.Graph, a, b roadnet.Route) (roadnet.Route, bool) {
+	if len(a) == 0 {
+		return b, true
+	}
+	if len(b) == 0 {
+		return a, true
+	}
+	const window = 8
+	loA := len(a) - window
+	if loA < 0 {
+		loA = 0
+	}
+	hiB := window
+	if hiB > len(b) {
+		hiB = len(b)
+	}
+	for i := len(a) - 1; i >= loA; i-- {
+		for j := 0; j < hiB; j++ {
+			if a[i] == b[j] {
+				merged := append(append(roadnet.Route{}, a[:i]...), b[j:]...)
+				return merged.Dedup(), true
+			}
+		}
+	}
+	return a.Concat(g, b)
+}
+
+// mergeFold folds mergeRoutes over parts as materialize did: ok is false
+// when a join fails, and route is then what the joins before it built.
+func mergeFold(g *roadnet.Graph, parts []roadnet.Route) (route roadnet.Route, ok bool) {
+	for _, b := range parts {
+		joined, jok := mergeRoutes(g, route, b)
+		if !jok {
+			return route, false
+		}
+		route = joined
+	}
+	return route, true
+}
+
+// seamLocals draws pairs local route sets of m routes each that exercise
+// joinParts' seams: routes over a pool of five segments, so overlaps fall
+// anywhere; routes opening with a repeated segment; empty routes; and
+// routes that repeat a segment of the previous pair's first route at
+// distance 8 or 9 from its end, behind 7 or 8 other segments — both sides
+// of the edges of the 8-segment overlap windows.
+func seamLocals(g *roadnet.Graph, rng *rand.Rand, pairs, m int) [][]LocalRoute {
+	pool := make([]roadnet.EdgeID, 5)
+	for i := range pool {
+		pool[i] = roadnet.EdgeID(rng.Intn(g.NumSegments()))
+	}
+	// fresh draws segments outside the pool, so that they overlap nothing.
+	fresh := func() roadnet.EdgeID {
+		for {
+			e := roadnet.EdgeID(rng.Intn(g.NumSegments()))
+			if !slices.Contains(pool, e) {
+				return e
+			}
+		}
+	}
+	locals := make([][]LocalRoute, pairs)
+	for i := range locals {
+		for j := 0; j < m; j++ {
+			var r roadnet.Route
+			switch kind := rng.Intn(5); {
+			case kind == 0: // empty
+			case kind == 1 && i > 0 && len(locals[i-1][0].Route) >= 9: // at a window edge
+				a := locals[i-1][0].Route
+				for n := 7 + rng.Intn(2); n > 0; n-- {
+					r = append(r, fresh())
+				}
+				r = append(r, a[len(a)-8-rng.Intn(2)])
+				for n := rng.Intn(4); n > 0; n-- {
+					r = append(r, fresh())
+				}
+			default:
+				for n := rng.Intn(14); n > 0; n-- {
+					if rng.Intn(3) == 0 {
+						r = append(r, pool[rng.Intn(len(pool))])
+					} else {
+						r = append(r, fresh())
+					}
+				}
+				if len(r) > 0 && rng.Intn(3) == 0 { // open with repeats
+					r = append(roadnet.Route{r[0], r[0]}, r...)
+				}
+			}
+			locals[i] = append(locals[i], LocalRoute{Route: r, Refs: refSet(rng.Intn(4), rng.Intn(4)), Popularity: 0.1 + rng.Float64()})
+		}
+	}
+	return locals
+}
+
+// cloneLocals deep-copies locals, so that a write into the original's routes
+// shows against the copy.
+func cloneLocals(locals [][]LocalRoute) [][]LocalRoute {
+	out := make([][]LocalRoute, len(locals))
+	for i, set := range locals {
+		out[i] = slices.Clone(set)
+		for j := range set {
+			out[i][j].Route, out[i][j].Refs = slices.Clone(set[j].Route), slices.Clone(set[j].Refs)
+		}
+	}
+	return out
+}
+
+// TestKGRIMaterializesLikeMergeFold: on local routes that open with
+// repeated segments, are empty, or overlap at the edges of the 8-segment
+// window, every route KGRI and the brute force return is the mergeRoutes
+// fold of its parts, materialize drops exactly the candidates the fold
+// does, and no local route is written.
+func TestKGRIMaterializesLikeMergeFold(t *testing.T) {
+	g, _ := chainGrid(t)
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		locals := seamLocals(g, rng, 1+rng.Intn(5), 1+rng.Intn(3))
+		before := cloneLocals(locals)
+		for _, k := range []int{1, 4} {
+			po := newPosterior(k, false)
+			for _, set := range locals {
+				po.push(set)
+			}
+			ranked := po.rank()
+			kept := 0
+			for _, r := range ranked {
+				parts := make([]roadnet.Route, len(r.Parts))
+				for i, j := range r.Parts {
+					parts[i] = locals[i][j].Route
+				}
+				if route, ok := mergeFold(g, parts); ok && len(route) > 0 {
+					kept++
+				}
+			}
+			kgri, bf := KGRI(g, locals, k), BruteForceGlobalRoutes(g, locals, k)
+			if len(kgri) != kept {
+				t.Fatalf("seed %d k=%d: KGRI kept %d routes, the fold %d", seed, k, len(kgri), kept)
+			}
+			for _, rs := range [][]GlobalRoute{kgri, bf} {
+				for _, r := range rs {
+					parts := make([]roadnet.Route, len(r.Parts))
+					for i, j := range r.Parts {
+						parts[i] = locals[i][j].Route
+					}
+					if want, _ := mergeFold(g, parts); !r.Route.Equal(want) {
+						t.Fatalf("seed %d k=%d parts %v: materialized %v, the fold %v", seed, k, r.Parts, r.Route, want)
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(locals, before) {
+			t.Fatalf("seed %d: materializing wrote into the local routes", seed)
+		}
+	}
+}
+
+// joinRoutes is joinParts over routes, one local route a pair.
+func joinRoutes(g *roadnet.Graph, routes ...roadnet.Route) (roadnet.Route, bool) {
+	locals := make([][]LocalRoute, len(routes))
+	for i, r := range routes {
+		locals[i] = []LocalRoute{{Route: r}}
+	}
+	return joinParts(g, locals, make([]int, len(routes)))
+}
+
+// TestJoinPartsLeavesPartsAlone: joining never writes into a part, also
+// when the part has spare capacity a careless append would reuse, and the
+// joined route shares no storage with its parts.
+func TestJoinPartsLeavesPartsAlone(t *testing.T) {
+	g := roadnet.NewGrid(2, 6, 100, 15)
+	first := make(roadnet.Route, 2, 8)
+	first[0], first[1] = 0, 1
+	spare := first[:8]
+	for i := 2; i < 8; i++ {
+		spare[i] = 99
+	}
+	route, ok := joinRoutes(g, first, roadnet.Route{1, 2, 3}, roadnet.Route{3, 4})
+	if !ok {
+		t.Fatal("join failed")
+	}
+	if !slices.Equal(first, roadnet.Route{0, 1}) || !slices.Equal(spare[2:], roadnet.Route{99, 99, 99, 99, 99, 99}) {
+		t.Fatalf("a join wrote into its part: %v", spare)
+	}
+	if &route[0] == &first[0] {
+		t.Fatal("the route aliases its first part")
 	}
 }
 

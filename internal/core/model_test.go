@@ -409,8 +409,8 @@ func (r *run) step(o op) error {
 		got, ep := r.stream(o, true) // the session pinned its epoch
 		return check("session", ep, got)
 	case opCancel:
-		// Warm, the cancelled search is the pair's second sighting: the one
-		// the pair memo would retain.
+		// Warm, the cancelled query is its second sighting: the one the
+		// query memo would retain.
 		if o.mid {
 			if err := r.step(op{kind: opInfer, q: o.q}); err != nil {
 				return err
@@ -432,7 +432,7 @@ func (r *run) step(o op) error {
 		// full answer that follows.
 		return check("answer after the cancellation", r.epoch(), r.infer(context.Background(), o.q))
 	case opRepeat:
-		// Three asks at one epoch: the second admits every pair to the pair
+		// Three asks at one epoch: the second admits the query to the query
 		// memo and the third is served from it. An ingest then moves the
 		// epoch, and the same three asks must answer as the new generation.
 		for round := 0; round < 2; round++ {

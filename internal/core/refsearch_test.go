@@ -127,45 +127,37 @@ func TestSessionCarriesNearSet(t *testing.T) {
 	}
 }
 
-// TestMemoizedRunsSurviveScratchReuse: what the pair memo retains is copied
-// out of the pair scratch, local route set at exact size. Later inferences
-// on the same recycled scratch — other queries, other parameters — must leave
-// every memoized outcome bit-stable and equal to a fresh computation.
+// TestMemoizedRunsSurviveScratchReuse: what the query memo retains is
+// copied out of the pair scratch and the computed Result, every slice at
+// exact size. Later inferences on the same recycled scratch — other queries,
+// other parameters — must leave the memoized answer bit-stable and equal to
+// a fresh computation.
 func TestMemoizedRunsSurviveScratchReuse(t *testing.T) {
 	w := newWorld(t, 60, 987)
 	queries := w.queries(t, 4)
 	v, ctx := w.eng.src.Current(), context.Background()
 	q := queries[0]
-	for i := 0; i < 2; i++ { // the second run's misses admit the pairs
+	for i := 0; i < 2; i++ { // the second run's miss admits the query
 		if _, err := w.eng.InferRoutes(q, w.p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var memo, before []pairOutcome
-	hits := w.eng.memo.hits.Load()
-	for i := 0; i+1 < q.Len(); i++ {
-		out, ok := w.eng.memo.get(pairKey{epoch: v.Epoch(), qi: q.Points[i], qj: q.Points[i+1], p: w.p})
-		if !ok {
-			t.Fatalf("pair %d was not admitted on its second miss", i)
-		}
-		if len(out.locals) != cap(out.locals) {
-			t.Fatalf("pair %d: memoized local routes have len %d cap %d, want exact size", i, len(out.locals), cap(out.locals))
-		}
-		memo, before = append(memo, out), append(before, cloneOutcome(out))
+	k := newQueryKey(v.Epoch(), w.p, q.Points)
+	memo, ok := w.eng.memo.get(&k)
+	if !ok {
+		t.Fatal("the query was not admitted on its second miss")
 	}
-	if h := w.eng.memo.hits.Load(); h-hits != uint64(len(memo)) {
-		t.Fatalf("read %d memo entries with %d hits", len(memo), h-hits)
+	if !exactSize(memo) {
+		t.Fatal("the memoized answer holds slices with spare capacity")
 	}
+	before := cloneResult(memo)
 	wide := w.p
 	wide.Phi, wide.SpliceMinSimple = 2*w.p.Phi, 0
 	for round := 0; round < 2; round++ {
 		inferConcurrently(ctx, w.eng, queries, w.p, 4)
 		inferConcurrently(ctx, w.eng, queries, wide, 1)
 	}
-	fresh := NewEngine(w.eng.src, w.p)
-	for i := range memo {
-		if !reflect.DeepEqual(memo[i], before[i]) || !reflect.DeepEqual(memo[i], solveFresh(fresh, v, w.p, q.Points[i], q.Points[i+1])) {
-			t.Fatalf("pair %d: memoized outcome changed under scratch reuse", i)
-		}
+	if !reflect.DeepEqual(memo, before) || !reflect.DeepEqual(memo, solveFresh(t, NewEngine(w.eng.src, w.p), v, w.p, q)) {
+		t.Fatal("the memoized answer changed under scratch reuse")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"repro/internal/geo"
@@ -110,10 +111,14 @@ type pairScratch struct {
 	pj        mapmatch.Projector
 }
 
-// pairScratchPool recycles scratch arenas across queries. The pool is
-// package-level (not per engine) so engines created per test or per request
-// still share warmed buffers.
-var pairScratchPool = sync.Pool{New: func() any { return newPairScratch() }}
+// pairScratchPool recycles scratch arenas across queries and engines;
+// hotScratch holds up to GOMAXPROCS returned arenas in front of it, since
+// the pool keeps an arena in the returning P's private slot, out of reach
+// of a goroutine on another P, which would build and regrow a cold arena.
+var (
+	pairScratchPool = sync.Pool{New: func() any { return newPairScratch() }}
+	hotScratch      = make(chan *pairScratch, runtime.GOMAXPROCS(0))
+)
 
 func newPairScratch() *pairScratch {
 	return &pairScratch{dedupIdx: make(map[uint64]int32)}
@@ -126,7 +131,12 @@ func (e *Engine) getScratch() *pairScratch {
 	if e.noPool {
 		return newPairScratch()
 	}
-	return pairScratchPool.Get().(*pairScratch)
+	select {
+	case sc := <-hotScratch:
+		return sc
+	default:
+		return pairScratchPool.Get().(*pairScratch)
+	}
 }
 
 func (e *Engine) putScratch(sc *pairScratch) {
@@ -134,7 +144,11 @@ func (e *Engine) putScratch(sc *pairScratch) {
 		return
 	}
 	sc.search.Release()
-	pairScratchPool.Put(sc)
+	select {
+	case hotScratch <- sc:
+	default:
+		pairScratchPool.Put(sc)
+	}
 }
 
 // beginPair resets the per-pair state for a road network with nseg

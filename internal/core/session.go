@@ -23,8 +23,8 @@ const DefaultSessionWindow = 8
 
 // SessionUpdate is the incremental answer emitted after each pushed point:
 // how much of the route has firmed up and the current best guess for its
-// tail. Provisional aliases published (immutable) local-route storage and
-// freshly allocated splice points only, so it is stable across later pushes.
+// tail. Provisional is allocated afresh for each update, so it is stable
+// across later pushes.
 type SessionUpdate struct {
 	// Seq is the 0-based index of the point just pushed; Pairs is the
 	// number of query pairs inferred so far (Seq, for an uninterrupted
@@ -53,7 +53,7 @@ type SessionUpdate struct {
 // from scratch. Finalize returns a *Result byte-identical to what
 // InferRoutesCtx would produce on the completed trace — the equivalence the
 // session tests pin — because InferRoutesCtx is this same fold on another
-// schedule: exec.inferPair per pair, commit per outcome, finish at the end.
+// schedule: exec.solvePair per pair, commit per outcome, finish at the end.
 //
 // Memory and time: the session retains every pair's capped local-route set
 // (Result must report them, and the posterior's nodes index into them) and
@@ -111,6 +111,11 @@ type SessionConfig struct {
 // p.Deadline, when set, budgets each Push individually (offline it budgets
 // the whole query; per-point is the streaming analogue).
 func (e *Engine) NewSession(p Params, cfg SessionConfig) *Session {
+	return e.newSession(p, cfg, e.src.Current())
+}
+
+// newSession is NewSession pinned to snap.
+func (e *Engine) newSession(p Params, cfg SessionConfig, snap hist.View) *Session {
 	w := cfg.Window
 	if w < 1 {
 		w = DefaultSessionWindow
@@ -118,7 +123,7 @@ func (e *Engine) NewSession(p Params, cfg SessionConfig) *Session {
 	return &Session{
 		eng:    e,
 		p:      p,
-		snap:   e.src.Current(),
+		snap:   snap,
 		window: w,
 		res:    &Result{},
 		post:   newPosterior(p.K3, p.AblateTransition),
@@ -157,7 +162,7 @@ func (s *Session) Push(ctx context.Context, pt traj.GPSPoint) (SessionUpdate, er
 	// state is committed: the ownership rule (nothing scratch-backed crosses
 	// a stage boundary) holds per point exactly as it holds per query.
 	x.sc, x.near = s.eng.getScratch(), &s.near
-	out := x.inferPair(i, s.prev, pt)
+	out := x.solvePair(i, s.prev, pt)
 	s.eng.putScratch(x.sc)
 	if err := x.abortErr(); err != nil {
 		return SessionUpdate{}, err // cancelled outright: point not consumed
@@ -277,13 +282,6 @@ func (s *Session) provisionalTail() (roadnet.Route, float64) {
 	cols := len(s.post.cols)
 	lo := max(cols-s.window, 0)
 	s.tail = s.post.path(s.tail, best, cols-lo)
-	var route roadnet.Route
-	for t, j := range s.tail {
-		joined, ok := mergeRoutes(s.eng.g, route, s.res.Locals[lo+t][j].Route)
-		if !ok {
-			break
-		}
-		route = joined
-	}
+	route, _ := joinParts(s.eng.g, s.res.Locals[lo:], s.tail)
 	return route, s.post.cols[cols-1][best].score
 }

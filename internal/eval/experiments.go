@@ -356,9 +356,9 @@ func (w *World) Figure14b() *Table {
 // result. A deadline of 0 (no budget) is the baseline row. Failed queries
 // (no route at all) score zero accuracy, like everywhere else in the
 // harness. Each row runs on a fresh engine warmed by one unbudgeted pass: its
-// match tables are built, and no pair is served from the pair memo, which
-// keys on everything but the deadline and would answer a budgeted row from
-// an earlier row's complete outcomes.
+// match tables are built, and no query is served from the query memo,
+// which keys on everything but the deadline and would answer a budgeted row
+// from an earlier row's complete answers.
 func (w *World) DeadlineProfile() *Table {
 	t := &Table{Figure: "deadline", Title: "Graceful degradation vs per-query deadline",
 		XLabel: "deadline (ms)", YLabel: "value"}

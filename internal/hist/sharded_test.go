@@ -265,7 +265,7 @@ func TestShardedEpochFingerprint(t *testing.T) {
 // stack and explicit compactions (which publish new snapshots under an old
 // epoch), a reader polling concurrently,
 // and a durable copy fed the same batches and reopened. It is why the
-// epoch-tagged pair memo in core keys on the epoch alone.
+// epoch-tagged query memo in core keys on the epoch alone.
 func TestOneEpochOneGeneration(t *testing.T) {
 	g, _, _ := refWorld()
 	corners := []geo.Point{geo.Pt(10, 10), geo.Pt(590, 10), geo.Pt(10, 390), geo.Pt(590, 390)}

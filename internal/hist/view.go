@@ -12,7 +12,7 @@ import (
 
 // View is the read-only surface of one archive generation. Everything that
 // consumes historical trajectories — the reference search and core.Engine
-// with its pair memo — works against this interface; *Snapshot implements it,
+// with its query memo — works against this interface; *Snapshot implements it,
 // and tests wrap it to count or perturb range walks. A View is immutable:
 // all methods may be called concurrently and return identical answers for
 // the lifetime of the value.
@@ -22,7 +22,7 @@ type View interface {
 	// Epoch identifies this archive generation. A Store increments it on
 	// every admitted batch, under the one lock that publishes snapshots, and
 	// compaction keeps it, so within one Store an epoch names one content;
-	// core's epoch-tagged pair memo keys on it alone. Bulk-built snapshots
+	// core's epoch-tagged query memo keys on it alone. Bulk-built snapshots
 	// are epoch 0.
 	Epoch() uint64
 	// NumPoints returns the number of indexed GPS points.

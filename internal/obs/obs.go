@@ -19,8 +19,8 @@ const (
 	// StageQuery is one whole InferRoutes invocation, wall clock.
 	StageQuery = "query"
 	// StageReferenceSearch is the Definition 6/7 reference search of one
-	// query pair (skipped, with every per-pair stage, when core's pair memo
-	// serves the pair).
+	// query pair (skipped, with every per-pair stage, when core's query memo
+	// serves the whole query).
 	StageReferenceSearch = "reference_search"
 	// StageCandidateSearch is the pair-context assembly: the candidate-edge
 	// support (Definition 5, read off the per-trajectory match tables) of

@@ -106,6 +106,11 @@ var staleNames = []struct{ md, comment string }{
 	{"NewSearchCache", "hist.NewSearchCache"},
 	{"ReferencesOn", "hist.SearchCache.ReferencesOn"},
 	{"searchKey", "hist.searchKey"},
+	{"pairMemo", "core.pairMemo"},
+	{"pairKey", "core.pairKey"},
+	{"newPairMemo", "core.newPairMemo"},
+	{"pairMemoBytes", "core.pairMemoBytes"},
+	{"inferPair", "core.exec.inferPair"},
 }
 
 func TestStaleNamesReported(t *testing.T) {

@@ -65,10 +65,10 @@ go test -timeout 120s -race -count=2 -run 'Stream|ShutdownReturnsGoroutines' ./c
 # and /stream without a CH, byte-equal to a CH graph.
 # Beside them, the K-GRI posterior's per-push allocation must not grow with
 # the trip (pushes 700-799 within twice the bytes of pushes 0-99), and the
-# pair memo's outcomes, shared by every hit, must stay unwritten while
-# concurrent offline queries and sessions are served and JSON-encoded from
-# them (PairMemoReadOnly).
-go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|Model|PooledMatchesUnpooled|ServesWithoutCH|PosteriorPushDoesNotGrow|PairMemoReadOnly' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
+# query memo's answers, shared by every hit, must stay unwritten while
+# concurrent offline queries are served from them and sessions stream the
+# same queries, every answer JSON-encoded (QueryMemoReadOnly).
+go test -timeout 120s -race -count=2 -run 'Bridges|HopSearch|Model|PooledMatchesUnpooled|ServesWithoutCH|PosteriorPushDoesNotGrow|QueryMemoReadOnly' ./internal/roadnet/ ./internal/graphalg/ ./internal/core/ ./cmd/hris/
 
 # Hostile bytes: the batch decoder, the log scan, the dataset's trajectory
 # and road-network loaders and the trip format's wire readers (/infer,
@@ -128,8 +128,8 @@ go test -C bench -timeout 300s ./...
 # matchers' golden digests (TestMatcherGoldenDigests) pin ST-Matching, IVMM,
 # HMM and the incremental matcher on the same terms. So do the pair-context
 # assembly's per-point oracle (MatchTable: per-run spliced contexts on a
-# warm pool, where stale run state would show) and the pair memo's admission
-# and epoch contract (PairMemo), and the near set's two integer shortcuts: the
+# warm pool, where stale run state would show) and the query memo's admission
+# and epoch contract (QueryMemo), and the near set's two integer shortcuts: the
 # canonical ranks against the key they replace (Canon) and the squared-
 # distance radius test against math.Hypot (Radius). The per-pair path orders
 # by dense tables, not sorts, so the ties those tables must break as the
@@ -137,15 +137,16 @@ go test -C bench -timeout 300s ./...
 # (equal X at different fill positions, -0 against +0, trips sharing a
 # canonical rank) and the splice join's cell cases (score ties the cell scan
 # meets out of order, a flat and a wide side, e from 1e-300 to +Inf), the
-# K-GRI column against its fully sorted candidates
+# K-GRI column against its fully sorted candidates, the route chain against
+# the mergeRoutes fold it replaced (KGRI)
 # (PosteriorSelection), the tables' stamp wraps, warm reuse and growth under
 # an ingest (SurvivesWrap), and the comparisons a K-GRI push makes
 # (PosteriorPushWork: at most K per candidate, flat over a long trip).
-go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces|MatchTable|PairMemo|Canon|Radius|SurvivesWrap|PosteriorSelection|PosteriorPushWork' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
+go test -timeout 120s -count=2 -run 'Yen|KGRI|Golden|ReferenceOracle|ProjectorOracle|ReduceTraverseGraph|KShortest|TransitTraces|MatchTable|QueryMemo|Canon|Radius|SurvivesWrap|PosteriorSelection|PosteriorPushWork' ./internal/graphalg/ ./internal/hist/ ./internal/core/ ./internal/mapmatch/ ./internal/eval/
 go test -timeout 120s -count=2 ./internal/grid/
 
 # Bench smoke: the acceleration-layer benchmarks (the end-to-end HRIS query
-# in both oracle modes, computed and served from the pair memo
+# in both oracle modes, computed and served from the query memo
 # (HRISQueryMemoHit), ST-Matching, the CH build, the bridge replay), the
 # warm pair-context assembly benchmark, the warm NNI, TGI and most-spliced
 # pairs, the cold
@@ -158,7 +159,7 @@ go test -timeout 300s -run '^$' -bench 'HRISQuery|PairContext|NNIConvert|TGIPair
 # Alloc-regression gate: the steady-state query hot path must stay within
 # the checked-in budget (bench_budget.json). BenchmarkHRISQuery warms the
 # pools and match tables before the timer starts and asks each timed query
-# with fresh parameters, so every pair is computed, not served from the pair
+# with fresh parameters, so every pair is computed, not served from the query
 # memo; allocs/op here is the steady-state number — stable to ±1 across runs. The benchmark line format
 # is "BenchmarkHRISQuery <N> <ns/op> ns/op <B/op> B/op <allocs/op> allocs/op";
 # allocs/op is field NF-1 and B/op is field NF-3.
