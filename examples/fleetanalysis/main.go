@@ -10,26 +10,16 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/hist"
-	"repro/internal/sim"
 	"repro/internal/traj"
 )
 
 func main() {
 	log.SetFlags(0)
-	ccfg := sim.DefaultCityConfig()
-	ccfg.Rows, ccfg.Cols = 14, 14
-	ccfg.Hotspots = 7
-	city := sim.GenerateCity(ccfg, 31)
-	fcfg := sim.DefaultFleetConfig()
-	fcfg.Trips = 800
-	fcfg.Seed = 31
-	ds := sim.BuildDataset(city, fcfg)
+	w := eval.NewWorld(eval.WorldConfig{Seed: 31, CityRows: 14, CityCols: 14, Hotspots: 7, Trips: 800, Noise: 15})
+	ds, g := w.DS, w.Graph()
 
 	// --- Observation 1: skewness of travel patterns ---------------------
 	// Group the archive's trips by origin-destination pair: within a pair,
@@ -42,7 +32,7 @@ func main() {
 		if len(r) == 0 {
 			continue
 		}
-		k := odKey{r.Start(city.Graph), r.End(city.Graph)}
+		k := odKey{r.Start(g), r.End(g)}
 		if byOD[k] == nil {
 			byOD[k] = make(map[string]int)
 		}
@@ -66,7 +56,18 @@ func main() {
 		}
 		stats = append(stats, s)
 	}
-	sort.Slice(stats, func(i, j int) bool { return stats[i].trips > stats[j].trips })
+	// Busiest first; equal counts in (origin, destination) order, so the
+	// report does not depend on map iteration order.
+	sort.Slice(stats, func(i, j int) bool {
+		a, b := stats[i], stats[j]
+		if a.trips != b.trips {
+			return a.trips > b.trips
+		}
+		if a.k.o != b.k.o {
+			return a.k.o < b.k.o
+		}
+		return a.k.d < b.k.d
+	})
 	for i := 0; i < len(stats) && i < 3; i++ {
 		s := stats[i]
 		fmt.Printf("  OD pair %d->%d: %d trips over %d distinct routes; the top route carries %.0f%%\n",
@@ -76,12 +77,12 @@ func main() {
 
 	// --- Observation 2: complementarity of similar trajectories ---------
 	fmt.Println("Observation 2: interleaving samples of low-rate trips on one route")
-	// Pick the busiest OD pair's top route and collect the low-rate trips
-	// traveling it.
+	// Pick the busiest OD pair's top route (the smallest route key among
+	// equally popular ones) and collect the low-rate trips traveling it.
 	topKey := ""
 	topN := 0
 	for key, n := range byOD[stats[0].k] {
-		if n > topN {
+		if n > topN || n == topN && key < topKey {
 			topKey, topN = key, n
 		}
 	}
@@ -94,7 +95,7 @@ func main() {
 	routeLen := 0.0
 	for _, r := range ds.Truth {
 		if r.Key() == topKey {
-			routeLen = r.Length(city.Graph)
+			routeLen = r.Length(g)
 			break
 		}
 	}
@@ -116,24 +117,17 @@ func main() {
 
 	// --- Uncertainty reduction across the fleet -------------------------
 	fmt.Println("Fleet-wide inference quality (20 queries, 3 min interval):")
-	archive := hist.NewArchive(city.Graph, ds.Archive)
-	eng := core.NewEngine(archive, core.DefaultParams())
-	rng := rand.New(rand.NewSource(5))
 	var top1, best5 float64
 	n := 0
-	for i := 0; i < 20; i++ {
-		qc, ok := ds.GenQuery(7000, 180, 15, fcfg, rng)
-		if !ok {
-			continue
-		}
-		res, err := eng.InferRoutes(qc.Query, eng.Defaults())
+	for _, qc := range w.Queries(20, 180, 7000, 5) {
+		res, err := w.Eng.InferRoutes(qc.Query, w.P)
 		if err != nil {
 			continue
 		}
-		top1 += eval.AccuracyAL(city.Graph, qc.Truth, res.Routes[0].Route)
+		top1 += eval.AccuracyAL(g, qc.Truth, res.Routes[0].Route)
 		b := 0.0
 		for _, r := range res.Routes {
-			if a := eval.AccuracyAL(city.Graph, qc.Truth, r.Route); a > b {
+			if a := eval.AccuracyAL(g, qc.Truth, r.Route); a > b {
 				b = a
 			}
 		}
@@ -145,5 +139,5 @@ func main() {
 	}
 	fmt.Printf("  mean top-1 A_L: %.3f\n", top1/float64(n))
 	fmt.Printf("  mean best-of-%d A_L: %.3f (uncertainty shrinks as K grows, Figure 14a)\n",
-		eng.Defaults().K3, best5/float64(n))
+		w.P.K3, best5/float64(n))
 }

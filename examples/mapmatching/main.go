@@ -1,7 +1,8 @@
 // Map-matching comparison: the paper's evaluation scenario (§IV). One
-// low-sampling-rate query is matched by the incremental matcher,
-// ST-Matching, IVMM and HRIS, at several sampling intervals, reproducing
-// the qualitative ordering of Figure 8a on a single trip.
+// low-sampling-rate query is matched by point-to-curve, the incremental
+// matcher, ST-Matching, IVMM, the HMM matcher and HRIS, at several sampling
+// intervals, reproducing the qualitative ordering of Figure 8a on a single
+// trip.
 //
 //	go run ./examples/mapmatching
 package main
@@ -11,9 +12,7 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/hist"
 	"repro/internal/mapmatch"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
@@ -22,23 +21,11 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	ccfg := sim.DefaultCityConfig()
-	ccfg.Rows, ccfg.Cols = 14, 14
-	ccfg.Hotspots = 7
-	city := sim.GenerateCity(ccfg, 11)
-	fcfg := sim.DefaultFleetConfig()
-	fcfg.Trips = 600
-	fcfg.Seed = 11
-	ds := sim.BuildDataset(city, fcfg)
-	archive := hist.NewArchive(city.Graph, ds.Archive)
-	eng := core.NewEngine(archive, core.DefaultParams())
+	w := eval.NewWorld(eval.WorldConfig{Seed: 11, CityRows: 14, CityCols: 14, Hotspots: 7, Trips: 600, Noise: 15})
+	g := w.Graph()
 	prm := mapmatch.DefaultParams()
 	matchers := []mapmatch.Matcher{
-		mapmatch.NewPointToCurve(city.Graph, prm),
-		mapmatch.NewIncremental(city.Graph, prm),
-		mapmatch.NewSTMatcher(city.Graph, prm),
-		mapmatch.NewIVMM(city.Graph, prm),
-		mapmatch.NewHMM(city.Graph, prm),
+		mapmatch.NewPointToCurve(g, prm), w.Incremental, w.ST, w.IVMM, mapmatch.NewHMM(g, prm),
 	}
 
 	rng := rand.New(rand.NewSource(3))
@@ -47,14 +34,13 @@ func main() {
 	// Observation 1 — "R_b is heavily traversed but longer than R_a").
 	// That is exactly where history helps and shortest-path-based
 	// matching misleads.
-	route := popularDetourTrip(city, ds, fcfg)
+	route := popularDetourTrip(w)
 	if route == nil {
 		log.Fatal("no suitable trip found")
 	}
-	_ = rng
-	high := sim.SimulateTrip(city.Graph, route, "trip", 0, sim.DefaultMotion(), rng)
+	high := sim.SimulateTrip(g, route, "trip", 0, sim.DefaultMotion(), rng)
 	fmt.Printf("trip: %.1f km, high-rate trace has %d points\n\n",
-		route.Length(city.Graph)/1000, high.Len())
+		route.Length(g)/1000, high.Len())
 	fmt.Printf("%-9s", "interval")
 	for _, m := range matchers {
 		fmt.Printf("%15s", m.Name())
@@ -62,7 +48,7 @@ func main() {
 	fmt.Printf("%15s\n", "HRIS")
 
 	for _, interval := range []float64{180, 360, 600, 900} {
-		q := traj.AddNoise(traj.Downsample(high, interval), 15, rng)
+		q := traj.AddNoise(traj.Downsample(high, interval), w.Cfg.Noise, rng)
 		fmt.Printf("%6.0f s ", interval)
 		for _, m := range matchers {
 			r, err := m.Match(q)
@@ -70,14 +56,14 @@ func main() {
 				fmt.Printf("%15s", "fail")
 				continue
 			}
-			fmt.Printf("%15.3f", eval.AccuracyAL(city.Graph, route, r))
+			fmt.Printf("%15.3f", eval.AccuracyAL(g, route, r))
 		}
-		res, err := eng.InferRoutes(q, eng.Defaults())
+		res, err := w.Eng.InferRoutes(q, w.P)
 		if err != nil {
 			fmt.Printf("%15s\n", "fail")
 			continue
 		}
-		fmt.Printf("%15.3f\n", eval.AccuracyAL(city.Graph, route, res.Routes[0].Route))
+		fmt.Printf("%15.3f\n", eval.AccuracyAL(g, route, res.Routes[0].Route))
 	}
 	fmt.Println("\nA_L = length-weighted longest common road segments / max route length")
 }
@@ -85,14 +71,15 @@ func main() {
 // popularDetourTrip scans hotspot pairs for a top-choice route (by travel
 // time) that is noticeably longer than the distance-shortest path, and long
 // enough to make an interesting query.
-func popularDetourTrip(city *sim.City, ds *sim.Dataset, fcfg sim.FleetConfig) roadnet.Route {
+func popularDetourTrip(w *eval.World) roadnet.Route {
+	city, g := w.DS.City, w.Graph()
 	coverage := func(r roadnet.Route) int {
 		in := make(map[roadnet.EdgeID]bool, len(r))
 		for _, e := range r {
 			in[e] = true
 		}
 		n := 0
-		for _, truth := range ds.Truth {
+		for _, truth := range w.DS.Truth {
 			common := 0
 			for _, e := range truth {
 				if in[e] {
@@ -112,19 +99,19 @@ func popularDetourTrip(city *sim.City, ds *sim.Dataset, fcfg sim.FleetConfig) ro
 			if o == d {
 				continue
 			}
-			routes := city.PlanRoutes(o, d, fcfg.RouteK)
+			routes := city.PlanRoutes(o, d, w.Fleet.RouteK)
 			if len(routes) == 0 {
 				continue
 			}
 			top := routes[0]
-			if top.Length(city.Graph) < 6000 {
+			if top.Length(g) < 6000 {
 				continue
 			}
-			_, spLen, ok := city.Graph.EdgePathBetweenVertices(o, d)
+			_, spLen, ok := g.EdgePathBetweenVertices(o, d)
 			if !ok || spLen == 0 {
 				continue
 			}
-			detour := top.Length(city.Graph) / spLen
+			detour := top.Length(g) / spLen
 			cov := coverage(top)
 			if detour < 1.08 || cov < 8 {
 				continue

@@ -14,29 +14,16 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/geo"
-	"repro/internal/hist"
-	"repro/internal/sim"
 )
 
 func main() {
 	log.SetFlags(0)
-	ccfg := sim.DefaultCityConfig()
-	ccfg.Rows, ccfg.Cols = 14, 14
-	ccfg.Hotspots = 7
-	city := sim.GenerateCity(ccfg, 47)
-	fcfg := sim.DefaultFleetConfig()
-	fcfg.Trips = 600
-	fcfg.Seed = 47
-	ds := sim.BuildDataset(city, fcfg)
-
 	// The inference side sees ONLY the archive points — the network exists
 	// solely inside the simulator to generate ground truth.
-	archive := hist.NewArchive(city.Graph, ds.Archive)
-	params := core.DefaultParams()
-	eng := core.NewEngine(archive, params)
-	vmax := city.Graph.MaxSpeed() // a speed bound is domain knowledge, not a map
+	w := eval.NewWorld(eval.WorldConfig{Seed: 47, CityRows: 14, CityCols: 14, Hotspots: 7, Trips: 600, Noise: 15})
+	vmax := w.Graph().MaxSpeed() // a speed bound is domain knowledge, not a map
 
 	rng := rand.New(rand.NewSource(5))
 	fmt.Println("no-map inference: mean deviation from the true path (lower is better)")
@@ -45,12 +32,12 @@ func main() {
 		var devH, devS float64
 		n := 0
 		for trial := 0; trial < 8; trial++ {
-			qc, ok := ds.GenQuery(7000, interval, 15, fcfg, rng)
+			qc, ok := w.DS.GenQuery(7000, interval, w.Cfg.Noise, w.Fleet, rng)
 			if !ok {
 				continue
 			}
-			truth := qc.Truth.Points(city.Graph)
-			paths, err := eng.InferPathsNetworkFreeCtx(context.Background(), qc.Query, params, vmax)
+			truth := qc.Truth.Points(w.Graph())
+			paths, err := w.Eng.InferPathsNetworkFreeCtx(context.Background(), qc.Query, w.P, vmax)
 			if err != nil || len(paths) == 0 {
 				continue
 			}

@@ -12,10 +12,7 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/hist"
-	"repro/internal/mapmatch"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
 	"repro/internal/traj"
@@ -41,55 +38,46 @@ func farthestHotspots(city *sim.City) (roadnet.VertexID, roadnet.VertexID) {
 
 func main() {
 	log.SetFlags(0)
-	ccfg := sim.DefaultCityConfig()
-	ccfg.Rows, ccfg.Cols = 16, 16
-	ccfg.Hotspots = 8
-	city := sim.GenerateCity(ccfg, 19)
-	fcfg := sim.DefaultFleetConfig()
-	fcfg.Trips = 700
-	fcfg.Seed = 19
-	ds := sim.BuildDataset(city, fcfg)
-	archive := hist.NewArchive(city.Graph, ds.Archive)
+	w := eval.NewWorld(eval.WorldConfig{Seed: 19, CityRows: 16, CityCols: 16, Hotspots: 8, Trips: 700})
+	city, g := w.DS.City, w.Graph()
 
-	params := core.DefaultParams()
 	// Sparser observations need a wider reference search and more
 	// aggressive splicing (the paper: larger sampling intervals require
 	// larger φ, Figure 9a).
+	params := w.P
 	params.Phi = 800
 	params.SpliceEps = 300
-	eng := core.NewEngine(archive, params)
 
 	rng := rand.New(rand.NewSource(23))
 	// The tourist travels one long leg between the two farthest-apart
 	// hotspots, drawn from the same skewed route-choice model as the fleet.
 	o, d := farthestHotspots(city)
-	route, ok := sim.SampleRoute(city.PlanRoutes(o, d, fcfg.RouteK), fcfg.RouteSkew, rng)
+	route, ok := sim.SampleRoute(city.PlanRoutes(o, d, w.Fleet.RouteK), w.Fleet.RouteSkew, rng)
 	if !ok {
 		log.Fatal("no trip")
 	}
-	high := sim.SimulateTrip(city.Graph, route, "tourist", 0, sim.DefaultMotion(), rng)
+	high := sim.SimulateTrip(g, route, "tourist", 0, sim.DefaultMotion(), rng)
 
 	// A tourist photographs every ~8 minutes: a handful of samples for the
 	// whole trip.
 	photos := traj.AddNoise(traj.Downsample(high, 480), 25, rng)
 	fmt.Printf("photo trail: %d photos over a %.1f km trip (interval %.0f min)\n",
-		photos.Len(), route.Length(city.Graph)/1000, photos.AvgInterval()/60)
+		photos.Len(), route.Length(g)/1000, photos.AvgInterval()/60)
 
-	res, err := eng.InferRoutes(photos, eng.Defaults())
+	res, err := w.Eng.InferRoutes(photos, params)
 	if err != nil {
 		log.Fatalf("inference: %v", err)
 	}
 	fmt.Println("\nHRIS route suggestions:")
 	for i, r := range res.Routes {
 		fmt.Printf("  %d. score %8.2f  %.1f km  A_L=%.3f\n",
-			i+1, r.Score, r.Route.Length(city.Graph)/1000,
-			eval.AccuracyAL(city.Graph, route, r.Route))
+			i+1, r.Score, r.Route.Length(g)/1000,
+			eval.AccuracyAL(g, route, r.Route))
 	}
 
-	st := mapmatch.NewSTMatcher(city.Graph, mapmatch.DefaultParams())
-	if r, err := st.Match(photos); err == nil {
+	if r, err := w.ST.Match(photos); err == nil {
 		fmt.Printf("\nST-Matching on the same photos: A_L=%.3f\n",
-			eval.AccuracyAL(city.Graph, route, r))
+			eval.AccuracyAL(g, route, r))
 	} else {
 		fmt.Printf("\nST-Matching failed: %v\n", err)
 	}

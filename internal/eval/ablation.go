@@ -35,7 +35,7 @@ func (w *World) Ablations() *Table {
 		for _, v := range variants {
 			p := w.P
 			v.apply(&p)
-			t.Add(v.name, sr, w.meanAccuracy(qs, w.hrisWith(p)))
+			t.Add(v.name, sr, w.meanAccuracy(qs, top1(w.Eng, p)))
 		}
 	}
 	return t
@@ -49,42 +49,17 @@ func (w *World) Ablations() *Table {
 func TemporalExtension(cfg WorldConfig) *Table {
 	t := &Table{Figure: "E1", Title: "Temporal extension: PM queries on time-varying patterns",
 		XLabel: "SR (min)", YLabel: "A_L"}
-	// Build a time-patterned world.
-	ccfg := sim.DefaultCityConfig()
-	ccfg.Rows, ccfg.Cols = cfg.CityRows, cfg.CityCols
-	ccfg.Hotspots = cfg.Hotspots
-	city := sim.GenerateCity(ccfg, cfg.Seed)
-	fcfg := sim.DefaultFleetConfig()
-	fcfg.Trips = cfg.Trips
-	fcfg.Seed = cfg.Seed
-	fcfg.TimeOfDayPatterns = true
-	ds := sim.BuildDataset(city, fcfg)
-	w := &World{Cfg: cfg, DS: ds, Fleet: fcfg}
-	arch := newArchive(ds)
-	w.Archive = arch
-	base := core.DefaultParams()
-	w.Eng = core.NewEngine(arch, base)
-	w.P = base
-
+	w := newWorld(cfg, true)
 	const pmStart = 61200.0 // 17:00
-
 	for i, sr := range sweepRates {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*811))
-		var qs []sim.QueryCase
-		for len(qs) < cfg.Queries {
-			qc, ok := ds.GenQueryAt(pmStart, cfg.QueryLen, sr*60, cfg.Noise, fcfg, rng)
-			if !ok {
-				break
-			}
-			if qc.Query.Len() >= 2 {
-				qs = append(qs, qc)
-			}
-		}
-		p := base
+		qs := sampleQueries(cfg.Queries, cfg.Seed+int64(i)*811, func(rng *rand.Rand) (sim.QueryCase, bool) {
+			return w.DS.GenQueryAt(pmStart, cfg.QueryLen, sr*60, cfg.Noise, w.Fleet, rng)
+		})
+		p := w.P
 		p.TemporalWeighting = false
-		t.Add("untimed", sr, w.meanAccuracy(qs, w.hrisWith(p)))
+		t.Add("untimed", sr, w.meanAccuracy(qs, top1(w.Eng, p)))
 		p.TemporalWeighting = true
-		t.Add("time-filtered", sr, w.meanAccuracy(qs, w.hrisWith(p)))
+		t.Add("time-filtered", sr, w.meanAccuracy(qs, top1(w.Eng, p)))
 	}
 	return t
 }

@@ -8,7 +8,7 @@ import "testing"
 func TestAblationsSmoke(t *testing.T) {
 	t.Parallel()
 	w := fullWorld()
-	tab := w.Ablations()
+	tab := figA1()
 	full, noEntropy := series(t, tab, "full"), series(t, tab, "no-entropy")
 	for _, p := range full.Points {
 		if e := at(t, noEntropy, p.X); p.Y <= e {
@@ -28,7 +28,7 @@ func TestAblationsSmoke(t *testing.T) {
 // interpolation of the query points, at every sampling rate.
 func TestNetworkFreeExtensionSmoke(t *testing.T) {
 	t.Parallel()
-	tab := fullWorld().NetworkFreeExtension()
+	tab := figE2()
 	straight := series(t, tab, "straight-line")
 	for _, p := range series(t, tab, "network-free HRIS").Points {
 		if s := at(t, straight, p.X); p.Y >= s {
@@ -42,7 +42,7 @@ func TestNetworkFreeExtensionSmoke(t *testing.T) {
 // 9, where it leaves too little evidence.
 func TestTemporalExtensionSmoke(t *testing.T) {
 	t.Parallel()
-	tab := TemporalExtension(FullConfig())
+	tab := figE1()
 	untimed, filtered := series(t, tab, "untimed"), series(t, tab, "time-filtered")
 	for sr, wins := range map[float64]bool{3: true, 9: false, 15: true} {
 		u, f := at(t, untimed, sr), at(t, filtered, sr)

@@ -16,18 +16,12 @@ import (
 // sweep — Figures 9, 11a, 12a, 13a, A1, E1 and E2 — is repeated.
 var sweepRates = []float64{3, 9, 15}
 
-// hrisTop1 runs HRIS with the world's baseline params and returns the best
-// route.
-func (w *World) hrisTop1(q *traj.Trajectory) (roadnet.Route, bool) {
-	return w.hrisWith(w.P)(q)
-}
-
-// hrisWith binds one parameter set into a top-1 inference function: the
-// experiment sweeps build their variants as value copies of w.P, so they
-// never mutate shared state and may even run concurrently.
-func (w *World) hrisWith(p core.Params) func(*traj.Trajectory) (roadnet.Route, bool) {
+// top1 binds an engine and one parameter set into a top-1 inference
+// function: the experiment sweeps build their variants as value copies of
+// w.P, so they never mutate shared state and may even run concurrently.
+func top1(eng *core.Engine, p core.Params) func(*traj.Trajectory) (roadnet.Route, bool) {
 	return func(q *traj.Trajectory) (roadnet.Route, bool) {
-		res, err := w.Eng.InferRoutes(q, p)
+		res, err := eng.InferRoutes(q, p)
 		if err != nil || len(res.Routes) == 0 {
 			return nil, false
 		}
@@ -55,11 +49,28 @@ func msPerQuery(d time.Duration, n int) float64 {
 	return float64(d) / float64(time.Millisecond) / float64(max(1, n))
 }
 
+// timed runs f, which serves n queries, and returns its msPerQuery: every
+// time column of the figures is measured here.
+func timed(n int, f func()) float64 {
+	start := time.Now()
+	f()
+	return msPerQuery(time.Since(start), n)
+}
+
 func matcherFn(m mapmatch.Matcher) func(*traj.Trajectory) (roadnet.Route, bool) {
 	return func(q *traj.Trajectory) (roadnet.Route, bool) {
 		r, err := m.Match(q)
 		return r, err == nil
 	}
+}
+
+// addCompetitors adds the accuracy of HRIS and of the three map-matching
+// competitors on qs at x.
+func (w *World) addCompetitors(t *Table, x float64, qs []sim.QueryCase) {
+	t.Add("HRIS", x, w.meanAccuracy(qs, top1(w.Eng, w.P)))
+	t.Add("IVMM", x, w.meanAccuracy(qs, matcherFn(w.IVMM)))
+	t.Add("ST-matching", x, w.meanAccuracy(qs, matcherFn(w.ST)))
+	t.Add("incremental", x, w.meanAccuracy(qs, matcherFn(w.Incremental)))
 }
 
 // Figure8a compares HRIS against the three map-matching competitors across
@@ -68,11 +79,7 @@ func (w *World) Figure8a() *Table {
 	t := &Table{Figure: "8a", Title: "Accuracy vs sampling rate",
 		XLabel: "SR (min)", YLabel: "A_L"}
 	for i, sr := range []float64{3, 6, 9, 12, 15} {
-		qs := w.Queries(w.Cfg.Queries, sr*60, w.Cfg.QueryLen, w.Cfg.Seed+int64(i)*101)
-		t.Add("HRIS", sr, w.meanAccuracy(qs, w.hrisTop1))
-		t.Add("IVMM", sr, w.meanAccuracy(qs, matcherFn(w.IVMM)))
-		t.Add("ST-matching", sr, w.meanAccuracy(qs, matcherFn(w.ST)))
-		t.Add("incremental", sr, w.meanAccuracy(qs, matcherFn(w.Incremental)))
+		w.addCompetitors(t, sr, w.Queries(w.Cfg.Queries, sr*60, w.Cfg.QueryLen, w.Cfg.Seed+int64(i)*101))
 	}
 	return t
 }
@@ -83,11 +90,7 @@ func (w *World) Figure8b() *Table {
 	t := &Table{Figure: "8b", Title: "Accuracy vs query length",
 		XLabel: "L (km)", YLabel: "A_L"}
 	for i, lk := range []float64{6, 9, 12, 15, 18} {
-		qs := w.Queries(w.Cfg.Queries, 180, lk*1000, w.Cfg.Seed+int64(i)*211)
-		t.Add("HRIS", lk, w.meanAccuracy(qs, w.hrisTop1))
-		t.Add("IVMM", lk, w.meanAccuracy(qs, matcherFn(w.IVMM)))
-		t.Add("ST-matching", lk, w.meanAccuracy(qs, matcherFn(w.ST)))
-		t.Add("incremental", lk, w.meanAccuracy(qs, matcherFn(w.Incremental)))
+		w.addCompetitors(t, lk, w.Queries(w.Cfg.Queries, 180, lk*1000, w.Cfg.Seed+int64(i)*211))
 	}
 	return t
 }
@@ -101,15 +104,13 @@ func (w *World) Figure9() (*Table, *Table) {
 		XLabel: "phi (m)", YLabel: "ms/query"}
 	for _, sr := range sweepRates {
 		qs := w.Queries(w.Cfg.Queries, sr*60, w.Cfg.QueryLen, w.Cfg.Seed+int64(sr)*307)
-		name := seriesSR(sr)
 		for _, phi := range []float64{50, 100, 200, 400, 600, 900} {
 			p := w.P
 			p.Phi = phi
-			start := time.Now()
-			a := w.meanAccuracy(qs, w.hrisWith(p))
-			elapsed := time.Since(start)
-			acc.Add(name, phi, a)
-			tim.Add(name, phi, msPerQuery(elapsed, len(qs)))
+			var a float64
+			ms := timed(len(qs), func() { a = w.meanAccuracy(qs, top1(w.Eng, p)) })
+			acc.Add(seriesSR(sr), phi, a)
+			tim.Add(seriesSR(sr), phi, ms)
 		}
 	}
 	return acc, tim
@@ -132,29 +133,73 @@ func Figure10(cfg WorldConfig) (*Table, *Table) {
 		for _, m := range []core.Method{core.MethodTGI, core.MethodNNI} {
 			p := w.P
 			p.Method = m
-			start := time.Now()
 			var accSum, denSum float64
 			var denN int
-			for _, qc := range qs {
-				res, err := w.Eng.InferRoutes(qc.Query, p)
-				if err != nil || len(res.Routes) == 0 {
-					continue
-				}
-				accSum += AccuracyAL(w.Graph(), qc.Truth, res.Routes[0].Route)
-				for _, ps := range res.Pairs {
-					if ps.Points > 0 && !isInf(ps.Density) {
-						denSum += ps.Density
-						denN++
+			ms := timed(len(qs), func() {
+				for _, qc := range qs {
+					res, err := w.Eng.InferRoutes(qc.Query, p)
+					if err != nil || len(res.Routes) == 0 {
+						continue
+					}
+					accSum += AccuracyAL(w.Graph(), qc.Truth, res.Routes[0].Route)
+					for _, ps := range res.Pairs {
+						if ps.Points > 0 && !math.IsInf(ps.Density, 1) {
+							denSum += ps.Density
+							denN++
+						}
 					}
 				}
-			}
-			elapsed := time.Since(start)
+			})
 			if denN == 0 || len(qs) == 0 {
 				continue
 			}
 			rho := denSum / float64(denN)
 			acc.Add(m.String(), rho, accSum/float64(len(qs)))
-			tim.Add(m.String(), rho, msPerQuery(elapsed, len(qs)))
+			tim.Add(m.String(), rho, ms)
+		}
+	}
+	return acc, tim
+}
+
+// toggleSweep is the shape Figures 11, 12 and 13 share: one integer
+// parameter of one method swept at every sweep rate for accuracy with a
+// cost-saving switch on (the a table), then on one 3-minute query set for
+// time with the switch on and off (the b table, series "with <what>" and
+// "no <what>").
+type toggleSweep struct {
+	fig, accTitle, timTitle, x string
+	method                     core.Method
+	values                     []int
+	set                        func(p *core.Params, v int)
+	toggle                     func(p *core.Params, on bool)
+	what                       string
+	accSeed, timSeed           int64 // accSeed steps per sweep rate
+}
+
+func (w *World) sweep(s toggleSweep) (*Table, *Table) {
+	acc := &Table{Figure: s.fig + "a", Title: s.accTitle, XLabel: s.x, YLabel: "A_L"}
+	tim := &Table{Figure: s.fig + "b", Title: s.timTitle, XLabel: s.x, YLabel: "ms/query"}
+	run := func(qs []sim.QueryCase, v int, on bool) float64 {
+		p := w.P
+		p.Method = s.method
+		s.set(&p, v)
+		s.toggle(&p, on)
+		return w.meanAccuracy(qs, top1(w.Eng, p))
+	}
+	for _, sr := range sweepRates {
+		qs := w.Queries(w.Cfg.Queries, sr*60, w.Cfg.QueryLen, w.Cfg.Seed+int64(sr)*s.accSeed)
+		for _, v := range s.values {
+			acc.Add(seriesSR(sr), float64(v), run(qs, v, true))
+		}
+	}
+	qs := w.Queries(w.Cfg.Queries, 180, w.Cfg.QueryLen, w.Cfg.Seed+s.timSeed)
+	for _, v := range s.values {
+		for _, on := range []bool{true, false} {
+			name := "no " + s.what
+			if on {
+				name = "with " + s.what
+			}
+			tim.Add(name, float64(v), timed(len(qs), func() { run(qs, v, on) }))
 		}
 	}
 	return acc, tim
@@ -163,115 +208,40 @@ func Figure10(cfg WorldConfig) (*Table, *Table) {
 // Figure11 sweeps λ over 1–8: 11a accuracy per sweep rate (TGI), 11b TGI
 // time with and without graph reduction.
 func (w *World) Figure11() (*Table, *Table) {
-	acc := &Table{Figure: "11a", Title: "Accuracy vs λ (TGI)",
-		XLabel: "lambda", YLabel: "A_L"}
-	tim := &Table{Figure: "11b", Title: "TGI time vs λ, with/without graph reduction",
-		XLabel: "lambda", YLabel: "ms/query"}
-	lambdas := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	base := w.P
-	base.Method = core.MethodTGI
-	for _, sr := range sweepRates {
-		qs := w.Queries(w.Cfg.Queries, sr*60, w.Cfg.QueryLen, w.Cfg.Seed+int64(sr)*401)
-		for _, l := range lambdas {
-			p := base
-			p.Lambda = l
-			p.GraphReduction = true
-			acc.Add(seriesSR(sr), float64(l), w.meanAccuracy(qs, w.hrisWith(p)))
-		}
-	}
-	qs := w.Queries(w.Cfg.Queries, 180, w.Cfg.QueryLen, w.Cfg.Seed+997)
-	for _, l := range lambdas {
-		for _, red := range []bool{true, false} {
-			p := base
-			p.Lambda = l
-			p.GraphReduction = red
-			start := time.Now()
-			w.meanAccuracy(qs, w.hrisWith(p))
-			elapsed := time.Since(start)
-			name := "no reduction"
-			if red {
-				name = "with reduction"
-			}
-			tim.Add(name, float64(l), msPerQuery(elapsed, len(qs)))
-		}
-	}
-	return acc, tim
+	return w.sweep(toggleSweep{
+		fig: "11", x: "lambda", method: core.MethodTGI, values: []int{1, 2, 3, 4, 5, 6, 7, 8},
+		accTitle: "Accuracy vs λ (TGI)",
+		timTitle: "TGI time vs λ, with/without graph reduction",
+		set:      func(p *core.Params, v int) { p.Lambda = v },
+		toggle:   func(p *core.Params, on bool) { p.GraphReduction = on },
+		what:     "reduction", accSeed: 401, timSeed: 997,
+	})
 }
 
 // Figure12 sweeps k1 (K of the K-shortest-path search in TGI) over 1–10:
 // accuracy per sweep rate (12a) and time with/without reduction (12b).
 func (w *World) Figure12() (*Table, *Table) {
-	acc := &Table{Figure: "12a", Title: "Accuracy vs k1 (TGI K-shortest paths)",
-		XLabel: "k1", YLabel: "A_L"}
-	tim := &Table{Figure: "12b", Title: "TGI time vs k1, with/without graph reduction",
-		XLabel: "k1", YLabel: "ms/query"}
-	k1s := []int{1, 2, 4, 6, 8, 10}
-	base := w.P
-	base.Method = core.MethodTGI
-	for _, sr := range sweepRates {
-		qs := w.Queries(w.Cfg.Queries, sr*60, w.Cfg.QueryLen, w.Cfg.Seed+int64(sr)*503)
-		for _, k := range k1s {
-			p := base
-			p.K1 = k
-			p.GraphReduction = true
-			acc.Add(seriesSR(sr), float64(k), w.meanAccuracy(qs, w.hrisWith(p)))
-		}
-	}
-	qs := w.Queries(w.Cfg.Queries, 180, w.Cfg.QueryLen, w.Cfg.Seed+1009)
-	for _, k := range k1s {
-		for _, red := range []bool{true, false} {
-			p := base
-			p.K1 = k
-			p.GraphReduction = red
-			start := time.Now()
-			w.meanAccuracy(qs, w.hrisWith(p))
-			elapsed := time.Since(start)
-			name := "no reduction"
-			if red {
-				name = "with reduction"
-			}
-			tim.Add(name, float64(k), msPerQuery(elapsed, len(qs)))
-		}
-	}
-	return acc, tim
+	return w.sweep(toggleSweep{
+		fig: "12", x: "k1", method: core.MethodTGI, values: []int{1, 2, 4, 6, 8, 10},
+		accTitle: "Accuracy vs k1 (TGI K-shortest paths)",
+		timTitle: "TGI time vs k1, with/without graph reduction",
+		set:      func(p *core.Params, v int) { p.K1 = v },
+		toggle:   func(p *core.Params, on bool) { p.GraphReduction = on },
+		what:     "reduction", accSeed: 503, timSeed: 1009,
+	})
 }
 
 // Figure13 sweeps k2 (NNI fan-out) over 1–8: accuracy per sweep rate (13a)
 // and time with/without substructure sharing (13b).
 func (w *World) Figure13() (*Table, *Table) {
-	acc := &Table{Figure: "13a", Title: "Accuracy vs k2 (NNI)",
-		XLabel: "k2", YLabel: "A_L"}
-	tim := &Table{Figure: "13b", Title: "NNI time vs k2, with/without substructure sharing",
-		XLabel: "k2", YLabel: "ms/query"}
-	k2s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	base := w.P
-	base.Method = core.MethodNNI
-	for _, sr := range sweepRates {
-		qs := w.Queries(w.Cfg.Queries, sr*60, w.Cfg.QueryLen, w.Cfg.Seed+int64(sr)*601)
-		for _, k := range k2s {
-			p := base
-			p.K2 = k
-			p.ShareSubstructures = true
-			acc.Add(seriesSR(sr), float64(k), w.meanAccuracy(qs, w.hrisWith(p)))
-		}
-	}
-	qs := w.Queries(w.Cfg.Queries, 180, w.Cfg.QueryLen, w.Cfg.Seed+1013)
-	for _, k := range k2s {
-		for _, share := range []bool{true, false} {
-			p := base
-			p.K2 = k
-			p.ShareSubstructures = share
-			start := time.Now()
-			w.meanAccuracy(qs, w.hrisWith(p))
-			elapsed := time.Since(start)
-			name := "no sharing"
-			if share {
-				name = "with sharing"
-			}
-			tim.Add(name, float64(k), msPerQuery(elapsed, len(qs)))
-		}
-	}
-	return acc, tim
+	return w.sweep(toggleSweep{
+		fig: "13", x: "k2", method: core.MethodNNI, values: []int{1, 2, 3, 4, 5, 6, 7, 8},
+		accTitle: "Accuracy vs k2 (NNI)",
+		timTitle: "NNI time vs k2, with/without substructure sharing",
+		set:      func(p *core.Params, v int) { p.K2 = v },
+		toggle:   func(p *core.Params, on bool) { p.ShareSubstructures = on },
+		what:     "sharing", accSeed: 601, timSeed: 1013,
+	})
 }
 
 // Figure14a sweeps k3 (K-GRI's K) over 1–10: the average and maximum A_L
@@ -333,19 +303,17 @@ func (w *World) Figure14b() *Table {
 	locals := w.kgriLocals()
 	for n := 2; n <= min(7, len(locals)); n++ {
 		sub := locals[:n]
-		reps := 5
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			core.KGRI(w.Graph(), sub, w.P.K3)
-		}
-		kgriUS := float64(time.Since(start).Microseconds()) / float64(reps)
-		start = time.Now()
-		for r := 0; r < reps; r++ {
-			core.BruteForceGlobalRoutes(w.Graph(), sub, w.P.K3)
-		}
-		bruteUS := float64(time.Since(start).Microseconds()) / float64(reps)
-		t.Add("K-GRI", float64(n), kgriUS)
-		t.Add("brute-force", float64(n), bruteUS)
+		const reps = 5
+		t.Add("K-GRI", float64(n), 1000*timed(reps, func() {
+			for r := 0; r < reps; r++ {
+				core.KGRI(w.Graph(), sub, w.P.K3)
+			}
+		}))
+		t.Add("brute-force", float64(n), 1000*timed(reps, func() {
+			for r := 0; r < reps; r++ {
+				core.BruteForceGlobalRoutes(w.Graph(), sub, w.P.K3)
+			}
+		}))
 	}
 	return t
 }
@@ -395,5 +363,3 @@ func (w *World) DeadlineProfile() *Table {
 func seriesSR(sr float64) string {
 	return "SR=" + strconv.FormatFloat(sr, 'g', -1, 64) + "min"
 }
-
-func isInf(f float64) bool { return math.IsInf(f, 1) }

@@ -18,17 +18,27 @@ import (
 // shared world: the engine is safe for concurrent use, and its answers do
 // not depend on what else it is serving.
 
-var (
-	fullOnce sync.Once
-	full     *World
-)
-
 // fullWorld is the world cmd/experiments prints its figures on (FullConfig,
 // seed 7), built once and shared by every shape check.
-func fullWorld() *World {
-	fullOnce.Do(func() { full = NewWorld(FullConfig()) })
-	return full
-}
+var fullWorld = sync.OnceValue(func() *World { return NewWorld(FullConfig()) })
+
+// The deterministic tables of that run, each computed once per test binary
+// and shared by its shape test and TestFigureGoldenDigests.
+var (
+	fig8a        = sync.OnceValue(func() *Table { return fullWorld().Figure8a() })
+	fig8b        = sync.OnceValue(func() *Table { return fullWorld().Figure8b() })
+	fig9a        = sync.OnceValue(func() *Table { acc, _ := fullWorld().Figure9(); return acc })
+	fig10a       = sync.OnceValue(func() *Table { acc, _ := Figure10(FullConfig()); return acc })
+	fig11a       = sync.OnceValue(func() *Table { acc, _ := fullWorld().Figure11(); return acc })
+	fig12a       = sync.OnceValue(func() *Table { acc, _ := fullWorld().Figure12(); return acc })
+	fig13a       = sync.OnceValue(func() *Table { acc, _ := fullWorld().Figure13(); return acc })
+	fig14a       = sync.OnceValue(func() *Table { return fullWorld().Figure14a() })
+	figA1        = sync.OnceValue(func() *Table { return fullWorld().Ablations() })
+	figE1        = sync.OnceValue(func() *Table { return TemporalExtension(FullConfig()) })
+	figE2        = sync.OnceValue(func() *Table { return fullWorld().NetworkFreeExtension() })
+	figFreshness = sync.OnceValue(func() *Table { return FreshnessProfile(FullConfig()) })
+	figSessions  = sync.OnceValue(func() *Table { return fullWorld().SessionProfile() })
+)
 
 // series returns the named series of a figure.
 func series(t *testing.T, tab *Table, name string) Series {
@@ -83,7 +93,7 @@ func TestMsPerQuery(t *testing.T) {
 // accurate as every map-matching competitor.
 func TestFigure8aSmoke(t *testing.T) {
 	t.Parallel()
-	tab := fullWorld().Figure8a()
+	tab := fig8a()
 	hris := series(t, tab, "HRIS")
 	checked := 0
 	for _, m := range []string{"IVMM", "ST-matching", "incremental"} {
@@ -107,7 +117,7 @@ func TestFigure8aSmoke(t *testing.T) {
 // at the longest query length.
 func TestFigure8bSmoke(t *testing.T) {
 	t.Parallel()
-	tab := fullWorld().Figure8b()
+	tab := fig8b()
 	hris := series(t, tab, "HRIS")
 	ends := []XY{hris.Points[0], hris.Points[len(hris.Points)-1]}
 	for _, m := range []string{"IVMM", "ST-matching", "incremental"} {
@@ -125,7 +135,7 @@ func TestFigure8bSmoke(t *testing.T) {
 func TestFigure9Smoke(t *testing.T) {
 	t.Parallel()
 	w := fullWorld()
-	acc, _ := w.Figure9()
+	acc := fig9a()
 	if len(acc.Series) != len(sweepRates) {
 		t.Fatalf("figure 9a: %d series, want one per sweep rate", len(acc.Series))
 	}
@@ -150,7 +160,7 @@ func TestFigure9Smoke(t *testing.T) {
 // density from 50 up.
 func TestFigure10Smoke(t *testing.T) {
 	t.Parallel()
-	acc, _ := Figure10(FullConfig())
+	acc := fig10a()
 	tgi, nni := series(t, acc, "tgi"), series(t, acc, "nni")
 	nniWins, dense := false, 0
 	for _, p := range tgi.Points {
@@ -176,7 +186,7 @@ func TestFigure10Smoke(t *testing.T) {
 // λ — it rises, then declines.
 func TestFigure11Smoke(t *testing.T) {
 	t.Parallel()
-	acc, _ := fullWorld().Figure11()
+	acc := fig11a()
 	for _, s := range acc.Series {
 		first, last := s.Points[0].X, s.Points[len(s.Points)-1].X
 		if p := peak(s); p.X == first || p.X == last {
@@ -193,7 +203,7 @@ const nearBest = 0.03
 // and some k1 in [4, 8] is within nearBest of the best.
 func TestFigure12Smoke(t *testing.T) {
 	t.Parallel()
-	acc, _ := fullWorld().Figure12()
+	acc := fig12a()
 	for _, s := range acc.Series {
 		one, mid := at(t, s, 1), 0.0
 		for _, p := range s.Points {
@@ -214,7 +224,7 @@ func TestFigure12Smoke(t *testing.T) {
 // best k2 is past the sweep's smallest and at least SR=3's.
 func TestFigure13Smoke(t *testing.T) {
 	t.Parallel()
-	acc, _ := fullWorld().Figure13()
+	acc := fig13a()
 	dense, sparse := series(t, acc, "SR=3min"), series(t, acc, "SR=15min")
 	d, s := peak(dense), peak(sparse)
 	if s.X == sparse.Points[0].X || s.X < d.X {
@@ -226,7 +236,7 @@ func TestFigure13Smoke(t *testing.T) {
 // grows, and the largest k3 finds a better one than k3 = 1.
 func TestFigure14aSmoke(t *testing.T) {
 	t.Parallel()
-	best := series(t, fullWorld().Figure14a(), "max")
+	best := series(t, fig14a(), "max")
 	pts := best.Points
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Y < pts[i-1].Y {

@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"math/rand"
-
 	"repro/internal/core"
 	"repro/internal/hist"
 	"repro/internal/sim"
@@ -20,58 +18,29 @@ func FreshnessProfile(cfg WorldConfig) *Table {
 		XLabel: "trips ingested", YLabel: "A_L"}
 	cps := []int{100, 300, 600, 1000, 1500}
 
-	ccfg := sim.DefaultCityConfig()
-	ccfg.Rows, ccfg.Cols = cfg.CityRows, cfg.CityCols
-	ccfg.Hotspots = cfg.Hotspots
-	city := sim.GenerateCity(ccfg, cfg.Seed)
-	city.Graph.SetAccel(cfg.Accel)
-	fcfg := sim.DefaultFleetConfig()
-	fcfg.Trips = cps[len(cps)-1]
-	fcfg.Seed = cfg.Seed
+	// The world holds the city and no archive: its trips stream into the
+	// store instead. The query set is fixed up front — it depends only on
+	// the city, so every checkpoint answers the same questions with more
+	// evidence.
+	c := cfg
+	c.Trips = 0
+	w := newWorld(c, false)
+	qs := w.Queries(cfg.Queries, 180, cfg.QueryLen, cfg.Seed+991)
 
-	// The query set is fixed up front — it depends only on the city, so
-	// every checkpoint answers the same questions with more evidence.
-	ds := &sim.Dataset{City: city}
-	rng := rand.New(rand.NewSource(cfg.Seed + 991))
-	var qs []sim.QueryCase
-	for len(qs) < cfg.Queries {
-		qc, ok := ds.GenQuery(cfg.QueryLen, 180, cfg.Noise, fcfg, rng)
-		if !ok {
-			break
-		}
-		if qc.Query.Len() < 2 {
-			continue
-		}
-		qs = append(qs, qc)
-	}
-
-	st := hist.NewStore(city.Graph, nil, hist.StoreConfig{})
-	eng := core.NewEngine(st, core.DefaultParams())
-	em := sim.NewTripEmitter(city, fcfg)
-	p := core.DefaultParams()
+	st := hist.NewStore(w.Graph(), nil, hist.StoreConfig{})
+	eng := core.NewEngine(st, w.P)
+	em := sim.NewTripEmitter(w.DS.City, w.Fleet)
 
 	const batch = 25
 	ingested := 0
 	for _, n := range cps {
 		for ingested < n {
-			want := batch
-			if want > n-ingested {
-				want = n - ingested
-			}
-			trips, _ := em.Emit(want)
+			trips, _ := em.Emit(min(batch, n-ingested))
 			st.IngestTrips(trips...)
 			ingested += len(trips)
 		}
-		var sum float64
-		for _, qc := range qs {
-			res, err := eng.InferRoutes(qc.Query, p)
-			if err != nil || len(res.Routes) == 0 {
-				continue
-			}
-			sum += AccuracyAL(city.Graph, qc.Truth, res.Routes[0].Route)
-		}
 		if len(qs) > 0 {
-			t.Add("HRIS (live store)", float64(n), sum/float64(len(qs)))
+			t.Add("HRIS (live store)", float64(n), w.meanAccuracy(qs, top1(eng, w.P)))
 		}
 	}
 	return t

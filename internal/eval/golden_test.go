@@ -45,3 +45,51 @@ func TestMatcherGoldenDigests(t *testing.T) {
 		}
 	}
 }
+
+// figureGoldenDigests pins the numbers of every deterministic table
+// cmd/experiments prints at seed 7: an FNV-64a digest of each series' name
+// and exact points. The shape tests read a few columns; this reads them all,
+// so a refactor of the runner proves it computes the same figures by leaving
+// this list alone. The timing tables (9b–14b, deadline) are not pinned.
+var figureGoldenDigests = []struct {
+	table  func() *Table
+	figure string
+	digest string
+}{
+	{fig8a, "8a", "f3bfa01d13811307"},
+	{fig8b, "8b", "94c3bfe87ec94a8e"},
+	{fig9a, "9a", "c464c4f1038563ef"},
+	{fig10a, "10a", "5b931b77366a4b27"},
+	{fig11a, "11a", "e3a35345114ca516"},
+	{fig12a, "12a", "e68c02ca2cb01808"},
+	{fig13a, "13a", "b15fe7a017aeb601"},
+	{fig14a, "14a", "8804d0f92e286ac9"},
+	{figA1, "A1", "e1d9e648f6a790ba"},
+	{figE1, "E1", "49349903117bc67a"},
+	{figE2, "E2", "64bab804da086a61"},
+	{figFreshness, "freshness", "25a6de9220052acc"},
+	{figSessions, "sessions", "f5bbf6d993be1e2b"},
+}
+
+func TestFigureGoldenDigests(t *testing.T) {
+	t.Parallel()
+	for _, g := range figureGoldenDigests {
+		t.Run(g.figure, func(t *testing.T) {
+			t.Parallel()
+			tab := g.table()
+			if tab.Figure != g.figure {
+				t.Fatalf("table is figure %s", tab.Figure)
+			}
+			h := fnv.New64a()
+			for _, s := range tab.Series {
+				fmt.Fprintf(h, "%s:", s.Name)
+				for _, p := range s.Points {
+					fmt.Fprintf(h, "%v,%v;", p.X, p.Y)
+				}
+			}
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != g.digest {
+				t.Errorf("figure %s: digest %s, want %s — a figure's numbers changed", g.figure, got, g.digest)
+			}
+		})
+	}
+}

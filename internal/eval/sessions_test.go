@@ -7,7 +7,7 @@ import "testing"
 // falls as the window grows and ends above the one-pair window's.
 func TestSessionProfile(t *testing.T) {
 	t.Parallel()
-	tab := fullWorld().SessionProfile()
+	tab := figSessions()
 	lag := series(t, tab, "firm_lag_pairs").Points
 	for _, p := range lag[1:] {
 		if p.Y != lag[0].Y {

@@ -44,23 +44,12 @@ func (t *Table) Add(series string, x, y float64) {
 // report: one row per x value, one column per series.
 func (t *Table) Print(w io.Writer) {
 	fmt.Fprintf(w, "Figure %s: %s\n", t.Figure, t.Title)
-	xs := map[float64]bool{}
-	for _, s := range t.Series {
-		for _, p := range s.Points {
-			xs[p.X] = true
-		}
-	}
-	sorted := make([]float64, 0, len(xs))
-	for x := range xs {
-		sorted = append(sorted, x)
-	}
-	sort.Float64s(sorted)
 	fmt.Fprintf(w, "%-14s", t.XLabel)
 	for _, s := range t.Series {
 		fmt.Fprintf(w, "%16s", s.Name)
 	}
 	fmt.Fprintf(w, "   (%s)\n", t.YLabel)
-	for _, x := range sorted {
+	for _, x := range t.xs() {
 		fmt.Fprintf(w, "%-14.4g", x)
 		for _, s := range t.Series {
 			y, ok := s.lookup(x)
@@ -86,18 +75,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	xs := map[float64]bool{}
-	for _, s := range t.Series {
-		for _, p := range s.Points {
-			xs[p.X] = true
-		}
-	}
-	sorted := make([]float64, 0, len(xs))
-	for x := range xs {
-		sorted = append(sorted, x)
-	}
-	sort.Float64s(sorted)
-	for _, x := range sorted {
+	for _, x := range t.xs() {
 		row := []string{strconv.FormatFloat(x, 'g', -1, 64)}
 		for _, s := range t.Series {
 			if y, ok := s.lookup(x); ok {
@@ -112,6 +90,22 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// xs returns every x value of the table's series, ascending, once each.
+func (t *Table) xs() []float64 {
+	seen := map[float64]bool{}
+	var xs []float64
+	for _, s := range t.Series {
+		for _, p := range s.Points {
+			if !seen[p.X] {
+				seen[p.X] = true
+				xs = append(xs, p.X)
+			}
+		}
+	}
+	sort.Float64s(xs)
+	return xs
 }
 
 func (s Series) lookup(x float64) (float64, bool) {

@@ -65,13 +65,13 @@ type World struct {
 // Graph returns the road network of the world's engine.
 func (w *World) Graph() *roadnet.Graph { return w.Eng.Graph() }
 
-// newArchive indexes a dataset's trajectories.
-func newArchive(ds *sim.Dataset) *hist.Archive {
-	return hist.NewArchive(ds.City.Graph, ds.Archive)
-}
-
 // NewWorld builds the substrate deterministically from cfg.
-func NewWorld(cfg WorldConfig) *World {
+func NewWorld(cfg WorldConfig) *World { return newWorld(cfg, false) }
+
+// newWorld is NewWorld with the fleet's time-of-day patterns (AM and PM
+// route preferences differ) switched on or off. Every world of the
+// evaluation and of the examples is built here.
+func newWorld(cfg WorldConfig, timeOfDay bool) *World {
 	ccfg := sim.DefaultCityConfig()
 	ccfg.Rows, ccfg.Cols = cfg.CityRows, cfg.CityCols
 	ccfg.Hotspots = cfg.Hotspots
@@ -80,6 +80,7 @@ func NewWorld(cfg WorldConfig) *World {
 	fcfg := sim.DefaultFleetConfig()
 	fcfg.Trips = cfg.Trips
 	fcfg.Seed = cfg.Seed
+	fcfg.TimeOfDayPatterns = timeOfDay
 	ds := sim.BuildDataset(city, fcfg)
 	arch := hist.NewArchive(city.Graph, ds.Archive)
 	mprm := mapmatch.DefaultParams()
@@ -99,17 +100,25 @@ func NewWorld(cfg WorldConfig) *World {
 // Queries generates n evaluation queries with the given sampling interval
 // (seconds) and target length (meters), deterministically per (seed, n).
 func (w *World) Queries(n int, interval, length float64, seed int64) []sim.QueryCase {
+	return sampleQueries(n, seed, func(rng *rand.Rand) (sim.QueryCase, bool) {
+		return w.DS.GenQuery(length, interval, w.Cfg.Noise, w.Fleet, rng)
+	})
+}
+
+// sampleQueries draws from gen, on one generator seeded with seed, until it
+// holds n queries of two points or more or gen fails. Every query set of
+// the evaluation is drawn here.
+func sampleQueries(n int, seed int64, gen func(*rand.Rand) (sim.QueryCase, bool)) []sim.QueryCase {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]sim.QueryCase, 0, n)
 	for len(out) < n {
-		qc, ok := w.DS.GenQuery(length, interval, w.Cfg.Noise, w.Fleet, rng)
+		qc, ok := gen(rng)
 		if !ok {
 			break
 		}
-		if qc.Query.Len() < 2 {
-			continue
+		if qc.Query.Len() >= 2 {
+			out = append(out, qc)
 		}
-		out = append(out, qc)
 	}
 	return out
 }

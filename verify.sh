@@ -31,6 +31,21 @@ go test -timeout 300s -race ./...
 # test cache, so everything actually reruns).
 go test -timeout 120s -shuffle=on ./...
 
+# Examples: README quotes what each program under examples/ prints, so each
+# is built and run twice, the second time on one CPU, and the two outputs
+# must match byte for byte: an answer that depends on map iteration order or
+# on scheduling shows up here.
+exdir=$(mktemp -d)
+trap 'rm -rf "$exdir"' EXIT
+for ex in examples/*/; do
+    name=$(basename "$ex")
+    go build -o "$exdir/$name" "./$ex"
+    "$exdir/$name" > "$exdir/$name.1"
+    GOMAXPROCS=1 "$exdir/$name" > "$exdir/$name.2"
+    diff "$exdir/$name.1" "$exdir/$name.2"
+done
+rm -rf "$exdir"
+
 # Sharded-archive smoke: hist's scatter-gather, boundary-dedup and
 # concurrent ingest/search suites plus the durability tables (torn-tail
 # sweep, sticky WAL failure, the refusal of older layouts) under the race
@@ -126,7 +141,8 @@ go test -C bench -timeout 300s ./...
 # (-count=2 defeats test caching and runs each twice in one binary, the
 # second time on warm pools, memos, solver and searcher scratch). The
 # matchers' golden digests (TestMatcherGoldenDigests) pin ST-Matching, IVMM,
-# HMM and the incremental matcher on the same terms. So do the pair-context
+# HMM and the incremental matcher on the same terms, and the figures' digests
+# (TestFigureGoldenDigests) every deterministic table cmd/experiments prints. So do the pair-context
 # assembly's per-point oracle (MatchTable: per-run spliced contexts on a
 # warm pool, where stale run state would show) and the query memo's admission
 # and epoch contract (QueryMemo), and the near set's two integer shortcuts: the
